@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -94,7 +95,7 @@ func BenchmarkFig10Trace(b *testing.B) {
 
 func BenchmarkSimplexTransportation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p := lp.NewProblem(4)
+		p := lp.NewBoundedProblem(4)
 		for j, c := range []float64{1, 2, 3, 1} {
 			p.SetObjective(j, c)
 		}
@@ -102,7 +103,7 @@ func BenchmarkSimplexTransportation(b *testing.B) {
 		p.AddConstraint(map[int]float64{2: 1, 3: 1}, lp.EQ, 20)
 		p.AddConstraint(map[int]float64{0: 1, 2: 1}, lp.EQ, 15)
 		p.AddConstraint(map[int]float64{1: 1, 3: 1}, lp.EQ, 15)
-		if _, err := lp.Solve(p); err != nil {
+		if _, err := lp.SolveBounded(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,8 +113,8 @@ func BenchmarkILPSoCLTiny(b *testing.B) {
 	in := benchInstance(3, 3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _ := ilp.BuildSoCL(in)
-		if _, err := ilp.Solve(m, ilp.Options{TimeLimit: 30 * time.Second}); err != nil {
+		m, _ := ilp.BuildSoCLBounded(in)
+		if _, err := ilp.SolveBounded(m, ilp.Options{TimeLimit: 30 * time.Second}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,29 +130,31 @@ func BenchmarkOptExactSmall(b *testing.B) {
 	}
 }
 
-// BenchmarkOptSolve compares the exact solver across search backends: the
-// naive serial reference, the deterministic engine on one worker, and the
-// engine at GOMAXPROCS. On a single-core runner the last two coincide; the
-// parallel speedup is only observable on a multicore runner.
+// BenchmarkOptSolve runs the exact solver on one worker and at GOMAXPROCS,
+// on the ~100-node bench instance and on two Fig-2-scale ones (≈ 40 ms and
+// ≈ 155 ms serial, trees of 10⁴–10⁵ nodes — the sizes the scheduler choice of
+// DESIGN.md §14 was made on). On a single-core runner serial and parallel
+// coincide; the parallel speedup is only observable on a multicore runner.
 func BenchmarkOptSolve(b *testing.B) {
-	in := benchInstance(8, 10, 1)
-	run := func(b *testing.B, o opt.Options) {
-		o.TimeLimit = 30 * time.Second
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := opt.Solve(in, o); err != nil {
-				b.Fatal(err)
+	for _, sz := range [][2]int{{8, 10}, {8, 20}, {10, 15}} {
+		in := benchInstance(sz[0], sz[1], 1)
+		run := func(b *testing.B, o opt.Options) {
+			o.TimeLimit = 30 * time.Second
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := opt.Solve(in, o); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
+		name := fmt.Sprintf("%dx%d", sz[0], sz[1])
+		b.Run(name+"/serial", func(b *testing.B) { run(b, opt.Options{Workers: 1}) })
+		b.Run(name+"/parallel", func(b *testing.B) { run(b, opt.Options{}) })
 	}
-	b.Run("naive", func(b *testing.B) { run(b, opt.Options{Naive: true}) })
-	b.Run("serial", func(b *testing.B) { run(b, opt.Options{Workers: 1}) })
-	b.Run("parallel", func(b *testing.B) { run(b, opt.Options{}) })
 }
 
-// BenchmarkILPSolve compares the generic bounded MIP solver across search
-// backends (same axes as BenchmarkOptSolve). The bounded model also
-// exercises the warm-started node LPs.
+// BenchmarkILPSolve runs the generic MIP solver — warm-started node LPs on
+// the same scheduler — on one worker and at GOMAXPROCS.
 func BenchmarkILPSolve(b *testing.B) {
 	in := benchInstance(4, 4, 1)
 	run := func(b *testing.B, o ilp.Options) {
@@ -164,7 +167,6 @@ func BenchmarkILPSolve(b *testing.B) {
 			}
 		}
 	}
-	b.Run("naive", func(b *testing.B) { run(b, ilp.Options{Naive: true}) })
 	b.Run("serial", func(b *testing.B) { run(b, ilp.Options{Workers: 1}) })
 	b.Run("parallel", func(b *testing.B) { run(b, ilp.Options{}) })
 }
@@ -328,8 +330,8 @@ func BenchmarkAblationGenericILP(b *testing.B) {
 	in := benchInstance(3, 3, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _ := ilp.BuildSoCL(in)
-		if _, err := ilp.Solve(m, ilp.Options{TimeLimit: time.Minute}); err != nil {
+		m, _ := ilp.BuildSoCLBounded(in)
+		if _, err := ilp.SolveBounded(m, ilp.Options{TimeLimit: time.Minute}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -401,30 +403,6 @@ func BenchmarkSimSlot(b *testing.B) {
 		cfg := sim.DefaultConfig(g, cat, 20, int64(i))
 		cfg.DurationMinutes = 5 // one slot
 		if _, err := sim.Run(cfg, sim.JDR{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Ablation 5: row-based vs bounded-variable MILP encodings of the same
-// SoCL ILP (binary bounds as rows vs as variable bounds).
-func BenchmarkAblationILPRowBased(b *testing.B) {
-	in := benchInstance(5, 6, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, _ := ilp.BuildSoCL(in)
-		if _, err := ilp.Solve(m, ilp.Options{TimeLimit: time.Minute}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationILPBounded(b *testing.B) {
-	in := benchInstance(5, 6, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, _ := ilp.BuildSoCLBounded(in)
-		if _, err := ilp.SolveBounded(m, ilp.Options{TimeLimit: time.Minute}); err != nil {
 			b.Fatal(err)
 		}
 	}

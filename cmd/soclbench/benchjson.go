@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/baselines"
+	"repro/internal/bb"
 	"repro/internal/chaos"
 	"repro/internal/combine"
 	"repro/internal/experiments"
@@ -67,9 +68,7 @@ func runBenchJSON(dir string, workers int) error {
 	// Resolve the worker knob exactly as the solvers do, so the recorded
 	// value is what the *Parallel benchmarks actually ran with instead of a
 	// literal 0.
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = bb.ResolveWorkers(workers)
 	gcogIn := benchJSONInstance(10, 40, 1)
 	combineIn := benchJSONInstance(25, 250, 1)
 	combineIn.Budget = 1e9
@@ -78,7 +77,6 @@ func runBenchJSON(dir string, workers int) error {
 	fig8Opts := experiments.Options{Short: true, Seed: 1, Workers: workers}
 	optIn := benchJSONInstance(8, 10, 1)
 	ilpIn := benchJSONInstance(4, 4, 1)
-
 	// Sharded-combine smoke: one clustered instance solved per region and by
 	// the single-shard global reference, at the configured worker count.
 	shardedIn, shardedPlan := benchJSONClustered(4, 8, 240, 1)
@@ -106,10 +104,11 @@ func runBenchJSON(dir string, workers int) error {
 	mustApplyFault(chaosMask, chaos.Event{Kind: chaos.LinkDegrade, A: l.A, B: l.B, Factor: 0.25})
 	mustApplyFault(chaosMask, chaos.Event{Kind: chaos.StorageShrink, Node: chaosIn.V() - 1, Factor: 0.5})
 
-	benches := []struct {
+	type kernel struct {
 		name string
 		fn   func(b *testing.B)
-	}{
+	}
+	benches := []kernel{
 		{"BaselineGCOG", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				baselines.GCOG(gcogIn)
@@ -146,15 +145,10 @@ func runBenchJSON(dir string, workers int) error {
 				mustRunSharded(shardedIn, shardedPlan, cfg)
 			}
 		}},
-		// Exact-solver stack (the Fig2/Fig7 OPT columns): naive serial
-		// reference vs the deterministic engine at one worker vs the engine
-		// at the configured worker count. On a single-core runner the last
-		// two coincide — the parallel speedup needs a multicore runner.
-		{"OptSolveNaive", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveOpt(optIn, opt.Options{TimeLimit: 30 * time.Second, Naive: true})
-			}
-		}},
+		// Exact-solver stack (the Fig2/Fig7 OPT columns): the deterministic
+		// engine at one worker vs the configured worker count. On a
+		// single-core runner the two coincide — the parallel speedup needs a
+		// multicore runner.
 		{"OptSolveSerial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustSolveOpt(optIn, opt.Options{TimeLimit: 30 * time.Second, Workers: 1})
@@ -163,13 +157,6 @@ func runBenchJSON(dir string, workers int) error {
 		{"OptSolveParallel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustSolveOpt(optIn, opt.Options{TimeLimit: 30 * time.Second, Workers: workers})
-			}
-		}},
-		// Same solve on the retired fixed-frontier scheduler: the difference
-		// against OptSolveParallel is the work-stealing win on skewed trees.
-		{"OptSolveParallelStatic", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveOpt(optIn, opt.Options{TimeLimit: 30 * time.Second, Workers: workers, StaticFrontier: true})
 			}
 		}},
 		{"ChaosRepair", func(b *testing.B) {
@@ -184,11 +171,6 @@ func runBenchJSON(dir string, workers int) error {
 				repair.Run(chaosIn, chaosMask, chaosP, cfg)
 			}
 		}},
-		{"ILPSolveNaive", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Naive: true})
-			}
-		}},
 		{"ILPSolveSerial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Workers: 1})
@@ -199,18 +181,24 @@ func runBenchJSON(dir string, workers int) error {
 				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Workers: workers})
 			}
 		}},
-		{"ILPSolveParallelStatic", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Workers: workers, StaticFrontier: true})
-			}
-		}},
-		// Serial solve on the dense tableau engine: the gap against
-		// ILPSolveSerial is the sparse revised-simplex win per node LP.
-		{"ILPSolveSerialDense", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Workers: 1, DenseLP: true})
-			}
-		}},
+	}
+
+	// Fig-2-scale OPT kernels (≈ 40 ms and ≈ 155 ms serial on the box that
+	// chose the scheduler, DESIGN.md §14): trees of 10⁴–10⁵ nodes, where a
+	// scheduler's fixed start-up cost no longer decides the comparison.
+	for _, sz := range [][2]int{{8, 20}, {10, 15}} {
+		in := benchJSONInstance(sz[0], sz[1], 1)
+		for _, mode := range []struct {
+			name    string
+			workers int
+		}{{"Serial", 1}, {"Parallel", workers}} {
+			o := opt.Options{TimeLimit: 30 * time.Second, Workers: mode.workers}
+			benches = append(benches, kernel{fmt.Sprintf("OptSolveFig2_%dx%d%s", sz[0], sz[1], mode.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					mustSolveOpt(in, o)
+				}
+			}})
+		}
 	}
 
 	out := benchFile{

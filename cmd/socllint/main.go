@@ -383,10 +383,11 @@ func findModule() (dir, path string, err error) {
 }
 
 // expand resolves package patterns to package directories. A trailing /...
-// walks recursively; testdata, vendor, and dot-directories are skipped, as
-// are directories without non-test Go files. A pattern matching no package
-// directory is an error: it means a moved or renamed tree is silently
-// escaping the lint.
+// walks recursively; testdata, vendor, dot-directories and nested modules (a
+// subdirectory with its own go.mod, which the go tool's ./... excludes too)
+// are skipped, as are directories without non-test Go files. A pattern
+// matching no package directory is an error: it means a moved or renamed tree
+// is silently escaping the lint.
 func expand(modDir string, patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
@@ -431,6 +432,9 @@ func expand(modDir string, patterns []string) ([]string, error) {
 				}
 				name := d.Name()
 				if p != dir && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+					return filepath.SkipDir
+				}
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); p != dir && err == nil {
 					return filepath.SkipDir
 				}
 				if add(p) {

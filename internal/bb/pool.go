@@ -1,8 +1,6 @@
 // Package bb is the deterministic work-stealing pool behind the parallel
-// branch-and-bound engines (internal/ilp, internal/opt). It replaces the
-// fixed-frontier scheme — a serial breadth-first expansion to 64 subtree
-// roots drained through an atomic cursor — whose static split leaves workers
-// idle on skewed trees (DESIGN.md §14).
+// branch-and-bound engines (internal/ilp, internal/opt) — the one scheduler
+// both run on (DESIGN.md §14).
 //
 // Structure:
 //
@@ -125,15 +123,23 @@ func (c *Ctx[T]) Push(v T) {
 	c.p.deques[c.id].pushBottom(v)
 }
 
+// ResolveWorkers maps an Options.Workers knob to a pool size: a positive
+// count is taken as is, anything else means GOMAXPROCS. Engines call it to
+// size their per-worker state; Run applies the same rule.
+func ResolveWorkers(workers int) int {
+	if workers > 0 {
+		return workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // Run distributes seeds round-robin over per-worker deques and processes
 // items until every deque is empty and no item is in flight, stop() reports
 // true, or a process call returns an error (first error wins; the pool aborts
-// and Run returns it). process runs concurrently on up to workers goroutines;
-// it may Push further items via the Ctx.
+// and Run returns it). process runs concurrently on up to
+// ResolveWorkers(workers) goroutines; it may Push further items via the Ctx.
 func Run[T any](workers int, seeds []T, stop func() bool, process func(*Ctx[T], T) error) (Stats, error) {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = ResolveWorkers(workers)
 	p := &pool[T]{deques: make([]deque[T], workers), process: process, stop: stop}
 	for i, s := range seeds {
 		p.outstanding.Add(1)

@@ -1,16 +1,11 @@
-// Parallel branch-and-bound engine shared by Solve (row-based MIP, cold
-// bounds-overlay node LPs) and SolveBounded (bounded MIP, warm-started node
-// LPs). Architecture (DESIGN.md §9, §14):
+// Parallel branch-and-bound engine behind SolveBounded: warm-started node
+// LPs on a work-stealing scheduler. Architecture (DESIGN.md §9, §14):
 //
 //   - the root's children seed a work-stealing pool (internal/bb): each
 //     worker dives depth-first on a private stack and shares the "up" sibling
 //     of a branch onto its deque only while some other worker is starving
 //     (bb.Ctx.ShouldShare) — with one worker nothing is ever shared and the
 //     search is the exact serial dive;
-//   - Options.StaticFrontier restores the previous scheduler — a serial
-//     breadth-first expansion to a fixed frontier of 64 subtree roots drained
-//     through an atomic cursor — as a reference schedule for differential
-//     tests;
 //   - the incumbent is shared through an atomic best-objective (lock-free
 //     reads on the prune path) plus a mutex-guarded vector with a
 //     deterministic tie-break: at equal objective within model.ObjTol the
@@ -19,20 +14,19 @@
 //     counter and a shared deadline.
 //
 // Determinism: every node's LP result is a pure function of its tree
-// position (row engine: cold solve of base+bounds; bounded engine: warm from
-// its parent for dive children, from the shared root snapshot for stolen or
-// stacked siblings — never from whatever a worker last touched), and pruning keeps
-// ties alive (a subtree is cut only when its bound exceeds the incumbent by
-// more than model.ObjTol). Every solution within ObjTol of the optimum is
-// therefore enumerated under every schedule, and the lexicographic tie-break
-// picks the same winner — so any worker count returns the same result, which
-// the differential tests pin against the serial reference.
+// position (warm from its parent for dive children, from the parent's
+// snapshot for stolen or stacked siblings — never from whatever a worker last
+// touched), and pruning keeps ties alive (a subtree is cut only when its
+// bound exceeds the incumbent by more than model.ObjTol). Every solution
+// within ObjTol of the optimum is therefore enumerated under every schedule,
+// and the lexicographic tie-break picks the same winner — so any worker count
+// returns the same result, which the differential tests pin against the
+// serial reference.
 package ilp
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,23 +37,8 @@ import (
 	"repro/internal/model"
 )
 
-// resolveWorkers maps the Options.Workers knob to a pool size.
-func resolveWorkers(w int) int {
-	if w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// frontierTarget is the Options.StaticFrontier expansion size: the serial
-// breadth-first prefix stops once this many unexplored subtree roots are
-// queued. It is a fixed constant — NOT a function of the worker count — so
-// the expansion phase, and with it each node's warm-start lineage, is
-// identical for every Options.Workers value.
-const frontierTarget = 64
-
 // mostFractional returns the most fractional integer variable of x, or -1
-// when x is integer feasible — the same branching rule as the naive search.
+// when x is integer feasible — the same branching rule as the serial reference.
 func mostFractional(integer []bool, x []float64) int {
 	branchVar, frac := -1, 0.0
 	for j := range integer {
@@ -143,8 +122,21 @@ func (s *incumbentStore) take() ([]float64, float64, bool) {
 	return append([]float64(nil), s.x...), s.obj, true
 }
 
-// engineState is the control block shared by both engine variants.
-type engineState struct {
+// node is one open subproblem: the variable bounds of its branch, the parent
+// LP objective (its bound until solved), and the parent's post-solve tableau.
+type node struct {
+	lower, upper []float64
+	lpObj        float64
+	// snap is the parent's post-solve tableau: the up sibling restores it, so
+	// its warm source is the same parent basis the down child dove from. nil
+	// (the root's children) means the root snapshot.
+	snap *lp.WarmSnapshot
+}
+
+// engine is one SolveBounded run: the shared control block plus the warm
+// sources that make each node's LP lineage a function of tree position.
+type engine struct {
+	m         *BoundedMIP
 	opt       Options
 	store     incumbentStore
 	nodes     atomic.Int64
@@ -152,13 +144,22 @@ type engineState struct {
 	gapStop   atomic.Bool
 	deadline  time.Time
 	rootBound float64
+	// snap is the root relaxation's tableau; the root's children restart from
+	// it. Every deeper node carries its parent's snapshot instead (node.snap)
+	// — still a pure function of tree position, never of which worker (or
+	// schedule) ran the node. Dive children warm directly from their parent's
+	// tableau, which in depth-first order is the last solve.
+	snap *lp.WarmSnapshot
+	// snapPool recycles per-branch parent snapshots: each is restored exactly
+	// once (by the stacked or stolen up sibling) and then returns here.
+	snapPool sync.Pool
 }
 
-func (e *engineState) stopped() bool { return e.aborted.Load() || e.gapStop.Load() }
+func (e *engine) stopped() bool { return e.aborted.Load() || e.gapStop.Load() }
 
 // countNode claims one node against the global limits, reporting false (and
 // flagging the abort) when a limit is hit.
-func (e *engineState) countNode() bool {
+func (e *engine) countNode() bool {
 	n := e.nodes.Add(1)
 	if e.opt.MaxNodes > 0 && n > int64(e.opt.MaxNodes) {
 		e.aborted.Store(true)
@@ -176,13 +177,13 @@ func (e *engineState) countNode() bool {
 // exceeds the incumbent by more than model.ObjTol, so equal-objective
 // solutions stay reachable under every schedule (the determinism argument
 // needs the full tie class enumerated).
-func (e *engineState) pruned(bound float64) bool {
+func (e *engine) pruned(bound float64) bool {
 	best, ok := e.store.best()
 	return ok && bound > best+model.ObjTol
 }
 
 // noteIncumbent runs after a successful offer: it checks the gap stop.
-func (e *engineState) noteIncumbent() {
+func (e *engine) noteIncumbent() {
 	if e.opt.Gap <= 0 {
 		return
 	}
@@ -191,13 +192,16 @@ func (e *engineState) noteIncumbent() {
 	}
 }
 
-// finish assembles the Result exactly as the naive searches do: Optimal when
-// the tree was exhausted (or the gap target met), Feasible/NoSolution when a
-// limit stopped the search, Infeasible when exhaustion found no integer
-// point. Nodes is clamped to MaxNodes (the counter may overshoot by the
-// worker count).
-func (e *engineState) finish(start time.Time) Result {
+// finish assembles the Result exactly as the serial reference does: Optimal
+// when the tree was exhausted (or the gap target met), Feasible/NoSolution
+// when a limit stopped the search, Infeasible when exhaustion found no
+// integer point. Nodes is clamped to MaxNodes (the counter may overshoot by
+// the worker count); LPIters sums the workers' solvers.
+func (e *engine) finish(start time.Time, solvers []*lp.WarmSolver) Result {
 	res := Result{Objective: math.Inf(1), Bound: e.rootBound}
+	for _, ws := range solvers {
+		res.LPIters += ws.Stats.Iters
+	}
 	//socllint:ignore detrand elapsed wall time is reported, never branched on
 	res.Elapsed = time.Since(start)
 	n := e.nodes.Load()
@@ -225,287 +229,27 @@ func (e *engineState) finish(start time.Time) Result {
 	return res
 }
 
-// runFrontier drains the frontier with a worker pool; process explores one
-// subtree and returns its first error.
-func runFrontier[N any](e *engineState, workers int, frontier []N, process func(N, int) error) error {
-	if len(frontier) == 0 || e.stopped() {
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for !e.stopped() {
-				i := next.Add(1) - 1
-				if i >= int64(len(frontier)) {
-					return
-				}
-				if err := process(frontier[i], worker); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					e.aborted.Store(true)
-					return
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-		return nil
-	}
-}
-
-// --- row-based engine (Solve) ---
-
-type rowEngine struct {
-	engineState
-	m *MIP
-}
-
-// solveRowEngine is the parallel counterpart of solveNaive. Node LPs are
-// cold bounds-overlay solves of the shared base problem — a pure function of
-// the node's branch bounds, so results are schedule-independent by
-// construction.
-func solveRowEngine(m *MIP, opt Options) (Result, error) {
-	workers := resolveWorkers(opt.Workers)
+// solveEngine is the parallel, warm-started search behind SolveBounded.
+func solveEngine(m *BoundedMIP, opt Options) (Result, error) {
 	//socllint:ignore detrand wall-clock time limit is an explicit Options knob, not hidden nondeterminism
 	start := time.Now()
-	e := &rowEngine{m: m}
-	e.opt = opt
-	e.rootBound = math.Inf(-1)
+	e := &engine{m: m, opt: opt, rootBound: math.Inf(-1)}
 	e.store.init()
 	if opt.TimeLimit > 0 {
 		e.deadline = start.Add(opt.TimeLimit)
 	}
-	ws := &lp.Workspace{}
-
-	// Root relaxation, handled explicitly so Infeasible/Unbounded map to the
-	// same results the naive search returns.
-	e.nodes.Add(1)
-	rootSol, err := solveNodeLP(m.Prob, nil, ws)
-	if err != nil {
-		return Result{}, err
-	}
-	switch rootSol.Status {
-	case lp.Infeasible:
-		//socllint:ignore detrand elapsed wall time is reported, never branched on
-		return Result{Status: Infeasible, Nodes: 1, Elapsed: time.Since(start)}, nil
-	case lp.Unbounded:
-		return Result{}, fmt.Errorf("ilp: relaxation unbounded")
-	case lp.IterLimit:
-		res := e.finish(start)
-		return res, nil
-	}
-	e.rootBound = rootSol.Objective
-
-	var queue []bbNode
-	if bv := mostFractional(m.Integer, rootSol.X); bv == -1 {
-		if e.store.offer(rootSol.X, rootSol.Objective, m.Integer) {
-			e.verify(rootSol.X, rootSol.Objective)
-			e.noteIncumbent()
-		}
-	} else {
-		fl := math.Floor(rootSol.X[bv])
-		queue = append(queue,
-			bbNode{bounds: []branchBound{{Var: bv, Upper: true, Val: fl}}, lpObj: rootSol.Objective},
-			bbNode{bounds: []branchBound{{Var: bv, Upper: false, Val: fl + 1}}, lpObj: rootSol.Objective})
-	}
-
-	if opt.StaticFrontier {
-		// Reference scheduler: deterministic breadth-first expansion to the
-		// frontier, then an atomic-cursor pool over the subtree roots.
-		for len(queue) > 0 && len(queue) < frontierTarget && !e.stopped() {
-			nd := queue[0]
-			queue = queue[1:]
-			down, up, branched, perr := e.processNode(nd, ws)
-			if perr != nil {
-				return Result{}, perr
-			}
-			if branched {
-				queue = append(queue, down, up)
-			}
-		}
-		err = runFrontier(&e.engineState, workers, queue, func(nd bbNode, _ int) error {
-			return e.dfsFrom(nd)
-		})
-		if err != nil {
+	// One warm solver per worker; the root relaxation runs on the first.
+	solvers := make([]*lp.WarmSolver, bb.ResolveWorkers(opt.Workers))
+	for i := range solvers {
+		var err error
+		if solvers[i], err = lp.NewWarmSolver(m.Prob); err != nil {
 			return Result{}, err
 		}
-		return e.finish(start), nil
 	}
+	ws := solvers[0]
 
-	// Work-stealing scheduler: the root children seed the pool directly; load
-	// balance comes from workers sharing "up" siblings while others starve.
-	wss := make([]*lp.Workspace, workers)
-	for i := range wss {
-		wss[i] = &lp.Workspace{}
-	}
-	_, err = bb.Run(workers, queue, e.stopped, func(c *bb.Ctx[bbNode], nd bbNode) error {
-		return e.dfsSteal(c, nd, wss[c.Worker()])
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return e.finish(start), nil
-}
-
-// processNode solves one node; when it branches, down/up are the two
-// children (the down branch is the dive-first child, mirroring the naive
-// LIFO order).
-func (e *rowEngine) processNode(nd bbNode, ws *lp.Workspace) (down, up bbNode, branched bool, err error) {
-	if !e.countNode() {
-		return
-	}
-	if len(nd.bounds) > 0 && e.pruned(nd.lpObj) {
-		return
-	}
-	sol, serr := solveNodeLP(e.m.Prob, nd.bounds, ws)
-	if serr != nil {
-		err = serr
-		return
-	}
-	if sol.Status != lp.Optimal {
-		return // Infeasible/IterLimit: unexplorable; Unbounded cannot occur below the root
-	}
-	if e.pruned(sol.Objective) {
-		return
-	}
-	bv := mostFractional(e.m.Integer, sol.X)
-	if bv == -1 {
-		if e.store.offer(sol.X, sol.Objective, e.m.Integer) {
-			e.verify(sol.X, sol.Objective)
-			e.noteIncumbent()
-		}
-		return
-	}
-	fl := math.Floor(sol.X[bv])
-	down = bbNode{bounds: appendBound(nd.bounds, branchBound{Var: bv, Upper: true, Val: fl}), lpObj: sol.Objective}
-	up = bbNode{bounds: appendBound(nd.bounds, branchBound{Var: bv, Upper: false, Val: fl + 1}), lpObj: sol.Objective}
-	branched = true
-	return
-}
-
-// dfsSteal explores one subtree depth-first (down child first) on a private
-// stack, sharing the "up" sibling with the pool only while some worker is
-// starving. Node LPs are cold solves, so where a node runs never changes its
-// result.
-func (e *rowEngine) dfsSteal(c *bb.Ctx[bbNode], root bbNode, ws *lp.Workspace) error {
-	stack := []bbNode{root}
-	for len(stack) > 0 && !e.stopped() {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		down, up, branched, err := e.processNode(nd, ws)
-		if err != nil {
-			return err
-		}
-		if branched {
-			if c.ShouldShare() {
-				c.Push(up)
-			} else {
-				stack = append(stack, up)
-			}
-			stack = append(stack, down)
-		}
-	}
-	return nil
-}
-
-// dfsFrom explores one frontier subtree depth-first (down child first) —
-// the Options.StaticFrontier worker body.
-func (e *rowEngine) dfsFrom(root bbNode) error {
-	ws := &lp.Workspace{}
-	stack := []bbNode{root}
-	for len(stack) > 0 && !e.stopped() {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		down, up, branched, err := e.processNode(nd, ws)
-		if err != nil {
-			return err
-		}
-		if branched {
-			stack = append(stack, up, down)
-		}
-	}
-	return nil
-}
-
-// verify re-checks an accepted incumbent against the base problem from
-// scratch under -tags soclinvariants: constraint rows, nonnegativity,
-// integrality, and the objective recomputation.
-func (e *rowEngine) verify(x []float64, obj float64) {
-	if !invariant.Enabled {
-		return
-	}
-	for j, isInt := range e.m.Integer {
-		if isInt {
-			invariant.Assertf(math.Abs(x[j]-math.Round(x[j])) <= intTol,
-				"ilp engine incumbent: variable %d = %v is not integral", j, x[j])
-		}
-	}
-	invariant.CheckLPRowSolution(e.m.Prob, x, obj, "ilp engine incumbent")
-}
-
-func appendBound(bounds []branchBound, b branchBound) []branchBound {
-	out := make([]branchBound, len(bounds)+1)
-	copy(out, bounds)
-	out[len(bounds)] = b
-	return out
-}
-
-// --- bounded engine (SolveBounded) ---
-
-type boundedNode struct {
-	lower, upper []float64
-	lpObj        float64
-	// snap is the parent's post-solve tableau (work-stealing path only): the
-	// up sibling restores it instead of the root snapshot, so its warm source
-	// is the same parent basis the down child dove from. nil means the root
-	// snapshot (seeds and the StaticFrontier path).
-	snap *lp.WarmSnapshot
-}
-
-type boundedEngine struct {
-	engineState
-	m *BoundedMIP
-	// snap is the root relaxation's tableau. Seeded nodes (and every stack
-	// node under StaticFrontier) restart from it; work-stealing nodes carry a
-	// parent snapshot instead (boundedNode.snap) so their LP lineage is the
-	// parent basis — still a pure function of tree position, never of which
-	// worker (or schedule) ran the node. Dive children warm directly from
-	// their parent's tableau, which in depth-first order is the last solve.
-	snap *lp.WarmSnapshot
-	// snapPool recycles per-branch parent snapshots: each is restored exactly
-	// once (by the stacked or stolen up sibling) and then returns here.
-	snapPool sync.Pool
-}
-
-// solveBoundedEngine is the parallel, warm-started counterpart of
-// solveBoundedNaive.
-func solveBoundedEngine(m *BoundedMIP, opt Options) (Result, error) {
-	workers := resolveWorkers(opt.Workers)
-	//socllint:ignore detrand wall-clock time limit is an explicit Options knob, not hidden nondeterminism
-	start := time.Now()
-	e := &boundedEngine{m: m}
-	e.opt = opt
-	e.rootBound = math.Inf(-1)
-	e.store.init()
-	if opt.TimeLimit > 0 {
-		e.deadline = start.Add(opt.TimeLimit)
-	}
-	lpCfg := lp.WarmConfig{Dense: opt.DenseLP}
-	ws, err := lp.NewWarmSolverCfg(m.Prob, lpCfg)
-	if err != nil {
-		return Result{}, err
-	}
-
+	// Root relaxation, handled explicitly so Infeasible/Unbounded map to the
+	// same results the serial reference returns.
 	e.nodes.Add(1)
 	rootSol, err := ws.SolveWithBounds(m.Prob.Lower, m.Prob.Upper)
 	if err != nil {
@@ -514,74 +258,44 @@ func solveBoundedEngine(m *BoundedMIP, opt Options) (Result, error) {
 	switch rootSol.Status {
 	case lp.Infeasible:
 		//socllint:ignore detrand elapsed wall time is reported, never branched on
-		return Result{Status: Infeasible, Nodes: 1, Elapsed: time.Since(start)}, nil
+		return Result{Status: Infeasible, Nodes: 1, LPIters: ws.Stats.Iters, Elapsed: time.Since(start)}, nil
 	case lp.Unbounded:
 		return Result{}, fmt.Errorf("ilp: relaxation unbounded")
 	case lp.IterLimit:
-		return e.finish(start), nil
+		return e.finish(start, solvers), nil
 	}
 	e.rootBound = rootSol.Objective
-	//socllint:ignore snapshotpair root snapshot is stored on the engine; every queued/frontier node Restores it (processNode fromSnapshot=true)
+	//socllint:ignore snapshotpair root snapshot is stored on the engine; the root's children Restore it (processNode fromSnapshot=true)
 	e.snap = ws.Snapshot()
 
-	var queue []boundedNode
+	var seeds []node
 	if bv := mostFractional(m.Integer, rootSol.X); bv == -1 {
 		if e.store.offer(rootSol.X, rootSol.Objective, m.Integer) {
 			e.verify(rootSol.X, rootSol.Objective)
 			e.noteIncumbent()
 		}
 	} else {
-		down, up := branchBounded(m.Prob.Lower, m.Prob.Upper, bv, rootSol.X[bv], rootSol.Objective)
-		queue = append(queue, down, up)
+		down, up := branch(m.Prob.Lower, m.Prob.Upper, bv, rootSol.X[bv], rootSol.Objective)
+		seeds = append(seeds, down, up)
 	}
 
-	solvers := make([]*lp.WarmSolver, workers)
-	for i := range solvers {
-		if solvers[i], err = lp.NewWarmSolverCfg(m.Prob, lpCfg); err != nil {
-			return Result{}, err
-		}
-	}
-
-	if opt.StaticFrontier {
-		// Reference scheduler: breadth-first expansion, atomic-cursor pool.
-		for len(queue) > 0 && len(queue) < frontierTarget && !e.stopped() {
-			nd := queue[0]
-			queue = queue[1:]
-			down, up, branched, perr := e.processNode(nd, ws, true)
-			if perr != nil {
-				return Result{}, perr
-			}
-			if branched {
-				queue = append(queue, down, up)
-			}
-		}
-		err = runFrontier(&e.engineState, workers, queue, func(nd boundedNode, worker int) error {
-			return e.dfsFrom(nd, solvers[worker])
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		return e.finish(start), nil
-	}
-
-	// Work-stealing scheduler: the root children seed the pool; every seeded
-	// or stolen node restarts from the root snapshot, so the warm lineage of
-	// a node depends only on its tree position, never on which worker (or
-	// which schedule) ran it.
-	_, err = bb.Run(workers, queue, e.stopped, func(c *bb.Ctx[boundedNode], nd boundedNode) error {
-		return e.dfsSteal(c, nd, solvers[c.Worker()])
+	// The root children seed the pool; load balance comes from workers sharing
+	// "up" siblings while others starve.
+	_, err = bb.Run(len(solvers), seeds, e.stopped, func(c *bb.Ctx[node], nd node) error {
+		return e.dfs(c, nd, solvers[c.Worker()])
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	return e.finish(start), nil
+	return e.finish(start, solvers), nil
 }
 
 // processNode solves one node. fromSnapshot selects the warm source: true
-// restores the root tableau first (queued siblings and frontier roots),
-// false warms straight from the solver's current state (dive children, whose
-// parent was by construction the previous solve on this solver).
-func (e *boundedEngine) processNode(nd boundedNode, ws *lp.WarmSolver, fromSnapshot bool) (down, up boundedNode, branched bool, err error) {
+// restores the node's parent tableau first (seeds, stacked and stolen
+// siblings), false warms straight from the solver's current state (dive
+// children, whose parent was by construction the previous solve on this
+// solver).
+func (e *engine) processNode(nd node, ws *lp.WarmSolver, fromSnapshot bool) (down, up node, branched bool, err error) {
 	if !e.countNode() {
 		return
 	}
@@ -616,24 +330,24 @@ func (e *boundedEngine) processNode(nd boundedNode, ws *lp.WarmSolver, fromSnaps
 	if bv == -1 {
 		if e.store.offer(sol.X, sol.Objective, e.m.Integer) {
 			e.verify(sol.X, sol.Objective)
-			invariant.CheckWarmFactorization(ws, "ilp bounded engine incumbent")
+			invariant.CheckWarmFactorization(ws, "ilp engine incumbent")
 			e.noteIncumbent()
 		}
 		return
 	}
-	down, up = branchBounded(nd.lower, nd.upper, bv, sol.X[bv], sol.Objective)
+	down, up = branch(nd.lower, nd.upper, bv, sol.X[bv], sol.Objective)
 	branched = true
 	return
 }
 
-// dfsSteal explores one subtree depth-first on a private stack. The down
-// child is processed immediately on the same solver (warm from the parent
-// tableau it just produced, fromSnap=false); the up child is either shared
-// with the pool (when a worker is starving) or stacked locally — both paths
-// restart it from the root snapshot, so sharing changes the schedule but
-// never a node's warm lineage.
-func (e *boundedEngine) dfsSteal(c *bb.Ctx[boundedNode], root boundedNode, ws *lp.WarmSolver) error {
-	var stack []boundedNode
+// dfs explores one subtree depth-first on a private stack. The down child is
+// processed immediately on the same solver (warm from the parent tableau it
+// just produced, fromSnap=false); the up child is either shared with the pool
+// (when a worker is starving) or stacked locally — both paths restart it from
+// the parent's snapshot, so sharing changes the schedule but never a node's
+// warm lineage.
+func (e *engine) dfs(c *bb.Ctx[node], root node, ws *lp.WarmSolver) error {
+	var stack []node
 	cur, fromSnap, have := root, true, true
 	for have && !e.stopped() {
 		down, up, branched, err := e.processNode(cur, ws, fromSnap)
@@ -663,59 +377,32 @@ func (e *boundedEngine) dfsSteal(c *bb.Ctx[boundedNode], root boundedNode, ws *l
 	return nil
 }
 
-// dfsFrom explores one frontier subtree depth-first — the
-// Options.StaticFrontier worker body. The down child is
-// processed immediately on the same solver (warm from the parent tableau it
-// just produced); the up child is stacked and later restarted from the root
-// snapshot.
-func (e *boundedEngine) dfsFrom(root boundedNode, ws *lp.WarmSolver) error {
-	var stack []boundedNode
-	cur, fromSnap, have := root, true, true
-	for have && !e.stopped() {
-		down, up, branched, err := e.processNode(cur, ws, fromSnap)
-		if err != nil {
-			return err
-		}
-		switch {
-		case branched:
-			stack = append(stack, up)
-			cur, fromSnap = down, false
-		case len(stack) > 0:
-			cur, fromSnap = stack[len(stack)-1], true
-			stack = stack[:len(stack)-1]
-		default:
-			have = false
-		}
-	}
-	return nil
-}
-
 // verify re-checks an accepted incumbent from scratch under
 // -tags soclinvariants.
-func (e *boundedEngine) verify(x []float64, obj float64) {
+func (e *engine) verify(x []float64, obj float64) {
 	if !invariant.Enabled {
 		return
 	}
 	for j, isInt := range e.m.Integer {
 		if isInt {
 			invariant.Assertf(math.Abs(x[j]-math.Round(x[j])) <= intTol,
-				"ilp bounded engine incumbent: variable %d = %v is not integral", j, x[j])
+				"ilp engine incumbent: variable %d = %v is not integral", j, x[j])
 		}
 	}
-	invariant.CheckLPBoundedSolution(e.m.Prob, x, obj, "ilp bounded engine incumbent")
+	invariant.CheckLPBoundedSolution(e.m.Prob, x, obj, "ilp engine incumbent")
 }
 
-// branchBounded builds the two children of a bounded node: down tightens the
-// upper bound to floor(xv), up raises the lower bound to floor(xv)+1.
-func branchBounded(lower, upper []float64, bv int, xv, lpObj float64) (down, up boundedNode) {
+// branch builds the two children of a node: down tightens the upper bound to
+// floor(xv), up raises the lower bound to floor(xv)+1.
+func branch(lower, upper []float64, bv int, xv, lpObj float64) (down, up node) {
 	fl := math.Floor(xv)
-	down = boundedNode{
+	down = node{
 		lower: append([]float64(nil), lower...),
 		upper: append([]float64(nil), upper...),
 		lpObj: lpObj,
 	}
 	down.upper[bv] = fl
-	up = boundedNode{
+	up = node{
 		lower: append([]float64(nil), lower...),
 		upper: append([]float64(nil), upper...),
 		lpObj: lpObj,

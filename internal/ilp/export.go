@@ -9,73 +9,14 @@ import (
 	"repro/internal/lp"
 )
 
-// WriteLP serializes a MIP in the CPLEX LP file format, which Gurobi,
-// CPLEX, SCIP, HiGHS and GLPK all read. This is the repository's bridge to
-// external solvers: the SoCL ILP built by BuildSoCL/BuildSoCLBounded can be
-// exported and solved by a commercial optimizer to double-check the
-// built-in exact solvers (see DESIGN.md §2 — the paper used Gurobi).
+// WriteBoundedLP serializes a BoundedMIP in the CPLEX LP file format, which
+// Gurobi, CPLEX, SCIP, HiGHS and GLPK all read. This is the repository's
+// bridge to external solvers: the SoCL ILP built by BuildSoCLBounded can be
+// exported and solved by a commercial optimizer to double-check the built-in
+// exact solvers (see DESIGN.md §2 — the paper used Gurobi).
 //
-// Variable j is named x<j>. Binary/integer markers go to the General
-// section (bounds carry the 0/1 restriction for binaries).
-func WriteLP(w io.Writer, prob *lp.Problem, integer []bool) error {
-	if prob == nil {
-		return fmt.Errorf("ilp: nil problem")
-	}
-	if err := prob.Validate(); err != nil {
-		return err
-	}
-	if integer != nil && len(integer) != prob.NumVars {
-		return fmt.Errorf("ilp: integer length %d != NumVars %d", len(integer), prob.NumVars)
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, `\ SoCL ILP export (CPLEX LP format)`)
-	fmt.Fprintln(bw, "Minimize")
-	fmt.Fprint(bw, " obj:")
-	writeLinear(bw, prob.Objective)
-	fmt.Fprintln(bw)
-
-	fmt.Fprintln(bw, "Subject To")
-	for i, c := range prob.Constraints {
-		fmt.Fprintf(bw, " c%d:", i)
-		coeffs := make([]float64, prob.NumVars)
-		//socllint:ignore detrand map scatter into a dense slice indexed by key; result is iteration-order-independent
-		for j, v := range c.Coeffs {
-			coeffs[j] = v
-		}
-		writeLinear(bw, coeffs)
-		switch c.Rel {
-		case lp.LE:
-			fmt.Fprintf(bw, " <= %g\n", c.RHS)
-		case lp.GE:
-			fmt.Fprintf(bw, " >= %g\n", c.RHS)
-		case lp.EQ:
-			fmt.Fprintf(bw, " = %g\n", c.RHS)
-		}
-	}
-
-	if integer != nil {
-		fmt.Fprintln(bw, "General")
-		line := 0
-		for j, isInt := range integer {
-			if !isInt {
-				continue
-			}
-			fmt.Fprintf(bw, " x%d", j)
-			line++
-			if line%10 == 0 {
-				fmt.Fprintln(bw)
-			}
-		}
-		if line%10 != 0 {
-			fmt.Fprintln(bw)
-		}
-	}
-	fmt.Fprintln(bw, "End")
-	return bw.Flush()
-}
-
-// WriteBoundedLP serializes a BoundedMIP, emitting its variable bounds in
-// the Bounds section.
+// Variable j is named x<j>; bounds go to the Bounds section and integer
+// markers to the General section (omitted when no variable is integer).
 func WriteBoundedLP(w io.Writer, m *BoundedMIP) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -121,11 +62,13 @@ func WriteBoundedLP(w io.Writer, m *BoundedMIP) error {
 		}
 	}
 
-	fmt.Fprintln(bw, "General")
 	line := 0
 	for j, isInt := range m.Integer {
 		if !isInt {
 			continue
+		}
+		if line == 0 {
+			fmt.Fprintln(bw, "General")
 		}
 		fmt.Fprintf(bw, " x%d", j)
 		line++

@@ -1,8 +1,9 @@
 // Package ilp implements a generic mixed-integer linear programming solver:
-// branch and bound over the LP relaxation provided by package lp. Together
-// they form the "optimizer" substitute for Gurobi used by the paper's OPT
-// comparisons (see DESIGN.md): exact on small instances, exponential at
-// scale — which is precisely the behaviour Fig. 2 / Fig. 7 document.
+// branch and bound over the bounded-variable LP relaxation provided by
+// package lp. Together they form the "optimizer" substitute for Gurobi used
+// by the paper's OPT comparisons (see DESIGN.md): exact on small instances,
+// exponential at scale — which is precisely the behaviour Fig. 2 / Fig. 7
+// document.
 package ilp
 
 import (
@@ -13,16 +14,16 @@ import (
 	"repro/internal/lp"
 )
 
-// MIP couples an LP with integrality markers. Integer variables are assumed
-// binary-or-bounded via explicit constraints in the LP (the SoCL builder
-// adds x ≤ 1 rows); branching introduces the floor/ceil bounds.
-type MIP struct {
-	Prob    *lp.Problem
+// BoundedMIP couples a bounded-variable LP with integrality markers. Binary
+// variables live as [0,1] bounds, and branch-and-bound tightens bounds
+// instead of appending constraints.
+type BoundedMIP struct {
+	Prob    *lp.BoundedProblem
 	Integer []bool // len == Prob.NumVars
 }
 
 // Validate checks structural sanity.
-func (m *MIP) Validate() error {
+func (m *BoundedMIP) Validate() error {
 	if m.Prob == nil {
 		return fmt.Errorf("ilp: nil problem")
 	}
@@ -46,24 +47,8 @@ type Options struct {
 	// worker count returns the same optimum and — via the lexicographic
 	// incumbent tie-break — the same solution vector (DESIGN.md §9).
 	// Node/time limits make which incumbent a *capped* run holds
-	// schedule-dependent, exactly as they made it wall-clock-dependent
-	// serially.
+	// schedule-dependent.
 	Workers int
-	// Naive forces the original serial depth-first search, kept verbatim as
-	// the reference implementation the engine is differentially tested
-	// against (mirrors combine.Config.Naive / baselines.GCOGConfig.Naive).
-	Naive bool
-	// StaticFrontier reverts the engine to the fixed-frontier scheduler (a
-	// serial breadth-first expansion to 64 subtree roots drained through an
-	// atomic cursor) instead of the work-stealing pool. Kept as a reference
-	// schedule the stealing engine is differentially tested against; results
-	// are identical either way.
-	StaticFrontier bool
-	// DenseLP makes the bounded engine's warm solvers use the dense tableau
-	// engine (lp.WarmConfig{Dense: true}) instead of the sparse revised
-	// simplex — an escape hatch plus the pivot for dense-vs-sparse
-	// differential tests and benchmarks.
-	DenseLP bool
 }
 
 // Status of a MIP solve.
@@ -100,147 +85,21 @@ type Result struct {
 	Objective float64
 	Bound     float64 // proven lower bound on the optimum
 	Nodes     int     // branch-and-bound nodes explored
-	Elapsed   time.Duration
+	// LPIters sums the simplex pivots of every node relaxation, abandoned
+	// warm-start attempts included — the LP work behind Nodes.
+	LPIters int
+	Elapsed time.Duration
 }
 
 const intTol = 1e-6
 
-type bbNode struct {
-	// extra bounds accumulated along the branch: (var, isUpper, value)
-	bounds []branchBound
-	lpObj  float64 // parent LP bound, for ordering
-}
-
-// branchBound is one branching bound (var, isUpper, value) — structurally
-// the overlay row the lp package applies on top of the shared base problem.
-type branchBound = lp.BoundRow
-
-// Solve runs branch and bound: the parallel engine by default (engine.go),
-// or the original serial depth-first search when opt.Naive is set.
-func Solve(m *MIP, opt Options) (Result, error) {
+// SolveBounded runs the warm-started parallel branch and bound of engine.go
+// over the bounded-variable relaxation.
+func SolveBounded(m *BoundedMIP, opt Options) (Result, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, err
 	}
-	if opt.Naive {
-		return solveNaive(m, opt)
-	}
-	return solveRowEngine(m, opt)
-}
-
-// solveNaive is the reference search: serial, depth-first, one LP per node.
-// It is pinned against the engine by the differential tests and must not
-// change behaviour.
-func solveNaive(m *MIP, opt Options) (Result, error) {
-	//socllint:ignore detrand wall-clock time limit is an explicit Options knob, not hidden nondeterminism
-	start := time.Now()
-	deadline := time.Time{}
-	if opt.TimeLimit > 0 {
-		deadline = start.Add(opt.TimeLimit)
-	}
-
-	res := Result{Status: NoSolution, Objective: math.Inf(1), Bound: math.Inf(-1)}
-	var incumbent []float64
-
-	stack := []bbNode{{}}
-	rootSolved := false
-	rootBound := math.Inf(-1)
-
-	for len(stack) > 0 {
-		if opt.MaxNodes > 0 && res.Nodes >= opt.MaxNodes {
-			break
-		}
-		//socllint:ignore detrand wall-clock time limit is an explicit Options knob, not hidden nondeterminism
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			break
-		}
-		node := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		res.Nodes++
-
-		// Prune against incumbent using the parent bound before solving.
-		if incumbent != nil && node.lpObj >= res.Objective-1e-9 && len(node.bounds) > 0 {
-			continue
-		}
-
-		sol, err := solveNodeLP(m.Prob, node.bounds, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		if sol.Status == lp.Infeasible {
-			if !rootSolved {
-				rootSolved = true
-				//socllint:ignore detrand elapsed wall time is reported, never branched on
-				res.Elapsed = time.Since(start)
-				return Result{Status: Infeasible, Nodes: res.Nodes, Elapsed: res.Elapsed}, nil
-			}
-			continue
-		}
-		if sol.Status == lp.Unbounded {
-			if !rootSolved {
-				return Result{}, fmt.Errorf("ilp: relaxation unbounded")
-			}
-			continue
-		}
-		if sol.Status == lp.IterLimit {
-			// Treat as unexplorable; conservative (keeps incumbent valid).
-			continue
-		}
-		if !rootSolved {
-			rootSolved = true
-			rootBound = sol.Objective
-		}
-		if incumbent != nil && sol.Objective >= res.Objective-1e-9 {
-			continue // bound prune
-		}
-
-		// Find most fractional integer variable.
-		branchVar, frac := -1, 0.0
-		for j := range m.Integer {
-			if !m.Integer[j] {
-				continue
-			}
-			f := sol.X[j] - math.Floor(sol.X[j])
-			d := math.Min(f, 1-f)
-			if d > intTol && d > frac {
-				frac, branchVar = d, j
-			}
-		}
-		if branchVar == -1 {
-			// Integer feasible.
-			if sol.Objective < res.Objective {
-				res.Objective = sol.Objective
-				incumbent = append([]float64(nil), sol.X...)
-				if opt.Gap > 0 && gapOK(res.Objective, rootBound, opt.Gap) {
-					break
-				}
-			}
-			continue
-		}
-
-		fl := math.Floor(sol.X[branchVar])
-		// Push the "up" child first so the "down" child (often cheaper for
-		// deployment variables) is explored first (LIFO).
-		up := append(append([]branchBound(nil), node.bounds...), branchBound{Var: branchVar, Upper: false, Val: fl + 1})
-		down := append(append([]branchBound(nil), node.bounds...), branchBound{Var: branchVar, Upper: true, Val: fl})
-		stack = append(stack, bbNode{bounds: up, lpObj: sol.Objective}, bbNode{bounds: down, lpObj: sol.Objective})
-	}
-
-	//socllint:ignore detrand elapsed wall time is reported, never branched on
-	res.Elapsed = time.Since(start)
-	res.Bound = rootBound
-	if incumbent == nil {
-		if len(stack) == 0 && rootSolved {
-			res.Status = Infeasible // exhausted without integer point
-		}
-		return res, nil
-	}
-	res.X = incumbent
-	if len(stack) == 0 || (opt.Gap > 0 && gapOK(res.Objective, rootBound, opt.Gap)) {
-		res.Status = Optimal
-	} else {
-		res.Status = Feasible
-	}
-	return res, nil
+	return solveEngine(m, opt)
 }
 
 func gapOK(incumbent, bound, gap float64) bool {
@@ -248,13 +107,4 @@ func gapOK(incumbent, bound, gap float64) bool {
 		return false
 	}
 	return (incumbent-bound)/math.Max(math.Abs(incumbent), 1) <= gap
-}
-
-// solveNodeLP solves one node relaxation via the bounds overlay: the branch
-// bounds are applied as extra tableau rows on the shared base problem, which
-// replaced the former Problem.Clone()-per-node construction bit-for-bit
-// (the lp package pins the equivalence; BenchmarkILPNodeLP the allocation
-// win). ws may be nil; workers pass their own to pool tableau storage.
-func solveNodeLP(base *lp.Problem, bounds []branchBound, ws *lp.Workspace) (lp.Solution, error) {
-	return lp.SolveWithBoundRows(base, bounds, ws)
 }

@@ -13,19 +13,13 @@ import (
 	"repro/internal/topology"
 )
 
+// The fixtures below write every restriction as rows over the default
+// [0, +Inf) bounds, so the engine is also exercised with no finite upper bound
+// to flip across.
 func TestKnapsack(t *testing.T) {
 	// max 10a+13b+7c, weights 3,4,2, cap 6, binary → min negative.
 	// Best: b+c = 20 (weight 6). a+c = 17, a alone 10.
-	p := lp.NewProblem(3)
-	p.SetObjective(0, -10)
-	p.SetObjective(1, -13)
-	p.SetObjective(2, -7)
-	p.AddConstraint(map[int]float64{0: 3, 1: 4, 2: 2}, lp.LE, 6)
-	for j := 0; j < 3; j++ {
-		p.AddConstraint(map[int]float64{j: 1}, lp.LE, 1)
-	}
-	m := &MIP{Prob: p, Integer: []bool{true, true, true}}
-	res, err := Solve(m, Options{})
+	res, err := SolveBounded(rowEncoded(knapsackMIP()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +37,14 @@ func TestKnapsack(t *testing.T) {
 func TestIntegerForcesWorseThanLP(t *testing.T) {
 	// max x1+x2 s.t. 2x1+x2 <= 3, x1+2x2 <= 3 → LP opt at (1,1)=2 integral;
 	// tweak: 2x1+2x2 <= 3 → LP 1.5, ILP 1.
-	p := lp.NewProblem(2)
+	p := lp.NewBoundedProblem(2)
 	p.SetObjective(0, -1)
 	p.SetObjective(1, -1)
 	p.AddConstraint(map[int]float64{0: 2, 1: 2}, lp.LE, 3)
 	p.AddConstraint(map[int]float64{0: 1}, lp.LE, 1)
 	p.AddConstraint(map[int]float64{1: 1}, lp.LE, 1)
-	m := &MIP{Prob: p, Integer: []bool{true, true}}
-	res, err := Solve(m, Options{})
+	m := &BoundedMIP{Prob: p, Integer: []bool{true, true}}
+	res, err := SolveBounded(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +54,12 @@ func TestIntegerForcesWorseThanLP(t *testing.T) {
 }
 
 func TestMIPInfeasible(t *testing.T) {
-	p := lp.NewProblem(1)
+	p := lp.NewBoundedProblem(1)
 	p.SetObjective(0, 1)
 	p.AddConstraint(map[int]float64{0: 1}, lp.GE, 2)
 	p.AddConstraint(map[int]float64{0: 1}, lp.LE, 1)
-	m := &MIP{Prob: p, Integer: []bool{true}}
-	res, err := Solve(m, Options{})
+	m := &BoundedMIP{Prob: p, Integer: []bool{true}}
+	res, err := SolveBounded(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +70,12 @@ func TestMIPInfeasible(t *testing.T) {
 
 func TestMIPIntegerInfeasibleByBranching(t *testing.T) {
 	// 0.4 <= x <= 0.6, x integer → LP feasible, no integer point.
-	p := lp.NewProblem(1)
+	p := lp.NewBoundedProblem(1)
 	p.SetObjective(0, 1)
 	p.AddConstraint(map[int]float64{0: 1}, lp.GE, 0.4)
 	p.AddConstraint(map[int]float64{0: 1}, lp.LE, 0.6)
-	m := &MIP{Prob: p, Integer: []bool{true}}
-	res, err := Solve(m, Options{})
+	m := &BoundedMIP{Prob: p, Integer: []bool{true}}
+	res, err := SolveBounded(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +87,14 @@ func TestMIPIntegerInfeasibleByBranching(t *testing.T) {
 func TestMixedIntegerContinuous(t *testing.T) {
 	// min -x - 10y, x continuous ≤ 2.5, y binary, x + y ≤ 3.
 	// Optimal: y=1, x=2 → -1·2 - 10·1 = -12.
-	p := lp.NewProblem(2)
+	p := lp.NewBoundedProblem(2)
 	p.SetObjective(0, -1)
 	p.SetObjective(1, -10)
 	p.AddConstraint(map[int]float64{0: 1}, lp.LE, 2.5)
 	p.AddConstraint(map[int]float64{1: 1}, lp.LE, 1)
 	p.AddConstraint(map[int]float64{0: 1, 1: 1}, lp.LE, 3)
-	m := &MIP{Prob: p, Integer: []bool{false, true}}
-	res, err := Solve(m, Options{})
+	m := &BoundedMIP{Prob: p, Integer: []bool{false, true}}
+	res, err := SolveBounded(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +107,14 @@ func TestMixedIntegerContinuous(t *testing.T) {
 }
 
 func TestNodeLimitReturnsNoSolutionOrFeasible(t *testing.T) {
-	p := lp.NewProblem(6)
+	p := lp.NewBoundedProblem(6)
 	for j := 0; j < 6; j++ {
 		p.SetObjective(j, -float64(j+1))
 		p.AddConstraint(map[int]float64{j: 1}, lp.LE, 1)
 	}
 	p.AddConstraint(map[int]float64{0: 3, 1: 5, 2: 7, 3: 11, 4: 13, 5: 17}, lp.LE, 20)
-	m := &MIP{Prob: p, Integer: []bool{true, true, true, true, true, true}}
-	res, err := Solve(m, Options{MaxNodes: 1})
+	m := &BoundedMIP{Prob: p, Integer: []bool{true, true, true, true, true, true}}
+	res, err := SolveBounded(m, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +124,11 @@ func TestNodeLimitReturnsNoSolutionOrFeasible(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	if _, err := Solve(&MIP{}, Options{}); err == nil {
+	if _, err := SolveBounded(&BoundedMIP{}, Options{}); err == nil {
 		t.Fatal("nil problem accepted")
 	}
-	p := lp.NewProblem(2)
-	if _, err := Solve(&MIP{Prob: p, Integer: []bool{true}}, Options{}); err == nil {
+	p := lp.NewBoundedProblem(2)
+	if _, err := SolveBounded(&BoundedMIP{Prob: p, Integer: []bool{true}}, Options{}); err == nil {
 		t.Fatal("integer-length mismatch accepted")
 	}
 }
@@ -142,7 +136,7 @@ func TestValidateErrors(t *testing.T) {
 // bruteForceBinary enumerates all binary assignments of a small MIP whose
 // variables are all binary (with explicit ≤1 rows) and returns the best
 // feasible objective.
-func bruteForceBinary(p *lp.Problem) float64 {
+func bruteForceBinary(p *lp.BoundedProblem) float64 {
 	n := p.NumVars
 	best := math.Inf(1)
 	for mask := 0; mask < 1<<n; mask++ {
@@ -190,7 +184,7 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := stats.NewRand(seed)
 		n := 4 + r.Intn(4) // 4..7 binaries
-		p := lp.NewProblem(n)
+		p := lp.NewBoundedProblem(n)
 		for j := 0; j < n; j++ {
 			p.SetObjective(j, math.Round((r.Float64()*20-10)*4)/4)
 			p.AddConstraint(map[int]float64{j: 1}, lp.LE, 1)
@@ -206,7 +200,7 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 		for j := range integer {
 			integer[j] = true
 		}
-		res, err := Solve(&MIP{Prob: p, Integer: integer}, Options{})
+		res, err := SolveBounded(&BoundedMIP{Prob: p, Integer: integer}, Options{})
 		if err != nil {
 			return false
 		}
@@ -237,7 +231,7 @@ func soclInstance(nodes, users int, seed int64) *model.Instance {
 
 func TestBuildSoCLShape(t *testing.T) {
 	in := soclInstance(3, 4, 1)
-	m, vm := BuildSoCL(in)
+	m, vm := BuildSoCLBounded(in)
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +241,15 @@ func TestBuildSoCLShape(t *testing.T) {
 	}
 	if vm.Total != wantVars || m.Prob.NumVars != wantVars {
 		t.Fatalf("vars = %d, want %d", m.Prob.NumVars, wantVars)
+	}
+	// Rows: (9)+(10) per request step, (6) per node, (5) once; binaries are
+	// bounds and soclInstance sets no deadlines, so nothing else.
+	wantRows := in.V() + 1
+	for _, r := range in.Workload.Requests {
+		wantRows += len(r.Chain) * (1 + in.V())
+	}
+	if len(m.Prob.Constraints) != wantRows {
+		t.Fatalf("rows = %d, want %d", len(m.Prob.Constraints), wantRows)
 	}
 	// Column indices must be unique and in range.
 	seen := map[int]bool{}
@@ -274,8 +277,8 @@ func TestBuildSoCLShape(t *testing.T) {
 
 func TestSolveSoCLTinyIsFeasibleAndBetterThanNaive(t *testing.T) {
 	in := soclInstance(3, 3, 2)
-	m, vm := BuildSoCL(in)
-	res, err := Solve(m, Options{TimeLimit: 30 * time.Second})
+	m, vm := BuildSoCLBounded(in)
+	res, err := SolveBounded(m, Options{TimeLimit: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +333,8 @@ func starObjective(in *model.Instance, p model.Placement) float64 {
 func TestSoCLILPPlacementCoversAllServices(t *testing.T) {
 	f := func(seed int64) bool {
 		in := soclInstance(3, 2, seed)
-		m, vm := BuildSoCL(in)
-		res, err := Solve(m, Options{TimeLimit: 20 * time.Second})
+		m, vm := BuildSoCLBounded(in)
+		res, err := SolveBounded(m, Options{TimeLimit: 20 * time.Second})
 		if err != nil || res.Status != Optimal {
 			return false
 		}

@@ -37,7 +37,7 @@ func (vm *VarMap) Placement(x []float64) model.Placement {
 	return p
 }
 
-// BuildSoCL constructs the Definition-4 ILP for an instance:
+// BuildSoCLBounded constructs the Definition-4 ILP for an instance:
 //
 //	min  λ Σ κ(m_i)·x(i,k) + (1−λ) Σ y(h,i,k)·d̃(h,i,k)
 //	s.t. Σ_k y(h,t,k) = 1                        (9)  per request step
@@ -48,8 +48,10 @@ func (vm *VarMap) Placement(x []float64) model.Placement {
 //	     x, y ∈ {0,1}
 //
 // Latency coefficients d̃ use the star linearization (model.StarCoef); see
-// DESIGN.md §5. Only x columns carry explicit ≤1 rows — y is bounded by (9).
-func BuildSoCL(in *model.Instance) (*MIP, *VarMap) {
+// DESIGN.md §5. Binaries are [0,1] variable bounds, not rows, and a
+// disconnected (request step, node) pair gets a zero upper bound instead of
+// an infinite coefficient, which keeps the LP finite.
+func BuildSoCLBounded(in *model.Instance) (*BoundedMIP, *VarMap) {
 	M, V := in.M(), in.V()
 	reqs := in.Workload.Requests
 
@@ -61,13 +63,13 @@ func BuildSoCL(in *model.Instance) (*MIP, *VarMap) {
 	}
 	vm.Total = n
 
-	p := lp.NewProblem(n)
+	p := lp.NewBoundedProblem(n)
 	integer := make([]bool, n)
 	for j := range integer {
 		integer[j] = true
+		p.SetBounds(j, 0, 1)
 	}
 
-	// Objective.
 	for i := 0; i < M; i++ {
 		kappa := in.Workload.Catalog.Service(i).DeployCost
 		for k := 0; k < V; k++ {
@@ -80,9 +82,7 @@ func BuildSoCL(in *model.Instance) (*MIP, *VarMap) {
 			for k := 0; k < V; k++ {
 				coef := in.StarCoef(req, t, k)
 				if math.IsInf(coef, 1) {
-					// Disconnected pair: forbid by assignment instead of an
-					// infinite coefficient (keeps the LP finite).
-					p.AddConstraint(map[int]float64{vm.YIdx(h, t, k): 1}, lp.LE, 0)
+					p.SetBounds(vm.YIdx(h, t, k), 0, 0) // unreachable pair
 					continue
 				}
 				p.SetObjective(vm.YIdx(h, t, k), (1-in.Lambda)*coef)
@@ -107,7 +107,6 @@ func BuildSoCL(in *model.Instance) (*MIP, *VarMap) {
 			}
 		}
 	}
-
 	// (6) storage per node.
 	for k := 0; k < V; k++ {
 		row := make(map[int]float64, M)
@@ -116,7 +115,6 @@ func BuildSoCL(in *model.Instance) (*MIP, *VarMap) {
 		}
 		p.AddConstraint(row, lp.LE, in.Graph.Node(k).Storage)
 	}
-
 	// (5) budget.
 	budgetRow := make(map[int]float64, M*V)
 	for i := 0; i < M; i++ {
@@ -126,7 +124,6 @@ func BuildSoCL(in *model.Instance) (*MIP, *VarMap) {
 		}
 	}
 	p.AddConstraint(budgetRow, lp.LE, in.Budget)
-
 	// (4) per-request deadline on the linearized latency, when finite.
 	for h := range reqs {
 		req := &reqs[h]
@@ -143,13 +140,5 @@ func BuildSoCL(in *model.Instance) (*MIP, *VarMap) {
 		}
 		p.AddConstraint(row, lp.LE, req.Deadline)
 	}
-
-	// Binary upper bounds for x (y is bounded via (9)).
-	for i := 0; i < M; i++ {
-		for k := 0; k < V; k++ {
-			p.AddConstraint(map[int]float64{vm.XIdx(i, k): 1}, lp.LE, 1)
-		}
-	}
-
-	return &MIP{Prob: p, Integer: integer}, vm
+	return &BoundedMIP{Prob: p, Integer: integer}, vm
 }

@@ -82,8 +82,8 @@ func TestThreeExactSolversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := ilp.BuildSoCL(in)
-	gen, err := ilp.Solve(m, ilp.Options{TimeLimit: time.Minute})
+	m, _ := ilp.BuildSoCLBounded(in)
+	gen, err := ilp.SolveBounded(m, ilp.Options{TimeLimit: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

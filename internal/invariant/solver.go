@@ -9,41 +9,16 @@ import (
 
 // Solver-side invariants: re-verify a solution a branch-and-bound engine
 // accepted as incumbent by recomputing everything from scratch against the
-// original problem — no tableau, no warm state, no overlay. The parallel
-// engines call these under -tags soclinvariants for every accepted
-// incumbent, so a warm-start or sharing bug that produced an infeasible or
-// mispriced vector panics at the moment of acceptance instead of surfacing
-// as a silently wrong benchmark row.
+// original problem — no tableau, no warm state. The parallel engines call
+// these under -tags soclinvariants for every accepted incumbent, so a
+// warm-start or sharing bug that produced an infeasible or mispriced vector
+// panics at the moment of acceptance instead of surfacing as a silently wrong
+// benchmark row.
 
 // lpCheckTol is looser than model.FeasTol because the simplex solvers work
 // at eps = 1e-9 themselves; recomputation in a different summation order can
 // legitimately differ by a few ulps beyond that.
 const lpCheckTol = 1e-6
-
-// CheckLPRowSolution panics unless x is feasible for p (every constraint row
-// within lpCheckTol, all variables nonnegative) and obj matches the
-// recomputed objective value.
-func CheckLPRowSolution(p *lp.Problem, x []float64, obj float64, where string) {
-	if !Enabled {
-		return
-	}
-	if len(x) != p.NumVars {
-		panic(fmt.Sprintf("invariant: %s: solution length %d != NumVars %d", where, len(x), p.NumVars))
-	}
-	for j, v := range x {
-		if v < -lpCheckTol || math.IsNaN(v) {
-			panic(fmt.Sprintf("invariant: %s: x[%d] = %v violates nonnegativity", where, j, v))
-		}
-	}
-	for i, c := range p.Constraints {
-		lhs := 0.0
-		for j, v := range c.Coeffs {
-			lhs += v * x[j]
-		}
-		checkRow(lhs, c.Rel, c.RHS, i, where)
-	}
-	checkObjective(p.Objective, x, obj, where)
-}
 
 // CheckLPBoundedSolution panics unless x is feasible for the bounded problem
 // p (rows within lpCheckTol, every variable inside [Lower, Upper]) and obj

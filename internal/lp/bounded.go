@@ -13,8 +13,8 @@ import (
 // Handling bounds inside the simplex (nonbasic-at-lower / nonbasic-at-upper
 // states and bound flips) avoids one constraint row per bound — for the
 // SoCL ILP, whose variables are all binary, this halves the tableau versus
-// the row-based encoding in Problem. SolveBounded is differentially tested
-// against Solve on the row-based encoding.
+// writing each bound as a row. The two encodings are differentially tested
+// against each other.
 type BoundedProblem struct {
 	NumVars     int
 	Objective   []float64

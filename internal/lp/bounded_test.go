@@ -112,7 +112,8 @@ func TestBoundedValidate(t *testing.T) {
 func TestBoundedBinaryKnapsackRelaxation(t *testing.T) {
 	// LP relaxation of the knapsack from the ILP tests: max 10a+13b+7c,
 	// 3a+4b+2c ≤ 6, 0 ≤ vars ≤ 1. LP optimum: b=1, c=1, a=0 → 20;
-	// actually fractional a=0: 4+2=6 full. Check against row-based Solve.
+	// actually fractional a=0: 4+2=6 full. Check against the same LP with the
+	// [0,1] bounds written as rows over the default [0, +Inf) bounds.
 	pb := NewBoundedProblem(3)
 	pb.SetObjective(0, -10)
 	pb.SetObjective(1, -13)
@@ -123,7 +124,7 @@ func TestBoundedBinaryKnapsackRelaxation(t *testing.T) {
 	pb.AddConstraint(map[int]float64{0: 3, 1: 4, 2: 2}, LE, 6)
 	sb := solveBoundedOK(t, pb)
 
-	pr := NewProblem(3)
+	pr := NewBoundedProblem(3)
 	pr.SetObjective(0, -10)
 	pr.SetObjective(1, -13)
 	pr.SetObjective(2, -7)
@@ -131,23 +132,22 @@ func TestBoundedBinaryKnapsackRelaxation(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		pr.AddConstraint(map[int]float64{j: 1}, LE, 1)
 	}
-	sr, err := Solve(pr)
-	if err != nil || sr.Status != Optimal {
-		t.Fatal(err)
-	}
+	sr := solveBoundedOK(t, pr)
 	if math.Abs(sb.Objective-sr.Objective) > 1e-6 {
 		t.Fatalf("bounded %v != row-based %v", sb.Objective, sr.Objective)
 	}
 }
 
-// Differential property test: on random LPs with box bounds, SolveBounded
-// must agree with Solve on the row-based encoding (status and objective).
+// Differential property test: on random LPs with box bounds, SolveBounded on
+// native bounds (bound flips, nonbasic-at-upper states) must agree with
+// SolveBounded on the row-based encoding of the same bounds (slack rows over
+// [0, +Inf)): status and objective.
 func TestBoundedMatchesRowBasedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := stats.NewRand(seed)
 		n := 2 + r.Intn(4)
 		pb := NewBoundedProblem(n)
-		pr := NewProblem(n)
+		pr := NewBoundedProblem(n)
 		for j := 0; j < n; j++ {
 			c := math.Round((r.Float64()*10-5)*4) / 4
 			pb.SetObjective(j, c)
@@ -170,7 +170,7 @@ func TestBoundedMatchesRowBasedProperty(t *testing.T) {
 			pr.AddConstraint(coeffs, rel, rhs)
 		}
 		sb, err1 := SolveBounded(pb)
-		sr, err2 := Solve(pr)
+		sr, err2 := SolveBounded(pr)
 		if err1 != nil || err2 != nil {
 			return false
 		}

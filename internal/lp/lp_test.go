@@ -8,9 +8,12 @@ import (
 	"repro/internal/stats"
 )
 
-func solveOK(t *testing.T, p *Problem) Solution {
+// The fixtures in this file put every restriction in rows over the default
+// [0, +Inf) bounds, so they exercise SolveBounded with no bound-flip or
+// at-upper state at all.
+func solveOK(t *testing.T, p *BoundedProblem) Solution {
 	t.Helper()
-	s, err := Solve(p)
+	s, err := SolveBounded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +25,7 @@ func solveOK(t *testing.T, p *Problem) Solution {
 
 func TestSimpleMax(t *testing.T) {
 	// max 3x+2y s.t. x+y<=4, x+3y<=6 → min -3x-2y; optimum x=4,y=0, z=-12.
-	p := NewProblem(2)
+	p := NewBoundedProblem(2)
 	p.SetObjective(0, -3)
 	p.SetObjective(1, -2)
 	p.AddConstraint(map[int]float64{0: 1, 1: 1}, LE, 4)
@@ -38,7 +41,7 @@ func TestSimpleMax(t *testing.T) {
 
 func TestEqualityAndGE(t *testing.T) {
 	// min x+y s.t. x+y = 10, x >= 3, y >= 2 → objective 10.
-	p := NewProblem(2)
+	p := NewBoundedProblem(2)
 	p.SetObjective(0, 1)
 	p.SetObjective(1, 1)
 	p.AddConstraint(map[int]float64{0: 1, 1: 1}, EQ, 10)
@@ -55,11 +58,11 @@ func TestEqualityAndGE(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	// x <= 1 and x >= 2.
-	p := NewProblem(1)
+	p := NewBoundedProblem(1)
 	p.SetObjective(0, 1)
 	p.AddConstraint(map[int]float64{0: 1}, LE, 1)
 	p.AddConstraint(map[int]float64{0: 1}, GE, 2)
-	s, err := Solve(p)
+	s, err := SolveBounded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +73,10 @@ func TestInfeasible(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	// min -x with only x >= 0 (implicit): unbounded below.
-	p := NewProblem(1)
+	p := NewBoundedProblem(1)
 	p.SetObjective(0, -1)
 	p.AddConstraint(map[int]float64{0: 1}, GE, 0)
-	s, err := Solve(p)
+	s, err := SolveBounded(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func TestUnbounded(t *testing.T) {
 
 func TestNegativeRHSNormalization(t *testing.T) {
 	// -x <= -5 means x >= 5; min x → 5.
-	p := NewProblem(1)
+	p := NewBoundedProblem(1)
 	p.SetObjective(0, 1)
 	p.AddConstraint(map[int]float64{0: -1}, LE, -5)
 	s := solveOK(t, p)
@@ -95,7 +98,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 
 func TestDegenerateLP(t *testing.T) {
 	// Classic degenerate vertex; must not cycle.
-	p := NewProblem(2)
+	p := NewBoundedProblem(2)
 	p.SetObjective(0, -1)
 	p.SetObjective(1, -1)
 	p.AddConstraint(map[int]float64{0: 1}, LE, 1)
@@ -109,7 +112,7 @@ func TestDegenerateLP(t *testing.T) {
 
 func TestRedundantEqualityRows(t *testing.T) {
 	// Duplicate equality rows → redundant artificial; must still solve.
-	p := NewProblem(2)
+	p := NewBoundedProblem(2)
 	p.SetObjective(0, 1)
 	p.SetObjective(1, 2)
 	p.AddConstraint(map[int]float64{0: 1, 1: 1}, EQ, 4)
@@ -121,30 +124,31 @@ func TestRedundantEqualityRows(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	p := NewProblem(0)
-	if _, err := Solve(p); err == nil {
+	p := NewBoundedProblem(0)
+	if _, err := SolveBounded(p); err == nil {
 		t.Fatal("no-variable problem accepted")
 	}
-	p2 := NewProblem(1)
+	p2 := NewBoundedProblem(1)
 	p2.AddConstraint(map[int]float64{5: 1}, LE, 1)
-	if _, err := Solve(p2); err == nil {
+	if _, err := SolveBounded(p2); err == nil {
 		t.Fatal("out-of-range variable accepted")
 	}
-	p3 := NewProblem(1)
+	p3 := NewBoundedProblem(1)
 	p3.AddConstraint(map[int]float64{0: 1}, LE, math.NaN())
-	if _, err := Solve(p3); err == nil {
+	if _, err := SolveBounded(p3); err == nil {
 		t.Fatal("NaN RHS accepted")
 	}
 }
 
 func TestCloneIndependence(t *testing.T) {
-	p := NewProblem(2)
+	p := NewBoundedProblem(2)
 	p.SetObjective(0, 1)
 	p.AddConstraint(map[int]float64{0: 1}, LE, 3)
 	q := p.Clone()
 	q.Objective[0] = 9
 	q.Constraints[0].Coeffs[0] = 7
-	if p.Objective[0] != 1 || p.Constraints[0].Coeffs[0] != 1 {
+	q.Upper[0] = 2
+	if p.Objective[0] != 1 || p.Constraints[0].Coeffs[0] != 1 || !math.IsInf(p.Upper[0], 1) {
 		t.Fatal("Clone aliases storage")
 	}
 }
@@ -152,7 +156,7 @@ func TestCloneIndependence(t *testing.T) {
 func TestTransportationProblem(t *testing.T) {
 	// 2 supplies (10, 20), 2 demands (15, 15), costs [[1,2],[3,1]].
 	// Optimal: x00=10, x10=5, x11=15 → 10+15+15 = 40.
-	p := NewProblem(4) // x00 x01 x10 x11
+	p := NewBoundedProblem(4) // x00 x01 x10 x11
 	costs := []float64{1, 2, 3, 1}
 	for j, c := range costs {
 		p.SetObjective(j, c)
@@ -191,13 +195,13 @@ func TestSimplexMatchesVertexEnumeration2D(t *testing.T) {
 		}
 		cx, cy := -1-r.Float64()*4, -1-r.Float64()*4 // maximize positive combo
 
-		p := NewProblem(2)
+		p := NewBoundedProblem(2)
 		p.SetObjective(0, cx)
 		p.SetObjective(1, cy)
 		for _, rw := range rows {
 			p.AddConstraint(map[int]float64{0: rw.a, 1: rw.b}, LE, rw.c)
 		}
-		s, err := Solve(p)
+		s, err := SolveBounded(p)
 		if err != nil || s.Status != Optimal {
 			return false
 		}
@@ -247,7 +251,7 @@ func TestOptimumDominatesFeasiblePoints(t *testing.T) {
 	f := func(seed int64) bool {
 		r := stats.NewRand(seed)
 		n := 3 + r.Intn(3)
-		p := NewProblem(n)
+		p := NewBoundedProblem(n)
 		for j := 0; j < n; j++ {
 			p.SetObjective(j, r.Float64()*10-5)
 		}
@@ -265,7 +269,7 @@ func TestOptimumDominatesFeasiblePoints(t *testing.T) {
 			}
 			p.AddConstraint(coeffs, LE, 5+r.Float64()*20)
 		}
-		s, err := Solve(p)
+		s, err := SolveBounded(p)
 		if err != nil || s.Status != Optimal {
 			return false
 		}

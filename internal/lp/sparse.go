@@ -1,10 +1,10 @@
 package lp
 
-// Sparse revised simplex (DESIGN.md §14). The dense warmTableau maintains the
-// full B⁻¹A matrix and pays O(m·n) per pivot; SoCL's node relaxations are
-// overwhelmingly sparse (each request row touches only the services on its
-// chain), so this engine keeps the constraint matrix in CSC form and
-// represents B⁻¹ as a product-form eta file instead:
+// Sparse revised simplex (DESIGN.md §14), the engine behind WarmSolver. A
+// dense tableau maintains the full B⁻¹A matrix and pays O(m·n) per pivot;
+// SoCL's node relaxations are overwhelmingly sparse (each request row touches
+// only the services on its chain), so this engine keeps the constraint matrix
+// in CSC form and represents B⁻¹ as a product-form eta file instead:
 //
 //   - pricing computes y = c_B B⁻¹ by one BTRAN sweep and reduced costs by
 //     sparse column dots (no maintained objective row);
@@ -19,9 +19,9 @@ package lp
 //
 // The phase structure, pivot rules (Dantzig with a Bland fallback after
 // maxIters/2, bound flips, the basis-index ratio tie-break) and tolerances
-// mirror warmTableau exactly, so the two engines explore the same vertices up
-// to floating-point rounding; the dense path stays available behind
-// WarmConfig{Dense: true} as the differential reference.
+// mirror the dense warmTableau of the package's tests exactly, so the two
+// explore the same vertices up to floating-point rounding — the differential
+// reference that pins this engine.
 
 import (
 	"math"
@@ -195,7 +195,7 @@ type sparseTableau struct {
 	iters       int
 	maxIters    int
 	updLimit    int // update etas beyond baseEtas that trigger refactorization
-	updLimitCfg int // WarmConfig.UpdateLimit override (0 = heuristic)
+	updLimitCfg int // in-package tests override updLimit with this (0 = heuristic)
 	nnzLimit    int // update fill that triggers refactorization
 	refactors   int // mid-solve refactorization count (tests observe)
 
@@ -870,7 +870,9 @@ func (t *sparseTableau) residualNorm() float64 {
 }
 
 // copyFrom deep-copies src's state into t, reusing t's storage. The cscMatrix
-// and eta entry slices are shared — both are immutable once built.
+// and eta entry slices are shared — both are immutable once built. src is
+// only read (workers restore one shared snapshot concurrently); a live src
+// must be told its arena is now referenced, which SnapshotTo does.
 func (t *sparseTableau) copyFrom(src *sparseTableau) {
 	t.a = src.a
 	t.nStruct, t.nSlack = src.nStruct, src.nSlack
@@ -888,7 +890,6 @@ func (t *sparseTableau) copyFrom(src *sparseTableau) {
 	copy(t.lsign, src.lsign)
 	t.artCols = append(t.artCols[:0], src.artCols...)
 	t.etas = append(t.etas[:0], src.etas...)
-	src.arenaShared = true
 	t.baseEtas, t.etaNNZ = src.baseEtas, src.etaNNZ
 	t.iters, t.maxIters = src.iters, src.maxIters
 	t.updLimit, t.updLimitCfg = src.updLimit, src.updLimitCfg
@@ -897,38 +898,6 @@ func (t *sparseTableau) copyFrom(src *sparseTableau) {
 }
 
 // --- WarmSolver sparse path ---
-
-// solveSparseWithBounds is SolveWithBounds' sparse branch: warm resume when
-// the previous Optimal basis survives the bound change, cold two-phase solve
-// otherwise. Control flow mirrors the dense branch exactly.
-func (w *WarmSolver) solveSparseWithBounds(lower, upper []float64) (Solution, error) {
-	if w.ready {
-		w.sp.iters = 0
-		resumed := w.warmApplySparse(lower, upper)
-		if resumed {
-			w.Stats.Warm++
-		} else if w.sp.dualResume() {
-			// Bound tightening broke primal feasibility but dual pivots
-			// repaired it on the existing factorization.
-			resumed = true
-			w.Stats.Dual++
-		}
-		if resumed {
-			st := w.sp.iterate()
-			if st == Optimal {
-				return w.extractSparse(), nil
-			}
-			// Unbounded can legitimately appear when bounds were relaxed;
-			// IterLimit means the resumed basis cycled. Either way the tableau
-			// is no longer a usable warm source.
-			w.ready = false
-			return Solution{Status: st, Iters: w.sp.iters}, nil
-		}
-	}
-	w.ready = false
-	w.Stats.Cold++
-	return w.coldSolveSparse(lower, upper)
-}
 
 // warmApplySparse moves the tableau to (lower, upper): nonbasic columns shift
 // to their new bound values, with the basic-value correction applied as one
@@ -995,16 +964,31 @@ func (w *WarmSolver) warmApplySparse(lower, upper []float64) bool {
 	return true
 }
 
-// dualResume is warmTableau.dualResume on the revised simplex: after a bound
-// change broke primal feasibility, drive each violated basic variable to its
-// bound with dual pivots instead of rebuilding. Candidate pivots are priced
-// from ρ = (B⁻¹)ᵀe_r (the revised analogue of reading dense row r) and the
-// reduced costs from one BTRAN of the basic costs; the pivot distance, though,
-// is taken from the FTRANed entering column, whose entries replay the dense
-// engine's row arithmetic bit for bit — so when both engines choose the same
-// pivot the updated basic values stay bitwise identical. Reports whether
-// primal feasibility was restored; false sends the caller to a cold start.
-func (t *sparseTableau) dualResume() bool {
+// dualResume runs bounded-variable dual simplex pivots after warmApplySparse
+// moved the tableau to new bounds and found basic variables outside them —
+// the branch-and-bound hot path, where every child node tightens the bound of
+// a basic fractional variable and so always breaks primal feasibility. The
+// previous Optimal solve left the basis dual feasible, and bound moves do not
+// touch reduced costs, so each violated basic can be driven exactly to its
+// bound by an entering column chosen with the dual ratio test (most-violated
+// row, smallest ratio with first-wins ties). The entering column becomes
+// basic at whatever value closes the violation, even one outside its own
+// interval — a later pass then repairs it as a violated basic. (Flipping it
+// across its interval without a pivot instead leaves it dual infeasible at
+// the new bound and first in line to flip straight back; the 6×6 EShop
+// regression of DESIGN.md §14 cycled that way until maxSteps.)
+//
+// Candidate pivots are priced from ρ = (B⁻¹)ᵀe_r (the revised analogue of
+// reading dense row r) and the reduced costs from one BTRAN of the basic
+// costs; the pivot distance, though, is taken from the FTRANed entering
+// column, whose entries replay the dense reference's row arithmetic bit for
+// bit. Returns Optimal when primal feasibility was restored (the caller then
+// finishes with ordinary primal iterate, usually zero pivots), Infeasible
+// when a violated row has no entering column at all — the dual ray that
+// proves the bounds admit no point, so branch-and-bound's infeasible children
+// cost a ratio test instead of a phase 1 — and IterLimit when it gave up
+// (unstable pivot or too many steps) and the caller must cold-start.
+func (t *sparseTableau) dualResume() Status {
 	m := t.m()
 	maxSteps := 4 * (m + t.nTotal)
 	for steps := 0; steps < maxSteps; steps++ {
@@ -1023,7 +1007,7 @@ func (t *sparseTableau) dualResume() bool {
 			}
 		}
 		if r == -1 {
-			return true
+			return Optimal
 		}
 		// y = (B⁻¹)ᵀc_B for reduced costs, ρ = (B⁻¹)ᵀe_r for the pivot row.
 		y := t.y
@@ -1079,7 +1063,10 @@ func (t *sparseTableau) dualResume() bool {
 			}
 		}
 		if enter == -1 {
-			return false // no usable pivot; the cold start decides feasibility
+			// Row r reads x_B = β − Σ α_j·x_j with every movable nonbasic column
+			// already at the bound that helps x_B most: no point inside the
+			// bounds satisfies it.
+			return Infeasible
 		}
 
 		// w = B⁻¹A_enter: the pivot distance and the eta both come from the
@@ -1094,66 +1081,59 @@ func (t *sparseTableau) dualResume() bool {
 			// Same drift guard as the primal loop: refactorize and re-derive
 			// the whole step rather than pivot on accumulated rounding.
 			if !t.refactorize() {
-				return false
+				return IterLimit
 			}
 			continue
 		}
 		a := dir * w[r]
 		if below {
 			if a >= -eps {
-				return false // ρ-estimate and true pivot disagree on the sign
+				return IterLimit // ρ-estimate and true pivot disagree on the sign
 			}
 		} else if a <= eps {
-			return false
+			return IterLimit
 		}
 		need := worst / math.Abs(a)
-		if lim := t.upper[enter] - t.lower[enter]; need >= lim {
-			// The entering column exhausts its own interval before the
-			// violation closes: a bound flip makes partial progress.
-			t.boundFlip(enter, dir, w)
-			t.iters++
-			continue
-		}
 		t.moveAndPivot(enter, dir, need, r, !below, w)
 		t.iters++
 		if len(t.etas)-t.baseEtas >= t.updLimit || t.etaNNZ > t.nnzLimit {
 			if !t.refactorize() {
-				return false
+				return IterLimit
 			}
 		}
 	}
-	return false
+	return IterLimit
 }
 
 // coldSolveSparse rebuilds the tableau from scratch under the given bounds
 // (two phases), reusing storage from previous solves.
-func (w *WarmSolver) coldSolveSparse(lower, upper []float64) (Solution, error) {
+func (w *WarmSolver) coldSolveSparse(lower, upper []float64) Solution {
 	t := &w.sp
 	t.build(w.base, lower, upper)
 	if t.numArtificial > 0 {
 		t.setPhase(true, nil)
 		st := t.iterate()
 		if st == IterLimit {
-			return Solution{Status: IterLimit, Iters: t.iters}, nil
+			return Solution{Status: IterLimit, Iters: t.iters}
 		}
 		if t.infeasibility() > warmFeasTol {
-			return Solution{Status: Infeasible, Iters: t.iters}, nil
+			return Solution{Status: Infeasible, Iters: t.iters}
 		}
 		t.driveOutArtificials()
 	}
 	t.setPhase(false, w.base.Objective)
 	switch t.iterate() {
 	case Unbounded:
-		return Solution{Status: Unbounded, Iters: t.iters}, nil
+		return Solution{Status: Unbounded, Iters: t.iters}
 	case IterLimit:
-		return Solution{Status: IterLimit, Iters: t.iters}, nil
+		return Solution{Status: IterLimit, Iters: t.iters}
 	}
-	return w.extractSparse(), nil
+	return w.extractSparse()
 }
 
 // extractSparse reads the structural solution off an Optimal tableau and
 // marks the solver warm-ready; the objective is recomputed from x so warm
-// chains cannot drift (same discipline as the dense extractSolution).
+// chains cannot drift.
 func (w *WarmSolver) extractSparse() Solution {
 	t := &w.sp
 	x := make([]float64, w.base.NumVars)
@@ -1181,67 +1161,15 @@ func (w *WarmSolver) extractSparse() Solution {
 // FactorizationResidual reports the ∞-norm of the constraint-row residuals at
 // the solver's current basis point (B·x_B = b̃ rearranged into row form), and
 // whether the solver holds a point to check. It is the factorization
-// consistency probe behind invariant.CheckWarmFactorization; it is also valid
-// for the dense engine, where it checks the maintained basic values instead.
+// consistency probe behind invariant.CheckWarmFactorization.
 func (w *WarmSolver) FactorizationResidual() (float64, bool) {
 	if !w.ready {
 		return 0, false
 	}
-	if !w.dense {
-		return w.sp.residualNorm(), true
-	}
-	return w.denseResidualNorm(), true
+	return w.sp.residualNorm(), true
 }
 
-// Refactorizations reports how many mid-solve eta-file rebuilds the sparse
-// engine has performed (always 0 for the dense engine); regression tests use
-// it to pin that the refactorization path is actually exercised.
-func (w *WarmSolver) Refactorizations() int {
-	if w.dense {
-		return 0
-	}
-	return w.sp.refactors
-}
-
-// denseResidualNorm is the dense-engine counterpart of residualNorm: the
-// structural point implied by the tableau (basic values + nonbasic bound
-// positions) is checked against every original constraint row, measuring
-// inequality rows by their violation and equality rows by |Ax−b|.
-func (w *WarmSolver) denseResidualNorm() float64 {
-	t := &w.t
-	x := make([]float64, t.nStruct)
-	for j := 0; j < t.nStruct; j++ {
-		if t.atUpper[j] && !t.inBasis[j] {
-			x[j] = t.upper[j]
-		} else {
-			x[j] = t.lower[j]
-		}
-	}
-	for r, bj := range t.basis {
-		if bj < t.nStruct {
-			x[bj] = t.val[r]
-		}
-	}
-	norm := 0.0
-	for _, c := range w.base.Constraints {
-		s := -c.RHS
-		for j, v := range c.Coeffs {
-			s += v * x[j]
-		}
-		switch c.Rel {
-		case LE:
-			if s > norm {
-				norm = s
-			}
-		case GE:
-			if -s > norm {
-				norm = -s
-			}
-		default:
-			if a := math.Abs(s); a > norm {
-				norm = a
-			}
-		}
-	}
-	return norm
-}
+// Refactorizations reports how many mid-solve eta-file rebuilds the solver
+// has performed; regression tests use it to pin that the refactorization
+// path is actually exercised.
+func (w *WarmSolver) Refactorizations() int { return w.sp.refactors }

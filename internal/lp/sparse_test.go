@@ -8,19 +8,16 @@ import (
 	"repro/internal/stats"
 )
 
-// newSparseDensePair builds one WarmSolver per engine over the same base
-// problem. Every differential test in this file drives the pair in lockstep.
-func newSparseDensePair(t *testing.T, p *BoundedProblem) (sparse, dense *WarmSolver) {
+// newSparseDensePair builds the production WarmSolver and its dense test
+// reference over the same base problem. Every differential test in this file
+// drives the pair in lockstep.
+func newSparseDensePair(t *testing.T, p *BoundedProblem) (*WarmSolver, *denseWarmSolver) {
 	t.Helper()
-	sp, err := NewWarmSolverCfg(p, WarmConfig{})
+	sp, err := NewWarmSolver(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := NewWarmSolverCfg(p, WarmConfig{Dense: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sp, ds
+	return sp, newDenseWarmSolver(p)
 }
 
 // The warm-solver fixtures are small dyadic problems where both engines visit
@@ -165,14 +162,11 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 			rhs := math.Round((r.Float64()*20-5)*4) / 4
 			p.AddConstraint(coeffs, rel, rhs)
 		}
-		sp, err := NewWarmSolverCfg(p, WarmConfig{})
+		sp, err := NewWarmSolver(p)
 		if err != nil {
 			return false
 		}
-		ds, err := NewWarmSolverCfg(p, WarmConfig{Dense: true})
-		if err != nil {
-			return false
-		}
+		ds := newDenseWarmSolver(p)
 		for step := 0; step < 6; step++ {
 			lower := append([]float64(nil), baseLo...)
 			upper := append([]float64(nil), baseUp...)
@@ -251,7 +245,8 @@ func TestSparseDegenerateCyclingFixture(t *testing.T) {
 // used to skip at-upper columns, and an unpinned artificial (upper = +Inf)
 // could then re-grow during phase 2, silently breaking the equality: the
 // solve reported x0 = 0, objective -4.75, as "optimal". All three engines
-// (standalone SolveBounded, warm dense, warm sparse) shared the bug.
+// (standalone SolveBounded, the warm sparse engine and its dense reference)
+// shared the bug.
 func TestArtificialPinnedAfterPhase1(t *testing.T) {
 	build := func() *BoundedProblem {
 		p := NewBoundedProblem(2)
@@ -331,16 +326,17 @@ func TestSparseAllArtificialPhase1(t *testing.T) {
 	}
 }
 
-// WarmConfig.UpdateLimit=1 makes every pivot trigger the eta-update
+// updLimitCfg=1 makes every pivot trigger the eta-update
 // refactorization threshold; the solves must still match the cold reference
 // and the refactorization counter must actually advance (the threshold path
 // is live, and mid-solve rebuilds do not corrupt state).
 func TestSparseForcedRefactorization(t *testing.T) {
 	p := knapsackBase()
-	sp, err := NewWarmSolverCfg(p, WarmConfig{UpdateLimit: 1})
+	sp, err := NewWarmSolver(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp.sp.updLimitCfg = 1
 	lower, upper := cloneBounds(p)
 	if _, err := sp.SolveWithBounds(append([]float64(nil), lower...), append([]float64(nil), upper...)); err != nil {
 		t.Fatal(err)
@@ -371,7 +367,7 @@ func TestSparseForcedRefactorization(t *testing.T) {
 // same basis set, so the rebuilt factorization must still be consistent.
 func TestSparseRefactorizePermutedSlots(t *testing.T) {
 	p := knapsackBase()
-	sp, err := NewWarmSolverCfg(p, WarmConfig{})
+	sp, err := NewWarmSolver(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +417,7 @@ func TestSparseSnapshotRestoreBitwiseProperty(t *testing.T) {
 			}
 			p.AddConstraint(coeffs, []Rel{LE, GE}[r.Intn(2)], math.Round(r.Float64()*10*4)/4)
 		}
-		w, err := NewWarmSolverCfg(p, WarmConfig{})
+		w, err := NewWarmSolver(p)
 		if err != nil {
 			return false
 		}

@@ -17,47 +17,38 @@ import (
 // nonbasic variables to their new bounds, updates the basic values by the
 // corresponding deltas, and resumes phase-2 pivoting. Phase 1 is re-entered
 // (a cold rebuild, reusing the row storage) only when the parent basis is
-// primal-infeasible under the child bounds.
+// primal-infeasible under the child bounds and dual pivots cannot repair it.
+// The engine is the sparse revised simplex of sparse.go; a dense tableau
+// with the identical pivot rules lives in the package's tests as the
+// differential reference.
 //
 // Determinism contract: a solve's result is a pure function of (base problem,
 // bounds, start state), and the start state is either "cold", "the final
 // tableau of the previous Optimal solve", or "a Snapshot". The parallel
-// branch-and-bound engines in package ilp rely on this: every node's start
+// branch-and-bound engine in package ilp relies on this: every node's start
 // state is determined by its tree position alone (dive children warm from
-// their parent, queued siblings restore the root snapshot), so node results
-// do not depend on worker scheduling.
+// their parent, queued siblings restore their parent's snapshot), so node
+// results do not depend on worker scheduling.
 //
 // A WarmSolver is not safe for concurrent use; give each worker its own and
 // share Snapshots, which are immutable once taken.
 type WarmSolver struct {
 	base  *BoundedProblem
-	dense bool
-	t     warmTableau   // dense engine (WarmConfig.Dense)
-	sp    sparseTableau // sparse revised simplex (the default)
-	ready bool          // the active tableau holds an Optimal basis for its current bounds
-	// Stats counts how solves started; tests assert the warm path is
-	// actually exercised.
+	sp    sparseTableau
+	ready bool // sp holds an Optimal basis for its current bounds
+	// Stats counts how solves started and what they cost; tests assert the
+	// warm path is actually exercised.
 	Stats WarmStats
 }
 
-// WarmConfig selects the LP engine behind a WarmSolver. The zero value is the
-// sparse revised simplex (internal/lp/sparse.go); Dense keeps the original
-// dense tableau as the differential reference — the same escape-hatch
-// discipline as Naive elsewhere in the repo.
-type WarmConfig struct {
-	Dense bool
-	// UpdateLimit caps the eta updates accumulated between refactorizations
-	// of the sparse engine (0 = the default max(48, nStruct/2) heuristic).
-	// Lowering it trades pivot speed for numerical freshness; tests set 1 to
-	// force a refactorization on every pivot. Ignored by the dense engine.
-	UpdateLimit int
-}
-
-// WarmStats counts solve starts by kind.
+// WarmStats counts solve starts by kind and the simplex pivots spent.
 type WarmStats struct {
 	Warm int // resumed phase 2 from the previous basis
-	Dual int // bound change broke primal feasibility; dual pivots repaired it
+	Dual int // bound change broke primal feasibility; dual pivots repaired it or proved it infeasible
 	Cold int // rebuilt from scratch (phase 1), reusing row storage
+	// Iters sums pivots and bound flips over every solve, including those of
+	// a dual repair that gave up before the cold rebuild replaced it.
+	Iters int
 }
 
 // warmFeasTol is the primal-feasibility tolerance deciding whether the
@@ -67,14 +58,8 @@ const warmFeasTol = 1e-7
 
 // NewWarmSolver validates the base problem (bounds are supplied per solve,
 // so only the rows and objective are checked here) and returns a solver with
-// no basis yet — the first SolveWithBounds is a cold start. The engine is the
-// sparse revised simplex; NewWarmSolverCfg selects the dense reference.
+// no basis yet — the first SolveWithBounds is a cold start.
 func NewWarmSolver(base *BoundedProblem) (*WarmSolver, error) {
-	return NewWarmSolverCfg(base, WarmConfig{})
-}
-
-// NewWarmSolverCfg is NewWarmSolver with an explicit engine choice.
-func NewWarmSolverCfg(base *BoundedProblem, cfg WarmConfig) (*WarmSolver, error) {
 	if base == nil {
 		return nil, fmt.Errorf("lp: nil problem")
 	}
@@ -94,19 +79,15 @@ func NewWarmSolverCfg(base *BoundedProblem, cfg WarmConfig) (*WarmSolver, error)
 			return nil, fmt.Errorf("lp: constraint %d has invalid RHS %v", i, c.RHS)
 		}
 	}
-	if cfg.UpdateLimit < 0 {
-		return nil, fmt.Errorf("lp: negative UpdateLimit %d", cfg.UpdateLimit)
-	}
-	w := &WarmSolver{base: base, dense: cfg.Dense}
-	if !cfg.Dense {
-		w.sp.a = newCSC(base)
-		w.sp.updLimitCfg = cfg.UpdateLimit
-	}
+	w := &WarmSolver{base: base}
+	w.sp.a = newCSC(base)
 	return w, nil
 }
 
 // SolveWithBounds solves the base problem under the given variable bounds
-// (the base's own Lower/Upper are ignored). lower/upper are only read.
+// (the base's own Lower/Upper are ignored). lower/upper are only read. The
+// solve resumes from the previous Optimal basis when it survives the bound
+// change (or dual pivots repair it) and rebuilds cold otherwise.
 func (w *WarmSolver) SolveWithBounds(lower, upper []float64) (Solution, error) {
 	n := w.base.NumVars
 	if len(lower) != n || len(upper) != n {
@@ -120,246 +101,49 @@ func (w *WarmSolver) SolveWithBounds(lower, upper []float64) (Solution, error) {
 			return Solution{}, fmt.Errorf("lp: empty bound interval on variable %d [%v, %v]", j, lower[j], upper[j])
 		}
 	}
-	if !w.dense {
-		return w.solveSparseWithBounds(lower, upper)
-	}
 	if w.ready {
-		w.t.iters = 0
-		resumed := w.warmApply(lower, upper)
+		w.sp.iters = 0
+		resumed := w.warmApplySparse(lower, upper)
 		if resumed {
 			w.Stats.Warm++
-		} else if w.t.dualResume() {
-			// The bound change pushed basic variables outside their new
-			// intervals, but the basis stayed dual feasible and dual pivots
-			// restored primal feasibility without rebuilding.
-			resumed = true
+		} else if st := w.sp.dualResume(); st != IterLimit {
+			// Bound tightening broke primal feasibility but dual pivots on the
+			// existing factorization repaired it, or proved it beyond repair.
 			w.Stats.Dual++
+			if st == Infeasible {
+				w.Stats.Iters += w.sp.iters
+				w.ready = false
+				return Solution{Status: Infeasible, Iters: w.sp.iters}, nil
+			}
+			resumed = true
 		}
 		if resumed {
-			st := w.t.iterate()
+			st := w.sp.iterate()
+			w.Stats.Iters += w.sp.iters
 			if st == Optimal {
-				return w.extractSolution(), nil
+				return w.extractSparse(), nil
 			}
 			// Unbounded can legitimately appear when bounds were relaxed;
 			// IterLimit means the resumed basis cycled. Either way the tableau
 			// is no longer a usable warm source.
 			w.ready = false
-			return Solution{Status: st, Iters: w.t.iters}, nil
+			return Solution{Status: st, Iters: w.sp.iters}, nil
 		}
+		w.Stats.Iters += w.sp.iters // pivots of the abandoned dual repair
 	}
 	w.ready = false
 	w.Stats.Cold++
-	return w.coldSolve(lower, upper)
+	sol := w.coldSolveSparse(lower, upper)
+	w.Stats.Iters += sol.Iters
+	return sol, nil
 }
 
-// SolveBoundedOverlay is the one-shot cold reference: it solves base under
-// the given bounds with a fresh WarmSolver (no basis reuse). The warm-vs-cold
-// differential tests compare SolveWithBounds sequences against it.
-func SolveBoundedOverlay(base *BoundedProblem, lower, upper []float64) (Solution, error) {
-	w, err := NewWarmSolver(base)
-	if err != nil {
-		return Solution{}, err
-	}
-	return w.SolveWithBounds(lower, upper)
-}
-
-// warmApply moves the tableau from its current bounds to (lower, upper):
-// nonbasic columns shift to their new bound values (updating every basic
-// value by coef·delta), basic columns just adopt the new limits. It reports
-// whether the existing basis is still primal feasible; when it is not the
-// caller falls back to a cold start.
-func (w *WarmSolver) warmApply(lower, upper []float64) bool {
-	t := &w.t
-	m := t.m()
-	for j := 0; j < t.nStruct; j++ {
-		nl, nu := lower[j], upper[j]
-		ol, ou := t.lower[j], t.upper[j]
-		//socllint:ignore floateq bound values are copied verbatim between nodes; unchanged bounds compare bitwise equal
-		if nl == ol && nu == ou {
-			continue
-		}
-		if !t.inBasis[j] {
-			oldv, newv := ol, nl
-			if t.atUpper[j] {
-				oldv = ou
-				if math.IsInf(nu, 1) {
-					t.atUpper[j] = false // upper bound vanished; park at lower
-					newv = nl
-				} else {
-					newv = nu
-				}
-			}
-			//socllint:ignore floateq structural zero delta: the bound value was copied, not computed; only a literal move needs the RHS update
-			if d := newv - oldv; d != 0 {
-				for r := 0; r < m; r++ {
-					t.val[r] -= t.coef[r][j] * d
-				}
-			}
-		}
-		t.lower[j], t.upper[j] = nl, nu
-	}
-	for r := 0; r < m; r++ {
-		bj := t.basis[r]
-		if t.val[r] < t.lower[bj]-warmFeasTol {
-			return false
-		}
-		if up := t.upper[bj]; !math.IsInf(up, 1) && t.val[r] > up+warmFeasTol {
-			return false
-		}
-		// A basic artificial pushed off zero means the rows themselves became
-		// inconsistent under the new bounds; only phase 1 can decide that.
-		if t.isArt[bj] && t.val[r] > warmFeasTol {
-			return false
-		}
-	}
-	return true
-}
-
-// dualResume runs bounded-variable dual simplex pivots after warmApply moved
-// the tableau to new bounds and found basic variables outside them — the
-// branch-and-bound hot path, where every child node tightens the bound of a
-// basic fractional variable and so always breaks primal feasibility. The
-// previous Optimal solve left the basis dual feasible, and bound moves do not
-// touch reduced costs, so each violated basic can be driven exactly to its
-// bound by an entering column chosen with the dual ratio test. It reports
-// whether primal feasibility was restored (the caller then finishes with
-// ordinary primal iterate, usually zero pivots); false means no usable pivot
-// or too many steps, and the caller cold-starts — so a bail costs nothing but
-// the attempt. Pivot selection is deterministic (most-violated row, smallest
-// ratio with first-wins ties) and both engines implement the identical rule,
-// keeping sparse ≡ dense bitwise.
-func (t *warmTableau) dualResume() bool {
-	m := t.m()
-	obj := t.coef[m]
-	maxSteps := 4 * (m + t.nTotal)
-	for steps := 0; steps < maxSteps; steps++ {
-		// Leaving row: the most-violated basic variable, lowest row on ties.
-		r, below := -1, false
-		worst := warmFeasTol
-		for i := 0; i < m; i++ {
-			bj := t.basis[i]
-			if d := t.lower[bj] - t.val[i]; d > worst {
-				worst, r, below = d, i, true
-			}
-			if up := t.upper[bj]; !math.IsInf(up, 1) {
-				if d := t.val[i] - up; d > worst {
-					worst, r, below = d, i, false
-				}
-			}
-		}
-		if r == -1 {
-			return true
-		}
-		// Entering column: among nonbasic columns whose movement pushes the
-		// violated basic back toward its bound, the smallest dual ratio
-		// |reduced cost| / |pivot| keeps the remaining columns dual feasible.
-		row := t.coef[r]
-		enter, dir, bestRatio := -1, 1.0, math.Inf(1)
-		for j := 0; j < t.nTotal; j++ {
-			if t.isArt[j] || t.inBasis[j] || !(t.upper[j] > t.lower[j]) {
-				continue
-			}
-			d := 1.0
-			if t.atUpper[j] {
-				d = -1
-			}
-			// val[r] changes by −a per unit of entering movement.
-			a := d * row[j]
-			if below {
-				if a >= -eps { // need val[r] to increase
-					continue
-				}
-			} else if a <= eps { // need val[r] to decrease
-				continue
-			}
-			rc := d * obj[j]
-			if rc < 0 {
-				// Slightly dual-infeasible columns (a bound that vanished
-				// re-parked the column) price as ratio zero; the primal
-				// cleanup pass restores optimality afterwards.
-				rc = 0
-			}
-			if ratio := rc / math.Abs(a); ratio < bestRatio {
-				bestRatio, enter, dir = ratio, j, d
-			}
-		}
-		if enter == -1 {
-			return false // no usable pivot; the cold start decides feasibility
-		}
-		a := dir * row[enter]
-		need := worst / math.Abs(a)
-		if lim := t.upper[enter] - t.lower[enter]; need >= lim {
-			// The entering column exhausts its own interval before the
-			// violation closes: a bound flip makes partial progress and the
-			// next pass re-prices.
-			t.boundFlip(enter, dir)
-			t.iters++
-			continue
-		}
-		t.moveAndPivot(enter, dir, need, r, !below)
-		t.iters++
-	}
-	return false
-}
-
-// coldSolve rebuilds the tableau from scratch under the given bounds (two
-// phases), reusing the row storage from previous solves.
-func (w *WarmSolver) coldSolve(lower, upper []float64) (Solution, error) {
-	w.t.build(w.base, lower, upper)
-	t := &w.t
-	if t.numArtificial > 0 {
-		t.setPhase(true, nil)
-		st := t.iterate()
-		if st == IterLimit {
-			return Solution{Status: IterLimit, Iters: t.iters}, nil
-		}
-		if t.zval > warmFeasTol {
-			return Solution{Status: Infeasible, Iters: t.iters}, nil
-		}
-		t.driveOutArtificials()
-	}
-	t.setPhase(false, w.base.Objective)
-	switch t.iterate() {
-	case Unbounded:
-		return Solution{Status: Unbounded, Iters: t.iters}, nil
-	case IterLimit:
-		return Solution{Status: IterLimit, Iters: t.iters}, nil
-	}
-	return w.extractSolution(), nil
-}
-
-// extractSolution reads the structural solution off an Optimal tableau and
-// marks the solver warm-ready. The objective is recomputed from x (not from
-// the tableau's incrementally tracked zval) so warm chains cannot drift.
-func (w *WarmSolver) extractSolution() Solution {
-	t := &w.t
-	x := make([]float64, w.base.NumVars)
-	for j := range x {
-		if t.atUpper[j] && !t.inBasis[j] {
-			x[j] = t.upper[j]
-		} else {
-			x[j] = t.lower[j]
-		}
-	}
-	for r, bj := range t.basis {
-		if bj < len(x) {
-			x[bj] = t.val[r]
-		}
-	}
-	canonZeros(x)
-	obj := 0.0
-	for j, c := range w.base.Objective {
-		obj += c * x[j]
-	}
-	w.ready = true
-	return Solution{Status: Optimal, X: x, Objective: obj, Iters: t.iters}
-}
-
-// canonZeros rewrites -0 entries to +0. The dense and sparse engines compute
-// basic values through different arithmetic (incremental pivot updates vs
-// FTRAN recomputation), which agrees bitwise except possibly on the sign of
-// exact zeros; canonicalizing both extractions keeps "sparse ≡ dense
-// bitwise" literal and stops -0 from leaking into reported solutions.
+// canonZeros rewrites -0 entries to +0. The sparse engine and its dense test
+// reference compute basic values through different arithmetic (FTRAN
+// recomputation vs incremental pivot updates), which agrees bitwise except
+// possibly on the sign of exact zeros; canonicalizing both extractions keeps
+// "sparse ≡ dense bitwise" literal and stops -0 from leaking into reported
+// solutions.
 func canonZeros(x []float64) {
 	for j, v := range x {
 		//socllint:ignore floateq the whole point is the exact zero: v == 0 is true for -0, and the rewrite normalizes its sign bit
@@ -371,26 +155,23 @@ func canonZeros(x []float64) {
 
 // WarmSnapshot is an immutable copy of a WarmSolver's tableau state, taken
 // after an Optimal solve. Restoring it puts a solver (typically a different
-// worker's) into exactly that state, so warm starts from a shared ancestor —
-// the root relaxation in the parallel branch-and-bound — are reproducible
-// regardless of which worker performs them.
+// worker's) into exactly that state, so warm starts from a shared ancestor
+// in the parallel branch-and-bound are reproducible regardless of which
+// worker performs them.
 type WarmSnapshot struct {
-	dense bool
-	t     warmTableau
-	sp    sparseTableau
-	ready bool
+	sp sparseTableau
 }
 
 // Snapshot deep-copies the current tableau state. Returns nil when the
 // solver holds no Optimal basis (callers then simply cold-start instead).
-// Sparse snapshots are cheap: the constraint matrix and the eta columns are
-// shared immutably, so the copy is the basis/bounds state plus eta headers.
+// Snapshots are cheap: the constraint matrix and the eta columns are shared
+// immutably, so the copy is the basis/bounds state plus eta headers.
 func (w *WarmSolver) Snapshot() *WarmSnapshot {
 	return w.SnapshotTo(nil)
 }
 
 // SnapshotTo is Snapshot writing into recycled storage: when s is non-nil its
-// arrays are reused (the branch-and-bound engines pool per-branch parent
+// arrays are reused (the branch-and-bound engine pools per-branch parent
 // snapshots through this). A nil s allocates. Returns nil when the solver
 // holds no Optimal basis, leaving s untouched.
 func (w *WarmSolver) SnapshotTo(s *WarmSnapshot) *WarmSnapshot {
@@ -400,424 +181,19 @@ func (w *WarmSolver) SnapshotTo(s *WarmSnapshot) *WarmSnapshot {
 	if s == nil {
 		s = &WarmSnapshot{}
 	}
-	s.dense, s.ready = w.dense, true
-	if w.dense {
-		s.t.copyFrom(&w.t)
-	} else {
-		s.sp.copyFrom(&w.sp)
-	}
+	s.sp.copyFrom(&w.sp)
+	w.sp.arenaShared = true // s's eta headers point into w's arena
 	return s
 }
 
 // Restore loads a snapshot into the solver, reusing its storage. The solver
-// must have been created for the same base problem and engine config; a
-// snapshot from the other engine is treated as "no snapshot" (cold start).
+// must have been created for the same base problem; a nil snapshot leaves the
+// solver with no basis (the next solve is a cold start).
 func (w *WarmSolver) Restore(s *WarmSnapshot) {
-	if s == nil || s.dense != w.dense {
+	if s == nil {
 		w.ready = false
 		return
 	}
-	if w.dense {
-		w.t.copyFrom(&s.t)
-	} else {
-		w.sp.copyFrom(&s.sp)
-	}
-	w.ready = s.ready
-}
-
-// warmTableau is a bounded-variable simplex tableau with native [lo, up]
-// column bounds (boundedTableau, by contrast, works in lower-shifted space).
-// coef holds B⁻¹A (row m = the current phase's reduced costs), val the basic
-// variable values; zval incrementally tracks the phase objective and is only
-// consulted for the phase-1 feasibility verdict.
-type warmTableau struct {
-	coef    [][]float64
-	flat    []float64 // backing storage for coef, reused across rebuilds
-	val     []float64
-	zval    float64
-	basis   []int
-	inBasis []bool
-	atUpper []bool
-	lower   []float64 // per column; slack/artificial columns are [0, +Inf)
-	upper   []float64
-	cost    []float64
-	isArt   []bool
-	artCols []int
-
-	nStruct       int
-	nSlack        int
-	numArtificial int
-	nTotal        int
-	iters         int
-	maxIters      int
-}
-
-func (t *warmTableau) m() int { return len(t.coef) - 1 }
-
-// grow (re)slices every array for an (m+1)×nTotal tableau, zeroing coef and
-// resetting the column state, while keeping backing storage across calls.
-func (t *warmTableau) grow(m, nTotal, nArt int) {
-	need := (m + 1) * nTotal
-	if cap(t.flat) < need {
-		t.flat = make([]float64, need)
-	}
-	t.flat = t.flat[:need]
-	for i := range t.flat {
-		t.flat[i] = 0
-	}
-	if cap(t.coef) < m+1 {
-		t.coef = make([][]float64, m+1)
-	}
-	t.coef = t.coef[:m+1]
-	for i := 0; i <= m; i++ {
-		t.coef[i] = t.flat[i*nTotal : (i+1)*nTotal : (i+1)*nTotal]
-	}
-	growF := func(s []float64, n int) []float64 {
-		if cap(s) < n {
-			return make([]float64, n)
-		}
-		return s[:n]
-	}
-	growI := func(s []int, n int) []int {
-		if cap(s) < n {
-			return make([]int, n)
-		}
-		return s[:n]
-	}
-	growB := func(s []bool, n int) []bool {
-		if cap(s) < n {
-			return make([]bool, n)
-		}
-		return s[:n]
-	}
-	t.val = growF(t.val, m)
-	t.basis = growI(t.basis, m)
-	t.lower = growF(t.lower, nTotal)
-	t.upper = growF(t.upper, nTotal)
-	t.cost = growF(t.cost, nTotal)
-	t.inBasis = growB(t.inBasis, nTotal)
-	t.atUpper = growB(t.atUpper, nTotal)
-	t.isArt = growB(t.isArt, nTotal)
-	for j := 0; j < nTotal; j++ {
-		t.inBasis[j] = false
-		t.atUpper[j] = false
-		t.isArt[j] = false
-	}
-	t.artCols = growI(t.artCols, nArt)[:0]
-}
-
-// build constructs the cold tableau for the base problem under the given
-// structural bounds. All structural variables start nonbasic at their lower
-// bound; each row's slack or artificial absorbs the residual
-// r_i = b_i − Σ a_ij·lo_j, with the row negated first when r_i < 0 so the
-// initial basic values are nonnegative (the native-bounds analogue of
-// newBoundedTableau's shifted-space sign normalization).
-func (t *warmTableau) build(p *BoundedProblem, lower, upper []float64) {
-	m := len(p.Constraints)
-	nStruct := p.NumVars
-	nSlack, nArt := 0, 0
-	for _, c := range p.Constraints {
-		resid := c.RHS
-		for j, v := range c.Coeffs {
-			resid -= v * lower[j]
-		}
-		rel := c.Rel
-		if resid < 0 {
-			rel = flip(rel)
-		}
-		switch rel {
-		case LE:
-			nSlack++
-		case GE:
-			nSlack++
-			nArt++
-		case EQ:
-			nArt++
-		}
-	}
-	nTotal := nStruct + nSlack + nArt
-	t.grow(m, nTotal, nArt)
-	t.nStruct, t.nSlack, t.numArtificial, t.nTotal = nStruct, nSlack, nArt, nTotal
-	t.maxIters = 20000 + 200*(m+nTotal)
-	t.iters = 0
-
-	copy(t.lower[:nStruct], lower)
-	copy(t.upper[:nStruct], upper)
-	for j := nStruct; j < nTotal; j++ {
-		t.lower[j] = 0
-		t.upper[j] = math.Inf(1)
-	}
-	slackCol, artCol := nStruct, nStruct+nSlack
-	for i, c := range p.Constraints {
-		row := t.coef[i]
-		resid := c.RHS
-		for j, v := range c.Coeffs {
-			resid -= v * lower[j]
-		}
-		sign := 1.0
-		rel := c.Rel
-		if resid < 0 {
-			sign = -1
-			rel = flip(rel)
-		}
-		for j, v := range c.Coeffs {
-			row[j] += sign * v
-		}
-		t.val[i] = sign * resid
-		switch rel {
-		case LE:
-			row[slackCol] = 1
-			t.setBasis(i, slackCol)
-			slackCol++
-		case GE:
-			row[slackCol] = -1
-			slackCol++
-			row[artCol] = 1
-			t.setBasis(i, artCol)
-			t.artCols = append(t.artCols, artCol)
-			t.isArt[artCol] = true
-			artCol++
-		case EQ:
-			row[artCol] = 1
-			t.setBasis(i, artCol)
-			t.artCols = append(t.artCols, artCol)
-			t.isArt[artCol] = true
-			artCol++
-		}
-	}
-}
-
-func (t *warmTableau) setBasis(r, col int) {
-	t.basis[r] = col
-	t.inBasis[col] = true
-}
-
-// nonbasicValue is the value a nonbasic column currently sits at.
-func (t *warmTableau) nonbasicValue(j int) float64 {
-	if t.atUpper[j] {
-		return t.upper[j]
-	}
-	return t.lower[j]
-}
-
-// setPhase installs the phase objective (phase 1: Σ artificials; phase 2:
-// the structural costs) as reduced costs and recomputes zval for the current
-// point, including nonbasic columns parked at nonzero bounds.
-func (t *warmTableau) setPhase(phase1 bool, c []float64) {
-	for j := range t.cost {
-		t.cost[j] = 0
-	}
-	if phase1 {
-		for _, a := range t.artCols {
-			t.cost[a] = 1
-		}
-	} else {
-		copy(t.cost, c)
-	}
-	obj := t.coef[t.m()]
-	copy(obj, t.cost)
-	for r, bj := range t.basis {
-		factor := obj[bj]
-		//socllint:ignore floateq structural zero: entry was assigned zero by elimination, not approximately computed
-		if factor == 0 {
-			continue
-		}
-		row := t.coef[r]
-		for j := range obj {
-			obj[j] -= factor * row[j]
-		}
-	}
-	t.zval = 0
-	for r, bj := range t.basis {
-		t.zval += t.cost[bj] * t.val[r]
-	}
-	for j := 0; j < t.nTotal; j++ {
-		//socllint:ignore floateq cost entries are exact copies of the phase objective; zero means "not in this phase"
-		if t.inBasis[j] || t.cost[j] == 0 {
-			continue
-		}
-		//socllint:ignore floateq nonbasic value at exactly zero contributes no objective term; a tolerance would drop real contributions
-		if v := t.nonbasicValue(j); !math.IsInf(v, 1) && v != 0 {
-			t.zval += t.cost[j] * v
-		}
-	}
-}
-
-// iterate runs bounded-variable simplex pivots until optimality,
-// unboundedness, or the iteration cap — boundedTableau.iterate generalized
-// to native [lo, up] intervals (entering moves away from whichever bound the
-// column sits at; ratio tests measure distance to each basic variable's own
-// lower/upper bound rather than to [0, upper]).
-func (t *warmTableau) iterate() Status {
-	blandAfter := t.maxIters / 2
-	for ; t.iters < t.maxIters; t.iters++ {
-		obj := t.coef[t.m()]
-		enter, dir := -1, 1.0
-		if t.iters < blandAfter {
-			best := eps
-			for j := 0; j < t.nTotal; j++ {
-				if t.isArt[j] || t.inBasis[j] {
-					continue
-				}
-				if !t.atUpper[j] && -obj[j] > best {
-					best, enter, dir = -obj[j], j, 1
-				} else if t.atUpper[j] && obj[j] > best {
-					best, enter, dir = obj[j], j, -1
-				}
-			}
-		} else { // Bland
-			for j := 0; j < t.nTotal; j++ {
-				if t.isArt[j] || t.inBasis[j] {
-					continue
-				}
-				if !t.atUpper[j] && obj[j] < -eps {
-					enter, dir = j, 1
-					break
-				}
-				if t.atUpper[j] && obj[j] > eps {
-					enter, dir = j, -1
-					break
-				}
-			}
-		}
-		if enter == -1 {
-			return Optimal
-		}
-
-		// Ratio test: the entering variable moves dist ≥ 0 in direction dir;
-		// basic r changes by −dir·a_r·dist and must stay within its own
-		// [lower, upper]; the entering variable is limited by its interval.
-		limit := t.upper[enter] - t.lower[enter]
-		leave, leaveToUpper := -1, false
-		for r := 0; r < t.m(); r++ {
-			a := dir * t.coef[r][enter]
-			switch {
-			case a > eps: // basic decreases toward its lower bound
-				if ratio := (t.val[r] - t.lower[t.basis[r]]) / a; ratio < limit-eps {
-					limit, leave, leaveToUpper = ratio, r, false
-				} else if ratio <= limit+eps && leave != -1 && !leaveToUpper &&
-					t.basis[r] < t.basis[leave] {
-					leave = r // Bland-style tie-break for anti-cycling
-				}
-			case a < -eps: // basic increases toward its upper bound
-				ub := t.upper[t.basis[r]]
-				if math.IsInf(ub, 1) {
-					continue
-				}
-				if ratio := (ub - t.val[r]) / (-a); ratio < limit-eps {
-					limit, leave, leaveToUpper = ratio, r, true
-				}
-			}
-		}
-		if math.IsInf(limit, 1) {
-			return Unbounded
-		}
-		if limit < 0 {
-			limit = 0
-		}
-
-		if leave == -1 {
-			t.boundFlip(enter, dir)
-			continue
-		}
-		t.moveAndPivot(enter, dir, limit, leave, leaveToUpper)
-	}
-	return IterLimit
-}
-
-// boundFlip moves nonbasic variable j across its whole interval.
-func (t *warmTableau) boundFlip(j int, dir float64) {
-	dist := t.upper[j] - t.lower[j]
-	for r := 0; r < t.m(); r++ {
-		t.val[r] -= dir * dist * t.coef[r][j]
-	}
-	t.zval += t.coef[t.m()][j] * dir * dist
-	t.atUpper[j] = dir > 0
-}
-
-// moveAndPivot advances the entering variable by dist, retires the leaving
-// basic variable at the bound it hit, and pivots the coefficient matrix.
-func (t *warmTableau) moveAndPivot(enter int, dir, dist float64, leave int, leaveToUpper bool) {
-	for r := 0; r < t.m(); r++ {
-		t.val[r] -= dir * dist * t.coef[r][enter]
-	}
-	t.zval += t.coef[t.m()][enter] * dir * dist
-
-	enterVal := t.lower[enter] + dist
-	if dir < 0 {
-		enterVal = t.upper[enter] - dist
-	}
-	leavingCol := t.basis[leave]
-	t.inBasis[leavingCol] = false
-	t.atUpper[leavingCol] = leaveToUpper
-	t.atUpper[enter] = false
-	t.setBasis(leave, enter)
-	t.val[leave] = enterVal
-
-	pr := t.coef[leave]
-	pv := pr[enter]
-	for j := range pr {
-		pr[j] /= pv
-	}
-	for r := range t.coef {
-		if r == leave {
-			continue
-		}
-		f := t.coef[r][enter]
-		//socllint:ignore floateq structural zero skip is an optimization; pivoting handles near-zeros via ratio tests
-		if f == 0 {
-			continue
-		}
-		tr := t.coef[r]
-		for j := range tr {
-			tr[j] -= f * pr[j]
-		}
-		tr[enter] = 0
-	}
-}
-
-// driveOutArtificials pivots zero-valued basic artificials out after phase 1.
-// Nonbasic-at-upper columns are eligible (degenerate pivot entering from the
-// upper bound), and artificial upper bounds are clamped to zero afterwards so
-// a still-basic artificial on a redundant row can never leave zero in
-// phase 2 — see boundedTableau.driveOutArtificials.
-func (t *warmTableau) driveOutArtificials() {
-	for r := 0; r < t.m(); r++ {
-		if !t.isArt[t.basis[r]] {
-			continue
-		}
-		for j := 0; j < t.nStruct+t.nSlack; j++ {
-			if math.Abs(t.coef[r][j]) > 1e-7 && !t.inBasis[j] {
-				dir := 1.0
-				if t.atUpper[j] {
-					dir = -1
-				}
-				t.moveAndPivot(j, dir, 0, r, false)
-				break
-			}
-		}
-	}
-	for _, a := range t.artCols {
-		t.upper[a] = 0
-	}
-}
-
-// copyFrom deep-copies src's state into t, reusing t's storage.
-func (t *warmTableau) copyFrom(src *warmTableau) {
-	m := src.m()
-	t.grow(m, src.nTotal, src.numArtificial)
-	copy(t.flat, src.flat)
-	copy(t.val, src.val)
-	copy(t.basis, src.basis)
-	copy(t.lower, src.lower)
-	copy(t.upper, src.upper)
-	copy(t.cost, src.cost)
-	copy(t.inBasis, src.inBasis)
-	copy(t.atUpper, src.atUpper)
-	copy(t.isArt, src.isArt)
-	t.artCols = append(t.artCols[:0], src.artCols...)
-	t.zval = src.zval
-	t.nStruct, t.nSlack = src.nStruct, src.nSlack
-	t.numArtificial, t.nTotal = src.numArtificial, src.nTotal
-	t.iters, t.maxIters = src.iters, src.maxIters
+	w.sp.copyFrom(&s.sp)
+	w.ready = true
 }

@@ -45,7 +45,7 @@ func SolveDecomposed(in *model.Instance, opts Options) (DecomposedResult, error)
 	}
 	//socllint:ignore detrand wall-clock time limit is an explicit Options knob, not hidden nondeterminism
 	start := time.Now()
-	s := newSolver(in, opts) // reuse demand/cap precomputation
+	s := newSolver(in) // reuse demand/cap precomputation
 	deadline := time.Time{}
 	if opts.TimeLimit > 0 {
 		deadline = start.Add(opts.TimeLimit)

@@ -1,22 +1,19 @@
 // Parallel branch-and-bound engine for the specialized OPT solver. Same
 // architecture as internal/ilp's engine (DESIGN.md §9, §14): the root of the
 // fixing tree seeds a work-stealing pool (internal/bb); each worker runs the
-// original recursive search over a private copy of the mutable fixing state
-// and, while some other worker is starving, peels off the x=0 sibling of a
-// shallow branch point as a stealable decision prefix. Options.StaticFrontier
-// restores the previous scheduler (serial breadth-first expansion to a fixed
-// frontier, drained through an atomic cursor) as a reference schedule. The
-// incumbent is shared through an atomic best-objective plus a mutex-guarded
-// store with a lexicographic tie-break over the decision vector (along the
-// static branching order, x=1 before x=0 — the order the serial search visits
-// leaves in), and the bound prune keeps ties alive (cut only when lb exceeds
-// the incumbent by more than model.ObjTol), so every worker count — and every
+// recursive search over a private copy of the mutable fixing state and, while
+// some other worker is starving, peels off the x=0 sibling of a shallow
+// branch point as a stealable decision prefix. The incumbent is shared
+// through an atomic best-objective plus a mutex-guarded store with a
+// lexicographic tie-break over the decision vector (along the static
+// branching order, x=1 before x=0 — the order the serial search visits leaves
+// in), and the bound prune keeps ties alive (cut only when lb exceeds the
+// incumbent by more than model.ObjTol), so every worker count — and every
 // schedule — returns the same placement.
 package opt
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,27 +23,14 @@ import (
 	"repro/internal/model"
 )
 
-// frontierTarget is the Options.StaticFrontier expansion size — a fixed
-// constant, not a function of the worker count, so the serial prefix of the
-// search is identical for every Options.Workers value.
-const frontierTarget = 64
-
 // stealDepth caps how deep in the fixing tree a branch point may still be
 // shared with the pool. Below it the x=0 sibling is always explored locally:
 // deep subtrees are small, so sharing them buys no balance but costs a
 // decision-prefix copy per push.
 const stealDepth = 24
 
-// resolveWorkers maps the Options.Workers knob to a pool size.
-func resolveWorkers(w int) int {
-	if w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// pnode is one expansion node: the decision vector for order[0:len(dec)]
-// (1 = fixed on, 0 = fixed off).
+// pnode is one stealable subtree root: the decision vector for
+// order[0:len(dec)] (1 = fixed on, 0 = fixed off).
 type pnode struct {
 	dec []int8
 }
@@ -69,10 +53,9 @@ type optEngine struct {
 	aborted atomic.Bool
 }
 
-// solveEngine is the parallel counterpart of (*solver).run.
+// solveEngine is the search behind Solve.
 func solveEngine(in *model.Instance, opts Options) Result {
-	workers := resolveWorkers(opts.Workers)
-	base := newSolver(in, opts)
+	base := newSolver(in)
 	e := &optEngine{opts: opts, maxNodes: opts.MaxNodes}
 	e.bits.Store(math.Float64bits(math.Inf(1)))
 	//socllint:ignore detrand wall-clock time limit is an explicit Options knob, not hidden nondeterminism
@@ -82,8 +65,8 @@ func solveEngine(in *model.Instance, opts Options) Result {
 	}
 	rootBound := base.lowerBound()
 
-	// Seed incumbents exactly as the serial search does — warm start, then
-	// the greedy completion heuristic — and move the winner into the store.
+	// Seed incumbents — warm start, then the greedy completion heuristic — and
+	// move the winner into the store.
 	if opts.WarmStart != nil {
 		if obj, ok := base.starObjectiveOf(*opts.WarmStart); ok {
 			base.incumbent = opts.WarmStart.Clone()
@@ -96,62 +79,24 @@ func solveEngine(in *model.Instance, opts Options) Result {
 		e.offer(decOfPlacement(base, base.incumbent), base.incumbentObj, base.incumbent.Clone())
 	}
 
-	if opts.StaticFrontier {
-		// Reference scheduler: deterministic breadth-first expansion to the
-		// frontier, run on the base solver (its mutable state is restored
-		// after each node), then an atomic-cursor pool over the roots.
-		queue := []pnode{{}}
-		for len(queue) > 0 && len(queue) < frontierTarget && !e.aborted.Load() {
-			nd := queue[0]
-			queue = queue[1:]
-			applyPrefix(base, nd.dec)
-			queue = append(queue, e.expandNode(base, nd)...)
-			unapplyPrefix(base, nd.dec)
-		}
-
-		if len(queue) > 0 && !e.aborted.Load() {
-			frontier := queue
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for wi := 0; wi < workers; wi++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					ws := cloneSearchState(base)
-					for !e.aborted.Load() {
-						i := next.Add(1) - 1
-						if i >= int64(len(frontier)) {
-							return
-						}
-						nd := frontier[i]
-						applyPrefix(ws, nd.dec)
-						e.dfs(ws, len(nd.dec))
-						unapplyPrefix(ws, nd.dec)
-					}
-				}()
-			}
-			wg.Wait()
-		}
-	} else {
-		// Work-stealing scheduler: the whole tree is one seed; balance comes
-		// from workers peeling shallow x=0 siblings off their dive while
-		// others starve. Each worker keeps its own fixing-state clone, and a
-		// stolen node replays its decision prefix onto it — the node's search
-		// state depends only on its tree position, never on the schedule.
-		states := make([]*solver, workers)
-		for i := range states {
-			states[i] = cloneSearchState(base)
-		}
-		// bb.Run returns an error only when the process callback does; this
-		// one never fails (limits abort via e.aborted, which is the stop fn).
-		_, _ = bb.Run(workers, []pnode{{}}, e.aborted.Load, func(c *bb.Ctx[pnode], nd pnode) error {
-			ws := states[c.Worker()]
-			applyPrefix(ws, nd.dec)
-			e.stealDFS(c, ws, len(nd.dec))
-			unapplyPrefix(ws, nd.dec)
-			return nil
-		})
+	// The whole tree is one seed; balance comes from workers peeling shallow
+	// x=0 siblings off their dive while others starve. Each worker keeps its
+	// own fixing-state clone, and a stolen node replays its decision prefix
+	// onto it — the node's search state depends only on its tree position,
+	// never on the schedule.
+	states := make([]*solver, bb.ResolveWorkers(opts.Workers))
+	for i := range states {
+		states[i] = cloneSearchState(base)
 	}
+	// bb.Run returns an error only when the process callback does; this one
+	// never fails (limits abort via e.aborted, which is the stop fn).
+	_, _ = bb.Run(len(states), []pnode{{}}, e.aborted.Load, func(c *bb.Ctx[pnode], nd pnode) error {
+		ws := states[c.Worker()]
+		applyPrefix(ws, nd.dec)
+		e.dfs(c, ws, len(nd.dec))
+		unapplyPrefix(ws, nd.dec)
+		return nil
+	})
 
 	res := Result{Bound: rootBound}
 	//socllint:ignore detrand elapsed wall time is reported, never branched on
@@ -180,8 +125,8 @@ func solveEngine(in *model.Instance, opts Options) Result {
 	return res
 }
 
-// countNode claims one node against the global limits. Mirrors the serial
-// limitHit semantics: the limit-hitting node is counted but not processed,
+// countNode claims one node against the global limits, with the serial
+// reference's semantics: the limit-hitting node is counted but not processed,
 // and the wall clock is checked only every 256 nodes.
 func (e *optEngine) countNode() bool {
 	n := e.nodes.Add(1)
@@ -230,39 +175,14 @@ func (e *optEngine) pruned(s *solver, pos int, lb float64) bool {
 	return false
 }
 
-// expandNode processes one expansion node on the base solver (prefix already
-// applied) and returns its children in the serial visit order (x=1 first).
-func (e *optEngine) expandNode(s *solver, nd pnode) []pnode {
-	if !e.countNode() {
-		return nil
-	}
-	pos := len(nd.dec)
-	lb := s.lowerBound()
-	if math.IsInf(lb, 1) || e.pruned(s, pos, lb) {
-		return nil
-	}
-	if pos == len(s.order) {
-		e.offerFixed(s, lb)
-		return nil
-	}
-	// Every order position is a distinct (service, node) pair, so the slot is
-	// always free here — the serial search's already-fixed skip cannot fire.
-	v := s.order[pos]
-	var children []pnode
-	if s.instCnt[v.si] < s.capSvc[v.si] &&
-		s.storUsed[v.k]+s.phi[v.si] <= s.storCap[v.k]+model.FeasTol &&
-		s.costUsed+s.kappa[v.si] <= s.budget+model.FeasTol {
-		children = append(children, pnode{dec: appendDec(nd.dec, 1)})
-	}
-	if s.instCnt[v.si] > 0 || s.allowCnt[v.si] > 1 {
-		children = append(children, pnode{dec: appendDec(nd.dec, 0)})
-	}
-	return children
-}
-
-// dfs is the worker-side recursive search — the serial dfs with the shared
-// store substituted for the solver-local incumbent fields.
-func (e *optEngine) dfs(s *solver, pos int) {
+// dfs is the worker-side recursive search — the serial reference's dfs with
+// the shared store substituted for the solver-local incumbent, plus one extra
+// move: at a shallow branch point where both children are feasible and some
+// worker is starving, the x=0 sibling is shared with the pool as a decision
+// prefix (to be replayed on the thief's own state) instead of being explored
+// locally after the x=1 dive. What runs locally is visited in the reference's
+// order (x=1 first).
+func (e *optEngine) dfs(c *bb.Ctx[pnode], s *solver, pos int) {
 	if !e.countNode() {
 		return
 	}
@@ -276,46 +196,7 @@ func (e *optEngine) dfs(s *solver, pos int) {
 	}
 	v := s.order[pos]
 	if s.fixed[v.si][v.k] != -1 {
-		e.dfs(s, pos+1)
-		return
-	}
-	if s.instCnt[v.si] < s.capSvc[v.si] &&
-		s.storUsed[v.k]+s.phi[v.si] <= s.storCap[v.k]+model.FeasTol &&
-		s.costUsed+s.kappa[v.si] <= s.budget+model.FeasTol {
-		s.fix(v, 1)
-		e.dfs(s, pos+1)
-		s.unfix(v, 1)
-		if e.aborted.Load() {
-			return
-		}
-	}
-	if s.instCnt[v.si] > 0 || s.allowCnt[v.si] > 1 {
-		s.fix(v, 0)
-		e.dfs(s, pos+1)
-		s.unfix(v, 0)
-	}
-}
-
-// stealDFS is dfs with one extra move: at a shallow branch point where both
-// children are feasible and some worker is starving, the x=0 sibling is
-// shared with the pool as a decision prefix (to be replayed on the thief's
-// own state) instead of being explored locally after the x=1 dive. The
-// visit order of what runs locally is exactly dfs's (x=1 first).
-func (e *optEngine) stealDFS(c *bb.Ctx[pnode], s *solver, pos int) {
-	if !e.countNode() {
-		return
-	}
-	lb := s.lowerBound()
-	if math.IsInf(lb, 1) || e.pruned(s, pos, lb) {
-		return
-	}
-	if pos == len(s.order) {
-		e.offerFixed(s, lb)
-		return
-	}
-	v := s.order[pos]
-	if s.fixed[v.si][v.k] != -1 {
-		e.stealDFS(c, s, pos+1)
+		e.dfs(c, s, pos+1)
 		return
 	}
 	can1 := s.instCnt[v.si] < s.capSvc[v.si] &&
@@ -328,7 +209,7 @@ func (e *optEngine) stealDFS(c *bb.Ctx[pnode], s *solver, pos int) {
 	}
 	if can1 {
 		s.fix(v, 1)
-		e.stealDFS(c, s, pos+1)
+		e.dfs(c, s, pos+1)
 		s.unfix(v, 1)
 		if e.aborted.Load() {
 			return
@@ -336,7 +217,7 @@ func (e *optEngine) stealDFS(c *bb.Ctx[pnode], s *solver, pos int) {
 	}
 	if can0 {
 		s.fix(v, 0)
-		e.stealDFS(c, s, pos+1)
+		e.dfs(c, s, pos+1)
 		s.unfix(v, 0)
 	}
 }
@@ -408,8 +289,8 @@ func (e *optEngine) verify(s *solver, p model.Placement, obj float64) {
 }
 
 // lexLessDec orders decision vectors with 1 before 0 at each position — the
-// order the serial depth-first search visits leaves in, so the engine's
-// tie-break picks the same leaf the serial search finds first.
+// order a serial depth-first search visits leaves in, so the engine's
+// tie-break picks the leaf such a search finds first.
 func lexLessDec(a, b []int8) bool {
 	for i := range a {
 		if a[i] != b[i] {
@@ -470,10 +351,8 @@ func cloneSearchState(s *solver) *solver {
 	}
 	c.storUsed = make([]float64, c.V)
 	c.costUsed = 0
-	c.nodes = 0
 	c.incumbent = model.Placement{}
 	c.incumbentObj = math.Inf(1)
 	c.haveIncumbent = false
-	c.aborted = false
 	return c
 }

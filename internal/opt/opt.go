@@ -39,18 +39,8 @@ type Options struct {
 	// GOMAXPROCS, 1 runs the deterministic engine on one goroutine. Any
 	// worker count returns the same status, objective and — via the
 	// lexicographic incumbent tie-break — the same placement (DESIGN.md §9);
-	// node/time-limited runs excepted, exactly as serially.
+	// node/time-limited runs excepted.
 	Workers int
-	// Naive forces the original serial recursive search, kept verbatim as
-	// the reference implementation the parallel engine is differentially
-	// tested against (mirrors ilp.Options.Naive).
-	Naive bool
-	// StaticFrontier reverts the engine to the fixed-frontier scheduler (a
-	// serial breadth-first expansion to 64 subtree roots drained through an
-	// atomic cursor) instead of the work-stealing pool. Kept as a reference
-	// schedule the stealing engine is differentially tested against; results
-	// are identical either way (mirrors ilp.Options.StaticFrontier).
-	StaticFrontier bool
 }
 
 // Status of an exact solve.
@@ -97,9 +87,11 @@ type demand struct {
 	coef []float64 // star coefficient per node
 }
 
+// solver holds the instance's precomputed bounds and branching order plus
+// the mutable fixing state of one search; each engine worker gets its own
+// state over the shared precomputation (cloneSearchState).
 type solver struct {
-	in   *model.Instance
-	opts Options
+	in *model.Instance
 
 	V       int
 	used    []int       // service IDs with at least one demand
@@ -120,40 +112,31 @@ type solver struct {
 	storCap    []float64
 
 	// Search state.
-	fixed     [][]int8 // per (svcIdx, node): -1 free, 0 fixed-off, 1 fixed-on
-	instCnt   []int    // committed instances per used service
-	allowCnt  []int    // nodes still allowed per used service
-	storUsed  []float64
-	costUsed  float64
-	startTime time.Time
-	deadline  time.Time
-	nodes     int64
+	fixed    [][]int8 // per (svcIdx, node): -1 free, 0 fixed-off, 1 fixed-on
+	instCnt  []int    // committed instances per used service
+	allowCnt []int    // nodes still allowed per used service
+	storUsed []float64
+	costUsed float64
 
+	// Seed incumbent (warm start, greedy completion) before the search starts.
 	incumbent     model.Placement
 	incumbentObj  float64
 	haveIncumbent bool
-	rootBound     float64
-	aborted       bool
 }
 
-// Solve finds the exact optimum of the star-linearized SoCL ILP for in:
-// the parallel engine by default (engine.go), the original serial recursive
-// search when opts.Naive is set.
+// Solve finds the exact optimum of the star-linearized SoCL ILP for in with
+// the parallel engine of engine.go.
 func Solve(in *model.Instance, opts Options) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
-	if opts.Naive {
-		s := newSolver(in, opts)
-		return s.run(), nil
-	}
 	return solveEngine(in, opts), nil
 }
 
-func newSolver(in *model.Instance, opts Options) *solver {
+func newSolver(in *model.Instance) *solver {
 	V := in.V()
 	s := &solver{
-		in: in, opts: opts, V: V,
+		in: in, V: V,
 		svcIdx: make(map[int]int),
 		lambda: in.Lambda, budget: in.Budget,
 		storCap:      make([]float64, V),
@@ -338,105 +321,6 @@ func (s *solver) svcLatencyBound(si, n int) float64 {
 
 type varRef struct{ si, k int }
 
-func (s *solver) run() Result {
-	//socllint:ignore detrand wall-clock time limit is an explicit Options knob, not hidden nondeterminism
-	s.startTime = time.Now()
-	if s.opts.TimeLimit > 0 {
-		s.deadline = s.startTime.Add(s.opts.TimeLimit)
-	}
-	s.rootBound = s.lowerBound()
-
-	if s.opts.WarmStart != nil {
-		if obj, ok := s.starObjectiveOf(*s.opts.WarmStart); ok {
-			s.incumbent = s.opts.WarmStart.Clone()
-			s.incumbentObj = obj
-			s.haveIncumbent = true
-		}
-	}
-	// Greedy completion from the root as a primal heuristic.
-	s.tryGreedyIncumbent()
-
-	s.dfs(0)
-
-	res := Result{
-		Nodes: s.nodes,
-		//socllint:ignore detrand elapsed wall time is reported, never branched on
-		Elapsed: time.Since(s.startTime),
-		Bound:   s.rootBound,
-	}
-	switch {
-	case s.haveIncumbent && !s.aborted:
-		res.Status = Optimal
-		res.Placement = s.incumbent
-		res.StarObjective = s.incumbentObj
-		res.Bound = s.incumbentObj
-	case s.haveIncumbent:
-		res.Status = Feasible
-		res.Placement = s.incumbent
-		res.StarObjective = s.incumbentObj
-	case s.aborted:
-		res.Status = NoSolution
-	default:
-		res.Status = Infeasible
-	}
-	return res
-}
-
-func (s *solver) limitHit() bool {
-	if s.opts.MaxNodes > 0 && s.nodes >= s.opts.MaxNodes {
-		return true
-	}
-	// Check the wall clock only every 256 nodes to keep the hot loop cheap.
-	//socllint:ignore detrand wall-clock time limit is an explicit Options knob, not hidden nondeterminism
-	if !s.deadline.IsZero() && s.nodes%256 == 0 && time.Now().After(s.deadline) {
-		return true
-	}
-	return false
-}
-
-// dfs explores the branching order from position pos.
-func (s *solver) dfs(pos int) {
-	s.nodes++
-	if s.limitHit() {
-		s.aborted = true
-		return
-	}
-	lb := s.lowerBound()
-	if math.IsInf(lb, 1) || (s.haveIncumbent && lb >= s.incumbentObj-model.FeasTol) {
-		return
-	}
-	if pos == len(s.order) {
-		// All variables fixed: the bound is now the exact star objective.
-		s.recordIncumbent(lb)
-		return
-	}
-	v := s.order[pos]
-	if s.fixed[v.si][v.k] != -1 {
-		s.dfs(pos + 1)
-		return
-	}
-
-	// Branch x=1 first (acquiring instances early finds incumbents fast),
-	// when storage, budget and the per-service instance cap permit.
-	if s.instCnt[v.si] < s.capSvc[v.si] &&
-		s.storUsed[v.k]+s.phi[v.si] <= s.storCap[v.k]+model.FeasTol &&
-		s.costUsed+s.kappa[v.si] <= s.budget+model.FeasTol {
-		s.fix(v, 1)
-		s.dfs(pos + 1)
-		s.unfix(v, 1)
-		if s.aborted {
-			return
-		}
-	}
-
-	// Branch x=0.
-	if s.instCnt[v.si] > 0 || s.allowCnt[v.si] > 1 {
-		s.fix(v, 0)
-		s.dfs(pos + 1)
-		s.unfix(v, 0)
-	}
-}
-
 func (s *solver) fix(v varRef, val int8) {
 	s.fixed[v.si][v.k] = val
 	if val == 1 {
@@ -530,24 +414,6 @@ func (s *solver) lowerBound() float64 {
 		bound += best
 	}
 	return bound
-}
-
-// recordIncumbent stores a fully-fixed state as the new incumbent if better.
-func (s *solver) recordIncumbent(obj float64) {
-	if s.haveIncumbent && obj >= s.incumbentObj-model.ObjTol {
-		return
-	}
-	p := model.NewPlacement(s.in.M(), s.V)
-	for si, svc := range s.used {
-		for k := 0; k < s.V; k++ {
-			if s.fixed[si][k] == 1 {
-				p.Set(svc, k, true)
-			}
-		}
-	}
-	s.incumbent = p
-	s.incumbentObj = obj
-	s.haveIncumbent = true
 }
 
 // starObjectiveOf scores an arbitrary placement under the star objective,

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -112,25 +113,56 @@ func TestValidatesInstance(t *testing.T) {
 }
 
 // Cross-validation: the specialized solver and the generic simplex-based
-// MILP solver must agree on the ILP optimum for tiny instances.
+// MILP solver must agree on status and ILP optimum — a seeded sweep over
+// nodes 3–5 × users 3–6 × three budget regimes (below the cheapest cover, so
+// infeasible; binding; loose) × two seeds, 72 generated instances. Objectives
+// are compared at LP accuracy (1e-6): model.ObjTol sits below what a simplex
+// solution vector reproduces.
 func TestMatchesGenericILP(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		in := testInstance(3, 3, 3, seed)
-		resOpt, err := Solve(in, Options{})
-		if err != nil {
-			t.Fatal(err)
+	cases, infeasible := 0, 0
+	for nodes := 3; nodes <= 5; nodes++ {
+		for users := 3; users <= 6; users++ {
+			for seed := int64(1); seed <= 2; seed++ {
+				for _, budget := range []float64{0.9, 1.3, 0} {
+					in := testInstance(nodes, users, 3, seed+int64(10*nodes+users))
+					if budget > 0 {
+						cover := 0.0
+						for _, svc := range in.Workload.ServicesUsed() {
+							cover += in.Workload.Catalog.Service(svc).DeployCost
+						}
+						in.Budget = budget * cover
+					}
+					resOpt, err := Solve(in, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, _ := ilp.BuildSoCLBounded(in)
+					resILP, err := ilp.SolveBounded(m, ilp.Options{TimeLimit: 60 * time.Second})
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("nodes=%d users=%d seed=%d budget=%v", nodes, users, seed, in.Budget)
+					cases++
+					if resOpt.Status == Infeasible || resILP.Status == ilp.Infeasible {
+						if resOpt.Status != Infeasible || resILP.Status != ilp.Infeasible {
+							t.Fatalf("%s: statuses %v / %v", label, resOpt.Status, resILP.Status)
+						}
+						infeasible++
+						continue
+					}
+					if resOpt.Status != Optimal || resILP.Status != ilp.Optimal {
+						t.Fatalf("%s: statuses %v / %v", label, resOpt.Status, resILP.Status)
+					}
+					if math.Abs(resOpt.StarObjective-resILP.Objective) > 1e-6 {
+						t.Fatalf("%s: opt %v != ilp %v", label, resOpt.StarObjective, resILP.Objective)
+					}
+				}
+			}
 		}
-		m, _ := ilp.BuildSoCL(in)
-		resILP, err := ilp.Solve(m, ilp.Options{TimeLimit: 60 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resOpt.Status != Optimal || resILP.Status != ilp.Optimal {
-			t.Fatalf("seed %d: statuses %v / %v", seed, resOpt.Status, resILP.Status)
-		}
-		if math.Abs(resOpt.StarObjective-resILP.Objective) > 1e-4 {
-			t.Fatalf("seed %d: opt %v != ilp %v", seed, resOpt.StarObjective, resILP.Objective)
-		}
+	}
+	t.Logf("%d cases, %d infeasible", cases, infeasible)
+	if cases < 50 || infeasible == 0 || infeasible == cases {
+		t.Fatalf("sweep degenerate: %d cases, %d infeasible", cases, infeasible)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"repro/internal/model"
 )
 
-// Differential tests pinning the parallel engine against the serial naive
-// reference: same status, same optimum, and — across worker counts — the
+// Differential tests pinning the parallel engine against the serial
+// reference (solveReference, reference_test.go): same status, same optimum, and — across worker counts — the
 // identical placement selected by the deterministic tie-break (DESIGN.md §9).
 
 func samePlacement(a, b model.Placement) bool {
@@ -35,7 +35,7 @@ func TestEngineMatchesNaive(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			in := testInstance(sz[0], sz[1], sz[2], seed)
 			limit := 60 * time.Second
-			naive, err := Solve(in, Options{TimeLimit: limit, Naive: true})
+			naive, err := solveReference(in, Options{TimeLimit: limit})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,43 +61,6 @@ func TestEngineMatchesNaive(t *testing.T) {
 			}
 			if !samePlacement(w1.Placement, w4.Placement) {
 				t.Fatalf("size=%v seed=%d: worker count changed the incumbent placement", sz, seed)
-			}
-		}
-	}
-}
-
-// The work-stealing scheduler (default) and the fixed-frontier scheduler
-// (Options.StaticFrontier) must return identical results for any worker
-// count: scheduling is not allowed to leak into the search result.
-func TestEngineStaticFrontierMatchesSteal(t *testing.T) {
-	sizes := [][3]int{{3, 3, 3}, {4, 6, 3}}
-	for _, sz := range sizes {
-		for seed := int64(1); seed <= 3; seed++ {
-			in := testInstance(sz[0], sz[1], sz[2], seed)
-			for _, workers := range []int{1, 4} {
-				steal, err := Solve(in, Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				static, err := Solve(in, Options{Workers: workers, StaticFrontier: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if steal.Status != static.Status {
-					t.Fatalf("size=%v seed=%d workers=%d: status steal=%v static=%v",
-						sz, seed, workers, steal.Status, static.Status)
-				}
-				if steal.Status != Optimal {
-					continue
-				}
-				if math.Abs(steal.StarObjective-static.StarObjective) > 1e-9 {
-					t.Fatalf("size=%v seed=%d workers=%d: objective steal=%v static=%v",
-						sz, seed, workers, steal.StarObjective, static.StarObjective)
-				}
-				if !samePlacement(steal.Placement, static.Placement) {
-					t.Fatalf("size=%v seed=%d workers=%d: scheduler changed the incumbent placement",
-						sz, seed, workers)
-				}
 			}
 		}
 	}
@@ -152,13 +115,15 @@ func TestEngineLimitsRespected(t *testing.T) {
 func TestEngineInfeasibleMatchesNaive(t *testing.T) {
 	in := testInstance(4, 5, 3, 2)
 	in.Budget = 1
-	for _, naiveFlag := range []bool{true, false} {
-		res, err := Solve(in, Options{Naive: naiveFlag, Workers: 2})
+	for name, solve := range map[string]func(*model.Instance, Options) (Result, error){
+		"reference": solveReference, "engine": Solve,
+	} {
+		res, err := solve(in, Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Status != Infeasible {
-			t.Fatalf("naive=%v: status = %v, want infeasible", naiveFlag, res.Status)
+			t.Fatalf("%s: status = %v, want infeasible", name, res.Status)
 		}
 	}
 }

@@ -292,17 +292,6 @@ func BenchmarkBaselineGCOG(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselineGCOGNaive is the reference rescan loop GCOG replaced with
-// the delta-evaluation engine; keeping both benchmarked makes the speedup a
-// number CI tracks rather than a claim in a commit message.
-func BenchmarkBaselineGCOGNaive(b *testing.B) {
-	in := benchInstance(10, 40, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		baselines.GCOGWithConfig(in, baselines.GCOGConfig{Naive: true})
-	}
-}
-
 // --- ablations (DESIGN.md §5) ---
 
 // Ablation 1: DP routing vs greedy nearest-instance routing.

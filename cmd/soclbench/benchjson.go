@@ -61,8 +61,8 @@ func benchJSONInstance(nodes, users int, seed int64) *model.Instance {
 	return &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}
 }
 
-// runBenchJSON measures the delta-engine hot paths (incremental GC-OG and
-// its naive reference, the combine serial descent, the Fig. 8 sweep) via
+// runBenchJSON measures the delta-engine hot paths (incremental GC-OG, the
+// combine serial descent, the Fig. 8 sweep) via
 // testing.Benchmark and writes dir/BENCH_<date>.json.
 func runBenchJSON(dir string, workers int) error {
 	// Resolve the worker knob exactly as the solvers do, so the recorded
@@ -85,8 +85,7 @@ func runBenchJSON(dir string, workers int) error {
 	shardedCfg.Seed = 1
 
 	// Fault-repair smoke: crash two hosting nodes, degrade a link, shrink a
-	// node, then measure the incremental repair against its full-re-solve-
-	// routing reference (identical decisions; see internal/repair).
+	// node, then measure the incremental repair.
 	chaosIn := benchJSONInstance(10, 40, 1)
 	chaosP := baselines.JDR(chaosIn)
 	chaosMask := chaos.NewMask(chaosIn.Graph)
@@ -114,11 +113,6 @@ func runBenchJSON(dir string, workers int) error {
 				baselines.GCOG(gcogIn)
 			}
 		}},
-		{"BaselineGCOGNaive", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				baselines.GCOGWithConfig(gcogIn, baselines.GCOGConfig{Naive: true})
-			}
-		}},
 		{"CombineSerial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				combine.Run(combineIn, part, pre.Placement, combine.DefaultConfig())
@@ -139,10 +133,8 @@ func runBenchJSON(dir string, workers int) error {
 			}
 		}},
 		{"ShardedCombineGlobal", func(b *testing.B) {
-			cfg := shardedCfg
-			cfg.Naive = true
 			for i := 0; i < b.N; i++ {
-				mustRunSharded(shardedIn, shardedPlan, cfg)
+				mustRunSharded(shardedIn, nil, shardedCfg)
 			}
 		}},
 		// Exact-solver stack (the Fig2/Fig7 OPT columns): the deterministic
@@ -162,13 +154,6 @@ func runBenchJSON(dir string, workers int) error {
 		{"ChaosRepair", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				repair.Run(chaosIn, chaosMask, chaosP, repair.DefaultConfig())
-			}
-		}},
-		{"ChaosRepairNaive", func(b *testing.B) {
-			cfg := repair.DefaultConfig()
-			cfg.Naive = true
-			for i := 0; i < b.N; i++ {
-				repair.Run(chaosIn, chaosMask, chaosP, cfg)
 			}
 		}},
 		{"ILPSolveSerial", func(b *testing.B) {

@@ -13,14 +13,24 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
 )
 
+// experimentUsage lists the registry for -experiment's help text.
+func experimentUsage() string {
+	ids := make([]string, len(experiments.Registry))
+	for i, e := range experiments.Registry {
+		ids[i] = e.ID
+	}
+	return strings.Join(ids, " | ") + " | all (the paper's figures) | ext (all extensions)"
+}
+
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig2 | fig3 | fig4 | fig7 | fig8 | fig9 | fig10 | all | ext_budget | ext_lambda | ext_omega | ext_xi | ext_routing | ext_online | ext_decompose | ext_contention | ext_cloud | ext_cluster | ext_datasets | ext_combinebench | ext_faults | ext_serve | ext_scale | ext_coldstart | ext_overload | ext (all extensions)")
+		experiment = flag.String("experiment", "all", experimentUsage())
 		short      = flag.Bool("short", false, "reduced scales for a quick run")
 		seed       = flag.Int64("seed", 1, "root random seed")
 		out        = flag.String("out", "", "directory for CSV output (optional)")
@@ -61,89 +71,33 @@ func main() {
 	}
 }
 
+// selected resolves -experiment: "all" is the paper group, "ext" the
+// extension group, anything else one registry ID.
+func selected(which string) ([]experiments.Experiment, error) {
+	group := map[string]string{"all": "paper", "ext": "ext"}[which]
+	var out []experiments.Experiment
+	for _, e := range experiments.Registry {
+		if e.ID == which || e.Group == group {
+			out = append(out, e)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q", which)
+	}
+	return out, nil
+}
+
 func run(which string, opts experiments.Options, svgDir string) error {
 	start := time.Now()
-	var tables []*experiments.Table
-	add := func(ts ...*experiments.Table) { tables = append(tables, ts...) }
-
-	runOne := func(id string) error {
-		t0 := time.Now()
-		switch id {
-		case "fig2":
-			add(experiments.Fig2(opts))
-		case "fig3":
-			a, b := experiments.Fig3(opts)
-			add(a, b)
-		case "fig4":
-			add(experiments.Fig4(opts))
-		case "fig7":
-			a, b := experiments.Fig7(opts)
-			add(a, b)
-		case "fig8":
-			add(experiments.Fig8(opts))
-		case "fig9":
-			add(experiments.Fig9(opts))
-		case "fig10":
-			a, b := experiments.Fig10(opts)
-			add(a, b)
-		case "ext_budget":
-			add(experiments.ExtBudget(opts))
-		case "ext_lambda":
-			add(experiments.ExtLambda(opts))
-		case "ext_omega":
-			add(experiments.ExtOmega(opts))
-		case "ext_xi":
-			add(experiments.ExtXi(opts))
-		case "ext_routing":
-			add(experiments.ExtRouting(opts))
-		case "ext_online":
-			add(experiments.ExtOnline(opts))
-		case "ext_decompose":
-			add(experiments.ExtDecompose(opts))
-		case "ext_contention":
-			add(experiments.ExtContention(opts))
-		case "ext_cloud":
-			add(experiments.ExtCloud(opts))
-		case "ext_cluster":
-			add(experiments.ExtCluster(opts))
-		case "ext_datasets":
-			add(experiments.ExtDatasets(opts))
-		case "ext_combinebench":
-			add(experiments.ExtCombineBench(opts))
-		case "ext_faults":
-			add(experiments.ExtFaults(opts))
-		case "ext_serve":
-			add(experiments.ExtServe(opts))
-		case "ext_scale":
-			add(experiments.ExtScale(opts))
-		case "ext_coldstart":
-			add(experiments.ExtColdstart(opts))
-		case "ext_overload":
-			add(experiments.ExtOverload(opts))
-		default:
-			return fmt.Errorf("unknown experiment %q", id)
-		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, time.Since(t0).Round(time.Millisecond))
-		return nil
+	exps, err := selected(which)
+	if err != nil {
+		return err
 	}
-
-	switch which {
-	case "all":
-		for _, id := range []string{"fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "fig10"} {
-			if err := runOne(id); err != nil {
-				return err
-			}
-		}
-	case "ext":
-		for _, id := range []string{"ext_budget", "ext_lambda", "ext_omega", "ext_xi", "ext_routing", "ext_online", "ext_decompose", "ext_contention", "ext_cloud", "ext_cluster", "ext_datasets", "ext_combinebench", "ext_faults", "ext_serve", "ext_scale", "ext_coldstart", "ext_overload"} {
-			if err := runOne(id); err != nil {
-				return err
-			}
-		}
-	default:
-		if err := runOne(which); err != nil {
-			return err
-		}
+	var tables []*experiments.Table
+	for _, e := range exps {
+		t0 := time.Now()
+		tables = append(tables, e.Run(opts)...)
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
 
 	if err := experiments.Emit(os.Stdout, opts, tables...); err != nil {

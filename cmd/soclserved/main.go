@@ -459,8 +459,8 @@ func selfTest(o options) error {
 	if err != nil {
 		return fmt.Errorf("selftest: replay: %w", err)
 	}
-	if err := sim.CompareReplay(res, rr); err != nil {
-		return fmt.Errorf("selftest: replay diverged from sim.Run: %w", err)
+	if err := res.Diff(rr); err != nil {
+		return fmt.Errorf("selftest: file-replayed script diverged from sim.Run: %w", err)
 	}
 
 	// Serve mode with the serverless lifecycle: two identically-configured
@@ -484,25 +484,8 @@ func selfTest(o options) error {
 	if err != nil {
 		return fmt.Errorf("selftest: serve run 2: %w", err)
 	}
-	if len(r1.Records) != len(r2.Records) {
-		return fmt.Errorf("selftest: serve runs differ in length: %d vs %d", len(r1.Records), len(r2.Records))
-	}
-	for i := range r1.Records {
-		x, y := r1.Records[i], r2.Records[i]
-		x.PlanTime, x.ReactTime = 0, 0 // wall-clock telemetry, legitimately noisy
-		y.PlanTime, y.ReactTime = 0, 0
-		if x != y {
-			return fmt.Errorf("selftest: serve runs diverge at epoch %d:\n  %+v\n  %+v", i, x, y)
-		}
-	}
-	if len(r1.AllDelays) != len(r2.AllDelays) {
-		return fmt.Errorf("selftest: serve delay streams differ in length")
-	}
-	for i := range r1.AllDelays {
-		//socllint:ignore floateq deliberate exact compare: the determinism contract is bitwise
-		if r1.AllDelays[i] != r2.AllDelays[i] {
-			return fmt.Errorf("selftest: serve delay streams diverge at %d", i)
-		}
+	if err := r1.Diff(r2); err != nil {
+		return fmt.Errorf("selftest: serve runs diverge: %w", err)
 	}
 	fmt.Printf("selftest ok: %d slots, %d events, replay bitwise-identical to sim.Run, serve mode deterministic\n",
 		s.Meta.NumSlots, len(s.Events))

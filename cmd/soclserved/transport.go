@@ -285,7 +285,7 @@ func selfTestTransport(o options) error {
 	if err := sameScript(s, eng.Recorded()); err != nil {
 		return fmt.Errorf("transport selftest: recorded stream diverged: %w", err)
 	}
-	if err := sim.CompareReplay(res, eng.Result()); err != nil {
+	if err := res.Diff(eng.Result()); err != nil {
 		return fmt.Errorf("transport selftest: wire replay diverged from sim.Run: %w", err)
 	}
 

@@ -51,11 +51,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, s := range res.Slots {
+	for _, s := range res.Records {
 		bar := ""
 		for i := 0; i < int(s.AvgDelay*8) && i < 60; i++ {
 			bar += "#"
 		}
-		fmt.Printf("  t=%3.0fmin %6.3fs |%s\n", s.TimeMinutes, s.AvgDelay, bar)
+		fmt.Printf("  t=%3.0fmin %6.3fs |%s\n", float64(s.Epoch)*cfg.SlotMinutes, s.AvgDelay, bar)
 	}
 }

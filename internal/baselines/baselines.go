@@ -196,15 +196,11 @@ type GCOGResult struct {
 	Evals     int // exact objective evaluations performed
 }
 
-// GCOGConfig selects the GC-OG scoring machinery, mirroring combine.Config:
-// the default is the incremental delta-evaluation engine; Naive preserves
-// the from-scratch rescan path for differential testing and as the reference
-// semantics. Mode/Seed pick the routing model used for scoring (zero value =
-// optimal routing, matching Instance.Evaluate).
+// GCOGConfig picks the routing model GC-OG scores with (zero value = optimal
+// routing, matching Instance.Evaluate).
 type GCOGConfig struct {
-	Naive bool
-	Mode  model.RoutingMode
-	Seed  int64 // consumed only by RouteModeRandom
+	Mode model.RoutingMode
+	Seed int64 // consumed only by RouteModeRandom
 }
 
 // GCOG runs greedy combine with objective gradient under the default
@@ -215,8 +211,9 @@ func GCOG(in *model.Instance) GCOGResult {
 
 // gcogInitial builds the shared starting placement: a continuity pass (one
 // instance per used service at — or nearest to — its first demand node),
-// then storage-aware full coverage of every demand site. Shared by the naive
-// and incremental search loops so they start from identical states.
+// then storage-aware full coverage of every demand site. Shared with the
+// from-scratch reference loop of the differential tests so both start from
+// identical states.
 func gcogInitial(in *model.Instance, used []int) model.Placement {
 	cat := in.Workload.Catalog
 	p := model.NewPlacement(in.M(), in.V())
@@ -257,18 +254,15 @@ func gcogInitial(in *model.Instance, used []int) model.Placement {
 // best one, until the budget and storage constraints hold and no removal
 // improves the objective.
 //
-// The incremental path scores each candidate removal through a
-// model.DeltaEvaluator probe (Apply → Eval → Revert), re-routing only the
-// requests that traversed the removed instance; the naive path re-evaluates
-// the whole placement from scratch per candidate. Both count one Eval per
-// candidate and are bit-identical in outcome (see TestGCOGDifferential).
+// Each candidate removal is scored through a model.DeltaEvaluator probe
+// (Apply → Eval → Revert), re-routing only the requests that traversed the
+// removed instance. The test-only reference loop re-evaluates the whole
+// placement from scratch per candidate; both count one Eval per candidate
+// and are bit-identical in outcome (see TestGCOGDifferential).
 func GCOGWithConfig(in *model.Instance, cfg GCOGConfig) GCOGResult {
 	used := append([]int(nil), in.Workload.ServicesUsed()...)
 	sort.Ints(used)
 	p := gcogInitial(in, used)
-	if cfg.Naive {
-		return gcogNaive(in, cfg, used, p)
-	}
 
 	de := model.NewDeltaEvaluator(in, p, cfg.Mode, cfg.Seed)
 	res := GCOGResult{}
@@ -312,52 +306,6 @@ func GCOGWithConfig(in *model.Instance, cfg GCOGConfig) GCOGResult {
 		}
 	}
 	res.Placement = de.Placement()
-	return res
-}
-
-// gcogNaive is the reference search loop: identical move selection, every
-// candidate scored by a from-scratch EvaluateRouted.
-func gcogNaive(in *model.Instance, cfg GCOGConfig, used []int, p model.Placement) GCOGResult {
-	res := GCOGResult{}
-	maxRounds := in.M()*in.V() + 16
-	for ; res.Rounds < maxRounds; res.Rounds++ {
-		cur := in.EvaluateRouted(p, cfg.Mode, cfg.Seed)
-		res.Evals++
-		needReduce := cur.OverBudget
-
-		bestObj := cur.Objective
-		bestSvc, bestK := -1, -1
-		forcedObj := math.Inf(1)
-		forcedSvc, forcedK := -1, -1
-		for _, svc := range used {
-			if p.Count(svc) <= 1 {
-				continue
-			}
-			for _, k := range p.NodesOf(svc) {
-				p.Set(svc, k, false)
-				ev := in.EvaluateRouted(p, cfg.Mode, cfg.Seed)
-				res.Evals++
-				if ev.Objective < bestObj-model.ObjTol {
-					bestObj, bestSvc, bestK = ev.Objective, svc, k
-				}
-				if ev.Objective < forcedObj {
-					forcedObj, forcedSvc, forcedK = ev.Objective, svc, k
-				}
-				p.Set(svc, k, true)
-			}
-		}
-		switch {
-		case bestSvc != -1:
-			p.Set(bestSvc, bestK, false)
-		case needReduce && forcedSvc != -1:
-			// No improving move but the budget still binds: take the
-			// least-damaging removal.
-			p.Set(forcedSvc, forcedK, false)
-		default:
-			return GCOGResult{Placement: p, Rounds: res.Rounds, Evals: res.Evals}
-		}
-	}
-	res.Placement = p
 	return res
 }
 

@@ -23,6 +23,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
 	"repro/internal/model"
@@ -169,12 +170,9 @@ type container struct {
 }
 
 type runtime struct {
-	cfg  Config
-	algo sim.Algorithm
-	rng  interface {
-		Float64() float64
-		Intn(int) int
-	}
+	cfg    Config
+	algo   sim.Algorithm
+	rng    *rand.Rand
 	now    float64
 	seq    int64
 	events eventQueue
@@ -281,33 +279,10 @@ func (rt *runtime) scheduleNextArrival(user int, from float64) {
 	rt.scheduleNextArrival(user, at)
 }
 
+// makeRequest draws the user's next request with the analytic simulator's
+// request draw.
 func (rt *runtime) makeRequest(user int) msvc.Request {
-	flows := rt.cfg.Catalog.Flows()
-	base := flows[rt.rng.Intn(len(flows))]
-	chain := append([]msvc.ServiceID(nil), base...)
-	if len(chain) > 1 && rt.rng.Float64() < rt.cfg.Workload.TruncateProb {
-		chain = chain[:len(chain)-1]
-	}
-	w := rt.cfg.Workload
-	req := msvc.Request{
-		Home:     rt.homes[user],
-		Chain:    chain,
-		DataIn:   uniform(rt.rng, w.InDataMin, w.InDataMax),
-		DataOut:  uniform(rt.rng, w.OutDataMin, w.OutDataMax),
-		Deadline: math.Inf(1),
-	}
-	req.EdgeData = make([]float64, len(chain)-1)
-	for i := range req.EdgeData {
-		req.EdgeData[i] = uniform(rt.rng, w.EdgeDataMin, w.EdgeDataMax)
-	}
-	return req
-}
-
-func uniform(r interface{ Float64() float64 }, lo, hi float64) float64 {
-	if hi <= lo {
-		return lo
-	}
-	return lo + r.Float64()*(hi-lo)
+	return sim.DrawRequest(rt.rng, rt.cfg.Workload, rt.cfg.Catalog.Flows(), rt.homes[user])
 }
 
 // replan observes the previous slot's requests, asks the algorithm for a

@@ -41,9 +41,10 @@
 //     invalidates every request whose chain contains the service, since a
 //     grown candidate set can strictly improve avoided-node routes too.
 //
-// Config.Naive disables the engine and runs the original full rescans; the
-// two paths are differentially tested to produce bit-identical placements
-// and statistics.
+// The original full rescans survive as the reference path behind an
+// unexported Config field that only this package's tests set; the two paths
+// are differentially tested to produce bit-identical placements and
+// statistics.
 package combine
 
 import (
@@ -77,10 +78,10 @@ type Config struct {
 	// trading a bounded amount of objective for fewer container cold-starts.
 	// 0 keeps the ordering purely objective-driven.
 	WarmBias float64
-	// Naive disables the incremental routing engine and re-derives every ζ
+	// naive disables the incremental routing engine and re-derives every ζ
 	// and deadline check from full scans. Results are bit-identical either
-	// way; the flag exists for differential tests and benchmarks.
-	Naive bool
+	// way; only this package's differential tests and benchmarks set it.
+	naive bool
 }
 
 // DefaultConfig returns ω=0.25, Θ=1.0.
@@ -96,7 +97,7 @@ type Result struct {
 	ParallelRounds,
 	SerialRounds int
 
-	// Incremental-engine telemetry (zero when Config.Naive): requests whose
+	// Incremental-engine telemetry: requests whose
 	// cached optimal route was reused across deadline checks, and requests
 	// re-routed because a mutation could have changed their optimum.
 	RouteCacheHits  int
@@ -196,7 +197,7 @@ func Run(in *model.Instance, part *partition.Result, pre model.Placement, cfg Co
 	s.cost = in.DeployCost(s.place)
 	s.buildStaticTables()
 	s.initReliance()
-	if !cfg.Naive {
+	if !cfg.naive {
 		s.initIncremental()
 	}
 
@@ -891,7 +892,7 @@ func (s *state) deadlineViolated() bool {
 }
 
 // deadlineViolatedNaive routes every finite-deadline request from scratch —
-// the ground-truth path behind Config.Naive and the invariant layer's
+// the ground-truth path of the reference mode and the invariant layer's
 // differential check.
 func (s *state) deadlineViolatedNaive() bool {
 	for h := range s.in.Workload.Requests {

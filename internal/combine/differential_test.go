@@ -16,7 +16,7 @@ func assertRunsIdentical(t *testing.T, label string, in1, in2 *model.Instance,
 	part1, part2 *partition.Result, pre1, pre2 model.Placement, cfg Config) {
 	t.Helper()
 	cfgNaive := cfg
-	cfgNaive.Naive = true
+	cfgNaive.naive = true
 	inc := Run(in1, part1, pre1, cfg)
 	naive := Run(in2, part2, pre2, cfgNaive)
 
@@ -114,3 +114,22 @@ func TestIncrementalCacheTelemetry(t *testing.T) {
 			res.RouteCacheHits, res.RouteRecomputed)
 	}
 }
+
+// benchCombine times one combination at the middle ext_combinebench scale —
+// the experiment this benchmark pair replaced: finite deadlines, and a budget
+// generous enough that the serial descent, the engine's hot path, runs until
+// the objective gradient stops it.
+func benchCombine(b *testing.B, naive bool) {
+	in, part, pre := buildInstance(15, 120, 1, 1e9)
+	cfg := DefaultConfig()
+	cfg.naive = naive
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchResult = Run(in, part, pre, cfg)
+	}
+}
+
+var benchResult Result
+
+func BenchmarkCombineIncremental(b *testing.B) { benchCombine(b, false) }
+func BenchmarkCombineNaive(b *testing.B)       { benchCombine(b, true) }

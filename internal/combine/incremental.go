@@ -11,7 +11,7 @@ import (
 
 // This file is the combine-side half of the incremental routing engine.
 // Three structures avoid the O(rounds·|U|·L·|V|²) rescans of the naive
-// implementation (kept, bit-identical, behind Config.Naive):
+// implementation (kept, bit-identical, as the in-package test reference):
 //
 //   - state.idx, a model.PlacementIndex: cached per-service candidate node
 //     lists consumed by pickReliance / RouteOptimal, invalidated per

@@ -40,7 +40,7 @@ func TestParallelBatchRemovesMultipleInstancesOfOneService(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.Omega = 1
-		cfg.Naive = naive
+		cfg.naive = naive
 		res := Run(in, part, pre, cfg)
 		if !res.BudgetMet {
 			t.Fatalf("naive=%v: budget not met", naive)

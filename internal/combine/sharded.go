@@ -61,11 +61,6 @@ type ShardedConfig struct {
 	Seed int64
 	// NoReconcile skips the boundary fix-up pass (ablation knob).
 	NoReconcile bool
-	// Naive ignores the plan and solves the whole instance as a single
-	// shard: the global-combine reference path of the differential tests and
-	// the ext_scale comparison. It finalizes a full copy of the graph, so it
-	// works — at full O(|V|²) cost — even on unfinalized substrates.
-	Naive bool
 }
 
 // DefaultShardedConfig returns per-shard defaults matching the global
@@ -95,7 +90,7 @@ type ShardedResult struct {
 	// gateways). Routing a request within its halo can only overestimate
 	// the latency a global evaluator would find, so Objective is an upper
 	// bound on the true global objective of Placement — the bounded-regret
-	// differential test measures the gap against the Naive reference.
+	// differential test measures the gap against the nil-plan global reference.
 	LatencySum       float64
 	Unserved         int
 	DeadlineViolated int
@@ -125,11 +120,14 @@ const boundaryImproveTol = 1e-9
 // see the file comment for the discipline. The parent graph may be
 // unfinalized — every stage works on finalized per-shard extracts. The plan
 // must cover the instance's nodes exactly; users and service chains follow
-// their home node's shard.
+// their home node's shard. A nil plan solves the whole instance as a single
+// shard: the global-combine reference of the differential tests and the
+// ext_scale comparison. It finalizes a full copy of the graph, so it works —
+// at full O(|V|²) cost — even on unfinalized substrates.
 func RunSharded(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConfig) (*ShardedResult, error) {
 	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
 	t0 := time.Now()
-	if cfg.Naive || plan == nil {
+	if plan == nil {
 		all := make([]int, in.V())
 		for v := range all {
 			all[v] = v

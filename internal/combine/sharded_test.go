@@ -66,8 +66,7 @@ func TestRunShardedBoundedRegret(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Naive = true
-		global, err := RunSharded(in, plan, cfg)
+		global, err := RunSharded(in, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,14 +163,13 @@ func TestRunShardedReconcileNeverStrands(t *testing.T) {
 	}
 }
 
-// The Naive path on a single-shard plan is the plain global pipeline: its
+// The nil-plan path is the plain global pipeline on a single shard: its
 // placement must equal partition → preprov → combine run directly.
 func TestRunShardedNaiveMatchesDirectPipeline(t *testing.T) {
-	in, plan := clusteredInstance(t, 120, 4, 6, 0.05, 13)
+	in, _ := clusteredInstance(t, 120, 4, 6, 0.05, 13)
 	cfg := DefaultShardedConfig()
 	cfg.Seed = stats.SplitSeed(1, "naive")
-	cfg.Naive = true
-	res, err := RunSharded(in, plan, cfg)
+	res, err := RunSharded(in, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

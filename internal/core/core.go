@@ -55,8 +55,8 @@ type Stats struct {
 	Migrated         int  // storage migrations
 	BudgetMet        bool // parallel phase reached Σ𝒦 ≤ 𝒦^max
 
-	// Incremental routing-engine telemetry (zero with combine.Config.Naive):
-	// deadline checks served from the per-request route cache vs re-routed.
+	// Incremental routing-engine telemetry: deadline checks served from the
+	// per-request route cache vs re-routed.
 	RouteCacheHits  int
 	RouteRecomputed int
 }
@@ -77,6 +77,16 @@ func Solve(in *model.Instance, cfg Config) (*Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	return solve(in, cfg, nil), nil
+}
+
+// solve is the one pipeline: partition → pre-provision → combine → evaluate.
+// A non-nil warm is the previous slot's placement (OnlineSolver.Step): its
+// instances of services the current workload still uses are unioned into the
+// fresh pre-provisioning, and the combination stage — biased to keep warm
+// instances — then trims the union under the current budget, so a stale
+// instance survives only if it still pays for itself.
+func solve(in *model.Instance, cfg Config, warm *model.Placement) *Solution {
 	sol := &Solution{}
 	start := time.Now()
 
@@ -87,10 +97,36 @@ func Solve(in *model.Instance, cfg Config) (*Solution, error) {
 	t1 := time.Now()
 	sol.Preprov = preprov.Run(in, sol.Partition)
 	sol.Stats.PreprovTime = time.Since(t1)
-	sol.Stats.PreprovInstances = sol.Preprov.Placement.Instances()
+
+	pre, ccfg := sol.Preprov.Placement, cfg.Combine
+	if warm != nil {
+		pre = pre.Clone()
+		used := make(map[int]bool)
+		for _, svc := range in.Workload.ServicesUsed() {
+			used[svc] = true
+		}
+		for i := range warm.X {
+			if !used[i] {
+				continue
+			}
+			for k, on := range warm.X[i] {
+				if on {
+					pre.Set(i, k, true)
+				}
+			}
+		}
+		// Warm instances resist removal (fewer container cold-starts); the
+		// bias defaults to 2Θ when the caller didn't choose one.
+		ccfg.Warm = *warm
+		//socllint:ignore floateq exact zero means the caller left the bias unset; it is never a computed value
+		if ccfg.WarmBias == 0 {
+			ccfg.WarmBias = 2 * combineTheta(ccfg)
+		}
+	}
+	sol.Stats.PreprovInstances = pre.Instances()
 
 	t2 := time.Now()
-	comb := combine.Run(in, sol.Partition, sol.Preprov.Placement, cfg.Combine)
+	comb := combine.Run(in, sol.Partition, pre, ccfg)
 	sol.Stats.CombineTime = time.Since(t2)
 
 	sol.Placement = comb.Placement
@@ -104,5 +140,14 @@ func Solve(in *model.Instance, cfg Config) (*Solution, error) {
 	sol.Stats.Total = time.Since(start)
 
 	sol.Evaluation = in.Evaluate(sol.Placement)
-	return sol, nil
+	return sol
+}
+
+// combineTheta returns the effective Θ of a combine config (its default
+// when unset), used to scale the online warm bias.
+func combineTheta(cfg combine.Config) float64 {
+	if cfg.Theta > 0 {
+		return cfg.Theta
+	}
+	return combine.DefaultConfig().Theta
 }

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/combine"
-	"repro/internal/model"
-	"repro/internal/partition"
-	"repro/internal/preprov"
-)
+import "repro/internal/model"
 
 // OnlineSolver runs SoCL in the paper's time-slotted online mode: at each
 // slot it re-plans against the observed demand, but instead of starting
@@ -52,62 +45,11 @@ func (o *OnlineSolver) Step(in *model.Instance) (*Solution, OnlineStats, error) 
 		o.Reset()
 	}
 
-	sol := &Solution{}
-	start := time.Now()
-
-	t0 := time.Now()
-	sol.Partition = partition.Build(in, o.cfg.Partition)
-	sol.Stats.PartitionTime = time.Since(t0)
-
-	t1 := time.Now()
-	sol.Preprov = preprov.Run(in, sol.Partition)
-	sol.Stats.PreprovTime = time.Since(t1)
-
-	// Warm retention: union the fresh pre-provisioning with the previous
-	// slot's instances for services the current workload still uses. The
-	// combination stage then trims the union under the current budget, so
-	// a stale instance survives only if it still pays for itself.
-	pre := sol.Preprov.Placement.Clone()
+	var warm *model.Placement
 	if o.hasPrev {
-		used := make(map[int]bool)
-		for _, svc := range in.Workload.ServicesUsed() {
-			used[svc] = true
-		}
-		for i := range o.prev.X {
-			if !used[i] {
-				continue
-			}
-			for k, on := range o.prev.X[i] {
-				if on {
-					pre.Set(i, k, true)
-				}
-			}
-		}
+		warm = &o.prev
 	}
-	sol.Stats.PreprovInstances = pre.Instances()
-
-	t2 := time.Now()
-	ccfg := o.cfg.Combine
-	if o.hasPrev {
-		// Warm instances resist removal (fewer container cold-starts); the
-		// bias defaults to 2Θ when the caller didn't choose one.
-		ccfg.Warm = o.prev
-		//socllint:ignore floateq exact zero means the caller left the bias unset; it is never a computed value
-		if ccfg.WarmBias == 0 {
-			ccfg.WarmBias = 2 * combineTheta(ccfg)
-		}
-	}
-	comb := combine.Run(in, sol.Partition, pre, ccfg)
-	sol.Stats.CombineTime = time.Since(t2)
-
-	sol.Placement = comb.Placement
-	sol.Stats.FinalInstances = comb.Placement.Instances()
-	sol.Stats.Combined = comb.Combined
-	sol.Stats.RolledBack = comb.RolledBack
-	sol.Stats.Migrated = comb.Migrated
-	sol.Stats.BudgetMet = comb.BudgetMet
-	sol.Stats.Total = time.Since(start)
-	sol.Evaluation = in.Evaluate(sol.Placement)
+	sol := solve(in, o.cfg, warm)
 
 	var st OnlineStats
 	if o.hasPrev {
@@ -119,15 +61,6 @@ func (o *OnlineSolver) Step(in *model.Instance) (*Solution, OnlineStats, error) 
 	o.prev = sol.Placement.Clone()
 	o.hasPrev = true
 	return sol, st, nil
-}
-
-// combineTheta returns the effective Θ of a combine config (its default
-// when unset), used to scale the online warm bias.
-func combineTheta(cfg combine.Config) float64 {
-	if cfg.Theta > 0 {
-		return cfg.Theta
-	}
-	return combine.DefaultConfig().Theta
 }
 
 func lenRowBool(x [][]bool) int {

@@ -27,11 +27,13 @@ func slotInstances(n int, seed int64) []*model.Instance {
 func TestOnlineSolverBasics(t *testing.T) {
 	slots := slotInstances(4, 1)
 	o := NewOnlineSolver(DefaultConfig())
+	routed := 0
 	for s, in := range slots {
 		sol, st, err := o.Step(in)
 		if err != nil {
 			t.Fatal(err)
 		}
+		routed += sol.Stats.RouteCacheHits + sol.Stats.RouteRecomputed
 		if !sol.Evaluation.Feasible() {
 			t.Fatalf("slot %d infeasible: %+v", s, sol.Evaluation)
 		}
@@ -47,6 +49,11 @@ func TestOnlineSolverBasics(t *testing.T) {
 				t.Fatalf("churn doesn't add up: %+v vs %d instances", st, sol.Placement.Instances())
 			}
 		}
+	}
+	// Step shares Solve's pipeline, so the routing-engine telemetry Solve
+	// reports must not be dropped on the online path.
+	if routed == 0 {
+		t.Fatal("Step reported no route-cache telemetry over 4 slots")
 	}
 }
 

@@ -167,5 +167,5 @@ func partialSlots(r *sim.Result) int {
 	if r == nil {
 		return 0
 	}
-	return len(r.Slots)
+	return len(r.Records)
 }

@@ -238,7 +238,7 @@ func ExtOnline(opts Options) *Table {
 		panic(fmt.Sprintf("ext_online one-shot: %v (completed %d slots)", err, partialSlots(oneShot)))
 	}
 	objSum := 0.0
-	for _, s := range oneShot.Slots {
+	for _, s := range oneShot.Records {
 		objSum += s.Objective
 	}
 	// Churn for the one-shot mode is recomputed by replaying the decision
@@ -254,7 +254,7 @@ func ExtOnline(opts Options) *Table {
 		panic(fmt.Sprintf("ext_online warm: %v (completed %d slots)", err, partialSlots(online)))
 	}
 	objSum2 := 0.0
-	for _, s := range online.Slots {
+	for _, s := range online.Records {
 		objSum2 += s.Objective
 	}
 	t.AddRow("online-warm", f3(online.MeanDelay()), f1(objSum2), itoa(onlineAlgo.Churn))

@@ -60,7 +60,7 @@ func ExtFaults(opts Options) *Table {
 	baseline, baseErr := sim.Run(mk(), algo)
 	baseObj := 0.0
 	if baseline != nil {
-		baseObj = sumObjectives(baseline) // partial on error: still the best reference available
+		baseObj = baseline.TotalServedObjective() // partial on error: still the best reference available
 	}
 	if baseErr != nil {
 		baseReqs := 0
@@ -113,12 +113,12 @@ func ExtFaults(opts Options) *Table {
 				viol = float64(res.TotalUnserved()) / float64(reqs)
 			}
 			repairS := 0.0
-			for _, s := range res.Slots {
-				repairS += s.RepairTime.Seconds()
+			for _, s := range res.Records {
+				repairS += s.ReactTime.Seconds()
 			}
 			objX := math.Inf(1)
 			if baseObj > 0 {
-				objX = sumObjectives(res) / baseObj
+				objX = res.TotalServedObjective() / baseObj
 			}
 			errCol := ""
 			if err != nil {
@@ -132,15 +132,4 @@ func ExtFaults(opts Options) *Table {
 		}
 	}
 	return t
-}
-
-// sumObjectives totals the per-slot served-part objectives of a run (the raw
-// per-slot objective is +Inf whenever a request went unserved; the served
-// part is the finite, cross-policy-comparable remainder).
-func sumObjectives(r *sim.Result) float64 {
-	s := 0.0
-	for _, rec := range r.Slots {
-		s += rec.ServedObjective
-	}
-	return s
 }

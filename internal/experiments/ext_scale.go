@@ -83,12 +83,12 @@ func ExtScale(opts Options) *Table {
 		}
 		buildS := time.Since(tb)
 
-		sharded, shardedDur, shardedErr := runScalePath(in, plan, seed, opts.Workers, false)
+		sharded, shardedDur, shardedErr := runScalePath(in, plan, seed, opts.Workers)
 		var global *combine.ShardedResult
 		var globalDur time.Duration
 		var globalErr error
 		if p.users <= globalCap {
-			global, globalDur, globalErr = runScalePath(in, plan, seed, opts.Workers, true)
+			global, globalDur, globalErr = runScalePath(in, nil, seed, opts.Workers)
 		} else {
 			globalErr = fmt.Errorf("skipped: global solve infeasible at %d users / %d nodes (O(|V|²) tables, O(|U|·L·|V|) latency tables)", p.users, in.V())
 		}
@@ -141,9 +141,10 @@ func buildClusteredInstance(users, regions, perRegion int, seed int64) (*model.I
 	return in, plan, nil
 }
 
-// runScalePath runs one ext_scale path, converting panics (e.g. allocation
-// failures at the extreme sizes) into the row's err column.
-func runScalePath(in *model.Instance, plan *topology.ShardPlan, seed int64, workers int, naive bool) (res *combine.ShardedResult, dur time.Duration, err error) {
+// runScalePath runs one ext_scale path — sharded under plan, or the global
+// single-shard reference when plan is nil — converting panics (e.g.
+// allocation failures at the extreme sizes) into the row's err column.
+func runScalePath(in *model.Instance, plan *topology.ShardPlan, seed int64, workers int) (res *combine.ShardedResult, dur time.Duration, err error) {
 	t0 := time.Now()
 	defer func() {
 		dur = time.Since(t0)
@@ -154,7 +155,6 @@ func runScalePath(in *model.Instance, plan *topology.ShardPlan, seed int64, work
 	cfg := combine.DefaultShardedConfig()
 	cfg.Workers = workers
 	cfg.Seed = seed
-	cfg.Naive = naive
 	res, err = combine.RunSharded(in, plan, cfg)
 	return res, time.Since(t0), err
 }

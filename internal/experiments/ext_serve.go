@@ -15,9 +15,10 @@ import (
 // recorded event stream (internal/serve), across the daemon's operating
 // modes:
 //
-//	sim-batch     — sim.Run, the reference the daemon replays;
-//	daemon-replay — replay mode (re-plan every epoch); the check column
-//	                reports the bitwise comparison against sim-batch;
+//	sim-batch     — sim.Run: the replay-mode daemon fed slot by slot;
+//	daemon-replay — the same daemon fed the whole recorded script up
+//	                front; the check column reports the bitwise comparison
+//	                against sim-batch;
 //	daemon-serve  — serve mode: one initial solve, then incremental repair
 //	                per changed epoch (AutoPolicy), steady epochs on the
 //	                delta evaluator;
@@ -56,60 +57,20 @@ func ExtServe(opts Options) *Table {
 			"obj_sum", "react_s", "check", "err"},
 	}
 
-	batch, batchErr := sim.Run(cfg, sim.NewSoCLOnline(core.DefaultConfig()))
-	if batch == nil {
-		t.AddRow("sim-batch", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0",
-			"0.0", "0.000", "", batchErr.Error())
-	} else {
-		adds, evicts, reactS := 0, 0, 0.0
-		for _, s := range batch.Slots {
-			adds += s.RepairAdds
-			evicts += s.RepairEvict
-			reactS += (s.PlaceTime + s.RepairTime).Seconds()
-		}
+	// row reports one mode's run; a nil rr is a configuration-level failure
+	// (no epoch ever ran).
+	row := func(mode string, rr *serve.RunResult, check string, err error) {
 		errCol := ""
-		if batchErr != nil {
-			errCol = batchErr.Error() // partial result: the counts above still stand
+		if err != nil {
+			errCol = err.Error() // partial result: the epochs below still count
 		}
-		t.AddRow("sim-batch", itoa(len(batch.Slots)), itoa(batch.TotalRequests()),
-			itoa(batch.TotalUnserved()), itoa(batch.TotalDegraded()), "0",
-			itoa(adds), itoa(evicts), "0", "0", "0",
-			f1(sumObjectives(batch)), f3(reactS), "", errCol)
-	}
-
-	script, scriptErr := sim.EventStream(cfg)
-
-	daemonRow := func(mode string, sc serve.Config, verify bool) {
-		if script == nil {
+		if rr == nil {
 			t.AddRow(mode, "0", "0", "0", "0", "0", "0", "0", "0", "0", "0",
-				"0.0", "0.000", "", scriptErr.Error())
+				"0.0", "0.000", "", errCol)
 			return
 		}
-		d, err := serve.NewDaemon(sc)
-		if err != nil {
-			t.AddRow(mode, "0", "0", "0", "0", "0", "0", "0", "0", "0", "0",
-				"0.0", "0.000", "", err.Error())
-			return
-		}
-		rr, err := d.RunScript(script)
-		check, errCol := "", ""
-		if err != nil {
-			errCol = err.Error() // partial epochs below still count
-		} else if verify {
-			if batch == nil {
-				check = "skipped: no batch reference"
-			} else if cmpErr := sim.CompareReplay(batch, rr); cmpErr != nil {
-				check = fmt.Sprintf("MISMATCH: %v", cmpErr)
-			} else {
-				check = "bitwise=ok"
-			}
-		}
-		reqs, unserved, degraded, resolves, adds, evicts, incr := 0, 0, 0, 0, 0, 0, 0
-		cold, scale0, objSum, reactS := 0, 0, 0.0, 0.0
+		resolves, adds, evicts, incr, cold, scale0, reactS := 0, 0, 0, 0, 0, 0, 0.0
 		for _, r := range rr.Records {
-			reqs += r.Requests
-			unserved += r.Missing + r.Unroutable
-			degraded += r.Degraded
 			if r.Resolved {
 				resolves++
 			}
@@ -120,12 +81,44 @@ func ExtServe(opts Options) *Table {
 			}
 			cold += r.ColdSteps
 			scale0 += r.ScaledToZero
-			objSum += r.ServedObjective
 			reactS += (r.PlanTime + r.ReactTime).Seconds()
 		}
-		t.AddRow(mode, itoa(len(rr.Records)), itoa(reqs), itoa(unserved),
-			itoa(degraded), itoa(resolves), itoa(adds), itoa(evicts), itoa(incr),
-			itoa(cold), itoa(scale0), f1(objSum), f3(reactS), check, errCol)
+		t.AddRow(mode, itoa(len(rr.Records)), itoa(rr.TotalRequests()), itoa(rr.TotalUnserved()),
+			itoa(rr.TotalDegraded()), itoa(resolves), itoa(adds), itoa(evicts), itoa(incr),
+			itoa(cold), itoa(scale0), f1(rr.TotalServedObjective()), f3(reactS), check, errCol)
+	}
+
+	var batch *serve.RunResult
+	res, batchErr := sim.Run(cfg, sim.NewSoCLOnline(core.DefaultConfig()))
+	if res != nil {
+		batch = &res.RunResult
+	}
+	row("sim-batch", batch, "", batchErr)
+
+	script, scriptErr := sim.EventStream(cfg)
+
+	daemonRow := func(mode string, sc serve.Config, verify bool) {
+		if script == nil {
+			row(mode, nil, "", scriptErr)
+			return
+		}
+		d, err := serve.NewDaemon(sc)
+		if err != nil {
+			row(mode, nil, "", err)
+			return
+		}
+		rr, err := d.RunScript(script)
+		check := ""
+		if err == nil && verify {
+			if batch == nil {
+				check = "skipped: no batch reference"
+			} else if cmpErr := batch.Diff(rr); cmpErr != nil {
+				check = fmt.Sprintf("MISMATCH: %v", cmpErr)
+			} else {
+				check = "bitwise=ok"
+			}
+		}
+		row(mode, rr, check, err)
 	}
 
 	daemonRow("daemon-replay", sim.ReplayConfig(cfg, sim.NewSoCLOnline(core.DefaultConfig())), true)

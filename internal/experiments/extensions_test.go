@@ -195,23 +195,6 @@ func TestExtDatasetsShort(t *testing.T) {
 	}
 }
 
-func TestExtCombineBenchShort(t *testing.T) {
-	tb := ExtCombineBench(shortOpts())
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	for i := range tb.Rows {
-		if got := cell(tb, i, "identical"); got != "yes" {
-			t.Fatalf("row %d: incremental placement diverged from naive", i)
-		}
-		hits := cellF(t, tb, i, "cache_hits")
-		rec := cellF(t, tb, i, "recomputed")
-		if hits+rec > 0 && hits < rec {
-			t.Fatalf("row %d: cache ineffective (%v hits vs %v recomputes)", i, hits, rec)
-		}
-	}
-}
-
 func TestExtFaultsShort(t *testing.T) {
 	tb := ExtFaults(shortOpts())
 	if len(tb.Rows) != 9 { // (1 rate + corr + flap presets) × 3 policies in short mode

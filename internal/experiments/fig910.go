@@ -47,7 +47,7 @@ func Fig9(opts Options) *Table {
 				panic(fmt.Sprintf("fig9 %s: %v (completed %d slots)", algo.Name(), err, partialSlots(res)))
 			}
 			objSum, costSum := 0.0, 0.0
-			for _, s := range res.Slots {
+			for _, s := range res.Records {
 				objSum += s.Objective
 				costSum += s.Cost
 			}
@@ -107,8 +107,8 @@ func Fig10(opts Options) (*Table, *Table) {
 			panic(fmt.Sprintf("fig10 %s: %v (completed %d slots)", algos[i].Name(), err, partialSlots(res)))
 		}
 		var pt fig10Point
-		for _, s := range res.Slots {
-			pt.series = append(pt.series, []string{f1(s.TimeMinutes), res.Algorithm,
+		for _, s := range res.Records {
+			pt.series = append(pt.series, []string{f1(float64(s.Epoch) * cfg.SlotMinutes), res.Algorithm,
 				f3(s.AvgDelay), f3(s.MaxDelay), itoa(s.Requests)})
 		}
 		p95 := 0.0

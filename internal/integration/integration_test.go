@@ -151,9 +151,9 @@ func TestSimulatorDrivesAllAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo.Name(), err)
 		}
-		for _, s := range res.Slots {
+		for _, s := range res.Records {
 			if s.Unserved() > 0 {
-				t.Fatalf("%s: %d missing + %d unroutable requests at slot %d", algo.Name(), s.Missing, s.Unroutable, s.Slot)
+				t.Fatalf("%s: %d missing + %d unroutable requests at slot %d", algo.Name(), s.Missing, s.Unroutable, s.Epoch)
 			}
 		}
 	}

@@ -100,27 +100,52 @@ func CheckStorage(in *model.Instance, p model.Placement, where string) {
 // leave cost within budget and every node within its masked capacity, so any
 // violation is a repair bug. Eq. 4 is soft under faults — a degraded
 // substrate may make some deadlines physically unmeetable, and repair's
-// contract is honest accounting rather than a guarantee — so the check
-// recounts deadline violations from the per-request latencies and panics
-// only when the recount disagrees with the evaluation's counter.
+// contract is honest accounting rather than a guarantee — so it is only
+// recounted (CheckDeadlineRecount).
 func CheckPostRepair(in *model.Instance, ev *model.Evaluation, where string) {
 	if !Enabled {
 		return
 	}
 	CheckBudget(in, ev.Placement, where)
 	CheckStorage(in, ev.Placement, where)
+	CheckDeadlineRecount(in, ev, where)
+}
+
+// CheckDeadlineRecount recounts Eq. 4 violations from an evaluation's
+// per-request latencies and panics when the recount disagrees with the
+// evaluation's counter. It holds for any evaluation, repaired or not. The
+// class split is the evaluator's: a request with no deployed instance of some
+// chain service and no cloud fallback is Missing and outside Eq. 4; every
+// other request — an unroutable one, whose services are deployed but
+// disconnected from it, included — is late iff its latency exceeds its
+// deadline.
+func CheckDeadlineRecount(in *model.Instance, ev *model.Evaluation, where string) {
+	if !Enabled {
+		return
+	}
 	late := 0
 	for h := range in.Workload.Requests {
-		if ev.Routes[h].Nodes == nil && math.IsInf(ev.Latencies[h], 1) {
-			continue // missing instance: counted in MissingInstances, not Eq. 4
+		req := &in.Workload.Requests[h]
+		if math.IsInf(ev.Latencies[h], 1) && missingInstance(ev.Placement, req.Chain) {
+			continue
 		}
-		if ev.Latencies[h] > in.Workload.Requests[h].Deadline+model.FeasTol {
+		if ev.Latencies[h] > req.Deadline+model.FeasTol {
 			late++
 		}
 	}
 	if late != ev.DeadlineViolated {
 		panic(fmt.Sprintf("invariant: %s: %d deadline violations recounted from latencies, evaluation says %d (Eq. 4)", where, late, ev.DeadlineViolated))
 	}
+}
+
+// missingInstance reports whether some service of chain has no instance in p.
+func missingInstance(p model.Placement, chain []int) bool {
+	for _, svc := range chain {
+		if p.Count(svc) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // CheckDeadlines panics when some finite-deadline request cannot meet its

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/lp"
 	"repro/internal/model"
 	"repro/internal/msvc"
@@ -140,4 +141,50 @@ func TestArmedWarmFactorization(t *testing.T) {
 		t.Fatalf("solve: %v %v", sol.Status, err)
 	}
 	CheckWarmFactorization(ws, "test") // healthy basis: must not panic
+}
+
+// TestArmedDeadlineRecountClassSplit pins the recount to the evaluator's
+// class split on a crashed-node fixture: node 1, the only link between the
+// user's node 0 and the instance on node 2, is down, so the finite-deadline
+// request is unroutable — deployed but unreachable — and the evaluator counts
+// it deadline-violated. With no instance at all the same request is Missing
+// and outside Eq. 4. The recount must agree both times.
+func TestArmedDeadlineRecountClassSplit(t *testing.T) {
+	g := topology.New(3)
+	for i := 0; i < 3; i++ {
+		g.AddNode(float64(i), 0, 10, 50)
+	}
+	for _, l := range [][2]int{{0, 1}, {1, 2}} {
+		if err := g.AddLink(l[0], l[1], 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Finalize()
+	cat := msvc.NewCatalog()
+	a, _ := cat.Add("a", 100, 1, 1)
+	cat.AddFlow([]msvc.ServiceID{a})
+	base := &model.Instance{Graph: g, Lambda: 0.5, Budget: 1e4, Workload: &msvc.Workload{Catalog: cat,
+		Requests: []msvc.Request{{Home: 0, Chain: []int{a}, DataIn: 1, DataOut: 1, Deadline: 100}}}}
+	m := chaos.NewMask(g)
+	if err := m.Apply(chaos.Event{Kind: chaos.NodeCrash, Node: 1}); err != nil {
+		t.Fatal(err)
+	}
+	in := m.Instance(base)
+
+	p := model.NewPlacement(1, 3)
+	p.Set(a, 2, true)
+	ev := in.Evaluate(p)
+	if ev.Unroutable != 1 || ev.DeadlineViolated != 1 {
+		t.Fatalf("fixture: want 1 unroutable, 1 late; got %d, %d", ev.Unroutable, ev.DeadlineViolated)
+	}
+	CheckPostRepair(in, ev, "unroutable")
+
+	ev = in.Evaluate(model.NewPlacement(1, 3))
+	if ev.MissingInstances != 1 || ev.DeadlineViolated != 0 {
+		t.Fatalf("fixture: want 1 missing, 0 late; got %d, %d", ev.MissingInstances, ev.DeadlineViolated)
+	}
+	CheckPostRepair(in, ev, "missing")
+
+	ev.DeadlineViolated = 1
+	expectPanic(t, "Eq. 4", func() { CheckDeadlineRecount(in, ev, "tampered") })
 }

@@ -1,11 +1,6 @@
 package invariant
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // CheckShardMerge revalidates one shard's slice of a merged sharded
 // placement against the paper's feasibility system (Eq. 4–6), given the
@@ -17,10 +12,7 @@ import (
 // per-node overflow is a sharding bug. Eq. 5 (budget) is checked only when
 // the shard claims budgetMet — per-shard budget floors (service continuity)
 // may legitimately exceed a shard's demand share. Eq. 4 (deadlines) is a
-// recount from the per-request latencies, as in CheckPostRepair; it is
-// skipped when the evaluation has unroutable requests, whose +Inf latencies
-// the evaluator counts against finite deadlines while Eq. 4 is vacuous for
-// them.
+// recount from the per-request latencies (CheckDeadlineRecount).
 func CheckShardMerge(in *model.Instance, ev *model.Evaluation, budgetMet bool, where string) {
 	if !Enabled {
 		return
@@ -29,19 +21,5 @@ func CheckShardMerge(in *model.Instance, ev *model.Evaluation, budgetMet bool, w
 		CheckBudget(in, ev.Placement, where)
 	}
 	CheckStorage(in, ev.Placement, where)
-	if ev.Unroutable > 0 {
-		return
-	}
-	late := 0
-	for h := range in.Workload.Requests {
-		if ev.Routes[h].Nodes == nil && math.IsInf(ev.Latencies[h], 1) {
-			continue // missing instance: counted in MissingInstances, not Eq. 4
-		}
-		if ev.Latencies[h] > in.Workload.Requests[h].Deadline+model.FeasTol {
-			late++
-		}
-	}
-	if late != ev.DeadlineViolated {
-		panic(fmt.Sprintf("invariant: %s: %d deadline violations recounted from latencies, evaluation says %d (Eq. 4)", where, late, ev.DeadlineViolated))
-	}
+	CheckDeadlineRecount(in, ev, where)
 }

@@ -274,11 +274,24 @@ func (d *DeltaEvaluator) invalidate(svc, node int, added bool, dl *Delta) {
 	}
 	// Removal under optimal/greedy: only routes that executed a step on the
 	// removed instance can change (see the file comment for the tie-break
-	// argument).
+	// argument) — plus, when svc just lost its last instance, the requests
+	// that were disconnected from every instance of it: deployed-but-
+	// unreachable turns into ErrNoInstance (missing, or cloud-served).
 	for _, h := range d.chainReqs[svc] {
 		d.chainGen[h]++ // drop probe memos: their candidate view is stale
 		e := &d.routes[h]
-		if !e.valid || e.nodes == nil {
+		if !e.valid {
+			continue
+		}
+		if e.nodes == nil {
+			// Count only for the (rare) disconnected entry: it rebuilds the
+			// index's node list for svc.
+			if !e.cloud && !e.missing && d.ix.Count(svc) == 0 {
+				if dl != nil {
+					dl.saved = append(dl.saved, routeSave{h, *e})
+				}
+				e.valid = false
+			}
 			continue
 		}
 		chain := d.in.Workload.Requests[h].Chain
@@ -451,7 +464,10 @@ func (d *DeltaEvaluator) EvalObjective() (objective float64, overBudget bool) {
 // exploit.
 func (d *DeltaEvaluator) ProbeRemoval(svc, node int) (objective float64, overBudget bool) {
 	d.checkEpoch("ProbeRemoval")
-	if !d.ix.Has(svc, node) || d.mode == RouteModeRandom {
+	// Random routing, and removing a service's last instance (which also
+	// reclassifies requests no cached route ties to the instance), take the
+	// mutate-and-revert path.
+	if !d.ix.Has(svc, node) || d.mode == RouteModeRandom || d.ix.Count(svc) == 1 {
 		if d.ix.Has(svc, node) {
 			dl := d.Apply(svc, node, false)
 			objective, overBudget = d.EvalObjective()

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/msvc"
 	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
 // assertEvalIdentical compares a delta evaluation against a from-scratch one
@@ -182,4 +184,59 @@ func TestDeltaEvaluatorRevertTwicePanics(t *testing.T) {
 		}
 	}()
 	de.Revert(dl)
+}
+
+// TestDeltaEvaluatorLastInstanceOfUnroutable: a request whose only instance
+// sits on another island is unroutable (deployed, +Inf); removing that last
+// instance must reclassify it exactly as the scratch evaluator does — Missing
+// without a cloud, cloud-served at a finite latency with one — on every
+// mutation path, ProbeRemoval's counterfactual included.
+func TestDeltaEvaluatorLastInstanceOfUnroutable(t *testing.T) {
+	for _, withCloud := range []bool{false, true} {
+		g := topology.New(4)
+		for i := 0; i < 4; i++ {
+			g.AddNode(float64(i), 0, 10, 50)
+		}
+		for _, l := range [][2]int{{0, 1}, {2, 3}} { // two islands
+			if err := g.AddLink(l[0], l[1], 30); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g.Finalize()
+		cat := msvc.NewCatalog()
+		a, _ := cat.Add("a", 100, 1, 1)
+		cat.AddFlow([]msvc.ServiceID{a})
+		in := &Instance{Graph: g, Lambda: 0.5, Budget: 1e4, Workload: &msvc.Workload{Catalog: cat,
+			Requests: []msvc.Request{{Home: 0, Chain: []int{a}, DataIn: 1, DataOut: 1, Deadline: math.Inf(1)}}}}
+		if withCloud {
+			cc := DefaultCloudConfig()
+			in.Cloud = &cc
+		}
+		p := NewPlacement(1, 4)
+		p.Set(a, 2, true)
+		empty := NewPlacement(1, 4)
+		want := in.EvaluateRouted(empty, RouteModeOptimal, 0)
+
+		check := func(label string, got *Evaluation) {
+			t.Helper()
+			assertEvalIdentical(t, label, got, want)
+			if got.Unroutable != want.Unroutable {
+				t.Fatalf("%s: unroutable %d, scratch says %d", label, got.Unroutable, want.Unroutable)
+			}
+		}
+		de := NewDeltaEvaluator(in, p.Clone(), RouteModeOptimal, 0)
+		if ev := de.Eval(); ev.Unroutable != 1 {
+			t.Fatalf("cloud=%v: fixture is not unroutable: %+v", withCloud, countersOf(ev))
+		}
+		obj, _ := de.ProbeRemoval(a, 2)
+		//socllint:ignore floateq the probe's contract is bitwise equality with the scratch evaluator
+		if obj != want.Objective && !(math.IsInf(obj, 1) && math.IsInf(want.Objective, 1)) {
+			t.Fatalf("cloud=%v: ProbeRemoval objective %v, scratch says %v", withCloud, obj, want.Objective)
+		}
+		dl := de.Apply(a, 2, false)
+		check("apply", de.Eval())
+		de.Revert(dl)
+		de.AdvanceTo(empty)
+		check("advance", de.Eval())
+	}
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/topology"
 )
 
-// TestColdAwareMatchesNaive pins Config.Naive equivalence for the warm-aware
+// TestColdAwareMatchesNaive pins reference-scorer equivalence for the warm-aware
 // engine: the cold-start surcharge is computed outside the scorer, so the
 // delta and scratch paths must keep making bitwise-identical decisions when a
 // ColdStartModel is charged into the probe scores.
@@ -33,8 +33,7 @@ func TestColdAwareMatchesNaive(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.ColdStart = cs
 		fast := Run(in, m, p, cfg)
-		cfg.Naive = true
-		ref := Run(in, m, p, cfg)
+		ref := runNaive(in, m, p, cfg)
 
 		if !reflect.DeepEqual(fast.Added, ref.Added) {
 			t.Fatalf("seed %d: cold-aware adds diverge: %v vs naive %v", seed, fast.Added, ref.Added)
@@ -101,9 +100,12 @@ func TestColdAwareWarmWinsTie(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		in, m, p := coldTieFixture(t)
 
+		run := Run
+		if naive {
+			run = runNaive
+		}
 		cfg := DefaultConfig()
-		cfg.Naive = naive
-		blind := Run(in, m, p, cfg)
+		blind := run(in, m, p, cfg)
 		wantBlind := []chaos.Inst{{Svc: 0, Node: 1}}
 		if !reflect.DeepEqual(blind.Added, wantBlind) {
 			t.Fatalf("naive=%v: warm-blind adds = %v, want %v (fixture is not a tie?)", naive, blind.Added, wantBlind)
@@ -117,7 +119,7 @@ func TestColdAwareWarmWinsTie(t *testing.T) {
 			cs.SetCold(0, k, k != 2) // only node 2 is warm
 		}
 		cfg.ColdStart = cs
-		warm := Run(in, m, p, cfg)
+		warm := run(in, m, p, cfg)
 		wantWarm := []chaos.Inst{{Svc: 0, Node: 2}}
 		if !reflect.DeepEqual(warm.Added, wantWarm) {
 			t.Fatalf("naive=%v: warm-aware adds = %v, want %v", naive, warm.Added, wantWarm)

@@ -1,0 +1,56 @@
+package repair
+
+import (
+	"repro/internal/chaos"
+	"repro/internal/model"
+)
+
+// naiveScorer is the reference path: every score is a scratch
+// EvaluateRouted, probes clone the placement.
+type naiveScorer struct {
+	in   *model.Instance
+	p    model.Placement
+	mode model.RoutingMode
+	seed int64
+}
+
+func (s *naiveScorer) scoreOf(p model.Placement) (score, bool) {
+	ev := s.in.EvaluateRouted(p, s.mode, s.seed)
+	return scoreEval(s.in, ev), ev.OverBudget
+}
+func (s *naiveScorer) current() score {
+	sc, _ := s.scoreOf(s.p)
+	return sc
+}
+func (s *naiveScorer) probeRemoval(i, k int) score {
+	q := s.p.Clone()
+	q.Set(i, k, false)
+	sc, _ := s.scoreOf(q)
+	return sc
+}
+func (s *naiveScorer) probeAdd(i, k int) (score, bool) {
+	q := s.p.Clone()
+	q.Set(i, k, true)
+	return s.scoreOf(q)
+}
+func (s *naiveScorer) probeBundle(adds []chaos.Inst) (score, bool) {
+	q := s.p.Clone()
+	for _, a := range adds {
+		q.Set(a.Svc, a.Node, true)
+	}
+	return s.scoreOf(q)
+}
+func (s *naiveScorer) set(i, k int, val bool) { s.p.Set(i, k, val) }
+func (s *naiveScorer) placement() model.Placement {
+	return s.p
+}
+func (s *naiveScorer) eval() *model.Evaluation {
+	return s.in.EvaluateRouted(s.p, s.mode, s.seed)
+}
+
+// runNaive is Run scored through naiveScorer.
+func runNaive(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Result {
+	min := m.Instance(in)
+	dmg, masked := Classify(in, m, p)
+	return repairWith(min, m, dmg, cfg, &naiveScorer{in: min, p: masked, mode: cfg.Mode, seed: cfg.Seed})
+}

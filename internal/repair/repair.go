@@ -32,14 +32,14 @@
 // are reported honestly as MissingInstances/Unroutable — repair never hides
 // damage, it minimizes it.
 //
-// Scoring goes through one of two interchangeable paths. The default binds a
-// model.DeltaEvaluator to the masked instance and pays only incremental
-// re-routing per probe; Config.Naive re-scores every probe with a scratch
-// Instance.EvaluateRouted on a cloned placement — the full re-solve-routing
-// reference. Both paths enumerate candidates identically and the delta
-// engine's evaluations are documented bit-identical to scratch evaluation,
-// so the two produce bitwise-identical repairs; the differential tests pin
-// exactly that.
+// Scoring goes through the scorer seam. Run binds a model.DeltaEvaluator to
+// the masked instance and pays only incremental re-routing per probe; the
+// package's tests plug in a reference scorer that re-scores every probe with
+// a scratch Instance.EvaluateRouted on a cloned placement — the full
+// re-solve-routing reference. Both enumerate candidates identically and the
+// delta engine's evaluations are documented bit-identical to scratch
+// evaluation, so the two produce bitwise-identical repairs; the differential
+// tests pin exactly that.
 //
 // A Result is stamped with the mask epoch it was computed at; once the mask
 // moves (the next fault slot), the result is stale and repair must run
@@ -58,10 +58,6 @@ import (
 
 // Config parameterizes one repair run.
 type Config struct {
-	// Naive switches scoring from the incremental DeltaEvaluator to scratch
-	// full evaluations of cloned placements — the full re-solve-routing
-	// reference path. Decisions are bitwise identical; only cost differs.
-	Naive bool
 	// Mode is the routing mode repairs are scored under.
 	Mode model.RoutingMode
 	// Seed feeds RouteModeRandom's per-request streams (unused otherwise).
@@ -79,9 +75,9 @@ type Config struct {
 	// otherwise-tied candidates therefore resolve toward the already-warm
 	// node instead of the lowest node ID, and a cold candidate must beat a
 	// warm one by more than the cold-start price to win. The surcharge is a
-	// deployment-decision prior computed outside the scorer, identically on
-	// the delta and Naive paths, so Config.Naive equivalence is preserved
-	// (pinned by test). Nil keeps every decision bitwise identical to the
+	// deployment-decision prior computed outside the scorer, so equivalence
+	// with the scratch-evaluation reference scorer is preserved (pinned by
+	// test). Nil keeps every decision bitwise identical to the
 	// warm-blind engine. This is distinct from Instance.ColdStart, which
 	// prices cold steps inside the routed latency itself: the daemon passes
 	// its lifecycle model through both seams.
@@ -178,9 +174,10 @@ func (a score) betterThan(b score) bool {
 	return a.obj < b.obj-model.ObjTol
 }
 
-// scorer abstracts the two scoring paths. All methods are exact (Eq. 1–6)
-// and — across the two implementations — bitwise identical, which is what
-// makes Config.Naive a true reference and not an approximation.
+// scorer is the seam between the repair phases and how a candidate is
+// scored. All methods are exact (Eq. 1–6) and — across deltaScorer and the
+// tests' scratch-evaluation reference — bitwise identical, which is what
+// makes the reference a true reference and not an approximation.
 type scorer interface {
 	// current scores the live placement.
 	current() score
@@ -245,49 +242,6 @@ func (s *deltaScorer) set(i, k int, val bool)     { s.d.Apply(i, k, val) }
 func (s *deltaScorer) placement() model.Placement { return s.d.Placement() }
 func (s *deltaScorer) eval() *model.Evaluation    { return s.d.Eval() }
 
-// naiveScorer is the reference path: every score is a scratch
-// EvaluateRouted, probes clone the placement.
-type naiveScorer struct {
-	in   *model.Instance
-	p    model.Placement
-	mode model.RoutingMode
-	seed int64
-}
-
-func (s *naiveScorer) scoreOf(p model.Placement) (score, bool) {
-	ev := s.in.EvaluateRouted(p, s.mode, s.seed)
-	return scoreEval(s.in, ev), ev.OverBudget
-}
-func (s *naiveScorer) current() score {
-	sc, _ := s.scoreOf(s.p)
-	return sc
-}
-func (s *naiveScorer) probeRemoval(i, k int) score {
-	q := s.p.Clone()
-	q.Set(i, k, false)
-	sc, _ := s.scoreOf(q)
-	return sc
-}
-func (s *naiveScorer) probeAdd(i, k int) (score, bool) {
-	q := s.p.Clone()
-	q.Set(i, k, true)
-	return s.scoreOf(q)
-}
-func (s *naiveScorer) probeBundle(adds []chaos.Inst) (score, bool) {
-	q := s.p.Clone()
-	for _, a := range adds {
-		q.Set(a.Svc, a.Node, true)
-	}
-	return s.scoreOf(q)
-}
-func (s *naiveScorer) set(i, k int, val bool) { s.p.Set(i, k, val) }
-func (s *naiveScorer) placement() model.Placement {
-	return s.p
-}
-func (s *naiveScorer) eval() *model.Evaluation {
-	return s.in.EvaluateRouted(s.p, s.mode, s.seed)
-}
-
 // Classify reports the damage the mask's active faults inflict on p without
 // repairing anything; the masked placement (lost instances cleared) is
 // returned alongside. in must be built on the mask's base graph.
@@ -311,14 +265,14 @@ func Classify(in *model.Instance, m *chaos.Mask, p model.Placement) (Damage, mod
 func Run(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Result {
 	min := m.Instance(in)
 	dmg, masked := Classify(in, m, p)
-	res := &Result{Damage: dmg, Epoch: m.Epoch()}
+	return repairWith(min, m, dmg, cfg,
+		&deltaScorer{in: min, d: model.NewDeltaEvaluator(min, masked, cfg.Mode, cfg.Seed)})
+}
 
-	var s scorer
-	if cfg.Naive {
-		s = &naiveScorer{in: min, p: masked, mode: cfg.Mode, seed: cfg.Seed}
-	} else {
-		s = &deltaScorer{in: min, d: model.NewDeltaEvaluator(min, masked, cfg.Mode, cfg.Seed)}
-	}
+// repairWith runs the repair phases on the masked instance, scoring through
+// s (bound to the masked placement).
+func repairWith(min *model.Instance, m *chaos.Mask, dmg Damage, cfg Config, s scorer) *Result {
+	res := &Result{Damage: dmg, Epoch: m.Epoch()}
 	res.Before = s.eval()
 
 	evictStorage(min, s, res)

@@ -81,9 +81,7 @@ func TestRepairMatchesNaive(t *testing.T) {
 				}
 			}
 			fast := Run(in, m, p, DefaultConfig())
-			cfg := DefaultConfig()
-			cfg.Naive = true
-			ref := Run(in, m, p, cfg)
+			ref := runNaive(in, m, p, DefaultConfig())
 
 			if !reflect.DeepEqual(fast.Evicted, ref.Evicted) {
 				t.Fatalf("seed %d %v: evictions diverge: %v vs naive %v", seed, kind, fast.Evicted, ref.Evicted)

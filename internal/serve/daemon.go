@@ -26,8 +26,7 @@ type Config struct {
 	Cloud   *model.CloudConfig
 
 	Mode model.RoutingMode
-	// RouteSeed seeds request routing; epoch e routes with RouteSeed+e, the
-	// simulator's per-slot discipline.
+	// RouteSeed seeds request routing; epoch e routes with RouteSeed+e.
 	RouteSeed int64
 
 	// Planner produces a full placement from scratch (the initial solve, the
@@ -49,10 +48,9 @@ type Config struct {
 	ResolveThreshold float64
 
 	// Replan switches the daemon into replay mode: every non-empty epoch
-	// re-plans from scratch on the pre-strike substrate, exactly like the
-	// batch simulator's slot loop. This is the mode the bitwise
-	// daemon-vs-sim.Run equivalence holds in. Serve mode (false) solves once
-	// and afterwards reacts incrementally.
+	// re-plans from scratch on the pre-strike substrate — the paper's
+	// one-shot slot loop, and the mode sim.Run drives its daemon in. Serve
+	// mode (false) solves once and afterwards reacts incrementally.
 	Replan bool
 
 	// MaxBatch caps admitted arrivals per epoch; the overflow is deferred to
@@ -64,9 +62,8 @@ type Config struct {
 	Lifecycle LifecycleConfig
 }
 
-// EpochRecord is the measurement of one daemon epoch. The evaluation columns
-// (Requests through Degraded) are computed exactly like the simulator's
-// SlotRecord so replay comparisons can be bitwise.
+// EpochRecord is the measurement of one daemon epoch — and, through sim.Run,
+// of one simulated time slot.
 type EpochRecord struct {
 	Epoch    int
 	Requests int
@@ -79,8 +76,7 @@ type EpochRecord struct {
 	// Fault telemetry.
 	FaultEvents int
 	DownNodes   int
-	// Rehomed counts *requests* moved off down nodes (the simulator's column
-	// counts users — excluded from bitwise comparison).
+	// Rehomed counts requests moved off down nodes.
 	Rehomed int
 
 	AvgDelay        float64
@@ -113,8 +109,8 @@ type EpochRecord struct {
 // RunResult aggregates a daemon run.
 type RunResult struct {
 	Records []EpochRecord
-	// AllDelays collects every finite per-request latency in epoch order —
-	// the simulator's AllDelays.
+	// AllDelays collects every finite per-request latency in epoch order,
+	// for distribution plots.
 	AllDelays []float64
 	// Final is the last non-empty epoch's evaluation, nil if none.
 	Final *model.Evaluation
@@ -124,7 +120,7 @@ type RunResult struct {
 
 // Daemon owns a live substrate and placement and ingests an event stream —
 // request arrivals and departures, user moves, fault strikes and heals —
-// reacting through the same Policy layer the simulator's fault branches use.
+// reacting through the Policy layer.
 // Steady epochs are served by a bound DeltaEvaluator; a policy runs only when
 // the admitted work or the substrate actually changed.
 type Daemon struct {
@@ -254,10 +250,13 @@ func (d *Daemon) RunScript(s *Script) (*RunResult, error) {
 // Tick serves one epoch: admit queued events, react if anything changed,
 // evaluate, and advance the serverless lifecycle.
 //
-// The epoch order is load-bearing for replay equivalence with the batch
-// simulator's slot loop: admission (pre-strike homes), replay-mode planning
-// on the pre-strike substrate, fault strikes, request re-homing, then the
-// policy — the exact order sim.Run performs per slot.
+// This is the only slot/epoch loop in the tree (sim.Run drives it in replay
+// mode), and its order is causal and load-bearing — the golden digests in
+// internal/sim and the results/*.csv diff in CI pin it: admission
+// (pre-strike homes), replay-mode planning on the substrate as known, fault
+// strikes (healings first, then new faults), request re-homing to the
+// nearest up node, the policy's answer to the stale plan, then the exact
+// evaluation of whatever serves on the masked substrate.
 func (d *Daemon) Tick() (*EpochRecord, error) {
 	// Epoch boundary: instances that survived to the boundary are warm;
 	// anything deployed mid-epoch (repair adds, re-solve placements) stays
@@ -270,7 +269,7 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 	workChanged := d.admit(&rec)
 
 	// Replay mode plans on the substrate as currently known — this epoch's
-	// faults have not struck yet (the simulator's discipline).
+	// faults have not struck yet.
 	if d.cfg.Replan && len(d.active) > 0 {
 		planIn := d.instanceOn(d.mask.Graph())
 		//socllint:ignore detrand wall-clock plan time is reported, never branched on
@@ -302,8 +301,8 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 	d.faults = d.faults[:0]
 	rec.DownNodes = len(d.mask.DownNodes())
 
-	// An empty epoch advances the fault timeline and the lifecycle only —
-	// like the simulator's empty slot, no re-homing happens.
+	// An empty epoch advances the fault timeline and the lifecycle only; no
+	// re-homing happens.
 	if len(d.active) == 0 {
 		d.lastEval = nil
 		d.lifecycleEnd(&rec, nil)
@@ -313,7 +312,7 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 	rec.Requests = len(d.active)
 
 	if !d.mask.Pristine() {
-		rec.Rehomed = RehomeRequests(d.mask, d.cfg.Graph, d.active)
+		rec.Rehomed = rehomeRequests(d.mask, d.cfg.Graph, d.active)
 		if rec.Rehomed > 0 {
 			// Homes mutated in place: any bound evaluator is stale.
 			workChanged = true
@@ -363,7 +362,7 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 		rec.RolledBack = out.RolledBack
 		rec.Resolved = out.Resolved
 		if !d.mask.Pristine() {
-			rec.Degraded = CountDegraded(evalIn, planned, out.Eval, d.cfg.Mode, seed)
+			rec.Degraded = countDegraded(evalIn, planned, out.Eval, d.cfg.Mode, seed)
 		}
 		d.lastDegraded = rec.Degraded
 	} else {
@@ -377,7 +376,10 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 		rec.Degraded = d.lastDegraded
 	}
 	if invariant.Enabled {
-		invariant.CheckPostRepair(d.mask.Instance(evalIn), d.lastEval, "serve.Tick")
+		// Eq. 5/6 are a guarantee of repair only (checked inside repair.Run):
+		// NonePolicy serves a damaged plan as-is and a planner may ignore the
+		// budget. The Eq. 4 recount holds for whatever served.
+		invariant.CheckDeadlineRecount(d.mask.Instance(evalIn), d.lastEval, "serve.Tick")
 	}
 
 	d.fillEvalColumns(&rec, evalIn)
@@ -490,8 +492,8 @@ func (d *Daemon) ensureDelta(seed int64) {
 	d.deGraph, d.deWorkGen, d.deColdEpoch, d.deSeed = g, d.workGen, coldEpoch, seed
 }
 
-// fillEvalColumns mirrors the simulator's per-slot statistics exactly (same
-// accumulation order) so replay records compare bitwise.
+// fillEvalColumns derives the epoch's statistics from its evaluation. The
+// index-order accumulation is part of the bitwise contract (golden digests).
 func (d *Daemon) fillEvalColumns(rec *EpochRecord, evalIn *model.Instance) {
 	ev := d.lastEval
 	rec.Cost = ev.Cost

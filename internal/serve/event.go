@@ -1,20 +1,20 @@
 // Package serve is the long-running control plane over the placement stack:
-// where package sim replays a closed workload trace slot by slot (re-planning
-// from scratch each slot, the paper's one-shot discipline), serve owns a
-// *live* substrate and placement and ingests an open event stream — request
-// arrivals, departures, user moves, fault strikes and heals — reacting
-// incrementally through the delta machinery (model.DeltaEvaluator,
+// it owns a *live* substrate and placement and ingests an open event stream —
+// request arrivals, departures, user moves, fault strikes and heals —
+// reacting incrementally through the delta machinery (model.DeltaEvaluator,
 // internal/repair) and only escalating to a full re-solve when the repaired
-// score degrades past a configurable threshold.
+// score degrades past a configurable threshold. Its replay mode (re-plan
+// from scratch every epoch, the paper's one-shot discipline) is the slot loop
+// package sim drives over a closed workload trace.
 //
 // The package has three layers:
 //
 //   - events and scripts (this file): a deterministic, exactly
-//     round-trippable text format for event streams, so a daemon run can be
-//     recorded, replayed, and compared bitwise against a batch sim.Run;
-//   - policies (policy.go): the per-epoch reaction shared with internal/sim —
-//     one Policy interface whose none/repair/resolve implementations are the
-//     simulator's fault branches, plus the daemon's threshold escalation;
+//     round-trippable text format for event streams, so a run can be
+//     recorded, replayed, and compared bitwise (RunResult.Diff);
+//   - policies (policy.go): the per-epoch reaction — one Policy interface
+//     with none/repair/resolve implementations plus the daemon's threshold
+//     escalation;
 //   - the daemon (daemon.go, lifecycle.go): the event loop with admission
 //     batching and the serverless instance lifecycle (idle tracking,
 //     scale-to-zero, warm-pool sizing, cold-start pricing).
@@ -70,8 +70,8 @@ func (k EventKind) String() string {
 
 // Event is one timestamped stream event. Slot is the epoch the event is due;
 // the daemon admits every queued event with Slot <= the current epoch, in
-// admission order (fault events strike after planning, mirroring the
-// simulator's causal slot timeline).
+// admission order (fault events strike after planning: the causal epoch
+// timeline of Daemon.Tick).
 type Event struct {
 	Slot int
 	Kind EventKind
@@ -99,9 +99,8 @@ type Meta struct {
 	Budget      float64
 	SlotMinutes float64
 	NumSlots    int
-	// RouteSeed is the base of the per-epoch routing seed (seed+epoch),
-	// matching the simulator's per-slot derivation. Only RouteModeRandom
-	// consumes it.
+	// RouteSeed is the base of the per-epoch routing seed (seed+epoch). Only
+	// RouteModeRandom consumes it.
 	RouteSeed int64
 	// CloudTransfer/CloudCompute configure the cloud fallback; both zero
 	// means no fallback.

@@ -14,9 +14,8 @@ import (
 
 // EpochContext is one epoch's reaction input: the substrate as faulted, the
 // workload as currently admitted, and the placement that was planned before
-// the epoch's damage struck. Both the simulator's fault branches and the
-// daemon's event loop build one of these per epoch and dispatch through the
-// same Policy implementations, so the two paths cannot drift.
+// the epoch's damage struck. The daemon's event loop builds one per reacting
+// epoch and dispatches it through the configured Policy.
 type EpochContext struct {
 	// In is the epoch's instance on the *base* graph (repair and the mask
 	// derive masked views themselves), carrying the epoch's live requests.
@@ -64,7 +63,7 @@ type Policy interface {
 
 // NonePolicy serves whatever survived: instances on crashed nodes are gone
 // and their requests degrade to the cloud or go unserved. The no-repair
-// lower bound (the simulator's PolicyNone branch).
+// lower bound (sim.PolicyNone).
 type NonePolicy struct{}
 
 // Name implements Policy.
@@ -78,8 +77,8 @@ func (NonePolicy) Serve(ctx *EpochContext) (Outcome, error) {
 }
 
 // RepairPolicy runs the incremental repair engine on the stale placement:
-// re-route, evict to restore feasibility, greedily re-provision (the
-// simulator's PolicyRepair branch, and the daemon's per-epoch reaction).
+// re-route, evict to restore feasibility, greedily re-provision
+// (sim.PolicyRepair, and the serve-mode daemon's per-epoch reaction).
 type RepairPolicy struct {
 	// Run, when non-nil, replaces the direct repair.Run call. This is the
 	// seam through which a warm-started online solver both performs the
@@ -122,7 +121,7 @@ func (p RepairPolicy) Serve(ctx *EpochContext) (Outcome, error) {
 
 // ResolvePolicy re-runs the full placement algorithm on the post-fault
 // masked substrate: the expensive reference an incremental repair competes
-// with (the simulator's PolicyResolve branch).
+// with (sim.PolicyResolve).
 type ResolvePolicy struct{}
 
 // Name implements Policy.
@@ -197,8 +196,8 @@ func betterOutcome(in *model.Instance, a, b *Outcome) bool {
 // servedObjective is the Eq. 3/8 objective over the requests an evaluation
 // actually served: the raw objective saturates at +Inf the moment one
 // request goes unserved, so cross-policy comparisons need the finite part.
-// Bitwise equal to the simulator's ServedObjective column by construction
-// (same index-order summation of finite latencies).
+// Bitwise equal to EpochRecord.ServedObjective by construction (same
+// index-order summation of finite latencies).
 func servedObjective(in *model.Instance, ev *model.Evaluation) float64 {
 	sum := 0.0
 	for _, d := range ev.Latencies {
@@ -210,11 +209,10 @@ func servedObjective(in *model.Instance, ev *model.Evaluation) float64 {
 	return in.Objective(ev.Cost, sum)
 }
 
-// CountDegraded counts edge-served requests in ev that completed slower than
+// countDegraded counts edge-served requests in ev that completed slower than
 // the no-fault reference — the planned placement evaluated on the pristine
-// base-graph instance with the same homes (the simulator's Degraded column;
-// shared so the daemon's replay stays bit-identical).
-func CountDegraded(in *model.Instance, planned model.Placement, ev *model.Evaluation, mode model.RoutingMode, seed int64) int {
+// base-graph instance with the same homes.
+func countDegraded(in *model.Instance, planned model.Placement, ev *model.Evaluation, mode model.RoutingMode, seed int64) int {
 	ref := in.EvaluateRouted(planned, mode, seed)
 	degraded := 0
 	for h := range ev.Latencies {
@@ -262,9 +260,9 @@ func Relocator(m *chaos.Mask, g *topology.Graph) func(int) int {
 	}
 }
 
-// RehomeRequests moves every request homed on a down node to the nearest up
+// rehomeRequests moves every request homed on a down node to the nearest up
 // node under Relocator's rule, returning the number of requests moved.
-func RehomeRequests(m *chaos.Mask, g *topology.Graph, reqs []msvc.Request) int {
+func rehomeRequests(m *chaos.Mask, g *topology.Graph, reqs []msvc.Request) int {
 	if m.Pristine() {
 		return 0
 	}

@@ -32,12 +32,12 @@ func TestAlgorithmErrorPropagates(t *testing.T) {
 	if res == nil {
 		t.Fatal("mid-run error dropped the partial result")
 	}
-	if len(res.Slots) >= int(cfg.DurationMinutes/cfg.SlotMinutes) {
-		t.Fatalf("partial result claims %d completed slots despite failing", len(res.Slots))
+	if len(res.Records) >= int(cfg.DurationMinutes/cfg.SlotMinutes) {
+		t.Fatalf("partial result claims %d completed slots despite failing", len(res.Records))
 	}
-	for _, s := range res.Slots {
+	for _, s := range res.Records {
 		if s.Requests != 0 {
-			t.Fatalf("slot %d with requests recorded before the failing Place", s.Slot)
+			t.Fatalf("slot %d with requests recorded before the failing Place", s.Epoch)
 		}
 	}
 }
@@ -52,7 +52,7 @@ func TestZeroMeanInterarrivalDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Slots) == 0 {
+	if len(res.Records) == 0 {
 		t.Fatal("no slots simulated")
 	}
 }

@@ -1,29 +1,19 @@
 package sim
 
-// This file wires the chaos fault injector and the repair engine into the
-// slot loop. The timeline within one faulty slot is deliberately causal:
-//
-//  1. the algorithm plans on the substrate as currently known (the mask
-//     state left by previous slots — outages it has already observed);
-//  2. the slot's fault events strike (healings first, then new faults);
-//  3. users homed on freshly-crashed nodes re-home to the nearest up node;
-//  4. the configured FaultPolicy decides how the stale plan meets the new
-//     substrate — serve the damaged placement as-is, repair it
-//     incrementally, or re-solve from scratch;
-//  5. the exact evaluator scores whatever placement actually serves, on the
-//     masked substrate.
-//
-// A nil Config.Faults bypasses every step above and preserves the legacy
-// no-fault path byte for byte (same RNG draws, same records).
+// The faulty-slot timeline — plan on the substrate as known, strike the
+// slot's faults, re-home displaced requests, apply the FaultPolicy, evaluate
+// on the masked substrate — is serve.Daemon.Tick's; this file only maps a
+// Config's FaultPolicy onto the daemon's serve.Policy layer. A nil
+// Config.Faults emits no fault events, so the daemon's mask stays pristine
+// and every masked view is the base substrate.
 
 import (
 	"fmt"
 
 	"repro/internal/chaos"
-	"repro/internal/msvc"
+	"repro/internal/model"
+	"repro/internal/repair"
 	"repro/internal/serve"
-	"repro/internal/stats"
-	"repro/internal/topology"
 )
 
 // FaultPolicy selects how a slot's placement responds to substrate damage.
@@ -76,135 +66,9 @@ func policyFor(p FaultPolicy, algo Algorithm) serve.Policy {
 	}
 }
 
-// rehomeUsers moves every user — and every pending request — homed on a down
-// node to the nearest up node by base-graph path cost (first minimum in
-// ascending node order, so ties break to the lowest ID; if the base graph
-// gives no finite path, the lowest-ID up node). It returns the number of
-// users moved. Purely deterministic: no RNG draws.
-func rehomeUsers(m *chaos.Mask, g *topology.Graph, homes []int, reqs []msvc.Request) int {
-	if m.Pristine() {
-		return 0
-	}
-	relocate := serve.Relocator(m, g)
-	moved := 0
-	for u := range homes {
-		if nh := relocate(homes[u]); nh != homes[u] {
-			homes[u] = nh
-			moved++
-		}
-	}
-	for i := range reqs {
-		reqs[i].Home = relocate(reqs[i].Home)
-	}
-	return moved
-}
-
-// routeSeed derives the per-slot routing seed (RouteModeRandom streams).
-func routeSeed(cfg Config, slot int) int64 {
-	return stats.SplitSeed(cfg.Seed, "sim/route") + int64(slot)
-}
-
-// Unserved returns the slot's requests that got no service at all — no
-// deployed instance of a chain service (Missing) or instances deployed but
-// unreachable over the masked substrate (Unroutable).
-func (s SlotRecord) Unserved() int { return s.Missing + s.Unroutable }
-
-// TotalMissing sums requests that found no instance of a chain service
-// (model.ErrNoInstance with no cloud fallback) across the run.
-func (r *Result) TotalMissing() int {
-	n := 0
-	for _, s := range r.Slots {
-		n += s.Missing
-	}
-	return n
-}
-
-// TotalUnroutable sums requests whose chain services were deployed yet
-// unreachable (+Inf completion time) across the run.
-func (r *Result) TotalUnroutable() int {
-	n := 0
-	for _, s := range r.Slots {
-		n += s.Unroutable
-	}
-	return n
-}
-
-// TotalUnserved is TotalMissing + TotalUnroutable.
-func (r *Result) TotalUnserved() int { return r.TotalMissing() + r.TotalUnroutable() }
-
-// TotalCloudServed sums requests that fell back to the cloud across the run.
-func (r *Result) TotalCloudServed() int {
-	n := 0
-	for _, s := range r.Slots {
-		n += s.CloudServed
-	}
-	return n
-}
-
-// TotalDegraded sums edge-served requests that completed slower than the
-// same slot's no-fault reference across the run.
-func (r *Result) TotalDegraded() int {
-	n := 0
-	for _, s := range r.Slots {
-		n += s.Degraded
-	}
-	return n
-}
-
-// TotalRequests sums per-slot request counts.
-func (r *Result) TotalRequests() int {
-	n := 0
-	for _, s := range r.Slots {
-		n += s.Requests
-	}
-	return n
-}
-
-// RecoveryRuns returns the lengths (in slots) of every maximal run of slots
-// with unserved requests — the run's recovery times. A run still open when
-// the simulation ends is included (a lower bound on its true length).
-func (r *Result) RecoveryRuns() []int {
-	var runs []int
-	cur := 0
-	for _, s := range r.Slots {
-		if s.Unserved() > 0 {
-			cur++
-		} else if cur > 0 {
-			runs = append(runs, cur)
-			cur = 0
-		}
-	}
-	if cur > 0 {
-		runs = append(runs, cur)
-	}
-	return runs
-}
-
-// RecoveryPercentile returns the p-th percentile (0–100, linear
-// interpolation) of RecoveryRuns, or 0 when service was never lost. Recovery
-// times are heavy-tailed under bursty fault schedules, so the tails say more
-// than MeanRecoverySlots does.
-func (r *Result) RecoveryPercentile(p float64) float64 {
-	runs := r.RecoveryRuns()
-	if len(runs) == 0 {
-		return 0
-	}
-	xs := make([]float64, len(runs))
-	for i, x := range runs {
-		xs[i] = float64(x)
-	}
-	return stats.Percentile(xs, p)
-}
-
-// MeanRecoverySlots averages RecoveryRuns, or 0 when service was never lost.
-func (r *Result) MeanRecoverySlots() float64 {
-	runs := r.RecoveryRuns()
-	if len(runs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range runs {
-		n += x
-	}
-	return float64(n) / float64(len(runs))
+// repairDriver lets an algorithm perform PolicyRepair's incremental round
+// itself, so stateful solvers can fold the repaired placement into their
+// warm state (core.OnlineSolver.Repair).
+type repairDriver interface {
+	RepairWith(in *model.Instance, m *chaos.Mask, p model.Placement, cfg repair.Config) (*repair.Result, error)
 }

@@ -39,13 +39,13 @@ func TestFaultRunDeterministic(t *testing.T) {
 			t.Fatalf("delay %d differs: %v vs %v", i, a.AllDelays[i], b.AllDelays[i])
 		}
 	}
-	for i := range a.Slots {
-		x, y := a.Slots[i], b.Slots[i]
+	for i := range a.Records {
+		x, y := a.Records[i], b.Records[i]
 		if x.Missing != y.Missing || x.Unroutable != y.Unroutable ||
 			x.CloudServed != y.CloudServed || x.Degraded != y.Degraded ||
 			x.FaultEvents != y.FaultEvents || x.DownNodes != y.DownNodes ||
-			x.Rehomed != y.Rehomed || x.RepairAdds != y.RepairAdds ||
-			x.RepairEvict != y.RepairEvict ||
+			x.Rehomed != y.Rehomed || x.Adds != y.Adds ||
+			x.Evicts != y.Evicts ||
 			math.Float64bits(x.Objective) != math.Float64bits(y.Objective) {
 			t.Fatalf("slot %d records diverge between identical runs:\n%+v\n%+v", i, x, y)
 		}
@@ -60,7 +60,7 @@ func TestFaultTimelineRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	events, down := 0, 0
-	for _, s := range res.Slots {
+	for _, s := range res.Records {
 		events += s.FaultEvents
 		if s.DownNodes > 0 {
 			down++
@@ -102,8 +102,8 @@ func TestRepairPolicyNoWorseThanNone(t *testing.T) {
 		t.Fatalf("repair unserved %d > no-repair %d", rep.TotalUnserved(), none.TotalUnserved())
 	}
 	adds := 0
-	for _, s := range rep.Slots {
-		adds += s.RepairAdds
+	for _, s := range rep.Records {
+		adds += s.Adds
 	}
 	if none.TotalUnserved() > 0 && adds == 0 {
 		t.Fatal("service was lost yet repair never re-provisioned anything")
@@ -117,7 +117,7 @@ func TestResolvePolicyRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Slots) == 0 {
+	if len(res.Records) == 0 {
 		t.Fatal("no slots")
 	}
 }
@@ -147,9 +147,9 @@ func TestEmptyScheduleMatchesLegacy(t *testing.T) {
 			t.Fatalf("delay %d diverges: %v vs %v", i, legacy.AllDelays[i], masked.AllDelays[i])
 		}
 	}
-	for i := range legacy.Slots {
-		if legacy.Slots[i].Degraded != 0 || masked.Slots[i].Degraded != 0 ||
-			math.Float64bits(legacy.Slots[i].Objective) != math.Float64bits(masked.Slots[i].Objective) {
+	for i := range legacy.Records {
+		if legacy.Records[i].Degraded != 0 || masked.Records[i].Degraded != 0 ||
+			math.Float64bits(legacy.Records[i].Objective) != math.Float64bits(masked.Records[i].Objective) {
 			t.Fatalf("slot %d diverges under an empty schedule", i)
 		}
 	}

@@ -3,24 +3,34 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/chaos"
+	"repro/internal/msvc"
 	"repro/internal/serve"
 	"repro/internal/stats"
 )
 
-// EventStream records the exact event stream a Run over cfg would experience
-// — request arrivals with their stochastic chains and homes, per-slot
-// departures (the simulator's requests live one slot), user mobility as home
-// moves, and fault strikes — as a serve.Script the placement daemon can
-// ingest. It replays Run's RNG draws in the identical order (same split
-// seeds), so feeding the script to a daemon in replay mode reproduces the
-// batch run bitwise (see CompareReplay).
-//
-// Arrival events carry the homes as generated, before any re-homing: the
-// daemon re-homes its admitted requests against its own mask, exactly where
-// Run does.
-func EventStream(cfg Config) (*serve.Script, error) {
+// generator draws the trace one slot at a time as daemon events: request
+// arrivals with their stochastic chains and homes, per-slot departures (the
+// simulator's requests live one slot), and fault strikes. User mobility shows
+// up as the homes of the next slot's arrivals. Run feeds each slot straight
+// to a daemon; EventStream drains the same generator into a serve.Script, so
+// a recorded script replays a Run bitwise.
+type generator struct {
+	cfg      Config
+	r        *rand.Rand
+	flows    [][]msvc.ServiceID
+	mask     *chaos.Mask // the generator's own view of the faults; nil without Config.Faults
+	homes    []int       // user → current node
+	numSlots int
+	slot     int
+	nextID   int
+	prev     []int         // IDs of the previous slot's arrivals (they depart now)
+	evs      []serve.Event // next's result buffer, reused across slots
+}
+
+func newGenerator(cfg Config) (*generator, error) {
 	if cfg.Graph == nil || cfg.Catalog == nil {
 		return nil, fmt.Errorf("sim: nil graph or catalog")
 	}
@@ -31,174 +41,168 @@ func EventStream(cfg Config) (*serve.Script, error) {
 	if cfg.MeanInterarrival <= 0 {
 		cfg.MeanInterarrival = cfg.SlotMinutes
 	}
-	r := stats.NewRand(stats.SplitSeed(cfg.Seed, "sim/run"))
-	flows := cfg.Catalog.Flows()
-	if len(flows) == 0 {
+	g := &generator{
+		cfg:      cfg,
+		r:        stats.NewRand(stats.SplitSeed(cfg.Seed, "sim/run")),
+		flows:    cfg.Catalog.Flows(),
+		homes:    make([]int, cfg.NumUsers),
+		numSlots: int(cfg.DurationMinutes / cfg.SlotMinutes),
+	}
+	if len(g.flows) == 0 {
 		return nil, fmt.Errorf("sim: catalog has no flows")
 	}
-	var mask *chaos.Mask
 	if cfg.Faults != nil {
-		mask = chaos.NewMask(cfg.Graph)
+		g.mask = chaos.NewMask(cfg.Graph)
+	}
+	for u := range g.homes {
+		g.homes[u] = g.r.Intn(cfg.Graph.N())
+	}
+	return g, nil
+}
+
+// next returns the next slot's events in admission order. The slice is only
+// valid until the following call (Ingest and EventStream copy it).
+func (g *generator) next() ([]serve.Event, error) {
+	cfg, r, slot := g.cfg, g.r, g.slot
+	g.slot++
+
+	// Mobility: random-waypoint hop to a neighbor (never onto a node the
+	// user can observe to be down).
+	for u := range g.homes {
+		if r.Float64() < cfg.MoveProb {
+			nb := cfg.Graph.Neighbors(g.homes[u])
+			if len(nb) > 0 {
+				hop := nb[r.Intn(len(nb))]
+				if g.mask == nil || g.mask.NodeUp(hop) {
+					g.homes[u] = hop
+				}
+			}
+		}
 	}
 
-	homes := make([]int, cfg.NumUsers)
-	for u := range homes {
-		homes[u] = r.Intn(cfg.Graph.N())
+	// Departures first: the simulator's requests live exactly one slot, so
+	// the daemon's active set each epoch is that slot's arrivals, in arrival
+	// order (RouteModeRandom keys on the active index).
+	evs := g.evs[:0]
+	for _, id := range g.prev {
+		evs = append(evs, serve.Event{Slot: slot, Kind: serve.EvDepart, ID: id})
+	}
+	g.prev = g.prev[:0]
+
+	// Arrivals: per user a Poisson number of requests with mean
+	// SlotMinutes/MeanInterarrival. They carry the homes as generated,
+	// before any re-homing: the daemon re-homes its admitted requests
+	// against its own mask.
+	mean := cfg.SlotMinutes / cfg.MeanInterarrival
+	for _, home := range g.homes {
+		for n := poisson(r, mean); n > 0; n-- {
+			req := DrawRequest(r, cfg.Workload, g.flows, home)
+			req.ID = len(g.prev)
+			evs = append(evs, serve.Event{Slot: slot, Kind: serve.EvArrive, ID: g.nextID, Node: home, Req: req})
+			g.prev = append(g.prev, g.nextID)
+			g.nextID++
+		}
 	}
 
-	numSlots := int(cfg.DurationMinutes / cfg.SlotMinutes)
+	// Fault strikes are emitted after the arrivals: the daemon stages them
+	// past its planning phase. The generator applies them to its own mask
+	// to keep the mobility draws aligned with where users can be.
+	if g.mask != nil {
+		for _, e := range cfg.Faults.At(slot) {
+			if err := g.mask.Apply(e); err != nil {
+				return nil, fmt.Errorf("sim: recording fault %v: %w", e, err)
+			}
+			evs = append(evs, serve.Event{Slot: slot, Kind: serve.EvFault, Fault: e})
+		}
+		// Users follow their requests off freshly-crashed nodes — the
+		// daemon's Relocator rule — on slots that generated requests.
+		if len(g.prev) > 0 && !g.mask.Pristine() {
+			relocate := serve.Relocator(g.mask, cfg.Graph)
+			for u := range g.homes {
+				g.homes[u] = relocate(g.homes[u])
+			}
+		}
+	}
+	g.evs = evs
+	return evs, nil
+}
+
+// DrawRequest draws one request homed at home: a catalog flow (truncated by
+// one step with probability w.TruncateProb) with uniform data volumes and no
+// deadline. Package cluster draws through it too, so both testbeds consume
+// their RNG streams in the same order.
+func DrawRequest(r *rand.Rand, w msvc.WorkloadConfig, flows [][]msvc.ServiceID, home int) msvc.Request {
+	base := flows[r.Intn(len(flows))]
+	chain := append([]msvc.ServiceID(nil), base...)
+	if len(chain) > 1 && r.Float64() < w.TruncateProb {
+		chain = chain[:len(chain)-1]
+	}
+	req := msvc.Request{
+		Home:     home,
+		Chain:    chain,
+		DataIn:   uniform(r, w.InDataMin, w.InDataMax),
+		DataOut:  uniform(r, w.OutDataMin, w.OutDataMax),
+		Deadline: math.Inf(1),
+	}
+	req.EdgeData = make([]float64, len(chain)-1)
+	for e := range req.EdgeData {
+		req.EdgeData[e] = uniform(r, w.EdgeDataMin, w.EdgeDataMax)
+	}
+	return req
+}
+
+func uniform(r *rand.Rand, lo, hi float64) float64 {
+	if hi <= lo {
+		return lo
+	}
+	return lo + r.Float64()*(hi-lo)
+}
+
+// poisson draws a Poisson variate by Knuth's method (small means only).
+func poisson(r *rand.Rand, mean float64) int {
+	if mean <= 0 {
+		return 0
+	}
+	l := math.Exp(-mean)
+	k, p := 0, 1.0
+	for {
+		p *= r.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+		if k > 1000 {
+			return k // safety for absurd means
+		}
+	}
+}
+
+// EventStream records the exact event stream a Run over cfg feeds its daemon
+// as a serve.Script, so the run can be written to a file, sent over a wire,
+// or replayed under a different daemon configuration.
+func EventStream(cfg Config) (*serve.Script, error) {
+	gen, err := newGenerator(cfg)
+	if err != nil {
+		return nil, err
+	}
 	s := &serve.Script{Meta: serve.Meta{
 		Nodes:       cfg.Graph.N(),
 		Lambda:      cfg.Lambda,
 		Budget:      cfg.Budget,
 		SlotMinutes: cfg.SlotMinutes,
-		NumSlots:    numSlots,
+		NumSlots:    gen.numSlots,
 		RouteSeed:   stats.SplitSeed(cfg.Seed, "sim/route"),
 	}}
 	if cfg.Cloud != nil {
 		s.Meta.CloudTransfer = cfg.Cloud.TransferCost
 		s.Meta.CloudCompute = cfg.Cloud.Compute
 	}
-
-	nextID := 0
-	var prev []int // IDs of the previous slot's arrivals (they depart now)
-	for slot := 0; slot < numSlots; slot++ {
-		// Mobility: the same draws Run makes, in the same order.
-		for u := range homes {
-			if r.Float64() < cfg.MoveProb {
-				nb := cfg.Graph.Neighbors(homes[u])
-				if len(nb) > 0 {
-					hop := nb[r.Intn(len(nb))]
-					if mask == nil || mask.NodeUp(hop) {
-						homes[u] = hop
-					}
-				}
-			}
+	for slot := 0; slot < gen.numSlots; slot++ {
+		evs, err := gen.next()
+		if err != nil {
+			return nil, err
 		}
-		reqs := makeSlotRequests(cfg, r, homes, flows)
-
-		// Departures first: the simulator's requests live exactly one slot,
-		// so the daemon's active set each epoch is that slot's arrivals, in
-		// arrival order (RouteModeRandom keys on the active index).
-		for _, id := range prev {
-			s.Events = append(s.Events, serve.Event{Slot: slot, Kind: serve.EvDepart, ID: id})
-		}
-		prev = prev[:0]
-		for i := range reqs {
-			ev := serve.Event{Slot: slot, Kind: serve.EvArrive, ID: nextID, Node: reqs[i].Home, Req: reqs[i]}
-			s.Events = append(s.Events, ev)
-			prev = append(prev, nextID)
-			nextID++
-		}
-
-		// Fault strikes are emitted after the arrivals: the daemon stages
-		// them past its planning phase, matching Run's plan-then-strike slot
-		// order. The recorder applies them to its own mask to keep the
-		// mobility and re-homing draws aligned with Run's user state.
-		if mask != nil {
-			for _, e := range cfg.Faults.At(slot) {
-				if err := mask.Apply(e); err != nil {
-					return nil, fmt.Errorf("sim: recording fault %v: %w", e, err)
-				}
-				s.Events = append(s.Events, serve.Event{Slot: slot, Kind: serve.EvFault, Fault: e})
-			}
-			// Run re-homes users only on slots that generated requests.
-			if len(reqs) > 0 {
-				rehomeUsers(mask, cfg.Graph, homes, reqs)
-			}
-		}
+		s.Events = append(s.Events, evs...)
 	}
 	return s, nil
-}
-
-// ReplayConfig maps a simulator configuration onto the daemon's replay mode:
-// re-plan every epoch with the same algorithm, react with the same fault
-// policy, route with the same per-epoch seeds. A daemon built from this
-// config and fed EventStream(cfg) reproduces Run(cfg, algo) bitwise.
-//
-// Note algo is stateful for some algorithms (SoCLOnline): build a fresh one
-// per daemon, exactly as for a fresh Run.
-func ReplayConfig(cfg Config, algo Algorithm) serve.Config {
-	pol := policyFor(cfg.Policy, algo)
-	if cfg.Faults == nil {
-		// A mask-free Run never enters the policy branch; the pristine-mask
-		// equivalent is PolicyNone (serve the plan as-is).
-		pol = serve.NonePolicy{}
-	}
-	return serve.Config{
-		Graph:       cfg.Graph,
-		Catalog:     cfg.Catalog,
-		Lambda:      cfg.Lambda,
-		Budget:      cfg.Budget,
-		Cloud:       cfg.Cloud,
-		Mode:        algo.Routing(),
-		RouteSeed:   stats.SplitSeed(cfg.Seed, "sim/route"),
-		Planner:     algo.Place,
-		PlannerName: algo.Name(),
-		Repair:      cfg.Repair,
-		Policy:      pol,
-		Replan:      true,
-	}
-}
-
-// CompareReplay checks a daemon replay against a batch Run bitwise: every
-// shared evaluation column of every slot, and the full latency stream. The
-// first mismatch is returned (nil means bitwise equal). Rehomed is excluded
-// by design — the simulator counts moved users, the daemon moved requests.
-func CompareReplay(res *Result, rr *serve.RunResult) error {
-	if len(res.Slots) != len(rr.Records) {
-		return fmt.Errorf("slot count: sim %d, daemon %d", len(res.Slots), len(rr.Records))
-	}
-	for i := range res.Slots {
-		s, d := res.Slots[i], rr.Records[i]
-		if err := func() error {
-			switch {
-			case s.Requests != d.Requests:
-				return fmt.Errorf("requests %d != %d", s.Requests, d.Requests)
-			case !bitEq(s.Cost, d.Cost):
-				return fmt.Errorf("cost %v != %v", s.Cost, d.Cost)
-			case !bitEq(s.Objective, d.Objective):
-				return fmt.Errorf("objective %v != %v", s.Objective, d.Objective)
-			case !bitEq(s.ServedObjective, d.ServedObjective):
-				return fmt.Errorf("served objective %v != %v", s.ServedObjective, d.ServedObjective)
-			case !bitEq(s.AvgDelay, d.AvgDelay):
-				return fmt.Errorf("avg delay %v != %v", s.AvgDelay, d.AvgDelay)
-			case !bitEq(s.MaxDelay, d.MaxDelay):
-				return fmt.Errorf("max delay %v != %v", s.MaxDelay, d.MaxDelay)
-			case s.Missing != d.Missing:
-				return fmt.Errorf("missing %d != %d", s.Missing, d.Missing)
-			case s.Unroutable != d.Unroutable:
-				return fmt.Errorf("unroutable %d != %d", s.Unroutable, d.Unroutable)
-			case s.CloudServed != d.CloudServed:
-				return fmt.Errorf("cloud-served %d != %d", s.CloudServed, d.CloudServed)
-			case s.Degraded != d.Degraded:
-				return fmt.Errorf("degraded %d != %d", s.Degraded, d.Degraded)
-			case s.FaultEvents != d.FaultEvents:
-				return fmt.Errorf("fault events %d != %d", s.FaultEvents, d.FaultEvents)
-			case s.DownNodes != d.DownNodes:
-				return fmt.Errorf("down nodes %d != %d", s.DownNodes, d.DownNodes)
-			case s.RepairAdds != d.Adds:
-				return fmt.Errorf("repair adds %d != %d", s.RepairAdds, d.Adds)
-			case s.RepairEvict != d.Evicts:
-				return fmt.Errorf("repair evicts %d != %d", s.RepairEvict, d.Evicts)
-			}
-			return nil
-		}(); err != nil {
-			return fmt.Errorf("slot %d: %w", i, err)
-		}
-	}
-	if len(res.AllDelays) != len(rr.AllDelays) {
-		return fmt.Errorf("delay stream length: sim %d, daemon %d", len(res.AllDelays), len(rr.AllDelays))
-	}
-	for i := range res.AllDelays {
-		if !bitEq(res.AllDelays[i], rr.AllDelays[i]) {
-			return fmt.Errorf("delay %d: sim %v, daemon %v", i, res.AllDelays[i], rr.AllDelays[i])
-		}
-	}
-	return nil
-}
-
-// bitEq compares floats for bitwise equality (NaN-safe, unlike ==).
-func bitEq(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b)
 }

@@ -7,12 +7,13 @@
 // "one-shot decision-making". Per-request latencies are measured with the
 // exact evaluator, so the algorithms are exercised through the identical
 // decision path they would take against a real cluster.
+//
+// The package generates the trace (record.go) and adapts the algorithms; the
+// slot loop itself is serve.Daemon in replay mode, which Run drives.
 package sim
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/chaos"
@@ -124,7 +125,7 @@ type Config struct {
 	// Policy selects the response to fault damage (ignored without Faults).
 	Policy FaultPolicy
 	// Repair tunes PolicyRepair; its Mode and Seed are overridden per slot
-	// to match the algorithm's routing. Naive/MaxAdds are honored.
+	// to match the algorithm's routing. MaxAdds is honored.
 	Repair repair.Config
 	// Cloud, when non-nil, gives requests whose services are missing a WAN
 	// fallback instead of going unserved (model.ErrNoInstance discipline).
@@ -157,330 +158,72 @@ func DefaultConfig(g *topology.Graph, cat *msvc.Catalog, users int, seed int64) 
 	}
 }
 
-// SlotRecord is the measurement of one time slot.
-type SlotRecord struct {
-	Slot        int
-	TimeMinutes float64
-	Requests    int
-	AvgDelay    float64 // mean per-request completion time (s)
-	MaxDelay    float64
-	Cost        float64
-	Objective   float64
-	// ServedObjective is the Eq. 3/8 objective over the requests the slot
-	// actually served: one unserved request drives Objective to +Inf, so
-	// cross-policy comparisons under faults need the finite served part.
-	// Equal to Objective (bitwise) whenever every request was served.
-	ServedObjective float64
-	PlaceTime       time.Duration // algorithm decision time
-
-	// Missing counts requests with no deployed instance of some chain
-	// service (model.ErrNoInstance, no cloud fallback); Unroutable counts
-	// requests whose services were deployed but unreachable (+Inf completion
-	// time). The old Failed counter conflated the two.
-	Missing    int
-	Unroutable int
-	// CloudServed counts requests served by the WAN fallback; Degraded
-	// counts edge-served requests slower than the slot's no-fault reference.
-	CloudServed int
-	Degraded    int
-
-	// Fault telemetry (zero without Config.Faults).
-	FaultEvents int           // chaos events applied this slot
-	DownNodes   int           // nodes down after this slot's events
-	Rehomed     int           // users moved off freshly-crashed nodes
-	RepairTime  time.Duration // repair.Run or re-solve time, by policy
-	RepairAdds  int           // instances re-provisioned (PolicyRepair)
-	RepairEvict int           // instances evicted for Eq. 5/6 (PolicyRepair)
-}
-
-// Result aggregates a full simulation run.
+// Result is a full simulation run: the serving daemon's per-slot records and
+// latency stream (serve.RunResult and its aggregate helpers), labelled with
+// the algorithm that produced them.
 type Result struct {
 	Algorithm string
-	Slots     []SlotRecord
-	// AllDelays collects every per-request latency for distribution plots.
-	AllDelays []float64
+	serve.RunResult
 }
 
-// MeanDelay returns the average of all per-request delays.
-func (r *Result) MeanDelay() float64 { return stats.Mean(r.AllDelays) }
-
-// MaxDelay returns the maximum recorded delay (the paper's stability
-// metric), or 0 for an empty run.
-func (r *Result) MaxDelay() float64 {
-	if len(r.AllDelays) == 0 {
-		return 0
+// ReplayConfig maps a simulator configuration onto the daemon's replay mode:
+// re-plan every epoch with algo, react with cfg's fault policy, route with
+// the per-epoch seeds. Run builds its daemon from it, so a daemon built from
+// it and fed EventStream(cfg) reproduces Run(cfg, algo) bitwise.
+//
+// Note algo is stateful for some algorithms (SoCLOnline): build a fresh one
+// per daemon, exactly as for a fresh Run.
+func ReplayConfig(cfg Config, algo Algorithm) serve.Config {
+	pol := policyFor(cfg.Policy, algo)
+	if cfg.Faults == nil {
+		// Config.Policy is ignored without Faults: serve the plan as-is.
+		pol = serve.NonePolicy{}
 	}
-	return stats.Max(r.AllDelays)
-}
-
-// MedianDelay returns the median per-request delay, or 0 for an empty run.
-func (r *Result) MedianDelay() float64 {
-	if len(r.AllDelays) == 0 {
-		return 0
-	}
-	return stats.Median(r.AllDelays)
-}
-
-// TotalCost sums per-slot deployment costs.
-func (r *Result) TotalCost() float64 {
-	s := 0.0
-	for _, rec := range r.Slots {
-		s += rec.Cost
-	}
-	return s
-}
-
-// Run simulates algo over the configured horizon. A mid-run algorithm or
-// fault-replay failure returns the partial *Result covering every completed
-// slot alongside the error, so callers can diagnose how far the run got.
-func Run(cfg Config, algo Algorithm) (*Result, error) {
-	if cfg.Graph == nil || cfg.Catalog == nil {
-		return nil, fmt.Errorf("sim: nil graph or catalog")
-	}
-	if cfg.NumUsers <= 0 || cfg.SlotMinutes <= 0 || cfg.DurationMinutes <= 0 {
-		return nil, fmt.Errorf("sim: non-positive sizing (users=%d slot=%v dur=%v)",
-			cfg.NumUsers, cfg.SlotMinutes, cfg.DurationMinutes)
-	}
-	if cfg.MeanInterarrival <= 0 {
-		cfg.MeanInterarrival = cfg.SlotMinutes
-	}
-	r := stats.NewRand(stats.SplitSeed(cfg.Seed, "sim/run"))
-	flows := cfg.Catalog.Flows()
-	if len(flows) == 0 {
-		return nil, fmt.Errorf("sim: catalog has no flows")
-	}
-	var mask *chaos.Mask
-	if cfg.Faults != nil {
-		mask = chaos.NewMask(cfg.Graph)
-	}
-
-	// User state: current node.
-	homes := make([]int, cfg.NumUsers)
-	for u := range homes {
-		homes[u] = r.Intn(cfg.Graph.N())
-	}
-
-	numSlots := int(cfg.DurationMinutes / cfg.SlotMinutes)
-	res := &Result{Algorithm: algo.Name()}
-	for slot := 0; slot < numSlots; slot++ {
-		// Mobility: random-waypoint hop to a neighbor (never onto a node the
-		// user can observe to be down).
-		for u := range homes {
-			if r.Float64() < cfg.MoveProb {
-				nb := cfg.Graph.Neighbors(homes[u])
-				if len(nb) > 0 {
-					hop := nb[r.Intn(len(nb))]
-					if mask == nil || mask.NodeUp(hop) {
-						homes[u] = hop
-					}
-				}
-			}
-		}
-
-		// Request generation: Poisson count per user for this slot.
-		reqs := makeSlotRequests(cfg, r, homes, flows)
-		rec := SlotRecord{Slot: slot, TimeMinutes: float64(slot) * cfg.SlotMinutes, Requests: len(reqs)}
-		if len(reqs) == 0 {
-			// Still advance the fault timeline so the mask stays aligned
-			// with the schedule's slots.
-			if mask != nil {
-				if err := applySlotFaults(mask, cfg.Faults, slot, &rec); err != nil {
-					return res, err
-				}
-			}
-			res.Slots = append(res.Slots, rec)
-			continue
-		}
-		// The algorithm plans on the substrate as currently known: the base
-		// graph, or the mask state left by previous slots — this slot's
-		// faults have not struck yet.
-		planGraph := cfg.Graph
-		if mask != nil {
-			planGraph = mask.Graph()
-		}
-		in := &model.Instance{
-			Graph:    planGraph,
-			Workload: &msvc.Workload{Catalog: cfg.Catalog, Requests: reqs},
-			Lambda:   cfg.Lambda,
-			Budget:   cfg.Budget,
-			Cloud:    cfg.Cloud,
-		}
-
-		t0 := time.Now()
-		placement, err := algo.Place(in)
-		rec.PlaceTime = time.Since(t0)
-		if err != nil {
-			return res, fmt.Errorf("sim: %s failed at slot %d: %w", algo.Name(), slot, err)
-		}
-
-		var ev *model.Evaluation
-		if mask == nil {
-			ev = in.EvaluateRouted(placement, algo.Routing(), routeSeed(cfg, slot))
-		} else {
-			ev, err = serveFaultySlot(cfg, algo, mask, slot, homes, reqs, placement, &rec)
-			if err != nil {
-				return res, fmt.Errorf("sim: slot %d: %w", slot, err)
-			}
-		}
-		rec.Cost = ev.Cost
-		rec.Objective = ev.Objective
-		rec.Missing = ev.MissingInstances
-		rec.Unroutable = ev.Unroutable
-		rec.CloudServed = ev.CloudServed
-		maxd := 0.0
-		sum, n := 0.0, 0
-		for _, d := range ev.Latencies {
-			if math.IsInf(d, 1) {
-				continue
-			}
-			sum += d
-			n++
-			if d > maxd {
-				maxd = d
-			}
-			res.AllDelays = append(res.AllDelays, d)
-		}
-		if n > 0 {
-			rec.AvgDelay = sum / float64(n)
-		}
-		rec.MaxDelay = maxd
-		rec.ServedObjective = in.Objective(ev.Cost, sum)
-		res.Slots = append(res.Slots, rec)
-	}
-	return res, nil
-}
-
-// applySlotFaults folds one slot's schedule events into the mask and records
-// the fault telemetry.
-func applySlotFaults(mask *chaos.Mask, sched *chaos.Schedule, slot int, rec *SlotRecord) error {
-	evs := sched.At(slot)
-	for _, e := range evs {
-		if err := mask.Apply(e); err != nil {
-			return fmt.Errorf("sim: applying fault %v: %w", e, err)
-		}
-	}
-	rec.FaultEvents = len(evs)
-	rec.DownNodes = len(mask.DownNodes())
-	return nil
-}
-
-// serveFaultySlot runs steps 2–5 of the faulty-slot timeline (see faults.go):
-// strike this slot's faults, re-home displaced users, apply the fault
-// policy to the stale plan, and evaluate what actually serves on the masked
-// substrate.
-func serveFaultySlot(cfg Config, algo Algorithm, mask *chaos.Mask, slot int,
-	homes []int, reqs []msvc.Request, placement model.Placement, rec *SlotRecord) (*model.Evaluation, error) {
-	if err := applySlotFaults(mask, cfg.Faults, slot, rec); err != nil {
-		return nil, err
-	}
-	rec.Rehomed = rehomeUsers(mask, cfg.Graph, homes, reqs)
-	// evalIn lives on the base graph — repair and the mask derive the masked
-	// views themselves — with the re-homed requests.
-	evalIn := &model.Instance{
-		Graph:    cfg.Graph,
-		Workload: &msvc.Workload{Catalog: cfg.Catalog, Requests: reqs},
-		Lambda:   cfg.Lambda,
-		Budget:   cfg.Budget,
-		Cloud:    cfg.Cloud,
-	}
-	seed := routeSeed(cfg, slot)
-
-	// Dispatch through the shared policy layer (internal/serve): the daemon's
-	// event loop builds the same EpochContext, so the two paths cannot drift.
-	ctx := &serve.EpochContext{
-		In:          evalIn,
-		Mask:        mask,
-		Planned:     placement,
+	return serve.Config{
+		Graph:       cfg.Graph,
+		Catalog:     cfg.Catalog,
+		Lambda:      cfg.Lambda,
+		Budget:      cfg.Budget,
+		Cloud:       cfg.Cloud,
 		Mode:        algo.Routing(),
-		Seed:        seed,
-		Repair:      cfg.Repair,
-		Resolve:     algo.Place,
+		RouteSeed:   stats.SplitSeed(cfg.Seed, "sim/route"),
+		Planner:     algo.Place,
 		PlannerName: algo.Name(),
+		Repair:      cfg.Repair,
+		Policy:      pol,
+		Replan:      true,
 	}
-	out, err := policyFor(cfg.Policy, algo).Serve(ctx)
+}
+
+// Run simulates algo over the configured horizon: it draws each slot's events
+// (mobility, arrivals, departures, fault strikes) and feeds them to a
+// serve.Daemon in replay mode, which owns the slot order — plan on the
+// substrate as known, strike, re-home, apply the fault policy, evaluate (see
+// serve.Daemon.Tick). A mid-run algorithm or fault-replay failure returns the
+// partial *Result covering every completed slot alongside the error, so
+// callers can diagnose how far the run got.
+func Run(cfg Config, algo Algorithm) (*Result, error) {
+	gen, err := newGenerator(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rec.RepairTime = out.ReactTime
-	rec.RepairAdds = len(out.Added)
-	rec.RepairEvict = len(out.Evicted)
-	ev := out.Eval
-
-	// Degraded: edge-served requests slower than the no-fault reference —
-	// the planned placement on the pristine substrate with the same homes.
-	if !mask.Pristine() {
-		rec.Degraded = serve.CountDegraded(evalIn, placement, ev, algo.Routing(), seed)
+	d, err := serve.NewDaemon(ReplayConfig(cfg, algo))
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return ev, nil
-}
-
-// repairDriver lets an algorithm perform PolicyRepair's incremental round
-// itself, so stateful solvers can fold the repaired placement into their
-// warm state (core.OnlineSolver.Repair).
-type repairDriver interface {
-	RepairWith(in *model.Instance, m *chaos.Mask, p model.Placement, cfg repair.Config) (*repair.Result, error)
-}
-
-// makeSlotRequests draws this slot's requests: per user a Poisson number of
-// arrivals with mean SlotMinutes/MeanInterarrival, each with a stochastic
-// dependency chain sampled from the catalog flows.
-func makeSlotRequests(cfg Config, r interface {
-	Float64() float64
-	Intn(int) int
-}, homes []int, flows [][]msvc.ServiceID) []msvc.Request {
-	var reqs []msvc.Request
-	mean := cfg.SlotMinutes / cfg.MeanInterarrival
-	id := 0
-	for u, home := range homes {
-		n := poisson(r, mean)
-		for i := 0; i < n; i++ {
-			base := flows[r.Intn(len(flows))]
-			chain := append([]msvc.ServiceID(nil), base...)
-			if len(chain) > 1 && r.Float64() < cfg.Workload.TruncateProb {
-				chain = chain[:len(chain)-1]
-			}
-			req := msvc.Request{
-				ID:       id,
-				Home:     home,
-				Chain:    chain,
-				DataIn:   uniform(r, cfg.Workload.InDataMin, cfg.Workload.InDataMax),
-				DataOut:  uniform(r, cfg.Workload.OutDataMin, cfg.Workload.OutDataMax),
-				Deadline: math.Inf(1),
-			}
-			req.EdgeData = make([]float64, len(chain)-1)
-			for e := range req.EdgeData {
-				req.EdgeData[e] = uniform(r, cfg.Workload.EdgeDataMin, cfg.Workload.EdgeDataMax)
-			}
-			reqs = append(reqs, req)
-			id++
+	res := &Result{Algorithm: algo.Name()}
+	for slot := 0; slot < gen.numSlots; slot++ {
+		evs, err := gen.next()
+		if err == nil {
+			d.Ingest(evs...)
+			_, err = d.Tick()
 		}
-		_ = u
-	}
-	return reqs
-}
-
-func uniform(r interface{ Float64() float64 }, lo, hi float64) float64 {
-	if hi <= lo {
-		return lo
-	}
-	return lo + r.Float64()*(hi-lo)
-}
-
-// poisson draws a Poisson variate by Knuth's method (small means only).
-func poisson(r interface{ Float64() float64 }, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-		if k > 1000 {
-			return k // safety for absurd means
+		if err != nil {
+			res.RunResult = *d.Result()
+			res.Records = res.Records[:slot] // drop the failing slot's half-filled record
+			return res, err
 		}
 	}
+	res.RunResult = *d.Result()
+	return res, nil
 }

@@ -32,17 +32,17 @@ func TestRunSoCLBasics(t *testing.T) {
 	if res.Algorithm != "SoCL" {
 		t.Fatalf("name = %s", res.Algorithm)
 	}
-	if len(res.Slots) != 6 {
-		t.Fatalf("slots = %d, want 6", len(res.Slots))
+	if len(res.Records) != 6 {
+		t.Fatalf("slots = %d, want 6", len(res.Records))
 	}
 	totalReqs := 0
-	for _, rec := range res.Slots {
+	for _, rec := range res.Records {
 		totalReqs += rec.Requests
 		if rec.Unserved() != 0 {
-			t.Fatalf("slot %d had %d missing + %d unroutable requests", rec.Slot, rec.Missing, rec.Unroutable)
+			t.Fatalf("slot %d had %d missing + %d unroutable requests", rec.Epoch, rec.Missing, rec.Unroutable)
 		}
 		if rec.Requests > 0 && rec.Cost <= 0 {
-			t.Fatalf("slot %d with requests has zero cost", rec.Slot)
+			t.Fatalf("slot %d with requests has zero cost", rec.Epoch)
 		}
 	}
 	if totalReqs == 0 {
@@ -68,7 +68,7 @@ func TestRunAllAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo.Name(), err)
 		}
-		for _, rec := range res.Slots {
+		for _, rec := range res.Records {
 			if rec.Requests > 0 && rec.Unserved() > 0 {
 				t.Fatalf("%s: unserved requests", algo.Name())
 			}
@@ -164,10 +164,10 @@ func TestSoCLBeatsRPOnObjectiveOverTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	objSoCL, objRP := 0.0, 0.0
-	for _, s := range socl.Slots {
+	for _, s := range socl.Records {
 		objSoCL += s.Objective
 	}
-	for _, s := range rp.Slots {
+	for _, s := range rp.Records {
 		objRP += s.Objective
 	}
 	if objSoCL > objRP {

@@ -141,7 +141,7 @@ func TestSoakReliableChaos(t *testing.T) {
 		t.Fatal("no retransmissions despite drops")
 	}
 	sameStream(t, s, eng.Recorded())
-	if err := sim.CompareReplay(res, eng.Result()); err != nil {
+	if err := res.Diff(eng.Result()); err != nil {
 		t.Fatalf("wire replay diverged from sim.Run: %v", err)
 	}
 	checkGoroutines(t, before)

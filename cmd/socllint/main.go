@@ -1,4 +1,4 @@
-// Command socllint is the project's multichecker: it runs the nine
+// Command socllint is the project's multichecker: it runs the six
 // repo-specific analyzers from internal/analysis over the requested packages
 // and, unless -vet=false, chains the standard `go vet` passes behind them.
 //
@@ -6,15 +6,11 @@
 //
 //	go run ./cmd/socllint ./...
 //	go run ./cmd/socllint -json ./internal/ilp
-//	go run ./cmd/socllint -fix ./...
 //	go run ./cmd/socllint -update-baseline ./...
 //
 // Diagnostics print as file:line:col: [analyzer] message, or as a JSON
-// object with -json. -fix applies the analyzers' suggested fixes (loop
-// variable shadowing, missing defer unlocks), refusing files with
-// overlapping edits, and reformats the touched files. Intentional
-// violations are suppressed with a reasoned directive on the offending line
-// or the line above:
+// object with -json. Intentional violations are suppressed with a reasoned
+// directive on the offending line or the line above:
 //
 //	//socllint:ignore <analyzer>[,<analyzer>] <reason>
 //
@@ -32,7 +28,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"go/format"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -46,20 +41,14 @@ import (
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/lockbalance"
 	"repro/internal/analysis/parclosure"
-	"repro/internal/analysis/placementmut"
 	"repro/internal/analysis/sentinelerr"
-	"repro/internal/analysis/snapshotpair"
-	"repro/internal/analysis/splitseed"
 )
 
 var analyzers = []*analysis.Analyzer{
-	placementmut.Analyzer,
-	snapshotpair.Analyzer,
 	floateq.Analyzer,
 	sentinelerr.Analyzer,
 	detrand.Analyzer,
 	parclosure.Analyzer,
-	splitseed.Analyzer,
 	applyrevert.Analyzer,
 	lockbalance.Analyzer,
 }
@@ -73,7 +62,6 @@ type jsonDiag struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable,omitempty"`
 }
 
 // baselineFile is the committed suppression ratchet.
@@ -82,17 +70,10 @@ type baselineFile struct {
 	Suppressed map[string]int `json:"suppressed"`
 }
 
-// fixEdit is one text edit resolved to byte offsets in a file.
-type fixEdit struct {
-	start, end int
-	text       string
-}
-
 func main() {
 	vet := flag.Bool("vet", true, "also run `go vet` over the same patterns")
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit diagnostics and suppression counts as JSON")
-	fix := flag.Bool("fix", false, "apply suggested fixes and reformat the touched files")
 	baselinePath := flag.String("baseline", "", "suppression baseline file (default <module>/"+baselineName+")")
 	updateBaseline := flag.Bool("update-baseline", false, "rewrite the suppression baseline from this run")
 	flag.Parse()
@@ -145,7 +126,6 @@ func main() {
 
 	exit := 0
 	var diags []jsonDiag
-	fixes := map[string][]fixEdit{} // file -> edits
 	suppressed := map[string]int{}
 	for _, pkg := range pkgs {
 		res, err := analysis.Run(pkg.Target(), analyzers, loader.Facts())
@@ -164,25 +144,8 @@ func main() {
 			diags = append(diags, jsonDiag{
 				File: file, Line: pos.Line, Col: pos.Column,
 				Analyzer: d.Analyzer, Message: d.Message,
-				Fixable: len(d.SuggestedFixes) > 0,
 			})
 			exit = 1
-			if *fix {
-				for _, sf := range d.SuggestedFixes {
-					for _, te := range sf.TextEdits {
-						start := loader.Fset().Position(te.Pos)
-						end := loader.Fset().Position(te.End)
-						fixes[start.Filename] = append(fixes[start.Filename],
-							fixEdit{start: start.Offset, end: end.Offset, text: te.NewText})
-					}
-				}
-			}
-		}
-	}
-
-	if *fix {
-		if err := applyFixes(fixes, modDir); err != nil {
-			fatal(fmt.Errorf("socllint: %w", err))
 		}
 	}
 
@@ -298,54 +261,6 @@ func checkBaseline(path string, suppressed map[string]int, update, fullRun bool)
 		}
 	}
 	return errs
-}
-
-// applyFixes applies the collected suggested fixes file by file, refusing
-// files whose edits overlap, and reformats the result.
-func applyFixes(fixes map[string][]fixEdit, modDir string) error {
-	files := make([]string, 0, len(fixes))
-	for f := range fixes {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, file := range files {
-		edits := fixes[file]
-		sort.Slice(edits, func(i, j int) bool { return edits[i].start < edits[j].start })
-		for i := 1; i < len(edits); i++ {
-			if edits[i].start < edits[i-1].end {
-				return fmt.Errorf("%s: overlapping suggested fixes at offsets %d and %d; apply one and re-run",
-					file, edits[i-1].start, edits[i].start)
-			}
-		}
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		var b strings.Builder
-		last := 0
-		for _, e := range edits {
-			if e.start < last || e.end > len(src) {
-				return fmt.Errorf("%s: suggested fix out of range", file)
-			}
-			b.Write(src[last:e.start])
-			b.WriteString(e.text)
-			last = e.end
-		}
-		b.Write(src[last:])
-		formatted, err := format.Source([]byte(b.String()))
-		if err != nil {
-			return fmt.Errorf("%s: fixed source does not format: %w", file, err)
-		}
-		if err := os.WriteFile(file, formatted, 0o644); err != nil {
-			return err
-		}
-		rel := file
-		if r, err := filepath.Rel(modDir, file); err == nil {
-			rel = r
-		}
-		fmt.Fprintf(os.Stderr, "socllint: fixed %s (%d edit(s))\n", rel, len(edits))
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -3,7 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/analysis/load"
 )
 
 // A subdirectory with its own go.mod is another module: the go tool's ./...
@@ -30,5 +34,43 @@ func TestExpandSkipsNestedModules(t *testing.T) {
 	}
 	if len(dirs) != 1 || dirs[0] != filepath.Join(root, "a") {
 		t.Fatalf("expand = %v, want only %s", dirs, filepath.Join(root, "a"))
+	}
+}
+
+// A directive naming an analyzer that is not in the registry (what deleting
+// an analyzer leaves behind in the tree) must be reported, not silently
+// accepted; one naming a registered analyzer must not be.
+func TestUnregisteredAnalyzerDirectiveIsReported(t *testing.T) {
+	const src = `package p
+
+func f(a, b float64) bool {
+	//socllint:ignore placementmut left behind by a deleted analyzer
+	_ = a
+	//socllint:ignore floateq registered: suppresses the compare below
+	return a == b
+}
+`
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loader := load.New(load.Config{})
+	pkg, err := loader.LoadDir(dir, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.Run(pkg.Target(), analyzers, loader.Facts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Diagnostics) != 1 {
+		t.Fatalf("diagnostics = %v, want exactly the unregistered-analyzer report", res.Diagnostics)
+	}
+	d := res.Diagnostics[0]
+	if line := d.Position(loader.Fset()).Line; line != 4 || d.Analyzer != "socllint" || !strings.Contains(d.Message, `"placementmut"`) {
+		t.Errorf("diagnostic = line %d [%s] %s, want line 4 [socllint] naming placementmut", line, d.Analyzer, d.Message)
+	}
+	if res.Suppressed["floateq"] != 1 {
+		t.Errorf("suppressed = %v, want floateq=1", res.Suppressed)
 	}
 }

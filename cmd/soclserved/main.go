@@ -266,7 +266,6 @@ func daemonConfig(o options, meta serve.Meta) (serve.Config, error) {
 		Repair:      repair.DefaultConfig(),
 		Replan:      o.replay,
 	}
-	//socllint:ignore floateq deliberate exact zero: both unset means no cloud fallback
 	if meta.CloudTransfer != 0 || meta.CloudCompute != 0 {
 		sc.Cloud = &model.CloudConfig{TransferCost: meta.CloudTransfer, Compute: meta.CloudCompute}
 	}

@@ -12,7 +12,9 @@
 //
 // placed either on the flagged line or on the line immediately above it. The
 // reason is mandatory — a bare directive is itself reported — so every
-// suppressed diagnostic documents why the pattern is intentional.
+// suppressed diagnostic documents why the pattern is intentional. A directive
+// naming an analyzer the run does not register is reported too: it is what a
+// deleted or renamed analyzer leaves behind, and it suppresses nothing.
 package analysis
 
 import (
@@ -88,23 +90,6 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Message  string
 	Analyzer string // filled by the runner
-
-	// SuggestedFixes optionally carries mechanical repairs for the finding;
-	// socllint -fix applies them (refusing on overlapping edits).
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one self-contained repair: apply all of its edits or none.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText. Pos == End
-// inserts.
-type TextEdit struct {
-	Pos, End token.Pos
-	NewText  string
 }
 
 // Position resolves the diagnostic's file position under fset.
@@ -128,9 +113,9 @@ type ignoreDirective struct {
 type ignoreIndex map[string]map[int]*ignoreDirective
 
 // buildIgnoreIndex scans every comment in the package for ignore directives.
-// Directives with no reason are reported as diagnostics themselves (under the
-// pseudo-analyzer name "socllint").
-func buildIgnoreIndex(fset *token.FileSet, files []*ast.File, report func(Diagnostic)) ignoreIndex {
+// Directives with no reason, or naming an analyzer outside known, are reported
+// as diagnostics themselves (under the pseudo-analyzer name "socllint").
+func buildIgnoreIndex(fset *token.FileSet, files []*ast.File, known map[string]bool, report func(Diagnostic)) ignoreIndex {
 	idx := ignoreIndex{}
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -151,7 +136,14 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File, report func(Diagno
 				}
 				d := &ignoreDirective{analyzers: map[string]bool{}, reason: strings.TrimSpace(m[2]), pos: c.Pos()}
 				for _, name := range strings.Split(m[1], ",") {
-					d.analyzers[strings.TrimSpace(name)] = true
+					if !known[name] {
+						report(Diagnostic{
+							Pos:      c.Pos(),
+							Analyzer: "socllint",
+							Message:  fmt.Sprintf("ignore directive names unregistered analyzer %q", name),
+						})
+					}
+					d.analyzers[name] = true
 				}
 				byLine := idx[pos.Filename]
 				if byLine == nil {
@@ -208,7 +200,11 @@ func Run(t *Target, analyzers []*Analyzer, facts *Facts) (*Result, error) {
 	}
 	res := &Result{Suppressed: map[string]int{}}
 	out := &res.Diagnostics
-	ignore := buildIgnoreIndex(t.Fset, t.Files, func(d Diagnostic) { *out = append(*out, d) })
+	known := map[string]bool{}
+	for _, a := range analyzers {
+		known[a.Name] = true
+	}
+	ignore := buildIgnoreIndex(t.Fset, t.Files, known, func(d Diagnostic) { *out = append(*out, d) })
 	for _, a := range analyzers {
 		var raw []Diagnostic
 		pass := &Pass{

@@ -3,7 +3,8 @@
 // golang.org/x/tools/go/analysis/analysistest for the stdlib-only framework
 // in internal/analysis.
 //
-// Fixture layout: <testdata>/src/<pkg>/*.go. A line expecting diagnostics
+// Fixture layout: <testdata>/src/<pkg>/*.go, the package's own _test.go files
+// included. A line expecting diagnostics
 // carries a trailing comment of the form
 //
 //	// want "regexp" "another regexp"
@@ -41,7 +42,7 @@ type expectation struct {
 // and reports want/got mismatches through t.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	loader := load.New(load.Config{FixtureRoots: []string{filepath.Join(testdata, "src")}})
+	loader := load.New(load.Config{FixtureRoots: []string{filepath.Join(testdata, "src")}, IncludeTests: true})
 	for _, pkg := range pkgs {
 		p, err := loader.Load(pkg)
 		if err != nil {

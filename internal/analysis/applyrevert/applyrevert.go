@@ -1,10 +1,9 @@
-// Package applyrevert enforces the DeltaEvaluator probe discipline — the
-// delta-engine analogue of snapshotpair. model.DeltaEvaluator.Apply returns
-// an undo record (*Delta) that the caller must hand back to Revert to
-// restore the pre-probe state; an exit path that skips the Revert leaves the
-// evaluator permanently shifted, and every later Eval silently scores the
-// wrong placement (exactly the class of bug PR 1 fixed in the snapshot
-// machinery, now one level up).
+// Package applyrevert enforces the DeltaEvaluator probe discipline.
+// model.DeltaEvaluator.Apply returns an undo record (*Delta) that the caller
+// must hand back to Revert to restore the pre-probe state; an exit path that
+// skips the Revert leaves the evaluator permanently shifted, and every later
+// Eval silently scores the wrong placement (exactly the class of bug PR 1
+// fixed in the snapshot machinery, now one level up).
 //
 // The analyzer is type-directed: it tracks calls to a method named Apply
 // whose receiver type also declares a Revert method taking exactly the

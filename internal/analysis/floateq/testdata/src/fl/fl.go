@@ -1,6 +1,8 @@
 // Package fl exercises floateq.
 package fl
 
+import "sort"
+
 func compareObjectives(a, b float64) bool {
 	return a == b // want "exact == on floating-point values"
 }
@@ -27,8 +29,34 @@ func annotatedTieBreak(xs []scored) bool {
 	return xs[0].zeta != xs[1].zeta
 }
 
-func zeroLiteral(a float64) bool {
-	return a == 0 // want "exact == on floating-point values"
+const nominal = 1.0
+
+func constantOperand(a float64) bool {
+	return a == 0 || nominal != a // ok: a constant operand is a sentinel, not a computed sum
+}
+
+func sortTieBreak(xs []scored) {
+	sort.Slice(xs, func(i, j int) bool {
+		if xs[i].zeta != xs[j].zeta { // ok: comparator tie-break must stay strict-weak
+			return xs[i].zeta < xs[j].zeta
+		}
+		return i < j
+	})
+	_ = xs[0].zeta == xs[1].zeta // want "exact == on floating-point values"
+}
+
+type byZeta []scored
+
+func (q byZeta) Less(i, j int) bool {
+	if q[i].zeta != q[j].zeta { // ok: sort.Interface comparator
+		return q[i].zeta < q[j].zeta
+	}
+	return i < j
+}
+
+// Less with another signature is not a comparator.
+func (q byZeta) LessThan(a, b float64) bool {
+	return a != b // want "exact != on floating-point values"
 }
 
 // almostEq is an epsilon helper: exact comparison inside it is the point.

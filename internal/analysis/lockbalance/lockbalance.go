@@ -8,8 +8,7 @@
 // Per function, for each lock value (identified by its receiver expression,
 // e.g. "e.mu"):
 //
-//   - Lock with no Unlock anywhere in the function (and none deferred) —
-//     reported with a suggested fix inserting `defer mu.Unlock()`;
+//   - Lock with no Unlock anywhere in the function (and none deferred);
 //   - an if-branch between Lock and the Unlock that exits via return or
 //     continue while still holding the lock;
 //   - write-side Lock paired only with read-side RUnlock (and vice versa) —
@@ -127,15 +126,8 @@ func checkLock(pass *analysis.Pass, fd *ast.FuncDecl, key string, ops []lockOp) 
 			continue // defer covers every exit
 		}
 		if count(unlockName, false) == 0 {
-			pass.Report(analysis.Diagnostic{
-				Pos: op.call.Pos(),
-				Message: key + "." + op.name + " has no matching " + unlockName +
-					" in this function: every later locker deadlocks",
-				SuggestedFixes: []analysis.SuggestedFix{{
-					Message:   "defer the unlock right after the lock",
-					TextEdits: []analysis.TextEdit{{Pos: op.call.End(), End: op.call.End(), NewText: "\ndefer " + key + "." + unlockName + "()"}},
-				}},
-			})
+			pass.Reportf(op.call.Pos(),
+				"%s.%s has no matching %s in this function: every later locker deadlocks", key, op.name, unlockName)
 			continue
 		}
 		// Early exits between this Lock and its Unlock; branches past the

@@ -210,8 +210,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, captured func(types.Obje
 }
 
 // checkLoopCapture reports reads of an enclosing loop's iteration variables
-// from inside the region, suggesting the repo's pass-as-parameter idiom. The
-// fix shadows the variable at the top of the closure.
+// from inside the region, suggesting the repo's pass-as-parameter idiom.
 func checkLoopCapture(pass *analysis.Pass, fd *ast.FuncDecl, region analysis.Region, captured func(types.Object) bool) {
 	loopVars := map[types.Object]bool{}
 	spawnPos := region.Spawn.Pos()
@@ -245,9 +244,9 @@ func checkLoopCapture(pass *analysis.Pass, fd *ast.FuncDecl, region analysis.Reg
 	if len(loopVars) == 0 {
 		return
 	}
-	// A self-shadowing `w := w` inside the closure is the sanctioned rebind
-	// (it is what the suggested fix inserts): later uses resolve to the new
-	// local, and the rebind's own RHS is the one permitted outer reference.
+	// A self-shadowing `w := w` inside the closure is the sanctioned rebind:
+	// later uses resolve to the new local, and the rebind's own RHS is the one
+	// permitted outer reference.
 	rebound := map[types.Object]bool{}
 	ast.Inspect(region.Lit.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -280,16 +279,8 @@ func checkLoopCapture(pass *analysis.Pass, fd *ast.FuncDecl, region analysis.Reg
 			return true
 		}
 		reported[obj] = true
-		insert := region.Lit.Body.Lbrace + 1
-		pass.Report(analysis.Diagnostic{
-			Pos: id.Pos(),
-			Message: "goroutine closure captures loop variable " + id.Name +
-				"; pass it as an argument (per-iteration scoping saves this under go >= 1.22, but the repo's worker pools pass indices explicitly)",
-			SuggestedFixes: []analysis.SuggestedFix{{
-				Message:   "shadow the loop variable at the top of the closure",
-				TextEdits: []analysis.TextEdit{{Pos: insert, End: insert, NewText: "\n" + id.Name + " := " + id.Name}},
-			}},
-		})
+		pass.Reportf(id.Pos(),
+			"goroutine closure captures loop variable %s; pass it as an argument (per-iteration scoping saves this under go >= 1.22, but the repo's worker pools pass indices explicitly)", id.Name)
 		return true
 	})
 }

@@ -1,7 +1,7 @@
 // Function summaries: the lightweight cross-function dataflow layer under
-// the concurrency analyzers (parclosure, splitseed). For every function and
-// method the loader type-checks, Summarize records the facts a caller-side
-// analyzer needs about a callee it cannot see into:
+// parclosure. For every function and method the loader type-checks,
+// Summarize records the facts a caller-side analyzer needs about a callee it
+// cannot see into:
 //
 //   - which pointer-like parameters (and the receiver) the function writes
 //     through;
@@ -10,9 +10,7 @@
 //   - which function-typed parameters it invokes (or lets escape) inside a
 //     spawned goroutine — the worker-pool-callback fact that lets parclosure
 //     treat a closure passed to runSweep/runFrontier exactly like the body
-//     of a `go func`;
-//   - whether RNG state flows out of it: a *math/rand.Rand return, or a
-//     return value derived from stats.SplitSeed.
+//     of a `go func`.
 //
 // Summaries are computed bottom-up over the loader's package graph: imports
 // type-check (and summarize) before their importers, so cross-package callee
@@ -46,12 +44,6 @@ type FuncSummary struct {
 	// concurrent position of another callee — i.e. a closure argument may run
 	// on another goroutine.
 	ConcurrentParams []bool
-	// ReturnsRand reports a *math/rand.Rand (or v2) return value.
-	ReturnsRand bool
-	// SplitDerived reports a return value derived from stats.SplitSeed (or
-	// from another SplitDerived function): callers may treat the result as a
-	// goroutine-safe per-task seed.
-	SplitDerived bool
 }
 
 // Summarize computes summaries for every function declared in files and
@@ -121,8 +113,6 @@ func summarizeFunc(info *types.Info, fd *ast.FuncDecl, all map[types.Object]*Fun
 		}
 	}
 
-	derived := derivedLocals(info, fd.Body)
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
@@ -163,15 +153,6 @@ func summarizeFunc(info *types.Info, fd *ast.FuncDecl, all map[types.Object]*Fun
 				}
 				if i < len(cs.ConcurrentParams) && cs.ConcurrentParams[i] {
 					s.ConcurrentParams[j] = true
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if IsRandType(info.TypeOf(res)) {
-					s.ReturnsRand = true
-				}
-				if isDerivedExpr(info, res, derived, all, nil) {
-					s.SplitDerived = true
 				}
 			}
 		}
@@ -267,7 +248,6 @@ func concurrentParamRefs(info *types.Info, g *ast.GoStmt, params []types.Object)
 // equalSummary compares two summaries field by field.
 func equalSummary(a, b *FuncSummary) bool {
 	if a.MutatesRecv != b.MutatesRecv || a.Spawns != b.Spawns ||
-		a.ReturnsRand != b.ReturnsRand || a.SplitDerived != b.SplitDerived ||
 		len(a.MutatesParam) != len(b.MutatesParam) ||
 		len(a.ConcurrentParams) != len(b.ConcurrentParams) ||
 		len(a.GlobalWrites) != len(b.GlobalWrites) {
@@ -291,7 +271,7 @@ func equalSummary(a, b *FuncSummary) bool {
 	return true
 }
 
-// --- shared helpers for the concurrency analyzers ---
+// --- shared helpers for parclosure ---
 
 // Region is one closure that may execute on a goroutine other than its
 // enclosing function's: the literal of a `go func(){...}` (or a literal
@@ -365,101 +345,4 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) types.Object {
 		return obj
 	}
 	return nil
-}
-
-// IsRandType reports whether t is *math/rand.Rand (v1 or v2).
-func IsRandType(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Name() != "Rand" || obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	return path == "math/rand" || path == "math/rand/v2"
-}
-
-// IsSplitSeedCall reports whether call invokes a function named SplitSeed
-// (the repo's stats.SplitSeed; fixtures carry their own).
-func IsSplitSeedCall(info *types.Info, call *ast.CallExpr) bool {
-	callee := CalleeFunc(info, call)
-	return callee != nil && callee.Name() == "SplitSeed"
-}
-
-// derivedLocals walks a function body and collects the local variables whose
-// values derive from SplitSeed (directly, through a SplitDerived callee, or
-// through arithmetic on an already-derived value). Two passes make simple
-// forward chains converge without full dataflow.
-func derivedLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
-	derived := map[types.Object]bool{}
-	for pass := 0; pass < 2; pass++ {
-		ast.Inspect(body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj == nil {
-					continue
-				}
-				if isDerivedExpr(info, as.Rhs[i], derived, nil, nil) {
-					derived[obj] = true
-				}
-			}
-			return true
-		})
-	}
-	return derived
-}
-
-// isDerivedExpr reports whether e is derived from SplitSeed: a SplitSeed
-// call, a call to a SplitDerived function (per summaries), a variable in the
-// derived set or the extra set, or arithmetic/conversions over such values.
-func isDerivedExpr(info *types.Info, e ast.Expr, derived map[types.Object]bool, summaries map[types.Object]*FuncSummary, extra map[types.Object]bool) bool {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		return isDerivedExpr(info, e.X, derived, summaries, extra)
-	case *ast.UnaryExpr:
-		return isDerivedExpr(info, e.X, derived, summaries, extra)
-	case *ast.BinaryExpr:
-		return isDerivedExpr(info, e.X, derived, summaries, extra) ||
-			isDerivedExpr(info, e.Y, derived, summaries, extra)
-	case *ast.CallExpr:
-		if IsSplitSeedCall(info, e) {
-			return true
-		}
-		if cs := summaries[CalleeFunc(info, e)]; cs != nil && cs.SplitDerived {
-			return true
-		}
-		// Conversions (int64(x)) and wrappers (rand.NewSource(x)): derived if
-		// any argument is.
-		for _, arg := range e.Args {
-			if isDerivedExpr(info, arg, derived, summaries, extra) {
-				return true
-			}
-		}
-		return false
-	case *ast.Ident:
-		obj := info.Uses[e]
-		if obj == nil {
-			return false
-		}
-		return derived[obj] || (extra != nil && extra[obj])
-	default:
-		return false
-	}
 }

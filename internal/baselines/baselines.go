@@ -119,7 +119,6 @@ func JDR(in *model.Instance) model.Placement {
 	}
 	sort.Slice(capOrder, func(a, b int) bool {
 		ca, cb := in.Graph.Node(capOrder[a]).Compute, in.Graph.Node(capOrder[b]).Compute
-		//socllint:ignore floateq exact compare keeps the order strict-weak; an epsilon would break sort transitivity
 		if ca != cb {
 			return ca > cb
 		}
@@ -320,7 +319,6 @@ func nodesByDistance(in *model.Instance, k int) []int {
 	}
 	sort.Slice(order, func(a, b int) bool {
 		ca, cb := in.Graph.PathCost(k, order[a]), in.Graph.PathCost(k, order[b])
-		//socllint:ignore floateq exact compare keeps the order strict-weak; an epsilon would break sort transitivity
 		if ca != cb {
 			return ca < cb
 		}

@@ -91,7 +91,6 @@ func TestGCOGDifferential(t *testing.T) {
 				// anyway: it is the quantity the search optimizes.
 				a := in.EvaluateRouted(inc.Placement, mode, seed)
 				b := in.EvaluateRouted(nai.Placement, mode, seed)
-				//socllint:ignore floateq differential test demands bitwise equality, not approximation
 				if a.Objective != b.Objective {
 					t.Fatalf("%s: objectives diverge %v vs %v", label(""), a.Objective, b.Objective)
 				}

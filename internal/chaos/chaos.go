@@ -283,7 +283,6 @@ func updateScale(cur *float64, next float64) (delta int, changed bool) {
 	if *cur == next {
 		return 0, false
 	}
-	//socllint:ignore floateq see above: 1 is the literal nominal scale
 	was, now := *cur != 1, next != 1
 	*cur = next
 	switch {

@@ -129,7 +129,6 @@ type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
-	//socllint:ignore floateq exact compare keeps the order strict-weak; an epsilon would break sort transitivity
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
@@ -333,7 +332,6 @@ func (rt *runtime) replan() error {
 		for _, node := range placement.NodesOf(svc) {
 			if _, ok := rt.containers[svc][node]; !ok {
 				ready := rt.now + rt.cfg.ColdStart
-				//socllint:ignore floateq exact zero is the sentinel for the pre-traffic instant, never a computed time
 				if rt.now == 0 {
 					ready = 0 // initial deployment pre-warms before traffic
 				} else {

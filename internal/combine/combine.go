@@ -583,7 +583,6 @@ func (s *state) updateInstanceSet() []scoredInst {
 	}
 	sort.Slice(out, func(i, j int) bool {
 		ri, rj := rank(out[i]), rank(out[j])
-		//socllint:ignore floateq exact compare keeps the order strict-weak; an epsilon here would break sort transitivity
 		if ri != rj {
 			return ri < rj
 		}
@@ -760,7 +759,6 @@ func (s *state) serialPhase(cfg Config, res *Result) {
 			// parallel loop's "continue" in line 17) — i.e., accept the
 			// removal and move on.
 			res.Combined++
-			//socllint:ignore snapshotpair removal is committed, not rolled back: storage stays tight until further combining shrinks the deployment
 			continue
 		}
 
@@ -830,7 +828,6 @@ func (s *state) saveSnapshot(res *Result) {
 		}
 	} else {
 		for i := range s.place.X {
-			//socllint:ignore placementmut write target is the snapshot buffer, never indexed; the live placement is only read
 			copy(sn.place.X[i], s.place.X[i])
 		}
 		for h := range s.rel {
@@ -855,7 +852,6 @@ func (s *state) saveSnapshot(res *Result) {
 func (s *state) restoreSnapshot(res *Result) {
 	sn := &s.snap
 	for i := range s.place.X {
-		//socllint:ignore placementmut wholesale restore: the Rebind below invalidates every cached list before the next read
 		copy(s.place.X[i], sn.place.X[i])
 	}
 	for h := range s.rel {
@@ -1061,7 +1057,6 @@ func (s *state) migrate(svc, k int, res *Result) bool {
 		cands = append(cands, cand{q, in.Graph.PathCost(k, q)})
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		//socllint:ignore floateq exact compare keeps the order strict-weak; an epsilon here would break sort transitivity
 		if cands[i].cost != cands[j].cost {
 			return cands[i].cost < cands[j].cost
 		}

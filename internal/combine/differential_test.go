@@ -1,6 +1,8 @@
 package combine
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -95,6 +97,33 @@ func TestIncrementalMatchesNaiveUnderRollbacks(t *testing.T) {
 		in1, part1, pre1 := build(seed)
 		in2, part2, pre2 := build(seed)
 		assertRunsIdentical(t, "rollback-heavy", in1, in2, part1, part2, pre1, pre2, DefaultConfig())
+	}
+}
+
+// TestIncrementalMatchesNaiveParallelReroute covers the goroutine fan-out in
+// deadlineViolatedIncremental, which the smaller differential instances never
+// reach: with at least rerouteParallelThreshold finite-deadline requests the
+// first deadline check of a run (every route still invalid) re-routes on
+// GOMAXPROCS workers. The placement must still match the serial naive
+// reference bit for bit, and under -race any write to shared state from a
+// worker other than its own cache entries fails the test.
+func TestIncrementalMatchesNaiveParallelReroute(t *testing.T) {
+	if runtime.GOMAXPROCS(0) == 1 {
+		t.Skip("GOMAXPROCS == 1: the re-route fan-out stays serial")
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		in1, part1, pre1 := buildInstance(12, 160, seed, 1e6)
+		in2, part2, pre2 := buildInstance(12, 160, seed, 1e6)
+		finite := 0
+		for _, req := range in1.Workload.Requests {
+			if !math.IsInf(req.Deadline, 1) {
+				finite++
+			}
+		}
+		if finite < rerouteParallelThreshold {
+			t.Fatalf("seed %d: %d finite-deadline requests, need >= %d to reach the fan-out", seed, finite, rerouteParallelThreshold)
+		}
+		assertRunsIdentical(t, "parallel re-route", in1, in2, part1, part2, pre1, pre2, DefaultConfig())
 	}
 }
 

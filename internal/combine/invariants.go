@@ -9,8 +9,7 @@ import (
 // checks are armed by the `soclinvariants` build tag and compile to nothing
 // otherwise; with the tag on they recompute the incremental engine's three
 // cached structures (candidate index, reverse reliance index, route cache)
-// from scratch and panic on the first divergence — the runtime counterpart
-// of the placementmut/snapshotpair analyzers, catching what escapes them.
+// from scratch and panic on the first divergence.
 
 // checkPhaseInvariants validates the mutable state against ground truth:
 //

@@ -2,6 +2,8 @@ package combine
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/model"
@@ -248,4 +250,134 @@ func edgeOnes(n int) []float64 {
 		out[i] = 1
 	}
 	return out
+}
+
+// naiveReconcile is the scratch-evaluation reference of RunSharded's boundary
+// reconciliation: the same halo views, candidate order, guards and pin-set,
+// but every candidate is scored by evaluating a cloned placement from
+// scratch, so nothing can leak from one probe into the next. It commits the
+// removals to merged and reports how many candidates were rolled back
+// (objective improved, a request went unserved or late) and whether a commit
+// followed a roll-back within one shard — the sequence on which an evaluator
+// left in its probed state would diverge.
+func naiveReconcile(t *testing.T, in *model.Instance, plan *topology.ShardPlan, merged model.Placement) (rolledBack int, commitAfterRollback bool) {
+	t.Helper()
+	reqsByNode := make([][]int, in.V())
+	for h, req := range in.Workload.Requests {
+		reqsByNode[req.Home] = append(reqsByNode[req.Home], h)
+	}
+	pinned := map[[2]int]bool{}
+	for s := 0; s < plan.NumShards; s++ {
+		own, halo := plan.Shards[s], plan.Halo(s)
+		if len(halo) == 0 {
+			continue
+		}
+		nodes := append(append([]int(nil), own...), halo...)
+		var reqs []int
+		for _, v := range own {
+			reqs = append(reqs, reqsByNode[v]...)
+		}
+		sort.Ints(reqs)
+		ownReqs := len(reqs)
+		servable := func(h int) bool {
+			for _, svc := range in.Workload.Requests[h].Chain {
+				found := false
+				for _, v := range nodes {
+					found = found || merged.Has(svc, v)
+				}
+				if !found {
+					return false
+				}
+			}
+			return true
+		}
+		var haloReqs []int
+		for _, v := range halo {
+			for _, h := range reqsByNode[v] {
+				if servable(h) {
+					haloReqs = append(haloReqs, h)
+				}
+			}
+		}
+		sort.Ints(haloReqs)
+		si, err := model.NewShardInstance(in, nodes, len(own), append(reqs, haloReqs...), ownReqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		si.Sub.Budget = math.Inf(1)
+		p := si.Restrict(merged)
+		base := si.Sub.Evaluate(p)
+		rolledBackHere := false
+		for i := 0; i < in.M(); i++ {
+			for _, k := range localIndex(plan.Gateways[s], own) {
+				if !p.Has(i, k) || pinned[[2]int{i, si.Nodes[k]}] {
+					continue
+				}
+				q := p.Clone()
+				q.Set(i, k, false)
+				ev := si.Sub.Evaluate(q)
+				if !(ev.Objective < base.Objective-boundaryImproveTol) {
+					continue
+				}
+				if ev.Unserved() > base.Unserved() || ev.DeadlineViolated > base.DeadlineViolated {
+					rolledBack++
+					rolledBackHere = true
+					continue
+				}
+				p, base = q, ev
+				merged.Set(i, si.Nodes[k], false)
+				commitAfterRollback = commitAfterRollback || rolledBackHere
+			}
+		}
+		for h := 0; h < si.OwnReqs; h++ {
+			chain := si.Sub.Workload.Requests[h].Chain
+			for j, kn := range base.Routes[h].Nodes {
+				if kn >= si.OwnNodes {
+					pinned[[2]int{chain[j], si.Nodes[kn]}] = true
+				}
+			}
+		}
+	}
+	return rolledBack, commitAfterRollback
+}
+
+// Boundary reconciliation probes through one DeltaEvaluator per shard, so a
+// rolled-back candidate must leave it exactly as it was: with finite
+// deadlines a removal can cut cost by more than it adds latency and still
+// make a request late (no in-tree caller passes deadlines to RunSharded, so
+// no other test reaches the roll-back), and every later candidate of that
+// shard is then scored on the evaluator the roll-back left behind. The
+// reconciled placement must equal the scratch reference's bit for bit.
+func TestRunShardedReconcileRollbackMatchesNaive(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		in, plan := clusteredInstance(t, 240, 4, 8, 0.5, seed)
+		cfg := DefaultShardedConfig()
+		cfg.Seed = stats.SplitSeed(seed, "rollback")
+		cfg.NoReconcile = true
+		run := func() *ShardedResult {
+			res, err := RunSharded(in, plan, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		// Deadlines 10 % above what the unreconciled placement achieves under
+		// global routing: tight enough that most cost-saving boundary removals
+		// make some request late.
+		_, ev := globalEval(in, run().Placement)
+		for h := range in.Workload.Requests {
+			in.Workload.Requests[h].Deadline = 1.1 * ev.Latencies[h]
+		}
+		want := run().Placement.Clone()
+		rolledBack, commitAfterRollback := naiveReconcile(t, in, plan, want)
+		if rolledBack == 0 || !commitAfterRollback {
+			t.Fatalf("seed %d: fixture no longer commits a removal after a roll-back (rolled back %d)", seed, rolledBack)
+		}
+		cfg.NoReconcile = false
+		got := run()
+		if !reflect.DeepEqual(got.Placement, want) {
+			t.Fatalf("seed %d: reconciled placement diverges from the scratch reference (%d removals, %d roll-backs in the reference)",
+				seed, got.ReconcileRemoved, rolledBack)
+		}
+	}
 }

@@ -118,7 +118,6 @@ func solve(in *model.Instance, cfg Config, warm *model.Placement) *Solution {
 		// Warm instances resist removal (fewer container cold-starts); the
 		// bias defaults to 2Θ when the caller didn't choose one.
 		ccfg.Warm = *warm
-		//socllint:ignore floateq exact zero means the caller left the bias unset; it is never a computed value
 		if ccfg.WarmBias == 0 {
 			ccfg.WarmBias = 2 * combineTheta(ccfg)
 		}

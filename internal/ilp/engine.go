@@ -265,7 +265,6 @@ func solveEngine(m *BoundedMIP, opt Options) (Result, error) {
 		return e.finish(start, solvers), nil
 	}
 	e.rootBound = rootSol.Objective
-	//socllint:ignore snapshotpair root snapshot is stored on the engine; the root's children Restore it (processNode fromSnapshot=true)
 	e.snap = ws.Snapshot()
 
 	var seeds []node

@@ -52,7 +52,6 @@ func WriteBoundedLP(w io.Writer, m *BoundedMIP) error {
 	for j := 0; j < prob.NumVars; j++ {
 		lo, up := prob.Lower[j], prob.Upper[j]
 		switch {
-		//socllint:ignore floateq structural zero: LP-format default bound, assigned not computed
 		case math.IsInf(up, 1) && lo == 0:
 			// default bound; omit
 		case math.IsInf(up, 1):
@@ -89,7 +88,6 @@ func WriteBoundedLP(w io.Writer, m *BoundedMIP) error {
 func writeLinear(w io.Writer, coeffs []float64) {
 	wrote := false
 	for j, v := range coeffs {
-		//socllint:ignore floateq structural zero coefficients are skipped exactly; a tolerance would drop real terms
 		if v == 0 {
 			continue
 		}

@@ -67,7 +67,7 @@ func TestArmedAssert(t *testing.T) {
 // cache is caught on a fresh watch, and a watch that already verified the
 // current epoch skips the scan entirely (so per-phase checks stay O(1)
 // between mutations — raw writes do not bump the epoch, which is exactly
-// why the placementmut analyzer bans them).
+// why every placement write must go through the index).
 func TestArmedIndexWatch(t *testing.T) {
 	p := model.NewPlacement(2, 4)
 	p.Set(0, 1, true)

@@ -270,7 +270,6 @@ func (t *boundedTableau) setPhase(phase1 bool, c []float64) {
 	copy(obj, t.cost)
 	for r, bj := range t.basis {
 		factor := obj[bj]
-		//socllint:ignore floateq structural zero: entry was assigned zero by elimination, not approximately computed
 		if factor == 0 {
 			continue
 		}
@@ -416,7 +415,6 @@ func (t *boundedTableau) moveAndPivot(enter int, dir, dist float64, leave int, l
 			continue
 		}
 		f := t.coef[r][enter]
-		//socllint:ignore floateq structural zero skip is an optimization; pivoting handles near-zeros via ratio tests
 		if f == 0 {
 			continue
 		}

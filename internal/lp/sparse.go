@@ -73,7 +73,6 @@ func newCSC(p *BoundedProblem) *cscMatrix {
 	nnz := 0
 	for i, c := range p.Constraints {
 		for _, v := range c.Coeffs {
-			//socllint:ignore floateq structural nonzero scan over verbatim input coefficients; a tolerance would drop real entries
 			if v != 0 {
 				nnz++
 			}
@@ -89,7 +88,6 @@ func newCSC(p *BoundedProblem) *cscMatrix {
 	for i, c := range p.Constraints {
 		rowCols = rowCols[:0]
 		for j, v := range c.Coeffs {
-			//socllint:ignore floateq same structural nonzero scan as the count pass above
 			if v != 0 {
 				rowCols = append(rowCols, j)
 			}
@@ -459,7 +457,6 @@ func (t *sparseTableau) ftran(x []float64) {
 		e := &t.etas[k]
 		xr := x[e.r] / e.pv
 		x[e.r] = xr
-		//socllint:ignore floateq structural zero skip: subtracting v·0 never changes bits, so the sparse shortcut is exact
 		if xr == 0 {
 			continue
 		}
@@ -488,7 +485,6 @@ func (t *sparseTableau) btran(x []float64) {
 func (t *sparseTableau) appendEta(r int, w []float64) {
 	start := len(t.entArena)
 	for i := range w {
-		//socllint:ignore floateq collecting exact nonzeros of the FTRANed column; near-zeros must be kept to stay bitwise-faithful to dense pivoting
 		if w[i] != 0 && i != r {
 			t.entArena = append(t.entArena, etaEntry{i: int32(i), v: w[i]})
 		}
@@ -524,7 +520,6 @@ func (t *sparseTableau) iterate() Status {
 		for r := 0; r < m; r++ {
 			c := t.cost[t.basis[r]]
 			y[r] = c
-			//socllint:ignore floateq cost entries are exact copies of the phase objective; zero means "not costed"
 			if c != 0 {
 				anyCost = true
 			}
@@ -637,7 +632,6 @@ func (t *sparseTableau) iterate() Status {
 func (t *sparseTableau) boundFlip(j int, dir float64, w []float64) {
 	dist := t.upper[j] - t.lower[j]
 	for r := 0; r < t.m(); r++ {
-		//socllint:ignore floateq structural zero skip: subtracting dir·dist·0 never changes bits
 		if w[r] != 0 {
 			t.val[r] -= dir * dist * w[r]
 		}
@@ -649,7 +643,6 @@ func (t *sparseTableau) boundFlip(j int, dir float64, w []float64) {
 // basic variable at the bound it hit, and appends the pivot eta.
 func (t *sparseTableau) moveAndPivot(enter int, dir, dist float64, leave int, leaveToUpper bool, w []float64) {
 	for r := 0; r < t.m(); r++ {
-		//socllint:ignore floateq structural zero skip: subtracting dir·dist·0 never changes bits
 		if w[r] != 0 {
 			t.val[r] -= dir * dist * w[r]
 		}
@@ -823,7 +816,6 @@ func (t *sparseTableau) recomputeVal() {
 			continue
 		}
 		v := t.nonbasicValue(j)
-		//socllint:ignore floateq nonbasic value at exactly zero contributes nothing; a tolerance would drop real contributions
 		if v != 0 && !math.IsInf(v, 1) {
 			t.colAddScaled(j, -v, b)
 		}
@@ -849,13 +841,11 @@ func (t *sparseTableau) residualNorm() float64 {
 			continue
 		}
 		v = t.nonbasicValue(j)
-		//socllint:ignore floateq exact-zero skip mirrors recomputeVal
 		if v != 0 && !math.IsInf(v, 1) {
 			t.colAddScaled(j, -v, res)
 		}
 	}
 	for r, bj := range t.basis {
-		//socllint:ignore floateq exact-zero skip: subtracting val·0 never changes the residual bits
 		if t.val[r] != 0 {
 			t.colAddScaled(bj, -t.val[r], res)
 		}
@@ -930,7 +920,6 @@ func (w *WarmSolver) warmApplySparse(lower, upper []float64) bool {
 					newv = nu
 				}
 			}
-			//socllint:ignore floateq structural zero delta: the bound value was copied, not computed; only a literal move needs the RHS update
 			if d := newv - oldv; d != 0 {
 				any = true
 				t.colAddScaled(j, d, acc)
@@ -941,7 +930,6 @@ func (w *WarmSolver) warmApplySparse(lower, upper []float64) bool {
 	if any {
 		t.ftran(acc)
 		for r := 0; r < m; r++ {
-			//socllint:ignore floateq structural zero skip: subtracting 0 never changes bits
 			if acc[r] != 0 {
 				t.val[r] -= acc[r]
 			}
@@ -1015,7 +1003,6 @@ func (t *sparseTableau) dualResume() Status {
 		for i := 0; i < m; i++ {
 			c := t.cost[t.basis[i]]
 			y[i] = c
-			//socllint:ignore floateq cost entries are exact copies of the phase objective; zero means "not costed"
 			if c != 0 {
 				anyCost = true
 			}

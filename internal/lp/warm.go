@@ -146,7 +146,6 @@ func (w *WarmSolver) SolveWithBounds(lower, upper []float64) (Solution, error) {
 // solutions.
 func canonZeros(x []float64) {
 	for j, v := range x {
-		//socllint:ignore floateq the whole point is the exact zero: v == 0 is true for -0, and the rewrite normalizes its sign bit
 		if v == 0 {
 			x[j] = 0
 		}

@@ -35,8 +35,7 @@ import (
 // Staleness is epoch-checked: the evaluator owns its PlacementIndex, stamps
 // every mutation it performs, and panics if the index's Epoch moved without
 // it — a placement write that bypassed Apply/Revert/AdvanceTo would silently
-// poison the cache otherwise (the bug class the placementmut analyzer hunts
-// statically).
+// poison the cache otherwise.
 
 // deltaRoute is one request's cached routing outcome under the bound
 // placement. The class flags mirror EvaluateRouted's routeOne: exactly one

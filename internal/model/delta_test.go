@@ -14,7 +14,6 @@ import (
 // bit for bit: scalars, counters, per-request latencies and assignments.
 func assertEvalIdentical(t *testing.T, label string, got, want *Evaluation) {
 	t.Helper()
-	//socllint:ignore floateq the engine's contract is bitwise equality with the scratch evaluator, not approximation
 	if got.Objective != want.Objective || got.LatencySum != want.LatencySum || got.Cost != want.Cost {
 		t.Fatalf("%s: scalars diverge: objective %v/%v latency %v/%v cost %v/%v",
 			label, got.Objective, want.Objective, got.LatencySum, want.LatencySum, got.Cost, want.Cost)
@@ -229,7 +228,6 @@ func TestDeltaEvaluatorLastInstanceOfUnroutable(t *testing.T) {
 			t.Fatalf("cloud=%v: fixture is not unroutable: %+v", withCloud, countersOf(ev))
 		}
 		obj, _ := de.ProbeRemoval(a, 2)
-		//socllint:ignore floateq the probe's contract is bitwise equality with the scratch evaluator
 		if obj != want.Objective && !(math.IsInf(obj, 1) && math.IsInf(want.Objective, 1)) {
 			t.Fatalf("cloud=%v: ProbeRemoval objective %v, scratch says %v", withCloud, obj, want.Objective)
 		}

@@ -10,6 +10,14 @@ import "fmt"
 // The index rebuilds a service's list lazily after a mutation through Set
 // (or a wholesale Rebind), so unchanged services cost a slice read.
 //
+// Coherence: a write that bypasses Set/Rebind leaves the cache stale and
+// silently corrupts every routed result. The mistake that actually happens is
+// not a raw p.X[i][k] = v but a Placement.Set on a placement some index
+// aliases — which no syntactic check can tell from a legitimate one — so the
+// guard is dynamic: Epoch plus CheckCoherent under the soclinvariants build
+// (invariant.IndexWatch at every combine phase boundary), and the
+// incremental ≡ naive differential tests of combine and model.
+//
 // Concurrency: NodesOf lazily rebuilds dirty entries, so concurrent readers
 // must call Prewarm first (or otherwise guarantee no entry is dirty); after
 // that, reads are safe from any number of goroutines as long as no mutation
@@ -23,7 +31,7 @@ type PlacementIndex struct {
 	// lets invariant checkers and long-lived consumers detect staleness in
 	// O(1): a cached artifact stamped with Epoch() e is coherent with the
 	// index iff Epoch() still equals e — *provided* every placement write
-	// went through the index, which the placementmut analyzer enforces.
+	// went through the index, which CheckCoherent verifies.
 	epoch uint64
 }
 

@@ -131,7 +131,6 @@ func provisionGroup(in *model.Instance, sp *partition.ServicePartition, s int, q
 		list = append(list, scored{k, contribution(in, sp, s, k)})
 	}
 	sort.Slice(list, func(i, j int) bool {
-		//socllint:ignore floateq exact compare keeps the order strict-weak; an epsilon would break sort transitivity
 		if list[i].d != list[j].d {
 			return list[i].d < list[j].d
 		}

@@ -256,3 +256,61 @@ func TestRepairCloudFallback(t *testing.T) {
 		t.Fatalf("zero budget still re-provisioned %v", res.Added)
 	}
 }
+
+// TestDeltaScorerProbesLeaveNoTrace: every probe is a tentative Apply → Eval
+// → Revert, so afterwards the bound placement and the full evaluation must be
+// bitwise what they were before — on the over-budget outcome too, which the
+// differential instances (budget 8000, never binding) do not reach.
+func TestDeltaScorerProbesLeaveNoTrace(t *testing.T) {
+	for _, budget := range []float64{8000, 1} {
+		in := testInstance(t, 8, 25, 1)
+		p := baselines.JDR(in)
+		in.Budget = budget
+		cfg := DefaultConfig()
+		s := &deltaScorer{in: in, d: model.NewDeltaEvaluator(in, p.Clone(), cfg.Mode, cfg.Seed)}
+
+		var absent []chaos.Inst
+		present := chaos.Inst{Svc: -1}
+		for i := range p.X {
+			for k := range p.X[i] {
+				if !p.Has(i, k) {
+					absent = append(absent, chaos.Inst{Svc: i, Node: k})
+				} else if present.Svc < 0 {
+					present = chaos.Inst{Svc: i, Node: k}
+				}
+			}
+		}
+		if len(absent) < 2 || present.Svc < 0 {
+			t.Fatal("placement leaves nothing to probe; bad test instance")
+		}
+
+		before := s.d.Eval()
+		check := func(probe string) {
+			t.Helper()
+			after := s.d.Eval()
+			if !reflect.DeepEqual(s.d.Placement(), p) {
+				t.Fatalf("budget %v: %s left the placement mutated", budget, probe)
+			}
+			if math.Float64bits(after.Objective) != math.Float64bits(before.Objective) ||
+				math.Float64bits(after.Cost) != math.Float64bits(before.Cost) ||
+				after.OverBudget != before.OverBudget {
+				t.Fatalf("budget %v: %s left the evaluation changed: %+v -> %+v", budget, probe, before, after)
+			}
+			for h := range before.Latencies {
+				if math.Float64bits(after.Latencies[h]) != math.Float64bits(before.Latencies[h]) {
+					t.Fatalf("budget %v: %s changed request %d's latency %v -> %v", budget, probe, h, before.Latencies[h], after.Latencies[h])
+				}
+			}
+		}
+
+		_, over := s.probeAdd(absent[0].Svc, absent[0].Node)
+		if want := budget == 1; over != want {
+			t.Fatalf("budget %v: probeAdd over = %v, want %v", budget, over, want)
+		}
+		check("probeAdd")
+		s.probeRemoval(present.Svc, present.Node)
+		check("probeRemoval")
+		s.probeBundle(absent[:2])
+		check("probeBundle")
+	}
+}

@@ -182,7 +182,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	d.policy = cfg.Policy
 	if d.policy == nil {
 		thr := cfg.ResolveThreshold
-		//socllint:ignore floateq deliberate exact zero: the unset-field sentinel
 		if thr == 0 {
 			thr = DefaultResolveThreshold
 		}

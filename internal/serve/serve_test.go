@@ -136,7 +136,6 @@ func TestDaemonIncrementalEpochs(t *testing.T) {
 		if !rec.Incremental {
 			t.Fatalf("steady epoch %d ran a policy", rec.Epoch)
 		}
-		//socllint:ignore floateq steady epochs must reproduce the exact bits, not approximately
 		if rec.Objective != first.Objective || rec.Cost != first.Cost {
 			t.Fatalf("steady epoch %d drifted: obj %v vs %v", rec.Epoch, rec.Objective, first.Objective)
 		}

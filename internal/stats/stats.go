@@ -169,7 +169,6 @@ func CosineSimilarity(a, b []float64) float64 {
 		na += a[i] * a[i]
 		nb += b[i] * b[i]
 	}
-	//socllint:ignore floateq exact zero norm means an all-zero vector; any nonzero component makes it positive
 	if na == 0 || nb == 0 {
 		return 0
 	}

@@ -285,7 +285,6 @@ func (g *Graph) PathCost(a, b NodeID) float64 {
 // It is +Inf when a == b and 0 when disconnected.
 func (g *Graph) VirtualSpeed(a, b NodeID) float64 {
 	c := g.PathCost(a, b)
-	//socllint:ignore floateq PathCost returns literal 0 only for a==b; positive costs never sum to exactly zero
 	if c == 0 {
 		return math.Inf(1)
 	}

@@ -271,7 +271,6 @@ func (tr *Trace) PeakToMeanRatio(binMinutes float64) float64 {
 		}
 	}
 	mean := float64(sum) / float64(len(bins))
-	//socllint:ignore floateq exact zero mean means every bin count is zero (integer sum cast to float)
 	if mean == 0 {
 		return 0
 	}

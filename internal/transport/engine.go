@@ -268,7 +268,6 @@ func (e *Engine) handleHello(fr Frame) []Frame {
 		inner := sc.Policy
 		if inner == nil {
 			thr := sc.ResolveThreshold
-			//socllint:ignore floateq deliberate exact zero: the unset-field sentinel
 			if thr == 0 {
 				thr = serve.DefaultResolveThreshold
 			}

@@ -133,7 +133,6 @@ func GroupedBarChart(title, yLabel string, labels []string, series []Series) str
 			yMax = math.Max(yMax, y)
 		}
 	}
-	//socllint:ignore floateq exact zero: yMax starts at 0 and only ever increases by max()
 	if yMax == 0 {
 		yMax = 1
 	}

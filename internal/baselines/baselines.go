@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"repro/internal/model"
+	"repro/internal/msvc"
 	"repro/internal/stats"
 )
 
@@ -133,20 +134,24 @@ func JDR(in *model.Instance) model.Placement {
 	}
 	capTier := capOrder[:tier]
 
-	// Deterministic service order.
-	used := append([]int(nil), in.Workload.ServicesUsed()...)
-	sort.Ints(used)
+	// One pass over the requests serves both passes below: the used services
+	// (ascending — a deterministic order), their demand nodes and user counts.
+	idx := msvc.NewIndex(in.Workload, in.V())
+	used := idx.ServicesUsed()
+	multiUser := func(svc int) bool {
+		totalUsers := 0
+		for _, d := range idx.DemandRow(svc) {
+			totalUsers += d
+		}
+		return totalUsers > 1
+	}
 
 	// Pass 1 — continuity: one instance per used service before any
 	// redundancy, so the budget cannot be exhausted by redundant copies of
 	// early services while later services go uncovered.
 	for _, svc := range used {
-		demand := in.Workload.NodesRequesting(svc)
-		totalUsers := 0
-		for _, k := range demand {
-			totalUsers += in.Workload.DemandCount(k, svc)
-		}
-		if totalUsers <= 1 {
+		demand := idx.NodesRequesting(svc)
+		if !multiUser(svc) {
 			placeNearest(svc, demand[0]) // single-user: next to the user
 			continue
 		}
@@ -168,15 +173,10 @@ func JDR(in *model.Instance) model.Placement {
 	// capacity servers, one per demand node (the paper's redundancy
 	// criticism of JDR).
 	for _, svc := range used {
-		demand := in.Workload.NodesRequesting(svc)
-		totalUsers := 0
-		for _, k := range demand {
-			totalUsers += in.Workload.DemandCount(k, svc)
-		}
-		if totalUsers <= 1 {
+		if !multiUser(svc) {
 			continue
 		}
-		target := len(demand)
+		target := len(idx.NodesRequesting(svc))
 		for _, k := range capTier {
 			if p.Count(svc) >= target {
 				break

@@ -27,12 +27,13 @@
 //     Every placement mutation goes through state.setPlace, and wholesale
 //     replacements (snapshot restore) Rebind the index. Cached per-service
 //     node lists are therefore equal to Placement.NodesOf at all times.
-//  2. Reliance-index coherence: state.relyIdx maps each live instance to
+//  2. Reliance-index coherence: state.relyIdx holds, for each live instance,
 //     the ascending (h,t) list of steps relying on it — exactly the pairs
-//     with rel[h][t]==node and Chain[t]==svc. Reliance reassignments move
-//     entries between lists; restores rebuild the index from rel. The
-//     ascending order makes ζ's float summation bit-identical to the naive
-//     full scan.
+//     with rel[h][t]==node and Chain[t]==svc. A re-homing replaces the lists
+//     it changes with fresh ones (one merge per destination) and never edits
+//     a published list, so a snapshot keeps the list headers and a restore
+//     puts them back. The ascending order makes ζ's float summation
+//     bit-identical to the naive full scan.
 //  3. Route-cache exactness: a valid state.routes entry holds the request's
 //     true optimal route and latency under the live placement. Removing an
 //     instance invalidates exactly the requests whose cached route used it
@@ -40,6 +41,14 @@
 //     whose route avoids the removed node); adding one (migration target)
 //     invalidates every request whose chain contains the service, since a
 //     grown candidate set can strictly improve avoided-node routes too.
+//     Precondition for surviving a roll-back: the cache is refreshed under
+//     the pre-step placement before every snapshot a roll-back can restore
+//     (a step that leaves storage short is accepted unexamined), so what a
+//     restore brings back is valid for the placement it brings back. Early
+//     verdict: because a valid entry is exact, one that already misses its
+//     deadline decides the check (Eq. 4 is violated) before anything is
+//     re-routed; only a check with no such entry re-routes, and then only
+//     the invalid ones.
 //
 // The original full rescans survive as the reference path behind an
 // unexported Config field that only this package's tests set; the two paths
@@ -97,9 +106,13 @@ type Result struct {
 	ParallelRounds,
 	SerialRounds int
 
-	// Incremental-engine telemetry: requests whose
-	// cached optimal route was reused across deadline checks, and requests
-	// re-routed because a mutation could have changed their optimum.
+	// Incremental-engine telemetry, summed over the run's deadline checks.
+	// RouteCacheHits counts the finite-deadline requests a check found with a
+	// still-valid cache entry, so that their Eq. 4 verdict was read, not
+	// routed. RouteRecomputed counts the entries actually re-routed, by the
+	// refresh before a snapshot or by a check no valid entry had already
+	// decided. A check that a cached violation decides re-routes nothing, so
+	// hits + recomputed is no longer checks × requests.
 	RouteCacheHits  int
 	RouteRecomputed int
 }
@@ -114,6 +127,7 @@ type state struct {
 	part     *partition.Result
 	place    model.Placement
 	rel      [][]int // reliance[h][t] = serving node, or cloudNode
+	relFlat  []int   // rel's rows back to back: one copy snapshots them all
 	frozen   map[instKey]bool
 	weights  []float64
 	cost     float64
@@ -122,31 +136,32 @@ type state struct {
 
 	// Incremental engine (all nil/zero when running naive; see
 	// incremental.go and the package comment's invariants).
-	idx                   *model.PlacementIndex   // cached candidate node lists
-	relyIdx               map[instKey][][2]int    // instance → ascending relying (h,t)
-	routes                []cachedRoute           // per-request deadline-check cache
-	finite                []int                   // requests with finite deadlines
-	chainReqs             map[int][]int           // service → finite requests using it
-	scratch               *model.RouteScratch     // serial-path DP buffers
-	dirtyBuf              []int                   // reusable re-route worklist
-	zetaCache             map[int]map[int]float64 // service → node → memoized ζ
-	latRow                []float64               // per-request ψ rows for starObjective
-	latRowDirty           []bool                  // rows needing re-derivation
+	idx                   *model.PlacementIndex // cached candidate node lists
+	relyIdx               [][][2]int            // [svc·|V|+node] → ascending relying (h,t)
+	rehomed               [][][2]int            // per-node scratch of rehome
+	routes                []cachedRoute         // per-request deadline-check cache
+	finite                []int                 // requests with finite deadlines
+	chainReqs             [][]int               // service → finite requests using it
+	scratch               *model.RouteScratch   // serial-path DP buffers
+	dirtyBuf              []int                 // reusable re-route worklist
+	zetaMemo              []float64             // [svc·|V|+node] memoized ζ, NaN = unset
+	latRow                []float64             // per-request ψ rows for starObjective
+	latRowDirty           []bool                // rows needing re-derivation
 	cacheHits, recomputed int
 
 	// Static memoization, shared by both engine modes (pure functions of
 	// the instance and partition, never of the mutable placement).
-	groupTab  map[int][]int // service → per-node partition group, -1 outside
-	rhoCache  [][]float64   // localDemandFactor (svc, node), NaN = unset
-	demandTab [][]int       // demandTab[svc][k] = Workload.DemandCount(k, svc)
-	latTab    [][]float64   // per request: step latencies, row-major [t·V+k]
-	cloudLat  [][]float64   // per request: cloud step latencies [t]
-	snap      snapState     // reusable serial-step snapshot buffers
+	groupTab [][]int     // service → per-node partition group, -1 outside; nil row = no partition
+	rhoCache [][]float64 // localDemandFactor (svc, node), NaN = unset
+	snap     snapState   // reusable serial-step snapshot buffers
 
 	// idxWatch memoizes index-coherence verification by epoch; inert (and
 	// all its uses free) without the soclinvariants build tag.
 	idxWatch invariant.IndexWatch
 }
+
+// at is the dense (service, node) position shared by relyIdx and zetaMemo.
+func (s *state) at(svc, node int) int { return svc*s.in.V() + node }
 
 // setPlace mutates the placement, keeping the candidate index coherent
 // (invariant 1).
@@ -167,17 +182,10 @@ func (s *state) nodesOf(i int) []int {
 	return s.place.NodesOf(i)
 }
 
-// Run executes the multi-scale combination on the pre-provisioned placement.
-func Run(in *model.Instance, part *partition.Result, pre model.Placement, cfg Config) Result {
-	if cfg.Omega <= 0 || cfg.Omega > 1 {
-		cfg.Omega = 0.25
-	}
-	if cfg.Theta < 0 {
-		cfg.Theta = 0
-	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = in.M()*in.V() + 16
-	}
+// newState assembles the combination state over a private copy of pre: the
+// static tables, then — unless cfg.naive — the incremental engine, whose
+// candidate index the initial reliance pass already reads.
+func newState(in *model.Instance, part *partition.Result, pre model.Placement, cfg Config) *state {
 	s := &state{
 		in:       in,
 		part:     part,
@@ -196,10 +204,28 @@ func Run(in *model.Instance, part *partition.Result, pre model.Placement, cfg Co
 	}
 	s.cost = in.DeployCost(s.place)
 	s.buildStaticTables()
+	if !cfg.naive {
+		s.idx = model.NewPlacementIndex(s.place)
+	}
 	s.initReliance()
 	if !cfg.naive {
 		s.initIncremental()
 	}
+	return s
+}
+
+// Run executes the multi-scale combination on the pre-provisioned placement.
+func Run(in *model.Instance, part *partition.Result, pre model.Placement, cfg Config) Result {
+	if cfg.Omega <= 0 || cfg.Omega > 1 {
+		cfg.Omega = 0.25
+	}
+	if cfg.Theta < 0 {
+		cfg.Theta = 0
+	}
+	if cfg.MaxRounds <= 0 {
+		cfg.MaxRounds = in.M()*in.V() + 16
+	}
+	s := newState(in, part, pre, cfg)
 
 	res := Result{}
 	res.BudgetMet = s.parallelPhase(cfg, &res)
@@ -229,7 +255,7 @@ func Run(in *model.Instance, part *partition.Result, pre model.Placement, cfg Co
 // the lazy memo for the FuzzyAHP local demand factor ρ (a pure function of
 // the workload). Both modes share these — they change no observable value.
 func (s *state) buildStaticTables() {
-	s.groupTab = make(map[int][]int, len(s.part.ByService))
+	s.groupTab = make([][]int, s.in.M())
 	for svc, sp := range s.part.ByService {
 		if sp == nil {
 			continue
@@ -260,69 +286,24 @@ func (s *state) buildStaticTables() {
 			s.rhoCache[i][k] = math.NaN()
 		}
 	}
-	// Per-(service,node) user demand in one workload pass, replacing the
-	// O(|U|·L) DemandCount scan inside every ρ normalizer.
-	s.demandTab = make([][]int, s.in.M())
-	for i := range s.demandTab {
-		s.demandTab[i] = make([]int, s.in.V())
-	}
-	reqs := s.in.Workload.Requests
-	for h := range reqs {
-		req := &reqs[h]
-		for t, svc := range req.Chain {
-			dup := false
-			for _, prev := range req.Chain[:t] {
-				if prev == svc {
-					dup = true // Uses() counts a request once per service
-					break
-				}
-			}
-			if !dup {
-				s.demandTab[svc][req.Home]++
-			}
-		}
-	}
-	// Step latencies are pure in (h, t, k): precompute them eagerly so the
-	// ζ and objective hot loops — including the parallel ζ workers — do
-	// read-only table lookups.
-	v := s.in.V()
-	s.latTab = make([][]float64, len(reqs))
-	if s.in.Cloud != nil {
-		s.cloudLat = make([][]float64, len(reqs))
-	}
-	for h := range reqs {
-		req := &reqs[h]
-		row := make([]float64, len(req.Chain)*v)
-		for t := range req.Chain {
-			data := s.stepData(h, t)
-			comp := s.in.Workload.Catalog.Service(req.Chain[t]).Compute
-			for k := 0; k < v; k++ {
-				c := s.in.Graph.PathCost(req.Home, k)
-				if math.IsInf(c, 1) {
-					row[t*v+k] = 1e12
-					continue
-				}
-				row[t*v+k] = data*c + comp/s.in.Graph.Node(k).Compute
-			}
-		}
-		s.latTab[h] = row
-		if s.in.Cloud != nil {
-			crow := make([]float64, len(req.Chain))
-			for t := range req.Chain {
-				crow[t] = s.stepData(h, t)*s.in.Cloud.TransferCost +
-					s.in.Workload.Catalog.Service(req.Chain[t]).Compute/s.in.Cloud.Compute
-			}
-			s.cloudLat[h] = crow
-		}
-	}
 }
 
+// initReliance applies the connection rule to every request step. The rows
+// of rel are windows of one backing array, so a snapshot is a single copy.
 func (s *state) initReliance() {
 	reqs := s.in.Workload.Requests
-	s.rel = make([][]int, len(reqs))
+	steps := 0
 	for h := range reqs {
-		s.rel[h] = make([]int, len(reqs[h].Chain))
-		for t := range reqs[h].Chain {
+		steps += len(reqs[h].Chain)
+	}
+	s.relFlat = make([]int, steps)
+	s.rel = make([][]int, len(reqs))
+	off := 0
+	for h := range reqs {
+		n := len(reqs[h].Chain)
+		s.rel[h] = s.relFlat[off : off+n : off+n]
+		off += n
+		for t := range s.rel[h] {
 			s.rel[h][t] = s.pickReliance(h, t, -1)
 		}
 	}
@@ -370,17 +351,10 @@ func (s *state) stepData(h, t int) float64 {
 }
 
 // stepLatency is the ψ contribution of serving (h,t) at node k: transfer of
-// the step's data from home plus compute time. Values are pure in (h,t,k)
-// and normally served from the tables built by buildStaticTables; the
-// formula fallback keeps hand-assembled states (tests) working.
+// the step's data from home plus compute time. Pure in (h,t,k), and cheap
+// enough to recompute: a run reads a few thousand of the |U|·L·|V| values a
+// table would hold.
 func (s *state) stepLatency(h, t, k int) float64 {
-	if k == cloudNode {
-		if s.cloudLat != nil {
-			return s.cloudLat[h][t]
-		}
-	} else if s.latTab != nil {
-		return s.latTab[h][t*s.in.V()+k]
-	}
 	req := &s.in.Workload.Requests[h]
 	if k == cloudNode {
 		// Cloud-served step: WAN transfer of the step's data plus cloud
@@ -463,7 +437,7 @@ func (s *state) markRowDirty(h int) {
 func (s *state) zeta(svc, node int) float64 {
 	if s.relyIdx != nil {
 		loss := 0.0
-		for _, ht := range s.relyIdx[instKey{svc, node}] {
+		for _, ht := range s.relyIdx[s.at(svc, node)] {
 			h, t := ht[0], ht[1]
 			alt := s.pickReliance(h, t, node)
 			if alt == -1 {
@@ -512,7 +486,7 @@ const zetaParallelThreshold = 32
 func (s *state) updateInstanceSet() []scoredInst {
 	var out []scoredInst
 	var miss []int // indices of out lacking a memoized ζ
-	for _, svc := range s.in.Workload.ServicesUsed() {
+	for _, svc := range s.part.Index.ServicesUsed() {
 		nodes := s.nodesOf(svc)
 		// Line 2-3: single-instance services are skipped for continuity —
 		// unless the cloud fallback exists, in which case even the last
@@ -520,14 +494,13 @@ func (s *state) updateInstanceSet() []scoredInst {
 		if len(nodes) <= 1 && s.in.Cloud == nil {
 			continue
 		}
-		row := s.zetaCache[svc] // nil map lookup is fine in naive mode
 		for _, k := range nodes {
 			key := instKey{svc, k}
 			if s.frozen[key] {
 				continue
 			}
-			if z, ok := row[k]; ok {
-				out = append(out, scoredInst{key, z})
+			if s.zetaMemo != nil && !math.IsNaN(s.zetaMemo[s.at(svc, k)]) {
+				out = append(out, scoredInst{key, s.zetaMemo[s.at(svc, k)]})
 			} else {
 				miss = append(miss, len(out))
 				out = append(out, scoredInst{key, 0})
@@ -563,14 +536,9 @@ func (s *state) updateInstanceSet() []scoredInst {
 			out[i].zeta = s.zeta(out[i].key.svc, out[i].key.node)
 		}
 	}
-	if s.zetaCache != nil {
+	if s.zetaMemo != nil {
 		for _, i := range miss {
-			row := s.zetaCache[out[i].key.svc]
-			if row == nil {
-				row = make(map[int]float64)
-				s.zetaCache[out[i].key.svc] = row
-			}
-			row[out[i].key.node] = out[i].zeta
+			s.zetaMemo[s.at(out[i].key.svc, out[i].key.node)] = out[i].zeta
 		}
 	}
 	// Removal priority: warm instances resist removal by WarmBias latency
@@ -599,38 +567,31 @@ func (s *state) updateInstanceSet() []scoredInst {
 }
 
 // removeInstance deletes (svc,node) and re-homes every relying step.
-// It returns the list of (h,t) pairs whose reliance changed, for undo.
 // Incrementally the relying steps come straight off the reverse index
 // (invariant 2) and only routes that used the instance are invalidated
 // (invariant 3); the naive fallback scans all (h,t). Both orders ascend.
-func (s *state) removeInstance(svc, node int) [][2]int {
+func (s *state) removeInstance(svc, node int) {
 	s.setPlace(svc, node, false)
-	delete(s.zetaCache, svc) // ζ row depends on svc's candidates + reliances
 	s.cost -= s.in.Workload.Catalog.Service(svc).DeployCost
 	if s.relyIdx != nil {
 		s.invalidateRoutesRemoved(svc, node)
-		moved := s.relyIdx[instKey{svc, node}]
-		delete(s.relyIdx, instKey{svc, node})
-		for _, ht := range moved {
-			h, t := ht[0], ht[1]
-			nk := s.pickReliance(h, t, -1)
-			s.rel[h][t] = nk
-			s.markRowDirty(h)
-			s.relyAdd(svc, nk, h, t)
-		}
-		return moved
+		s.rehome(svc, node)
+		return
 	}
-	var moved [][2]int
+	s.rehomeNaive(svc, node)
+}
+
+// rehomeNaive re-picks the reliance of every step served by the (already
+// removed) instance (svc,node), found by scanning all of rel.
+func (s *state) rehomeNaive(svc, node int) {
 	for h := range s.rel {
 		req := &s.in.Workload.Requests[h]
 		for t, k := range s.rel[h] {
 			if k == node && req.Chain[t] == svc {
 				s.rel[h][t] = s.pickReliance(h, t, -1)
-				moved = append(moved, [2]int{h, t})
 			}
 		}
 	}
-	return moved
 }
 
 // --- large-scale parallel phase (Algorithm 3 lines 1–5) ---
@@ -695,7 +656,6 @@ func (s *state) parallelPhase(cfg Config, res *Result) bool {
 // batch instances belong to services adjacent in some user's dependency
 // chain, the one with the larger ζ is discarded.
 func (s *state) filterDependencyConflicts(omega []scoredInst) []scoredInst {
-	adjacent := s.dependencyAdjacency()
 	drop := make([]bool, len(omega))
 	for i := 0; i < len(omega); i++ {
 		for j := i + 1; j < len(omega); j++ {
@@ -703,7 +663,7 @@ func (s *state) filterDependencyConflicts(omega []scoredInst) []scoredInst {
 				continue
 			}
 			a, b := omega[i].key.svc, omega[j].key.svc
-			if a == b || !adjacent[[2]int{a, b}] {
+			if a == b || !s.part.Index.ChainAdjacent(a, b) {
 				continue
 			}
 			if omega[i].zeta >= omega[j].zeta {
@@ -722,20 +682,6 @@ func (s *state) filterDependencyConflicts(omega []scoredInst) []scoredInst {
 	return out
 }
 
-// dependencyAdjacency returns the symmetric set of service pairs adjacent
-// in at least one request chain.
-func (s *state) dependencyAdjacency() map[[2]int]bool {
-	adj := map[[2]int]bool{}
-	for h := range s.in.Workload.Requests {
-		chain := s.in.Workload.Requests[h].Chain
-		for t := 1; t < len(chain); t++ {
-			adj[[2]int{chain[t-1], chain[t]}] = true
-			adj[[2]int{chain[t], chain[t-1]}] = true
-		}
-	}
-	return adj
-}
-
 // --- small-scale serial phase (Algorithm 3 lines 6–15) ---
 
 func (s *state) serialPhase(cfg Config, res *Result) {
@@ -749,6 +695,14 @@ func (s *state) serialPhase(cfg Config, res *Result) {
 			return
 		}
 		qBefore := s.starObjective()
+		// The snapshot must hold a route cache that is valid for the
+		// placement it restores (invariant 3's precondition): fill whatever
+		// is still unrouted now, under the pre-step placement. Not when the
+		// removal leaves storage short, though: that step is accepted
+		// unexamined below and nothing ever restores its snapshot.
+		if !s.storageShort(inst.key.svc) {
+			s.refreshRoutes()
+		}
 		s.saveSnapshot(res)
 		s.removeInstance(inst.key.svc, inst.key.node)
 		res.SerialRounds++
@@ -791,20 +745,24 @@ func (s *state) serialPhase(cfg Config, res *Result) {
 // migration counter for a full step undo. The frozen set must round-trip
 // because the step's storage planning may migrate() a frozen instance away
 // (un-freezing it); a rolled-back step must neither leak that deletion nor
-// keep counting its undone migrations. Cached routes are struct-copied:
-// their node slices are immutable once published (re-routes install fresh
-// slices), so sharing them with the snapshot is safe.
+// keep counting its undone migrations. Cached routes and reverse-index lists
+// are copied by header: what they point at is immutable once published
+// (re-routes and re-homings install fresh slices), so sharing it with the
+// snapshot is safe. The ζ memo round-trips too — a restored placement makes
+// the pre-step values exact again, so a roll-back rescoring costs nothing.
 //
 // The buffers live on state.snap and are reused round over round — at most
 // one snapshot is live at a time, and a restore copies contents back into
 // the live structures rather than swapping slice headers, so the serial
-// loop runs allocation-free.
+// loop's own bookkeeping allocates nothing after the first round.
 type snapState struct {
 	place       model.Placement
-	rel         [][]int
+	rel         []int // state.relFlat
 	cost        float64
 	frozen      map[instKey]bool
 	migrated    int
+	relyIdx     [][][2]int
+	zetaMemo    []float64
 	routes      []cachedRoute
 	latRow      []float64
 	latRowDirty []bool
@@ -814,39 +772,31 @@ func (s *state) saveSnapshot(res *Result) {
 	sn := &s.snap
 	if sn.place.X == nil {
 		sn.place = s.place.Clone()
-		sn.rel = make([][]int, len(s.rel))
-		for h := range s.rel {
-			sn.rel[h] = append([]int(nil), s.rel[h]...)
-		}
+		sn.rel = make([]int, len(s.relFlat))
 		sn.frozen = make(map[instKey]bool, len(s.frozen))
-		if s.routes != nil {
-			sn.routes = make([]cachedRoute, len(s.routes))
-		}
-		if s.latRow != nil {
-			sn.latRow = make([]float64, len(s.latRow))
-			sn.latRowDirty = make([]bool, len(s.latRowDirty))
-		}
+		sn.relyIdx = make([][][2]int, len(s.relyIdx))
+		sn.zetaMemo = make([]float64, len(s.zetaMemo))
+		sn.routes = make([]cachedRoute, len(s.routes))
+		sn.latRow = make([]float64, len(s.latRow))
+		sn.latRowDirty = make([]bool, len(s.latRowDirty))
 	} else {
 		for i := range s.place.X {
 			copy(sn.place.X[i], s.place.X[i])
 		}
-		for h := range s.rel {
-			copy(sn.rel[h], s.rel[h])
-		}
 		clear(sn.frozen)
 	}
+	copy(sn.rel, s.relFlat)
 	for k, v := range s.frozen {
 		sn.frozen[k] = v
 	}
 	sn.cost = s.cost
 	sn.migrated = res.Migrated
-	if s.routes != nil {
-		copy(sn.routes, s.routes)
-	}
-	if s.latRow != nil {
-		copy(sn.latRow, s.latRow)
-		copy(sn.latRowDirty, s.latRowDirty)
-	}
+	// Incremental structures: zero-length copies when running naive.
+	copy(sn.relyIdx, s.relyIdx)
+	copy(sn.zetaMemo, s.zetaMemo)
+	copy(sn.routes, s.routes)
+	copy(sn.latRow, s.latRow)
+	copy(sn.latRowDirty, s.latRowDirty)
 }
 
 func (s *state) restoreSnapshot(res *Result) {
@@ -854,9 +804,7 @@ func (s *state) restoreSnapshot(res *Result) {
 	for i := range s.place.X {
 		copy(s.place.X[i], sn.place.X[i])
 	}
-	for h := range s.rel {
-		copy(s.rel[h], sn.rel[h])
-	}
+	copy(s.relFlat, sn.rel)
 	s.cost = sn.cost
 	clear(s.frozen)
 	for k, v := range sn.frozen {
@@ -865,13 +813,12 @@ func (s *state) restoreSnapshot(res *Result) {
 	res.Migrated = sn.migrated
 	if s.idx != nil {
 		s.idx.Rebind(s.place) // contents changed in place: invalidate all
-		s.rebuildRelianceIndex()
-		copy(s.routes, sn.routes)
 	}
-	if s.latRow != nil {
-		copy(s.latRow, sn.latRow)
-		copy(s.latRowDirty, sn.latRowDirty)
-	}
+	copy(s.relyIdx, sn.relyIdx)
+	copy(s.zetaMemo, sn.zetaMemo)
+	copy(s.routes, sn.routes)
+	copy(s.latRow, sn.latRow)
+	copy(s.latRowDirty, sn.latRowDirty)
 }
 
 // deadlineViolated checks constraint (4) under exact optimal routing. A
@@ -920,11 +867,7 @@ func (s *state) deadlineViolatedNaive() bool {
 // instance volume exceeds total storage (more combining required).
 func (s *state) storagePlanning(res *Result) bool {
 	in := s.in
-	totalNeed := 0.0
-	for i := 0; i < in.M(); i++ {
-		totalNeed += float64(len(s.nodesOf(i))) * in.Workload.Catalog.Service(i).Storage
-	}
-	if totalNeed > in.Graph.TotalStorage()+model.FeasTol {
+	if s.storageShort(-1) {
 		return false
 	}
 	for k := 0; k < in.V(); k++ {
@@ -944,6 +887,22 @@ func (s *state) storagePlanning(res *Result) bool {
 		}
 	}
 	return true
+}
+
+// storageShort reports whether the live instances, less one of service
+// `less` (-1 for none), need more storage in total than the substrate has —
+// no migration can fix that, only more combining.
+func (s *state) storageShort(less int) bool {
+	in := s.in
+	totalNeed := 0.0
+	for i := 0; i < in.M(); i++ {
+		n := len(s.nodesOf(i))
+		if i == less {
+			n--
+		}
+		totalNeed += float64(n) * in.Workload.Catalog.Service(i).Storage
+	}
+	return totalNeed > in.Graph.TotalStorage()+model.FeasTol
 }
 
 // lowestPriorityService returns the service on node k with the smallest
@@ -978,20 +937,11 @@ func (s *state) localDemandFactor(svc, k int) float64 {
 	return rho
 }
 
-// demandCount reads the precomputed demand table, falling back to the
-// workload scan for hand-assembled states.
-func (s *state) demandCount(k, svc int) int {
-	if s.demandTab != nil {
-		return s.demandTab[svc][k]
-	}
-	return s.in.Workload.DemandCount(k, svc)
-}
-
 func (s *state) computeDemandFactor(svc, k int) float64 {
 	in := s.in
 	cat := in.Workload.Catalog
 
-	users := float64(s.demandCount(k, svc))
+	users := float64(s.part.Index.DemandCount(k, svc))
 	var uf, ul, um float64
 	for h := range in.Workload.Requests {
 		req := &in.Workload.Requests[h]
@@ -1015,8 +965,8 @@ func (s *state) computeDemandFactor(svc, k int) float64 {
 	// Normalizers: max user demand over all (node,service) pairs with this
 	// service, max κ, max φ across the catalog.
 	maxUsers := 1.0
-	for q := 0; q < in.V(); q++ {
-		if u := float64(s.demandCount(q, svc)); u > maxUsers {
+	for _, d := range s.part.Index.DemandRow(svc) {
+		if u := float64(d); u > maxUsers {
 			maxUsers = u
 		}
 	}
@@ -1072,29 +1022,13 @@ func (s *state) migrate(svc, k int, res *Result) bool {
 		// Move: deployment cost is unchanged (one instance either way).
 		s.setPlace(svc, k, false)
 		s.setPlace(svc, c.q, true)
-		delete(s.zetaCache, svc)
 		if s.relyIdx != nil {
 			// The added instance at c.q can improve any route over svc, so
 			// the whole service is invalidated (invariant 3, addition case).
 			s.invalidateRoutesService(svc)
-			moved := s.relyIdx[instKey{svc, k}]
-			delete(s.relyIdx, instKey{svc, k})
-			for _, ht := range moved {
-				h, t := ht[0], ht[1]
-				nk := s.pickReliance(h, t, -1)
-				s.rel[h][t] = nk
-				s.markRowDirty(h)
-				s.relyAdd(svc, nk, h, t)
-			}
+			s.rehome(svc, k)
 		} else {
-			for h := range s.rel {
-				req := &in.Workload.Requests[h]
-				for t, node := range s.rel[h] {
-					if node == k && req.Chain[t] == svc {
-						s.rel[h][t] = s.pickReliance(h, t, -1)
-					}
-				}
-			}
+			s.rehomeNaive(svc, k)
 		}
 		delete(s.frozen, instKey{svc, k})
 		res.Migrated++

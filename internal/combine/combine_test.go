@@ -13,9 +13,16 @@ import (
 )
 
 func buildInstance(nodes, users int, seed int64, budget float64) (*model.Instance, *partition.Result, model.Placement) {
+	return buildInstanceSlack(nodes, users, seed, budget, msvc.DefaultWorkloadConfig(users).DeadlineSlack)
+}
+
+// buildInstanceSlack is buildInstance with a chosen deadline slack.
+func buildInstanceSlack(nodes, users int, seed int64, budget, slack float64) (*model.Instance, *partition.Result, model.Placement) {
 	g := topology.RandomGeometric(nodes, 0.35, topology.DefaultGenConfig(), seed)
 	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
-	w, err := msvc.GenerateWorkload(cat, g, msvc.DefaultWorkloadConfig(users), seed)
+	wcfg := msvc.DefaultWorkloadConfig(users)
+	wcfg.DeadlineSlack = slack
+	w, err := msvc.GenerateWorkload(cat, g, wcfg, seed)
 	if err != nil {
 		panic(err)
 	}
@@ -195,10 +202,7 @@ func TestZetaInfinityForLastReachableInstance(t *testing.T) {
 	// Directly exercise ζ = +Inf: a service with exactly one instance must
 	// be excluded from the instance set entirely.
 	in, part, pre := buildInstance(8, 20, 9, 1e6)
-	s := &state{in: in, part: part, place: pre.Clone(), frozen: map[instKey]bool{}}
-	s.cost = in.DeployCost(s.place)
-	s.buildStaticTables()
-	s.initReliance()
+	s := newState(in, part, pre, Config{naive: true})
 	list := s.updateInstanceSet()
 	for _, it := range list {
 		if s.place.Count(it.key.svc) <= 1 {

@@ -13,9 +13,10 @@ import (
 )
 
 // assertRunsIdentical runs the combination twice — incremental engine on and
-// off — and asserts bit-identical placements and statistics.
+// off — and asserts bit-identical placements and statistics. It returns the
+// incremental run's result.
 func assertRunsIdentical(t *testing.T, label string, in1, in2 *model.Instance,
-	part1, part2 *partition.Result, pre1, pre2 model.Placement, cfg Config) {
+	part1, part2 *partition.Result, pre1, pre2 model.Placement, cfg Config) Result {
 	t.Helper()
 	cfgNaive := cfg
 	cfgNaive.naive = true
@@ -42,6 +43,7 @@ func assertRunsIdentical(t *testing.T, label string, in1, in2 *model.Instance,
 		t.Fatalf("%s: naive run reported cache telemetry %d/%d",
 			label, naive.RouteCacheHits, naive.RouteRecomputed)
 	}
+	return inc
 }
 
 // TestIncrementalMatchesNaive is the engine's differential proof: across
@@ -127,35 +129,89 @@ func TestIncrementalMatchesNaiveParallelReroute(t *testing.T) {
 	}
 }
 
-// TestIncrementalCacheTelemetry asserts the engine actually reuses routes:
-// on a serial-dominant run the cache-hit count must dwarf recomputes.
-func TestIncrementalCacheTelemetry(t *testing.T) {
-	in, part, pre := buildInstance(10, 60, 2, 1e6)
-	res := Run(in, part, pre, DefaultConfig())
-	if res.SerialRounds == 0 {
-		t.Skip("no serial rounds on this instance")
-	}
-	if res.RouteRecomputed == 0 && res.RouteCacheHits == 0 {
-		t.Fatal("incremental run reported no routing telemetry")
-	}
-	if res.RouteCacheHits <= res.RouteRecomputed {
-		t.Fatalf("cache ineffective: %d hits vs %d recomputes",
-			res.RouteCacheHits, res.RouteRecomputed)
+// bindingInstance is the shape of the repo benchmark's batch_global workload
+// (bench/batch.go: 60 nodes at radius 0.35, budget 8 000) at a chosen user
+// count. Deadline slack 0.5 makes Eq. 4 bind: the placement that leaves the
+// parallel phase is already at its limit, so the serial phase rolls back.
+func bindingInstance(users int, seed int64) (*model.Instance, *partition.Result, model.Placement) {
+	return buildInstanceSlack(60, users, seed, 8000, 0.5)
+}
+
+// TestSerialRollbackKeepsRouteCache pins the cold-cache bug: the serial phase
+// used to snapshot the route cache before anything had filled it, so every
+// roll-back restored an empty cache and the next check re-routed every
+// request again (hits == 0, recomputed == roll-backs × requests). The cache
+// is now filled under the pre-step placement before the snapshot: a roll-back
+// brings back valid entries, and a check re-routes only what its step touched.
+func TestSerialRollbackKeepsRouteCache(t *testing.T) {
+	for _, seed := range []int64{2, 4, 6} {
+		in1, part1, pre1 := bindingInstance(400, seed)
+		in2, part2, pre2 := bindingInstance(400, seed)
+		finite := 0
+		for _, req := range in1.Workload.Requests {
+			if !math.IsInf(req.Deadline, 1) {
+				finite++
+			}
+		}
+		if finite < 64 {
+			t.Fatalf("seed %d: %d finite-deadline requests, want >= 64", seed, finite)
+		}
+		res := assertRunsIdentical(t, "binding deadlines", in1, in2, part1, part2, pre1, pre2, DefaultConfig())
+		if res.RolledBack < 2 {
+			t.Fatalf("seed %d: %d roll-backs, the fixture needs >= 2", seed, res.RolledBack)
+		}
+		if res.RouteCacheHits == 0 {
+			t.Fatalf("seed %d: no cache hit across %d roll-backs (%d re-routed)", seed, res.RolledBack, res.RouteRecomputed)
+		}
+		if res.RouteRecomputed >= res.RolledBack*finite {
+			t.Fatalf("seed %d: %d re-routed over %d roll-backs of %d requests: every check started cold",
+				seed, res.RouteRecomputed, res.RolledBack, finite)
+		}
 	}
 }
 
-// benchCombine times one combination at the middle ext_combinebench scale —
-// the experiment this benchmark pair replaced: finite deadlines, and a budget
-// generous enough that the serial descent, the engine's hot path, runs until
-// the objective gradient stops it.
+// TestIncrementalCacheTelemetry asserts the engine actually reuses routes:
+// cache hits must dwarf recomputes both on a serial-dominant run, whose steps
+// are accepted, and under binding deadlines, whose steps are rolled back.
+func TestIncrementalCacheTelemetry(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() (*model.Instance, *partition.Result, model.Placement)
+	}{
+		{"serial-dominant", func() (*model.Instance, *partition.Result, model.Placement) { return buildInstance(10, 60, 2, 1e6) }},
+		{"binding deadlines", func() (*model.Instance, *partition.Result, model.Placement) { return bindingInstance(400, 2) }},
+	} {
+		in, part, pre := tc.build()
+		res := Run(in, part, pre, DefaultConfig())
+		if res.SerialRounds == 0 {
+			t.Fatalf("%s: no serial rounds on this instance", tc.name)
+		}
+		if res.RouteCacheHits <= res.RouteRecomputed {
+			t.Fatalf("%s: cache ineffective: %d hits vs %d recomputes",
+				tc.name, res.RouteCacheHits, res.RouteRecomputed)
+		}
+	}
+}
+
+// benchCombine times one combination on two fixtures. "serial" is the middle
+// ext_combinebench scale — the experiment this benchmark pair replaced:
+// finite deadlines, and a budget generous enough that the serial descent,
+// the engine's hot path, runs until the objective gradient stops it.
+// "binding" is the batch_global shape at 400 users, where every serial step
+// is rolled back and the route cache decides the cost.
 func benchCombine(b *testing.B, naive bool) {
-	in, part, pre := buildInstance(15, 120, 1, 1e9)
 	cfg := DefaultConfig()
 	cfg.naive = naive
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchResult = Run(in, part, pre, cfg)
+	run := func(in *model.Instance, part *partition.Result, pre model.Placement) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchResult = Run(in, part, pre, cfg)
+			}
+		}
 	}
+	b.Run("serial", run(buildInstance(15, 120, 1, 1e9)))
+	b.Run("binding", run(bindingInstance(400, 2)))
 }
 
 var benchResult Result

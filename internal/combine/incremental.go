@@ -3,7 +3,7 @@ package combine
 import (
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -35,17 +35,19 @@ type cachedRoute struct {
 	valid   bool
 }
 
-// initIncremental builds the index structures for a freshly initialized
-// state (place, rel and cost already set).
+// initIncremental builds the engine's structures over an initialized state
+// (place, idx, rel and cost already set).
 func (s *state) initIncremental() {
-	s.idx = model.NewPlacementIndex(s.place)
 	s.scratch = &model.RouteScratch{}
-	s.zetaCache = make(map[int]map[int]float64)
-	s.rebuildRelianceIndex()
+	s.zetaMemo = make([]float64, s.in.M()*s.in.V())
+	for i := range s.zetaMemo {
+		s.zetaMemo[i] = math.NaN()
+	}
+	s.buildRelianceIndex()
 
 	reqs := s.in.Workload.Requests
 	s.routes = make([]cachedRoute, len(reqs))
-	s.chainReqs = make(map[int][]int)
+	s.chainReqs = make([][]int, s.in.M())
 	// starObjective's ψ-row cache: everything dirty until the first call.
 	s.latRow = make([]float64, len(reqs))
 	s.latRowDirty = make([]bool, len(reqs))
@@ -57,10 +59,9 @@ func (s *state) initIncremental() {
 			continue // never deadline-checked, never cached
 		}
 		s.finite = append(s.finite, h)
-		seen := map[int]bool{}
-		for _, svc := range reqs[h].Chain {
-			if !seen[svc] {
-				seen[svc] = true
+		chain := reqs[h].Chain
+		for t, svc := range chain {
+			if !slices.Contains(chain[:t], svc) { // once per request
 				s.chainReqs[svc] = append(s.chainReqs[svc], h)
 			}
 		}
@@ -69,56 +70,85 @@ func (s *state) initIncremental() {
 
 // --- reverse reliance index ---
 
-// rebuildRelianceIndex recomputes relyIdx from rel. Iterating h then t keeps
-// every per-instance list ascending in (h,t) — the same order the naive scan
-// visits relying steps, so ζ sums float terms identically.
-func (s *state) rebuildRelianceIndex() {
-	s.relyIdx = make(map[instKey][][2]int)
+// buildRelianceIndex derives relyIdx from rel: a counting pass sizes every
+// instance's list inside one backing array, a second pass in (h,t) order
+// fills them — ascending, the order the naive scan visits relying steps, so
+// ζ sums float terms identically. Lists are immutable once published:
+// rehome replaces a list, never edits one, which is what lets a snapshot
+// keep the headers alone.
+func (s *state) buildRelianceIndex() {
+	count := make([]int, s.in.M()*s.in.V())
 	for h := range s.rel {
-		req := &s.in.Workload.Requests[h]
+		chain := s.in.Workload.Requests[h].Chain
 		for t, k := range s.rel[h] {
 			if k >= 0 {
-				key := instKey{req.Chain[t], k}
-				s.relyIdx[key] = append(s.relyIdx[key], [2]int{h, t})
+				count[s.at(chain[t], k)]++
 			}
 		}
 	}
-}
-
-// relyAdd inserts (h,t) into the instance's sorted relying list.
-func (s *state) relyAdd(svc, node, h, t int) {
-	if node < 0 {
-		return // cloud or unserved: no instance to index
-	}
-	key := instKey{svc, node}
-	list := s.relyIdx[key]
-	at := sort.Search(len(list), func(i int) bool {
-		return list[i][0] > h || (list[i][0] == h && list[i][1] >= t)
-	})
-	list = append(list, [2]int{})
-	copy(list[at+1:], list[at:])
-	list[at] = [2]int{h, t}
-	s.relyIdx[key] = list
-}
-
-// relyRemove drops (h,t) from the instance's relying list.
-func (s *state) relyRemove(svc, node, h, t int) {
-	if node < 0 {
-		return
-	}
-	key := instKey{svc, node}
-	list := s.relyIdx[key]
-	at := sort.Search(len(list), func(i int) bool {
-		return list[i][0] > h || (list[i][0] == h && list[i][1] >= t)
-	})
-	if at < len(list) && list[at] == [2]int{h, t} {
-		list = append(list[:at], list[at+1:]...)
-		if len(list) == 0 {
-			delete(s.relyIdx, key)
-		} else {
-			s.relyIdx[key] = list
+	s.relyIdx = make([][][2]int, len(count))
+	flat := make([][2]int, len(s.relFlat))
+	off := 0
+	for i, n := range count {
+		if n > 0 {
+			s.relyIdx[i] = flat[off : off : off+n]
+			off += n
 		}
 	}
+	for h := range s.rel {
+		chain := s.in.Workload.Requests[h].Chain
+		for t, k := range s.rel[h] {
+			if k >= 0 {
+				i := s.at(chain[t], k)
+				s.relyIdx[i] = append(s.relyIdx[i], [2]int{h, t})
+			}
+		}
+	}
+	s.rehomed = make([][][2]int, s.in.V())
+}
+
+// rehome moves every step relying on the (already removed) instance
+// (svc,node) to its new best instance, keeping rel, the ψ-row dirty flags,
+// the reverse index and svc's ζ row (a function of svc's candidates and
+// reliances only) coherent. The relying list is walked in ascending (h,t)
+// order, so the steps bound for one destination are ascending too and join
+// its list in a single merge.
+func (s *state) rehome(svc, node int) {
+	row := s.zetaMemo[s.at(svc, 0):s.at(svc+1, 0)]
+	for k := range row {
+		row[k] = math.NaN()
+	}
+	moved := s.relyIdx[s.at(svc, node)]
+	s.relyIdx[s.at(svc, node)] = nil
+	for _, ht := range moved {
+		h, t := ht[0], ht[1]
+		nk := s.pickReliance(h, t, -1)
+		s.rel[h][t] = nk
+		s.markRowDirty(h)
+		if nk >= 0 { // cloud or unserved: no instance to index
+			s.rehomed[nk] = append(s.rehomed[nk], ht)
+		}
+	}
+	for _, nk := range s.nodesOf(svc) {
+		if add := s.rehomed[nk]; len(add) > 0 {
+			s.relyIdx[s.at(svc, nk)] = mergeAscending(s.relyIdx[s.at(svc, nk)], add)
+			s.rehomed[nk] = add[:0]
+		}
+	}
+}
+
+// mergeAscending returns a fresh list holding a and b, both ascending in
+// (h,t) and disjoint, in ascending order.
+func mergeAscending(a, b [][2]int) [][2]int {
+	out := make([][2]int, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0][0] < b[0][0] || (a[0][0] == b[0][0] && a[0][1] < b[0][1]) {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // --- route cache invalidation ---
@@ -187,11 +217,42 @@ func (s *state) rerouteOne(h int, sc *model.RouteScratch) {
 	}
 }
 
-// deadlineViolatedIncremental re-routes only invalidated requests, fanning
-// the subset out over GOMAXPROCS workers when large, then checks constraint
-// (4) against the cache. The verdict is identical to routing every request
-// from scratch.
-func (s *state) deadlineViolatedIncremental() bool {
+// violates reports whether request h's valid cache entry breaks Eq. 4.
+func (s *state) violates(h int) bool {
+	e := &s.routes[h]
+	return e.missing || e.lat > s.in.Workload.Requests[h].Deadline+model.FeasTol
+}
+
+// reroute refreshes the cache entries of the listed requests under the live
+// placement, fanning out over GOMAXPROCS workers when the list is large.
+func (s *state) reroute(dirty []int) {
+	s.recomputed += len(dirty)
+	if len(dirty) < rerouteParallelThreshold || runtime.GOMAXPROCS(0) == 1 {
+		for _, h := range dirty {
+			s.rerouteOne(h, s.scratch)
+		}
+		return
+	}
+	s.idx.Prewarm() // concurrent NodesOf reads must not rebuild
+	workers := runtime.GOMAXPROCS(0)
+	chunk := (len(dirty) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(dirty); lo += chunk {
+		hi := min(lo+chunk, len(dirty))
+		wg.Add(1)
+		go func(part []int) {
+			defer wg.Done()
+			sc := &model.RouteScratch{}
+			for _, h := range part {
+				s.rerouteOne(h, sc)
+			}
+		}(dirty[lo:hi])
+	}
+	wg.Wait()
+}
+
+// invalidRoutes lists the finite-deadline requests without a valid entry.
+func (s *state) invalidRoutes() []int {
 	dirty := s.dirtyBuf[:0]
 	for _, h := range s.finite {
 		if !s.routes[h].valid {
@@ -199,41 +260,33 @@ func (s *state) deadlineViolatedIncremental() bool {
 		}
 	}
 	s.dirtyBuf = dirty
-	s.recomputed += len(dirty)
-	s.cacheHits += len(s.finite) - len(dirty)
+	return dirty
+}
 
-	if len(dirty) >= rerouteParallelThreshold && runtime.GOMAXPROCS(0) > 1 {
-		s.idx.Prewarm() // concurrent NodesOf reads must not rebuild
-		workers := runtime.GOMAXPROCS(0)
-		chunk := (len(dirty) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(dirty) {
-				hi = len(dirty)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				sc := &model.RouteScratch{}
-				for _, h := range dirty[lo:hi] {
-					s.rerouteOne(h, sc)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		for _, h := range dirty {
-			s.rerouteOne(h, s.scratch)
+// refreshRoutes makes every cache entry valid under the live placement. The
+// serial phase calls it before each snapshot, so the cache a roll-back
+// restores is exact for the placement it comes back with; after the first
+// round it finds work only behind a step that was accepted without a
+// deadline check.
+func (s *state) refreshRoutes() { s.reroute(s.invalidRoutes()) }
+
+// deadlineViolatedIncremental checks constraint (4) against the cache. A
+// valid entry is the request's true optimum under the live placement
+// (invariant 3), so one that already misses its deadline settles the verdict
+// with nothing re-routed — the common case of a doomed serial step. Failing
+// that, only the invalidated requests are re-routed and examined. Either
+// way the verdict equals routing every request from scratch.
+func (s *state) deadlineViolatedIncremental() bool {
+	dirty := s.invalidRoutes()
+	s.cacheHits += len(s.finite) - len(dirty)
+	for _, h := range s.finite {
+		if s.routes[h].valid && s.violates(h) {
+			return true
 		}
 	}
-
-	for _, h := range s.finite {
-		e := &s.routes[h]
-		if e.missing || e.lat > s.in.Workload.Requests[h].Deadline+model.FeasTol {
+	s.reroute(dirty)
+	for _, h := range dirty {
+		if s.violates(h) {
 			return true
 		}
 	}

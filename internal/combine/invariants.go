@@ -67,8 +67,8 @@ func (s *state) checkRelianceIndex(where string) {
 		return
 	}
 	indexed := 0
-	for key, list := range s.relyIdx {
-		invariant.Assertf(len(list) > 0, "combine %s: relyIdx[%v] is an empty list, not a deleted key", where, key)
+	for i, list := range s.relyIdx {
+		key := instKey{i / s.in.V(), i % s.in.V()}
 		prev := [2]int{-1, -1}
 		for _, ht := range list {
 			h, t := ht[0], ht[1]

@@ -67,13 +67,7 @@ func TestParallelBatchRemovesMultipleInstancesOfOneService(t *testing.T) {
 func TestRollbackRestoresFrozenAndMigrated(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		in, part, pre := buildInstance(8, 20, 10, 1e6)
-		s := &state{in: in, part: part, place: pre.Clone(), frozen: map[instKey]bool{}}
-		s.cost = in.DeployCost(s.place)
-		s.buildStaticTables()
-		s.initReliance()
-		if !naive {
-			s.initIncremental()
-		}
+		s := newState(in, part, pre, Config{naive: naive})
 
 		res := &Result{Migrated: 3} // pre-existing migrations must survive
 		migrated := false
@@ -138,13 +132,7 @@ func TestDeadlineCheckUsesCloudFallback(t *testing.T) {
 		for h := range in.Workload.Requests {
 			in.Workload.Requests[h].Deadline = 1e12
 		}
-		s := &state{in: in, part: part, place: pre.Clone(), frozen: map[instKey]bool{}}
-		s.cost = in.DeployCost(s.place)
-		s.buildStaticTables()
-		s.initReliance()
-		if !naive {
-			s.initIncremental()
-		}
+		s := newState(in, part, pre, Config{naive: naive})
 
 		svc := in.Workload.Requests[0].Chain[0]
 		for _, k := range append([]int(nil), s.nodesOf(svc)...) {

@@ -102,7 +102,7 @@ func solve(in *model.Instance, cfg Config, warm *model.Placement) *Solution {
 	if warm != nil {
 		pre = pre.Clone()
 		used := make(map[int]bool)
-		for _, svc := range in.Workload.ServicesUsed() {
+		for _, svc := range sol.Partition.Index.ServicesUsed() {
 			used[svc] = true
 		}
 		for i := range warm.X {

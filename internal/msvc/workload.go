@@ -155,20 +155,21 @@ func GenerateWorkload(cat *Catalog, g *topology.Graph, cfg WorkloadConfig, seed 
 // model).
 func (w *Workload) UsersAt(k int) []Request {
 	var out []Request
-	for _, r := range w.Requests {
-		if r.Home == k {
-			out = append(out, r)
+	for h := range w.Requests {
+		if w.Requests[h].Home == k {
+			out = append(out, w.Requests[h])
 		}
 	}
 	return out
 }
 
 // DemandCount returns |𝕌_{v_k}^{m_i}|: the number of requests homed at node
-// k whose chain contains service s.
+// k whose chain contains service s. Like NodesRequesting and ServicesUsed it
+// scans every request; code that asks more than once builds an Index.
 func (w *Workload) DemandCount(k int, s ServiceID) int {
 	n := 0
-	for _, r := range w.Requests {
-		if r.Home == k && r.Uses(s) {
+	for h := range w.Requests {
+		if r := &w.Requests[h]; r.Home == k && r.Uses(s) {
 			n++
 		}
 	}
@@ -179,8 +180,8 @@ func (w *Workload) DemandCount(k int, s ServiceID) int {
 // that uses service s — the V(m_i) node set of Algorithm 1.
 func (w *Workload) NodesRequesting(s ServiceID) []int {
 	seen := map[int]bool{}
-	for _, r := range w.Requests {
-		if r.Uses(s) {
+	for h := range w.Requests {
+		if r := &w.Requests[h]; r.Uses(s) {
 			seen[r.Home] = true
 		}
 	}
@@ -200,8 +201,8 @@ func (w *Workload) NodesRequesting(s ServiceID) []int {
 // ServicesUsed returns the set of service IDs appearing in any request.
 func (w *Workload) ServicesUsed() []ServiceID {
 	seen := make([]bool, w.Catalog.Len())
-	for _, r := range w.Requests {
-		for _, s := range r.Chain {
+	for h := range w.Requests {
+		for _, s := range w.Requests[h].Chain {
 			seen[s] = true
 		}
 	}

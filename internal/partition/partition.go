@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"repro/internal/model"
+	"repro/internal/msvc"
 )
 
 // Config controls partitioning.
@@ -51,8 +52,9 @@ type ServicePartition struct {
 	Service int
 	Groups  []Group
 	// Demand[k] is r_k: the number of requests for the service homed at
-	// node k (zero for nodes without demand).
-	Demand map[int]int
+	// node k (zero for nodes without demand). It is the service's row of
+	// Result.Index and must not be modified.
+	Demand []int
 	// XiUsed is the threshold actually applied for this service.
 	XiUsed float64
 }
@@ -80,6 +82,10 @@ type Result struct {
 	ByService map[int]*ServicePartition
 	// Chi[k] is the communication intensity χ_{v_k} = Σ_q 𝔹(l'_{k,q}).
 	Chi []float64
+	// Index is the workload index Build made its one pass over the requests
+	// for. The later stages (pre-provisioning, combination) read demand,
+	// used services and chain adjacency from it instead of rescanning.
+	Index *msvc.Index
 }
 
 // Build runs Algorithm 1 on the instance.
@@ -103,50 +109,44 @@ func Build(in *model.Instance, cfg Config) *Result {
 		}
 	}
 
-	res := &Result{ByService: make(map[int]*ServicePartition), Chi: chi}
-	for _, svc := range in.Workload.ServicesUsed() {
-		res.ByService[svc] = buildService(in, svc, chi, cfg)
+	idx := msvc.NewIndex(in.Workload, V)
+	res := &Result{ByService: make(map[int]*ServicePartition), Chi: chi, Index: idx}
+	// Every service lists its virtual links into the same two buffers.
+	buf := &linkBuf{links: make([]vlink, 0, V*(V-1)/2), speeds: make([]float64, 0, V*(V-1)/2)}
+	for _, svc := range idx.ServicesUsed() {
+		res.ByService[svc] = buildService(in, idx, svc, chi, cfg, buf)
 	}
 	return res
 }
 
-func buildService(in *model.Instance, svc int, chi []float64, cfg Config) *ServicePartition {
+func buildService(in *model.Instance, idx *msvc.Index, svc int, chi []float64, cfg Config, buf *linkBuf) *ServicePartition {
 	g := in.Graph
-	nodes := in.Workload.NodesRequesting(svc) // V(m_i), sorted
+	nodes := idx.NodesRequesting(svc) // V(m_i), sorted
+	sp := &ServicePartition{Service: svc, Demand: idx.DemandRow(svc)}
 
-	sp := &ServicePartition{Service: svc, Demand: make(map[int]int)}
-	for _, k := range nodes {
-		sp.Demand[k] = in.Workload.DemandCount(k, svc)
-	}
-
-	// Virtual-link speeds among demand nodes.
-	var links []vlink
+	// Virtual-link speeds among demand nodes; a and b are positions in nodes.
+	links := buf.links[:0]
 	for i := 0; i < len(nodes); i++ {
 		for j := i + 1; j < len(nodes); j++ {
 			s := g.VirtualSpeed(nodes[i], nodes[j])
 			if s > 0 && !math.IsInf(s, 1) {
-				links = append(links, vlink{nodes[i], nodes[j], s})
+				links = append(links, vlink{i, j, s})
 			}
 		}
 	}
 
 	xi := cfg.Xi
 	if xi <= 0 {
-		xi = quantileSpeed(links, cfg.XiQuantile)
+		xi = quantileSpeed(links, cfg.XiQuantile, buf.speeds[:0])
 	}
 	sp.XiUsed = xi
 
 	// Union-find over demand nodes with links 𝔹 > ξ.
-	idx := make(map[int]int, len(nodes))
-	for i, k := range nodes {
-		idx[k] = i
-	}
 	parent := make([]int, len(nodes))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -155,52 +155,98 @@ func buildService(in *model.Instance, svc int, chi []float64, cfg Config) *Servi
 	}
 	for _, l := range links {
 		if l.speed > xi {
-			ra, rb := find(idx[l.a]), find(idx[l.b])
+			ra, rb := find(l.a), find(l.b)
 			if ra != rb {
 				parent[ra] = rb
 			}
 		}
 	}
-	groupsByRoot := map[int][]int{}
+	// Groups in ascending root order, members ascending within each.
+	byRoot := make([][]int, len(nodes))
 	for i, k := range nodes {
 		r := find(i)
-		groupsByRoot[r] = append(groupsByRoot[r], k)
+		byRoot[r] = append(byRoot[r], k)
 	}
-	var roots []int
-	for r := range groupsByRoot {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	for _, r := range roots {
-		members := groupsByRoot[r]
-		sort.Ints(members)
-		sp.Groups = append(sp.Groups, Group{Members: members})
+	for _, members := range byRoot {
+		if members != nil {
+			sp.Groups = append(sp.Groups, Group{Members: members})
+		}
 	}
 
 	electCandidates(in, sp, chi)
 	return sp
 }
 
+// linkBuf is Build's scratch space, sized for the all-pairs case once and
+// reused by every service.
+type linkBuf struct {
+	links  []vlink
+	speeds []float64
+}
+
 // vlink is a virtual link between two demand nodes with its harmonic-mean
 // channel speed 𝔹(l').
 type vlink struct {
-	a, b  int
+	a, b  int // positions in the service's demand-node list
 	speed float64
 }
 
 // quantileSpeed returns the q-quantile of virtual-link speeds (0 when no
-// links exist, which leaves every node in its own group).
-func quantileSpeed(links []vlink, q float64) float64 {
+// links exist, which leaves every node in its own group): the value at
+// position ⌊q·(n−1)⌋ of the ascending order, found by selection — the links
+// themselves must keep their order for the union-find that follows.
+func quantileSpeed(links []vlink, q float64, speeds []float64) float64 {
 	if len(links) == 0 {
 		return 0
 	}
-	speeds := make([]float64, len(links))
-	for i, l := range links {
-		speeds[i] = l.speed
+	for _, l := range links {
+		speeds = append(speeds, l.speed)
 	}
-	sort.Float64s(speeds)
-	pos := int(q * float64(len(speeds)-1))
-	return speeds[pos]
+	return selectNth(speeds, int(q*float64(len(speeds)-1)))
+}
+
+// selectNth returns the value an ascending sort of v would leave at index n,
+// reordering v on the way (quickselect, median-of-three pivot, O(len(v))
+// expected). v must hold no NaN.
+func selectNth(v []float64, n int) float64 {
+	lo, hi := 0, len(v)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if v[mid] < v[lo] {
+			v[mid], v[lo] = v[lo], v[mid]
+		}
+		if v[hi] < v[lo] {
+			v[hi], v[lo] = v[lo], v[hi]
+		}
+		if v[hi] < v[mid] {
+			v[hi], v[mid] = v[mid], v[hi]
+		}
+		pivot := v[mid]
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < pivot {
+				i++
+			}
+			for v[j] > pivot {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		// v[lo..j] ≤ pivot ≤ v[i..hi], and anything between equals the pivot.
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			return v[n]
+		}
+	}
+	return v[n]
 }
 
 // electCandidates implements lines 8–14 of Algorithm 1: for each group,
@@ -209,10 +255,6 @@ func quantileSpeed(links []vlink, q float64) float64 {
 // communication-intensity order, is negative.
 func electCandidates(in *model.Instance, sp *ServicePartition, chi []float64) {
 	g := in.Graph
-	inService := map[int]bool{}
-	for k := range sp.Demand {
-		inService[k] = true
-	}
 	for s := range sp.Groups {
 		group := &sp.Groups[s]
 		// Members ordered by ascending χ (argmin χ first) — cheap-to-reach
@@ -221,7 +263,7 @@ func electCandidates(in *model.Instance, sp *ServicePartition, chi []float64) {
 		sort.Slice(ordered, func(i, j int) bool { return chi[ordered[i]] < chi[ordered[j]] })
 
 		for k := 0; k < g.N(); k++ {
-			if inService[k] {
+			if sp.Demand[k] > 0 { // a demand node is a member, never a candidate
 				continue
 			}
 			if g.Degree(k) <= 2 { // Theorem 1: ℋ(v) > 2 required

@@ -42,6 +42,9 @@ func starInstance(t *testing.T) *model.Instance {
 func TestBuildStarBasics(t *testing.T) {
 	in := starInstance(t)
 	res := Build(in, DefaultConfig())
+	if err := diffReference(in, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
 	if len(res.ByService) != 2 {
 		t.Fatalf("services partitioned = %d", len(res.ByService))
 	}
@@ -295,6 +298,9 @@ func twoIslandInstance(t *testing.T) *model.Instance {
 func TestBuildDisconnectedSubstrate(t *testing.T) {
 	in := twoIslandInstance(t)
 	res := Build(in, DefaultConfig())
+	if err := diffReference(in, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
 	sp := res.ByService[0]
 	if sp == nil {
 		t.Fatal("service 0 missing")
@@ -338,6 +344,9 @@ func TestBuildSingleNodeRegion(t *testing.T) {
 	}}
 	in := &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 1e6}
 	res := Build(in, DefaultConfig())
+	if err := diffReference(in, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
 	sp := res.ByService[0]
 	if sp == nil {
 		t.Fatal("service 0 missing")
@@ -381,6 +390,10 @@ func TestBuildPartitionsShardNodesProperty(t *testing.T) {
 				return false
 			}
 			res := Build(si.Sub, DefaultConfig())
+			if err := diffReference(si.Sub, DefaultConfig()); err != nil {
+				t.Log(err)
+				return false
+			}
 			for _, svc := range si.Sub.Workload.ServicesUsed() {
 				sp := res.ByService[svc]
 				if sp == nil {

@@ -39,7 +39,7 @@ func Run(in *model.Instance, part *partition.Result) *Result {
 
 	// 𝒦^ι(m_i): the budget irrevocably claimed by one instance of every
 	// other used microservice (each used service needs ≥ 1 instance).
-	used := in.Workload.ServicesUsed()
+	used := part.Index.ServicesUsed()
 	totalKappa := 0.0
 	for _, svc := range used {
 		totalKappa += cat.Service(svc).DeployCost
@@ -56,8 +56,7 @@ func Run(in *model.Instance, part *partition.Result) *Result {
 		if nu < 1 {
 			nu = 1 // service continuity: never bound below one instance
 		}
-		numDemand := len(sp.Demand)
-		bound := numDemand
+		bound := len(part.Index.NodesRequesting(svc)) // |V(m_i)|
 		if nu < bound {
 			bound = nu
 		}

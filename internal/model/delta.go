@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+
+	"repro/internal/msvc"
 )
 
 // This file is the reusable delta-evaluation engine: the generalization of
@@ -36,6 +38,16 @@ import (
 // every mutation it performs, and panics if the index's Epoch moved without
 // it — a placement write that bypassed Apply/Revert/AdvanceTo would silently
 // poison the cache otherwise.
+//
+// Search loops that only rank candidates need not mutate at all: ProbeRemoval
+// and ProbeAdd (delta_probeadd.go) answer "what if this instance were gone /
+// these were added" from per-request memos.
+//
+// The workload may change too, through one method: SetRequests re-points the
+// evaluator at an edited request list and carries a cached route over exactly
+// when the request it belongs to is still the same request (see there). That
+// is what lets a serving daemon keep one evaluator bound across arrivals,
+// departures and moves and pay re-routing only for the requests that changed.
 
 // deltaRoute is one request's cached routing outcome under the bound
 // placement. The class flags mirror EvaluateRouted's routeOne: exactly one
@@ -96,6 +108,7 @@ type Delta struct {
 	val       bool
 	noop      bool   // Apply found the bit already at val; nothing to undo
 	gen       uint64 // evalGen at Apply; later-stamped entries were probe-routed
+	reqGen    uint64 // reqGen at Apply; saved entries index that request list
 	saved     []routeSave
 	reverted  bool
 }
@@ -115,9 +128,18 @@ type DeltaEvaluator struct {
 	evalGen   uint64       // bumped per refresh; stamps recomputed entries
 	routes    []deltaRoute // per-request cache
 	chainReqs [][]int      // service → requests whose chain contains it
-	scratch   *RouteScratch
-	dirtyBuf  []int
-	spare     []routeSave // recycled Delta backing storage
+
+	// Workload edits (SetRequests): own is the evaluator's private workload,
+	// holding its own copy of the request list the cache was routed against —
+	// nil while the evaluator still aliases the list it was bound to — and
+	// reqGen counts the edits, so an undo record taken before one cannot be
+	// reverted after it.
+	own    *msvc.Workload
+	reqGen uint64
+
+	scratch  *RouteScratch
+	dirtyBuf []int
+	spare    []routeSave // recycled Delta backing storage
 
 	// Removal-probe memo (ProbeRemoval): altLat[h][t] is request h's exact
 	// completion time if the instance its route uses at chain step t were
@@ -134,6 +156,8 @@ type DeltaEvaluator struct {
 	exclude  excludeLister
 	kappa    []float64 // per-service deploy cost, mirrors Catalog lookups
 
+	addProbe addProbeState // ProbeAdd's memoized DP rows and scratch
+
 	// Telemetry: cache hits vs re-routes across Eval calls.
 	Hits, Recomputed int
 }
@@ -143,8 +167,8 @@ type DeltaEvaluator struct {
 // stream derivation as EvaluateRouted). The placement is aliased: all
 // further mutations must go through Apply/Revert/AdvanceTo or Rebind.
 // Lambda and Budget may change on in between Evals — objective and
-// constraint checks are recomputed fresh — but the graph and workload must
-// not.
+// constraint checks are recomputed fresh — but the graph must not, and the
+// workload only through SetRequests.
 func NewDeltaEvaluator(in *Instance, p Placement, mode RoutingMode, seed int64) *DeltaEvaluator {
 	d := &DeltaEvaluator{
 		in:      in,
@@ -165,10 +189,21 @@ func NewDeltaEvaluator(in *Instance, p Placement, mode RoutingMode, seed int64) 
 	for i := range d.kappa {
 		d.kappa[i] = in.Workload.Catalog.Service(i).DeployCost
 	}
-	for h := range in.Workload.Requests {
-		for t, svc := range in.Workload.Requests[h].Chain {
+	d.indexChains()
+	return d
+}
+
+// indexChains rebuilds chainReqs for the bound request list: each request
+// once per distinct service of its chain, ascending in h.
+func (d *DeltaEvaluator) indexChains() {
+	for svc := range d.chainReqs {
+		d.chainReqs[svc] = d.chainReqs[svc][:0]
+	}
+	reqs := d.in.Workload.Requests
+	for h := range reqs {
+		for t, svc := range reqs[h].Chain {
 			dup := false
-			for _, prev := range in.Workload.Requests[h].Chain[:t] {
+			for _, prev := range reqs[h].Chain[:t] {
 				if prev == svc {
 					dup = true
 					break
@@ -179,7 +214,104 @@ func NewDeltaEvaluator(in *Instance, p Placement, mode RoutingMode, seed int64) 
 			}
 		}
 	}
-	return d
+}
+
+// sameStorage reports whether two slices are the same elements in memory.
+func sameStorage[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// sameRequest is the carry-over rule of SetRequests: b is the request a was
+// routed as. The ID alone never decides it — a replayed script may re-use the
+// ID of a departed request for a different one — and nothing here reads a
+// chain's contents: a request whose chain or data sizes change is a new
+// admission with storage of its own.
+func sameRequest(a, b *msvc.Request) bool {
+	return a.ID == b.ID && a.Home == b.Home &&
+		sameStorage(a.Chain, b.Chain) && sameStorage(a.EdgeData, b.EdgeData) &&
+		math.Float64bits(a.DataIn) == math.Float64bits(b.DataIn) &&
+		math.Float64bits(a.DataOut) == math.Float64bits(b.DataOut)
+}
+
+// SetRequests re-points the evaluator at an edited request list — a serving
+// daemon's arrivals, departures and moves — in place of a re-bind. reqs is
+// copied (the headers; chain storage is shared), so the caller may go on
+// editing its list in place, and the evaluator continues on a private copy of
+// its Instance carrying that snapshot: the caller's Instance is no longer
+// read.
+//
+// A cached route is carried over exactly when its request is still the same
+// one under sameRequest and the routing is optimal or greedy, where a route
+// depends on the request and the placement alone. RouteModeRandom derives
+// each request's stream from its index, so every route is dropped. Requests
+// are matched by ID in the order an admission queue edits a list — survivors
+// keep their relative order, arrivals are appended — in one forward pass; a
+// list edited any other way is still evaluated exactly, its unmatched
+// requests are merely re-routed. The first call carries nothing: until then
+// the evaluator aliased a list the caller may since have edited.
+//
+// Probe memos are dropped, and a Delta taken before the call can no longer be
+// reverted (its saved routes index the old list).
+func (d *DeltaEvaluator) SetRequests(reqs []msvc.Request) {
+	d.checkEpoch("SetRequests")
+	if d.own == nil {
+		in := *d.in
+		d.own = &msvc.Workload{Catalog: in.Workload.Catalog}
+		in.Workload = d.own
+		d.in = &in
+	}
+	// Compacting the cache in place is safe: every matched request consumed
+	// an old index of its own, in ascending order, so request h reads k >= h
+	// and nothing after it reads below k.
+	old, h := d.own.Requests, 0
+	if d.mode != RouteModeRandom {
+		for j := 0; h < len(reqs); h++ {
+			k := j
+			for k < len(old) && old[k].ID != reqs[h].ID {
+				k++
+			}
+			if k == len(old) {
+				break // an arrival, and arrivals are appended: no survivor follows
+			}
+			j = k + 1
+			if sameRequest(&old[k], &reqs[h]) {
+				d.routes[h] = d.routes[k]
+			} else {
+				d.routes[h] = deltaRoute{}
+			}
+		}
+	}
+	d.routes = append(d.routes[:h], make([]deltaRoute, len(reqs)-h)...)
+	d.chainGen = append(d.chainGen[:0], make([]uint64, len(reqs))...)
+	d.altGen, d.altLat, d.altSet = nil, nil, nil
+	d.dropAddProbe()
+
+	d.own.Requests = append(old[:0], reqs...)
+	d.reqGen++
+	d.indexChains()
+}
+
+// BoundTo reports whether the evaluator scores exactly what a fresh one
+// bound to (in, mode, seed) would: the same substrate, catalog, trade-off,
+// budget, cloud and cold-start model, and request for request the same
+// workload. A consumer handed a long-lived evaluator checks this before
+// trusting it.
+func (d *DeltaEvaluator) BoundTo(in *Instance, mode RoutingMode, seed int64) bool {
+	b := d.in
+	if b.Graph != in.Graph || b.Workload.Catalog != in.Workload.Catalog ||
+		b.Cloud != in.Cloud || b.ColdStart != in.ColdStart ||
+		math.Float64bits(b.Lambda) != math.Float64bits(in.Lambda) ||
+		math.Float64bits(b.Budget) != math.Float64bits(in.Budget) ||
+		d.mode != mode || (mode == RouteModeRandom && d.seed != seed) ||
+		len(b.Workload.Requests) != len(in.Workload.Requests) {
+		return false
+	}
+	for h := range in.Workload.Requests {
+		if !sameRequest(&b.Workload.Requests[h], &in.Workload.Requests[h]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Index exposes the underlying placement index (read-only use; mutating it
@@ -212,7 +344,7 @@ func (d *DeltaEvaluator) checkEpoch(op string) {
 // into the delta, so a Revert restores both placement and cache exactly.
 func (d *DeltaEvaluator) Apply(svc, node int, val bool) *Delta {
 	d.checkEpoch("Apply")
-	dl := &Delta{svc: svc, node: node, val: val, gen: d.evalGen, saved: d.spare[:0]}
+	dl := &Delta{svc: svc, node: node, val: val, gen: d.evalGen, reqGen: d.reqGen, saved: d.spare[:0]}
 	d.spare = nil
 	if d.ix.Has(svc, node) == val {
 		dl.noop = true
@@ -236,6 +368,9 @@ func (d *DeltaEvaluator) Revert(dl *Delta) {
 		panic("model: DeltaEvaluator.Revert called twice on the same delta")
 	}
 	dl.reverted = true
+	if dl.reqGen != d.reqGen {
+		panic("model: DeltaEvaluator.Revert of a delta taken before SetRequests")
+	}
 	if dl.noop {
 		return
 	}
@@ -312,6 +447,7 @@ func (d *DeltaEvaluator) invalidate(svc, node int, added bool, dl *Delta) {
 // the next Eval re-routes only requests whose services actually moved.
 func (d *DeltaEvaluator) AdvanceTo(p Placement) int {
 	d.checkEpoch("AdvanceTo")
+	d.dropAddProbe() // a sweep step ends a probe session: give the rows back
 	cur := d.ix.Placement()
 	if len(p.X) != len(cur.X) {
 		panic(fmt.Sprintf("model: DeltaEvaluator.AdvanceTo placement shape %d services != bound %d", len(p.X), len(cur.X)))
@@ -337,6 +473,7 @@ func (d *DeltaEvaluator) AdvanceTo(p Placement) int {
 func (d *DeltaEvaluator) Rebind(p Placement) {
 	d.ix.Rebind(p)
 	d.epoch = d.ix.Epoch()
+	d.dropAddProbe()
 	d.cold = d.in.ColdStart
 	if d.cold != nil {
 		d.coldEpoch = d.cold.Epoch()

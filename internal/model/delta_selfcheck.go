@@ -74,6 +74,24 @@ func (d *DeltaEvaluator) selfCheckProbe(svc, node int, objective float64, overBu
 	}
 }
 
+// selfCheckProbeAdd revalidates ProbeAdd's extended DP rows against a scratch
+// evaluation of the counterfactual placement.
+func (d *DeltaEvaluator) selfCheckProbeAdd(node int, svcs []int, pr AddProbe) {
+	if !invariantsEnabled {
+		return
+	}
+	probe := d.ix.Placement().Clone()
+	for _, s := range svcs {
+		probe.Set(s, node, true)
+	}
+	fresh := summarizeAdd(d.in.EvaluateRouted(probe, d.mode, d.seed))
+	if pr.MissingInstances != fresh.MissingInstances || pr.Unroutable != fresh.Unroutable ||
+		!almostEq(pr.ServedLatencySum, fresh.ServedLatencySum, 0) ||
+		!almostEq(pr.Cost, fresh.Cost, 0) || pr.OverBudget != fresh.OverBudget {
+		panic(fmt.Sprintf("model: ProbeAdd(%d, %v) diverges from scratch evaluation: %+v vs %+v", node, svcs, pr, fresh))
+	}
+}
+
 // countersOf extracts the violation counters for diagnostics.
 func countersOf(ev *Evaluation) [6]int {
 	over := 0

@@ -12,13 +12,13 @@ import (
 
 // assertEvalIdentical compares a delta evaluation against a from-scratch one
 // bit for bit: scalars, counters, per-request latencies and assignments.
-func assertEvalIdentical(t *testing.T, label string, got, want *Evaluation) {
+func assertEvalIdentical(t testing.TB, label string, got, want *Evaluation) {
 	t.Helper()
 	if got.Objective != want.Objective || got.LatencySum != want.LatencySum || got.Cost != want.Cost {
 		t.Fatalf("%s: scalars diverge: objective %v/%v latency %v/%v cost %v/%v",
 			label, got.Objective, want.Objective, got.LatencySum, want.LatencySum, got.Cost, want.Cost)
 	}
-	if got.MissingInstances != want.MissingInstances || got.CloudServed != want.CloudServed ||
+	if got.MissingInstances != want.MissingInstances || got.Unroutable != want.Unroutable || got.CloudServed != want.CloudServed ||
 		got.DeadlineViolated != want.DeadlineViolated || got.StorageViolatedAt != want.StorageViolatedAt ||
 		got.OverBudget != want.OverBudget {
 		t.Fatalf("%s: counters diverge: %+v vs %+v", label, countersOf(got), countersOf(want))

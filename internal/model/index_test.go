@@ -8,7 +8,7 @@ import (
 	"repro/internal/topology"
 )
 
-func indexTestInstance(t *testing.T, nodes, users int, seed int64) *Instance {
+func indexTestInstance(t testing.TB, nodes, users int, seed int64) *Instance {
 	t.Helper()
 	g := topology.RandomGeometric(nodes, 0.35, topology.DefaultGenConfig(), seed)
 	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)

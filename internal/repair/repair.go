@@ -32,11 +32,13 @@
 // are reported honestly as MissingInstances/Unroutable — repair never hides
 // damage, it minimizes it.
 //
-// Scoring goes through the scorer seam. Run binds a model.DeltaEvaluator to
-// the masked instance and pays only incremental re-routing per probe; the
-// package's tests plug in a reference scorer that re-scores every probe with
-// a scratch Instance.EvaluateRouted on a cloned placement — the full
-// re-solve-routing reference. Both enumerate candidates identically and the
+// Scoring goes through the scorer seam. Run scores on a model.DeltaEvaluator
+// bound to the masked instance — the caller's long-lived one when
+// Config.Evaluator hands it over, else one built for the call — and pays
+// incremental re-routing per removal probe and none per addition probe
+// (DeltaEvaluator.ProbeAdd); the package's tests plug in a reference
+// scorer that re-scores every probe with a scratch Instance.EvaluateRouted on
+// a cloned placement — the full re-solve-routing reference. Both enumerate candidates identically and the
 // delta engine's evaluations are documented bit-identical to scratch
 // evaluation, so the two produce bitwise-identical repairs; the differential
 // tests pin exactly that.
@@ -82,6 +84,16 @@ type Config struct {
 	// prices cold steps inside the routed latency itself: the daemon passes
 	// its lifecycle model through both seams.
 	ColdStart *model.ColdStartModel
+	// Evaluator, when non-nil, is the caller's evaluator to score on in place
+	// of one built for this call: the serving daemon keeps one bound across
+	// epochs and hands it over here, so a repair re-routes only the requests
+	// that changed since the previous epoch. It must be bound to the masked
+	// instance, Mode and Seed of the call (Run panics otherwise); Run advances
+	// it to the masked placement and leaves it at the repaired one. It decides
+	// where the routes come from, never what they are — every Result is
+	// bitwise the one a nil Evaluator gives — so it is not a tuning knob, and
+	// the daemon overwrites it each epoch like Mode and Seed.
+	Evaluator *model.DeltaEvaluator
 }
 
 // coldPenalty is the warm-preference surcharge for one candidate add.
@@ -163,6 +175,12 @@ func scoreEval(in *model.Instance, ev *model.Evaluation) score {
 	return score{unserved: ev.MissingInstances + ev.Unroutable, obj: in.Objective(ev.Cost, lat)}
 }
 
+// scoreProbe is scoreEval over an addition probe, which carries the same
+// counts and the same index-order served sum without the evaluation.
+func scoreProbe(in *model.Instance, pr model.AddProbe) score {
+	return score{unserved: pr.MissingInstances + pr.Unroutable, obj: in.Objective(pr.Cost, pr.ServedLatencySum)}
+}
+
 // betterThan reports a strict lexicographic improvement over b: fewer
 // unserved requests, or equally many and a served-part objective better by
 // more than ObjTol (the strict first-wins margin the rest of the solver
@@ -188,8 +206,8 @@ type scorer interface {
 	// it (tentative apply + roll-back on the delta path); the flag reports
 	// an Eq. 5 violation.
 	probeAdd(svc, node int) (score, bool)
-	// probeBundle scores the placement with every listed instance set,
-	// without mutating it.
+	// probeBundle scores the placement with every listed instance — a
+	// restoration bundle, all on one node — set, without mutating it.
 	probeBundle(adds []chaos.Inst) (score, bool)
 	// set commits a mutation.
 	set(svc, node int, val bool)
@@ -200,43 +218,37 @@ type scorer interface {
 }
 
 // deltaScorer is the incremental path: one DeltaEvaluator bound to the
-// masked instance for the whole repair; probes tentatively Apply, Eval, and
-// Revert, paying only incremental re-routing.
+// masked instance for the whole repair. A removal probe tentatively applies,
+// evaluates and reverts, paying only incremental re-routing; an addition
+// probe — hundreds per crash — asks the evaluator's ProbeAdd, which extends
+// memoized routing rows instead of re-routing every request of the service.
 type deltaScorer struct {
-	in *model.Instance
-	d  *model.DeltaEvaluator
+	in   *model.Instance
+	d    *model.DeltaEvaluator
+	svcs []int // probeBundle's argument buffer
 }
 
-func (s *deltaScorer) scoreNow() (score, bool) {
-	ev := s.d.Eval()
-	return scoreEval(s.in, ev), ev.OverBudget
-}
-func (s *deltaScorer) current() score {
-	sc, _ := s.scoreNow()
-	return sc
-}
+func (s *deltaScorer) current() score { return scoreEval(s.in, s.d.Eval()) }
 func (s *deltaScorer) probeRemoval(i, k int) score {
 	dl := s.d.Apply(i, k, false)
-	sc, _ := s.scoreNow()
+	sc := s.current()
 	s.d.Revert(dl)
 	return sc
 }
 func (s *deltaScorer) probeAdd(i, k int) (score, bool) {
-	dl := s.d.Apply(i, k, true)
-	sc, over := s.scoreNow()
-	s.d.Revert(dl)
-	return sc, over
+	pr := s.d.ProbeAdd(k, i)
+	return scoreProbe(s.in, pr), pr.OverBudget
 }
 func (s *deltaScorer) probeBundle(adds []chaos.Inst) (score, bool) {
-	dls := make([]*model.Delta, 0, len(adds))
+	s.svcs = s.svcs[:0]
 	for _, a := range adds {
-		dls = append(dls, s.d.Apply(a.Svc, a.Node, true))
+		if a.Node != adds[0].Node {
+			panic("repair: a restoration bundle spans nodes")
+		}
+		s.svcs = append(s.svcs, a.Svc)
 	}
-	sc, over := s.scoreNow()
-	for j := len(dls) - 1; j >= 0; j-- { // LIFO revert discipline
-		s.d.Revert(dls[j])
-	}
-	return sc, over
+	pr := s.d.ProbeAdd(adds[0].Node, s.svcs...)
+	return scoreProbe(s.in, pr), pr.OverBudget
 }
 func (s *deltaScorer) set(i, k int, val bool)     { s.d.Apply(i, k, val) }
 func (s *deltaScorer) placement() model.Placement { return s.d.Placement() }
@@ -265,8 +277,22 @@ func Classify(in *model.Instance, m *chaos.Mask, p model.Placement) (Damage, mod
 func Run(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Result {
 	min := m.Instance(in)
 	dmg, masked := Classify(in, m, p)
-	return repairWith(min, m, dmg, cfg,
-		&deltaScorer{in: min, d: model.NewDeltaEvaluator(min, masked, cfg.Mode, cfg.Seed)})
+	de := cfg.Evaluator
+	if de == nil {
+		de = model.NewDeltaEvaluator(min, masked, cfg.Mode, cfg.Seed)
+	} else {
+		if !de.BoundTo(min, cfg.Mode, cfg.Seed) {
+			panic("repair: Config.Evaluator is not bound to the masked instance, mode and seed of this Run")
+		}
+		de.AdvanceTo(masked)
+	}
+	res := repairWith(min, m, dmg, cfg, &deltaScorer{in: min, d: de})
+	if cfg.Evaluator != nil {
+		// The evaluator outlives the call and goes on mutating the placement
+		// it is bound to; the caller gets a copy.
+		res.Placement = res.Placement.Clone()
+	}
+	return res
 }
 
 // repairWith runs the repair phases on the masked instance, scoring through

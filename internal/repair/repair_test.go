@@ -257,9 +257,9 @@ func TestRepairCloudFallback(t *testing.T) {
 	}
 }
 
-// TestDeltaScorerProbesLeaveNoTrace: every probe is a tentative Apply → Eval
-// → Revert, so afterwards the bound placement and the full evaluation must be
-// bitwise what they were before — on the over-budget outcome too, which the
+// TestDeltaScorerProbesLeaveNoTrace: a probe is a tentative Apply → Eval →
+// Revert or a counterfactual ProbeAdd, so afterwards the bound placement and
+// the full evaluation must be bitwise what they were before — on the over-budget outcome too, which the
 // differential instances (budget 8000, never binding) do not reach.
 func TestDeltaScorerProbesLeaveNoTrace(t *testing.T) {
 	for _, budget := range []float64{8000, 1} {
@@ -310,7 +310,18 @@ func TestDeltaScorerProbesLeaveNoTrace(t *testing.T) {
 		check("probeAdd")
 		s.probeRemoval(present.Svc, present.Node)
 		check("probeRemoval")
-		s.probeBundle(absent[:2])
+		// A bundle is two services missing from one node.
+		bundle := []chaos.Inst{absent[0]}
+		for _, a := range absent[1:] {
+			if a.Node == absent[0].Node {
+				bundle = append(bundle, a)
+				break
+			}
+		}
+		if len(bundle) != 2 {
+			t.Fatal("no node misses two services; bad test instance")
+		}
+		s.probeBundle(bundle)
 		check("probeBundle")
 	}
 }

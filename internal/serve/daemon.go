@@ -35,8 +35,8 @@ type Config struct {
 	Planner     func(*model.Instance) (model.Placement, error)
 	PlannerName string
 
-	// Repair tunes the incremental engine (Mode/Seed are overridden per
-	// epoch).
+	// Repair tunes the incremental engine (Mode, Seed and Evaluator are
+	// overridden per epoch).
 	Repair repair.Config
 
 	// Policy reacts each epoch the placement is stale. Nil installs
@@ -121,14 +121,24 @@ type RunResult struct {
 // Daemon owns a live substrate and placement and ingests an event stream —
 // request arrivals and departures, user moves, fault strikes and heals —
 // reacting through the Policy layer.
-// Steady epochs are served by a bound DeltaEvaluator; a policy runs only when
-// the admitted work or the substrate actually changed.
+// One DeltaEvaluator stays bound for as long as the masked substrate and the
+// cold set stand: steady epochs are served by it alone, and a policy — which
+// runs only when the admitted work or the substrate actually changed — scores
+// its repair on it.
 type Daemon struct {
 	cfg    Config
 	policy Policy
 
-	mask   *chaos.Mask
-	queue  []Event
+	mask *chaos.Mask
+	// queue buckets the ingested events by the epoch that admits them, each
+	// bucket in ingest order (seq), so an epoch's admission touches only what
+	// is due.
+	queue map[int][]queued
+	seq   uint64
+	// spare is a drained bucket's storage, for the next new bucket: a driver
+	// that ingests event by event (the transport engine) would otherwise
+	// grow every epoch's bucket from nothing.
+	spare  []queued
 	faults []Event // this epoch's strikes, staged by admit
 
 	// active is the admitted workload in arrival order. Order is load-bearing:
@@ -140,7 +150,9 @@ type Daemon struct {
 	havePlacement bool
 	lastDegraded  int
 
-	// Incremental-path binding and its validity stamps.
+	// The bound evaluator, what it is bound to, and the workload generation
+	// it was last synced with. Its placement is its own: d.placement is a
+	// copy, never an alias, so lifecycle reaps do not go behind its back.
 	de          *model.DeltaEvaluator
 	deGraph     *topology.Graph
 	deWorkGen   int
@@ -177,6 +189,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:       cfg,
 		mask:      chaos.NewMask(cfg.Graph),
+		queue:     make(map[int][]queued),
 		placement: model.NewPlacement(cfg.Catalog.Len(), cfg.Graph.N()),
 	}
 	d.policy = cfg.Policy
@@ -196,9 +209,29 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
+// queued is an ingested event and its place in ingest order.
+type queued struct {
+	seq uint64
+	ev  Event
+}
+
 // Ingest queues events for admission; an event with Slot <= the current epoch
-// is admitted by the next Tick. Order within a slot is preserved.
-func (d *Daemon) Ingest(evs ...Event) { d.queue = append(d.queue, evs...) }
+// is admitted by the next Tick. Events admitted by one epoch are admitted in
+// ingest order.
+func (d *Daemon) Ingest(evs ...Event) {
+	for _, ev := range evs {
+		due := ev.Slot
+		if due < d.slot {
+			due = d.slot
+		}
+		b, ok := d.queue[due]
+		if !ok {
+			b, d.spare = d.spare, nil
+		}
+		d.queue[due] = append(b, queued{d.seq, ev})
+		d.seq++
+	}
+}
 
 // Epoch returns the next epoch Tick will serve.
 func (d *Daemon) Epoch() int { return d.slot }
@@ -322,6 +355,12 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 	evalIn := d.instanceOn(d.cfg.Graph)
 	seed := d.cfg.RouteSeed + int64(d.slot)
 	planned := d.placement
+	if !d.cfg.Replan {
+		// Before the policy, not after it: a re-bind this epoch's fault or
+		// cold-set change forces is then paid once, by whichever of the
+		// policy and the steady path scores the epoch.
+		d.ensureDelta(seed)
+	}
 
 	if d.cfg.Replan || workChanged || maskChanged || !d.havePlacement {
 		pol := d.policy
@@ -332,11 +371,13 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 		// The lifecycle's cold model rides the repair seam too: restore
 		// probes prefer already-warm coordinates (repair.Config.ColdStart).
 		// Replay mode and lifecycle-free daemons have d.cold == nil, so
-		// their repair decisions are bitwise unchanged.
+		// their repair decisions are bitwise unchanged. So does the bound
+		// evaluator (nil in replay mode, whose requests live one epoch).
 		rcfg := d.cfg.Repair
 		if rcfg.ColdStart == nil {
 			rcfg.ColdStart = d.cold
 		}
+		rcfg.Evaluator = d.de
 		ctx := &EpochContext{
 			In:          evalIn,
 			Mask:        d.mask,
@@ -368,7 +409,6 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 		// Steady epoch: nothing changed, so the bound delta evaluator carries
 		// the previous epoch's routes forward (and absorbs lifecycle reclaims
 		// as pure cost deltas).
-		d.ensureDelta(seed)
 		d.de.AdvanceTo(d.placement)
 		d.lastEval = d.de.Eval()
 		rec.Incremental = true
@@ -398,28 +438,33 @@ func (d *Daemon) finish(rec *EpochRecord) {
 	d.slot++
 }
 
-// admit drains every queued event due this epoch, in admission order, and
-// reports whether the active workload changed. Fault events are staged for
-// the post-planning strike phase; arrivals beyond MaxBatch are deferred to
-// the next epoch.
+// admit drains this epoch's bucket in ingest order and reports whether the
+// active workload changed. Fault events are staged for the post-planning
+// strike phase; arrivals beyond MaxBatch are deferred to the next epoch,
+// where they keep their place in ingest order; an arrival whose ID is already
+// active is dropped — departs, moves and the evaluator's carry-over all name
+// a request by its ID, and a second copy would outlive its depart.
 func (d *Daemon) admit(rec *EpochRecord) bool {
+	due := d.queue[d.slot]
+	if due == nil {
+		return false
+	}
+	delete(d.queue, d.slot)
 	changed := false
 	arrivals := 0
-	rest := d.queue[:0]
-	for idx := range d.queue {
-		ev := d.queue[idx]
-		if ev.Slot > d.slot {
-			rest = append(rest, ev)
-			continue
-		}
+	var deferred []queued
+	for idx := range due {
+		ev := &due[idx].ev
 		switch ev.Kind {
 		case EvFault:
-			d.faults = append(d.faults, ev)
+			d.faults = append(d.faults, *ev)
 		case EvArrive:
+			if d.findActive(ev.ID) >= 0 {
+				continue
+			}
 			if d.cfg.MaxBatch > 0 && arrivals >= d.cfg.MaxBatch {
-				ev.Slot = d.slot + 1
 				rec.Deferred++
-				rest = append(rest, ev)
+				deferred = append(deferred, due[idx])
 				continue
 			}
 			req := ev.Req
@@ -444,11 +489,27 @@ func (d *Daemon) admit(rec *EpochRecord) bool {
 			}
 		}
 	}
-	d.queue = rest
+	if len(deferred) > 0 {
+		d.queue[d.slot+1] = mergeBySeq(deferred, d.queue[d.slot+1])
+	}
+	d.spare = due[:0]
 	if changed {
 		d.workGen++
 	}
 	return changed
+}
+
+// mergeBySeq merges two buckets, each in ingest order, into one.
+func mergeBySeq(a, b []queued) []queued {
+	out := make([]queued, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].seq < b[0].seq {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 func (d *Daemon) findActive(id int) int {
@@ -473,22 +534,30 @@ func (d *Daemon) instanceOn(g *topology.Graph) *model.Instance {
 	}
 }
 
-// ensureDelta (re)binds the incremental evaluator when any validity stamp —
-// masked substrate, workload generation, cold-set epoch, or (for random
-// routing) the per-epoch seed — has moved since the last binding.
+// ensureDelta leaves d.de bound to this epoch's masked substrate, cold set and
+// active requests. What a cached route cannot outlive forces a new evaluator:
+// another masked graph, another cold-set epoch, or — under random routing,
+// whose streams derive from it — another seed. A changed workload does not:
+// the evaluator is re-pointed at the edited list and keeps the route of every
+// request that is still the same one.
 func (d *Daemon) ensureDelta(seed int64) {
 	g := d.mask.Graph()
 	coldEpoch := uint64(0)
 	if d.cold != nil {
 		coldEpoch = d.cold.Epoch()
 	}
-	if d.de != nil && d.deGraph == g && d.deWorkGen == d.workGen &&
-		d.deColdEpoch == coldEpoch &&
-		(d.cfg.Mode != model.RouteModeRandom || d.deSeed == seed) {
-		return
+	fresh := d.de == nil || d.deGraph != g || d.deColdEpoch != coldEpoch ||
+		(d.cfg.Mode == model.RouteModeRandom && d.deSeed != seed)
+	if fresh {
+		d.de = model.NewDeltaEvaluator(d.instanceOn(g), d.placement.Clone(), d.cfg.Mode, seed)
+		d.deGraph, d.deColdEpoch, d.deSeed = g, coldEpoch, seed
 	}
-	d.de = model.NewDeltaEvaluator(d.instanceOn(g), d.placement.Clone(), d.cfg.Mode, seed)
-	d.deGraph, d.deWorkGen, d.deColdEpoch, d.deSeed = g, d.workGen, coldEpoch, seed
+	if fresh || d.deWorkGen != d.workGen {
+		// A fresh evaluator is synced too: it takes its own copy of the
+		// list, which admit and re-homing edit in place.
+		d.de.SetRequests(d.active)
+		d.deWorkGen = d.workGen
+	}
 }
 
 // fillEvalColumns derives the epoch's statistics from its evaluation. The
@@ -540,12 +609,15 @@ func (d *Daemon) lifecycleEnd(rec *EpochRecord, ev *model.Evaluation) {
 	if d.life == nil || !d.havePlacement {
 		return
 	}
-	var used [][]bool
+	// The scratch lives on the lifecycle and is cleared in place: this runs
+	// every epoch, steady ones included.
+	used, demand, seen := d.life.used, d.life.epochDemand, d.life.seen
+	for i := range used {
+		clear(used[i])
+	}
+	clear(demand)
+	clear(seen)
 	if ev != nil {
-		used = make([][]bool, d.cfg.Catalog.Len())
-		for i := range used {
-			used[i] = make([]bool, d.cfg.Graph.N())
-		}
 		for h, rt := range ev.Routes {
 			if rt.Nodes == nil {
 				continue
@@ -556,8 +628,6 @@ func (d *Daemon) lifecycleEnd(rec *EpochRecord, ev *model.Evaluation) {
 			}
 		}
 	}
-	demand := make([]int, d.cfg.Catalog.Len())
-	seen := make([]int, d.cfg.Catalog.Len())
 	for h := range d.active {
 		for _, s := range d.active[h].Chain {
 			if seen[s] != h+1 {

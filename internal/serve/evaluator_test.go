@@ -1,0 +1,313 @@
+package serve
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/chaos"
+	"repro/internal/model"
+	"repro/internal/msvc"
+	"repro/internal/repair"
+)
+
+// churnEpochs builds a serve-mode stream over reqs, one slice of events per
+// epoch: base requests arrive at epoch 0 and stay; every third epoch one
+// departs, one arrives and one moves to a neighbouring node; crash goes down
+// at epoch 7 and heals at epoch 12.
+func churnEpochs(cfg Config, reqs []msvc.Request, base, epochs, crash int) [][]Event {
+	out := make([][]Event, epochs)
+	out[0] = arrivals(0, 0, reqs[:base])
+	live := make([]int, base) // active IDs, in admission order
+	for i := range live {
+		live[i] = i
+	}
+	next := base
+	for e := 3; e < epochs && next < len(reqs); e += 3 {
+		gone := live[e%len(live)]
+		live = append(live[:e%len(live)], live[e%len(live)+1:]...)
+		out[e] = append(out[e], Event{Slot: e, Kind: EvDepart, ID: gone})
+		out[e] = append(out[e], arrivals(e, next, reqs[next:next+1])...)
+		live = append(live, next)
+		next++
+		mover := live[(2*e)%len(live)]
+		if nb := cfg.Graph.Neighbors(reqs[mover].Home); len(nb) > 0 {
+			out[e] = append(out[e], Event{Slot: e, Kind: EvMove, ID: mover, Node: nb[e%len(nb)]})
+		}
+	}
+	out[7] = append(out[7], Event{Slot: 7, Kind: EvFault, Fault: chaos.Event{Slot: 7, Kind: chaos.NodeCrash, Node: crash}})
+	out[12] = append(out[12], Event{Slot: 12, Kind: EvFault, Fault: chaos.Event{Slot: 12, Kind: chaos.NodeRecover, Node: crash}})
+	return out
+}
+
+// playEpochs feeds a fresh daemon one epoch at a time. With dropEvaluator the
+// daemon forgets its evaluator before every epoch, so each one is scored on a
+// binding built from scratch — the reference the long-lived binding must
+// match, kept in test code only.
+func playEpochs(t *testing.T, cfg Config, epochs [][]Event, dropEvaluator bool) (*Daemon, int) {
+	t.Helper()
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebinds := 0
+	for _, evs := range epochs {
+		if dropEvaluator {
+			d.de = nil
+		}
+		before := d.de
+		d.Ingest(evs...)
+		if _, err := d.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if d.de != before {
+			rebinds++
+		}
+	}
+	return d, rebinds
+}
+
+// TestDaemonSharedEvaluatorMatchesFresh: a serve-mode daemon with the
+// lifecycle on, a crash and its heal, and departs, arrives and moves every
+// few epochs must produce, column for column and delay for delay, what the
+// same daemon produces when it is forced to drop its evaluator every epoch.
+func TestDaemonSharedEvaluatorMatchesFresh(t *testing.T) {
+	g, cat, reqs := testScenario(t, 10, 40, 76)
+	const base, epochs = 28, 34
+	legs := []struct {
+		name     string
+		mode     model.RoutingMode
+		maxBatch int
+	}{
+		{"optimal", model.RouteModeOptimal, 0},
+		{"optimal-batched", model.RouteModeOptimal, 5},
+		{"greedy", model.RouteModeGreedy, 0},
+		{"random", model.RouteModeRandom, 0},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			cfg := testConfig(g, cat)
+			cfg.Mode = leg.mode
+			cfg.RouteSeed = 11
+			cfg.MaxBatch = leg.maxBatch
+			cfg.Lifecycle = LifecycleConfig{IdleEpochs: 2, WarmPool: 1, ColdStartDelay: 0.25}
+			stream := churnEpochs(cfg, reqs, base, epochs, reqs[0].Home)
+
+			shared, rebinds := playEpochs(t, cfg, stream, false)
+			fresh, _ := playEpochs(t, cfg, stream, true)
+			if err := shared.Result().Diff(fresh.Result()); err != nil {
+				t.Fatalf("long-lived evaluator diverges from a fresh one per epoch: %v", err)
+			}
+
+			recs := shared.Result().Records
+			reacted, faults, deferred := 0, 0, 0
+			for _, r := range recs {
+				if !r.Incremental {
+					reacted++
+				}
+				faults += r.FaultEvents
+				deferred += r.Deferred
+			}
+			if faults != 2 || recs[7].DownNodes != 1 || recs[12].DownNodes != 0 {
+				t.Fatalf("the crash and its heal did not land: %d fault events", faults)
+			}
+			if (leg.maxBatch > 0) != (deferred > 0) {
+				t.Fatalf("MaxBatch=%d deferred %d arrivals", leg.maxBatch, deferred)
+			}
+			// The point of the binding: workload changes alone do not cost a
+			// new evaluator, only faults, cold-set changes and random routing.
+			if leg.mode != model.RouteModeRandom && rebinds >= reacted {
+				t.Fatalf("%d reacting epochs cost %d re-binds", reacted, rebinds)
+			}
+		})
+	}
+}
+
+// TestDaemonDropsDuplicateArrival: an arrive whose ID is already active is
+// dropped at admission — a second copy would survive the request's depart
+// and be served for ever.
+func TestDaemonDropsDuplicateArrival(t *testing.T) {
+	g, cat, reqs := testScenario(t, 8, 6, 77)
+	d, err := NewDaemon(testConfig(g, cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Ingest(arrivals(0, 0, reqs[:3])...)
+	d.Ingest(Event{Slot: 0, Kind: EvArrive, ID: 1, Node: reqs[4].Home, Req: reqs[4]})
+	rec, err := d.Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Arrived != 3 || d.ActiveRequests() != 3 {
+		t.Fatalf("arrived=%d active=%d, want the duplicate dropped and uncounted", rec.Arrived, d.ActiveRequests())
+	}
+	d.Ingest(Event{Slot: 1, Kind: EvArrive, ID: 1, Node: reqs[4].Home, Req: reqs[4]},
+		Event{Slot: 1, Kind: EvDepart, ID: 1})
+	rec, err = d.Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Arrived != 0 || rec.Departed != 1 || d.ActiveRequests() != 2 || d.findActive(1) >= 0 {
+		t.Fatalf("after the depart: arrived=%d departed=%d active=%d", rec.Arrived, rec.Departed, d.ActiveRequests())
+	}
+	// Once departed, the ID is free again.
+	d.Ingest(Event{Slot: 2, Kind: EvArrive, ID: 1, Node: reqs[4].Home, Req: reqs[4]})
+	if rec, err = d.Tick(); err != nil || rec.Arrived != 1 {
+		t.Fatalf("a departed ID could not arrive again: %+v, %v", rec, err)
+	}
+}
+
+// TestAdmissionOrder: one epoch admits its events in ingest order whatever
+// slot order they were ingested in — a MaxBatch-deferred arrival goes behind
+// an event of the next epoch that was ingested before it, ahead of one
+// ingested after — and a late event is admitted by the next Tick.
+func TestAdmissionOrder(t *testing.T) {
+	g, cat, reqs := testScenario(t, 8, 8, 78)
+	cfg := testConfig(g, cat)
+	cfg.MaxBatch = 1
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrive := func(slot, id int) Event {
+		req := reqs[id%len(reqs)]
+		return Event{Slot: slot, Kind: EvArrive, ID: id, Node: req.Home, Req: req}
+	}
+	d.Ingest(arrive(1, 10), arrive(0, 11), arrive(0, 12), arrive(1, 13))
+	for e := 0; e < 4; e++ {
+		if _, err := d.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Ingest(arrive(0, 14)) // due long ago
+	if rec, err := d.Tick(); err != nil || rec.Arrived != 1 {
+		t.Fatalf("late event not admitted by the next Tick: %+v, %v", rec, err)
+	}
+	want := []int{11, 10, 12, 13, 14}
+	if d.ActiveRequests() != len(want) {
+		t.Fatalf("active = %d, want %d", d.ActiveRequests(), len(want))
+	}
+	for i, id := range want {
+		if d.active[i].ID != id {
+			t.Fatalf("admission order %v at %d, want %v", d.active[i].ID, i, want)
+		}
+	}
+}
+
+// TestDaemonStaleBindingStillPanics: the evaluator the daemon hands to repair
+// keeps its guard — a cold set changed mid-epoch, behind its back, fails
+// loudly instead of scoring the repair on stale routes.
+func TestDaemonStaleBindingStillPanics(t *testing.T) {
+	g, cat, reqs := testScenario(t, 8, 6, 79)
+	cfg := testConfig(g, cat)
+	cfg.Lifecycle = LifecycleConfig{IdleEpochs: 2, ColdStartDelay: 0.5}
+	cfg.Policy = RepairPolicy{Run: func(in *model.Instance, m *chaos.Mask, p model.Placement, rc repair.Config) (*repair.Result, error) {
+		rc.ColdStart.SetCold(0, 0, !rc.ColdStart.IsCold(0, 0))
+		return repair.Run(in, m, p, rc), nil
+	}}
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Ingest(arrivals(0, 0, reqs[:4])...)
+	if _, err := d.Tick(); err != nil { // initial solve: the policy is bypassed
+		t.Fatal(err)
+	}
+	d.Ingest(arrivals(1, 4, reqs[4:5])...)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "stale cold-start binding") {
+			t.Fatalf("foreign cold-set write did not panic as a stale binding: %q", msg)
+		}
+	}()
+	d.Tick()
+}
+
+// benchDaemon returns a daemon serving n long-lived requests with the
+// lifecycle on — the serve_steady shape at a size a smoke run affords — and
+// the spare requests later arrivals draw from.
+func benchDaemon(b *testing.B, n int) (*Daemon, []msvc.Request) {
+	b.Helper()
+	g, cat, reqs := testScenario(b, 24, n+64, 80)
+	cfg := testConfig(g, cat)
+	cfg.Lifecycle = LifecycleConfig{IdleEpochs: 3, WarmPool: 1, ColdStartDelay: 0.25}
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Ingest(arrivals(0, 0, reqs[:n])...)
+	for e := 0; e < 4; e++ { // solve, warm up, settle the lifecycle
+		if _, err := d.Tick(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return d, reqs[n:]
+}
+
+// trimHistory bounds what a long benchmark run retains: the record and delay
+// streams grow for ever by design (ROADMAP, "a daemon that can run forever").
+func trimHistory(d *Daemon, i int) {
+	if i%1024 == 1023 {
+		d.records, d.allDelays = d.records[:0], d.allDelays[:0]
+	}
+}
+
+// BenchmarkDaemonTickSteady: an epoch in which nothing changed.
+func BenchmarkDaemonTickSteady(b *testing.B) {
+	d, _ := benchDaemon(b, 400)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Tick(); err != nil {
+			b.Fatal(err)
+		}
+		trimHistory(d, i)
+	}
+}
+
+// BenchmarkDaemonTickReact: an epoch with serve_steady's small change — one
+// depart, one arrive, two moves among 400 requests.
+func BenchmarkDaemonTickReact(b *testing.B) {
+	d, spare := benchDaemon(b, 400)
+	nodes := d.cfg.Graph.N()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := d.Epoch()
+		req := spare[i%len(spare)]
+		a, c := d.active[(7*i)%len(d.active)], d.active[(13*i+5)%len(d.active)]
+		d.Ingest(
+			Event{Slot: e, Kind: EvDepart, ID: d.active[(3*i)%len(d.active)].ID},
+			Event{Slot: e, Kind: EvArrive, ID: 1_000_000 + i, Node: req.Home, Req: req},
+			Event{Slot: e, Kind: EvMove, ID: a.ID, Node: (a.Home + 1) % nodes},
+			Event{Slot: e, Kind: EvMove, ID: c.ID, Node: (c.Home + 1) % nodes},
+		)
+		if _, err := d.Tick(); err != nil {
+			b.Fatal(err)
+		}
+		trimHistory(d, i)
+	}
+}
+
+// BenchmarkDaemonRunScript: a script ingested whole before the first Tick —
+// 40 requests, 3000 epochs, one depart and one arrive every tenth. Admission
+// must cost the events, not events × epochs.
+func BenchmarkDaemonRunScript(b *testing.B) {
+	g, cat, reqs := testScenario(b, 8, 40+300, 81)
+	const base, epochs = 40, 3000
+	s := &Script{Meta: Meta{NumSlots: epochs}, Events: arrivals(0, 0, reqs[:base])}
+	for e, next := 10, base; e < epochs; e, next = e+10, next+1 {
+		s.Events = append(s.Events, Event{Slot: e, Kind: EvDepart, ID: next - base})
+		s.Events = append(s.Events, arrivals(e, next, reqs[next:next+1])...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := NewDaemon(testConfig(g, cat))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.RunScript(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -76,7 +76,8 @@ type Event struct {
 	Slot int
 	Kind EventKind
 	// ID names the request for arrive/depart/move. Arrivals must carry IDs
-	// unique among concurrently-active requests.
+	// unique among concurrently-active requests; the daemon drops one whose
+	// ID is already active.
 	ID int
 	// Node is the new home for EvMove.
 	Node int

@@ -12,7 +12,7 @@ import (
 	"repro/internal/topology"
 )
 
-func testScenario(t *testing.T, nodes, users int, seed int64) (*topology.Graph, *msvc.Catalog, []msvc.Request) {
+func testScenario(t testing.TB, nodes, users int, seed int64) (*topology.Graph, *msvc.Catalog, []msvc.Request) {
 	t.Helper()
 	g := topology.RandomGeometric(nodes, 0.4, topology.DefaultGenConfig(), seed)
 	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)

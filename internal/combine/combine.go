@@ -23,10 +23,11 @@
 // incremental engine (incremental.go) whose correctness rests on three
 // invariants, each preserved by every placement/reliance mutation:
 //
-//  1. Candidate coherence: state.idx always indexes the live placement.
-//     Every placement mutation goes through state.setPlace, and wholesale
-//     replacements (snapshot restore) Rebind the index. Cached per-service
-//     node lists are therefore equal to Placement.NodesOf at all times.
+//  1. Candidate coherence: state.idx, the index of the run's
+//     model.DeltaEvaluator, always indexes the live placement. Every
+//     placement mutation is an Apply through state.setPlace, and a roll-back
+//     Reverts them, so cached per-service node lists equal Placement.NodesOf
+//     at all times (a write around the evaluator panics as a stale binding).
 //  2. Reliance-index coherence: state.relyIdx holds, for each live instance,
 //     the ascending (h,t) list of steps relying on it — exactly the pairs
 //     with rel[h][t]==node and Chain[t]==svc. A re-homing replaces the lists
@@ -34,21 +35,16 @@
 //     a published list, so a snapshot keeps the list headers and a restore
 //     puts them back. The ascending order makes ζ's float summation
 //     bit-identical to the naive full scan.
-//  3. Route-cache exactness: a valid state.routes entry holds the request's
-//     true optimal route and latency under the live placement. Removing an
-//     instance invalidates exactly the requests whose cached route used it
-//     (shrinking a candidate set cannot change the optimum of a request
-//     whose route avoids the removed node); adding one (migration target)
-//     invalidates every request whose chain contains the service, since a
-//     grown candidate set can strictly improve avoided-node routes too.
-//     Precondition for surviving a roll-back: the cache is refreshed under
-//     the pre-step placement before every snapshot a roll-back can restore
-//     (a step that leaves storage short is accepted unexamined), so what a
-//     restore brings back is valid for the placement it brings back. Early
-//     verdict: because a valid entry is exact, one that already misses its
-//     deadline decides the check (Eq. 4 is violated) before anything is
-//     re-routed; only a check with no such entry re-routes, and then only
-//     the invalid ones.
+//  3. The deadline check reads the evaluator; a roll-back reverts the step's
+//     deltas. DeltaEvaluator.AnyLate is exact (a valid cached route is the
+//     request's true optimum), returns at the first valid entry that is
+//     already late, and otherwise re-routes only the invalid entries. A
+//     serial step records its Apply deltas and a roll-back Reverts them in
+//     LIFO order, which restores the placement and every cached route the
+//     step did not re-route. The evaluator is refreshed under the pre-step
+//     placement before each snapshot a roll-back can restore (a step that
+//     leaves storage short is accepted unexamined), so what a roll-back
+//     brings back is valid.
 //
 // The original full rescans survive as the reference path behind an
 // unexported Config field that only this package's tests set; the two paths
@@ -106,13 +102,12 @@ type Result struct {
 	ParallelRounds,
 	SerialRounds int
 
-	// Incremental-engine telemetry, summed over the run's deadline checks.
-	// RouteCacheHits counts the finite-deadline requests a check found with a
-	// still-valid cache entry, so that their Eq. 4 verdict was read, not
-	// routed. RouteRecomputed counts the entries actually re-routed, by the
-	// refresh before a snapshot or by a check no valid entry had already
-	// decided. A check that a cached violation decides re-routes nothing, so
-	// hits + recomputed is no longer checks × requests.
+	// Incremental-engine telemetry: the evaluator's Hits and Recomputed,
+	// counted per refresh (the one before a snapshot, and a deadline check no
+	// valid entry had already decided). RouteCacheHits counts the requests a
+	// refresh found with a still-valid route, RouteRecomputed those it
+	// re-routed. A check that a cached violation decides refreshes nothing,
+	// so hits + recomputed is not checks × requests.
 	RouteCacheHits  int
 	RouteRecomputed int
 }
@@ -136,18 +131,15 @@ type state struct {
 
 	// Incremental engine (all nil/zero when running naive; see
 	// incremental.go and the package comment's invariants).
-	idx                   *model.PlacementIndex // cached candidate node lists
-	relyIdx               [][][2]int            // [svc·|V|+node] → ascending relying (h,t)
-	rehomed               [][][2]int            // per-node scratch of rehome
-	routes                []cachedRoute         // per-request deadline-check cache
-	finite                []int                 // requests with finite deadlines
-	chainReqs             [][]int               // service → finite requests using it
-	scratch               *model.RouteScratch   // serial-path DP buffers
-	dirtyBuf              []int                 // reusable re-route worklist
-	zetaMemo              []float64             // [svc·|V|+node] memoized ζ, NaN = unset
-	latRow                []float64             // per-request ψ rows for starObjective
-	latRowDirty           []bool                // rows needing re-derivation
-	cacheHits, recomputed int
+	ev          *model.DeltaEvaluator // the deadline check's route cache, over place
+	idx         *model.PlacementIndex // ev's index: cached candidate node lists
+	step        []*model.Delta        // Applies since the last snapshot, in order
+	deadlines   bool                  // some request has a finite deadline
+	relyIdx     [][][2]int            // [svc·|V|+node] → ascending relying (h,t)
+	rehomed     [][][2]int            // per-node scratch of rehome
+	zetaMemo    []float64             // [svc·|V|+node] memoized ζ, NaN = unset
+	latRow      []float64             // per-request ψ rows for starObjective
+	latRowDirty []bool                // rows needing re-derivation
 
 	// Static memoization, shared by both engine modes (pure functions of
 	// the instance and partition, never of the mutable placement).
@@ -163,14 +155,15 @@ type state struct {
 // at is the dense (service, node) position shared by relyIdx and zetaMemo.
 func (s *state) at(svc, node int) int { return svc*s.in.V() + node }
 
-// setPlace mutates the placement, keeping the candidate index coherent
-// (invariant 1).
+// setPlace mutates the placement through the evaluator, keeping its index
+// and route cache coherent (invariant 1), and records the delta so a
+// roll-back can revert it (invariant 3; saveSnapshot starts a new step).
 func (s *state) setPlace(i, k int, val bool) {
-	if s.idx != nil {
-		s.idx.Set(i, k, val)
+	if s.ev == nil {
+		s.place.Set(i, k, val)
 		return
 	}
-	s.place.Set(i, k, val)
+	s.step = append(s.step, s.ev.Apply(i, k, val))
 }
 
 // nodesOf returns service i's hosting nodes, ascending — cached when the
@@ -184,7 +177,8 @@ func (s *state) nodesOf(i int) []int {
 
 // newState assembles the combination state over a private copy of pre: the
 // static tables, then — unless cfg.naive — the incremental engine, whose
-// candidate index the initial reliance pass already reads.
+// evaluator (bound to the whole instance: deadlines are read live) provides
+// the candidate index the initial reliance pass already reads.
 func newState(in *model.Instance, part *partition.Result, pre model.Placement, cfg Config) *state {
 	s := &state{
 		in:       in,
@@ -205,7 +199,8 @@ func newState(in *model.Instance, part *partition.Result, pre model.Placement, c
 	s.cost = in.DeployCost(s.place)
 	s.buildStaticTables()
 	if !cfg.naive {
-		s.idx = model.NewPlacementIndex(s.place)
+		s.ev = model.NewDeltaEvaluator(in, s.place, model.RouteModeOptimal, 0)
+		s.idx = s.ev.Index()
 	}
 	s.initReliance()
 	if !cfg.naive {
@@ -242,8 +237,10 @@ func Run(in *model.Instance, part *partition.Result, pre model.Placement, cfg Co
 	}
 	s.checkPhaseInvariants("after final storage planning")
 	res.Placement = s.place
-	res.RouteCacheHits = s.cacheHits
-	res.RouteRecomputed = s.recomputed
+	if s.ev != nil {
+		res.RouteCacheHits = s.ev.Hits
+		res.RouteRecomputed = s.ev.Recomputed
+	}
 	return res
 }
 
@@ -568,13 +565,11 @@ func (s *state) updateInstanceSet() []scoredInst {
 
 // removeInstance deletes (svc,node) and re-homes every relying step.
 // Incrementally the relying steps come straight off the reverse index
-// (invariant 2) and only routes that used the instance are invalidated
-// (invariant 3); the naive fallback scans all (h,t). Both orders ascend.
+// (invariant 2); the naive fallback scans all (h,t). Both orders ascend.
 func (s *state) removeInstance(svc, node int) {
 	s.setPlace(svc, node, false)
 	s.cost -= s.in.Workload.Catalog.Service(svc).DeployCost
 	if s.relyIdx != nil {
-		s.invalidateRoutesRemoved(svc, node)
 		s.rehome(svc, node)
 		return
 	}
@@ -695,13 +690,13 @@ func (s *state) serialPhase(cfg Config, res *Result) {
 			return
 		}
 		qBefore := s.starObjective()
-		// The snapshot must hold a route cache that is valid for the
-		// placement it restores (invariant 3's precondition): fill whatever
-		// is still unrouted now, under the pre-step placement. Not when the
-		// removal leaves storage short, though: that step is accepted
-		// unexamined below and nothing ever restores its snapshot.
-		if !s.storageShort(inst.key.svc) {
-			s.refreshRoutes()
+		// A roll-back must bring back routes that are valid for the
+		// placement it restores (invariant 3): route whatever is still
+		// unrouted now, under the pre-step placement. Not when the removal
+		// leaves storage short, though: that step is accepted unexamined
+		// below and nothing ever rolls it back.
+		if s.ev != nil && s.deadlines && !s.storageShort(inst.key.svc) {
+			s.ev.EvalObjective()
 		}
 		s.saveSnapshot(res)
 		s.removeInstance(inst.key.svc, inst.key.node)
@@ -741,49 +736,54 @@ func (s *state) serialPhase(cfg Config, res *Result) {
 	}
 }
 
-// snapState captures placement, reliances, cost, the frozen set and the
-// migration counter for a full step undo. The frozen set must round-trip
-// because the step's storage planning may migrate() a frozen instance away
-// (un-freezing it); a rolled-back step must neither leak that deletion nor
-// keep counting its undone migrations. Cached routes and reverse-index lists
-// are copied by header: what they point at is immutable once published
-// (re-routes and re-homings install fresh slices), so sharing it with the
-// snapshot is safe. The ζ memo round-trips too — a restored placement makes
-// the pre-step values exact again, so a roll-back rescoring costs nothing.
+// snapState captures reliances, cost, the frozen set and the migration
+// counter for a full step undo; the placement and its cached routes come
+// back by reverting the step's deltas (state.step), or — naive — from a
+// placement copy. The frozen set must round-trip because the step's storage
+// planning may migrate() a frozen instance away (un-freezing it); a
+// rolled-back step must neither leak that deletion nor keep counting its
+// undone migrations. Reverse-index lists are copied by header: what they
+// point at is immutable once published (re-homings install fresh slices),
+// so sharing it with the snapshot is safe. The ζ memo round-trips too — a
+// restored placement makes the pre-step values exact again, so a roll-back
+// rescoring costs nothing.
 //
 // The buffers live on state.snap and are reused round over round — at most
 // one snapshot is live at a time, and a restore copies contents back into
 // the live structures rather than swapping slice headers, so the serial
 // loop's own bookkeeping allocates nothing after the first round.
 type snapState struct {
-	place       model.Placement
-	rel         []int // state.relFlat
+	place       model.Placement // naive only
+	rel         []int           // state.relFlat
 	cost        float64
 	frozen      map[instKey]bool
 	migrated    int
 	relyIdx     [][][2]int
 	zetaMemo    []float64
-	routes      []cachedRoute
 	latRow      []float64
 	latRowDirty []bool
 }
 
 func (s *state) saveSnapshot(res *Result) {
 	sn := &s.snap
-	if sn.place.X == nil {
-		sn.place = s.place.Clone()
+	if sn.frozen == nil {
 		sn.rel = make([]int, len(s.relFlat))
 		sn.frozen = make(map[instKey]bool, len(s.frozen))
 		sn.relyIdx = make([][][2]int, len(s.relyIdx))
 		sn.zetaMemo = make([]float64, len(s.zetaMemo))
-		sn.routes = make([]cachedRoute, len(s.routes))
 		sn.latRow = make([]float64, len(s.latRow))
 		sn.latRowDirty = make([]bool, len(s.latRowDirty))
+	} else {
+		clear(sn.frozen)
+	}
+	if s.ev != nil {
+		s.step = s.step[:0]
+	} else if sn.place.X == nil {
+		sn.place = s.place.Clone()
 	} else {
 		for i := range s.place.X {
 			copy(sn.place.X[i], s.place.X[i])
 		}
-		clear(sn.frozen)
 	}
 	copy(sn.rel, s.relFlat)
 	for k, v := range s.frozen {
@@ -794,15 +794,21 @@ func (s *state) saveSnapshot(res *Result) {
 	// Incremental structures: zero-length copies when running naive.
 	copy(sn.relyIdx, s.relyIdx)
 	copy(sn.zetaMemo, s.zetaMemo)
-	copy(sn.routes, s.routes)
 	copy(sn.latRow, s.latRow)
 	copy(sn.latRowDirty, s.latRowDirty)
 }
 
 func (s *state) restoreSnapshot(res *Result) {
 	sn := &s.snap
-	for i := range s.place.X {
-		copy(s.place.X[i], sn.place.X[i])
+	if s.ev != nil {
+		for i := len(s.step) - 1; i >= 0; i-- {
+			s.ev.Revert(s.step[i])
+		}
+		s.step = s.step[:0]
+	} else {
+		for i := range s.place.X {
+			copy(s.place.X[i], sn.place.X[i])
+		}
 	}
 	copy(s.relFlat, sn.rel)
 	s.cost = sn.cost
@@ -811,12 +817,8 @@ func (s *state) restoreSnapshot(res *Result) {
 		s.frozen[k] = v
 	}
 	res.Migrated = sn.migrated
-	if s.idx != nil {
-		s.idx.Rebind(s.place) // contents changed in place: invalidate all
-	}
 	copy(s.relyIdx, sn.relyIdx)
 	copy(s.zetaMemo, sn.zetaMemo)
-	copy(s.routes, sn.routes)
 	copy(s.latRow, sn.latRow)
 	copy(s.latRowDirty, sn.latRowDirty)
 }
@@ -826,12 +828,10 @@ func (s *state) restoreSnapshot(res *Result) {
 // fallback when one exists — mirroring the evaluator — and violates only
 // if the cloud completion time misses the deadline.
 func (s *state) deadlineViolated() bool {
-	if s.routes != nil {
-		v := s.deadlineViolatedIncremental()
-		s.checkDeadlineVerdict(v) // differential Eq. 4; no-op unless armed
-		return v
+	if s.ev == nil {
+		return s.deadlineViolatedNaive()
 	}
-	return s.deadlineViolatedNaive()
+	return s.deadlines && s.ev.AnyLate()
 }
 
 // deadlineViolatedNaive routes every finite-deadline request from scratch —
@@ -1019,13 +1019,12 @@ func (s *state) migrate(svc, k int, res *Result) bool {
 		if in.StorageUsed(s.place, c.q)+phi > in.Graph.Node(c.q).Storage+model.FeasTol {
 			continue
 		}
-		// Move: deployment cost is unchanged (one instance either way).
-		s.setPlace(svc, k, false)
+		// Move: deployment cost is unchanged (one instance either way). The
+		// add goes first: it invalidates every route over svc, so the
+		// removal finds nothing left to save.
 		s.setPlace(svc, c.q, true)
+		s.setPlace(svc, k, false)
 		if s.relyIdx != nil {
-			// The added instance at c.q can improve any route over svc, so
-			// the whole service is invalidated (invariant 3, addition case).
-			s.invalidateRoutesService(svc)
 			s.rehome(svc, k)
 		} else {
 			s.rehomeNaive(svc, k)

@@ -102,10 +102,10 @@ func TestIncrementalMatchesNaiveUnderRollbacks(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesNaiveParallelReroute covers the goroutine fan-out in
-// deadlineViolatedIncremental, which the smaller differential instances never
-// reach: with at least rerouteParallelThreshold finite-deadline requests the
-// first deadline check of a run (every route still invalid) re-routes on
+// TestIncrementalMatchesNaiveParallelReroute covers the evaluator's re-route
+// fan-out inside combine, which the smaller differential instances never
+// reach: with at least model.DeltaParallelThreshold finite-deadline requests
+// the first refresh of a run (every route still invalid) re-routes on
 // GOMAXPROCS workers. The placement must still match the serial naive
 // reference bit for bit, and under -race any write to shared state from a
 // worker other than its own cache entries fails the test.
@@ -122,8 +122,8 @@ func TestIncrementalMatchesNaiveParallelReroute(t *testing.T) {
 				finite++
 			}
 		}
-		if finite < rerouteParallelThreshold {
-			t.Fatalf("seed %d: %d finite-deadline requests, need >= %d to reach the fan-out", seed, finite, rerouteParallelThreshold)
+		if finite < model.DeltaParallelThreshold {
+			t.Fatalf("seed %d: %d finite-deadline requests, need >= %d to reach the fan-out", seed, finite, model.DeltaParallelThreshold)
 		}
 		assertRunsIdentical(t, "parallel re-route", in1, in2, part1, part2, pre1, pre2, DefaultConfig())
 	}

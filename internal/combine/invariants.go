@@ -1,15 +1,13 @@
 package combine
 
-import (
-	"repro/internal/invariant"
-	"repro/internal/model"
-)
+import "repro/internal/invariant"
 
 // This file wires internal/invariant into the combine phase boundaries. All
 // checks are armed by the `soclinvariants` build tag and compile to nothing
-// otherwise; with the tag on they recompute the incremental engine's three
-// cached structures (candidate index, reverse reliance index, route cache)
-// from scratch and panic on the first divergence.
+// otherwise; with the tag on they recompute combine's own cached structures
+// (candidate index, reverse reliance index, ψ rows) from scratch and panic
+// on the first divergence. The route cache is the evaluator's, which holds
+// every verdict against a scratch evaluation under the same tag.
 
 // checkPhaseInvariants validates the mutable state against ground truth:
 //
@@ -18,7 +16,7 @@ import (
 //  2. the cost accumulator against Eq. 1 recomputed;
 //  3. reliance validity: every served step relies on a live instance;
 //  4. the reverse reliance index against a full rescan of rel;
-//  5. route-cache exactness: every valid entry equals fresh optimal routing.
+//  5. the ψ-row cache against a re-derivation.
 func (s *state) checkPhaseInvariants(where string) {
 	if !invariant.Enabled {
 		return
@@ -36,7 +34,6 @@ func (s *state) checkPhaseInvariants(where string) {
 		}
 	}
 	s.checkRelianceIndex(where)
-	s.checkRouteCache(where)
 	s.checkStarRows(where)
 }
 
@@ -90,53 +87,4 @@ func (s *state) checkRelianceIndex(where string) {
 	}
 	invariant.Assertf(indexed == served,
 		"combine %s: relyIdx tracks %d steps, rel serves %d", where, indexed, served)
-}
-
-// checkRouteCache verifies the "cache hits are exact" claim: every valid
-// entry must reproduce routing the request from scratch under the current
-// placement — same assignment, bitwise-same latency, same fallback class.
-func (s *state) checkRouteCache(where string) {
-	if !invariant.Enabled || s.routes == nil {
-		return
-	}
-	for _, h := range s.finite {
-		e := &s.routes[h]
-		if !e.valid {
-			continue
-		}
-		req := &s.in.Workload.Requests[h]
-		a, d, err := s.in.RouteOptimal(req, s.place)
-		switch {
-		case err == nil:
-			invariant.Assertf(!e.cloud && !e.missing,
-				"combine %s: request %d cached as cloud/missing but is routable", where, h)
-			invariant.Assertf(invariant.AlmostEq(e.lat, d, 0),
-				"combine %s: request %d cached latency %v != fresh %v", where, h, e.lat, d)
-			invariant.Assertf(len(e.nodes) == len(a.Nodes), "combine %s: request %d cached route length mismatch", where, h)
-			for t := range a.Nodes {
-				invariant.Assertf(e.nodes[t] == a.Nodes[t],
-					"combine %s: request %d cached route step %d = node %d, fresh = %d", where, h, t, e.nodes[t], a.Nodes[t])
-			}
-		case model.IsNoInstance(err) && s.in.Cloud != nil:
-			invariant.Assertf(e.cloud,
-				"combine %s: request %d is cloud-eligible but cached as %+v", where, h, *e)
-		default:
-			invariant.Assertf(e.missing,
-				"combine %s: request %d is unroutable but cached as %+v", where, h, *e)
-		}
-	}
-}
-
-// checkDeadlineVerdict asserts the incremental deadline verdict equals the
-// naive one routed from scratch — the differential form of Eq. 4 (absolute
-// feasibility is not an invariant mid-run: intermediate placements may
-// legitimately violate deadlines and be rolled back).
-func (s *state) checkDeadlineVerdict(incremental bool) {
-	if !invariant.Enabled {
-		return
-	}
-	s.checkRouteCache("deadline check")
-	naive := s.deadlineViolatedNaive()
-	invariant.Assertf(incremental == naive,
-		"combine deadline check: incremental verdict %v != naive %v", incremental, naive)
 }

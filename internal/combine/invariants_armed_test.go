@@ -12,8 +12,9 @@ import (
 // TestInvariantArmedDifferential is satellite coverage for the runtime
 // invariant layer: with soclinvariants on, every Run below executes the
 // phase-boundary checks (index coherence, cost recount, reliance index
-// rescan, route-cache exactness, differential Eq. 4 verdicts) — any
-// divergence panics the test — and the incremental/naive outputs must still
+// rescan, ψ rows) and the evaluator's own (every EvalObjective and Eq. 4
+// verdict against a scratch evaluation) — any divergence panics the test — and the
+// incremental/naive outputs must still
 // be bit-identical. Under the plain build this file does not compile, and
 // the same scenarios run (unchecked) via differential_test.go.
 func TestInvariantArmedDifferential(t *testing.T) {
@@ -26,7 +27,7 @@ func TestInvariantArmedDifferential(t *testing.T) {
 		assertRunsIdentical(t, "armed tight budget", in1, in2, part1, part2, pre1, pre2, DefaultConfig())
 	}
 	// Cloud fallback exercises the sentinel (ErrNoInstance) branches of the
-	// route cache and the deadline differential.
+	// evaluator's routes and verdict.
 	in1, part1, pre1 := buildInstance(8, 30, 2, 5000)
 	in2, part2, pre2 := buildInstance(8, 30, 2, 5000)
 	cc := model.DefaultCloudConfig()

@@ -152,4 +152,65 @@ func TestDeadlineCheckUsesCloudFallback(t *testing.T) {
 			t.Fatalf("naive=%v: missed cloud deadline not flagged", naive)
 		}
 	}
+
+	// Two islands: the request's only instance is deployed on the other one,
+	// so it is unreachable (+Inf, late). Removing that last instance hands
+	// the request to the cloud, which meets its deadline. A route cache that
+	// keeps an unreachable entry across the removal still says "late".
+	for _, naive := range []bool{false, true} {
+		in, part, pre, svc := islandsInstance(t)
+		s := newState(in, part, pre, Config{naive: naive})
+		if !s.deadlineViolated() {
+			t.Fatalf("naive=%v: an unreachable request is not flagged", naive)
+		}
+		s.removeInstance(svc, 2)
+		if got, want := s.deadlineViolated(), s.deadlineViolatedNaive(); got || want {
+			t.Fatalf("naive=%v: after the last instance went, verdict %v (naive %v); the cloud serves in time", naive, got, want)
+		}
+	}
+}
+
+// islandsInstance is a two-island substrate ({0,1} and {2,3}) with the cloud
+// on and one request homed on node 0, whose one-service chain is deployed
+// only on node 2. Its deadline is twice the cloud completion time.
+func islandsInstance(t *testing.T) (*model.Instance, *partition.Result, model.Placement, int) {
+	t.Helper()
+	g := topology.New(4)
+	for k := 0; k < 4; k++ {
+		g.AddNode(float64(k), 0, 10, 50)
+	}
+	for _, l := range [][2]int{{0, 1}, {2, 3}} {
+		if err := g.AddLink(l[0], l[1], 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Finalize()
+	cat := msvc.NewCatalog()
+	svc, err := cat.Add("a", 100, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.AddFlow([]msvc.ServiceID{svc}); err != nil {
+		t.Fatal(err)
+	}
+	cc := model.DefaultCloudConfig()
+	in := &model.Instance{Graph: g, Lambda: 0.5, Budget: 1e4, Cloud: &cc, Workload: &msvc.Workload{Catalog: cat,
+		Requests: []msvc.Request{{Home: 0, Chain: []int{svc}, DataIn: 1, DataOut: 1}}}}
+	req := &in.Workload.Requests[0]
+	req.Deadline = 2 * cc.CloudCompletionTime(cat, req)
+	pre := model.NewPlacement(in.M(), in.V())
+	pre.Set(svc, 2, true)
+	return in, partition.Build(in, partition.DefaultConfig()), pre, svc
+}
+
+// TestRunAbsorbsUnreachableLastInstance is the same shape through Run: the
+// serial phase may remove the unreachable instance, since the cloud then
+// serves the request in time, and both modes must agree that it does.
+func TestRunAbsorbsUnreachableLastInstance(t *testing.T) {
+	in1, part1, pre1, svc := islandsInstance(t)
+	in2, part2, pre2, _ := islandsInstance(t)
+	res := assertRunsIdentical(t, "unreachable last instance", in1, in2, part1, part2, pre1, pre2, DefaultConfig())
+	if res.Placement.Count(svc) != 0 || res.RolledBack != 0 {
+		t.Fatalf("%d instances left, %d roll-backs; want the instance absorbed by the cloud", res.Placement.Count(svc), res.RolledBack)
+	}
 }

@@ -55,8 +55,9 @@ type Stats struct {
 	Migrated         int  // storage migrations
 	BudgetMet        bool // parallel phase reached Σ𝒦 ≤ 𝒦^max
 
-	// Incremental routing-engine telemetry: deadline checks served from the
-	// per-request route cache vs re-routed.
+	// Incremental routing-engine telemetry (combine.Result's): the combine
+	// evaluator's Hits and Recomputed, counted per refresh — requests found
+	// with a still-valid route vs re-routed.
 	RouteCacheHits  int
 	RouteRecomputed int
 }

@@ -41,7 +41,8 @@ import (
 //
 // Search loops that only rank candidates need not mutate at all: ProbeRemoval
 // and ProbeAdd (delta_probeadd.go) answer "what if this instance were gone /
-// these were added" from per-request memos.
+// these were added" from per-request memos. AnyLate answers a single Eq. 4
+// question, "is some request late?", and stops at the first cached answer.
 //
 // The workload may change too, through one method: SetRequests re-points the
 // evaluator at an edited request list and carries a cached route over exactly
@@ -103,13 +104,20 @@ func (x *excludeLister) NodesOf(s int) []int {
 // Apply → Eval → Revert probe leaves the evaluator exactly as it was — the
 // pattern GC-OG's candidate search runs thousands of times per round.
 // Outstanding deltas must be reverted in LIFO order.
+//
+// A removal under optimal/greedy routing saves the entries it invalidates:
+// few, and usually re-routed before the Revert. An addition (and any
+// mutation under random routing) invalidates every valid entry over the
+// service, so it records only their indices: an entry nothing re-routed
+// since still holds its pre-Apply content and is simply re-validated.
 type Delta struct {
 	svc, node int
 	val       bool
 	noop      bool   // Apply found the bit already at val; nothing to undo
-	gen       uint64 // evalGen at Apply; later-stamped entries were probe-routed
+	gen       uint64 // evalGen at Apply; later-stamped entries were routed since
 	reqGen    uint64 // reqGen at Apply; saved entries index that request list
 	saved     []routeSave
+	flipped   []int // requests an addition (or random-mode) Apply invalidated, ascending
 	reverted  bool
 }
 
@@ -139,15 +147,18 @@ type DeltaEvaluator struct {
 
 	scratch  *RouteScratch
 	dirtyBuf []int
-	spare    []routeSave // recycled Delta backing storage
+	// Undo buffers handed back by Revert, for the next Apply to reuse.
+	spareSaved   [][]routeSave
+	spareFlipped [][]int
 
 	// Removal-probe memo (ProbeRemoval): altLat[h][t] is request h's exact
 	// completion time if the instance its route uses at chain step t were
 	// removed. A row is valid while chainGen[h] — bumped on every placement
-	// mutation of a service in h's chain — matches altGen[h]; entries fill
-	// lazily. This is what lets GC-OG's candidate sweep skip re-routing for
-	// every request whose chain the previous round's accepted move did not
-	// touch.
+	// mutation of a service in h's chain while some probe memo exists (a memo
+	// is born stale, so none need be tracked before) — matches altGen[h];
+	// entries fill lazily. This is what lets GC-OG's candidate sweep skip
+	// re-routing for every request whose chain the previous round's accepted
+	// move did not touch.
 	chainGen []uint64
 	altGen   []uint64
 	altLat   [][]float64
@@ -340,15 +351,20 @@ func (d *DeltaEvaluator) checkEpoch(op string) {
 // Apply sets x(svc,node)=val and returns the undo record. Applying a value
 // the placement already holds is a no-op that still returns a (trivially
 // revertible) delta. The mutation invalidates the affected cache entries per
-// the rules in the file comment; each valid entry it invalidates is saved
-// into the delta, so a Revert restores both placement and cache exactly.
+// the rules in the file comment; each valid entry it invalidates is recorded
+// in the delta (see there), so a Revert restores both placement and cache
+// exactly.
 func (d *DeltaEvaluator) Apply(svc, node int, val bool) *Delta {
 	d.checkEpoch("Apply")
-	dl := &Delta{svc: svc, node: node, val: val, gen: d.evalGen, reqGen: d.reqGen, saved: d.spare[:0]}
-	d.spare = nil
+	dl := &Delta{svc: svc, node: node, val: val, gen: d.evalGen, reqGen: d.reqGen}
 	if d.ix.Has(svc, node) == val {
 		dl.noop = true
 		return dl // nothing saved, nothing invalidated
+	}
+	if d.flags(val) {
+		dl.flipped = popSpare(&d.spareFlipped)
+	} else {
+		dl.saved = popSpare(&d.spareSaved)
 	}
 	d.ix.Set(svc, node, val)
 	d.epoch = d.ix.Epoch()
@@ -356,12 +372,31 @@ func (d *DeltaEvaluator) Apply(svc, node int, val bool) *Delta {
 	return dl
 }
 
+// flags reports whether a mutation setting a bit to val invalidates every
+// valid entry over its service (and so records indices, not entries): an
+// addition, or any mutation under random routing.
+func (d *DeltaEvaluator) flags(val bool) bool { return val || d.mode == RouteModeRandom }
+
+// popSpare takes a recycled buffer off pool, or returns nil.
+func popSpare[T any](pool *[][]T) []T {
+	n := len(*pool)
+	if n == 0 {
+		return nil
+	}
+	b := (*pool)[n-1]
+	*pool = (*pool)[:n-1]
+	return b
+}
+
 // Revert undoes a delta from Apply: the placement bit and all invalidated
-// cache entries return to their pre-Apply state; entries that were already
-// invalid at Apply time and got re-routed during the probe window (their gen
-// outruns the delta's) are re-invalidated, since their content reflects the
-// probe placement. Reverting twice panics; overlapping deltas must revert in
-// LIFO order.
+// cache entries return to their pre-Apply state. An entry routed since the
+// Apply (its gen outruns the delta's) is exact for the placement Revert
+// leaves only if un-doing the mutation cannot change it: after a removal it
+// is invalidated, since the instance comes back; after an addition it goes
+// through the removal rule, last-instance case included. When nothing was
+// routed or probed since the Apply there is no such entry, and the walk over
+// the service's requests is skipped. Reverting twice panics; overlapping
+// deltas must revert in LIFO order.
 func (d *DeltaEvaluator) Revert(dl *Delta) {
 	d.checkEpoch("Revert")
 	if dl.reverted {
@@ -376,69 +411,92 @@ func (d *DeltaEvaluator) Revert(dl *Delta) {
 	}
 	d.ix.Set(dl.svc, dl.node, !dl.val)
 	d.epoch = d.ix.Epoch()
-	for _, h := range d.chainReqs[dl.svc] {
-		d.chainGen[h]++ // reverting is itself a mutation of svc's candidates
-		if e := &d.routes[h]; e.gen > dl.gen {
-			e.valid = false
+	if d.evalGen != dl.gen {
+		memo := d.memoized()
+		for _, h := range d.chainReqs[dl.svc] {
+			if memo {
+				d.chainGen[h]++ // reverting is itself a mutation of svc's candidates
+			}
+			// Un-doing the mutation sets the bit to !dl.val: its rule applies.
+			e := &d.routes[h]
+			if e.valid && e.gen > dl.gen &&
+				(d.flags(!dl.val) || d.staleAfterRemoval(h, e, dl.svc, dl.node)) {
+				e.valid = false
+			}
+		}
+	}
+	for _, h := range dl.flipped {
+		if e := &d.routes[h]; e.gen <= dl.gen {
+			e.valid = true // invalidated by this Apply alone: its content is pre-Apply
 		}
 	}
 	for _, sv := range dl.saved {
 		d.routes[sv.h] = sv.e
 	}
-	d.spare = dl.saved[:0] // recycle the backing array for the next Apply
+	if cap(dl.flipped) > 0 {
+		d.spareFlipped = append(d.spareFlipped, dl.flipped[:0])
+	}
+	if cap(dl.saved) > 0 {
+		d.spareSaved = append(d.spareSaved, dl.saved[:0])
+	}
+	dl.flipped, dl.saved = nil, nil
 }
 
+// memoized reports whether some probe memo exists, which is when chainGen
+// must track mutations.
+func (d *DeltaEvaluator) memoized() bool { return d.altLat != nil || d.addProbe.tab != nil }
+
 // invalidate applies the mode-specific invalidation rule for a single
-// mutation of (svc, node), saving each previously-valid entry it flips into
+// mutation of (svc, node), recording each previously-valid entry it flips in
 // dl's undo record (dl == nil when the caller keeps none, e.g. AdvanceTo).
 func (d *DeltaEvaluator) invalidate(svc, node int, added bool, dl *Delta) {
-	if added || d.mode == RouteModeRandom {
-		// Additions can improve any route over svc; random routing indexes
-		// candidate lists by position, so any resize reshuffles the draws.
-		for _, h := range d.chainReqs[svc] {
-			d.chainGen[h]++ // drop probe memos: their candidate view is stale
-			if e := &d.routes[h]; e.valid {
-				if dl != nil {
-					dl.saved = append(dl.saved, routeSave{h, *e})
-				}
-				e.valid = false
-			}
-		}
-		return
-	}
-	// Removal under optimal/greedy: only routes that executed a step on the
-	// removed instance can change (see the file comment for the tie-break
-	// argument) — plus, when svc just lost its last instance, the requests
-	// that were disconnected from every instance of it: deployed-but-
-	// unreachable turns into ErrNoInstance (missing, or cloud-served).
+	memo := d.memoized()
+	flags := d.flags(added)
 	for _, h := range d.chainReqs[svc] {
-		d.chainGen[h]++ // drop probe memos: their candidate view is stale
+		if memo {
+			d.chainGen[h]++ // drop probe memos: their candidate view is stale
+		}
 		e := &d.routes[h]
 		if !e.valid {
 			continue
 		}
-		if e.nodes == nil {
-			// Count only for the (rare) disconnected entry: it rebuilds the
-			// index's node list for svc.
-			if !e.cloud && !e.missing && d.ix.Count(svc) == 0 {
-				if dl != nil {
-					dl.saved = append(dl.saved, routeSave{h, *e})
-				}
-				e.valid = false
+		switch {
+		case flags:
+			// Additions can improve any route over svc; random routing indexes
+			// candidate lists by position, so any resize reshuffles the draws.
+			if dl != nil {
+				dl.flipped = append(dl.flipped, h)
 			}
+		case d.staleAfterRemoval(h, e, svc, node):
+			if dl != nil {
+				dl.saved = append(dl.saved, routeSave{h, *e})
+			}
+		default:
 			continue
 		}
-		chain := d.in.Workload.Requests[h].Chain
-		for t, k := range e.nodes {
-			if k == node && chain[t] == svc {
-				if dl != nil {
-					dl.saved = append(dl.saved, routeSave{h, *e})
-				}
-				e.valid = false
-				break
-			}
+		e.valid = false
+	}
+}
+
+// staleAfterRemoval is the removal rule under optimal/greedy routing, for
+// request h's valid entry e once (svc, node) is gone: only a route that
+// executed a step on the removed instance can change (see the file comment
+// for the tie-break argument) — plus, when svc just lost its last instance, a
+// request that was disconnected from every instance of it: deployed-but-
+// unreachable turns into ErrNoInstance (missing, or cloud-served).
+func (d *DeltaEvaluator) staleAfterRemoval(h int, e *deltaRoute, svc, node int) bool {
+	if e.nodes == nil {
+		// Count only for the (rare) disconnected entry: it rebuilds the
+		// index's node list for svc.
+		return !e.cloud && !e.missing && d.ix.Count(svc) == 0
+	}
+	chain := d.in.Workload.Requests[h].Chain
+	for t, k := range e.nodes {
+		if k == node && chain[t] == svc {
+			return true
 		}
 	}
+	return false
 }
 
 // AdvanceTo mutates the bound placement into p (diff-and-apply, no undo) and
@@ -484,10 +542,10 @@ func (d *DeltaEvaluator) Rebind(p Placement) {
 	}
 }
 
-// deltaParallelThreshold is the dirty-request count above which Eval's
+// DeltaParallelThreshold is the dirty-request count at which a refresh's
 // re-route fan-out goes parallel (same pattern and determinism argument as
-// EvaluateRouted / combine's incremental deadline check).
-const deltaParallelThreshold = 64
+// EvaluateRouted: per-request routing is independent).
+const DeltaParallelThreshold = 64
 
 // rerouteOne refreshes request h's cache entry under the live placement.
 func (d *DeltaEvaluator) rerouteOne(h int, sc *RouteScratch) {
@@ -537,7 +595,7 @@ func (d *DeltaEvaluator) refresh() {
 	d.Recomputed += len(dirty)
 	d.Hits += len(d.routes) - len(dirty)
 
-	if len(dirty) >= deltaParallelThreshold && runtime.GOMAXPROCS(0) > 1 {
+	if len(dirty) >= DeltaParallelThreshold && runtime.GOMAXPROCS(0) > 1 {
 		d.ix.Prewarm() // concurrent NodesOf reads must not rebuild
 		workers := runtime.GOMAXPROCS(0)
 		chunk := (len(dirty) + workers - 1) / workers
@@ -586,6 +644,45 @@ func (d *DeltaEvaluator) EvalObjective() (objective float64, overBudget bool) {
 	overBudget = !(cost <= d.in.Budget+FeasTol)
 	d.selfCheckDeltaScalars(objective, overBudget)
 	return objective, overBudget
+}
+
+// AnyLate reports whether constraint (4) fails under the bound placement:
+// some request with a finite deadline is missing, or completes — served by
+// the edge, the cloud, or by nothing reachable (+Inf) — later than its
+// deadline plus FeasTol. A valid entry is the request's exact outcome, so
+// one that is already late decides the verdict with nothing re-routed;
+// otherwise only the invalid entries are re-routed, and then examined.
+// Deadlines are read live from the workload, never cached.
+func (d *DeltaEvaluator) AnyLate() bool {
+	d.checkEpoch("AnyLate")
+	late := d.anyLate()
+	d.selfCheckAnyLate(late)
+	return late
+}
+
+func (d *DeltaEvaluator) anyLate() bool {
+	for h := range d.routes {
+		if d.routes[h].valid && d.late(h) {
+			return true
+		}
+	}
+	d.refresh()
+	for _, h := range d.dirtyBuf {
+		if d.late(h) {
+			return true
+		}
+	}
+	return false
+}
+
+// late is the Eq. 4 verdict on request h's entry.
+func (d *DeltaEvaluator) late(h int) bool {
+	deadline := d.in.Workload.Requests[h].Deadline
+	if math.IsInf(deadline, 1) {
+		return false
+	}
+	e := &d.routes[h]
+	return e.missing || e.lat > deadline+FeasTol
 }
 
 // ProbeRemoval answers "what would the exact objective be with x(svc,node)

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/msvc"
@@ -87,10 +88,16 @@ func editInstance(t testing.TB, sc editScenario) *Instance {
 
 // editRequest is the n-th admission: fresh chain storage every time, as the
 // daemon's admit gives it, and sizes that differ from request to request.
+// Deadlines sit among the fixture's latencies (about 0.1–2.5 at the edge,
+// 3–8 in the cloud), so some requests are late and some are not; a request
+// over service 3 has none, so it can go missing without being late.
 func editRequest(id, n, home int) msvc.Request {
 	chain := append([]int(nil), editChains[n%len(editChains)]...)
 	req := msvc.Request{ID: id, Home: home % editNodes, Chain: chain,
-		DataIn: 1 + float64(n%5), DataOut: 2 + float64(n%3), Deadline: 40 + float64(n%7)}
+		DataIn: 1 + float64(n%5), DataOut: 2 + float64(n%3), Deadline: 2 + float64(n%7)}
+	if slices.Contains(chain, 3) {
+		req.Deadline = math.Inf(1)
+	}
 	req.EdgeData = make([]float64, len(chain)-1)
 	for i := range req.EdgeData {
 		req.EdgeData[i] = 3 + float64((n+i)%11)
@@ -139,9 +146,17 @@ func runEditWalk(t testing.TB, data []byte) {
 	}
 	check(-1, "bound")
 
+	checkLate := func(step int, label string) {
+		t.Helper()
+		want := lateCount(active, scratch(de.Placement())) > 0
+		if got := de.AnyLate(); got != want {
+			t.Fatalf("%s step %d %s: AnyLate = %v, scratch has late requests: %v", sc, step, label, got, want)
+		}
+	}
+
 	ops := data[1:]
 	for step := 0; step+2 < len(ops); step += 3 {
-		op, a, b := ops[step]%11, int(ops[step+1]), int(ops[step+2])
+		op, a, b := ops[step]%13, int(ops[step+1]), int(ops[step+2])
 		svc, node := a%editServices, b%editNodes
 		edited := false
 		switch op {
@@ -191,11 +206,15 @@ func runEditWalk(t testing.TB, data []byte) {
 			if math.Float64bits(obj) != math.Float64bits(want.Objective) || over != want.OverBudget {
 				t.Fatalf("%s step %d: ProbeRemoval(%d,%d) = (%v, %v), scratch (%v, %v)", sc, step, svc, node, obj, over, want.Objective, want.OverBudget)
 			}
-		case 8: // jump to an unrelated placement
+		case 8: // jump to an unrelated placement, where service 3 is scarce
 			q := NewPlacement(editServices, editNodes)
 			for i := 0; i < editServices; i++ {
 				for k := 0; k < editNodes; k++ {
-					q.Set(i, k, (a>>uint((i+k)%8))&1 == 1 || (b+i*k)%5 == 0)
+					on := (a>>uint((i+k)%8))&1 == 1 || (b+i*k)%5 == 0
+					if i == 3 {
+						on = (a>>uint(k))&1 == 1 && (b+k)%4 == 0
+					}
+					q.Set(i, k, on)
 				}
 			}
 			de.AdvanceTo(q)
@@ -218,6 +237,31 @@ func runEditWalk(t testing.TB, data []byte) {
 			}
 			probeAdd(node, svc)
 			probeAdd((node+1)%editNodes, svc, (svc+1+b%3)%editServices, svc)
+		case 11: // Eq. 4 verdict
+			checkLate(step, "verdict")
+		case 12: // a combine serial step: a removal, migrations (add, then
+			// remove), a verdict or an Eval, and a roll-back in LIFO order
+			before := de.Placement().Clone()
+			dls := []*Delta{de.Apply(svc, node, false)}
+			for j := 0; j <= b%3; j++ {
+				ms := (svc + 1 + j) % editServices
+				dls = append(dls, de.Apply(ms, (a+2*j+1)%editNodes, true), de.Apply(ms, (b+j)%editNodes, false))
+			}
+			if a&16 == 0 {
+				checkLate(step, "step verdict")
+			} else {
+				check(step, "step")
+			}
+			for j := len(dls) - 1; j >= 0; j-- {
+				de.Revert(dls[j])
+			}
+			for i := range before.X {
+				for k := range before.X[i] {
+					if de.Placement().Has(i, k) != before.Has(i, k) {
+						t.Fatalf("%s step %d: the roll-back left (%d,%d) at %v", sc, step, i, k, !before.Has(i, k))
+					}
+				}
+			}
 		}
 		if edited {
 			de.SetRequests(active)

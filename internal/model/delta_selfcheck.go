@@ -1,6 +1,11 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/msvc"
+)
 
 // selfCheckDelta revalidates a DeltaEvaluator evaluation against a scratch
 // EvaluateRouted of the same placement — the runtime proof of the engine's
@@ -57,6 +62,36 @@ func (d *DeltaEvaluator) selfCheckDeltaScalars(objective float64, overBudget boo
 		panic(fmt.Sprintf("model: delta EvalObjective diverges from scratch evaluation: objective %v vs %v, overBudget %v vs %v",
 			objective, fresh.Objective, overBudget, fresh.OverBudget))
 	}
+}
+
+// selfCheckAnyLate holds AnyLate's verdict, and every valid entry it may
+// have read, against a scratch evaluation: the verdict is whether some
+// finite-deadline request is missing or late there.
+func (d *DeltaEvaluator) selfCheckAnyLate(late bool) {
+	if !invariantsEnabled {
+		return
+	}
+	fresh := d.in.EvaluateRouted(d.ix.Placement(), d.mode, d.seed)
+	if got := lateCount(d.in.Workload.Requests, fresh) > 0; got != late {
+		panic(fmt.Sprintf("model: AnyLate = %v, scratch evaluation says %v", late, got))
+	}
+	for h := range d.routes {
+		if e := &d.routes[h]; e.valid && !almostEq(e.lat, fresh.Latencies[h], 0) {
+			panic(fmt.Sprintf("model: AnyLate read request %d's cached latency %v, scratch %v", h, e.lat, fresh.Latencies[h]))
+		}
+	}
+}
+
+// lateCount is the number of finite-deadline requests ev leaves missing
+// (+Inf) or late.
+func lateCount(reqs []msvc.Request, ev *Evaluation) int {
+	n := 0
+	for h := range reqs {
+		if dl := reqs[h].Deadline; !math.IsInf(dl, 1) && ev.Latencies[h] > dl+FeasTol {
+			n++
+		}
+	}
+	return n
 }
 
 // selfCheckProbe revalidates a memoized ProbeRemoval against a scratch

@@ -64,8 +64,9 @@ func TestPlacementIndexNodesOfTracksMutations(t *testing.T) {
 	}
 }
 
-// Differential: indexed routing with reused scratch must be bit-identical
-// to the naive allocating path, across placement mutations.
+// Differential: routing over a PlacementIndex with reused scratch (what the
+// delta evaluator runs) must be bit-identical to the naive allocating path,
+// across placement mutations.
 func TestRouteOptimalIndexedMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		in := indexTestInstance(t, 10, 30, seed)
@@ -76,7 +77,7 @@ func TestRouteOptimalIndexedMatchesNaive(t *testing.T) {
 			for h := range in.Workload.Requests {
 				req := &in.Workload.Requests[h]
 				a1, d1, err1 := in.RouteOptimal(req, ix.Placement())
-				a2, d2, err2 := in.RouteOptimalIndexed(req, ix, sc)
+				a2, d2, err2 := in.routeOptimal(req, ix, sc)
 				if (err1 == nil) != (err2 == nil) {
 					t.Fatalf("seed %d req %d: err mismatch %v vs %v", seed, h, err1, err2)
 				}

@@ -243,16 +243,6 @@ func (in *Instance) RouteOptimal(req *msvc.Request, p Placement) (Assignment, fl
 	return in.routeOptimal(req, p, nil)
 }
 
-// RouteOptimalIndexed is RouteOptimal over a PlacementIndex: candidate
-// layers come from the index's cached lists and the DP buffers are reused
-// from sc (pass nil to allocate fresh). Results are bit-identical to
-// RouteOptimal on the index's placement.
-//
-//socllint:sentinel ErrNoInstance
-func (in *Instance) RouteOptimalIndexed(req *msvc.Request, ix *PlacementIndex, sc *RouteScratch) (Assignment, float64, error) {
-	return in.routeOptimal(req, ix, sc)
-}
-
 //socllint:sentinel ErrNoInstance
 func (in *Instance) routeOptimal(req *msvc.Request, cand nodeLister, sc *RouteScratch) (Assignment, float64, error) {
 	g := in.Graph

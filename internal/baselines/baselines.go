@@ -195,19 +195,6 @@ type GCOGResult struct {
 	Evals     int // exact objective evaluations performed
 }
 
-// GCOGConfig picks the routing model GC-OG scores with (zero value = optimal
-// routing, matching Instance.Evaluate).
-type GCOGConfig struct {
-	Mode model.RoutingMode
-	Seed int64 // consumed only by RouteModeRandom
-}
-
-// GCOG runs greedy combine with objective gradient under the default
-// configuration (incremental scoring, optimal routing).
-func GCOG(in *model.Instance) GCOGResult {
-	return GCOGWithConfig(in, GCOGConfig{})
-}
-
 // gcogInitial builds the shared starting placement: a continuity pass (one
 // instance per used service at — or nearest to — its first demand node),
 // then storage-aware full coverage of every demand site. Shared with the
@@ -247,23 +234,23 @@ func gcogInitial(in *model.Instance, used []int) model.Placement {
 	return p
 }
 
-// GCOGWithConfig runs greedy combine with objective gradient: start from
+// GCOG runs greedy combine with objective gradient: start from
 // full coverage of every demand site, then repeatedly evaluate every
 // possible single-instance removal with the exact evaluator and apply the
 // best one, until the budget and storage constraints hold and no removal
-// improves the objective.
+// improves the objective, every candidate scored under optimal routing.
 //
 // Each candidate removal is scored through a model.DeltaEvaluator probe
 // (Apply → Eval → Revert), re-routing only the requests that traversed the
 // removed instance. The test-only reference loop re-evaluates the whole
 // placement from scratch per candidate; both count one Eval per candidate
 // and are bit-identical in outcome (see TestGCOGDifferential).
-func GCOGWithConfig(in *model.Instance, cfg GCOGConfig) GCOGResult {
+func GCOG(in *model.Instance) GCOGResult {
 	used := append([]int(nil), in.Workload.ServicesUsed()...)
 	sort.Ints(used)
 	p := gcogInitial(in, used)
 
-	de := model.NewDeltaEvaluator(in, p, cfg.Mode, cfg.Seed)
+	de := model.NewDeltaEvaluator(in, p, model.RouteModeOptimal, 0)
 	res := GCOGResult{}
 	maxRounds := in.M()*in.V() + 16
 	for ; res.Rounds < maxRounds; res.Rounds++ {
@@ -279,9 +266,6 @@ func GCOGWithConfig(in *model.Instance, cfg GCOGConfig) GCOGResult {
 			if de.Placement().Count(svc) <= 1 {
 				continue
 			}
-			// Placement.NodesOf allocates a fresh slice, so a random-mode
-			// probe's internal Apply cannot invalidate the iteration (the
-			// index's cached NodesOf would be rebuilt in place under us).
 			for _, k := range de.Placement().NodesOf(svc) {
 				obj, _ := de.ProbeRemoval(svc, k)
 				res.Evals++

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -10,14 +11,14 @@ import (
 
 // gcogNaive is the reference search loop: identical move selection, every
 // candidate scored by a from-scratch EvaluateRouted.
-func gcogNaive(in *model.Instance, cfg GCOGConfig) GCOGResult {
+func gcogNaive(in *model.Instance) GCOGResult {
 	used := append([]int(nil), in.Workload.ServicesUsed()...)
 	sort.Ints(used)
 	p := gcogInitial(in, used)
 	res := GCOGResult{}
 	maxRounds := in.M()*in.V() + 16
 	for ; res.Rounds < maxRounds; res.Rounds++ {
-		cur := in.EvaluateRouted(p, cfg.Mode, cfg.Seed)
+		cur := in.Evaluate(p)
 		res.Evals++
 		needReduce := cur.OverBudget
 
@@ -31,7 +32,7 @@ func gcogNaive(in *model.Instance, cfg GCOGConfig) GCOGResult {
 			}
 			for _, k := range p.NodesOf(svc) {
 				p.Set(svc, k, false)
-				ev := in.EvaluateRouted(p, cfg.Mode, cfg.Seed)
+				ev := in.Evaluate(p)
 				res.Evals++
 				if ev.Objective < bestObj-model.ObjTol {
 					bestObj, bestSvc, bestK = ev.Objective, svc, k
@@ -59,41 +60,33 @@ func gcogNaive(in *model.Instance, cfg GCOGConfig) GCOGResult {
 
 // TestGCOGDifferential proves the incremental GC-OG search is the naive one:
 // identical placements bit for bit, identical round and eval counts, across
-// seeds, budgets (binding and slack) and both deterministic route modes.
+// seeds and budgets (binding and slack). ProbeRemoval's other routing modes
+// are held to scratch evaluation by model's generated edit walk.
 func TestGCOGDifferential(t *testing.T) {
-	// Random mode exercises ProbeRemoval's mutate-and-revert fallback; the
-	// deterministic modes exercise the memoized counterfactual path.
-	modes := []model.RoutingMode{model.RouteModeOptimal, model.RouteModeGreedy, model.RouteModeRandom}
 	budgets := []float64{4000, 9000}
-	for _, mode := range modes {
-		for seed := int64(1); seed <= 3; seed++ {
-			for _, budget := range budgets {
-				in := makeInstance(9, 35, seed, budget)
-				cfg := GCOGConfig{Mode: mode, Seed: seed}
-				inc := GCOGWithConfig(in, cfg)
-				nai := gcogNaive(in, cfg)
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, budget := range budgets {
+			in := makeInstance(9, 35, seed, budget)
+			inc := GCOG(in)
+			nai := gcogNaive(in)
 
-				label := func(what string) string {
-					return mode.String() + "/seed=" + string(rune('0'+seed)) + what
-				}
-				if inc.Rounds != nai.Rounds || inc.Evals != nai.Evals {
-					t.Fatalf("%s: effort diverges: incremental %d rounds/%d evals, naive %d/%d",
-						label(""), inc.Rounds, inc.Evals, nai.Rounds, nai.Evals)
-				}
-				for i := 0; i < in.M(); i++ {
-					for k := 0; k < in.V(); k++ {
-						if inc.Placement.Has(i, k) != nai.Placement.Has(i, k) {
-							t.Fatalf("%s: placements diverge at x(%d,%d)", label(""), i, k)
-						}
+			label := fmt.Sprintf("seed=%d/budget=%v", seed, budget)
+			if inc.Rounds != nai.Rounds || inc.Evals != nai.Evals {
+				t.Fatalf("%s: effort diverges: incremental %d rounds/%d evals, naive %d/%d",
+					label, inc.Rounds, inc.Evals, nai.Rounds, nai.Evals)
+			}
+			for i := 0; i < in.M(); i++ {
+				for k := 0; k < in.V(); k++ {
+					if inc.Placement.Has(i, k) != nai.Placement.Has(i, k) {
+						t.Fatalf("%s: placements diverge at x(%d,%d)", label, i, k)
 					}
 				}
-				// Same placement must mean same exact objective, but assert it
-				// anyway: it is the quantity the search optimizes.
-				a := in.EvaluateRouted(inc.Placement, mode, seed)
-				b := in.EvaluateRouted(nai.Placement, mode, seed)
-				if a.Objective != b.Objective {
-					t.Fatalf("%s: objectives diverge %v vs %v", label(""), a.Objective, b.Objective)
-				}
+			}
+			// Same placement must mean same exact objective, but assert it
+			// anyway: it is the quantity the search optimizes.
+			a, b := in.Evaluate(inc.Placement), in.Evaluate(nai.Placement)
+			if a.Objective != b.Objective {
+				t.Fatalf("%s: objectives diverge %v vs %v", label, a.Objective, b.Objective)
 			}
 		}
 	}
@@ -104,7 +97,7 @@ func TestGCOGDifferential(t *testing.T) {
 func TestGCOGDefaultIsIncremental(t *testing.T) {
 	in := makeInstance(8, 30, 4, 6000)
 	def := GCOG(in)
-	nai := gcogNaive(in, GCOGConfig{})
+	nai := gcogNaive(in)
 	for i := 0; i < in.M(); i++ {
 		for k := 0; k < in.V(); k++ {
 			if def.Placement.Has(i, k) != nai.Placement.Has(i, k) {

@@ -354,8 +354,3 @@ func (m *Mask) MaskPlacement(p model.Placement) (model.Placement, []Inst) {
 	}
 	return q, lost
 }
-
-// StorageCapacity returns node k's masked storage capacity.
-func (m *Mask) StorageCapacity(k int) float64 {
-	return m.base.Node(k).Storage * m.storScale[k]
-}

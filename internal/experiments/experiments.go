@@ -46,9 +46,6 @@ type Options struct {
 	Shards int
 }
 
-// DefaultOptions returns full-scale settings with seed 1.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 func (o Options) optLimit() time.Duration {
 	if o.OptTimeLimit > 0 {
 		return o.OptTimeLimit

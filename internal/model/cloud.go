@@ -16,6 +16,10 @@ type CloudConfig struct {
 	TransferCost float64
 	// Compute is the cloud's per-instance compute capacity, GFLOP/s.
 	Compute float64
+	// ColdStart is the spin-up delay, in seconds, every cloud-served
+	// request pays: the cloud function starts cold. 0 — the default —
+	// leaves every cloud completion time bitwise unchanged.
+	ColdStart float64
 }
 
 // DefaultCloudConfig returns a WAN 20× slower than a typical edge path
@@ -27,11 +31,13 @@ func DefaultCloudConfig() CloudConfig {
 // CloudCompletionTime returns the completion time of serving the entire
 // request from the cloud: ingress and egress cross the WAN, inter-service
 // transfers are intra-datacenter (free at this granularity), and every step
-// computes on cloud capacity.
+// computes on cloud capacity. The cloud function's spin-up (ColdStart) is
+// the last term, so every evaluator that prices the cloud prices it and
+// counts Eq. 4 on it.
 func (cc CloudConfig) CloudCompletionTime(cat *msvc.Catalog, req *msvc.Request) float64 {
 	d := (req.DataIn + req.DataOut) * cc.TransferCost
 	for _, s := range req.Chain {
 		d += cat.Service(s).Compute / cc.Compute
 	}
-	return d
+	return d + cc.ColdStart
 }

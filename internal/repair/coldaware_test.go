@@ -13,8 +13,8 @@ import (
 
 // TestColdAwareMatchesNaive pins reference-scorer equivalence for the warm-aware
 // engine: the cold-start surcharge is computed outside the scorer, so the
-// delta and scratch paths must keep making bitwise-identical decisions when a
-// ColdStartModel is charged into the probe scores.
+// delta and scratch paths must keep making bitwise-identical decisions when
+// the instance's ColdStartModel is charged into the probe scores.
 func TestColdAwareMatchesNaive(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		in := testInstance(t, 8, 25, seed)
@@ -29,9 +29,9 @@ func TestColdAwareMatchesNaive(t *testing.T) {
 		// restoration onto fresh nodes pays the surcharge.
 		cs := model.NewColdStartModel(in.M(), in.V(), 0.75)
 		cs.SyncWarm(p)
+		in.ColdStart = cs
 
 		cfg := DefaultConfig()
-		cfg.ColdStart = cs
 		fast := Run(in, m, p, cfg)
 		ref := runNaive(in, m, p, cfg)
 
@@ -93,9 +93,9 @@ func coldTieFixture(t *testing.T) (*model.Instance, *chaos.Mask, model.Placement
 }
 
 // TestColdAwareWarmWinsTie: on the symmetric fixture the warm-blind engine
-// restores onto node 1 (lowest ID wins the exact tie); with a ColdStartModel
-// that marks node 2 warm and node 1 cold, the warm node wins the tie it
-// previously lost — on both scorer paths.
+// restores onto node 1 (lowest ID wins the exact tie); with an instance
+// ColdStartModel that marks node 2 warm and node 1 cold, the warm node wins
+// the tie it previously lost — on both scorer paths.
 func TestColdAwareWarmWinsTie(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		in, m, p := coldTieFixture(t)
@@ -118,7 +118,7 @@ func TestColdAwareWarmWinsTie(t *testing.T) {
 		for k := 0; k < in.V(); k++ {
 			cs.SetCold(0, k, k != 2) // only node 2 is warm
 		}
-		cfg.ColdStart = cs
+		in.ColdStart = cs
 		warm := run(in, m, p, cfg)
 		wantWarm := []chaos.Inst{{Svc: 0, Node: 2}}
 		if !reflect.DeepEqual(warm.Added, wantWarm) {

@@ -70,20 +70,6 @@ type Config struct {
 	// cap is checked between commits, so a restoration bundle committed just
 	// under the cap may finish past it.
 	MaxAdds int
-	// ColdStart, when non-nil, makes both re-provision phases warm-aware:
-	// every candidate add — restoration bundle or refinement single — is
-	// charged ColdStart.Delay on the probe score's objective for each added
-	// instance whose (svc, node) coordinate the model marks cold. Two
-	// otherwise-tied candidates therefore resolve toward the already-warm
-	// node instead of the lowest node ID, and a cold candidate must beat a
-	// warm one by more than the cold-start price to win. The surcharge is a
-	// deployment-decision prior computed outside the scorer, so equivalence
-	// with the scratch-evaluation reference scorer is preserved (pinned by
-	// test). Nil keeps every decision bitwise identical to the
-	// warm-blind engine. This is distinct from Instance.ColdStart, which
-	// prices cold steps inside the routed latency itself: the daemon passes
-	// its lifecycle model through both seams.
-	ColdStart *model.ColdStartModel
 	// Evaluator, when non-nil, is the caller's evaluator to score on in place
 	// of one built for this call: the serving daemon keeps one bound across
 	// epochs and hands it over here, so a repair re-routes only the requests
@@ -96,19 +82,26 @@ type Config struct {
 	Evaluator *model.DeltaEvaluator
 }
 
-// coldPenalty is the warm-preference surcharge for one candidate add.
-func (cfg Config) coldPenalty(svc, node int) float64 {
-	if cfg.ColdStart == nil || !cfg.ColdStart.IsCold(svc, node) {
+// coldPenalty is the warm-preference surcharge for one candidate add: the
+// delay the instance's cold-start model (Instance.ColdStart) charges when
+// (svc, node) is cold, 0 when it is warm or no model is set. Charging it on
+// the probe score's objective makes both re-provision phases warm-aware: two
+// otherwise-tied candidates resolve toward the already-warm node, and a cold
+// candidate must beat a warm one by more than the cold-start price. It is
+// computed outside the scorer, so the scratch reference scorer stays
+// equivalent (pinned by test).
+func coldPenalty(cs *model.ColdStartModel, svc, node int) float64 {
+	if cs == nil || !cs.IsCold(svc, node) {
 		return 0
 	}
-	return cfg.ColdStart.Delay
+	return cs.Delay
 }
 
 // coldPenaltyBundle sums the surcharge over a restoration bundle.
-func (cfg Config) coldPenaltyBundle(adds []chaos.Inst) float64 {
+func coldPenaltyBundle(cs *model.ColdStartModel, adds []chaos.Inst) float64 {
 	pen := 0.0
 	for _, a := range adds {
-		pen += cfg.coldPenalty(a.Svc, a.Node)
+		pen += coldPenalty(cs, a.Svc, a.Node)
 	}
 	return pen
 }
@@ -190,6 +183,13 @@ func (a score) betterThan(b score) bool {
 		return a.unserved < b.unserved
 	}
 	return a.obj < b.obj-model.ObjTol
+}
+
+// Better reports whether evaluation a strictly beats b in the repair score's
+// order. It is the one order the engine optimizes, exported so a policy that
+// chooses between a repair and a re-solve ranks them as the engine would.
+func Better(in *model.Instance, a, b *model.Evaluation) bool {
+	return scoreEval(in, a).betterThan(scoreEval(in, b))
 }
 
 // scorer is the seam between the repair phases and how a candidate is
@@ -421,7 +421,7 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result, cfg 
 				if over {
 					continue
 				}
-				sc.obj += cfg.coldPenaltyBundle(bundle)
+				sc.obj += coldPenaltyBundle(min.ColdStart, bundle)
 				if sc.betterThan(best) {
 					best, bestNode, bestBundle = sc, k, bundle
 				}
@@ -482,7 +482,7 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result, cfg 
 				if over {
 					continue
 				}
-				sc.obj += cfg.coldPenalty(i, k)
+				sc.obj += coldPenalty(min.ColdStart, i, k)
 				if sc.betterThan(best) {
 					best, bestSvc, bestNode = sc, i, k
 				}

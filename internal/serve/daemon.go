@@ -239,9 +239,6 @@ func (d *Daemon) Epoch() int { return d.slot }
 // Placement returns the daemon's live placement (not a copy).
 func (d *Daemon) Placement() model.Placement { return d.placement }
 
-// Mask returns the daemon's accumulated fault state.
-func (d *Daemon) Mask() *chaos.Mask { return d.mask }
-
 // ActiveRequests returns the number of admitted, undeparted requests.
 func (d *Daemon) ActiveRequests() int { return len(d.active) }
 
@@ -368,15 +365,9 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 			// Initial solve: nothing to repair yet.
 			pol = ResolvePolicy{}
 		}
-		// The lifecycle's cold model rides the repair seam too: restore
-		// probes prefer already-warm coordinates (repair.Config.ColdStart).
-		// Replay mode and lifecycle-free daemons have d.cold == nil, so
-		// their repair decisions are bitwise unchanged. So does the bound
-		// evaluator (nil in replay mode, whose requests live one epoch).
+		// The bound evaluator rides the repair seam (nil in replay mode,
+		// whose requests live one epoch).
 		rcfg := d.cfg.Repair
-		if rcfg.ColdStart == nil {
-			rcfg.ColdStart = d.cold
-		}
 		rcfg.Evaluator = d.de
 		ctx := &EpochContext{
 			In:          evalIn,
@@ -644,19 +635,15 @@ func (d *Daemon) lifecycleEnd(rec *EpochRecord, ev *model.Evaluation) {
 
 // checkLifecycleCoherence asserts (under the soclinvariants tag) that the
 // serverless state stays aligned with the live placement: idle counters only
-// age deployed instances, and every cold coordinate the model will charge
-// next epoch is either deployed or about to be marked warm-irrelevant.
+// age deployed instances.
 func (d *Daemon) checkLifecycleCoherence() {
-	if d.life != nil {
-		for i := range d.life.idle {
-			for k := range d.life.idle[i] {
-				invariant.Assertf(d.life.idle[i][k] == 0 || d.placement.Has(i, k),
-					"serve: idle counter %d on undeployed instance (%d,%d)", d.life.idle[i][k], i, k)
-			}
-		}
+	if d.life == nil {
+		return
 	}
-	if d.cold != nil {
-		invariant.Assertf(d.cold.ColdCount() <= d.cfg.Catalog.Len()*d.cfg.Graph.N(),
-			"serve: cold count %d exceeds coordinate space", d.cold.ColdCount())
+	for i := range d.life.idle {
+		for k := range d.life.idle[i] {
+			invariant.Assertf(d.life.idle[i][k] == 0 || d.placement.Has(i, k),
+				"serve: idle counter %d on undeployed instance (%d,%d)", d.life.idle[i][k], i, k)
+		}
 	}
 }

@@ -201,7 +201,7 @@ func TestDaemonStaleBindingStillPanics(t *testing.T) {
 	cfg := testConfig(g, cat)
 	cfg.Lifecycle = LifecycleConfig{IdleEpochs: 2, ColdStartDelay: 0.5}
 	cfg.Policy = RepairPolicy{Run: func(in *model.Instance, m *chaos.Mask, p model.Placement, rc repair.Config) (*repair.Result, error) {
-		rc.ColdStart.SetCold(0, 0, !rc.ColdStart.IsCold(0, 0))
+		in.ColdStart.SetCold(0, 0, !in.ColdStart.IsCold(0, 0))
 		return repair.Run(in, m, p, rc), nil
 	}}
 	d, err := NewDaemon(cfg)

@@ -145,9 +145,9 @@ func (ResolvePolicy) Serve(ctx *EpochContext) (Outcome, error) {
 // AutoPolicy is the daemon's default reaction: always repair incrementally,
 // and escalate to a full re-solve only when the post-repair score still
 // leaves more than Threshold of the epoch's requests unserved. The re-solve
-// outcome is adopted only if it beats the repair under the same lexicographic
-// ⟨unserved, served-part objective⟩ order the repair engine optimizes, so
-// the daemon never serves worse for having escalated.
+// outcome is adopted only if it beats the repair under the repair engine's
+// own ⟨unserved, served-part objective⟩ order (repair.Better), so the daemon
+// never serves worse for having escalated.
 type AutoPolicy struct {
 	// Threshold is the tolerated post-repair unserved fraction in (0,1];
 	// a negative value disables escalation entirely. Zero escalates on any
@@ -176,37 +176,11 @@ func (p AutoPolicy) Serve(ctx *EpochContext) (Outcome, error) {
 		return out, nil
 	}
 	rout.ReactTime += out.ReactTime
-	if betterOutcome(ctx.In, &rout, &out) {
+	if repair.Better(ctx.In, rout.Eval, out.Eval) {
 		return rout, nil
 	}
 	out.ReactTime = rout.ReactTime
 	return out, nil
-}
-
-// betterOutcome orders outcomes by ⟨unserved, served-part objective⟩ with
-// the evaluator's objective tolerance, mirroring the repair engine's score.
-func betterOutcome(in *model.Instance, a, b *Outcome) bool {
-	ua, ub := a.Eval.Unserved(), b.Eval.Unserved()
-	if ua != ub {
-		return ua < ub
-	}
-	return servedObjective(in, a.Eval) < servedObjective(in, b.Eval)-model.ObjTol
-}
-
-// servedObjective is the Eq. 3/8 objective over the requests an evaluation
-// actually served: the raw objective saturates at +Inf the moment one
-// request goes unserved, so cross-policy comparisons need the finite part.
-// Bitwise equal to EpochRecord.ServedObjective by construction (same
-// index-order summation of finite latencies).
-func servedObjective(in *model.Instance, ev *model.Evaluation) float64 {
-	sum := 0.0
-	for _, d := range ev.Latencies {
-		if math.IsInf(d, 1) {
-			continue
-		}
-		sum += d
-	}
-	return in.Objective(ev.Cost, sum)
 }
 
 // countDegraded counts edge-served requests in ev that completed slower than

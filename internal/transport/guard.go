@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"math"
-
 	"repro/internal/model"
 	"repro/internal/serve"
 )
@@ -15,20 +13,19 @@ const DefaultResolveCost = 50
 
 // LadderConfig prices the graceful-degradation ladder a tripped breaker
 // falls down: serve from the stale placement; if that leaves too many
-// requests unserved, offload them to a pay-per-use cloud priced with a
-// cold-start surcharge (the cloud function must spin up, model.ColdStartModel
-// semantics); requests that not even the cloud can serve stay shed.
+// requests unserved, offload them to a pay-per-use cloud whose functions
+// start cold (model.CloudConfig.ColdStart); requests that not even the cloud
+// can serve stay shed.
 type LadderConfig struct {
 	// OffloadThreshold is the unserved fraction of the stale serve above
 	// which the cloud rung engages. 0 engages it on any unserved request.
 	OffloadThreshold float64
-	// CloudTransfer and CloudCompute price the offload rung
-	// (model.CloudConfig). CloudCompute <= 0 disables the rung.
-	CloudTransfer float64
-	CloudCompute  float64
-	// CloudColdStart is the per-offloaded-request latency surcharge in
-	// seconds: every degraded-path offload is assumed to cold-start its
-	// cloud function.
+	// CloudTransfer, CloudCompute and CloudColdStart price the offload
+	// rung as model.CloudConfig's TransferCost, Compute and ColdStart:
+	// every degraded-path offload cold-starts its cloud function.
+	// CloudCompute <= 0 disables the rung.
+	CloudTransfer  float64
+	CloudCompute   float64
 	CloudColdStart float64
 }
 
@@ -96,38 +93,19 @@ func (g *GuardedPolicy) degrade(ctx *serve.EpochContext) serve.Outcome {
 		return out
 	}
 	// Rung 2: re-evaluate the stale placement with the ladder's cloud
-	// fallback priced in, cold-start surcharge on every offloaded request.
+	// fallback, cold start included, priced in.
 	cp := *ctx.In
 	cp.Cloud = &model.CloudConfig{
 		TransferCost: g.Ladder.CloudTransfer,
 		Compute:      g.Ladder.CloudCompute,
+		ColdStart:    g.Ladder.CloudColdStart,
 	}
 	ev := ctx.Mask.Instance(&cp).EvaluateRouted(out.Placement, ctx.Mode, ctx.Seed)
-	if g.Ladder.CloudColdStart > 0 {
-		surchargeCloud(&cp, ev, g.Ladder.CloudColdStart)
-	}
 	if ev.Unserved() < out.Eval.Unserved() {
 		out.Eval = ev
 		g.OffloadEpochs++
 	}
 	return out
-}
-
-// surchargeCloud adds the cold-start delay to every cloud-served request
-// (nil route with finite latency) and re-derives the summary columns.
-func surchargeCloud(in *model.Instance, ev *model.Evaluation, delay float64) {
-	touched := 0
-	for h := range ev.Latencies {
-		if ev.Routes[h].Nodes != nil || math.IsInf(ev.Latencies[h], 1) {
-			continue
-		}
-		ev.Latencies[h] += delay
-		ev.LatencySum += delay
-		touched++
-	}
-	if touched > 0 && !math.IsInf(ev.Objective, 1) {
-		ev.Objective = in.Objective(ev.Cost, ev.LatencySum)
-	}
 }
 
 // ReactionCost is the deterministic work charge of one reaction outcome: a

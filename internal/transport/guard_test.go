@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/invariant"
 	"repro/internal/model"
 	"repro/internal/msvc"
 	"repro/internal/repair"
@@ -94,8 +95,8 @@ func TestGuardedLadderAbsorbsFailureAndOffloads(t *testing.T) {
 		t.Fatalf("unserved=%d cloudServed=%d, want 0/1", out.Eval.Unserved(), out.Eval.CloudServed)
 	}
 
-	// Without the surcharge the same offload is cheaper: the 0.5 cold-start
-	// penalty must be visible in the served latency.
+	// Without the cloud cold start the same offload is cheaper: the 0.5 s
+	// spin-up must be visible in the served latency.
 	g2 := &GuardedPolicy{
 		Inner:   failPolicy{},
 		Breaker: NewBreaker(BreakerConfig{Enabled: true, TripAfter: 1}),
@@ -109,7 +110,7 @@ func TestGuardedLadderAbsorbsFailureAndOffloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	if diff := out.Eval.Latencies[0] - out2.Eval.Latencies[0]; diff < 0.499 || diff > 0.501 {
-		t.Fatalf("cold-start surcharge = %v, want 0.5", diff)
+		t.Fatalf("cloud cold start = %v, want 0.5", diff)
 	}
 
 	// Breaker open: the next epoch goes straight to the ladder without
@@ -123,6 +124,37 @@ func TestGuardedLadderAbsorbsFailureAndOffloads(t *testing.T) {
 	if g.DegradedEpochs != 2 {
 		t.Fatalf("degraded epochs = %d, want 2", g.DegradedEpochs)
 	}
+}
+
+// TestLadderCloudColdStartCountsDeadline: the cloud rung's cold start is
+// part of the served latency, so a deadline the warm cloud would meet but
+// the cold one misses is an Eq. 4 violation the evaluation itself counts.
+func TestLadderCloudColdStartCountsDeadline(t *testing.T) {
+	ctx := ladderFixture(t)
+	cc := model.DefaultCloudConfig()
+	req := &ctx.In.Workload.Requests[0]
+	req.Deadline = cc.CloudCompletionTime(ctx.In.Workload.Catalog, req) + 0.25
+	g := &GuardedPolicy{
+		Inner:   failPolicy{},
+		Breaker: NewBreaker(BreakerConfig{Enabled: true, TripAfter: 1}),
+		Ladder: LadderConfig{
+			CloudTransfer:  cc.TransferCost,
+			CloudCompute:   cc.Compute,
+			CloudColdStart: 0.5,
+		},
+	}
+	out, err := g.Serve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Eval.CloudServed != 1 {
+		t.Fatalf("cloudServed=%d, want 1", out.Eval.CloudServed)
+	}
+	if out.Eval.DeadlineViolated != 1 {
+		t.Fatalf("served at %v against deadline %v, DeadlineViolated=%d, want 1",
+			out.Eval.Latencies[0], req.Deadline, out.Eval.DeadlineViolated)
+	}
+	invariant.CheckDeadlineRecount(ctx.Mask.Instance(ctx.In), out.Eval, "ladder cloud rung")
 }
 
 func TestGuardedTransparentWhenHealthy(t *testing.T) {

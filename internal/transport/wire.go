@@ -14,8 +14,8 @@
 //     exactly like a saturated server would;
 //   - a circuit breaker around the solver/repair reaction path (breaker.go)
 //     feeding a graceful-degradation ladder (guard.go): serve from the stale
-//     placement, then offload to the pay-per-use cloud priced with the
-//     model.ColdStartModel surcharge, then shed;
+//     placement, then offload to the pay-per-use cloud, its function cold
+//     start priced by model.CloudConfig.ColdStart, then shed;
 //   - a socket server (server.go), a loopback-HTTP frontend (http.go), and a
 //     client with capped exponential backoff + seeded jitter retries
 //     (client.go), deterministic under stats.SplitSeed("transport/retry").

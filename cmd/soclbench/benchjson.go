@@ -153,7 +153,7 @@ func runBenchJSON(dir string, workers int) error {
 		}},
 		{"ChaosRepair", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				repair.Run(chaosIn, chaosMask, chaosP, repair.DefaultConfig())
+				repair.Run(chaosIn, chaosMask, chaosP, repair.Config{})
 			}
 		}},
 		{"ILPSolveSerial", func(b *testing.B) {

@@ -56,7 +56,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/msvc"
-	"repro/internal/repair"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -263,7 +262,6 @@ func daemonConfig(o options, meta serve.Meta) (serve.Config, error) {
 		RouteSeed:   meta.RouteSeed,
 		Planner:     algo.Place,
 		PlannerName: algo.Name(),
-		Repair:      repair.DefaultConfig(),
 		Replan:      o.replay,
 	}
 	if meta.CloudTransfer != 0 || meta.CloudCompute != 0 {

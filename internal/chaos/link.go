@@ -24,20 +24,13 @@ type LinkConfig struct {
 	// Dup is the probability a frame is delivered twice back to back.
 	Dup float64
 	// Delay is the probability a frame is held back and re-inserted later —
-	// after between 1 and DelayMax subsequent frames — reordering the
+	// after between 1 and delayMax subsequent frames — reordering the
 	// stream.
 	Delay float64
-	// DelayMax bounds the reordering distance in frames (default 3 when
-	// Delay > 0).
-	DelayMax int
 }
 
-func (c LinkConfig) delayMax() int {
-	if c.DelayMax <= 0 {
-		return 3
-	}
-	return c.DelayMax
-}
+// delayMax bounds a delayed frame's reordering distance in frames.
+const delayMax = 3
 
 // LinkStats counts the impairments a Link actually injected.
 type LinkStats struct {
@@ -89,7 +82,7 @@ func (l *Link) Send(frame []byte) error {
 	delayDraw, h := nextU01(h)
 	if delayDraw < l.cfg.Delay {
 		span, _ := nextDraw(h)
-		due := l.pos + 1 + int(span%uint64(l.cfg.delayMax()))
+		due := l.pos + 1 + int(span%delayMax)
 		l.held = append(l.held, heldFrame{frame: append([]byte(nil), frame...), due: due})
 		l.stats.Delayed++
 		return nil

@@ -96,12 +96,12 @@ func TestLinkDelayBounded(t *testing.T) {
 	for i, f := range frames {
 		order[string(f)] = i
 	}
-	out, _ := playLink(LinkConfig{Seed: 19, Delay: 0.5, DelayMax: 3}, frames)
+	out, _ := playLink(LinkConfig{Seed: 19, Delay: 0.5}, frames)
 	for pos, f := range out {
 		sent := order[string(f)]
-		// With DelayMax=3 and no drops/dups a frame lands at most 4 slots
-		// past its send position.
-		if pos > sent+4 {
+		// With no drops/dups a frame lands at most delayMax+1 slots past its
+		// send position.
+		if pos > sent+delayMax+1 {
 			t.Fatalf("frame sent at %d delivered at %d, exceeds delay bound", sent, pos)
 		}
 	}

@@ -64,33 +64,33 @@ import (
 	"repro/internal/partition"
 )
 
+// theta is the paper's Θ = 1: the positive disturbance that keeps the serial
+// descent running through small objective rebounds.
+const theta = 1.0
+
+// warmBias is added to a warm instance's ζ when ordering removal candidates:
+// warm instances resist removal by 2Θ latency units, trading a bounded amount
+// of objective for fewer container cold-starts.
+const warmBias = 2 * theta
+
 // Config holds the combination hyper-parameters.
 type Config struct {
 	// Omega is ω: the fraction of instances combined per parallel batch.
 	Omega float64
-	// Theta is Θ: the positive disturbance that keeps the serial descent
-	// running through small objective rebounds.
-	Theta float64
-	// MaxRounds caps each phase's iterations (safety net; 0 = |M|·|V|).
-	MaxRounds int
 	// Warm, when non-zero, marks instances that were already running in the
-	// previous decision slot. Equal-ζ ties are broken toward removing cold
-	// instances first, so warm instances survive whenever the objective is
-	// indifferent — reducing placement churn in online operation.
+	// previous decision slot. They resist removal by warmBias, and equal-rank
+	// ties are broken toward removing cold instances first, so warm instances
+	// survive whenever the objective is indifferent — reducing placement
+	// churn in online operation.
 	Warm model.Placement
-	// WarmBias is added to a warm instance's ζ when ordering removal
-	// candidates: warm instances resist removal by this many latency units,
-	// trading a bounded amount of objective for fewer container cold-starts.
-	// 0 keeps the ordering purely objective-driven.
-	WarmBias float64
 	// naive disables the incremental routing engine and re-derives every ζ
 	// and deadline check from full scans. Results are bit-identical either
 	// way; only this package's differential tests and benchmarks set it.
 	naive bool
 }
 
-// DefaultConfig returns ω=0.25, Θ=1.0.
-func DefaultConfig() Config { return Config{Omega: 0.25, Theta: 1.0} }
+// DefaultConfig returns ω=0.25.
+func DefaultConfig() Config { return Config{Omega: 0.25} }
 
 // Result reports the combination outcome.
 type Result struct {
@@ -118,16 +118,15 @@ type instKey struct{ svc, node int }
 const cloudNode = -2
 
 type state struct {
-	in       *model.Instance
-	part     *partition.Result
-	place    model.Placement
-	rel      [][]int // reliance[h][t] = serving node, or cloudNode
-	relFlat  []int   // rel's rows back to back: one copy snapshots them all
-	frozen   map[instKey]bool
-	weights  []float64
-	cost     float64
-	warm     map[instKey]bool // instances running in the previous slot
-	warmBias float64
+	in      *model.Instance
+	part    *partition.Result
+	place   model.Placement
+	rel     [][]int // reliance[h][t] = serving node, or cloudNode
+	relFlat []int   // rel's rows back to back: one copy snapshots them all
+	frozen  map[instKey]bool
+	weights []float64
+	cost    float64
+	warm    map[instKey]bool // instances running in the previous slot
 
 	// Incremental engine (all nil/zero when running naive; see
 	// incremental.go and the package comment's invariants).
@@ -181,13 +180,12 @@ func (s *state) nodesOf(i int) []int {
 // the candidate index the initial reliance pass already reads.
 func newState(in *model.Instance, part *partition.Result, pre model.Placement, cfg Config) *state {
 	s := &state{
-		in:       in,
-		part:     part,
-		place:    pre.Clone(),
-		frozen:   make(map[instKey]bool),
-		weights:  fuzzy.SoCLWeights(),
-		warm:     make(map[instKey]bool),
-		warmBias: cfg.WarmBias,
+		in:      in,
+		part:    part,
+		place:   pre.Clone(),
+		frozen:  make(map[instKey]bool),
+		weights: fuzzy.SoCLWeights(),
+		warm:    make(map[instKey]bool),
 	}
 	for i := range cfg.Warm.X {
 		for k, on := range cfg.Warm.X[i] {
@@ -214,21 +212,17 @@ func Run(in *model.Instance, part *partition.Result, pre model.Placement, cfg Co
 	if cfg.Omega <= 0 || cfg.Omega > 1 {
 		cfg.Omega = 0.25
 	}
-	if cfg.Theta < 0 {
-		cfg.Theta = 0
-	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = in.M()*in.V() + 16
-	}
+	// A safety net on each phase's iterations.
+	maxRounds := in.M()*in.V() + 16
 	s := newState(in, part, pre, cfg)
 
 	res := Result{}
-	res.BudgetMet = s.parallelPhase(cfg, &res)
+	res.BudgetMet = s.parallelPhase(cfg, maxRounds, &res)
 	if res.BudgetMet {
 		invariant.CheckBudget(in, s.place, "combine: after parallel phase")
 	}
 	s.checkPhaseInvariants("after parallel phase")
-	s.serialPhase(cfg, &res)
+	s.serialPhase(maxRounds, &res)
 	s.checkPhaseInvariants("after serial phase")
 	// Final storage repair: the parallel phase does not run Algorithm 5, so
 	// a placement can exit the loop budget-feasible but storage-tight.
@@ -538,11 +532,11 @@ func (s *state) updateInstanceSet() []scoredInst {
 			s.zetaMemo[s.at(out[i].key.svc, out[i].key.node)] = out[i].zeta
 		}
 	}
-	// Removal priority: warm instances resist removal by WarmBias latency
+	// Removal priority: warm instances resist removal by warmBias latency
 	// units; exact ties still break cold-first (churn bias).
 	rank := func(sc scoredInst) float64 {
 		if s.warm[sc.key] && !math.IsInf(sc.zeta, 1) {
-			return sc.zeta + s.warmBias
+			return sc.zeta + warmBias
 		}
 		return sc.zeta
 	}
@@ -591,8 +585,8 @@ func (s *state) rehomeNaive(svc, node int) {
 
 // --- large-scale parallel phase (Algorithm 3 lines 1–5) ---
 
-func (s *state) parallelPhase(cfg Config, res *Result) bool {
-	for round := 0; round < cfg.MaxRounds; round++ {
+func (s *state) parallelPhase(cfg Config, maxRounds int, res *Result) bool {
+	for round := 0; round < maxRounds; round++ {
 		if s.cost <= s.in.Budget {
 			return true
 		}
@@ -679,8 +673,8 @@ func (s *state) filterDependencyConflicts(omega []scoredInst) []scoredInst {
 
 // --- small-scale serial phase (Algorithm 3 lines 6–15) ---
 
-func (s *state) serialPhase(cfg Config, res *Result) {
-	for round := 0; round < cfg.MaxRounds; round++ {
+func (s *state) serialPhase(maxRounds int, res *Result) {
+	for round := 0; round < maxRounds; round++ {
 		list := s.updateInstanceSet()
 		if len(list) == 0 {
 			return
@@ -724,7 +718,7 @@ func (s *state) serialPhase(cfg Config, res *Result) {
 		}
 
 		qAfter := s.starObjective()
-		delta := qBefore - qAfter + cfg.Theta
+		delta := qBefore - qAfter + theta
 		if delta <= 0 {
 			// Objective rose beyond the disturbance: revert and stop.
 			s.restoreSnapshot(res)

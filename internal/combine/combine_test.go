@@ -65,7 +65,7 @@ func TestRunNeverWorseThanPreprovObjective(t *testing.T) {
 	evPre := in.Evaluate(pre)
 	res := Run(in, part, pre, DefaultConfig())
 	evPost := in.Evaluate(res.Placement)
-	slack := float64(res.SerialRounds+1) * DefaultConfig().Theta * 2
+	slack := float64(res.SerialRounds+1) * theta * 2
 	if evPost.Objective > evPre.Objective+slack {
 		t.Fatalf("objective degraded: pre=%v post=%v slack=%v", evPre.Objective, evPost.Objective, slack)
 	}
@@ -144,7 +144,7 @@ func TestOmegaControlsBatchAggressiveness(t *testing.T) {
 
 func TestConfigDefaultsApplied(t *testing.T) {
 	in, part, pre := buildInstance(8, 20, 8, 8000)
-	res := Run(in, part, pre, Config{Omega: -1, Theta: -5})
+	res := Run(in, part, pre, Config{Omega: -1})
 	if in.DeployCost(res.Placement) > in.Budget+1e-6 {
 		t.Fatal("defaulted config failed to meet budget")
 	}

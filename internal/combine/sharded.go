@@ -59,8 +59,6 @@ type ShardedConfig struct {
 	// evaluator's routing seed — inert under optimal routing, but derived
 	// per the repo-wide discipline so seeded modes stay reproducible).
 	Seed int64
-	// NoReconcile skips the boundary fix-up pass (ablation knob).
-	NoReconcile bool
 }
 
 // DefaultShardedConfig returns per-shard defaults matching the global
@@ -125,6 +123,34 @@ const boundaryImproveTol = 1e-9
 // ext_scale comparison. It finalizes a full copy of the graph, so it works —
 // at full O(|V|²) cost — even on unfinalized substrates.
 func RunSharded(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConfig) (*ShardedResult, error) {
+	r, err := solveAndMerge(in, plan, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.reconcile(cfg.Seed); err != nil {
+		return nil, err
+	}
+	return r.account(cfg.Workers)
+}
+
+// shardedRun carries one RunSharded call through its stages: the per-shard
+// solves and their merge, boundary reconciliation, and the final accounting.
+type shardedRun struct {
+	in          *model.Instance
+	plan        *topology.ShardPlan
+	reqsByShard [][]int // owned requests per shard, ascending
+	reqsByNode  [][]int // requests per home node, ascending
+	// res is the result under construction; res.Placement is the merged
+	// placement, which reconciliation edits in place.
+	res *ShardedResult
+	// halo holds the halo views reconciliation built, for accounting to
+	// reuse; nil entries are built on demand.
+	halo []*model.ShardInstance
+}
+
+// solveAndMerge is phases 1 and 2: every shard's pipeline solved on its own,
+// then the index-ordered merge.
+func solveAndMerge(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConfig) (*shardedRun, error) {
 	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
 	t0 := time.Now()
 	if plan == nil {
@@ -249,136 +275,147 @@ func RunSharded(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConfig)
 	invariant.CheckStorage(in, merged, "sharded: merge") // Eq. 6 needs no finalized parent
 	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
 	res.SolveTime = time.Since(t0)
+	return &shardedRun{in: in, plan: plan, reqsByShard: reqsByShard, reqsByNode: reqsByNode,
+		res: res, halo: make([]*model.ShardInstance, S)}, nil
+}
 
-	buildHalo := func(s int) (*model.ShardInstance, error) {
-		own := plan.Shards[s]
-		halo := plan.Halo(s)
-		nodes := make([]int, 0, len(own)+len(halo))
-		nodes = append(nodes, own...)
-		nodes = append(nodes, halo...)
-		reqs := append([]int(nil), reqsByShard[s]...)
-		ownReqs := len(reqs)
-		if len(halo) > 0 {
-			// Halo requests (homed on the neighbors' facing gateways) ride
-			// along only when the restricted view can serve their whole
-			// chain; an unservable halo request would pin the base objective
-			// at +Inf and mask every boundary improvement.
-			avail := make([]bool, M)
-			for i := 0; i < M; i++ {
-				for _, v := range nodes {
-					if merged.X[i][v] {
-						avail[i] = true
+// buildHalo builds shard s's halo view of the merged placement: its owned
+// nodes plus the neighbors' facing gateways, its owned requests plus the
+// servable halo requests.
+func (r *shardedRun) buildHalo(s int) (*model.ShardInstance, error) {
+	in, merged, M := r.in, r.res.Placement, r.in.M()
+	own := r.plan.Shards[s]
+	halo := r.plan.Halo(s)
+	nodes := make([]int, 0, len(own)+len(halo))
+	nodes = append(nodes, own...)
+	nodes = append(nodes, halo...)
+	reqs := append([]int(nil), r.reqsByShard[s]...)
+	ownReqs := len(reqs)
+	if len(halo) > 0 {
+		// Halo requests (homed on the neighbors' facing gateways) ride
+		// along only when the restricted view can serve their whole
+		// chain; an unservable halo request would pin the base objective
+		// at +Inf and mask every boundary improvement.
+		avail := make([]bool, M)
+		for i := 0; i < M; i++ {
+			for _, v := range nodes {
+				if merged.X[i][v] {
+					avail[i] = true
+					break
+				}
+			}
+		}
+		var haloReqs []int
+		for _, hn := range halo {
+			for _, h := range r.reqsByNode[hn] {
+				servable := true
+				for _, svc := range in.Workload.Requests[h].Chain {
+					if !avail[svc] {
+						servable = false
 						break
 					}
 				}
-			}
-			var haloReqs []int
-			for _, hn := range halo {
-				for _, h := range reqsByNode[hn] {
-					servable := true
-					for _, svc := range in.Workload.Requests[h].Chain {
-						if !avail[svc] {
-							servable = false
-							break
-						}
-					}
-					if servable {
-						haloReqs = append(haloReqs, h)
-					}
+				if servable {
+					haloReqs = append(haloReqs, h)
 				}
 			}
-			sort.Ints(haloReqs)
-			reqs = append(reqs, haloReqs...)
 		}
-		si, err := model.NewShardInstance(in, nodes, len(own), reqs, ownReqs)
-		if err != nil {
-			return nil, fmt.Errorf("combine: shard %d halo: %w", s, err)
-		}
-		si.Sub.Budget = math.Inf(1) // fix-up scoring is objective-driven, not budget-gated
-		return si, nil
+		sort.Ints(haloReqs)
+		reqs = append(reqs, haloReqs...)
 	}
+	si, err := model.NewShardInstance(in, nodes, len(own), reqs, ownReqs)
+	if err != nil {
+		return nil, fmt.Errorf("combine: shard %d halo: %w", s, err)
+	}
+	si.Sub.Budget = math.Inf(1) // fix-up scoring is objective-driven, not budget-gated
+	return si, nil
+}
 
-	// Phase 3: boundary reconciliation, serial in ascending shard order (each
-	// shard's view must include the removals neighbors already committed).
-	//
-	// Cross-shard safety: when shard s sheds an instance, its requests may now
-	// route through a neighbor's boundary instance — a reliance s's guard can
-	// see but the neighbor's cannot (s's interior requests are outside every
-	// other shard's halo view). After each shard commits, the boundary
-	// instances its own requests route through are pinned, and later shards
-	// skip pinned candidates. Without the pin-set, shard s can shed an
-	// instance relying on t's gateway and t (reconciling later, guarding only
-	// its own halo view) can shed that gateway, stranding s's requests.
-	haloInst := make([]*model.ShardInstance, S)
-	if !cfg.NoReconcile {
-		//socllint:ignore detrand elapsed wall time is telemetry, never branched on
-		tr := time.Now()
-		pinned := make(map[[2]int]bool) // (service, parent node) → relied upon
-		for s := 0; s < S; s++ {
-			if len(plan.Halo(s)) == 0 {
-				continue
-			}
-			si, err := buildHalo(s)
-			if err != nil {
-				return nil, err
-			}
-			haloInst[s] = si
-			de := model.NewDeltaEvaluator(si.Sub, si.Restrict(merged), model.RouteModeOptimal,
-				stats.SplitSeed(cfg.Seed, fmt.Sprintf("shard/%d", s)))
-			base := de.Eval()
-			// Candidates: the shard's own gateway instances, ascending
-			// (service, node) — the only placements a cross-shard reliance
-			// can make redundant.
-			gwLocal := localIndex(plan.Gateways[s], si.Nodes[:si.OwnNodes])
-			for i := 0; i < M; i++ {
-				for _, k := range gwLocal {
-					if !de.Placement().Has(i, k) || pinned[[2]int{i, si.Nodes[k]}] {
-						continue
-					}
-					res.ReconcileProbes++
-					obj, _ := de.ProbeRemoval(i, k)
-					if !(obj < base.Objective-boundaryImproveTol) {
-						continue
-					}
-					dl := de.Apply(i, k, false)
-					ev := de.Eval()
-					if ev.Unserved() <= base.Unserved() && ev.DeadlineViolated <= base.DeadlineViolated {
-						merged.Set(i, si.Nodes[k], false)
-						base = ev
-						res.ReconcileRemoved++
-					} else {
-						// The objective improved by shedding cost while a
-						// request went unserved or late: roll back.
-						de.Revert(dl)
-					}
-				}
-			}
-			// Pin every boundary instance this shard's own requests route
-			// through under the committed placement. Over-pinning (a route
-			// that merely prefers a boundary instance it does not need) only
-			// forgoes a later removal; under-pinning strands requests.
-			for h := 0; h < si.OwnReqs; h++ {
-				rt := base.Routes[h]
-				if rt.Nodes == nil {
+// reconcile is phase 3: boundary reconciliation, serial in ascending shard
+// order (each shard's view must include the removals neighbors already
+// committed).
+//
+// Cross-shard safety: when shard s sheds an instance, its requests may now
+// route through a neighbor's boundary instance — a reliance s's guard can
+// see but the neighbor's cannot (s's interior requests are outside every
+// other shard's halo view). After each shard commits, the boundary
+// instances its own requests route through are pinned, and later shards
+// skip pinned candidates. Without the pin-set, shard s can shed an
+// instance relying on t's gateway and t (reconciling later, guarding only
+// its own halo view) can shed that gateway, stranding s's requests.
+func (r *shardedRun) reconcile(seed int64) error {
+	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
+	tr := time.Now()
+	res, merged, M := r.res, r.res.Placement, r.in.M()
+	pinned := make(map[[2]int]bool) // (service, parent node) → relied upon
+	for s := 0; s < r.plan.NumShards; s++ {
+		if len(r.plan.Halo(s)) == 0 {
+			continue
+		}
+		si, err := r.buildHalo(s)
+		if err != nil {
+			return err
+		}
+		r.halo[s] = si
+		de := model.NewDeltaEvaluator(si.Sub, si.Restrict(merged), model.RouteModeOptimal,
+			stats.SplitSeed(seed, fmt.Sprintf("shard/%d", s)))
+		base := de.Eval()
+		// Candidates: the shard's own gateway instances, ascending
+		// (service, node) — the only placements a cross-shard reliance
+		// can make redundant.
+		gwLocal := localIndex(r.plan.Gateways[s], si.Nodes[:si.OwnNodes])
+		for i := 0; i < M; i++ {
+			for _, k := range gwLocal {
+				if !de.Placement().Has(i, k) || pinned[[2]int{i, si.Nodes[k]}] {
 					continue
 				}
-				chain := si.Sub.Workload.Requests[h].Chain
-				for j, kn := range rt.Nodes {
-					if kn >= si.OwnNodes {
-						pinned[[2]int{chain[j], si.Nodes[kn]}] = true
-					}
+				res.ReconcileProbes++
+				obj, _ := de.ProbeRemoval(i, k)
+				if !(obj < base.Objective-boundaryImproveTol) {
+					continue
+				}
+				dl := de.Apply(i, k, false)
+				ev := de.Eval()
+				if ev.Unserved() <= base.Unserved() && ev.DeadlineViolated <= base.DeadlineViolated {
+					merged.Set(i, si.Nodes[k], false)
+					base = ev
+					res.ReconcileRemoved++
+				} else {
+					// The objective improved by shedding cost while a
+					// request went unserved or late: roll back.
+					de.Revert(dl)
 				}
 			}
 		}
-		//socllint:ignore detrand elapsed wall time is telemetry, never branched on
-		res.ReconcileTime = time.Since(tr)
+		// Pin every boundary instance this shard's own requests route
+		// through under the committed placement. Over-pinning (a route
+		// that merely prefers a boundary instance it does not need) only
+		// forgoes a later removal; under-pinning strands requests.
+		for h := 0; h < si.OwnReqs; h++ {
+			rt := base.Routes[h]
+			if rt.Nodes == nil {
+				continue
+			}
+			chain := si.Sub.Workload.Requests[h].Chain
+			for j, kn := range rt.Nodes {
+				if kn >= si.OwnNodes {
+					pinned[[2]int{chain[j], si.Nodes[kn]}] = true
+				}
+			}
+		}
 	}
+	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
+	res.ReconcileTime = time.Since(tr)
+	return nil
+}
 
-	// Phase 4: final accounting — each shard's own requests evaluated on its
-	// halo view under the final merged placement (neighbors' reconciliation
-	// may have moved boundary instances, so views rebuild or re-advance).
+// account is phase 4: each shard's own requests evaluated on its halo view
+// under the final merged placement (neighbors' reconciliation may have moved
+// boundary instances, so views rebuild or re-advance).
+func (r *shardedRun) account(workers int) (*ShardedResult, error) {
 	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
 	ta := time.Now()
+	in, res, merged, S := r.in, r.res, r.res.Placement, r.plan.NumShards
 	type acct struct {
 		lat      float64
 		unserved int
@@ -387,10 +424,10 @@ func RunSharded(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConfig)
 	}
 	accts := make([]acct, S)
 	account := func(s int) acct {
-		si := haloInst[s]
+		si := r.halo[s]
 		if si == nil {
 			var err error
-			si, err = buildHalo(s)
+			si, err = r.buildHalo(s)
 			if err != nil {
 				return acct{err: err}
 			}
@@ -409,7 +446,7 @@ func RunSharded(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConfig)
 		}
 		return a
 	}
-	forEachShard(S, cfg.Workers, accts, account)
+	forEachShard(S, workers, accts, account)
 	for s := 0; s < S; s++ {
 		if accts[s].err != nil {
 			return nil, accts[s].err

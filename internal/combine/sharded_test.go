@@ -353,28 +353,29 @@ func TestRunShardedReconcileRollbackMatchesNaive(t *testing.T) {
 		in, plan := clusteredInstance(t, 240, 4, 8, 0.5, seed)
 		cfg := DefaultShardedConfig()
 		cfg.Seed = stats.SplitSeed(seed, "rollback")
-		cfg.NoReconcile = true
-		run := func() *ShardedResult {
-			res, err := RunSharded(in, plan, cfg)
+		unreconciled := func() model.Placement {
+			r, err := solveAndMerge(in, plan, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return r.res.Placement
 		}
 		// Deadlines 10 % above what the unreconciled placement achieves under
 		// global routing: tight enough that most cost-saving boundary removals
 		// make some request late.
-		_, ev := globalEval(in, run().Placement)
+		_, ev := globalEval(in, unreconciled())
 		for h := range in.Workload.Requests {
 			in.Workload.Requests[h].Deadline = 1.1 * ev.Latencies[h]
 		}
-		want := run().Placement.Clone()
+		want := unreconciled()
 		rolledBack, commitAfterRollback := naiveReconcile(t, in, plan, want)
 		if rolledBack == 0 || !commitAfterRollback {
 			t.Fatalf("seed %d: fixture no longer commits a removal after a roll-back (rolled back %d)", seed, rolledBack)
 		}
-		cfg.NoReconcile = false
-		got := run()
+		got, err := RunSharded(in, plan, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(got.Placement, want) {
 			t.Fatalf("seed %d: reconciled placement diverges from the scratch reference (%d removals, %d roll-backs in the reference)",
 				seed, got.ReconcileRemoved, rolledBack)

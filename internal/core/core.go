@@ -116,12 +116,8 @@ func solve(in *model.Instance, cfg Config, warm *model.Placement) *Solution {
 				}
 			}
 		}
-		// Warm instances resist removal (fewer container cold-starts); the
-		// bias defaults to 2Θ when the caller didn't choose one.
+		// Warm instances resist removal (fewer container cold-starts).
 		ccfg.Warm = *warm
-		if ccfg.WarmBias == 0 {
-			ccfg.WarmBias = 2 * combineTheta(ccfg)
-		}
 	}
 	sol.Stats.PreprovInstances = pre.Instances()
 
@@ -141,13 +137,4 @@ func solve(in *model.Instance, cfg Config, warm *model.Placement) *Solution {
 
 	sol.Evaluation = in.Evaluate(sol.Placement)
 	return sol
-}
-
-// combineTheta returns the effective Θ of a combine config (its default
-// when unset), used to scale the online warm bias.
-func combineTheta(cfg combine.Config) float64 {
-	if cfg.Theta > 0 {
-		return cfg.Theta
-	}
-	return combine.DefaultConfig().Theta
 }

@@ -141,7 +141,6 @@ type engine struct {
 	store     incumbentStore
 	nodes     atomic.Int64
 	aborted   atomic.Bool
-	gapStop   atomic.Bool
 	deadline  time.Time
 	rootBound float64
 	// snap is the root relaxation's tableau; the root's children restart from
@@ -154,8 +153,6 @@ type engine struct {
 	// once (by the stacked or stolen up sibling) and then returns here.
 	snapPool sync.Pool
 }
-
-func (e *engine) stopped() bool { return e.aborted.Load() || e.gapStop.Load() }
 
 // countNode claims one node against the global limits, reporting false (and
 // flagging the abort) when a limit is hit.
@@ -182,18 +179,8 @@ func (e *engine) pruned(bound float64) bool {
 	return ok && bound > best+model.ObjTol
 }
 
-// noteIncumbent runs after a successful offer: it checks the gap stop.
-func (e *engine) noteIncumbent() {
-	if e.opt.Gap <= 0 {
-		return
-	}
-	if best, ok := e.store.best(); ok && gapOK(best, e.rootBound, e.opt.Gap) {
-		e.gapStop.Store(true)
-	}
-}
-
 // finish assembles the Result exactly as the serial reference does: Optimal
-// when the tree was exhausted (or the gap target met), Feasible/NoSolution
+// when the tree was exhausted, Feasible/NoSolution
 // when a limit stopped the search, Infeasible when exhaustion found no
 // integer point. Nodes is clamped to MaxNodes (the counter may overshoot by
 // the worker count); LPIters sums the workers' solvers.
@@ -221,7 +208,7 @@ func (e *engine) finish(start time.Time, solvers []*lp.WarmSolver) Result {
 	}
 	res.X = x
 	res.Objective = obj
-	if !aborted || (e.opt.Gap > 0 && gapOK(obj, e.rootBound, e.opt.Gap)) {
+	if !aborted {
 		res.Status = Optimal
 	} else {
 		res.Status = Feasible
@@ -271,7 +258,6 @@ func solveEngine(m *BoundedMIP, opt Options) (Result, error) {
 	if bv := mostFractional(m.Integer, rootSol.X); bv == -1 {
 		if e.store.offer(rootSol.X, rootSol.Objective, m.Integer) {
 			e.verify(rootSol.X, rootSol.Objective)
-			e.noteIncumbent()
 		}
 	} else {
 		down, up := branch(m.Prob.Lower, m.Prob.Upper, bv, rootSol.X[bv], rootSol.Objective)
@@ -280,7 +266,7 @@ func solveEngine(m *BoundedMIP, opt Options) (Result, error) {
 
 	// The root children seed the pool; load balance comes from workers sharing
 	// "up" siblings while others starve.
-	_, err = bb.Run(len(solvers), seeds, e.stopped, func(c *bb.Ctx[node], nd node) error {
+	_, err = bb.Run(len(solvers), seeds, e.aborted.Load, func(c *bb.Ctx[node], nd node) error {
 		return e.dfs(c, nd, solvers[c.Worker()])
 	})
 	if err != nil {
@@ -330,7 +316,6 @@ func (e *engine) processNode(nd node, ws *lp.WarmSolver, fromSnapshot bool) (dow
 		if e.store.offer(sol.X, sol.Objective, e.m.Integer) {
 			e.verify(sol.X, sol.Objective)
 			invariant.CheckWarmFactorization(ws, "ilp engine incumbent")
-			e.noteIncumbent()
 		}
 		return
 	}
@@ -348,7 +333,7 @@ func (e *engine) processNode(nd node, ws *lp.WarmSolver, fromSnapshot bool) (dow
 func (e *engine) dfs(c *bb.Ctx[node], root node, ws *lp.WarmSolver) error {
 	var stack []node
 	cur, fromSnap, have := root, true, true
-	for have && !e.stopped() {
+	for have && !e.aborted.Load() {
 		down, up, branched, err := e.processNode(cur, ws, fromSnap)
 		if err != nil {
 			return err

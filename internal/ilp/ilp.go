@@ -8,7 +8,6 @@ package ilp
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/lp"
@@ -40,8 +39,6 @@ func (m *BoundedMIP) Validate() error {
 type Options struct {
 	TimeLimit time.Duration // 0 = unlimited
 	MaxNodes  int           // 0 = unlimited
-	// Gap: stop when (incumbent - bound)/max(|incumbent|,1) ≤ Gap.
-	Gap float64
 	// Workers sizes the parallel branch-and-bound worker pool: 0 means
 	// GOMAXPROCS, 1 runs the deterministic engine on one goroutine. Any
 	// worker count returns the same optimum and — via the lexicographic
@@ -100,11 +97,4 @@ func SolveBounded(m *BoundedMIP, opt Options) (Result, error) {
 		return Result{}, err
 	}
 	return solveEngine(m, opt)
-}
-
-func gapOK(incumbent, bound, gap float64) bool {
-	if math.IsInf(bound, -1) {
-		return false
-	}
-	return (incumbent-bound)/math.Max(math.Abs(incumbent), 1) <= gap
 }

@@ -104,9 +104,6 @@ func solveBoundedNaive(m *BoundedMIP, opt Options) (Result, error) {
 			if sol.Objective < res.Objective {
 				res.Objective = sol.Objective
 				incumbent = append([]float64(nil), sol.X...)
-				if opt.Gap > 0 && gapOK(res.Objective, rootBound, opt.Gap) {
-					goto done
-				}
 			}
 			continue
 		}
@@ -126,7 +123,6 @@ func solveBoundedNaive(m *BoundedMIP, opt Options) (Result, error) {
 		down.upper[branchVar] = fl
 		stack = append(stack, up, down)
 	}
-done:
 	res.Elapsed = time.Since(start)
 	res.Bound = rootBound
 	if incumbent == nil {
@@ -136,7 +132,7 @@ done:
 		return res, nil
 	}
 	res.X = incumbent
-	if len(stack) == 0 || (opt.Gap > 0 && gapOK(res.Objective, rootBound, opt.Gap)) {
+	if len(stack) == 0 {
 		res.Status = Optimal
 	} else {
 		res.Status = Feasible

@@ -147,29 +147,3 @@ func missingInstance(p model.Placement, chain []int) bool {
 	}
 	return false
 }
-
-// CheckDeadlines panics when some finite-deadline request cannot meet its
-// deadline under exact optimal routing (Eq. 4), honoring the cloud fallback
-// exactly as the evaluator and combine's deadlineViolated do: a request
-// whose chain has no instance is served by the cloud when one exists.
-func CheckDeadlines(in *model.Instance, p model.Placement, where string) {
-	if !Enabled {
-		return
-	}
-	for h := range in.Workload.Requests {
-		req := &in.Workload.Requests[h]
-		if math.IsInf(req.Deadline, 1) {
-			continue
-		}
-		_, d, err := in.RouteOptimal(req, p)
-		if err != nil {
-			if !model.IsNoInstance(err) || in.Cloud == nil {
-				panic(fmt.Sprintf("invariant: %s: request %d unroutable with no cloud fallback: %v (Eq. 4)", where, req.ID, err))
-			}
-			d = in.Cloud.CloudCompletionTime(in.Workload.Catalog, req)
-		}
-		if d > req.Deadline+model.FeasTol {
-			panic(fmt.Sprintf("invariant: %s: request %d completes at %.6g > deadline %.6g (Eq. 4)", where, req.ID, d, req.Deadline))
-		}
-	}
-}

@@ -3,7 +3,6 @@
 package invariant
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -106,19 +105,6 @@ func TestArmedFeasibilityChecks(t *testing.T) {
 	} else {
 		CheckStorage(in, p, "test")
 	}
-
-	for h := range in.Workload.Requests {
-		in.Workload.Requests[h].Deadline = math.Inf(1)
-	}
-	CheckDeadlines(in, p, "test") // no finite deadline: vacuously feasible
-	for h := range in.Workload.Requests {
-		in.Workload.Requests[h].Deadline = 1e-12
-	}
-	expectPanic(t, "Eq. 4", func() { CheckDeadlines(in, p, "test") })
-
-	// Unroutable request without a cloud fallback: also an Eq. 4 panic.
-	empty := model.NewPlacement(in.M(), in.V())
-	expectPanic(t, "Eq. 4", func() { CheckDeadlines(in, empty, "test") })
 }
 
 // TestArmedWarmFactorization proves the factorization probe fires on a solved

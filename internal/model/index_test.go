@@ -93,7 +93,7 @@ func TestRouteOptimalIndexedMatchesNaive(t *testing.T) {
 					}
 				}
 				g1, e1, gerr1 := in.RouteGreedy(req, ix.Placement())
-				g2, e2, gerr2 := in.RouteGreedyIndexed(req, ix)
+				g2, e2, gerr2 := in.routeGreedy(req, ix)
 				if (gerr1 == nil) != (gerr2 == nil) || (gerr1 == nil && e1 != e2) {
 					t.Fatalf("seed %d req %d: greedy mismatch", seed, h)
 				}

@@ -393,14 +393,6 @@ func (in *Instance) RouteGreedy(req *msvc.Request, p Placement) (Assignment, flo
 	return in.routeGreedy(req, p)
 }
 
-// RouteGreedyIndexed is RouteGreedy over a PlacementIndex's cached
-// candidate lists.
-//
-//socllint:sentinel ErrNoInstance
-func (in *Instance) RouteGreedyIndexed(req *msvc.Request, ix *PlacementIndex) (Assignment, float64, error) {
-	return in.routeGreedy(req, ix)
-}
-
 //socllint:sentinel ErrNoInstance
 func (in *Instance) routeGreedy(req *msvc.Request, cand nodeLister) (Assignment, float64, error) {
 	g := in.Graph

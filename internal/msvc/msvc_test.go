@@ -246,14 +246,6 @@ func TestWorkloadQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// UsersAt partitions the request set.
-	total := 0
-	for k := 0; k < g.N(); k++ {
-		total += len(w.UsersAt(k))
-	}
-	if total != 50 {
-		t.Fatalf("UsersAt total = %d", total)
-	}
 	// DemandCount consistency with NodesRequesting.
 	for _, s := range w.ServicesUsed() {
 		nodes := w.NodesRequesting(s)

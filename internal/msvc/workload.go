@@ -151,18 +151,6 @@ func GenerateWorkload(cat *Catalog, g *topology.Graph, cfg WorkloadConfig, seed 
 	return w, nil
 }
 
-// UsersAt returns the requests homed at node k (the U_k of the system
-// model).
-func (w *Workload) UsersAt(k int) []Request {
-	var out []Request
-	for h := range w.Requests {
-		if w.Requests[h].Home == k {
-			out = append(out, w.Requests[h])
-		}
-	}
-	return out
-}
-
 // DemandCount returns |𝕌_{v_k}^{m_i}|: the number of requests homed at node
 // k whose chain contains service s. Like NodesRequesting and ServicesUsed it
 // scans every request; code that asks more than once builds an Index.

@@ -31,7 +31,7 @@ func TestColdAwareMatchesNaive(t *testing.T) {
 		cs.SyncWarm(p)
 		in.ColdStart = cs
 
-		cfg := DefaultConfig()
+		cfg := Config{}
 		fast := Run(in, m, p, cfg)
 		ref := runNaive(in, m, p, cfg)
 
@@ -104,7 +104,7 @@ func TestColdAwareWarmWinsTie(t *testing.T) {
 		if naive {
 			run = runNaive
 		}
-		cfg := DefaultConfig()
+		cfg := Config{}
 		blind := run(in, m, p, cfg)
 		wantBlind := []chaos.Inst{{Svc: 0, Node: 1}}
 		if !reflect.DeepEqual(blind.Added, wantBlind) {

@@ -52,5 +52,5 @@ func (s *naiveScorer) eval() *model.Evaluation {
 func runNaive(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Result {
 	min := m.Instance(in)
 	dmg, masked := Classify(in, m, p)
-	return repairWith(min, m, dmg, cfg, &naiveScorer{in: min, p: masked, mode: cfg.Mode, seed: cfg.Seed})
+	return repairWith(min, m, dmg, &naiveScorer{in: min, p: masked, mode: cfg.Mode, seed: cfg.Seed})
 }

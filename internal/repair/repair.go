@@ -64,12 +64,6 @@ type Config struct {
 	Mode model.RoutingMode
 	// Seed feeds RouteModeRandom's per-request streams (unused otherwise).
 	Seed int64
-	// MaxAdds caps re-provisioned instances per run; 0 means unlimited
-	// (termination is still guaranteed: every accepted candidate strictly
-	// improves the lexicographic repair score, which is bounded below). The
-	// cap is checked between commits, so a restoration bundle committed just
-	// under the cap may finish past it.
-	MaxAdds int
 	// Evaluator, when non-nil, is the caller's evaluator to score on in place
 	// of one built for this call: the serving daemon keeps one bound across
 	// epochs and hands it over here, so a repair re-routes only the requests
@@ -105,9 +99,6 @@ func coldPenaltyBundle(cs *model.ColdStartModel, adds []chaos.Inst) float64 {
 	}
 	return pen
 }
-
-// DefaultConfig scores under exact optimal routing with the delta engine.
-func DefaultConfig() Config { return Config{Mode: model.RouteModeOptimal} }
 
 // Damage is the classification of what the active faults broke.
 type Damage struct {
@@ -286,7 +277,7 @@ func Run(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Resu
 		}
 		de.AdvanceTo(masked)
 	}
-	res := repairWith(min, m, dmg, cfg, &deltaScorer{in: min, d: de})
+	res := repairWith(min, m, dmg, &deltaScorer{in: min, d: de})
 	if cfg.Evaluator != nil {
 		// The evaluator outlives the call and goes on mutating the placement
 		// it is bound to; the caller gets a copy.
@@ -297,13 +288,13 @@ func Run(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Resu
 
 // repairWith runs the repair phases on the masked instance, scoring through
 // s (bound to the masked placement).
-func repairWith(min *model.Instance, m *chaos.Mask, dmg Damage, cfg Config, s scorer) *Result {
+func repairWith(min *model.Instance, m *chaos.Mask, dmg Damage, s scorer) *Result {
 	res := &Result{Damage: dmg, Epoch: m.Epoch()}
 	res.Before = s.eval()
 
 	evictStorage(min, s, res)
 	evictBudget(min, s, res)
-	reprovision(min, m, s, res, cfg)
+	reprovision(min, m, s, res)
 
 	res.After = s.eval()
 	res.Placement = s.placement()
@@ -388,11 +379,14 @@ func evictBudget(min *model.Instance, s scorer, res *Result) {
 // repair score strictly improves, Algorithm-5 style: every feasible
 // candidate is tentatively applied, scored, rolled back, and only the
 // round's best strictly-improving candidate is committed.
-func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result, cfg Config) {
+//
+// Both phases terminate: every commit strictly improves the lexicographic
+// repair score, which is bounded below.
+func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result) {
 	probes, commits := 0, 0
 	defer func() { res.RolledBack = probes - commits }()
 
-	for cfg.MaxAdds <= 0 || len(res.Added) < cfg.MaxAdds {
+	for {
 		ev := s.eval()
 		curScore := scoreEval(min, ev)
 		if curScore.unserved == 0 {
@@ -456,7 +450,7 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result, cfg 
 			damaged[svc] = true
 		}
 	}
-	for cfg.MaxAdds <= 0 || len(res.Added) < cfg.MaxAdds {
+	for {
 		curScore := s.current()
 		cur := s.placement()
 		curCost := min.DeployCost(cur)

@@ -80,8 +80,8 @@ func TestRepairMatchesNaive(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			fast := Run(in, m, p, DefaultConfig())
-			ref := runNaive(in, m, p, DefaultConfig())
+			fast := Run(in, m, p, Config{})
+			ref := runNaive(in, m, p, Config{})
 
 			if !reflect.DeepEqual(fast.Evicted, ref.Evicted) {
 				t.Fatalf("seed %d %v: evictions diverge: %v vs naive %v", seed, kind, fast.Evicted, ref.Evicted)
@@ -127,7 +127,7 @@ func TestRepairImprovesOrHolds(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res := Run(in, m, p, DefaultConfig())
+		res := Run(in, m, p, Config{})
 		if len(res.Evicted) != 0 {
 			t.Fatalf("seed %d: node crashes forced evictions %v", seed, res.Evicted)
 		}
@@ -152,7 +152,7 @@ func TestRepairEnforcesFeasibility(t *testing.T) {
 		}
 	}
 	dmg, _ := Classify(in, m, p)
-	res := Run(in, m, p, DefaultConfig())
+	res := Run(in, m, p, Config{})
 	if !reflect.DeepEqual(res.Damage, dmg) {
 		t.Fatalf("Run's damage %+v != Classify's %+v", res.Damage, dmg)
 	}
@@ -187,7 +187,7 @@ func TestRepairCrashRecoverRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mid := Run(in, m, p, DefaultConfig())
+	mid := Run(in, m, p, Config{})
 	if len(mid.Damage.Lost) == 0 {
 		t.Fatal("crash lost no instances")
 	}
@@ -200,7 +200,7 @@ func TestRepairCrashRecoverRoundTrip(t *testing.T) {
 	if !m.Pristine() {
 		t.Fatal("recovering every crashed node did not restore the pristine mask")
 	}
-	post := Run(in, m, p, DefaultConfig())
+	post := Run(in, m, p, Config{})
 	if len(post.Damage.Lost) != 0 || len(post.Evicted) != 0 || len(post.Added) != 0 {
 		t.Fatalf("repair on a pristine mask was not the identity: %+v", post)
 	}
@@ -245,7 +245,7 @@ func TestRepairCloudFallback(t *testing.T) {
 	if len(crashed) == 0 {
 		t.Fatal("nothing deployed, nothing to crash")
 	}
-	res := Run(in, m, p, DefaultConfig())
+	res := Run(in, m, p, Config{})
 	if res.After.MissingInstances != 0 {
 		t.Fatalf("cloud fallback left %d requests missing", res.After.MissingInstances)
 	}
@@ -266,7 +266,7 @@ func TestDeltaScorerProbesLeaveNoTrace(t *testing.T) {
 		in := testInstance(t, 8, 25, 1)
 		p := baselines.JDR(in)
 		in.Budget = budget
-		cfg := DefaultConfig()
+		cfg := Config{}
 		s := &deltaScorer{in: in, d: model.NewDeltaEvaluator(in, p.Clone(), cfg.Mode, cfg.Seed)}
 
 		var absent []chaos.Inst

@@ -9,7 +9,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/model"
 	"repro/internal/msvc"
-	"repro/internal/repair"
 	"repro/internal/topology"
 )
 
@@ -35,17 +34,9 @@ type Config struct {
 	Planner     func(*model.Instance) (model.Placement, error)
 	PlannerName string
 
-	// Repair tunes the incremental engine (Mode, Seed and Evaluator are
-	// overridden per epoch).
-	Repair repair.Config
-
-	// Policy reacts each epoch the placement is stale. Nil installs
-	// AutoPolicy{Threshold: ResolveThreshold}.
+	// Policy reacts each epoch the placement is stale. Nil installs the
+	// default (ReactionPolicy).
 	Policy Policy
-	// ResolveThreshold configures the default AutoPolicy; 0 means
-	// DefaultResolveThreshold (build an AutoPolicy explicitly for a true
-	// zero threshold).
-	ResolveThreshold float64
 
 	// Replan switches the daemon into replay mode: every non-empty epoch
 	// re-plans from scratch on the pre-strike substrate — the paper's
@@ -60,6 +51,15 @@ type Config struct {
 
 	// Lifecycle enables the serverless instance lifecycle (serve mode only).
 	Lifecycle LifecycleConfig
+}
+
+// ReactionPolicy returns the policy a daemon built from c reacts with:
+// c.Policy, or AutoPolicy at DefaultResolveThreshold when it is nil.
+func (c *Config) ReactionPolicy() Policy {
+	if c.Policy != nil {
+		return c.Policy
+	}
+	return AutoPolicy{Threshold: DefaultResolveThreshold}
 }
 
 // EpochRecord is the measurement of one daemon epoch — and, through sim.Run,
@@ -188,17 +188,10 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		cfg:       cfg,
+		policy:    cfg.ReactionPolicy(),
 		mask:      chaos.NewMask(cfg.Graph),
 		queue:     make(map[int][]queued),
 		placement: model.NewPlacement(cfg.Catalog.Len(), cfg.Graph.N()),
-	}
-	d.policy = cfg.Policy
-	if d.policy == nil {
-		thr := cfg.ResolveThreshold
-		if thr == 0 {
-			thr = DefaultResolveThreshold
-		}
-		d.policy = AutoPolicy{Threshold: thr}
 	}
 	if cfg.Lifecycle.Enabled() {
 		d.life = newLifecycle(cfg.Lifecycle, cfg.Catalog.Len(), cfg.Graph.N())
@@ -365,17 +358,13 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 			// Initial solve: nothing to repair yet.
 			pol = ResolvePolicy{}
 		}
-		// The bound evaluator rides the repair seam (nil in replay mode,
-		// whose requests live one epoch).
-		rcfg := d.cfg.Repair
-		rcfg.Evaluator = d.de
 		ctx := &EpochContext{
 			In:          evalIn,
 			Mask:        d.mask,
 			Planned:     planned,
 			Mode:        d.cfg.Mode,
 			Seed:        seed,
-			Repair:      rcfg,
+			Evaluator:   d.de,
 			Resolve:     d.cfg.Planner,
 			PlannerName: d.cfg.PlannerName,
 		}

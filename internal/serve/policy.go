@@ -28,9 +28,10 @@ type EpochContext struct {
 	// Mode and Seed select request routing (Seed feeds RouteModeRandom).
 	Mode model.RoutingMode
 	Seed int64
-	// Repair tunes the incremental engine; Mode and Seed above override its
-	// routing fields.
-	Repair repair.Config
+	// Evaluator is the daemon's long-lived evaluator, which a repair scores
+	// on (repair.Config.Evaluator); nil in replay mode, whose requests live
+	// one epoch.
+	Evaluator *model.DeltaEvaluator
 	// Resolve recomputes a placement from scratch on the masked instance it
 	// is handed. Required by ResolvePolicy and AutoPolicy escalation.
 	Resolve func(*model.Instance) (model.Placement, error)
@@ -92,9 +93,7 @@ func (RepairPolicy) Name() string { return "repair" }
 
 // Serve implements Policy.
 func (p RepairPolicy) Serve(ctx *EpochContext) (Outcome, error) {
-	rcfg := ctx.Repair
-	rcfg.Mode = ctx.Mode
-	rcfg.Seed = ctx.Seed
+	rcfg := repair.Config{Mode: ctx.Mode, Seed: ctx.Seed, Evaluator: ctx.Evaluator}
 	//socllint:ignore detrand wall-clock reaction time is reported, never branched on
 	t0 := time.Now()
 	var res *repair.Result

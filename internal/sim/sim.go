@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/msvc"
-	"repro/internal/repair"
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -124,9 +123,6 @@ type Config struct {
 	Faults *chaos.Schedule
 	// Policy selects the response to fault damage (ignored without Faults).
 	Policy FaultPolicy
-	// Repair tunes PolicyRepair; its Mode and Seed are overridden per slot
-	// to match the algorithm's routing. MaxAdds is honored.
-	Repair repair.Config
 	// Cloud, when non-nil, gives requests whose services are missing a WAN
 	// fallback instead of going unserved (model.ErrNoInstance discipline).
 	Cloud *model.CloudConfig
@@ -189,7 +185,6 @@ func ReplayConfig(cfg Config, algo Algorithm) serve.Config {
 		RouteSeed:   stats.SplitSeed(cfg.Seed, "sim/route"),
 		Planner:     algo.Place,
 		PlannerName: algo.Name(),
-		Repair:      cfg.Repair,
 		Policy:      pol,
 		Replan:      true,
 	}

@@ -216,18 +216,6 @@ func (tr *Trace) ServiceSimilarityMatrix(binMinutes float64) [][]float64 {
 	return m
 }
 
-// FileServiceMix returns, per trace file, the service-frequency vector.
-func (tr *Trace) FileServiceMix() [][]float64 {
-	mix := make([][]float64, tr.Config.NumFiles)
-	for f := range mix {
-		mix[f] = make([]float64, tr.Config.NumServices)
-	}
-	for _, e := range tr.Events {
-		mix[e.File][e.Service]++
-	}
-	return mix
-}
-
 // ChainSimilarity computes, for every service, the pairwise Jaccard
 // similarity of its dependency chains across trace files (Fig. 3(b)), and
 // returns all pairwise values plus the maximum.

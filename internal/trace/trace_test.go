@@ -132,23 +132,6 @@ func TestChainSimilarityBounded(t *testing.T) {
 	}
 }
 
-func TestFileServiceMix(t *testing.T) {
-	tr := Generate(DefaultConfig())
-	mix := tr.FileServiceMix()
-	if len(mix) != tr.Config.NumFiles {
-		t.Fatalf("mix files = %d", len(mix))
-	}
-	total := 0.0
-	for _, row := range mix {
-		for _, v := range row {
-			total += v
-		}
-	}
-	if int(total) != len(tr.Events) {
-		t.Fatalf("mix total %v != events %d", total, len(tr.Events))
-	}
-}
-
 // Property: event counts scale roughly linearly with the base rate.
 func TestRateScalingProperty(t *testing.T) {
 	f := func(seed int64) bool {

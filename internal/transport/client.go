@@ -13,7 +13,10 @@ import (
 	"repro/internal/stats"
 )
 
-// Client retry defaults.
+// Client retry schedule: at most DefaultRetryMax retransmissions per frame,
+// swept with a capped exponential backoff from DefaultRetryBase up to
+// DefaultRetryCap, each sweep's delay scaled by a jitter factor in
+// [0.5, 1.0); a session gives up after DefaultTimeout.
 const (
 	DefaultRetryMax  = 12
 	DefaultRetryBase = 2 * time.Millisecond
@@ -29,12 +32,6 @@ type ClientConfig struct {
 	// fire-and-forget, and only the control frames (hello/tick/finish)
 	// reliably: the overload-measurement mode.
 	Reliable bool
-	// RetryMax caps retransmission attempts per frame (0 = DefaultRetryMax).
-	RetryMax int
-	// RetryBase/RetryCap shape the capped exponential backoff between
-	// retransmission sweeps; each sweep's delay is the exponential step
-	// scaled by a jitter factor in [0.5, 1.0).
-	RetryBase, RetryCap time.Duration
 	// Seed feeds the jitter stream via stats.SplitSeed(Seed,
 	// "transport/retry"): two clients with the same seed back off
 	// identically.
@@ -46,36 +43,6 @@ type ClientConfig struct {
 	// every frame passes the link (retransmission recovers); in open-loop
 	// mode only event frames do, control frames stay clean.
 	Chaos *chaos.LinkConfig
-	// Timeout bounds the whole session (0 = DefaultTimeout).
-	Timeout time.Duration
-}
-
-func (c ClientConfig) retryMax() int {
-	if c.RetryMax <= 0 {
-		return DefaultRetryMax
-	}
-	return c.RetryMax
-}
-
-func (c ClientConfig) retryBase() time.Duration {
-	if c.RetryBase <= 0 {
-		return DefaultRetryBase
-	}
-	return c.RetryBase
-}
-
-func (c ClientConfig) retryCap() time.Duration {
-	if c.RetryCap <= 0 {
-		return DefaultRetryCap
-	}
-	return c.RetryCap
-}
-
-func (c ClientConfig) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return DefaultTimeout
-	}
-	return c.Timeout
 }
 
 // AckInfo is the final disposition the server reported for one frame.
@@ -166,12 +133,12 @@ func (c *Client) send(fr Frame, attempt int, impaired bool) error {
 // backoff returns the capped exponential delay for a retransmission sweep,
 // scaled by seeded jitter in [0.5, 1.0).
 func (c *Client) backoff(round int) time.Duration {
-	d := c.cfg.retryBase()
-	for i := 0; i < round && d < c.cfg.retryCap(); i++ {
+	d := DefaultRetryBase
+	for i := 0; i < round && d < DefaultRetryCap; i++ {
 		d *= 2
 	}
-	if d > c.cfg.retryCap() {
-		d = c.cfg.retryCap()
+	if d > DefaultRetryCap {
+		d = DefaultRetryCap
 	}
 	return time.Duration(float64(d) * (0.5 + 0.5*c.rng.Float64()))
 }
@@ -230,7 +197,7 @@ func (c *Client) Run(s *serve.Script) (*Report, error) {
 	}
 	go c.readLoop()
 	rep := &Report{}
-	deadline := time.Now().Add(c.cfg.timeout())
+	deadline := time.Now().Add(DefaultTimeout)
 	if c.cfg.Reliable {
 		err = c.runReliable(frames, rep, deadline)
 	} else {
@@ -274,7 +241,7 @@ func (c *Client) runReliable(frames []Frame, rep *Report, deadline time.Time) er
 	}
 	for round := 0; ; round++ {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: session timed out after %s", c.cfg.timeout())
+			return fmt.Errorf("transport: session timed out after %s", DefaultTimeout)
 		}
 		gotResult, readErr := c.sessionState()
 		if readErr != nil && !gotResult {
@@ -295,7 +262,7 @@ func (c *Client) runReliable(frames []Frame, rep *Report, deadline time.Time) er
 				continue
 			}
 			attempts[i]++
-			if attempts[i] > c.cfg.retryMax() {
+			if attempts[i] > DefaultRetryMax {
 				return fmt.Errorf("transport: frame seq %d dropped %d times, giving up",
 					frames[i].Seq, attempts[i])
 			}
@@ -349,7 +316,7 @@ func (c *Client) runOpenLoop(frames []Frame, rep *Report, deadline time.Time) er
 // for the finish frame the result itself also counts as the ack).
 func (c *Client) sendControl(fr Frame, rep *Report, deadline time.Time) error {
 	for attempt := 0; ; attempt++ {
-		if attempt > c.cfg.retryMax() {
+		if attempt > DefaultRetryMax {
 			return fmt.Errorf("transport: control frame seq %d unacknowledged after %d attempts", fr.Seq, attempt)
 		}
 		if attempt > 0 {

@@ -41,7 +41,7 @@ func TestBackoffDeterministic(t *testing.T) {
 
 func TestBackoffCappedExponential(t *testing.T) {
 	cl := backoffClient(1)
-	base, cap := cl.cfg.retryBase(), cl.cfg.retryCap()
+	base, cap := DefaultRetryBase, DefaultRetryCap
 	prevMax := time.Duration(0)
 	for round := 0; round < 20; round++ {
 		d := cl.backoff(round)

@@ -45,20 +45,10 @@ type Config struct {
 	// to load shedding. 0 = unlimited.
 	Capacity int
 
-	// ResolveCost overrides DefaultResolveCost in the debt computation.
-	ResolveCost int
-
 	// Breaker and Ladder configure the circuit breaker and its degradation
 	// ladder (wrapped around the daemon's policy when Breaker.Enabled).
 	Breaker BreakerConfig
 	Ladder  LadderConfig
-}
-
-func (c Config) resolveCost() int {
-	if c.ResolveCost <= 0 {
-		return DefaultResolveCost
-	}
-	return c.ResolveCost
 }
 
 // Stats is the engine's admission telemetry.
@@ -265,20 +255,11 @@ func (e *Engine) handleHello(fr Frame) []Frame {
 		return []Frame{errFrame(fr.Seq, fmt.Sprintf("session factory: %v", err))}
 	}
 	if e.cfg.Breaker.Enabled {
-		inner := sc.Policy
-		if inner == nil {
-			thr := sc.ResolveThreshold
-			if thr == 0 {
-				thr = serve.DefaultResolveThreshold
-			}
-			inner = serve.AutoPolicy{Threshold: thr}
-		}
 		e.breaker = NewBreaker(e.cfg.Breaker)
 		e.guard = &GuardedPolicy{
-			Inner:       inner,
-			Breaker:     e.breaker,
-			Ladder:      e.cfg.Ladder,
-			ResolveCost: e.cfg.resolveCost(),
+			Inner:   sc.ReactionPolicy(),
+			Breaker: e.breaker,
+			Ladder:  e.cfg.Ladder,
 		}
 		sc.Policy = e.guard
 	}
@@ -422,7 +403,7 @@ func (e *Engine) advanceTo(target int) []Frame {
 			out = append(out, errFrame(0, err.Error()))
 			break
 		}
-		e.debt = recordCost(rec, e.cfg.resolveCost())
+		e.debt = recordCost(rec)
 		if e.breaker != nil {
 			e.breaker.OnEpoch()
 		}

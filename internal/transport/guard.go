@@ -6,20 +6,17 @@ import (
 )
 
 // DefaultResolveCost is the work-unit charge of a full re-solve relative to
-// single repair moves (adds/evicts/rolled-back probes cost 1 each). It is the
-// unit both the breaker's CostBudget and the engine's admission-capacity debt
-// are denominated in.
+// single repair moves (adds/evicts/rolled-back probes cost 1 each). Both the
+// breaker's CostBudget and the engine's admission-capacity debt are
+// denominated in these units.
 const DefaultResolveCost = 50
 
 // LadderConfig prices the graceful-degradation ladder a tripped breaker
-// falls down: serve from the stale placement; if that leaves too many
-// requests unserved, offload them to a pay-per-use cloud whose functions
-// start cold (model.CloudConfig.ColdStart); requests that not even the cloud
-// can serve stay shed.
+// falls down: serve from the stale placement; if that leaves any request
+// unserved, offload it to a pay-per-use cloud whose functions start cold
+// (model.CloudConfig.ColdStart); requests that not even the cloud can serve
+// stay shed.
 type LadderConfig struct {
-	// OffloadThreshold is the unserved fraction of the stale serve above
-	// which the cloud rung engages. 0 engages it on any unserved request.
-	OffloadThreshold float64
 	// CloudTransfer, CloudCompute and CloudColdStart price the offload
 	// rung as model.CloudConfig's TransferCost, Compute and ColdStart:
 	// every degraded-path offload cold-starts its cloud function.
@@ -42,8 +39,6 @@ type GuardedPolicy struct {
 	Inner   serve.Policy
 	Breaker *Breaker
 	Ladder  LadderConfig
-	// ResolveCost overrides DefaultResolveCost (0 = default).
-	ResolveCost int
 
 	// Telemetry.
 	DegradedEpochs int // epochs served by the ladder
@@ -55,19 +50,12 @@ type GuardedPolicy struct {
 // Name implements serve.Policy.
 func (g *GuardedPolicy) Name() string { return "guarded(" + g.Inner.Name() + ")" }
 
-func (g *GuardedPolicy) resolveCost() int {
-	if g.ResolveCost <= 0 {
-		return DefaultResolveCost
-	}
-	return g.ResolveCost
-}
-
 // Serve implements serve.Policy.
 func (g *GuardedPolicy) Serve(ctx *serve.EpochContext) (serve.Outcome, error) {
 	if g.Breaker.Allow() {
 		out, err := g.Inner.Serve(ctx)
 		if err == nil {
-			g.LastCost = ReactionCost(&out, g.resolveCost())
+			g.LastCost = ReactionCost(&out)
 			g.Breaker.Record(g.LastCost, false)
 			return out, nil
 		}
@@ -81,15 +69,11 @@ func (g *GuardedPolicy) Serve(ctx *serve.EpochContext) (serve.Outcome, error) {
 }
 
 // degrade serves the epoch from the ladder: stale placement first, cloud
-// offload if the stale serve leaves too much unserved.
+// offload if the stale serve leaves any request unserved.
 func (g *GuardedPolicy) degrade(ctx *serve.EpochContext) serve.Outcome {
 	g.DegradedEpochs++
 	out, _ := serve.NonePolicy{}.Serve(ctx) // rung 1; NonePolicy cannot fail
-	n := len(ctx.In.Workload.Requests)
-	if n == 0 || !g.Ladder.hasCloud() {
-		return out
-	}
-	if float64(out.Eval.Unserved()) <= g.Ladder.OffloadThreshold*float64(n) {
+	if !g.Ladder.hasCloud() || out.Eval.Unserved() == 0 {
 		return out
 	}
 	// Rung 2: re-evaluate the stale placement with the ladder's cloud
@@ -108,25 +92,25 @@ func (g *GuardedPolicy) degrade(ctx *serve.EpochContext) serve.Outcome {
 	return out
 }
 
-// ReactionCost is the deterministic work charge of one reaction outcome: a
-// full re-solve costs resolveCost units; an incremental repair costs one unit
-// per committed add, per eviction, and per scored-then-reverted candidate.
-func ReactionCost(out *serve.Outcome, resolveCost int) int {
-	if out.Resolved {
-		return resolveCost
-	}
-	return len(out.Added) + len(out.Evicted) + out.RolledBack
+// ReactionCost is the deterministic work charge of one reaction outcome.
+func ReactionCost(out *serve.Outcome) int {
+	return reactionCost(out.Resolved, len(out.Added), len(out.Evicted), out.RolledBack)
 }
 
 // recordCost is ReactionCost read off a finished epoch's record — the debt
-// the engine charges against the next epoch's admission capacity. Steady
-// delta-evaluator epochs ran no policy and cost nothing.
-func recordCost(rec *serve.EpochRecord, resolveCost int) int {
-	if rec.Incremental {
-		return 0
+// the engine charges against the next epoch's admission capacity. A steady
+// delta-evaluator epoch ran no policy, so it records no change and costs
+// nothing.
+func recordCost(rec *serve.EpochRecord) int {
+	return reactionCost(rec.Resolved, rec.Adds, rec.Evicts, rec.RolledBack)
+}
+
+// reactionCost is the charge both read: a full re-solve costs
+// DefaultResolveCost units; an incremental repair costs one unit per committed
+// add, per eviction, and per scored-then-reverted candidate.
+func reactionCost(resolved bool, adds, evicts, rolledBack int) int {
+	if resolved {
+		return DefaultResolveCost
 	}
-	if rec.Resolved {
-		return resolveCost
-	}
-	return rec.Adds + rec.Evicts + rec.RolledBack
+	return adds + evicts + rolledBack
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/model"
 	"repro/internal/msvc"
-	"repro/internal/repair"
 	"repro/internal/serve"
 	"repro/internal/topology"
 )
@@ -60,7 +59,6 @@ func ladderFixture(t *testing.T) *serve.EpochContext {
 		Mask:    m,
 		Planned: p,
 		Mode:    model.RouteModeOptimal,
-		Repair:  repair.DefaultConfig(),
 	}
 }
 
@@ -182,10 +180,21 @@ func TestReactionCost(t *testing.T) {
 		Evicted:    []chaos.Inst{{Svc: 0, Node: 2}},
 		RolledBack: 3,
 	}
-	if c := ReactionCost(out, 50); c != 5 {
+	if c := ReactionCost(out); c != 5 {
 		t.Fatalf("repair cost = %d, want 5", c)
 	}
-	if c := ReactionCost(&serve.Outcome{Resolved: true}, 50); c != 50 {
-		t.Fatalf("resolve cost = %d, want 50", c)
+	if c := ReactionCost(&serve.Outcome{Resolved: true}); c != DefaultResolveCost {
+		t.Fatalf("resolve cost = %d, want %d", c, DefaultResolveCost)
+	}
+	// The engine's debt reads the same charge off the epoch's record.
+	rec := &serve.EpochRecord{Adds: 1, Evicts: 1, RolledBack: 3}
+	if c := recordCost(rec); c != 5 {
+		t.Fatalf("record cost = %d, want 5", c)
+	}
+	if c := recordCost(&serve.EpochRecord{Resolved: true}); c != DefaultResolveCost {
+		t.Fatalf("resolved record cost = %d, want %d", c, DefaultResolveCost)
+	}
+	if c := recordCost(&serve.EpochRecord{Incremental: true}); c != 0 {
+		t.Fatalf("steady epoch cost = %d, want 0", c)
 	}
 }

@@ -13,26 +13,29 @@ import (
 // sends: hello, then per slot the slot's events followed by a tick to the
 // next epoch, then finish. Sequence numbers are assigned in order from 0.
 // budgetSlots stamps every event's deadline budget (0 defers to the server
-// default).
+// default). A slot's events keep their script order; an event with a
+// negative slot is never sent.
 func BuildSession(s *serve.Script, budgetSlots int) ([]Frame, error) {
-	var frames []Frame
-	seq := uint64(0)
-	add := func(t byte, body []byte) {
-		frames = append(frames, Frame{Type: t, Seq: seq, Body: body})
-		seq++
-	}
-	add(MsgHello, []byte(serve.FormatMeta(s.Meta)))
-	maxSlot := s.Meta.NumSlots - 1
+	numSlots := max(s.Meta.NumSlots, 0)
 	for i := range s.Events {
-		if s.Events[i].Slot > maxSlot {
-			maxSlot = s.Events[i].Slot
+		numSlots = max(numSlots, s.Events[i].Slot+1)
+	}
+	// Bucket the event indices by slot once, each bucket in script order.
+	bySlot := make([][]int, numSlots)
+	sent := 0
+	for i := range s.Events {
+		if slot := s.Events[i].Slot; slot >= 0 {
+			bySlot[slot] = append(bySlot[slot], i)
+			sent++
 		}
 	}
-	for slot := 0; slot <= maxSlot; slot++ {
-		for i := range s.Events {
-			if s.Events[i].Slot != slot {
-				continue
-			}
+	frames := make([]Frame, 0, 1+sent+len(bySlot)+1)
+	add := func(t byte, body []byte) {
+		frames = append(frames, Frame{Type: t, Seq: uint64(len(frames)), Body: body})
+	}
+	add(MsgHello, []byte(serve.FormatMeta(s.Meta)))
+	for slot, idx := range bySlot {
+		for _, i := range idx {
 			line, err := serve.FormatEvent(&s.Events[i])
 			if err != nil {
 				return nil, fmt.Errorf("transport: event %d: %w", i, err)

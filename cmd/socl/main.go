@@ -6,7 +6,9 @@
 //
 //	socl -nodes 10 -users 40 -budget 8000 -lambda 0.5 -seed 1 -algo socl
 //
-// Algorithms: socl (default), rp, jdr, gcog, opt.
+// Algorithms: socl (default), rp, jdr, gcog, opt. The flags describe a
+// config.Scenario, so a flag-built instance is the one the equivalent
+// -scenario file builds.
 package main
 
 import (
@@ -20,9 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ilp"
 	"repro/internal/model"
-	"repro/internal/msvc"
 	"repro/internal/opt"
-	"repro/internal/topology"
 )
 
 func main() {
@@ -51,53 +51,68 @@ func main() {
 		fmt.Println("wrote default scenario to", *writeScn)
 		return
 	}
-	if *exportLP != "" {
-		if err := doExportLP(*scenario, *nodes, *users, *budget, *lambda, *seed, *topo, *dataset, *exportLP); err != nil {
-			fmt.Fprintln(os.Stderr, "socl:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	var err error
-	if *scenario != "" {
-		err = runScenario(*scenario, *algo, *optLimit, *verbose)
-	} else {
-		err = run(*nodes, *users, *budget, *lambda, *seed, *algo, *topo, *dataset, *optLimit, *verbose)
-	}
-	if err != nil {
+	sc := flagScenario(*nodes, *users, *budget, *lambda, *seed, *topo, *dataset)
+	if err := run(sc, *scenario, *exportLP, *algo, *optLimit, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "socl:", err)
 		os.Exit(1)
 	}
 }
 
-// doExportLP builds the instance and writes its Definition-4 ILP in CPLEX
-// LP format, so users with Gurobi/CPLEX/SCIP can solve the exact model the
-// paper's OPT baseline uses.
-func doExportLP(scenario string, nodes, users int, budget, lambda float64, seed int64, topo, dataset, path string) error {
-	var in *model.Instance
-	if scenario != "" {
-		sc, err := config.Load(scenario)
-		if err != nil {
-			return err
+// flagScenario is the scenario the command-line flags describe: the default
+// scenario with its seed, λ, budget, topology, catalog and user count
+// replaced. A grid gets rows = cols = ⌈√nodes⌉.
+func flagScenario(nodes, users int, budget, lambda float64, seed int64, topo, dataset string) *config.Scenario {
+	sc := config.Default()
+	sc.Name = "flags"
+	sc.Seed, sc.Lambda, sc.Budget = seed, lambda, budget
+	sc.Topology.Kind, sc.Topology.Nodes = topo, nodes
+	if topo == "grid" {
+		side := 1
+		for side*side < nodes {
+			side++
 		}
-		in, err = sc.Build()
-		if err != nil {
-			return err
-		}
-	} else {
+		sc.Topology.Rows, sc.Topology.Cols = side, side
+	}
+	sc.Catalog.Kind = dataset
+	sc.Workload.NumUsers = users
+	return sc
+}
+
+// run builds the instance — from the scenario file when one is given, else
+// from the flags' scenario — and exports its ILP or solves it.
+func run(sc *config.Scenario, scenarioPath, lpPath, algo string, optLimit time.Duration, verbose bool) error {
+	if scenarioPath != "" {
 		var err error
-		in, err = buildInstance(nodes, users, budget, lambda, seed, topo, dataset)
-		if err != nil {
+		if sc, err = config.Load(scenarioPath); err != nil {
 			return err
 		}
 	}
+	in, err := sc.Build()
+	if err != nil {
+		return err
+	}
+	if lpPath != "" {
+		return exportLP(in, lpPath)
+	}
+	fmt.Printf("scenario=%s (%s topology, %d nodes, %s catalog) users=%d budget=%.0f λ=%.2f seed=%d\n",
+		sc.Name, sc.Topology.Kind, in.V(), sc.Catalog.Kind, len(in.Workload.Requests), sc.Budget, sc.Lambda, sc.Seed)
+	return solveAndReport(in, algo, sc.Seed, optLimit, verbose)
+}
+
+// exportLP writes the instance's Definition-4 ILP in CPLEX LP format, so
+// users with Gurobi/CPLEX/SCIP can solve the exact model the paper's OPT
+// baseline uses.
+func exportLP(in *model.Instance, path string) error {
 	m, _ := ilp.BuildSoCLBounded(in)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if err := ilp.WriteBoundedLP(f, m); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("wrote ILP (%d variables, %d constraints) to %s\n",
@@ -105,66 +120,8 @@ func doExportLP(scenario string, nodes, users int, budget, lambda float64, seed 
 	return nil
 }
 
-// runScenario loads a JSON scenario and solves it with the chosen
-// algorithm.
-func runScenario(path, algo string, optLimit time.Duration, verbose bool) error {
-	sc, err := config.Load(path)
-	if err != nil {
-		return err
-	}
-	in, err := sc.Build()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("scenario=%s (%s topology, %s catalog)\n", sc.Name, sc.Topology.Kind, sc.Catalog.Kind)
-	return solveAndReport(in, in.Workload.Catalog, algo, sc.Seed, optLimit, verbose)
-}
-
-func run(nodes, users int, budget, lambda float64, seed int64, algo, topo, dataset string, optLimit time.Duration, verbose bool) error {
-	in, err := buildInstance(nodes, users, budget, lambda, seed, topo, dataset)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("nodes=%d users=%d budget=%.0f λ=%.2f seed=%d dataset=%s\n", nodes, users, budget, lambda, seed, dataset)
-	return solveAndReport(in, in.Workload.Catalog, algo, seed, optLimit, verbose)
-}
-
-// buildInstance assembles the flag-driven instance shared by run and
-// doExportLP.
-func buildInstance(nodes, users int, budget, lambda float64, seed int64, topo, dataset string) (*model.Instance, error) {
-	gcfg := topology.DefaultGenConfig()
-	var g *topology.Graph
-	switch topo {
-	case "geometric":
-		g = topology.RandomGeometric(nodes, 0.35, gcfg, seed)
-	case "stadium":
-		g = topology.Stadium(nodes, gcfg, seed)
-	case "ringhubs":
-		g = topology.RingHubs(nodes*3/4, nodes-nodes*3/4, gcfg, seed)
-	case "grid":
-		side := 1
-		for side*side < nodes {
-			side++
-		}
-		g = topology.Grid(side, side, gcfg, seed)
-	default:
-		return nil, fmt.Errorf("unknown topology %q", topo)
-	}
-
-	cat, err := msvc.CatalogByName(dataset, msvc.DefaultDatasetConfig(), seed)
-	if err != nil {
-		return nil, err
-	}
-	wcfg := msvc.DefaultWorkloadConfig(users)
-	w, err := msvc.GenerateWorkload(cat, g, wcfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &model.Instance{Graph: g, Workload: w, Lambda: lambda, Budget: budget}, nil
-}
-
 // solveAndReport runs the chosen algorithm on in and prints the outcome.
-func solveAndReport(in *model.Instance, cat *msvc.Catalog, algo string, seed int64, optLimit time.Duration, verbose bool) error {
+func solveAndReport(in *model.Instance, algo string, seed int64, optLimit time.Duration, verbose bool) error {
 	var placement model.Placement
 	start := time.Now()
 	switch algo {
@@ -217,7 +174,7 @@ func solveAndReport(in *model.Instance, cat *msvc.Catalog, algo string, seed int
 			if len(nodesOf) == 0 {
 				continue
 			}
-			fmt.Printf("  %-20s %v\n", cat.Service(i).Name, nodesOf)
+			fmt.Printf("  %-20s %v\n", in.Workload.Catalog.Service(i).Name, nodesOf)
 		}
 	}
 	return nil

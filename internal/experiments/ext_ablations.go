@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/msvc"
-	"repro/internal/opt"
 	"repro/internal/partition"
 	"repro/internal/preprov"
 	"repro/internal/sim"
@@ -230,10 +229,12 @@ func ExtOnline(opts Options) *Table {
 		Header: []string{"mode", "mean_delay", "objective_sum", "churn"},
 	}
 
-	// One-shot: stateless SoCL; churn measured between consecutive slots.
+	// One-shot: an online solver reset before every slot solves from
+	// scratch (core.Solve's placement), and counts churn between slots.
 	cfg := sim.DefaultConfig(g, cat, users, opts.Seed)
 	cfg.DurationMinutes = duration
-	oneShot, err := sim.Run(cfg, sim.SoCL{Config: core.DefaultConfig()})
+	cold := &churnAdapter{solver: core.NewOnlineSolver(core.DefaultConfig())}
+	oneShot, err := sim.Run(cfg, cold)
 	if err != nil {
 		panic(fmt.Sprintf("ext_online one-shot: %v (completed %d slots)", err, partialSlots(oneShot)))
 	}
@@ -241,10 +242,7 @@ func ExtOnline(opts Options) *Table {
 	for _, s := range oneShot.Records {
 		objSum += s.Objective
 	}
-	// Churn for the one-shot mode is recomputed by replaying the decision
-	// sequence through a resetting online solver.
-	churnCold := replayChurn(g, cat, users, duration, opts.Seed, true)
-	t.AddRow("one-shot", f3(oneShot.MeanDelay()), f1(objSum), itoa(churnCold))
+	t.AddRow("one-shot", f3(oneShot.MeanDelay()), f1(objSum), itoa(cold.churn))
 
 	cfg2 := sim.DefaultConfig(g, cat, users, opts.Seed)
 	cfg2.DurationMinutes = duration
@@ -261,33 +259,20 @@ func ExtOnline(opts Options) *Table {
 	return t
 }
 
-// replayChurn measures placement churn of from-scratch solving by running
-// the same simulation with an online solver that is reset (cold) or kept
-// (warm) between slots.
-func replayChurn(g *topology.Graph, cat *msvc.Catalog, users int, duration float64, seed int64, cold bool) int {
-	adapter := &churnAdapter{solver: core.NewOnlineSolver(core.DefaultConfig()), cold: cold}
-	cfg := sim.DefaultConfig(g, cat, users, seed)
-	cfg.DurationMinutes = duration
-	if res, err := sim.Run(cfg, adapter); err != nil {
-		panic(fmt.Sprintf("replayChurn: %v (completed %d slots)", err, partialSlots(res)))
-	}
-	return adapter.churn
-}
-
+// churnAdapter is one-shot SoCL as a sim.Algorithm that also counts
+// placement churn: its online solver is reset before every slot, and a
+// reset Step is a from-scratch solve.
 type churnAdapter struct {
 	solver *core.OnlineSolver
-	cold   bool
 	slots  int
 	churn  int
 	prev   model.Placement
 }
 
-func (*churnAdapter) Name() string               { return "churn-probe" }
+func (*churnAdapter) Name() string               { return "SoCL" }
 func (*churnAdapter) Routing() model.RoutingMode { return model.RouteModeOptimal }
 func (c *churnAdapter) Place(in *model.Instance) (model.Placement, error) {
-	if c.cold {
-		c.solver.Reset()
-	}
+	c.solver.Reset()
 	sol, _, err := c.solver.Step(in)
 	if err != nil {
 		return model.Placement{}, err
@@ -299,56 +284,4 @@ func (c *churnAdapter) Place(in *model.Instance) (model.Placement, error) {
 	c.prev = sol.Placement.Clone()
 	c.slots++
 	return sol.Placement, nil
-}
-
-// ExtDecompose cross-validates the decomposition exact solver against
-// branch-and-bound and shows its speed at scales where B&B caps out.
-func ExtDecompose(opts Options) *Table {
-	scales := []struct{ v, u int }{{6, 10}, {10, 20}, {12, 40}, {15, 60}}
-	if opts.Short {
-		scales = scales[:2]
-	}
-	limit := opts.optLimit()
-	t := &Table{
-		ID:     "ext_decompose",
-		Title:  "Decomposition exact solver vs branch-and-bound (storage-rich instances)",
-		Header: []string{"nodes", "users", "decomp_obj", "decomp_s", "bb_obj", "bb_s", "bb_status", "applicable"},
-	}
-	for _, sc := range scales {
-		in := storageRichInstance(sc.v, sc.u, opts.Seed)
-		dec, err := opt.SolveDecomposed(in, opt.Options{TimeLimit: limit})
-		if err != nil {
-			panic(err)
-		}
-		bb, err := opt.Solve(in, opt.Options{TimeLimit: limit, Workers: opts.Workers})
-		if err != nil {
-			panic(err)
-		}
-		status := bb.Status.String()
-		if bb.Status != opt.Optimal {
-			status += " (cap)"
-		}
-		appl := "yes"
-		if !dec.Applicable {
-			appl = "no"
-		}
-		t.AddRow(itoa(sc.v), itoa(sc.u), f1(dec.StarObjective), sec(dec.Elapsed),
-			f1(bb.StarObjective), sec(bb.Elapsed), status, appl)
-	}
-	return t
-}
-
-// storageRichInstance relaxes storage so the decomposition always applies.
-func storageRichInstance(nodes, users int, seed int64) *model.Instance {
-	gcfg := topology.DefaultGenConfig()
-	gcfg.StorageMin, gcfg.StorageMax = 100, 200
-	g := topology.RandomGeometric(nodes, 0.35, gcfg, seed)
-	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
-	cfg := msvc.DefaultWorkloadConfig(users)
-	cfg.DeadlineSlack = 0
-	w, err := msvc.GenerateWorkload(cat, g, cfg, seed)
-	if err != nil {
-		panic(err)
-	}
-	return &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}
 }

@@ -100,26 +100,6 @@ func TestExtOnlineShort(t *testing.T) {
 	}
 }
 
-func TestExtDecomposeShort(t *testing.T) {
-	tb := ExtDecompose(shortOpts())
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	for i := range tb.Rows {
-		if cell(tb, i, "applicable") != "yes" {
-			t.Fatalf("row %d: decomposition inapplicable on storage-rich instance", i)
-		}
-		// When B&B proved optimality, objectives must match.
-		if cell(tb, i, "bb_status") == "optimal" {
-			d := cellF(t, tb, i, "decomp_obj")
-			b := cellF(t, tb, i, "bb_obj")
-			if d > b+1e-4 || d < b-1e-4 {
-				t.Fatalf("row %d: decomp %v != bb %v", i, d, b)
-			}
-		}
-	}
-}
-
 func TestExtContentionShort(t *testing.T) {
 	tb := ExtContention(shortOpts())
 	if len(tb.Rows) != 4 {

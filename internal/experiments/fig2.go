@@ -14,7 +14,7 @@ import (
 // incumbent's optimality unproven.
 //
 // Scale note (EXPERIMENTS.md): the paper sweeps 10–30 servers with Gurobi
-// on the y(h,i,k) ILP. Our specialized solver's decomposition-aware bound
+// on the y(h,i,k) ILP. Our specialized solver's per-service p-median bound
 // makes instances *easier* as |V| grows (per-service optima stop
 // conflicting), so the hardness frontier — where the exponential growth is
 // visible before the cap — sits at 6–10 servers. The sweep is placed there;

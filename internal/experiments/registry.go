@@ -32,7 +32,6 @@ var Registry = []Experiment{
 	{"ext_xi", "ext", one(ExtXi)},
 	{"ext_routing", "ext", one(ExtRouting)},
 	{"ext_online", "ext", one(ExtOnline)},
-	{"ext_decompose", "ext", one(ExtDecompose)},
 	{"ext_contention", "ext", one(ExtContention)},
 	{"ext_cloud", "ext", one(ExtCloud)},
 	{"ext_cluster", "ext", one(ExtCluster)},

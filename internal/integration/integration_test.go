@@ -14,7 +14,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/ilp"
 	"repro/internal/model"
 	"repro/internal/msvc"
 	"repro/internal/opt"
@@ -56,44 +55,6 @@ func TestSoCLGapAgainstProvenOptimum(t *testing.T) {
 		if gap > 0.10 {
 			t.Fatalf("seed %d: SoCL gap %.1f%% exceeds 10%%", seed, gap*100)
 		}
-	}
-}
-
-// The three exact paths — generic MILP, specialized B&B, decomposition —
-// must agree on tiny storage-rich instances.
-func TestThreeExactSolversAgree(t *testing.T) {
-	gcfg := topology.DefaultGenConfig()
-	gcfg.StorageMin, gcfg.StorageMax = 100, 200
-	g := topology.RandomGeometric(3, 0.5, gcfg, 5)
-	cat := msvc.SyntheticCatalog(3, msvc.DefaultDatasetConfig(), 5)
-	wcfg := msvc.DefaultWorkloadConfig(3)
-	wcfg.DeadlineSlack = 0
-	w, err := msvc.GenerateWorkload(cat, g, wcfg, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 1e5}
-
-	bb, err := opt.Solve(in, opt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := opt.SolveDecomposed(in, opt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := ilp.BuildSoCLBounded(in)
-	gen, err := ilp.SolveBounded(m, ilp.Options{TimeLimit: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bb.Status != opt.Optimal || !dec.Applicable || gen.Status != ilp.Optimal {
-		t.Fatalf("statuses: bb=%v dec=%v gen=%v", bb.Status, dec.Status, gen.Status)
-	}
-	if math.Abs(bb.StarObjective-dec.StarObjective) > 1e-5 ||
-		math.Abs(bb.StarObjective-gen.Objective) > 1e-4 {
-		t.Fatalf("optima disagree: bb=%v dec=%v gen=%v",
-			bb.StarObjective, dec.StarObjective, gen.Objective)
 	}
 }
 

@@ -31,6 +31,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/chaos"
 	"repro/internal/msvc"
@@ -208,51 +210,109 @@ func FormatEvent(e *Event) (string, error) {
 	}
 }
 
+// fields walks a line's whitespace-separated fields, split exactly as
+// strings.Fields splits them (unicode.IsSpace separators), one field per
+// call and without building a slice.
+type fields string
+
+// next returns the next field, or "" once the line is exhausted.
+func (f *fields) next() string {
+	s := string(*f)
+	i := scanSpace(s, 0, true)
+	j := scanSpace(s, i, false)
+	*f = fields(s[j:])
+	return s[i:j]
+}
+
+// fill stores the remaining fields in dst and returns how many there were;
+// fields past len(dst) are counted, not stored.
+func (f *fields) fill(dst []string) int {
+	n := 0
+	for w := f.next(); w != ""; w = f.next() {
+		if n < len(dst) {
+			dst[n] = w
+		}
+		n++
+	}
+	return n
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// scanSpace returns the index of the first rune at or after s[i] for which
+// unicode.IsSpace is not space, or len(s). Only non-ASCII bytes are decoded.
+func scanSpace(s string, i int, space bool) int {
+	for i < len(s) {
+		c, w := s[i], 1
+		isSpace := c < utf8.RuneSelf && asciiSpace[c]
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, w = utf8.DecodeRuneInString(s[i:])
+			isSpace = unicode.IsSpace(r)
+		}
+		if isSpace != space {
+			return i
+		}
+		i += w
+	}
+	return i
+}
+
 // ParseEventLine parses one event line (arrive/depart/move/fault) produced by
 // FormatEvent. Malformed input returns an error, never panics.
 func ParseEventLine(line string) (Event, error) {
-	f := strings.Fields(line)
-	if len(f) == 0 {
+	f := fields(line)
+	directive := f.next()
+	if directive == "" {
 		return Event{}, fmt.Errorf("serve: empty event line")
 	}
-	return parseEventFields(f)
+	return parseEventFields(directive, &f)
 }
 
-func parseEventFields(f []string) (Event, error) {
-	switch f[0] {
+// parseEventFields parses the fields after an event line's directive.
+func parseEventFields(directive string, f *fields) (Event, error) {
+	var a [8]string
+	switch directive {
 	case "arrive":
-		if len(f) != 9 {
-			return Event{}, fmt.Errorf("arrive wants 8 fields, got %d", len(f)-1)
+		if n := f.fill(a[:]); n != 8 {
+			return Event{}, fmt.Errorf("arrive wants 8 fields, got %d", n)
 		}
 		ev := Event{Kind: EvArrive}
 		var err error
-		if ev.Slot, err = strconv.Atoi(f[1]); err == nil {
-			ev.ID, err = strconv.Atoi(f[2])
+		if ev.Slot, err = strconv.Atoi(a[0]); err == nil {
+			ev.ID, err = strconv.Atoi(a[1])
 		}
 		if err == nil {
-			ev.Req.Home, err = strconv.Atoi(f[3])
+			ev.Req.Home, err = strconv.Atoi(a[2])
 		}
 		if err == nil {
-			ev.Req.DataIn, err = parseF(f[4])
+			ev.Req.DataIn, err = parseF(a[3])
 		}
 		if err == nil {
-			ev.Req.DataOut, err = parseF(f[5])
+			ev.Req.DataOut, err = parseF(a[4])
 		}
 		if err == nil {
-			ev.Req.Deadline, err = parseF(f[6])
+			ev.Req.Deadline, err = parseF(a[5])
 		}
 		if err != nil {
 			return Event{}, err
 		}
-		for _, c := range strings.Split(f[7], ",") {
+		ev.Req.Chain = make([]int, 0, strings.Count(a[6], ",")+1)
+		for rest, more := a[6], true; more; {
+			var c string
+			c, rest, more = strings.Cut(rest, ",")
 			svc, err := strconv.Atoi(c)
 			if err != nil {
 				return Event{}, err
 			}
 			ev.Req.Chain = append(ev.Req.Chain, svc)
 		}
-		if f[8] != "-" {
-			for _, c := range strings.Split(f[8], ",") {
+		if a[7] != "-" {
+			ev.Req.EdgeData = make([]float64, 0, strings.Count(a[7], ",")+1)
+			for rest, more := a[7], true; more; {
+				var c string
+				c, rest, more = strings.Cut(rest, ",")
 				v, err := parseF(c)
 				if err != nil {
 					return Event{}, err
@@ -267,28 +327,30 @@ func parseEventFields(f []string) (Event, error) {
 		ev.Req.ID = ev.ID
 		return ev, nil
 	case "depart", "move":
-		if (f[0] == "depart" && len(f) != 3) || (f[0] == "move" && len(f) != 4) {
-			return Event{}, fmt.Errorf("%s wants %d fields", f[0], map[string]int{"depart": 2, "move": 3}[f[0]])
+		ev, want := Event{Kind: EvDepart}, 2
+		if directive == "move" {
+			ev.Kind, want = EvMove, 3
 		}
-		ev := Event{Kind: EvDepart}
-		if f[0] == "move" {
-			ev.Kind = EvMove
+		if f.fill(a[:want]) != want {
+			return Event{}, fmt.Errorf("%s wants %d fields", directive, want)
 		}
 		var err error
-		if ev.Slot, err = strconv.Atoi(f[1]); err == nil {
-			ev.ID, err = strconv.Atoi(f[2])
+		if ev.Slot, err = strconv.Atoi(a[0]); err == nil {
+			ev.ID, err = strconv.Atoi(a[1])
 		}
 		if err == nil && ev.Kind == EvMove {
-			ev.Node, err = strconv.Atoi(f[3])
+			ev.Node, err = strconv.Atoi(a[2])
 		}
 		if err != nil {
 			return Event{}, err
 		}
 		return ev, nil
 	case "fault":
-		return parseFault(f[1:])
+		// Six slots: a sixth field fails every kind's arity check below.
+		n := min(f.fill(a[:6]), 6)
+		return parseFault(a[:n])
 	default:
-		return Event{}, fmt.Errorf("unknown directive %q", f[0])
+		return Event{}, fmt.Errorf("unknown directive %q", directive)
 	}
 }
 
@@ -323,18 +385,19 @@ func ParseScript(r io.Reader) (*Script, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		f := strings.Fields(line)
+		f := fields(line)
+		directive := f.next()
 		fail := func(err error) (*Script, error) {
 			return nil, fmt.Errorf("serve: script line %d: %w", lineNo, err)
 		}
-		if f[0] == "meta" {
-			if err := parseMeta(f[1:], &s.Meta); err != nil {
+		if directive == "meta" {
+			if err := parseMeta(strings.Fields(string(f)), &s.Meta); err != nil {
 				return fail(err)
 			}
 			sawMeta = true
 			continue
 		}
-		ev, err := parseEventFields(f)
+		ev, err := parseEventFields(directive, &f)
 		if err != nil {
 			return fail(err)
 		}

@@ -50,15 +50,18 @@ func FuzzParseScript(f *testing.F) {
 }
 
 // FuzzParseEventLine hardens the shared per-event decoder the wire codec
-// (internal/transport) feeds with network-supplied lines.
+// (internal/transport) feeds with network-supplied lines, and holds it to the
+// reference parser (event_ref_test.go) on every input.
 func FuzzParseEventLine(f *testing.F) {
 	f.Add("arrive 0 0 2 0x1p-03 0x1p-04 0x1.4p+03 0,1,2 0x1p-05,0x1p-05")
 	f.Add("depart 3 17")
 	f.Add("move 3 17 4")
 	f.Add("fault 1 link-degrade 0 1 0x1p-02")
 	f.Add("fault 9 storage-restore 3 1")
+	f.Add("arrive\t0 0 2 NaN +Inf -Inf 0,,2 -")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, line string) {
+		sameAsReference(t, line)
 		ev, err := ParseEventLine(line)
 		if err != nil {
 			return

@@ -201,8 +201,7 @@ func (e *Engine) HandleFrame(fr Frame) []Frame {
 		}
 		return []Frame{ack(fr, StatusDuplicate, "held")}
 	}
-	var out []Frame
-	out = append(out, e.processFrame(fr)...)
+	out := e.processFrame(fr)
 	e.nextSeq++
 	for {
 		next, ok := e.held[e.nextSeq]
@@ -214,6 +213,14 @@ func (e *Engine) HandleFrame(fr Frame) []Frame {
 		e.nextSeq++
 	}
 	return out
+}
+
+// mayReact reports whether handling fr can tick the daemon: fr is a tick or a
+// finish, or, in an ordered session, it fills the gap in front of held frames,
+// any of which may be one.
+func (e *Engine) mayReact(fr Frame) bool {
+	return fr.Type == MsgTick || fr.Type == MsgFinish ||
+		(e.cfg.Ordered && fr.Seq == e.nextSeq && len(e.held) > 0)
 }
 
 // cloneFrame copies a frame whose body may alias a caller-owned buffer.

@@ -77,7 +77,7 @@ func (h *HTTPFrontend) serveFrames(w http.ResponseWriter, r *http.Request) {
 			h.engine = NewEngine(h.cfg)
 		}
 		for _, resp := range h.engine.HandleFrame(fr) {
-			out = append(out, Encode(resp)...)
+			out = AppendFrame(out, resp)
 		}
 	}
 	h.mu.Unlock()

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -76,18 +77,32 @@ func (s *Server) Serve() error {
 	}
 }
 
+// handleConn answers one connection. Responses collect in bw and go out in
+// one write per drained read: bw is flushed when the read buffer holds no
+// complete frame (the next read may block, so nothing may wait behind it),
+// before a frame that can tick the daemon (no ack waits behind a reaction),
+// and on every exit. The bytes the peer reads are the same as with a flush
+// per frame; only their grouping into writes differs.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64*1024)
 	bw := bufio.NewWriterSize(conn, 64*1024)
+	// Pending responses go out on every exit; the connection closes right
+	// after, so a failed flush has no one left to tell.
+	defer bw.Flush()
+	var out []byte
 	for {
+		if !frameBuffered(br) {
+			if err := bw.Flush(); err != nil {
+				return
+			}
+		}
 		fr, err := ReadFrame(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				// Best-effort decode diagnostic; the conn dies either way.
-				bw.Write(Encode(errFrame(0, err.Error())))
-				bw.Flush()
+				bw.Write(AppendFrame(out[:0], errFrame(0, err.Error())))
 			}
 			return
 		}
@@ -96,17 +111,32 @@ func (s *Server) handleConn(conn net.Conn) {
 			// A hello after a finished session starts a fresh one.
 			s.engine = NewEngine(s.cfg)
 		}
-		resps := s.engine.HandleFrame(fr)
-		s.mu.Unlock()
-		for i := range resps {
-			if _, err := bw.Write(Encode(resps[i])); err != nil {
+		if bw.Buffered() > 0 && s.engine.mayReact(fr) {
+			s.mu.Unlock()
+			if err := bw.Flush(); err != nil {
 				return
 			}
+			s.mu.Lock()
 		}
-		if err := bw.Flush(); err != nil {
+		resps := s.engine.HandleFrame(fr)
+		s.mu.Unlock()
+		out = out[:0]
+		for i := range resps {
+			out = AppendFrame(out, resps[i])
+		}
+		if _, err := bw.Write(out); err != nil {
 			return
 		}
 	}
+}
+
+// frameBuffered reports whether br already holds a complete frame, so that
+// reading it cannot block. A partial frame does not count: its remainder may
+// be what the peer sends only after it has read our pending responses.
+func frameBuffered(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered())
+	n, k := binary.Uvarint(b)
+	return k > 0 && uint64(len(b)-k) >= n
 }
 
 // Close shuts the listener and waits for every connection goroutine to

@@ -125,6 +125,7 @@ func TestSoakReliableChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reliable session failed: %v (report %+v)", err, rep)
 	}
+	t.Logf("client report: retransmits=%d accepted=%d shed=%d link=%+v", rep.Retransmits, rep.Accepted, rep.Shed, rep.Link)
 	eng := srv.Engine()
 	if !eng.Finished() || eng.RunErr() != nil {
 		t.Fatalf("session not finished cleanly: finished=%v err=%v", eng.Finished(), eng.RunErr())
@@ -197,6 +198,7 @@ func TestSoakOpenLoopHardened(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open-loop session failed: %v (report %+v)", err, rep)
 	}
+	t.Logf("client report: retransmits=%d accepted=%d shed=%d link=%+v", rep.Retransmits, rep.Accepted, rep.Shed, rep.Link)
 	eng := srv.Engine()
 	if !eng.Finished() || eng.RunErr() != nil {
 		t.Fatalf("session not finished cleanly: finished=%v err=%v", eng.Finished(), eng.RunErr())

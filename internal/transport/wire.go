@@ -37,6 +37,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // MaxFrame bounds one frame's payload so a hostile length prefix cannot
@@ -97,17 +98,23 @@ type Frame struct {
 	Body    []byte
 }
 
-// Encode renders the frame with its length prefix, ready for the wire.
-func Encode(f Frame) []byte {
-	payload := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(f.Body))
-	payload = append(payload, f.Type)
-	payload = binary.AppendUvarint(payload, f.Seq)
-	payload = binary.AppendUvarint(payload, f.Attempt)
-	payload = append(payload, f.Body...)
-	out := make([]byte, 0, binary.MaxVarintLen64+len(payload))
-	out = binary.AppendUvarint(out, uint64(len(payload)))
-	return append(out, payload...)
+// AppendFrame appends the frame, length prefix first, to dst and returns the
+// extended slice. It is the only frame encoder: carriers append a window of
+// responses into one reused buffer.
+func AppendFrame(dst []byte, f Frame) []byte {
+	n := 1 + uvarintLen(f.Seq) + uvarintLen(f.Attempt) + len(f.Body)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = append(dst, f.Type)
+	dst = binary.AppendUvarint(dst, f.Seq)
+	dst = binary.AppendUvarint(dst, f.Attempt)
+	return append(dst, f.Body...)
 }
+
+// Encode renders the frame with its length prefix into a new slice.
+func Encode(f Frame) []byte { return AppendFrame(nil, f) }
+
+// uvarintLen is the encoded length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // ParsePayload decodes a frame payload (the bytes after the length prefix).
 // Malformed input returns an error, never panics.

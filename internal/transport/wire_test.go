@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -15,12 +16,15 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: MsgAck, Seq: 7, Body: AckBody(StatusShed, "deadline")},
 		{Type: MsgResult, Seq: 9, Body: []byte("admitted=3")},
 		{Type: MsgError, Seq: 0, Body: []byte("boom")},
+		// Varint-width boundaries in seq, attempt and the length prefix.
+		{Type: MsgEvent, Seq: 127, Attempt: 128, Body: bytes.Repeat([]byte("x"), 123)},
+		{Type: MsgEvent, Seq: 1 << 63, Attempt: math.MaxUint64, Body: bytes.Repeat([]byte("y"), 1<<14)},
 	}
-	var wire bytes.Buffer
+	var wire []byte
 	for _, f := range frames {
-		wire.Write(Encode(f))
+		wire = AppendFrame(wire, f)
 	}
-	br := bufio.NewReader(&wire)
+	br := bufio.NewReader(bytes.NewReader(wire))
 	for i, want := range frames {
 		got, err := ReadFrame(br)
 		if err != nil {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/cluster"
 	"repro/internal/combine"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/ilp"
@@ -36,15 +37,7 @@ func benchOpts() experiments.Options {
 }
 
 func benchInstance(nodes, users int, seed int64) *model.Instance {
-	g := topology.RandomGeometric(nodes, 0.35, topology.DefaultGenConfig(), seed)
-	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
-	cfg := msvc.DefaultWorkloadConfig(users)
-	cfg.DeadlineSlack = 0
-	w, err := msvc.GenerateWorkload(cat, g, cfg, seed)
-	if err != nil {
-		panic(err)
-	}
-	return &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}
+	return config.Paper(nodes, users, seed).MustBuild()
 }
 
 // --- one benchmark per paper figure ---

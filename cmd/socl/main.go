@@ -4,11 +4,12 @@
 //
 // Usage:
 //
-//	socl -nodes 10 -users 40 -budget 8000 -lambda 0.5 -seed 1 -algo socl
+//	socl -nodes 10 -users 40 -seed 1 -algo socl
 //
 // Algorithms: socl (default), rp, jdr, gcog, opt. The flags describe a
-// config.Scenario, so a flag-built instance is the one the equivalent
-// -scenario file builds.
+// config.Scenario and take their defaults from config.Default (the paper
+// regime), so a flag-built instance is the one the equivalent -scenario file
+// builds.
 package main
 
 import (
@@ -25,26 +26,30 @@ import (
 	"repro/internal/opt"
 )
 
+// def is the scenario the flags describe by default.
+var def = config.Default()
+
+var (
+	scenario = flag.String("scenario", "", "JSON scenario file (overrides -nodes/-users/-topo/...)")
+	writeScn = flag.String("write-scenario", "", "write the default scenario JSON to this path and exit")
+	nodes    = flag.Int("nodes", def.Topology.Nodes, "number of edge servers")
+	users    = flag.Int("users", def.Workload.NumUsers, "number of user requests")
+	budget   = flag.Float64("budget", def.Budget, "deployment budget 𝒦^max")
+	lambda   = flag.Float64("lambda", def.Lambda, "objective weight λ (cost vs latency)")
+	seed     = flag.Int64("seed", def.Seed, "root random seed")
+	algo     = flag.String("algo", "socl", "algorithm: socl | rp | jdr | gcog | opt")
+	topo     = flag.String("topo", def.Topology.Kind, "topology: geometric | stadium | ringhubs | grid")
+	dataset  = flag.String("dataset", def.Catalog.Kind, "application dataset: eshop | sock-shop | piggymetrics | hotel-reservation")
+	optLimit = flag.Duration("opt-limit", 30*time.Second, "time cap for -algo opt")
+	verbose  = flag.Bool("v", false, "print the full placement matrix")
+	lpFile   = flag.String("export-lp", "", "write the instance's ILP in CPLEX LP format to this file (for external solvers) and exit")
+)
+
 func main() {
-	var (
-		scenario = flag.String("scenario", "", "JSON scenario file (overrides -nodes/-users/-topo/...)")
-		writeScn = flag.String("write-scenario", "", "write the default scenario JSON to this path and exit")
-		nodes    = flag.Int("nodes", 10, "number of edge servers")
-		users    = flag.Int("users", 40, "number of user requests")
-		budget   = flag.Float64("budget", 8000, "deployment budget 𝒦^max")
-		lambda   = flag.Float64("lambda", 0.5, "objective weight λ (cost vs latency)")
-		seed     = flag.Int64("seed", 1, "root random seed")
-		algo     = flag.String("algo", "socl", "algorithm: socl | rp | jdr | gcog | opt")
-		topo     = flag.String("topo", "geometric", "topology: geometric | stadium | ringhubs | grid")
-		dataset  = flag.String("dataset", "eshop", "application dataset: eshop | sock-shop | piggymetrics | hotel-reservation")
-		optLimit = flag.Duration("opt-limit", 30*time.Second, "time cap for -algo opt")
-		verbose  = flag.Bool("v", false, "print the full placement matrix")
-		exportLP = flag.String("export-lp", "", "write the instance's ILP in CPLEX LP format to this file (for external solvers) and exit")
-	)
 	flag.Parse()
 
 	if *writeScn != "" {
-		if err := config.Default().Save(*writeScn); err != nil {
+		if err := def.Save(*writeScn); err != nil {
 			fmt.Fprintln(os.Stderr, "socl:", err)
 			os.Exit(1)
 		}
@@ -52,7 +57,7 @@ func main() {
 		return
 	}
 	sc := flagScenario(*nodes, *users, *budget, *lambda, *seed, *topo, *dataset)
-	if err := run(sc, *scenario, *exportLP, *algo, *optLimit, *verbose); err != nil {
+	if err := run(sc, *scenario, *lpFile, *algo, *optLimit, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "socl:", err)
 		os.Exit(1)
 	}

@@ -13,10 +13,10 @@ import (
 	"repro/internal/bb"
 	"repro/internal/chaos"
 	"repro/internal/combine"
+	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/ilp"
 	"repro/internal/model"
-	"repro/internal/msvc"
 	"repro/internal/opt"
 	"repro/internal/partition"
 	"repro/internal/preprov"
@@ -47,20 +47,6 @@ type benchFile struct {
 	Benchmarks map[string]benchResult `json:"benchmarks"`
 }
 
-// benchJSONInstance mirrors the root bench harness's benchInstance so the
-// JSON numbers are comparable with `go test -bench` output.
-func benchJSONInstance(nodes, users int, seed int64) *model.Instance {
-	g := topology.RandomGeometric(nodes, 0.35, topology.DefaultGenConfig(), seed)
-	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
-	cfg := msvc.DefaultWorkloadConfig(users)
-	cfg.DeadlineSlack = 0
-	w, err := msvc.GenerateWorkload(cat, g, cfg, seed)
-	if err != nil {
-		panic(err)
-	}
-	return &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}
-}
-
 // runBenchJSON measures the delta-engine hot paths (incremental GC-OG, the
 // combine serial descent, the Fig. 8 sweep) via
 // testing.Benchmark and writes dir/BENCH_<date>.json.
@@ -69,24 +55,27 @@ func runBenchJSON(dir string, workers int) error {
 	// value is what the *Parallel benchmarks actually ran with instead of a
 	// literal 0.
 	workers = bb.ResolveWorkers(workers)
-	gcogIn := benchJSONInstance(10, 40, 1)
-	combineIn := benchJSONInstance(25, 250, 1)
+	gcogIn := config.Paper(10, 40, 1).MustBuild()
+	combineIn := config.Paper(25, 250, 1).MustBuild()
 	combineIn.Budget = 1e9
 	part := partition.Build(combineIn, partition.DefaultConfig())
 	pre := preprov.Run(combineIn, part)
 	fig8Opts := experiments.Options{Short: true, Seed: 1, Workers: workers}
-	optIn := benchJSONInstance(8, 10, 1)
-	ilpIn := benchJSONInstance(4, 4, 1)
+	optIn := config.Paper(8, 10, 1).MustBuild()
+	ilpIn := config.Paper(4, 4, 1).MustBuild()
 	// Sharded-combine smoke: one clustered instance solved per region and by
 	// the single-shard global reference, at the configured worker count.
-	shardedIn, shardedPlan := benchJSONClustered(4, 8, 240, 1)
+	shardedIn, shardedPlan, err := config.Clustered(240, 4, 8, 1)
+	if err != nil {
+		return err
+	}
 	shardedCfg := combine.DefaultShardedConfig()
 	shardedCfg.Workers = workers
 	shardedCfg.Seed = 1
 
 	// Fault-repair smoke: crash two hosting nodes, degrade a link, shrink a
 	// node, then measure the incremental repair.
-	chaosIn := benchJSONInstance(10, 40, 1)
+	chaosIn := config.Paper(10, 40, 1).MustBuild()
 	chaosP := baselines.JDR(chaosIn)
 	chaosMask := chaos.NewMask(chaosIn.Graph)
 	crashed := 0
@@ -172,7 +161,7 @@ func runBenchJSON(dir string, workers int) error {
 	// chose the scheduler, DESIGN.md §14): trees of 10⁴–10⁵ nodes, where a
 	// scheduler's fixed start-up cost no longer decides the comparison.
 	for _, sz := range [][2]int{{8, 20}, {10, 15}} {
-		in := benchJSONInstance(sz[0], sz[1], 1)
+		in := config.Paper(sz[0], sz[1], 1).MustBuild()
 		for _, mode := range []struct {
 			name    string
 			workers int
@@ -225,31 +214,6 @@ func runBenchJSON(dir string, workers int) error {
 	}
 	fmt.Fprintf(os.Stderr, "[wrote %s]\n", path)
 	return nil
-}
-
-// benchJSONClustered builds the sharded-combine smoke fixture: a clustered
-// substrate (unfinalized, as RunSharded expects) with a uniform no-deadline
-// workload and the region shard plan.
-func benchJSONClustered(regions, perRegion, users int, seed int64) (*model.Instance, *topology.ShardPlan) {
-	g, regionNodes := topology.Clustered(topology.DefaultClusterConfig(regions, perRegion), seed)
-	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
-	cfg := msvc.DefaultWorkloadConfig(users)
-	cfg.DeadlineSlack = 0
-	cfg.Hotspot = 0
-	w, err := msvc.GenerateWorkload(cat, g, cfg, seed)
-	if err != nil {
-		panic(err)
-	}
-	kappa := 0.0
-	for i := 0; i < cat.Len(); i++ {
-		kappa += cat.Service(i).DeployCost
-	}
-	in := &model.Instance{Graph: g, Workload: w, Lambda: 0.05, Budget: 1.5 * float64(regions) * kappa}
-	plan, err := topology.PlanShards(g, regionNodes)
-	if err != nil {
-		panic(err)
-	}
-	return in, plan
 }
 
 func mustRunSharded(in *model.Instance, plan *topology.ShardPlan, cfg combine.ShardedConfig) {

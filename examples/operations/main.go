@@ -8,35 +8,36 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/msvc"
-	"repro/internal/topology"
 )
 
 func main() {
 	const seed = 11
-	g := topology.RandomGeometric(12, 0.35, topology.DefaultGenConfig(), seed)
-	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
+	// The substrate, catalog, λ and budget are the paper regime's
+	// (config.Paper); each section draws its own workloads with the
+	// generator's defaults, deadlines included.
+	paper, err := config.Paper(12, 0, seed).Build()
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	onlineSection(g, cat, seed)
-	cloudSection(g, cat, seed)
-	contentionSection(g, cat, seed)
+	onlineSection(paper, seed)
+	cloudSection(paper, seed)
+	contentionSection(paper, seed)
 }
 
 // onlineSection: six 5-minute slots of drifting demand, warm vs cold.
-func onlineSection(g *topology.Graph, cat *msvc.Catalog, seed int64) {
+func onlineSection(paper *model.Instance, seed int64) {
 	fmt.Println("── online re-planning (6 slots of drifting demand) ──")
 	warm := core.NewOnlineSolver(core.DefaultConfig())
 	cold := core.NewOnlineSolver(core.DefaultConfig())
 	warmChurn, coldChurn := 0, 0
 	var prevCold model.Placement
 	for slot := 0; slot < 6; slot++ {
-		w, err := msvc.GenerateWorkload(cat, g, msvc.DefaultWorkloadConfig(30), seed+int64(slot)*37)
-		if err != nil {
-			log.Fatal(err)
-		}
-		in := &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}
+		in := instance(paper, 30, seed+int64(slot)*37)
 
 		_, st, err := warm.Step(in)
 		if err != nil {
@@ -63,16 +64,13 @@ func onlineSection(g *topology.Graph, cat *msvc.Catalog, seed int64) {
 }
 
 // cloudSection: what happens when the edge budget can't cover the catalog.
-func cloudSection(g *topology.Graph, cat *msvc.Catalog, seed int64) {
+func cloudSection(paper *model.Instance, seed int64) {
 	fmt.Println("── cloud fallback under budget pressure ──")
-	w, err := msvc.GenerateWorkload(cat, g, msvc.DefaultWorkloadConfig(40), seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, budget := range []float64{8000, 2500} {
-		in := &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: budget}
-		cloud := model.DefaultCloudConfig()
-		in.Cloud = &cloud
+	in := instance(paper, 40, seed)
+	cloud := model.DefaultCloudConfig()
+	in.Cloud = &cloud
+	for _, budget := range []float64{paper.Budget, 2500} {
+		in.Budget = budget
 		sol, err := core.Solve(in, core.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
@@ -85,13 +83,9 @@ func cloudSection(g *topology.Graph, cat *msvc.Catalog, seed int64) {
 }
 
 // contentionSection: re-price the chosen routes under slot-capacity sharing.
-func contentionSection(g *topology.Graph, cat *msvc.Catalog, seed int64) {
+func contentionSection(paper *model.Instance, seed int64) {
 	fmt.Println("── network contention re-pricing (5-minute slot) ──")
-	w, err := msvc.GenerateWorkload(cat, g, msvc.DefaultWorkloadConfig(120), seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	in := &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}
+	in := instance(paper, 120, seed)
 	sol, err := core.Solve(in, core.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
@@ -106,4 +100,14 @@ func contentionSection(g *topology.Graph, cat *msvc.Catalog, seed int64) {
 	fmt.Printf("  idle latency      %8.1f s\n", rep.LatencySum)
 	fmt.Printf("  contended latency %8.1f s  (congested links: %d)\n", rep.LatencySumContended, rep.Congested)
 	fmt.Printf("  hottest link      %v at %.1f%% slot utilization\n", hot, maxU*100)
+}
+
+// instance is the paper instance with users requests drawn by the
+// generator's defaults.
+func instance(paper *model.Instance, users int, seed int64) *model.Instance {
+	w, err := msvc.GenerateWorkload(paper.Workload.Catalog, paper.Graph, msvc.DefaultWorkloadConfig(users), seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return &model.Instance{Graph: paper.Graph, Workload: w, Lambda: paper.Lambda, Budget: paper.Budget}
 }

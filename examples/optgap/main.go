@@ -9,24 +9,10 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/model"
-	"repro/internal/msvc"
 	"repro/internal/opt"
-	"repro/internal/topology"
 )
-
-func instance(nodes, users int, seed int64) *model.Instance {
-	g := topology.RandomGeometric(nodes, 0.35, topology.DefaultGenConfig(), seed)
-	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
-	cfg := msvc.DefaultWorkloadConfig(users)
-	cfg.DeadlineSlack = 0
-	w, err := msvc.GenerateWorkload(cat, g, cfg, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}
-}
 
 func main() {
 	fmt.Printf("%-14s %10s %10s %8s %12s %12s %10s\n",
@@ -34,7 +20,10 @@ func main() {
 	for _, c := range []struct{ v, u int }{
 		{5, 10}, {8, 10}, {10, 10}, {10, 20}, {10, 30}, {10, 40},
 	} {
-		in := instance(c.v, c.u, 1)
+		in, err := config.Paper(c.v, c.u, 1).Build()
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		t0 := time.Now()
 		sol, err := core.Solve(in, core.DefaultConfig())

@@ -7,30 +7,26 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/model"
-	"repro/internal/msvc"
-	"repro/internal/topology"
 )
 
 func main() {
 	const seed = 42
 
-	// 1. Substrate: 8 edge servers with paper-ranged capacities
-	//    ([5,20] GFLOP/s compute, [4,8] storage, [20,80] GB/s links).
-	g := topology.RandomGeometric(8, 0.4, topology.DefaultGenConfig(), seed)
-
-	// 2. Workload: the eShopOnContainers microservice catalog and 20 users
-	//    issuing dependency-chain requests.
-	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
-	w, err := msvc.GenerateWorkload(cat, g, msvc.DefaultWorkloadConfig(20), seed)
+	// 1–3. Instance, in the paper regime (config.Paper): 8 edge servers
+	//    with paper-ranged capacities ([5,20] GFLOP/s compute, [4,8]
+	//    storage, [20,80] GB/s links), the eShopOnContainers microservice
+	//    catalog, 20 users issuing dependency-chain requests, and an
+	//    objective that balances deployment cost against completion time
+	//    under a deployment budget.
+	sc := config.Paper(8, 20, seed)
+	sc.Topology.Radius = 0.4
+	in, err := sc.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// 3. Instance: balance deployment cost and completion time (λ = 0.5)
-	//    under a budget of 8000 cost units.
-	in := &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}
+	cat, w := in.Workload.Catalog, in.Workload
 
 	// 4. Solve with SoCL.
 	sol, err := core.Solve(in, core.DefaultConfig())

@@ -2,6 +2,10 @@
 // that instances — topology, microservice catalog, workload, and objective
 // parameters — can be stored, shared, and replayed outside Go code. The
 // cmd/socl CLI accepts a scenario file via -scenario.
+//
+// It also holds the evaluation regimes (regimes.go): λ, the budget, the
+// deadline slack, the hotspot setting and the data-size ranges of every
+// experiment are defined there once.
 package config
 
 import (
@@ -21,9 +25,9 @@ type Scenario struct {
 	Lambda float64 `json:"lambda"`
 	Budget float64 `json:"budget"`
 
-	Topology TopologySpec `json:"topology"`
-	Catalog  CatalogSpec  `json:"catalog"`
-	Workload WorkloadSpec `json:"workload"`
+	Topology TopologySpec        `json:"topology"`
+	Catalog  CatalogSpec         `json:"catalog"`
+	Workload msvc.WorkloadConfig `json:"workload"`
 }
 
 // TopologySpec selects a generator or an explicit node/link list.
@@ -78,21 +82,11 @@ type CatalogSpec struct {
 	NumServices int    `json:"num_services,omitempty"` // synthetic
 
 	// Dataset overrides κ/q/φ ranges when non-nil (eshop & synthetic).
-	Dataset *DatasetRanges `json:"dataset,omitempty"`
+	Dataset *msvc.DatasetConfig `json:"dataset,omitempty"`
 
 	// Explicit catalog (Kind == "explicit").
 	Services []ServiceSpec `json:"services,omitempty"`
 	Flows    [][]string    `json:"flows,omitempty"`
-}
-
-// DatasetRanges mirrors msvc.DatasetConfig for JSON.
-type DatasetRanges struct {
-	CostMin    float64 `json:"cost_min"`
-	CostMax    float64 `json:"cost_max"`
-	ComputeMin float64 `json:"compute_min"`
-	ComputeMax float64 `json:"compute_max"`
-	StorageMin float64 `json:"storage_min"`
-	StorageMax float64 `json:"storage_max"`
 }
 
 // ServiceSpec is one explicit microservice.
@@ -101,40 +95,6 @@ type ServiceSpec struct {
 	DeployCost float64 `json:"deploy_cost"`
 	Compute    float64 `json:"compute"`
 	Storage    float64 `json:"storage"`
-}
-
-// WorkloadSpec mirrors msvc.WorkloadConfig plus the user count.
-type WorkloadSpec struct {
-	NumUsers      int     `json:"num_users"`
-	EdgeDataMin   float64 `json:"edge_data_min"`
-	EdgeDataMax   float64 `json:"edge_data_max"`
-	InDataMin     float64 `json:"in_data_min"`
-	InDataMax     float64 `json:"in_data_max"`
-	OutDataMin    float64 `json:"out_data_min"`
-	OutDataMax    float64 `json:"out_data_max"`
-	Hotspot       float64 `json:"hotspot"`
-	HotspotNodes  int     `json:"hotspot_nodes"`
-	DeadlineSlack float64 `json:"deadline_slack"`
-	TruncateProb  float64 `json:"truncate_prob"`
-}
-
-// Default returns the standard evaluation scenario (10 geometric nodes, the
-// eShop catalog, 40 users, λ=0.5, budget 8000).
-func Default() *Scenario {
-	w := msvc.DefaultWorkloadConfig(40)
-	return &Scenario{
-		Name: "default", Seed: 1, Lambda: 0.5, Budget: 8000,
-		Topology: TopologySpec{Kind: "geometric", Nodes: 10, Radius: 0.35},
-		Catalog:  CatalogSpec{Kind: "eshop"},
-		Workload: WorkloadSpec{
-			NumUsers:    40,
-			EdgeDataMin: w.EdgeDataMin, EdgeDataMax: w.EdgeDataMax,
-			InDataMin: w.InDataMin, InDataMax: w.InDataMax,
-			OutDataMin: w.OutDataMin, OutDataMax: w.OutDataMax,
-			Hotspot: w.Hotspot, HotspotNodes: w.HotspotNodes,
-			DeadlineSlack: w.DeadlineSlack, TruncateProb: w.TruncateProb,
-		},
-	}
 }
 
 // Load reads and validates a scenario from a JSON file.
@@ -219,15 +179,7 @@ func (sc *Scenario) Build() (*model.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	wcfg := msvc.WorkloadConfig{
-		NumUsers:    sc.Workload.NumUsers,
-		EdgeDataMin: sc.Workload.EdgeDataMin, EdgeDataMax: sc.Workload.EdgeDataMax,
-		InDataMin: sc.Workload.InDataMin, InDataMax: sc.Workload.InDataMax,
-		OutDataMin: sc.Workload.OutDataMin, OutDataMax: sc.Workload.OutDataMax,
-		Hotspot: sc.Workload.Hotspot, HotspotNodes: sc.Workload.HotspotNodes,
-		DeadlineSlack: sc.Workload.DeadlineSlack, TruncateProb: sc.Workload.TruncateProb,
-	}
-	w, err := msvc.GenerateWorkload(cat, g, wcfg, sc.Seed)
+	w, err := msvc.GenerateWorkload(cat, g, sc.Workload, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -236,6 +188,16 @@ func (sc *Scenario) Build() (*model.Instance, error) {
 		return nil, err
 	}
 	return in, nil
+}
+
+// MustBuild is Build for scenarios fixed in code (the regime presets at
+// valid sizes): it panics on error.
+func (sc *Scenario) MustBuild() *model.Instance {
+	in, err := sc.Build()
+	if err != nil {
+		panic(err)
+	}
+	return in
 }
 
 func (sc *Scenario) buildTopology() (*topology.Graph, error) {
@@ -284,9 +246,7 @@ func (sc *Scenario) buildTopology() (*topology.Graph, error) {
 func (sc *Scenario) buildCatalog() (*msvc.Catalog, error) {
 	dcfg := msvc.DefaultDatasetConfig()
 	if r := sc.Catalog.Dataset; r != nil {
-		dcfg.CostMin, dcfg.CostMax = r.CostMin, r.CostMax
-		dcfg.ComputeMin, dcfg.ComputeMax = r.ComputeMin, r.ComputeMax
-		dcfg.StorageMin, dcfg.StorageMax = r.StorageMin, r.StorageMax
+		dcfg = *r
 	}
 	switch sc.Catalog.Kind {
 	case "eshop", "sock-shop", "piggymetrics", "hotel-reservation":

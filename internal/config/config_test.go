@@ -1,10 +1,16 @@
 package config
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/model"
+	"repro/internal/msvc"
+	"repro/internal/topology"
 )
 
 func TestDefaultScenarioBuilds(t *testing.T) {
@@ -52,6 +58,56 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if in1.V() != in2.V() || len(in1.Workload.Requests) != len(in2.Workload.Requests) {
 		t.Fatal("round-tripped scenario builds a different instance")
+	}
+}
+
+// testdata/scenario_v1.json was written by Save before the workload and
+// dataset blocks became msvc's own types. It must still load, build the
+// instance its blocks describe, and save back to the same bytes.
+func TestScenarioFileFormatIsStable(t *testing.T) {
+	const path = "testdata/scenario_v1.json"
+	sc, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcfg := topology.DefaultGenConfig()
+	gcfg.ComputeMin, gcfg.ComputeMax = 8, 16
+	gcfg.StorageMin, gcfg.StorageMax = 5, 9
+	gcfg.RateMin, gcfg.RateMax = 25, 60
+	g := topology.RandomGeometric(10, 0.35, gcfg, 7)
+	cat := msvc.EShopCatalog(msvc.DatasetConfig{
+		CostMin: 250, CostMax: 650,
+		ComputeMin: 1.5, ComputeMax: 2.5,
+		StorageMin: 1, StorageMax: 1.75,
+	}, 7)
+	wcfg := msvc.DefaultWorkloadConfig(24)
+	wcfg.DeadlineSlack = 3
+	w, err := msvc.GenerateWorkload(cat, g, wcfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (&model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}); !reflect.DeepEqual(in, want) {
+		t.Error("the fixture builds another instance than its blocks describe")
+	}
+
+	out := filepath.Join(t.TempDir(), "resaved.json")
+	if err := sc.Save(out); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("re-saved scenario differs from %s:\n%s", path, got)
 	}
 }
 

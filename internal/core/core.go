@@ -11,7 +11,7 @@
 //
 // Typical use:
 //
-//	in := &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}
+//	in := config.Paper(10, 40, seed).MustBuild() // or any model.Instance
 //	sol, err := core.Solve(in, core.DefaultConfig())
 //	if err != nil { ... }
 //	fmt.Println(sol.Evaluation.Objective)

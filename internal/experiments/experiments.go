@@ -17,10 +17,9 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/model"
-	"repro/internal/msvc"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // Options configures a driver run.
@@ -135,19 +134,10 @@ func Emit(w io.Writer, opts Options, tables ...*Table) error {
 	return nil
 }
 
-// buildInstance assembles the standard evaluation instance: a random
-// geometric edge network with paper-ranged capacities, the eShopOnContainers
-// workload, λ = 0.5, and the given budget.
-func buildInstance(nodes, users int, budget float64, seed int64) *model.Instance {
-	g := topology.RandomGeometric(nodes, 0.35, topology.DefaultGenConfig(), seed)
-	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
-	cfg := msvc.DefaultWorkloadConfig(users)
-	cfg.DeadlineSlack = 0 // the figure sweeps measure latency, not SLOs
-	w, err := msvc.GenerateWorkload(cat, g, cfg, seed)
-	if err != nil {
-		panic(err) // static configuration; cannot fail for valid sizes
-	}
-	return &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: budget}
+// buildInstance builds the paper regime's instance (config.Paper) at the
+// given size and seed.
+func buildInstance(nodes, users int, seed int64) *model.Instance {
+	return config.Paper(nodes, users, seed).MustBuild()
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

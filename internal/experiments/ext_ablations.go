@@ -37,7 +37,7 @@ func ExtBudget(opts Options) *Table {
 	// only the requests each placement diff touches (the evaluator reads
 	// Budget fresh at every Eval, so rebinding it between points is safe).
 	// This driver therefore stays serial by construction.
-	in := buildInstance(nodes, users, budgets[0], opts.Seed)
+	in := buildInstance(nodes, users, opts.Seed)
 	// The lowest budgets sit below one-instance-per-service; the cloud
 	// fallback keeps those rows comparable (uncovered services serve
 	// from the cloud at WAN latency instead of scoring +Inf).
@@ -86,7 +86,7 @@ func ExtLambda(opts Options) *Table {
 		Header: []string{"lambda", "objective", "cost", "latency_sum", "instances"},
 	}
 	for _, l := range lambdas {
-		in := buildInstance(nodes, users, 8000, opts.Seed)
+		in := buildInstance(nodes, users, opts.Seed)
 		in.Lambda = l
 		sol, err := core.Solve(in, core.DefaultConfig())
 		if err != nil {
@@ -113,7 +113,7 @@ func ExtOmega(opts Options) *Table {
 		Header: []string{"omega", "objective", "parallel_rounds", "serial_rounds", "combined", "runtime_s"},
 	}
 	for _, om := range omegas {
-		in := buildInstance(nodes, users, 8000, opts.Seed)
+		in := buildInstance(nodes, users, opts.Seed)
 		part := partition.Build(in, partition.DefaultConfig())
 		pre := preprov.Run(in, part)
 		cfg := combine.DefaultConfig()
@@ -143,7 +143,7 @@ func ExtXi(opts Options) *Table {
 		Header: []string{"xi_quantile", "avg_groups_per_service", "objective"},
 	}
 	for _, q := range quantiles {
-		in := buildInstance(nodes, users, 8000, opts.Seed)
+		in := buildInstance(nodes, users, opts.Seed)
 		cfg := core.DefaultConfig()
 		cfg.Partition = partition.Config{Xi: 0, XiQuantile: q}
 		sol, err := core.Solve(in, cfg)
@@ -176,7 +176,7 @@ func ExtRouting(opts Options) *Table {
 		Title:  "Ablation: routing policy on fixed placements",
 		Header: []string{"placement", "routing", "latency_sum", "objective"},
 	}
-	in := buildInstance(nodes, users, 8000, opts.Seed)
+	in := buildInstance(nodes, users, opts.Seed)
 	placements := map[string]model.Placement{
 		"JDR": baselines.JDR(in),
 	}

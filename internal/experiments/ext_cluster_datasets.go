@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"repro/internal/cluster"
+	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/msvc"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -72,19 +72,11 @@ func ExtDatasets(opts Options) *Table {
 		Header: []string{"dataset", "services", "algorithm", "objective",
 			"cost", "latency_sum"},
 	}
-	g := topology.RandomGeometric(nodes, 0.35, topology.DefaultGenConfig(), opts.Seed)
 	for _, name := range msvc.DatasetNames() {
-		cat, err := msvc.CatalogByName(name, msvc.DefaultDatasetConfig(), opts.Seed)
-		if err != nil {
-			panic(err)
-		}
-		wcfg := msvc.DefaultWorkloadConfig(users)
-		wcfg.DeadlineSlack = 0
-		w, err := msvc.GenerateWorkload(cat, g, wcfg, opts.Seed)
-		if err != nil {
-			panic(err)
-		}
-		in := &model.Instance{Graph: g, Workload: w, Lambda: 0.5, Budget: 8000}
+		sc := config.Paper(nodes, users, opts.Seed)
+		sc.Catalog.Kind = name
+		in := sc.MustBuild()
+		cat := in.Workload.Catalog
 		for _, algo := range fig8Algorithms(opts) {
 			p, err := algo.place(in)
 			if err != nil {

@@ -22,7 +22,7 @@ func ExtContention(opts Options) *Table {
 		Header: []string{"algorithm", "latency_idle", "latency_contended",
 			"inflation_pct", "congested_links", "max_utilization"},
 	}
-	in := buildInstance(nodes, users, 8000, opts.Seed)
+	in := buildInstance(nodes, users, opts.Seed)
 	cc := model.DefaultContentionConfig()
 	for _, algo := range fig8Algorithms(opts) {
 		p, err := algo.place(in)
@@ -61,7 +61,8 @@ func ExtCloud(opts Options) *Table {
 			"latency_sum", "objective"},
 	}
 	for _, budget := range []float64{8000, 3000} {
-		in := buildInstance(nodes, users, budget, opts.Seed)
+		in := buildInstance(nodes, users, opts.Seed)
+		in.Budget = budget
 		cloud := model.DefaultCloudConfig()
 		in.Cloud = &cloud
 		algos := []namedAlgo{

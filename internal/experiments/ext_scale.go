@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"repro/internal/combine"
+	"repro/internal/config"
 	"repro/internal/model"
-	"repro/internal/msvc"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -39,8 +39,8 @@ import (
 //	           than dropped: its O(|U|·|V|²) routing and O(|U|·L·|V|)
 //	           latency tables are infeasible at that scale.
 //
-// Deadlines are disabled (latency sweep) and user homes are uniform so shard
-// load stays balanced. -shards overrides the per-point region count.
+// Each point is an instance of the clustered regime (config.Clustered).
+// -shards overrides the per-point region count.
 func ExtScale(opts Options) *Table {
 	type point struct{ users, regions, perRegion int }
 	pts := []point{
@@ -73,7 +73,7 @@ func ExtScale(opts Options) *Table {
 		}
 		seed := stats.SplitSeed(opts.Seed, fmt.Sprintf("ext_scale/%d", pi))
 		tb := time.Now()
-		in, plan, err := buildClusteredInstance(p.users, regions, p.perRegion, seed)
+		in, plan, err := config.Clustered(p.users, regions, p.perRegion, seed)
 		if err != nil {
 			t.AddRow(itoa(p.users), "0", itoa(regions), "sharded", "0.000", "0.000",
 				"0", "0", "0", "0", "", err.Error())
@@ -110,36 +110,6 @@ func ExtScale(opts Options) *Table {
 // extScaleGlobalCap is the largest user count the global reference still
 // runs at in the full sweep; past it the global row is reported as skipped.
 const extScaleGlobalCap = 100000
-
-// buildClusteredInstance assembles one ext_scale point: an unfinalized
-// clustered substrate, a uniform no-deadline workload over it, and the shard
-// plan following the generator's regions. The budget scales with the region
-// count so per-shard continuity floors stay affordable while the combine
-// still has instances to trim.
-func buildClusteredInstance(users, regions, perRegion int, seed int64) (*model.Instance, *topology.ShardPlan, error) {
-	g, regionNodes := topology.Clustered(topology.DefaultClusterConfig(regions, perRegion), seed)
-	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
-	wcfg := msvc.DefaultWorkloadConfig(users)
-	wcfg.DeadlineSlack = 0
-	wcfg.Hotspot = 0
-	w, err := msvc.GenerateWorkload(cat, g, wcfg, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	kappaTotal := 0.0
-	for i := 0; i < cat.Len(); i++ {
-		kappaTotal += cat.Service(i).DeployCost
-	}
-	// λ = 0.05 keeps the sweep in the latency-dominant regime sharding
-	// targets: with cost dominating, the global solve centralizes into one
-	// region and the per-region continuity floors read as pure regret.
-	in := &model.Instance{Graph: g, Workload: w, Lambda: 0.05, Budget: 1.5 * float64(regions) * kappaTotal}
-	plan, err := topology.PlanShards(g, regionNodes)
-	if err != nil {
-		return nil, nil, err
-	}
-	return in, plan, nil
-}
 
 // runScalePath runs one ext_scale path — sharded under plan, or the global
 // single-shard reference when plan is nil — converting panics (e.g.

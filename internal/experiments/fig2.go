@@ -34,7 +34,7 @@ func Fig2(opts Options) *Table {
 	limit := opts.optLimit()
 	for _, v := range nodeScales {
 		for _, u := range userScales {
-			in := buildInstance(v, u, 8000, opts.Seed)
+			in := buildInstance(v, u, opts.Seed)
 			res, err := opt.Solve(in, opt.Options{TimeLimit: limit, Workers: opts.Workers})
 			if err != nil {
 				panic(err)

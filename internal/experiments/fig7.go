@@ -56,7 +56,7 @@ func Fig7(opts Options) (*Table, *Table) {
 }
 
 func optVsSoCLRow(nodes, users int, label string, limit time.Duration, seed int64, workers int) []string {
-	in := buildInstance(nodes, users, 8000, seed)
+	in := buildInstance(nodes, users, seed)
 
 	t0 := time.Now()
 	sol, err := core.Solve(in, core.DefaultConfig())

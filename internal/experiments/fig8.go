@@ -33,7 +33,7 @@ func Fig8(opts Options) *Table {
 	}
 	rows := runSweep(opts, "fig8", len(userScales), func(i int, seed int64) [][]string {
 		u := userScales[i]
-		in := buildInstance(nodes, u, 8000, seed)
+		in := buildInstance(nodes, u, seed)
 		var out [][]string
 		var de *model.DeltaEvaluator
 		for _, algo := range fig8Algorithms(opts) {

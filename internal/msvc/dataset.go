@@ -8,11 +8,15 @@ import (
 // eShopOnContainers dependency dataset. Defaults follow the paper:
 // microservice compute demand q ∈ [1,3] GFLOPs; storage φ ∈ [1,2] units;
 // deploy cost κ ∈ [300,700] so that one instance of every service costs
-// ≈ 6000, matching the paper's 5000–8000 budget sweep.
+// ≈ 6000, matching the paper's 5000–8000 budget sweep. The json tags are
+// the "dataset" block of a config.Scenario file.
 type DatasetConfig struct {
-	CostMin, CostMax       float64
-	ComputeMin, ComputeMax float64
-	StorageMin, StorageMax float64
+	CostMin    float64 `json:"cost_min"`
+	CostMax    float64 `json:"cost_max"`
+	ComputeMin float64 `json:"compute_min"`
+	ComputeMax float64 `json:"compute_max"`
+	StorageMin float64 `json:"storage_min"`
+	StorageMax float64 `json:"storage_max"`
 }
 
 // DefaultDatasetConfig returns the paper-aligned ranges.

@@ -11,27 +11,31 @@ import (
 // WorkloadConfig controls request generation. Data volumes follow the
 // paper's ranges ([1,80] GB per chain edge); ingress/egress volumes are
 // smaller since they carry user payloads rather than inter-service state.
+// The json tags are the "workload" block of a config.Scenario file.
 type WorkloadConfig struct {
-	NumUsers int
+	NumUsers int `json:"num_users"`
 
-	EdgeDataMin, EdgeDataMax float64 // r_{m_i→m_j} range, GB
-	InDataMin, InDataMax     float64 // r_in range, GB
-	OutDataMin, OutDataMax   float64 // r_out range, GB
+	EdgeDataMin float64 `json:"edge_data_min"` // r_{m_i→m_j} range, GB
+	EdgeDataMax float64 `json:"edge_data_max"`
+	InDataMin   float64 `json:"in_data_min"` // r_in range, GB
+	InDataMax   float64 `json:"in_data_max"`
+	OutDataMin  float64 `json:"out_data_min"` // r_out range, GB
+	OutDataMax  float64 `json:"out_data_max"`
 
 	// Hotspot concentrates user homes: fraction Hotspot of users lands on
 	// the HotspotNodes lowest-ID nodes (the stadium crowd); the rest are
 	// uniform. Hotspot = 0 gives a uniform distribution.
-	Hotspot      float64
-	HotspotNodes int
+	Hotspot      float64 `json:"hotspot"`
+	HotspotNodes int     `json:"hotspot_nodes"`
 
 	// DeadlineSlack sets 𝒟_h^max = DeadlineSlack × (a pessimistic serial
 	// latency estimate for the chain). 0 disables deadlines (+Inf).
-	DeadlineSlack float64
+	DeadlineSlack float64 `json:"deadline_slack"`
 
 	// TruncateProb is the per-request probability of truncating a sampled
 	// flow by one trailing service (mimicking abandoned journeys and giving
 	// trace diversity). Applied at most twice and never below length 1.
-	TruncateProb float64
+	TruncateProb float64 `json:"truncate_prob"`
 }
 
 // DefaultWorkloadConfig returns paper-aligned generation parameters for n

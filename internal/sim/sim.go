@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/chaos"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/msvc"
@@ -128,27 +129,15 @@ type Config struct {
 	Cloud *model.CloudConfig
 }
 
-// DefaultConfig mirrors the paper's 4-hour trace experiment. The testbed
-// workload is user-facing: most data moves on the ingress/egress legs
-// (user uploads and result downloads), with lighter inter-service state —
-// so proximity to users, not instance co-location, decides latency, which
-// is the regime the testbed figures (9, 10) probe.
+// DefaultConfig mirrors the paper's 4-hour trace experiment in the testbed
+// regime (config.Testbed: λ, budget and the request generation ranges).
 func DefaultConfig(g *topology.Graph, cat *msvc.Catalog, users int, seed int64) Config {
-	w := msvc.DefaultWorkloadConfig(0)
-	w.DeadlineSlack = 0 // the trace experiment records latency, not SLOs
-	w.EdgeDataMin, w.EdgeDataMax = 1, 15
-	w.InDataMin, w.InDataMax = 5, 25
-	w.OutDataMin, w.OutDataMax = 5, 25
-	// λ = 0.05 makes the testbed latency-dominant: the paper's testbed
-	// tracks user-perceived delay (its λ is unreported), and SoCL's storage
-	// planning is explicitly designed to keep "more warm instances in the
-	// nearby area" — which only manifests when latency outweighs the
-	// per-instance deployment cost in the per-slot objective.
+	lambda, budget, w := config.Testbed()
 	return Config{
 		Graph: g, Catalog: cat,
 		NumUsers: users, SlotMinutes: 5, DurationMinutes: 240,
 		MeanInterarrival: 5, MoveProb: 0.3,
-		Lambda: 0.05, Budget: 8000,
+		Lambda: lambda, Budget: budget,
 		Workload: w,
 		Seed:     seed,
 	}

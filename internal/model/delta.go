@@ -169,9 +169,20 @@ type DeltaEvaluator struct {
 
 	addProbe addProbeState // ProbeAdd's memoized DP rows and scratch
 
+	// The last evaluation Eval published and what it was built under.
+	// Nothing else an Evaluation reads can move while the stamp holds
+	// (checkEpoch pins the cold set), so an Eval whose stamp still matches
+	// republishes it.
+	pub      *Evaluation
+	pubStamp evalStamp
+
 	// Telemetry: cache hits vs re-routes across Eval calls.
 	Hits, Recomputed int
 }
+
+// evalStamp is what a published Evaluation was built under: the index epoch,
+// the request generation and the bits of Lambda and Budget.
+type evalStamp struct{ epoch, reqGen, lambda, budget uint64 }
 
 // NewDeltaEvaluator binds an evaluator to in and p under the given routing
 // mode (seed matters only for RouteModeRandom, with the same per-request
@@ -820,12 +831,22 @@ func (d *DeltaEvaluator) deployCostExcluding(svc, node int) float64 {
 
 // Eval returns the exact evaluation of the bound placement — bit-identical
 // to in.EvaluateRouted(Placement(), mode, seed) — re-routing only requests
-// invalidated since the previous Eval. The returned Evaluation's Routes
-// share node slices with the cache; they stay correct until the next
-// mutation through the evaluator (re-routes install fresh slices, never
-// mutate published ones).
+// invalidated since the previous Eval. When nothing has moved since that
+// call — no Apply, Revert, Rebind, SetRequests or AdvanceTo that changed a
+// bit, and the same Lambda and Budget — it returns the previous call's
+// evaluation itself, counted as a refresh that found nothing dirty. A
+// returned Evaluation is therefore read-only: the previous and the next
+// caller may hold the same one. Its Routes share node slices with the
+// cache; they stay correct until the next mutation through the evaluator
+// (re-routes install fresh slices, never mutate published ones).
 func (d *DeltaEvaluator) Eval() *Evaluation {
 	d.checkEpoch("Eval")
+	stamp := evalStamp{d.epoch, d.reqGen, math.Float64bits(d.in.Lambda), math.Float64bits(d.in.Budget)}
+	if ev := d.pub; ev != nil && d.pubStamp == stamp {
+		d.Hits += len(d.routes)
+		d.selfCheckDelta(ev)
+		return ev
+	}
 	reqs := d.in.Workload.Requests
 	d.refresh()
 
@@ -869,5 +890,6 @@ func (d *DeltaEvaluator) Eval() *Evaluation {
 	}
 	ev.Objective = d.in.Objective(ev.Cost, ev.LatencySum)
 	d.selfCheckDelta(ev)
+	d.pub, d.pubStamp = ev, stamp
 	return ev
 }

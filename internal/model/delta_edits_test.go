@@ -156,7 +156,7 @@ func runEditWalk(t testing.TB, data []byte) {
 
 	ops := data[1:]
 	for step := 0; step+2 < len(ops); step += 3 {
-		op, a, b := ops[step]%13, int(ops[step+1]), int(ops[step+2])
+		op, a, b := ops[step]%15, int(ops[step+1]), int(ops[step+2])
 		svc, node := a%editServices, b%editNodes
 		edited := false
 		switch op {
@@ -261,6 +261,29 @@ func runEditWalk(t testing.TB, data []byte) {
 						t.Fatalf("%s step %d: the roll-back left (%d,%d) at %v", sc, step, i, k, !before.Has(i, k))
 					}
 				}
+			}
+		case 13: // Eval twice with nothing in between: the second republishes
+			first := de.Eval()
+			hits, recomputed := de.Hits, de.Recomputed
+			if de.Eval() != first || de.Hits != hits+len(active) || de.Recomputed != recomputed {
+				t.Fatalf("%s step %d: a second Eval was not a republish counted as a clean refresh", sc, step)
+			}
+		case 14: // the trade-off, then the budget, move under the binding
+			// (after SetRequests the evaluator reads its own copy of in)
+			for _, w := range []struct {
+				mine, its *float64
+				v         float64
+			}{
+				{&in.Lambda, &de.in.Lambda, 0.25 * float64(1+a%4)},
+				{&in.Budget, &de.in.Budget, 600 + 150*float64(b%4)},
+			} {
+				before := de.Eval()
+				moved := math.Float64bits(*w.its) != math.Float64bits(w.v)
+				*w.mine, *w.its = w.v, w.v
+				if moved && de.Eval() == before {
+					t.Fatalf("%s step %d: Eval republished an evaluation of other weights", sc, step)
+				}
+				check(step, "weights")
 			}
 		}
 		if edited {

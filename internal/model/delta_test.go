@@ -121,6 +121,67 @@ func TestDeltaEvaluatorAdvanceTo(t *testing.T) {
 	}
 }
 
+// TestDeltaEvaluatorRepublish pins when Eval may return the previous call's
+// evaluation: with nothing moved it does, counted as a refresh that found
+// nothing dirty, and so after an AdvanceTo that changes nothing; after each
+// stamp mover — Lambda, Budget, Apply, Apply then Revert, AdvanceTo with a
+// change, Rebind, SetRequests — it builds a fresh one, equal to a scratch
+// evaluation.
+func TestDeltaEvaluatorRepublish(t *testing.T) {
+	in := indexTestInstance(t, 9, 40, 4)
+	n := len(in.Workload.Requests)
+	de := NewDeltaEvaluator(in, densePlacement(in, 4).Clone(), RouteModeOptimal, 0)
+	prev := de.Eval()
+	republished := func(label string) {
+		t.Helper()
+		hits, recomputed := de.Hits, de.Recomputed
+		if de.Eval() != prev {
+			t.Fatalf("%s: nothing moved, yet Eval built a new evaluation", label)
+		}
+		if de.Hits != hits+n || de.Recomputed != recomputed {
+			t.Fatalf("%s: a republish counted hits +%d, recomputed +%d; a clean refresh counts +%d, +0",
+				label, de.Hits-hits, de.Recomputed-recomputed, n)
+		}
+	}
+	fresh := func(label string) {
+		t.Helper()
+		ev := de.Eval()
+		if ev == prev {
+			t.Fatalf("%s: Eval republished an evaluation the stamp no longer covers", label)
+		}
+		assertEvalIdentical(t, label, ev, in.EvaluateRouted(de.Placement(), RouteModeOptimal, 0))
+		prev = ev
+		republished(label + "/again")
+	}
+
+	republished("bound")
+	if de.AdvanceTo(de.Placement().Clone()) != 0 {
+		t.Fatal("advancing to the bound placement changed bits")
+	}
+	republished("advance to itself")
+	in.Lambda *= 2
+	fresh("lambda")
+	in.Budget = 1
+	fresh("budget")
+	svc := 0
+	for in.M() > svc && de.Placement().Count(svc) < 2 {
+		svc++
+	}
+	k := de.Placement().NodesOf(svc)[0]
+	de.Revert(de.Apply(svc, k, false))
+	fresh("apply then revert")
+	de.Apply(svc, k, false)
+	fresh("apply")
+	q := de.Placement().Clone()
+	q.Set(svc, k, true)
+	de.AdvanceTo(q)
+	fresh("advance")
+	de.Rebind(de.Placement())
+	fresh("rebind")
+	de.SetRequests(in.Workload.Requests)
+	fresh("set requests")
+}
+
 // TestDeltaEvaluatorStaleBindingPanics proves the epoch contract: a
 // placement mutation that bypasses the evaluator must make the next Eval
 // fail loudly instead of serving stale routes.

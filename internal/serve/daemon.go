@@ -167,6 +167,28 @@ type Daemon struct {
 	records   []EpochRecord
 	allDelays []float64
 	lastEval  *model.Evaluation
+
+	// evalIn is the epoch's instance on the unmasked substrate, built once
+	// per workload generation (evalInGen).
+	evalIn    *model.Instance
+	evalInGen int
+
+	// What the last evaluated epoch derived from its evaluation — the
+	// record's evaluation columns, the finite delays in request order and
+	// the lifecycle scratch — and the key it derived them under. An epoch
+	// under the same key, one whose evaluator republished that evaluation
+	// (model.DeltaEvaluator.Eval), reuses all three.
+	derivedKey derivedKey
+	derived    EpochRecord
+	delays     []float64
+}
+
+// derivedKey is everything an epoch's derived columns and lifecycle scratch
+// read: the evaluation, the cold-set epoch and the workload generation.
+type derivedKey struct {
+	eval *model.Evaluation
+	cold uint64
+	work int
 }
 
 // NewDaemon validates cfg and builds an idle daemon with a pristine mask.
@@ -326,8 +348,8 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 	// An empty epoch advances the fault timeline and the lifecycle only; no
 	// re-homing happens.
 	if len(d.active) == 0 {
-		d.lastEval = nil
-		d.lifecycleEnd(&rec, nil)
+		d.lastEval, d.derivedKey = nil, derivedKey{}
+		d.lifecycleEnd(&rec, nil, false)
 		d.finish(&rec)
 		return &rec, nil
 	}
@@ -342,7 +364,7 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 		}
 	}
 
-	evalIn := d.instanceOn(d.cfg.Graph)
+	evalIn := d.epochInstance()
 	seed := d.cfg.RouteSeed + int64(d.slot)
 	planned := d.placement
 	if !d.cfg.Replan {
@@ -401,8 +423,11 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 		invariant.CheckDeadlineRecount(d.mask.Instance(evalIn), d.lastEval, "serve.Tick")
 	}
 
-	d.fillEvalColumns(&rec, evalIn)
-	d.lifecycleEnd(&rec, d.lastEval)
+	key := derivedKey{d.lastEval, d.coldEpoch(), d.workGen}
+	reuse := key == d.derivedKey
+	d.fillEvalColumns(&rec, evalIn, reuse)
+	d.lifecycleEnd(&rec, d.lastEval, reuse)
+	d.derivedKey = key
 	if invariant.Enabled {
 		// Only after observe/reap have reconciled the idle counters with the
 		// (possibly policy-replaced) placement is the coherence rule total.
@@ -514,6 +539,23 @@ func (d *Daemon) instanceOn(g *topology.Graph) *model.Instance {
 	}
 }
 
+// epochInstance returns the epoch's instance on the unmasked substrate,
+// rebuilt only when the active set changed since it was built.
+func (d *Daemon) epochInstance() *model.Instance {
+	if d.evalIn == nil || d.evalInGen != d.workGen {
+		d.evalIn, d.evalInGen = d.instanceOn(d.cfg.Graph), d.workGen
+	}
+	return d.evalIn
+}
+
+// coldEpoch is the cold set's epoch, 0 when cold starts are not priced.
+func (d *Daemon) coldEpoch() uint64 {
+	if d.cold == nil {
+		return 0
+	}
+	return d.cold.Epoch()
+}
+
 // ensureDelta leaves d.de bound to this epoch's masked substrate, cold set and
 // active requests. What a cached route cannot outlive forces a new evaluator:
 // another masked graph, another cold-set epoch, or — under random routing,
@@ -522,10 +564,7 @@ func (d *Daemon) instanceOn(g *topology.Graph) *model.Instance {
 // request that is still the same one.
 func (d *Daemon) ensureDelta(seed int64) {
 	g := d.mask.Graph()
-	coldEpoch := uint64(0)
-	if d.cold != nil {
-		coldEpoch = d.cold.Epoch()
-	}
+	coldEpoch := d.coldEpoch()
 	fresh := d.de == nil || d.deGraph != g || d.deColdEpoch != coldEpoch ||
 		(d.cfg.Mode == model.RouteModeRandom && d.deSeed != seed)
 	if fresh {
@@ -542,7 +581,17 @@ func (d *Daemon) ensureDelta(seed int64) {
 
 // fillEvalColumns derives the epoch's statistics from its evaluation. The
 // index-order accumulation is part of the bitwise contract (golden digests).
-func (d *Daemon) fillEvalColumns(rec *EpochRecord, evalIn *model.Instance) {
+// With reuse it copies what the last evaluated epoch derived instead, its
+// delays from the daemon's own copy: a caller may truncate allDelays.
+func (d *Daemon) fillEvalColumns(rec *EpochRecord, evalIn *model.Instance, reuse bool) {
+	if reuse {
+		p := &d.derived
+		rec.Cost, rec.Objective, rec.ServedObjective = p.Cost, p.Objective, p.ServedObjective
+		rec.Missing, rec.Unroutable, rec.CloudServed = p.Missing, p.Unroutable, p.CloudServed
+		rec.AvgDelay, rec.MaxDelay, rec.ColdSteps = p.AvgDelay, p.MaxDelay, p.ColdSteps
+		d.allDelays = append(d.allDelays, d.delays...)
+		return
+	}
 	ev := d.lastEval
 	rec.Cost = ev.Cost
 	rec.Objective = ev.Objective
@@ -562,6 +611,7 @@ func (d *Daemon) fillEvalColumns(rec *EpochRecord, evalIn *model.Instance) {
 		}
 		d.allDelays = append(d.allDelays, dl)
 	}
+	d.delays = append(d.delays[:0], d.allDelays[len(d.allDelays)-n:]...)
 	if n > 0 {
 		rec.AvgDelay = sum / float64(n)
 	}
@@ -580,17 +630,31 @@ func (d *Daemon) fillEvalColumns(rec *EpochRecord, evalIn *model.Instance) {
 			}
 		}
 	}
+	d.derived = *rec
 }
 
 // lifecycleEnd folds the served epoch into the lifecycle state and scales
 // idle instances to zero. Reclaimed instances are removed from the live
-// placement now; they become cold at the next epoch boundary.
-func (d *Daemon) lifecycleEnd(rec *EpochRecord, ev *model.Evaluation) {
+// placement now; they become cold at the next epoch boundary. With reuse
+// the scratch still holds what the last evaluated epoch tallied from the
+// same evaluation and workload, and is kept.
+func (d *Daemon) lifecycleEnd(rec *EpochRecord, ev *model.Evaluation, reuse bool) {
 	if d.life == nil || !d.havePlacement {
 		return
 	}
-	// The scratch lives on the lifecycle and is cleared in place: this runs
-	// every epoch, steady ones included.
+	if !reuse {
+		d.tallyUse(ev)
+	}
+	d.life.observe(d.life.used, d.life.epochDemand, d.placement)
+	removed, spares := d.life.reap(d.placement)
+	rec.ScaledToZero = len(removed)
+	rec.WarmSpares = spares
+}
+
+// tallyUse fills the lifecycle's per-epoch scratch from ev and the active
+// set: the (svc, node) pairs that served a step, and each service's demand.
+// The scratch lives on the lifecycle and is cleared in place.
+func (d *Daemon) tallyUse(ev *model.Evaluation) {
 	used, demand, seen := d.life.used, d.life.epochDemand, d.life.seen
 	for i := range used {
 		clear(used[i])
@@ -616,10 +680,6 @@ func (d *Daemon) lifecycleEnd(rec *EpochRecord, ev *model.Evaluation) {
 			}
 		}
 	}
-	d.life.observe(used, demand, d.placement)
-	removed, spares := d.life.reap(d.placement)
-	rec.ScaledToZero = len(removed)
-	rec.WarmSpares = spares
 }
 
 // checkLifecycleCoherence asserts (under the soclinvariants tag) that the

@@ -5,83 +5,107 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/invariant"
 	"repro/internal/model"
 	"repro/internal/msvc"
 	"repro/internal/repair"
 )
 
-// churnEpochs builds a serve-mode stream over reqs, one slice of events per
-// epoch: base requests arrive at epoch 0 and stay; every third epoch one
-// departs, one arrives and one moves to a neighbouring node; crash goes down
-// at epoch 7 and heals at epoch 12.
-func churnEpochs(cfg Config, reqs []msvc.Request, base, epochs, crash int) [][]Event {
-	out := make([][]Event, epochs)
-	out[0] = arrivals(0, 0, reqs[:base])
-	live := make([]int, base) // active IDs, in admission order
+// churn shapes a serve-mode stream: base requests arrive at epoch 0 and stay;
+// every gap-th epoch one departs, one arrives and moves requests move to a
+// neighbouring node; a node crashes at epoch down and heals at epoch up.
+type churn struct{ base, epochs, gap, moves, down, up int }
+
+// stream builds c's events over reqs, one slice per epoch; crash is the node
+// that goes down.
+func (c churn) stream(cfg Config, reqs []msvc.Request, crash int) [][]Event {
+	out := make([][]Event, c.epochs)
+	out[0] = arrivals(0, 0, reqs[:c.base])
+	live := make([]int, c.base) // active IDs, in admission order
 	for i := range live {
 		live[i] = i
 	}
-	next := base
-	for e := 3; e < epochs && next < len(reqs); e += 3 {
+	next := c.base
+	for e := c.gap; e < c.epochs && next < len(reqs); e += c.gap {
 		gone := live[e%len(live)]
 		live = append(live[:e%len(live)], live[e%len(live)+1:]...)
 		out[e] = append(out[e], Event{Slot: e, Kind: EvDepart, ID: gone})
 		out[e] = append(out[e], arrivals(e, next, reqs[next:next+1])...)
 		live = append(live, next)
 		next++
-		mover := live[(2*e)%len(live)]
-		if nb := cfg.Graph.Neighbors(reqs[mover].Home); len(nb) > 0 {
-			out[e] = append(out[e], Event{Slot: e, Kind: EvMove, ID: mover, Node: nb[e%len(nb)]})
+		for m := 0; m < c.moves; m++ {
+			mover := live[(2*e+5*m)%len(live)]
+			if nb := cfg.Graph.Neighbors(reqs[mover].Home); len(nb) > 0 {
+				out[e] = append(out[e], Event{Slot: e, Kind: EvMove, ID: mover, Node: nb[(e+m)%len(nb)]})
+			}
 		}
 	}
-	out[7] = append(out[7], Event{Slot: 7, Kind: EvFault, Fault: chaos.Event{Slot: 7, Kind: chaos.NodeCrash, Node: crash}})
-	out[12] = append(out[12], Event{Slot: 12, Kind: EvFault, Fault: chaos.Event{Slot: 12, Kind: chaos.NodeRecover, Node: crash}})
+	out[c.down] = append(out[c.down], Event{Slot: c.down, Kind: EvFault, Fault: chaos.Event{Slot: c.down, Kind: chaos.NodeCrash, Node: crash}})
+	out[c.up] = append(out[c.up], Event{Slot: c.up, Kind: EvFault, Fault: chaos.Event{Slot: c.up, Kind: chaos.NodeRecover, Node: crash}})
 	return out
+}
+
+// play is what playEpochs observed: how many epochs built a new evaluator,
+// and which were served by the previous epoch's evaluation itself.
+type play struct {
+	rebinds     int
+	republished []bool
 }
 
 // playEpochs feeds a fresh daemon one epoch at a time. With dropEvaluator the
 // daemon forgets its evaluator before every epoch, so each one is scored on a
 // binding built from scratch — the reference the long-lived binding must
-// match, kept in test code only.
-func playEpochs(t *testing.T, cfg Config, epochs [][]Event, dropEvaluator bool) (*Daemon, int) {
+// match, kept in test code only. Before epoch trimAt (if any) the record and
+// delay streams are truncated, as trimHistory does.
+func playEpochs(t *testing.T, cfg Config, epochs [][]Event, dropEvaluator bool, trimAt int) (*Daemon, play) {
 	t.Helper()
 	d, err := NewDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebinds := 0
-	for _, evs := range epochs {
+	var pl play
+	for e, evs := range epochs {
 		if dropEvaluator {
 			d.de = nil
 		}
-		before := d.de
+		if e == trimAt {
+			d.records, d.allDelays = d.records[:0], d.allDelays[:0]
+		}
+		before, last := d.de, d.lastEval
 		d.Ingest(evs...)
 		if _, err := d.Tick(); err != nil {
 			t.Fatal(err)
 		}
 		if d.de != before {
-			rebinds++
+			pl.rebinds++
 		}
+		pl.republished = append(pl.republished, last != nil && d.lastEval == last)
 	}
-	return d, rebinds
+	return d, pl
 }
 
 // TestDaemonSharedEvaluatorMatchesFresh: a serve-mode daemon with the
 // lifecycle on, a crash and its heal, and departs, arrives and moves every
 // few epochs must produce, column for column and delay for delay, what the
 // same daemon produces when it is forced to drop its evaluator every epoch.
+// The steady leg is serve_steady's shape: most epochs change nothing, so the
+// evaluator republishes its evaluation and the daemon reuses what it derived
+// from it — also across a truncated delay stream.
 func TestDaemonSharedEvaluatorMatchesFresh(t *testing.T) {
 	g, cat, reqs := testScenario(t, 10, 40, 76)
-	const base, epochs = 28, 34
+	busy := churn{base: 28, epochs: 34, gap: 3, moves: 1, down: 7, up: 12}
+	steady := churn{base: 28, epochs: 48, gap: 8, moves: 2, down: 11, up: 14}
 	legs := []struct {
 		name     string
 		mode     model.RoutingMode
 		maxBatch int
+		shape    churn
 	}{
-		{"optimal", model.RouteModeOptimal, 0},
-		{"optimal-batched", model.RouteModeOptimal, 5},
-		{"greedy", model.RouteModeGreedy, 0},
-		{"random", model.RouteModeRandom, 0},
+		{"optimal", model.RouteModeOptimal, 0, busy},
+		{"optimal-batched", model.RouteModeOptimal, 5, busy},
+		{"greedy", model.RouteModeGreedy, 0, busy},
+		{"random", model.RouteModeRandom, 0, busy},
+		{"steady", model.RouteModeOptimal, 0, steady},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
@@ -90,24 +114,30 @@ func TestDaemonSharedEvaluatorMatchesFresh(t *testing.T) {
 			cfg.RouteSeed = 11
 			cfg.MaxBatch = leg.maxBatch
 			cfg.Lifecycle = LifecycleConfig{IdleEpochs: 2, WarmPool: 1, ColdStartDelay: 0.25}
-			stream := churnEpochs(cfg, reqs, base, epochs, reqs[0].Home)
+			stream := leg.shape.stream(cfg, reqs, reqs[0].Home)
 
-			shared, rebinds := playEpochs(t, cfg, stream, false)
-			fresh, _ := playEpochs(t, cfg, stream, true)
+			shared, pl := playEpochs(t, cfg, stream, false, -1)
+			fresh, _ := playEpochs(t, cfg, stream, true, -1)
 			if err := shared.Result().Diff(fresh.Result()); err != nil {
 				t.Fatalf("long-lived evaluator diverges from a fresh one per epoch: %v", err)
 			}
 
 			recs := shared.Result().Records
-			reacted, faults, deferred := 0, 0, 0
-			for _, r := range recs {
-				if !r.Incremental {
-					reacted++
-				}
+			reacted, faults, deferred, steadyEpochs, reused := 0, 0, 0, 0, 0
+			for e, r := range recs {
 				faults += r.FaultEvents
 				deferred += r.Deferred
+				switch {
+				case !r.Incremental:
+					reacted++
+				case pl.republished[e]:
+					steadyEpochs++
+					reused++
+				default:
+					steadyEpochs++
+				}
 			}
-			if faults != 2 || recs[7].DownNodes != 1 || recs[12].DownNodes != 0 {
+			if faults != 2 || recs[leg.shape.down].DownNodes != 1 || recs[leg.shape.up].DownNodes != 0 {
 				t.Fatalf("the crash and its heal did not land: %d fault events", faults)
 			}
 			if (leg.maxBatch > 0) != (deferred > 0) {
@@ -115,8 +145,35 @@ func TestDaemonSharedEvaluatorMatchesFresh(t *testing.T) {
 			}
 			// The point of the binding: workload changes alone do not cost a
 			// new evaluator, only faults, cold-set changes and random routing.
-			if leg.mode != model.RouteModeRandom && rebinds >= reacted {
-				t.Fatalf("%d reacting epochs cost %d re-binds", reacted, rebinds)
+			if leg.mode != model.RouteModeRandom && pl.rebinds >= reacted {
+				t.Fatalf("%d reacting epochs cost %d re-binds", reacted, pl.rebinds)
+			}
+			if leg.shape != steady {
+				return
+			}
+			if 2*reused <= steadyEpochs {
+				t.Fatalf("the evaluation was republished on %d of %d steady epochs, want most", reused, steadyEpochs)
+			}
+			// Truncate the streams before a republished epoch whose
+			// predecessor was republished too: the reused delays must come
+			// from the daemon's own copy, not from the truncated stream.
+			trimAt := -1
+			for e := len(recs) - 1; e > 0; e-- {
+				if pl.republished[e] && pl.republished[e-1] {
+					trimAt = e
+					break
+				}
+			}
+			if trimAt < 0 {
+				t.Fatal("no two consecutive republished epochs to truncate between")
+			}
+			shared, pl = playEpochs(t, cfg, stream, false, trimAt)
+			fresh, _ = playEpochs(t, cfg, stream, true, trimAt)
+			if !pl.republished[trimAt] {
+				t.Fatalf("epoch %d was not republished after the truncation", trimAt)
+			}
+			if err := shared.Result().Diff(fresh.Result()); err != nil {
+				t.Fatalf("after truncating the delay stream at epoch %d: %v", trimAt, err)
 			}
 		})
 	}
@@ -225,7 +282,7 @@ func TestDaemonStaleBindingStillPanics(t *testing.T) {
 // benchDaemon returns a daemon serving n long-lived requests with the
 // lifecycle on — the serve_steady shape at a size a smoke run affords — and
 // the spare requests later arrivals draw from.
-func benchDaemon(b *testing.B, n int) (*Daemon, []msvc.Request) {
+func benchDaemon(b testing.TB, n int) (*Daemon, []msvc.Request) {
 	b.Helper()
 	g, cat, reqs := testScenario(b, 24, n+64, 80)
 	cfg := testConfig(g, cat)
@@ -248,6 +305,29 @@ func benchDaemon(b *testing.B, n int) (*Daemon, []msvc.Request) {
 func trimHistory(d *Daemon, i int) {
 	if i%1024 == 1023 {
 		d.records, d.allDelays = d.records[:0], d.allDelays[:0]
+	}
+}
+
+// TestDaemonSteadyTickAllocs gates serve.allocs_per_tick where it is
+// deterministic: on BenchmarkDaemonTickSteady's shape a steady epoch
+// allocates the record it returns and nothing else — the evaluation is
+// republished, the epoch's instance and the lifecycle scratch are kept, and
+// the record and delay streams are truncated each run, so their growth does
+// not count. The count is the same under -race; armed invariants
+// re-evaluate every epoch from scratch, so that build skips the gate.
+func TestDaemonSteadyTickAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("-tags soclinvariants re-evaluates every epoch from scratch")
+	}
+	d, _ := benchDaemon(t, 400)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		d.records, d.allDelays = d.records[:0], d.allDelays[:0]
+	})
+	if allocs > 1 {
+		t.Fatalf("a steady tick allocates %v times, want at most 1 (its record)", allocs)
 	}
 }
 

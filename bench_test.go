@@ -10,7 +10,6 @@
 package repro
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -24,7 +23,6 @@ import (
 	"repro/internal/lp"
 	"repro/internal/model"
 	"repro/internal/msvc"
-	"repro/internal/opt"
 	"repro/internal/partition"
 	"repro/internal/preprov"
 	"repro/internal/sim"
@@ -113,41 +111,8 @@ func BenchmarkILPSoCLTiny(b *testing.B) {
 	}
 }
 
-func BenchmarkOptExactSmall(b *testing.B) {
-	in := benchInstance(8, 10, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Solve(in, opt.Options{TimeLimit: 30 * time.Second}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOptSolve runs the exact solver on one worker and at GOMAXPROCS,
-// on the ~100-node bench instance and on two Fig-2-scale ones (≈ 40 ms and
-// ≈ 155 ms serial, trees of 10⁴–10⁵ nodes — the sizes the scheduler choice of
-// DESIGN.md §14 was made on). On a single-core runner serial and parallel
-// coincide; the parallel speedup is only observable on a multicore runner.
-func BenchmarkOptSolve(b *testing.B) {
-	for _, sz := range [][2]int{{8, 10}, {8, 20}, {10, 15}} {
-		in := benchInstance(sz[0], sz[1], 1)
-		run := func(b *testing.B, o opt.Options) {
-			o.TimeLimit = 30 * time.Second
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := opt.Solve(in, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		name := fmt.Sprintf("%dx%d", sz[0], sz[1])
-		b.Run(name+"/serial", func(b *testing.B) { run(b, opt.Options{Workers: 1}) })
-		b.Run(name+"/parallel", func(b *testing.B) { run(b, opt.Options{}) })
-	}
-}
-
-// BenchmarkILPSolve runs the generic MIP solver — warm-started node LPs on
-// the same scheduler — on one worker and at GOMAXPROCS.
+// BenchmarkILPSolve runs the exact MIP solver — warm-started node LPs on the
+// internal/bb scheduler — on one worker and at GOMAXPROCS.
 func BenchmarkILPSolve(b *testing.B) {
 	in := benchInstance(4, 4, 1)
 	run := func(b *testing.B, o ilp.Options) {
@@ -306,24 +271,13 @@ func BenchmarkAblationRoutingGreedy(b *testing.B) {
 	}
 }
 
-// Ablation 2: generic simplex-based MILP vs specialized exact solver on the
-// same tiny instance.
+// Ablation 2: the exact MILP (the figures' OPT) on a tiny instance.
 func BenchmarkAblationGenericILP(b *testing.B) {
 	in := benchInstance(3, 3, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m, _ := ilp.BuildSoCLBounded(in)
 		if _, err := ilp.SolveBounded(m, ilp.Options{TimeLimit: time.Minute}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSpecializedOpt(b *testing.B) {
-	in := benchInstance(3, 3, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Solve(in, opt.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ilp"
 	"repro/internal/model"
-	"repro/internal/opt"
 )
 
 // def is the scenario the flags describe by default.
@@ -151,15 +150,15 @@ func solveAndReport(in *model.Instance, algo string, seed int64, optLimit time.D
 		placement = res.Placement
 		fmt.Printf("gcog: rounds=%d exact-evaluations=%d\n", res.Rounds, res.Evals)
 	case "opt":
-		res, err := opt.Solve(in, opt.Options{TimeLimit: optLimit})
+		res, p, err := ilp.SolveSoCL(in, ilp.Options{TimeLimit: optLimit})
 		if err != nil {
 			return err
 		}
-		if res.Status == opt.Infeasible || res.Status == opt.NoSolution {
+		if res.Status == ilp.Infeasible || res.Status == ilp.NoSolution {
 			return fmt.Errorf("optimizer: %v after %v (%d nodes)", res.Status, res.Elapsed, res.Nodes)
 		}
-		placement = res.Placement
-		fmt.Printf("opt: status=%v bb-nodes=%d star-objective=%.2f\n", res.Status, res.Nodes, res.StarObjective)
+		placement = p
+		fmt.Printf("opt: status=%v bb-nodes=%d star-objective=%.2f\n", res.Status, res.Nodes, res.Objective)
 	default:
 		return fmt.Errorf("unknown algorithm %q", algo)
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/ilp"
 	"repro/internal/model"
-	"repro/internal/opt"
 	"repro/internal/partition"
 	"repro/internal/preprov"
 	"repro/internal/repair"
@@ -61,7 +60,6 @@ func runBenchJSON(dir string, workers int) error {
 	part := partition.Build(combineIn, partition.DefaultConfig())
 	pre := preprov.Run(combineIn, part)
 	fig8Opts := experiments.Options{Short: true, Seed: 1, Workers: workers}
-	optIn := config.Paper(8, 10, 1).MustBuild()
 	ilpIn := config.Paper(4, 4, 1).MustBuild()
 	// Sharded-combine smoke: one clustered instance solved per region and by
 	// the single-shard global reference, at the configured worker count.
@@ -126,25 +124,14 @@ func runBenchJSON(dir string, workers int) error {
 				mustRunSharded(shardedIn, nil, shardedCfg)
 			}
 		}},
-		// Exact-solver stack (the Fig2/Fig7 OPT columns): the deterministic
-		// engine at one worker vs the configured worker count. On a
-		// single-core runner the two coincide — the parallel speedup needs a
-		// multicore runner.
-		{"OptSolveSerial", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveOpt(optIn, opt.Options{TimeLimit: 30 * time.Second, Workers: 1})
-			}
-		}},
-		{"OptSolveParallel", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustSolveOpt(optIn, opt.Options{TimeLimit: 30 * time.Second, Workers: workers})
-			}
-		}},
 		{"ChaosRepair", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				repair.Run(chaosIn, chaosMask, chaosP, repair.Config{})
 			}
 		}},
+		// Exact solver (the Fig2/Fig7 OPT columns): the deterministic engine
+		// at one worker vs the configured worker count. On a single-core
+		// runner the two coincide.
 		{"ILPSolveSerial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Workers: 1})
@@ -155,24 +142,6 @@ func runBenchJSON(dir string, workers int) error {
 				mustSolveILP(ilpIn, ilp.Options{TimeLimit: time.Minute, Workers: workers})
 			}
 		}},
-	}
-
-	// Fig-2-scale OPT kernels (≈ 40 ms and ≈ 155 ms serial on the box that
-	// chose the scheduler, DESIGN.md §14): trees of 10⁴–10⁵ nodes, where a
-	// scheduler's fixed start-up cost no longer decides the comparison.
-	for _, sz := range [][2]int{{8, 20}, {10, 15}} {
-		in := config.Paper(sz[0], sz[1], 1).MustBuild()
-		for _, mode := range []struct {
-			name    string
-			workers int
-		}{{"Serial", 1}, {"Parallel", workers}} {
-			o := opt.Options{TimeLimit: 30 * time.Second, Workers: mode.workers}
-			benches = append(benches, kernel{fmt.Sprintf("OptSolveFig2_%dx%d%s", sz[0], sz[1], mode.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					mustSolveOpt(in, o)
-				}
-			}})
-		}
 	}
 
 	out := benchFile{
@@ -224,12 +193,6 @@ func mustRunSharded(in *model.Instance, plan *topology.ShardPlan, cfg combine.Sh
 
 func mustApplyFault(m *chaos.Mask, ev chaos.Event) {
 	if err := m.Apply(ev); err != nil {
-		panic(err)
-	}
-}
-
-func mustSolveOpt(in *model.Instance, o opt.Options) {
-	if _, err := opt.Solve(in, o); err != nil {
 		panic(err)
 	}
 }

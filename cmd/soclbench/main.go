@@ -37,7 +37,7 @@ func main() {
 		svg        = flag.String("svg", "", "directory for SVG chart output (optional)")
 		replot     = flag.String("replot", "", "re-render SVGs from existing CSVs in this directory (skips running experiments)")
 		optLimit   = flag.Duration("opt-limit", 0, "per-solve cap for the exact optimizer (default 30s, 3s with -short)")
-		workers    = flag.Int("workers", 0, "worker pool size for sweeps and the exact solver's branch-and-bound (0 = GOMAXPROCS, 1 = serial; tables are identical either way)")
+		workers    = flag.Int("workers", 0, "worker pool size for sweeps and the exact solver's branch-and-bound (0 = GOMAXPROCS, 1 = serial; tables are identical either way except the *_s columns and fig2's bb_nodes)")
 		shards     = flag.Int("shards", 0, "override the region count of the ext_scale clustered substrates (0 = per-point default)")
 		benchjson  = flag.String("benchjson", "", "run the smoke benchmark suite and write BENCH_<date>.json into this directory (skips experiments)")
 	)

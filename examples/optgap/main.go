@@ -1,5 +1,5 @@
-// Optgap: quantify SoCL's optimality gap against the exact branch-and-bound
-// optimizer (the repository's Gurobi substitute) on instances small enough
+// Optgap: quantify SoCL's optimality gap against the exact MILP optimizer
+// (the repository's Gurobi substitute) on instances small enough
 // to solve exactly, and show the runtime cliff that makes exact solving
 // impractical at scale — the paper's Fig. 2 / Fig. 7 story in one program.
 package main
@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/opt"
+	"repro/internal/ilp"
 )
 
 func main() {
@@ -32,17 +32,16 @@ func main() {
 		}
 		soclTime := time.Since(t0)
 
-		// Warm-start the exact search with SoCL's placement (a standard
-		// MIP-start) and cap it at 10 s per solve.
-		res, err := opt.Solve(in, opt.Options{TimeLimit: 10 * time.Second, WarmStart: &sol.Placement})
+		// Cap the exact search at 10 s per solve.
+		res, p, err := ilp.SolveSoCL(in, ilp.Options{TimeLimit: 10 * time.Second})
 		if err != nil {
 			log.Fatal(err)
 		}
-		optObj := in.Evaluate(res.Placement).Objective
+		optObj := in.Evaluate(p).Objective
 		soclObj := sol.Evaluation.Objective
 		gap := (soclObj - optObj) / optObj * 100
 		status := res.Status.String()
-		if res.Status != opt.Optimal {
+		if res.Status != ilp.Optimal {
 			status += "(cap)"
 		}
 		fmt.Printf("V=%-3d U=%-6d %10.1f %10.1f %8.2f %12v %12v %10s\n",

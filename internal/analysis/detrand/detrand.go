@@ -1,5 +1,5 @@
 // Package detrand enforces determinism in the reproducibility-critical
-// packages (model, combine, topology, stats, ilp, opt, chaos, repair): every
+// packages (model, combine, topology, stats, ilp, chaos, repair): every
 // result there must be a pure function of the instance and an explicit seed.
 //
 // Flagged inside those packages:
@@ -12,7 +12,7 @@
 //     rand.NewSource / rand.NewZipf / rand.NewPCG / rand.NewChaCha8 remains
 //     allowed; *rand.Rand methods are untouched.
 //
-// In the exact-solver packages (ilp, opt) one more pattern is flagged:
+// In the exact-solver package (ilp) one more pattern is flagged:
 // ranging over a map. Go randomizes map iteration order per run, so a map
 // range in a branch-and-bound path can reorder branching decisions or
 // incumbent updates between otherwise identical runs — exactly the
@@ -42,7 +42,6 @@ var deterministicPkgs = map[string]bool{
 	"topology": true,
 	"stats":    true,
 	"ilp":      true,
-	"opt":      true,
 	"chaos":    true,
 	"repair":   true,
 	"serve":    true,
@@ -59,7 +58,6 @@ var deterministicPkgs = map[string]bool{
 // run-vs-rerun determinism bitwise, so it inherits the rule too.
 var mapRangePkgs = map[string]bool{
 	"ilp":    true,
-	"opt":    true,
 	"chaos":  true,
 	"repair": true,
 	"serve":  true,

@@ -1,9 +1,9 @@
 // Package lockbalance checks sync.Mutex / sync.RWMutex pairing per
-// function: the parallel engines guard their shared incumbent stores with
-// short mutex sections (internal/ilp's incumbentStore, internal/opt's
-// optEngine), and an early return between Lock and Unlock deadlocks every
-// worker at the next offer — a hang, not a wrong answer, which is why it
-// deserves a lint rather than a differential test.
+// function: the parallel engines guard their shared state with short mutex
+// sections (internal/ilp's incumbentStore), and an early return between
+// Lock and Unlock deadlocks every worker at the next offer — a hang, not a
+// wrong answer, which is why it deserves a lint rather than a differential
+// test.
 //
 // Per function, for each lock value (identified by its receiver expression,
 // e.g. "e.mu"):

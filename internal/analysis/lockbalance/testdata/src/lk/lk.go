@@ -4,7 +4,7 @@ package lk
 
 import "sync"
 
-// store mirrors ilp's incumbentStore / opt's engine state.
+// store mirrors ilp's incumbentStore.
 type store struct {
 	mu sync.Mutex
 	rw sync.RWMutex

@@ -1,6 +1,6 @@
 // Package parclosure flags unsynchronized writes to captured state inside
 // closures that run on other goroutines — the bug class the parallel
-// branch-and-bound engines (internal/ilp, internal/opt), the parallel
+// branch-and-bound engine (internal/ilp), the parallel
 // fan-outs in model/combine, and the sweep executor
 // (internal/experiments/sweep.go) are all one careless edit away from.
 //

@@ -1,6 +1,5 @@
 // Package bb is the deterministic work-stealing pool behind the parallel
-// branch-and-bound engines (internal/ilp, internal/opt) — the one scheduler
-// both run on (DESIGN.md §14).
+// branch-and-bound engine of internal/ilp (DESIGN.md §14).
 //
 // Structure:
 //
@@ -15,13 +14,13 @@
 //     exit when the count reaches zero.
 //
 // Sharing is adaptive: Ctx.ShouldShare reports whether any worker is
-// currently starving, and the engines push a subtree to the deque only then,
+// currently starving, and the engine pushes a subtree to the deque only then,
 // keeping everything on a private stack otherwise. With one worker nothing is
 // ever idle, so ShouldShare is constantly false and the search runs the exact
 // serial dive — zero pool overhead on the Workers:1 path.
 //
 // The pool itself makes no determinism promise about the schedule — steals
-// depend on timing. The engines' results are schedule-independent by
+// depend on timing. The engine's results are schedule-independent by
 // construction (tie-keeping prunes plus lexicographic incumbent tie-breaks;
 // see internal/ilp's package comment), which is what the Workers:1 ≡
 // Workers:N differential tests pin.

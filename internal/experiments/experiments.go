@@ -34,9 +34,10 @@ type Options struct {
 	// OutDir, when non-empty, receives one CSV per table.
 	OutDir string
 	// Workers bounds the sweep worker pool (runSweep) AND the exact solver's
-	// internal branch-and-bound pool (opt.Options.Workers for the Fig2/Fig7
+	// internal branch-and-bound pool (ilp.Options.Workers for the Fig2/Fig7
 	// OPT columns): 0 means GOMAXPROCS, 1 forces serial execution. Parallel
-	// and serial runs produce identical tables; see sweep.go and DESIGN.md §9
+	// and serial runs produce identical tables apart from wall-clock columns
+	// and fig2's search-tree size (bb_nodes); see sweep.go and DESIGN.md §9
 	// for the two determinism contracts.
 	Workers int
 	// Shards, when positive, overrides the per-point region count of the

@@ -3,22 +3,22 @@ package experiments
 import (
 	"strconv"
 
-	"repro/internal/opt"
+	"repro/internal/ilp"
 )
 
 // Fig2 reproduces Figure 2: runtime of the exact optimizer (the Gurobi
-// stand-in) as the user count grows, for several edge-network sizes. The
-// paper's observation — runtime grows exponentially, over tenfold across
-// the user sweep — is reproduced in shape; each solve is capped at
+// stand-in, ilp.SolveSoCL) as the user count grows, for several
+// edge-network sizes. The paper's observation — runtime grows over tenfold
+// across the user sweep — is reproduced in shape; each solve is capped at
 // Options.OptTimeLimit and capped runs are marked "(cap)" with the
 // incumbent's optimality unproven.
 //
-// Scale note (EXPERIMENTS.md): the paper sweeps 10–30 servers with Gurobi
-// on the y(h,i,k) ILP. Our specialized solver's per-service p-median bound
-// makes instances *easier* as |V| grows (per-service optima stop
-// conflicting), so the hardness frontier — where the exponential growth is
-// visible before the cap — sits at 6–10 servers. The sweep is placed there;
-// the growth-in-|U| shape is identical.
+// Scale note (EXPERIMENTS.md): the paper sweeps 10–30 servers at 40–60
+// users. There every solve finishes in 1–6 s and runtime grows at most
+// 2.4× with |U| (falling at 10 servers), so the sweep sits at 6–10 servers
+// and 20–60 users, where it grows about tenfold along every row.
+// bb_nodes depends on the schedule at Workers > 1; run with -workers 1 to
+// reproduce it.
 func Fig2(opts Options) *Table {
 	nodeScales := []int{6, 8, 10}
 	userScales := []int{20, 40, 60}
@@ -35,20 +35,19 @@ func Fig2(opts Options) *Table {
 	for _, v := range nodeScales {
 		for _, u := range userScales {
 			in := buildInstance(v, u, opts.Seed)
-			res, err := opt.Solve(in, opt.Options{TimeLimit: limit, Workers: opts.Workers})
+			res, _, err := ilp.SolveSoCL(in, ilp.Options{TimeLimit: limit, Workers: opts.Workers})
 			if err != nil {
 				panic(err)
 			}
 			status := res.Status.String()
-			if res.Status != opt.Optimal {
+			if res.Status != ilp.Optimal {
 				status += " (cap)"
 			}
 			t.AddRow(itoa(v), itoa(u), sec(res.Elapsed), status,
-				itoa64(res.Nodes), f1(res.StarObjective))
+				itoa(res.Nodes), f1(res.Objective))
 		}
 	}
 	return t
 }
 
-func itoa(v int) string     { return strconv.Itoa(v) }
-func itoa64(v int64) string { return strconv.FormatInt(v, 10) }
+func itoa(v int) string { return strconv.Itoa(v) }

@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/opt"
+	"repro/internal/ilp"
 )
 
 // Fig7 reproduces Figure 7 (a)–(d): the exact optimizer (OPT) versus SoCL
@@ -66,16 +66,16 @@ func optVsSoCLRow(nodes, users int, label string, limit time.Duration, seed int6
 	soclTime := time.Since(t0)
 	soclObj := sol.Evaluation.Objective
 
-	res, err := opt.Solve(in, opt.Options{TimeLimit: limit, WarmStart: &sol.Placement, Workers: workers})
+	res, p, err := ilp.SolveSoCL(in, ilp.Options{TimeLimit: limit, Workers: workers})
 	if err != nil {
 		panic(err)
 	}
 	optObj := soclObj
 	status := res.Status.String()
-	if res.Status == opt.Optimal || res.Status == opt.Feasible {
-		optObj = in.Evaluate(res.Placement).Objective
+	if res.Status == ilp.Optimal || res.Status == ilp.Feasible {
+		optObj = in.Evaluate(p).Objective
 	}
-	if res.Status != opt.Optimal {
+	if res.Status != ilp.Optimal {
 		status += " (cap)"
 	}
 	gap := 0.0

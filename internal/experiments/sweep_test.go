@@ -59,9 +59,9 @@ func maskCols(tb *Table, cols ...string) [][]string {
 
 // TestSweepParallelMatchesSerial proves the figure generators emit identical
 // tables under the serial and parallel executors — runtime columns excepted,
-// as those measure wall clock by design. Fig2/Fig7 are exempt overall: their
-// capped exact-optimizer solves make even the *objective* columns
-// wall-clock-dependent, which no executor can mask.
+// as those measure wall clock by design. Fig7's OPT points are proven
+// optimal at these scales, so its objective columns must match too. Fig2 is
+// exempt: its bb_nodes column counts a schedule-dependent search tree.
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		serial := Options{Short: true, Seed: seed, Workers: 1}
@@ -71,6 +71,15 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(maskCols(a, "runtime_s"), maskCols(b, "runtime_s")) {
 			t.Fatalf("seed %d: fig8 parallel diverges from serial:\n%v\nvs\n%v",
 				seed, maskCols(a, "runtime_s"), maskCols(b, "runtime_s"))
+		}
+
+		su, sn := Fig7(serial)
+		pu, pn := Fig7(par)
+		for _, tb := range [][2]*Table{{su, pu}, {sn, pn}} {
+			a, b := maskCols(tb[0], "opt_runtime_s", "socl_runtime_s"), maskCols(tb[1], "opt_runtime_s", "socl_runtime_s")
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d: %s parallel diverges from serial:\n%v\nvs\n%v", seed, tb[0].ID, a, b)
+			}
 		}
 
 		f9s, f9p := Fig9(serial), Fig9(par)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/lp"
 	"repro/internal/model"
 	"repro/internal/msvc"
@@ -311,20 +312,27 @@ func TestSolveSoCLTinyIsFeasibleAndBetterThanNaive(t *testing.T) {
 // starObjective computes the Definition-4 objective of a placement with
 // optimal per-step star routing (each step independently picks argmin d̃).
 func starObjective(in *model.Instance, p model.Placement) float64 {
-	obj := in.Lambda * in.DeployCost(p)
+	latency := 0.0
 	for h := range in.Workload.Requests {
-		req := &in.Workload.Requests[h]
-		for t := range req.Chain {
-			best := math.Inf(1)
-			for _, k := range p.NodesOf(req.Chain[t]) {
-				if c := in.StarCoef(req, t, k); c < best {
-					best = c
-				}
-			}
-			obj += (1 - in.Lambda) * best
-		}
+		latency += routedLatency(in, p, &in.Workload.Requests[h])
 	}
-	return obj
+	return in.Lambda*in.DeployCost(p) + (1-in.Lambda)*latency
+}
+
+// routedLatency is req's star latency with every step routed to its cheapest
+// coefficient over p's instances; +Inf when a step has none.
+func routedLatency(in *model.Instance, p model.Placement, req *msvc.Request) float64 {
+	sum := 0.0
+	for t := range req.Chain {
+		best := math.Inf(1)
+		for _, k := range p.NodesOf(req.Chain[t]) {
+			if c := in.StarCoef(req, t, k); c < best {
+				best = c
+			}
+		}
+		sum += best
+	}
+	return sum
 }
 
 // Property: on tiny instances, decoding the MIP solution always yields a
@@ -353,5 +361,36 @@ func TestSoCLILPPlacementCoversAllServices(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSolveSoCLValidatesInstance(t *testing.T) {
+	in := soclInstance(4, 4, 6)
+	in.Lambda = 2
+	if _, _, err := SolveSoCL(in, Options{}); err == nil {
+		t.Fatal("invalid instance accepted")
+	}
+}
+
+// A time limit stops the search after the root (fractional on this
+// instance): what it returns is an incumbent or nothing, never a proof and
+// never a false infeasibility.
+func TestSolveSoCLTimeLimit(t *testing.T) {
+	in := config.Paper(8, 20, 1).MustBuild()
+	res, p, err := SolveSoCL(in, Options{TimeLimit: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch res.Status {
+	case Feasible:
+		if _, feasible := starRouted(in, p); !feasible {
+			t.Fatal("incumbent infeasible")
+		}
+	case NoSolution:
+		if p.X != nil {
+			t.Fatal("placement decoded without an incumbent")
+		}
+	default:
+		t.Fatalf("status %v, want feasible or no-solution at the limit", res.Status)
 	}
 }

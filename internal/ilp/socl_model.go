@@ -142,3 +142,19 @@ func BuildSoCLBounded(in *model.Instance) (*BoundedMIP, *VarMap) {
 	}
 	return &BoundedMIP{Prob: p, Integer: integer}, vm
 }
+
+// SolveSoCL validates in, builds its Definition-4 ILP, solves it and decodes
+// the deployment of the incumbent. The placement is the zero value when the
+// search ends without an incumbent (Infeasible, NoSolution). This is the
+// exact optimizer behind the paper's OPT (Figs. 2 and 7).
+func SolveSoCL(in *model.Instance, opt Options) (Result, model.Placement, error) {
+	if err := in.Validate(); err != nil {
+		return Result{}, model.Placement{}, err
+	}
+	m, vm := BuildSoCLBounded(in)
+	res, err := SolveBounded(m, opt)
+	if err != nil || res.X == nil {
+		return res, model.Placement{}, err
+	}
+	return res, vm.Placement(res.X), nil
+}

@@ -14,9 +14,9 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/ilp"
 	"repro/internal/model"
 	"repro/internal/msvc"
-	"repro/internal/opt"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -38,15 +38,15 @@ func makeInstance(nodes, users int, seed int64, budget float64) *model.Instance 
 func TestSoCLGapAgainstProvenOptimum(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		in := makeInstance(8, 12, seed, 8000)
-		res, err := opt.Solve(in, opt.Options{TimeLimit: 20 * time.Second})
+		res, p, err := ilp.SolveSoCL(in, ilp.Options{TimeLimit: 20 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Status != opt.Optimal {
+		if res.Status != ilp.Optimal {
 			t.Logf("seed %d: optimum unproven in time, skipping", seed)
 			continue
 		}
-		optObj := in.Evaluate(res.Placement).Objective
+		optObj := in.Evaluate(p).Objective
 		sol, err := core.Solve(in, core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)

@@ -8,9 +8,8 @@
 // from scratch, and WarmSolver, a sparse revised simplex that re-solves one
 // problem under a sequence of bound changes from the previous basis. It is
 // the foundation of this repository's Gurobi substitution (see DESIGN.md):
-// package ilp builds a branch-and-bound MILP solver on WarmSolver, with
-// SolveBounded as the independent cold reference, and package opt
-// cross-validates its specialized exact solver against it. The
+// package ilp builds the branch-and-bound MILP solver behind the figures' OPT
+// on WarmSolver, with SolveBounded as the independent cold reference. The
 // implementation favours clarity and numerical robustness (Bland's
 // anti-cycling rule after a Dantzig phase) over large-scale performance —
 // the paper's point, after all, is that exact solving does not scale.

@@ -2,7 +2,7 @@ package model
 
 // Float-comparison tolerances shared by every algorithm in the repository.
 // They were historically scattered as bare literals across internal/model,
-// internal/baselines, internal/combine and internal/opt; any drift between
+// internal/baselines, internal/combine and the exact solvers; any drift between
 // call sites would let two components disagree about feasibility of the same
 // placement, so the values live here, next to the evaluator that defines
 // Eq. 1–6.

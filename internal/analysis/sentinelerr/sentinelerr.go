@@ -6,7 +6,10 @@
 //  1. ==/!= comparison of error values against anything but nil: wrapped
 //     sentinels never compare equal — use errors.Is.
 //  2. Type assertion of an error to a concrete error type (x.(ErrFoo) or a
-//     type switch over an error): use errors.As, which unwraps.
+//     type switch over an error): use errors.As, which unwraps. An assertion
+//     on an error variable the same function also hands to errors.As is a
+//     fast path in front of the unwrapping check, not a replacement for it,
+//     and is not flagged.
 //  3. Calls to functions annotated `//socllint:sentinel <Name>` (functions
 //     whose error result carries a sentinel the caller must branch on):
 //     discarding the error result — or handling it while the enclosing
@@ -46,12 +49,13 @@ func run(pass *analysis.Pass) (any, error) {
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	branchesOnSentinel := usesErrorBranding(pass, fd.Body)
+	unwrapped := errorsAsArgs(pass, fd.Body)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
 			checkComparison(pass, n)
 		case *ast.TypeAssertExpr:
-			checkAssertion(pass, n)
+			checkAssertion(pass, n, unwrapped)
 		case *ast.AssignStmt:
 			checkSentinelCallAssign(pass, n, branchesOnSentinel)
 		case *ast.ExprStmt:
@@ -80,9 +84,11 @@ func checkComparison(pass *analysis.Pass, be *ast.BinaryExpr) {
 	pass.Reportf(be.OpPos, "errors compared with %s never match wrapped sentinels; use errors.Is", be.Op)
 }
 
-// checkAssertion flags err.(ConcreteError); type switches produce implicit
-// TypeAssertExpr nodes with nil Type, handled by the switch's case clauses.
-func checkAssertion(pass *analysis.Pass, ta *ast.TypeAssertExpr) {
+// checkAssertion flags err.(ConcreteError) unless err is a variable in
+// unwrapped, one the function also hands to errors.As; type switches produce
+// implicit TypeAssertExpr nodes with nil Type, handled by the switch's case
+// clauses.
+func checkAssertion(pass *analysis.Pass, ta *ast.TypeAssertExpr, unwrapped map[types.Object]bool) {
 	if !isErrorType(pass.TypeOf(ta.X)) {
 		return
 	}
@@ -90,9 +96,40 @@ func checkAssertion(pass *analysis.Pass, ta *ast.TypeAssertExpr) {
 		pass.Reportf(ta.Pos(), "type switch on an error does not unwrap; use errors.As")
 		return
 	}
+	if id, ok := ta.X.(*ast.Ident); ok && unwrapped[pass.ObjectOf(id)] {
+		return // a fast path in front of errors.As on the same error
+	}
 	if implementsError(pass.TypeOf(ta.Type)) {
 		pass.Reportf(ta.Pos(), "type assertion on an error does not unwrap; use errors.As")
 	}
+}
+
+// errorsAsArgs collects the variables body passes to errors.As as the error
+// to unwrap.
+func errorsAsArgs(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
+	var vars map[types.Object]bool
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 2 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "As" {
+			return true
+		}
+		fn, ok := pass.ObjectOf(sel.Sel).(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "errors" {
+			return true
+		}
+		if id, ok := call.Args[0].(*ast.Ident); ok {
+			if vars == nil {
+				vars = make(map[types.Object]bool)
+			}
+			vars[pass.ObjectOf(id)] = true
+		}
+		return true
+	})
+	return vars
 }
 
 // checkSentinelCallAssign flags assignments from sentinel-annotated calls

@@ -49,6 +49,22 @@ func properAs(err error) bool {
 	return errors.As(err, &nf) // ok
 }
 
+func assertThenAs(err error) bool {
+	if _, ok := err.(notFoundError); ok { // ok: a fast path, errors.As unwraps below
+		return true
+	}
+	var nf notFoundError
+	return errors.As(err, &nf)
+}
+
+func assertThenAsOnAnother(err, other error) bool {
+	if _, ok := err.(notFoundError); ok { // want "type assertion on an error does not unwrap; use errors.As"
+		return true
+	}
+	var nf notFoundError
+	return errors.As(other, &nf)
+}
+
 func nonErrorAssert(v interface{}) bool {
 	_, ok := v.(int) // ok: not an error assertion
 	return ok

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/msvc"
@@ -44,11 +45,11 @@ import (
 // these were added" from per-request memos. AnyLate answers a single Eq. 4
 // question, "is some request late?", and stops at the first cached answer.
 //
-// The workload may change too, through one method: SetRequests re-points the
-// evaluator at an edited request list and carries a cached route over exactly
-// when the request it belongs to is still the same request (see there). That
-// is what lets a serving daemon keep one evaluator bound across arrivals,
-// departures and moves and pay re-routing only for the requests that changed.
+// The workload may change too, through one method: EditRequests applies a
+// batch of departures, moves and arrivals to the bound list and keeps the
+// cached route of every survivor that did not move (see there). That is what
+// lets a serving daemon keep one evaluator bound across admissions and pay
+// only for the requests that changed.
 
 // deltaRoute is one request's cached routing outcome under the bound
 // placement. The class flags mirror EvaluateRouted's routeOne: exactly one
@@ -137,12 +138,8 @@ type DeltaEvaluator struct {
 	routes    []deltaRoute // per-request cache
 	chainReqs [][]int      // service → requests whose chain contains it
 
-	// Workload edits (SetRequests): own is the evaluator's private workload,
-	// holding its own copy of the request list the cache was routed against —
-	// nil while the evaluator still aliases the list it was bound to — and
-	// reqGen counts the edits, so an undo record taken before one cannot be
-	// reverted after it.
-	own    *msvc.Workload
+	// Workload edits (EditRequests) counted, so that an undo record taken
+	// before one cannot be reverted after it.
 	reqGen uint64
 
 	scratch  *RouteScratch
@@ -190,7 +187,7 @@ type evalStamp struct{ epoch, reqGen, lambda, budget uint64 }
 // further mutations must go through Apply/Revert/AdvanceTo or Rebind.
 // Lambda and Budget may change on in between Evals — objective and
 // constraint checks are recomputed fresh — but the graph must not, and the
-// workload only through SetRequests.
+// workload only through EditRequests.
 func NewDeltaEvaluator(in *Instance, p Placement, mode RoutingMode, seed int64) *DeltaEvaluator {
 	d := &DeltaEvaluator{
 		in:      in,
@@ -211,29 +208,19 @@ func NewDeltaEvaluator(in *Instance, p Placement, mode RoutingMode, seed int64) 
 	for i := range d.kappa {
 		d.kappa[i] = in.Workload.Catalog.Service(i).DeployCost
 	}
-	d.indexChains()
+	for h := range in.Workload.Requests {
+		d.indexChain(h)
+	}
 	return d
 }
 
-// indexChains rebuilds chainReqs for the bound request list: each request
-// once per distinct service of its chain, ascending in h.
-func (d *DeltaEvaluator) indexChains() {
-	for svc := range d.chainReqs {
-		d.chainReqs[svc] = d.chainReqs[svc][:0]
-	}
-	reqs := d.in.Workload.Requests
-	for h := range reqs {
-		for t, svc := range reqs[h].Chain {
-			dup := false
-			for _, prev := range reqs[h].Chain[:t] {
-				if prev == svc {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				d.chainReqs[svc] = append(d.chainReqs[svc], h)
-			}
+// indexChain files request h, the last one indexed so far, under each
+// distinct service of its chain: chainReqs stays ascending in h.
+func (d *DeltaEvaluator) indexChain(h int) {
+	chain := d.in.Workload.Requests[h].Chain
+	for t, svc := range chain {
+		if !slices.Contains(chain[:t], svc) {
+			d.chainReqs[svc] = append(d.chainReqs[svc], h)
 		}
 	}
 }
@@ -243,9 +230,9 @@ func sameStorage[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// sameRequest is the carry-over rule of SetRequests: b is the request a was
-// routed as. The ID alone never decides it — a replayed script may re-use the
-// ID of a departed request for a different one — and nothing here reads a
+// sameRequest is BoundTo's rule for a foreign workload: b is the request a
+// was routed as. The ID alone never decides it — a replayed script may re-use
+// the ID of a departed request for a different one — and nothing here reads a
 // chain's contents: a request whose chain or data sizes change is a new
 // admission with storage of its own.
 func sameRequest(a, b *msvc.Request) bool {
@@ -255,69 +242,117 @@ func sameRequest(a, b *msvc.Request) bool {
 		math.Float64bits(a.DataOut) == math.Float64bits(b.DataOut)
 }
 
-// SetRequests re-points the evaluator at an edited request list — a serving
-// daemon's arrivals, departures and moves — in place of a re-bind. reqs is
-// copied (the headers; chain storage is shared), so the caller may go on
-// editing its list in place, and the evaluator continues on a private copy of
-// its Instance carrying that snapshot: the caller's Instance is no longer
-// read.
+// Workload is the workload the evaluator is bound to. EditRequests edits its
+// request list in place, so an instance that carries it carries the
+// evaluator's own requests — which BoundTo recognizes without a comparison.
+func (d *DeltaEvaluator) Workload() *msvc.Workload { return d.in.Workload }
+
+// EditRequests applies one batch of admission edits — a serving daemon's
+// departures, moves and arrivals — to the bound workload, in place of a
+// re-bind. The bound request list is edited in place, so an evaluator that is
+// edited must be bound over a workload of its own. The batch is described
+// against the list as the evaluator holds it:
 //
-// A cached route is carried over exactly when its request is still the same
-// one under sameRequest and the routing is optimal or greedy, where a route
-// depends on the request and the placement alone. RouteModeRandom derives
-// each request's stream from its index, so every route is dropped. Requests
-// are matched by ID in the order an admission queue edits a list — survivors
-// keep their relative order, arrivals are appended — in one forward pass; a
-// list edited any other way is still evaluated exactly, its unmatched
-// requests are merely re-routed. The first call carries nothing: until then
-// the evaluator aliased a list the caller may since have edited.
+//   - gone lists, ascending, the indices of the requests that departed;
+//   - the survivors keep their order, and reqs — the caller's edited list —
+//     starts with them; reqs[h] for h in moved is a survivor whose Home
+//     changed (an index past the survivors names an arrival and is ignored);
+//   - the rest of reqs are arrivals, appended in order.
 //
-// Probe memos are dropped, and a Delta taken before the call can no longer be
-// reverted (its saved routes index the old list).
-func (d *DeltaEvaluator) SetRequests(reqs []msvc.Request) {
-	d.checkEpoch("SetRequests")
-	if d.own == nil {
-		in := *d.in
-		d.own = &msvc.Workload{Catalog: in.Workload.Catalog}
-		in.Workload = d.own
-		d.in = &in
+// Every departure compacts the cache in one pass and every survivor keeps its
+// route, except a moved one and — under RouteModeRandom, whose streams derive
+// from a request's index — every one from the first departure on. An edit the
+// batch does not describe is not seen: soclinvariants builds check the edited
+// list against reqs. Probe memos are dropped, and a Delta taken before the
+// call can no longer be reverted (its saved routes index the old list). An
+// empty batch changes nothing.
+func (d *DeltaEvaluator) EditRequests(reqs []msvc.Request, gone, moved []int) {
+	d.checkEpoch("EditRequests")
+	w := d.compact(gone)
+	if len(reqs) < w {
+		panic(fmt.Sprintf("model: DeltaEvaluator.EditRequests with %d requests, fewer than the %d survivors", len(reqs), w))
 	}
-	// Compacting the cache in place is safe: every matched request consumed
-	// an old index of its own, in ascending order, so request h reads k >= h
-	// and nothing after it reads below k.
-	old, h := d.own.Requests, 0
-	if d.mode != RouteModeRandom {
-		for j := 0; h < len(reqs); h++ {
-			k := j
-			for k < len(old) && old[k].ID != reqs[h].ID {
-				k++
-			}
-			if k == len(old) {
-				break // an arrival, and arrivals are appended: no survivor follows
-			}
-			j = k + 1
-			if sameRequest(&old[k], &reqs[h]) {
-				d.routes[h] = d.routes[k]
-			} else {
-				d.routes[h] = deltaRoute{}
-			}
+	if len(gone) == 0 && len(reqs) == w && len(moved) == 0 {
+		return
+	}
+	own := d.in.Workload.Requests
+	for _, h := range moved {
+		if h < w {
+			own[h] = reqs[h]
+			d.routes[h] = deltaRoute{}
 		}
 	}
-	d.routes = append(d.routes[:h], make([]deltaRoute, len(reqs)-h)...)
-	d.chainGen = append(d.chainGen[:0], make([]uint64, len(reqs))...)
+	if d.mode == RouteModeRandom && len(gone) > 0 {
+		clear(d.routes[gone[0]:])
+	}
+	own = append(own, reqs[w:]...)
+	d.in.Workload.Requests = own
+	d.routes = append(d.routes, make([]deltaRoute, len(own)-w)...)
+	for h := w; h < len(own); h++ {
+		d.indexChain(h)
+	}
+	d.chainGen = append(d.chainGen[:0], make([]uint64, len(own))...)
 	d.altGen, d.altLat, d.altSet = nil, nil, nil
 	d.dropAddProbe()
-
-	d.own.Requests = append(old[:0], reqs...)
 	d.reqGen++
-	d.indexChains()
+	d.selfCheckEdit(reqs)
+}
+
+// compact removes the requests at the ascending indices gone from the bound
+// list, the route cache and chainReqs in one pass, and returns the number of
+// survivors.
+func (d *DeltaEvaluator) compact(gone []int) int {
+	reqs := d.in.Workload.Requests
+	if len(gone) == 0 {
+		return len(reqs)
+	}
+	for j, r := range gone {
+		if r < 0 || r >= len(reqs) || (j > 0 && r <= gone[j-1]) {
+			panic(fmt.Sprintf("model: DeltaEvaluator.EditRequests: departures %v are not ascending indices of the %d requests", gone, len(reqs)))
+		}
+	}
+	d.in.Workload.Requests = RemoveSorted(reqs, gone)
+	d.routes = RemoveSorted(d.routes, gone)
+	for svc, list := range d.chainReqs {
+		i, _ := slices.BinarySearch(list, gone[0])
+		out, g := i, 0
+		for _, h := range list[i:] {
+			for g < len(gone) && gone[g] < h {
+				g++
+			}
+			if g < len(gone) && gone[g] == h {
+				continue
+			}
+			list[out] = h - g // g departures precede h
+			out++
+		}
+		d.chainReqs[svc] = list[:out]
+	}
+	return len(d.routes)
+}
+
+// RemoveSorted removes the elements at the ascending indices idx from s in
+// one pass and zeroes the freed tail, so that nothing removed is kept alive:
+// the compaction EditRequests applies to the bound list, for a caller that
+// keeps lists of its own in step with it.
+func RemoveSorted[T any](s []T, idx []int) []T {
+	w := idx[0]
+	for j, r := range idx {
+		next := len(s)
+		if j+1 < len(idx) {
+			next = idx[j+1]
+		}
+		w += copy(s[w:], s[r+1:next])
+	}
+	clear(s[w:])
+	return s[:w]
 }
 
 // BoundTo reports whether the evaluator scores exactly what a fresh one
 // bound to (in, mode, seed) would: the same substrate, catalog, trade-off,
 // budget, cloud and cold-start model, and request for request the same
-// workload. A consumer handed a long-lived evaluator checks this before
-// trusting it.
+// workload — at once when in carries the evaluator's own Workload. A consumer
+// handed a long-lived evaluator checks this before trusting it.
 func (d *DeltaEvaluator) BoundTo(in *Instance, mode RoutingMode, seed int64) bool {
 	b := d.in
 	if b.Graph != in.Graph || b.Workload.Catalog != in.Workload.Catalog ||
@@ -327,6 +362,9 @@ func (d *DeltaEvaluator) BoundTo(in *Instance, mode RoutingMode, seed int64) boo
 		d.mode != mode || (mode == RouteModeRandom && d.seed != seed) ||
 		len(b.Workload.Requests) != len(in.Workload.Requests) {
 		return false
+	}
+	if b.Workload == in.Workload {
+		return true // the evaluator's own workload: its requests are the ones routed
 	}
 	for h := range in.Workload.Requests {
 		if !sameRequest(&b.Workload.Requests[h], &in.Workload.Requests[h]) {
@@ -415,7 +453,7 @@ func (d *DeltaEvaluator) Revert(dl *Delta) {
 	}
 	dl.reverted = true
 	if dl.reqGen != d.reqGen {
-		panic("model: DeltaEvaluator.Revert of a delta taken before SetRequests")
+		panic("model: DeltaEvaluator.Revert of a delta taken before EditRequests")
 	}
 	if dl.noop {
 		return
@@ -832,7 +870,7 @@ func (d *DeltaEvaluator) deployCostExcluding(svc, node int) float64 {
 // Eval returns the exact evaluation of the bound placement — bit-identical
 // to in.EvaluateRouted(Placement(), mode, seed) — re-routing only requests
 // invalidated since the previous Eval. When nothing has moved since that
-// call — no Apply, Revert, Rebind, SetRequests or AdvanceTo that changed a
+// call — no Apply, Revert, Rebind, EditRequests or AdvanceTo that changed a
 // bit, and the same Lambda and Budget — it returns the previous call's
 // evaluation itself, counted as a refresh that found nothing dirty. A
 // returned Evaluation is therefore read-only: the previous and the next

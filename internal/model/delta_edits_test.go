@@ -13,9 +13,10 @@ import (
 
 // This file is the generated differential test of the delta evaluator,
 // workload edits included: one DeltaEvaluator is walked through a random
-// sequence of arrivals, departures, moves, placement mutations and probes, and after
-// every step its Eval must equal, bit for bit, a scratch EvaluateRouted on a
-// copy of the edited workload. A walk is a byte string — one scenario byte,
+// sequence of arrivals, departures, moves, placement mutations and probes,
+// and after every step its Eval must equal, bit for bit, a scratch
+// EvaluateRouted on a copy of the edited workload — and after every batch of
+// edits, a fresh evaluator bound to that copy. A walk is a byte string — one scenario byte,
 // then three bytes an operation — so the same driver serves the seeded test
 // and the native fuzz target.
 
@@ -105,8 +106,63 @@ func editRequest(id, n, home int) msvc.Request {
 	return req
 }
 
-// runEditWalk plays data on one evaluator and checks every step against a
-// scratch evaluation of the edited workload.
+// editBatch records the admission edits a walk makes between two syncs the
+// way a queue sees them — request by request on the caller's list — and
+// turns them into an EditRequests batch: origin[h] is active[h]'s index in
+// the list the evaluator holds (-1 for an arrival of this batch), moved[h]
+// marks a re-homed request.
+type editBatch struct {
+	held    int
+	origin  []int
+	moved   []bool
+	pending bool
+}
+
+func (b *editBatch) reset(n int) {
+	b.held, b.pending = n, false
+	b.origin, b.moved = b.origin[:0], b.moved[:0]
+	for h := 0; h < n; h++ {
+		b.origin, b.moved = append(b.origin, h), append(b.moved, false)
+	}
+}
+
+func (b *editBatch) arrive() {
+	b.origin, b.moved, b.pending = append(b.origin, -1), append(b.moved, false), true
+}
+
+func (b *editBatch) depart(h int) {
+	b.origin = append(b.origin[:h], b.origin[h+1:]...)
+	b.moved = append(b.moved[:h], b.moved[h+1:]...)
+	b.pending = true
+}
+
+func (b *editBatch) move(h int) { b.moved[h], b.pending = true, true }
+
+// batch is the recorded edits as EditRequests takes them: the departed
+// indices of the held list, ascending, and the moved survivors' new indices.
+func (b *editBatch) batch() (gone, moved []int) {
+	kept := make([]bool, b.held)
+	for h, o := range b.origin {
+		if o >= 0 {
+			kept[o] = true
+			if b.moved[h] {
+				moved = append(moved, h)
+			}
+		}
+	}
+	for o, k := range kept {
+		if !k {
+			gone = append(gone, o)
+		}
+	}
+	return gone, moved
+}
+
+// runEditWalk plays data on one evaluator and checks every synced step
+// against a scratch evaluation of the edited workload and, after every batch
+// of edits, against a fresh evaluator bound to the edited list. Operations 0–5
+// edit the list the way an admission queue does and accumulate into one
+// batch; every other operation syncs the batch first.
 func runEditWalk(t testing.TB, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -125,11 +181,13 @@ func runEditWalk(t testing.TB, data []byte) {
 	for ; admitted < 5; admitted++ {
 		active = append(active, editRequest(admitted, admitted, admitted))
 	}
+	// The evaluator edits the workload it is bound to: give it its own list.
 	in.Workload.Requests = append([]msvc.Request(nil), active...)
 	de := NewDeltaEvaluator(in, p, sc.mode, seed)
+	var rec editBatch
+	rec.reset(len(active))
 
-	// scratch evaluates a placement on a private copy of the live list: the
-	// walk edits active in place, exactly as the daemon edits its own.
+	// scratch evaluates a placement on a private copy of the live list.
 	scratch := func(q Placement) *Evaluation {
 		ref := *in
 		ref.Workload = &msvc.Workload{Catalog: in.Workload.Catalog, Requests: append([]msvc.Request(nil), active...)}
@@ -146,6 +204,28 @@ func runEditWalk(t testing.TB, data []byte) {
 	}
 	check(-1, "bound")
 
+	// sync applies the recorded batch and holds the evaluator, field for
+	// field, against a fresh one bound to a copy of the edited list.
+	sync := func(step int) {
+		t.Helper()
+		gone, moved := rec.batch()
+		de.EditRequests(active, gone, moved)
+		rec.reset(len(active))
+		ref := *in
+		ref.Workload = &msvc.Workload{Catalog: in.Workload.Catalog, Requests: append([]msvc.Request(nil), active...)}
+		fresh := NewDeltaEvaluator(&ref, de.Placement().Clone(), sc.mode, seed)
+		label := fmt.Sprintf("%s step %d: after departures %v and moves %v", sc, step, gone, moved)
+		for h := range active {
+			if !sameRequest(&de.Workload().Requests[h], &fresh.Workload().Requests[h]) {
+				t.Fatalf("%s: request %d is %+v, want %+v", label, h, de.Workload().Requests[h], active[h])
+			}
+		}
+		if len(de.Workload().Requests) != len(active) || !slices.EqualFunc(de.chainReqs, fresh.chainReqs, slices.Equal[[]int]) {
+			t.Fatalf("%s: %d requests, chainReqs %v, a fresh evaluator has %d, %v", label, len(de.Workload().Requests), de.chainReqs, len(active), fresh.chainReqs)
+		}
+		assertEvalIdentical(t, label, de.Eval(), fresh.Eval())
+	}
+
 	checkLate := func(step int, label string) {
 		t.Helper()
 		want := lateCount(active, scratch(de.Placement())) > 0
@@ -153,52 +233,68 @@ func runEditWalk(t testing.TB, data []byte) {
 			t.Fatalf("%s step %d %s: AnyLate = %v, scratch has late requests: %v", sc, step, label, got, want)
 		}
 	}
+	depart := func(i int) {
+		active = append(active[:i], active[i+1:]...)
+		rec.depart(i)
+	}
+	arrive := func(req msvc.Request) {
+		active = append(active, req)
+		rec.arrive()
+	}
 
 	ops := data[1:]
 	for step := 0; step+2 < len(ops); step += 3 {
-		op, a, b := ops[step]%15, int(ops[step+1]), int(ops[step+2])
+		op, a, b := ops[step]%16, int(ops[step+1]), int(ops[step+2])
 		svc, node := a%editServices, b%editNodes
-		edited := false
+		if op > 5 && rec.pending {
+			sync(step)
+		}
 		switch op {
 		case 0: // arrive, appended
-			active = append(active, editRequest(admitted, admitted, b))
+			arrive(editRequest(admitted, admitted, b))
 			admitted++
-			edited = true
 		case 1: // depart
 			if len(active) > 0 {
-				i := a % len(active)
-				active = append(active[:i], active[i+1:]...)
-				edited = true
+				depart(a % len(active))
 			}
-		case 2: // move, in place
+		case 2: // move, in place — the last request when a is odd
 			if len(active) > 0 {
-				active[a%len(active)].Home = node
-				edited = true
+				i := a % len(active)
+				if a&1 == 1 {
+					i = len(active) - 1
+				}
+				active[i].Home = node
+				rec.move(i)
 			}
-		case 3: // a departed ID comes back as a different request
+		case 3: // a departed ID comes back at once as a different request
 			if len(active) > 0 {
 				i := a % len(active)
 				id := active[i].ID
-				active = append(active[:i], active[i+1:]...)
-				active = append(active, editRequest(id, admitted+1+b, b))
+				depart(i)
+				arrive(editRequest(id, admitted+1+b, b))
 				admitted++
-				edited = true
 			}
-		case 4: // an edit outside the admission discipline: two requests swap places
-			if len(active) > 1 {
-				i, j := a%len(active), b%len(active)
-				active[i], active[j] = active[j], active[i]
-				edited = true
+		case 4: // several departures
+			for j := 0; j < 2+b%3 && len(active) > 0; j++ {
+				depart((a + 3*j) % len(active))
 			}
-		case 5: // permanent flip (last-instance removals included)
+		case 5: // full turnover: everything departs, a few arrive
+			for len(active) > 0 {
+				depart(len(active) - 1 - a%len(active))
+			}
+			for j := 0; j <= b%4; j++ {
+				arrive(editRequest(admitted, admitted, b+j))
+				admitted++
+			}
+		case 6: // permanent flip (last-instance removals included)
 			de.Apply(svc, node, !de.Placement().Has(svc, node))
-		case 6: // probe: apply, score, revert
+		case 7: // probe: apply, score, revert
 			before := de.Eval()
 			dl := de.Apply(svc, node, !de.Placement().Has(svc, node))
 			check(step, "probe")
 			de.Revert(dl)
 			assertEvalIdentical(t, sc.String()+"/revert", de.Eval(), before)
-		case 7: // counterfactual removal
+		case 8: // counterfactual removal
 			cf := de.Placement().Clone()
 			cf.Set(svc, node, false)
 			want := scratch(cf)
@@ -206,7 +302,7 @@ func runEditWalk(t testing.TB, data []byte) {
 			if math.Float64bits(obj) != math.Float64bits(want.Objective) || over != want.OverBudget {
 				t.Fatalf("%s step %d: ProbeRemoval(%d,%d) = (%v, %v), scratch (%v, %v)", sc, step, svc, node, obj, over, want.Objective, want.OverBudget)
 			}
-		case 8: // jump to an unrelated placement, where service 3 is scarce
+		case 9: // jump to an unrelated placement, where service 3 is scarce
 			q := NewPlacement(editServices, editNodes)
 			for i := 0; i < editServices; i++ {
 				for k := 0; k < editNodes; k++ {
@@ -218,9 +314,9 @@ func runEditWalk(t testing.TB, data []byte) {
 				}
 			}
 			de.AdvanceTo(q)
-		case 9: // sync with nothing edited
-			edited = true
-		case 10: // counterfactual additions: one service, then a bundle next door
+		case 10: // sync, the batch empty unless edits preceded
+			sync(step)
+		case 11: // counterfactual additions: one service, then a bundle next door
 			probeAdd := func(node int, svcs ...int) {
 				t.Helper()
 				cf := de.Placement().Clone()
@@ -237,9 +333,9 @@ func runEditWalk(t testing.TB, data []byte) {
 			}
 			probeAdd(node, svc)
 			probeAdd((node+1)%editNodes, svc, (svc+1+b%3)%editServices, svc)
-		case 11: // Eq. 4 verdict
+		case 12: // Eq. 4 verdict
 			checkLate(step, "verdict")
-		case 12: // a combine serial step: a removal, migrations (add, then
+		case 13: // a combine serial step: a removal, migrations (add, then
 			// remove), a verdict or an Eval, and a roll-back in LIFO order
 			before := de.Placement().Clone()
 			dls := []*Delta{de.Apply(svc, node, false)}
@@ -262,34 +358,36 @@ func runEditWalk(t testing.TB, data []byte) {
 					}
 				}
 			}
-		case 13: // Eval twice with nothing in between: the second republishes
+		case 14: // Eval twice with nothing in between: the second republishes
 			first := de.Eval()
 			hits, recomputed := de.Hits, de.Recomputed
 			if de.Eval() != first || de.Hits != hits+len(active) || de.Recomputed != recomputed {
 				t.Fatalf("%s step %d: a second Eval was not a republish counted as a clean refresh", sc, step)
 			}
-		case 14: // the trade-off, then the budget, move under the binding
-			// (after SetRequests the evaluator reads its own copy of in)
+		case 15: // the trade-off, then the budget, move under the binding
 			for _, w := range []struct {
-				mine, its *float64
-				v         float64
+				f *float64
+				v float64
 			}{
-				{&in.Lambda, &de.in.Lambda, 0.25 * float64(1+a%4)},
-				{&in.Budget, &de.in.Budget, 600 + 150*float64(b%4)},
+				{&in.Lambda, 0.25 * float64(1+a%4)},
+				{&in.Budget, 600 + 150*float64(b%4)},
 			} {
 				before := de.Eval()
-				moved := math.Float64bits(*w.its) != math.Float64bits(w.v)
-				*w.mine, *w.its = w.v, w.v
+				moved := math.Float64bits(*w.f) != math.Float64bits(w.v)
+				*w.f = w.v
 				if moved && de.Eval() == before {
 					t.Fatalf("%s step %d: Eval republished an evaluation of other weights", sc, step)
 				}
 				check(step, "weights")
 			}
 		}
-		if edited {
-			de.SetRequests(active)
+		if !rec.pending {
+			check(step, "op")
 		}
-		check(step, "op")
+	}
+	if rec.pending {
+		sync(len(ops))
+		check(len(ops), "last batch")
 	}
 }
 
@@ -304,12 +402,30 @@ func generatedEditWalk(sc byte, n int, seed int64) []byte {
 	return data
 }
 
+// editCases are walks every scenario plays before the generated ones, so
+// that each batch shape the daemon makes is covered whatever the generator
+// draws: several departures in one batch, a departure and the re-arrival of
+// its ID, a move of the last request, and full turnover — each followed by a
+// placement mutation and a probe, so that the edited cache is mutated too.
+var editCases = [][]byte{
+	{1, 0, 0, 1, 3, 0, 1, 1, 0, 6, 1, 2, 7, 2, 4},                    // three departs, one batch
+	{4, 2, 1, 0, 0, 3, 10, 0, 0, 7, 0, 1},                            // several departs and an arrival
+	{3, 1, 2, 2, 4, 1, 10, 0, 0, 8, 2, 0},                            // depart and re-arrive one ID, a move
+	{2, 1, 3, 10, 0, 0, 6, 3, 1, 2, 3, 5, 10, 0, 0},                  // move the last request
+	{5, 0, 2, 6, 1, 4, 5, 3, 3, 0, 0, 1, 7, 1, 2},                    // full turnover, twice
+	{0, 0, 1, 1, 5, 0, 10, 0, 0, 0, 0, 1, 5, 1, 0, 3, 0, 2, 2, 1, 1}, // arrive and depart in one batch; turnover, re-arrival and a move in another
+}
+
 // TestDeltaEvaluatorEditsGenerated: every scenario — three routing modes ×
-// cloud × islands × cold starts — over generated walks.
+// cloud × islands × cold starts — over the fixed edit cases and generated
+// walks.
 func TestDeltaEvaluatorEditsGenerated(t *testing.T) {
 	for sc := byte(0); sc < 32; sc++ {
 		if sc&3 == 3 {
 			continue // decodes to the same mode as 0
+		}
+		for _, c := range editCases {
+			runEditWalk(t, append([]byte{sc}, c...))
 		}
 		for seed := int64(1); seed <= 3; seed++ {
 			runEditWalk(t, generatedEditWalk(sc, 60, seed))
@@ -322,7 +438,9 @@ func FuzzDeltaEvaluatorEdits(f *testing.F) {
 	for sc := byte(0); sc < 32; sc += 5 {
 		f.Add(generatedEditWalk(sc, 24, int64(sc)+1))
 	}
-	f.Add([]byte{0, 3, 1, 1, 2, 0, 4, 5, 2, 2, 1, 2, 3}) // ID re-use, then a move
+	for i, c := range editCases {
+		f.Add(append([]byte{byte(i)}, c...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1+3*200 {
 			data = data[:1+3*200]
@@ -331,79 +449,86 @@ func FuzzDeltaEvaluatorEdits(f *testing.F) {
 	})
 }
 
-// TestSetRequestsCarriesRoutes pins what the generated walks cannot see —
-// that a synced evaluator re-routes only what changed: the moved request and
-// the arrival, not the departed request's neighbours; an ID that comes back
-// as another request is re-routed; random routing carries nothing.
-func TestSetRequestsCarriesRoutes(t *testing.T) {
+// TestEditRequestsCarriesRoutes pins what the generated walks cannot see —
+// that an edited evaluator re-routes only what changed: the moved request
+// and the arrival, not the departed request's neighbours; an ID that comes
+// back as another request is re-routed; random routing drops the routes from
+// the first departure on, and keeps those before it. And BoundTo recognizes
+// the evaluator's own workload by pointer.
+func TestEditRequestsCarriesRoutes(t *testing.T) {
 	in := indexTestInstance(t, 9, 40, 5)
 	all := in.Workload.Requests
 	active := append([]msvc.Request(nil), all[:30]...)
-	in.Workload.Requests = active
+	in.Workload.Requests = append([]msvc.Request(nil), active...)
 	p := densePlacement(in, 5)
 
 	de := NewDeltaEvaluator(in, p.Clone(), RouteModeOptimal, 0)
-	de.SetRequests(active)
 	de.Eval()
-	rerouted := func(edit func()) int {
+	rerouted := func(de *DeltaEvaluator, mode RoutingMode, gone, moved []int) int {
 		t.Helper()
-		edit()
 		before := de.Recomputed
-		de.SetRequests(active)
+		de.EditRequests(active, gone, moved)
 		ref := *in
 		ref.Workload = &msvc.Workload{Catalog: in.Workload.Catalog, Requests: active}
-		assertEvalIdentical(t, "carry", de.Eval(), ref.EvaluateRouted(de.Placement(), RouteModeOptimal, 0))
+		assertEvalIdentical(t, "carry", de.Eval(), ref.EvaluateRouted(de.Placement(), mode, 3))
 		return de.Recomputed - before
 	}
-	if n := rerouted(func() {}); n != 0 {
-		t.Fatalf("an unedited list re-routed %d requests", n)
+	if n := rerouted(de, RouteModeOptimal, nil, nil); n != 0 {
+		t.Fatalf("an empty batch re-routed %d requests", n)
 	}
-	if n := rerouted(func() {
-		active = append(active[:7], active[8:]...) // depart
-		active = append(active, all[30])           // arrive
-		active[3].Home = (active[3].Home + 1) % in.V()
-	}); n != 2 {
+	active = append(active[:7], active[8:]...) // depart
+	active = append(active, all[30])           // arrive
+	active[3].Home = (active[3].Home + 1) % in.V()
+	if n := rerouted(de, RouteModeOptimal, []int{7}, []int{3}); n != 2 {
 		t.Fatalf("depart + arrive + move re-routed %d requests, want 2", n)
 	}
-	if n := rerouted(func() {
-		back := all[31]
-		back.ID = active[5].ID // the same ID and place, another request
-		active[5] = back
-	}); n != 1 {
+	back := all[31]
+	back.ID = active[5].ID // the same ID and place, another request
+	active = append(append(active[:5], active[6:]...), back)
+	if n := rerouted(de, RouteModeOptimal, []int{5}, nil); n != 1 {
 		t.Fatalf("a re-used ID re-routed %d requests, want 1", n)
 	}
 
-	if !de.BoundTo(&Instance{Graph: in.Graph, Lambda: in.Lambda, Budget: in.Budget,
-		Workload: &msvc.Workload{Catalog: in.Workload.Catalog, Requests: active}}, RouteModeOptimal, 99) {
-		t.Fatal("a synced evaluator does not report itself bound to its own workload")
+	// The pointer path, and the comparison it skips.
+	own := &Instance{Graph: in.Graph, Lambda: in.Lambda, Budget: in.Budget, Workload: de.Workload()}
+	if !de.BoundTo(own, RouteModeOptimal, 99) {
+		t.Fatal("an edited evaluator does not report itself bound to its own workload")
+	}
+	if own.Lambda++; de.BoundTo(own, RouteModeOptimal, 99) {
+		t.Fatal("the pointer path skipped the trade-off")
+	}
+	copied := &Instance{Graph: in.Graph, Lambda: in.Lambda, Budget: in.Budget,
+		Workload: &msvc.Workload{Catalog: in.Workload.Catalog, Requests: active}}
+	if !de.BoundTo(copied, RouteModeOptimal, 0) {
+		t.Fatal("BoundTo rejects a copy of the edited list")
 	}
 	active[0].Home = (active[0].Home + 1) % in.V()
-	if de.BoundTo(&Instance{Graph: in.Graph, Lambda: in.Lambda, Budget: in.Budget,
-		Workload: &msvc.Workload{Catalog: in.Workload.Catalog, Requests: active}}, RouteModeOptimal, 0) {
+	if de.BoundTo(copied, RouteModeOptimal, 0) {
 		t.Fatal("BoundTo missed a move the evaluator was not told about")
 	}
+	active[0].Home = de.Workload().Requests[0].Home
 
-	rnd := NewDeltaEvaluator(in, p.Clone(), RouteModeRandom, 3)
-	rnd.SetRequests(active)
+	rin := *in
+	rin.Workload = &msvc.Workload{Catalog: in.Workload.Catalog, Requests: append([]msvc.Request(nil), active...)}
+	rnd := NewDeltaEvaluator(&rin, p.Clone(), RouteModeRandom, 3)
 	rnd.Eval()
-	before := rnd.Recomputed
-	rnd.SetRequests(active)
-	rnd.Eval()
-	if n := rnd.Recomputed - before; n != len(active) {
-		t.Fatalf("random routing carried routes over an edit: %d of %d re-routed", n, len(active))
+	active = append(active[:20], active[21:]...)
+	if n := rerouted(rnd, RouteModeRandom, []int{20}, nil); n != len(active)-20 {
+		t.Fatalf("random routing re-routed %d requests after a departure at 20 of %d, want the %d it shifted", n, len(active)+1, len(active)-20)
 	}
 }
 
-// TestRevertAcrossSetRequestsPanics: an undo record indexes the request list
+// TestRevertAcrossEditRequestsPanics: an undo record indexes the request list
 // it was taken on.
-func TestRevertAcrossSetRequestsPanics(t *testing.T) {
+func TestRevertAcrossEditRequestsPanics(t *testing.T) {
 	in := indexTestInstance(t, 6, 20, 1)
 	de := NewDeltaEvaluator(in, densePlacement(in, 1), RouteModeOptimal, 0)
 	dl := de.Apply(0, 0, !de.Placement().Has(0, 0))
-	de.SetRequests(in.Workload.Requests[:10])
+	kept := append([]msvc.Request(nil), in.Workload.Requests[:10]...)
+	de.EditRequests(kept, []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, nil)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Revert of a delta taken before SetRequests did not panic")
+			t.Fatal("Revert of a delta taken before EditRequests did not panic")
 		}
 	}()
 	de.Revert(dl)

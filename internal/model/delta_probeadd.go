@@ -60,7 +60,7 @@ const (
 )
 
 // addProbeState is ProbeAdd's memo and scratch, dropped whenever the request
-// list or the placement moves wholesale (SetRequests, AdvanceTo, Rebind).
+// list or the placement moves wholesale (EditRequests, AdvanceTo, Rebind).
 type addProbeState struct {
 	// tab[h] holds request h's DP rows under the bound placement: for each
 	// chain step t, one value per candidate of the step's service — the cost

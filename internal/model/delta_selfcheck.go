@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/msvc"
 )
@@ -134,4 +135,35 @@ func countersOf(ev *Evaluation) [6]int {
 		over = 1
 	}
 	return [6]int{ev.MissingInstances, ev.Unroutable, ev.CloudServed, ev.DeadlineViolated, ev.StorageViolatedAt, over}
+}
+
+// selfCheckEdit holds the list an EditRequests batch left against the
+// caller's edited list — an edit the batch did not describe would otherwise
+// be scored on the old request — and chainReqs against a rebuild.
+func (d *DeltaEvaluator) selfCheckEdit(reqs []msvc.Request) {
+	if !invariantsEnabled {
+		return
+	}
+	own := d.in.Workload.Requests
+	if len(own) != len(reqs) || len(d.routes) != len(reqs) {
+		panic(fmt.Sprintf("model: EditRequests left %d requests and %d routes, the caller has %d", len(own), len(d.routes), len(reqs)))
+	}
+	for h := range reqs {
+		if !sameRequest(&own[h], &reqs[h]) {
+			panic(fmt.Sprintf("model: EditRequests left request %d as %+v, the caller has %+v (an edit the batch did not describe)", h, own[h], reqs[h]))
+		}
+	}
+	want := make([][]int, len(d.chainReqs))
+	for h := range own {
+		for t, svc := range own[h].Chain {
+			if !slices.Contains(own[h].Chain[:t], svc) {
+				want[svc] = append(want[svc], h)
+			}
+		}
+	}
+	for svc := range want {
+		if !slices.Equal(want[svc], d.chainReqs[svc]) {
+			panic(fmt.Sprintf("model: EditRequests left chainReqs[%d] = %v, a rebuild gives %v", svc, d.chainReqs[svc], want[svc]))
+		}
+	}
 }

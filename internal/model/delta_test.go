@@ -125,7 +125,7 @@ func TestDeltaEvaluatorAdvanceTo(t *testing.T) {
 // evaluation: with nothing moved it does, counted as a refresh that found
 // nothing dirty, and so after an AdvanceTo that changes nothing; after each
 // stamp mover — Lambda, Budget, Apply, Apply then Revert, AdvanceTo with a
-// change, Rebind, SetRequests — it builds a fresh one, equal to a scratch
+// change, Rebind, EditRequests — it builds a fresh one, equal to a scratch
 // evaluation.
 func TestDeltaEvaluatorRepublish(t *testing.T) {
 	in := indexTestInstance(t, 9, 40, 4)
@@ -178,8 +178,10 @@ func TestDeltaEvaluatorRepublish(t *testing.T) {
 	fresh("advance")
 	de.Rebind(de.Placement())
 	fresh("rebind")
-	de.SetRequests(in.Workload.Requests)
-	fresh("set requests")
+	de.EditRequests(in.Workload.Requests, nil, nil)
+	republished("an empty edit")
+	de.EditRequests(in.Workload.Requests, nil, []int{0})
+	fresh("edit requests")
 }
 
 // TestDeltaEvaluatorStaleBindingPanics proves the epoch contract: a

@@ -202,8 +202,13 @@ func (e ErrNoInstance) Error() string {
 // IsNoInstance reports whether err is (or wraps) an ErrNoInstance. Routing
 // callers must branch on this — not on err != nil — because the sentinel is
 // a domain signal (constraints (9)/(10) unsatisfiable under the placement),
-// not a failure, and wrapped sentinels never compare equal with ==.
+// not a failure, and wrapped sentinels never compare equal with ==. The
+// routers return the sentinel unwrapped, so a type assertion answers the
+// routing miss of every probe before errors.As pays for unwrapping.
 func IsNoInstance(err error) bool {
+	if _, ok := err.(ErrNoInstance); ok {
+		return true
+	}
 	var e ErrNoInstance
 	return errors.As(err, &e)
 }

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -426,5 +428,29 @@ func TestMoreInstancesNeverHurtProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIsNoInstance: the sentinel is recognized bare (the type assertion) and
+// wrapped, once or twice (errors.As); any other error, nil included, is not
+// it.
+func TestIsNoInstance(t *testing.T) {
+	bare := ErrNoInstance{Request: 3, Service: 1}
+	wrapped := fmt.Errorf("route: %w", bare)
+	for _, c := range []struct {
+		err  error
+		want bool
+	}{
+		{bare, true},
+		{wrapped, true},
+		{fmt.Errorf("epoch 4: %w", wrapped), true},
+		{errors.Join(errors.New("first"), bare), true},
+		{nil, false},
+		{errors.New("model: request 3 needs service 1 but no instance is deployed"), false},
+		{fmt.Errorf("route: %w", errors.New("disconnected")), false},
+	} {
+		if got := IsNoInstance(c.err); got != c.want {
+			t.Errorf("IsNoInstance(%v) = %v, want %v", c.err, got, c.want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/chaos"
@@ -145,46 +146,59 @@ type Daemon struct {
 	// RouteModeRandom derives each request's stream from its index.
 	active  []msvc.Request
 	workGen int // bumped on any active-set change
+	// departs are the positions of active that departed while admit runs,
+	// so that an epoch's departures compact in one pass at its end.
+	departs []int
+	// gone and moved are what admission and re-homing did to active since
+	// the bound evaluator last saw it, as model.DeltaEvaluator.EditRequests
+	// takes them: the departed indices of the list it holds, ascending, and
+	// the moved survivors' indices in active. ensureDelta hands them over. An
+	// epoch every request left returns before ensureDelta, and its departures
+	// reach the evaluator with the next epoch's arrivals: nothing else can be
+	// recorded against an empty list.
+	gone, moved []int
 
 	placement     model.Placement
 	havePlacement bool
 	lastDegraded  int
 
-	// The bound evaluator, what it is bound to, and the workload generation
-	// it was last synced with. Its placement is its own: d.placement is a
-	// copy, never an alias, so lifecycle reaps do not go behind its back.
+	// The bound evaluator and what it is bound to. Its placement is its own:
+	// d.placement is a copy, never an alias, so lifecycle reaps do not go
+	// behind its back. Its request list is its own too, edited in step with
+	// active.
 	de          *model.DeltaEvaluator
 	deGraph     *topology.Graph
-	deWorkGen   int
 	deColdEpoch uint64
 	deSeed      int64
 
-	// Serverless lifecycle state.
+	// Serverless lifecycle state, and the use counts the lifecycle and the
+	// cold-step column read (nil when neither is on).
 	cold *model.ColdStartModel
 	life *lifecycle
+	use  *useCounts
 
 	slot      int
 	records   []EpochRecord
 	allDelays []float64
 	lastEval  *model.Evaluation
 
-	// evalIn is the epoch's instance on the unmasked substrate, built once
-	// per workload generation (evalInGen).
+	// evalIn is the epoch's instance on the unmasked substrate (see
+	// epochInstance).
 	evalIn    *model.Instance
 	evalInGen int
 
 	// What the last evaluated epoch derived from its evaluation — the
 	// record's evaluation columns, the finite delays in request order and
-	// the lifecycle scratch — and the key it derived them under. An epoch
-	// under the same key, one whose evaluator republished that evaluation
+	// the use counts — and the key it derived them under. An epoch under the
+	// same key, one whose evaluator republished that evaluation
 	// (model.DeltaEvaluator.Eval), reuses all three.
 	derivedKey derivedKey
 	derived    EpochRecord
 	delays     []float64
 }
 
-// derivedKey is everything an epoch's derived columns and lifecycle scratch
-// read: the evaluation, the cold-set epoch and the workload generation.
+// derivedKey is everything an epoch's derived columns and use counts read:
+// the evaluation, the cold-set epoch and the workload generation.
 type derivedKey struct {
 	eval *model.Evaluation
 	cold uint64
@@ -220,6 +234,9 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	if cfg.Lifecycle.ColdStartDelay > 0 {
 		d.cold = model.NewColdStartModel(cfg.Catalog.Len(), cfg.Graph.N(), cfg.Lifecycle.ColdStartDelay)
+	}
+	if d.life != nil || d.cold != nil {
+		d.use = newUseCounts(cfg.Catalog.Len(), cfg.Graph.N())
 	}
 	return d, nil
 }
@@ -315,7 +332,7 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 	// Replay mode plans on the substrate as currently known — this epoch's
 	// faults have not struck yet.
 	if d.cfg.Replan && len(d.active) > 0 {
-		planIn := d.instanceOn(d.mask.Graph())
+		planIn := d.instanceOn(d.mask.Graph(), d.activeWorkload())
 		//socllint:ignore detrand wall-clock plan time is reported, never branched on
 		t0 := time.Now()
 		p, err := d.cfg.Planner(planIn)
@@ -349,22 +366,22 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 	// re-homing happens.
 	if len(d.active) == 0 {
 		d.lastEval, d.derivedKey = nil, derivedKey{}
-		d.lifecycleEnd(&rec, nil, false)
+		d.tally(nil)
+		d.lifecycleEnd(&rec)
 		d.finish(&rec)
 		return &rec, nil
 	}
 	rec.Requests = len(d.active)
 
 	if !d.mask.Pristine() {
-		rec.Rehomed = rehomeRequests(d.mask, d.cfg.Graph, d.active)
-		if rec.Rehomed > 0 {
-			// Homes mutated in place: any bound evaluator is stale.
+		n := len(d.moved)
+		d.moved = rehomeRequests(d.mask, d.cfg.Graph, d.active, d.moved)
+		if rec.Rehomed = len(d.moved) - n; rec.Rehomed > 0 {
 			workChanged = true
 			d.workGen++
 		}
 	}
 
-	evalIn := d.epochInstance()
 	seed := d.cfg.RouteSeed + int64(d.slot)
 	planned := d.placement
 	if !d.cfg.Replan {
@@ -372,7 +389,10 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 		// cold-set change forces is then paid once, by whichever of the
 		// policy and the steady path scores the epoch.
 		d.ensureDelta(seed)
+	} else {
+		d.gone, d.moved = d.gone[:0], d.moved[:0] // no evaluator to hand them to
 	}
+	evalIn := d.epochInstance()
 
 	if d.cfg.Replan || workChanged || maskChanged || !d.havePlacement {
 		pol := d.policy
@@ -425,8 +445,11 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 
 	key := derivedKey{d.lastEval, d.coldEpoch(), d.workGen}
 	reuse := key == d.derivedKey
+	if !reuse {
+		d.tally(d.lastEval)
+	}
 	d.fillEvalColumns(&rec, evalIn, reuse)
-	d.lifecycleEnd(&rec, d.lastEval, reuse)
+	d.lifecycleEnd(&rec)
 	d.derivedKey = key
 	if invariant.Enabled {
 		// Only after observe/reap have reconciled the idle counters with the
@@ -447,14 +470,17 @@ func (d *Daemon) finish(rec *EpochRecord) {
 // active workload changed. Fault events are staged for the post-planning
 // strike phase; arrivals beyond MaxBatch are deferred to the next epoch,
 // where they keep their place in ingest order; an arrival whose ID is already
-// active is dropped — departs, moves and the evaluator's carry-over all name
-// a request by its ID, and a second copy would outlive its depart.
+// active is dropped — departs and moves name a request by its ID, and a
+// second copy would outlive its depart. Departures are marked as they come
+// and compacted in one pass at the end, and the epoch's edits are recorded
+// for the evaluator.
 func (d *Daemon) admit(rec *EpochRecord) bool {
 	due := d.queue[d.slot]
 	if due == nil {
 		return false
 	}
 	delete(d.queue, d.slot)
+	held := len(d.active)
 	changed := false
 	arrivals := 0
 	var deferred []queued
@@ -477,22 +503,31 @@ func (d *Daemon) admit(rec *EpochRecord) bool {
 			req.Chain = append([]int(nil), ev.Req.Chain...)
 			req.EdgeData = append([]float64(nil), ev.Req.EdgeData...)
 			d.active = append(d.active, req)
+			if d.use != nil {
+				d.use.arrive(req.Chain)
+			}
 			arrivals++
 			rec.Arrived++
 			changed = true
 		case EvDepart:
 			if i := d.findActive(ev.ID); i >= 0 {
-				d.active = append(d.active[:i], d.active[i+1:]...)
+				d.departs = append(d.departs, i)
 				rec.Departed++
 				changed = true
 			}
 		case EvMove:
 			if i := d.findActive(ev.ID); i >= 0 && d.active[i].Home != ev.Node {
 				d.active[i].Home = ev.Node
+				if i < held { // an arrival is new to the evaluator anyway
+					d.moved = append(d.moved, i)
+				}
 				rec.Moved++
 				changed = true
 			}
 		}
+	}
+	if len(d.departs) > 0 {
+		d.compactActive(held)
 	}
 	if len(deferred) > 0 {
 		d.queue[d.slot+1] = mergeBySeq(deferred, d.queue[d.slot+1])
@@ -502,6 +537,38 @@ func (d *Daemon) admit(rec *EpochRecord) bool {
 		d.workGen++
 	}
 	return changed
+}
+
+// compactActive removes the positions admit marked departed in one pass —
+// from active and from the counted routes, taking each out of the use
+// counts — records those below held, the length of the list the evaluator
+// holds, as its departures, and re-indexes the moves recorded against that
+// list.
+func (d *Daemon) compactActive(held int) {
+	slices.Sort(d.departs)
+	moved := d.moved[:0]
+	for _, i := range d.moved {
+		if !d.departed(i) {
+			moved = append(moved, i)
+		}
+	}
+	for _, r := range d.departs {
+		if d.use != nil {
+			d.use.depart(r, d.active[r].Chain)
+		}
+		if r < held {
+			d.gone = append(d.gone, r)
+		}
+	}
+	d.active = model.RemoveSorted(d.active, d.departs)
+	if d.use != nil {
+		d.use.routes = model.RemoveSorted(d.use.routes, d.departs)
+	}
+	for j, i := range moved {
+		shift, _ := slices.BinarySearch(d.gone, i)
+		moved[j] = i - shift
+	}
+	d.moved, d.departs = moved, d.departs[:0]
 }
 
 // mergeBySeq merges two buckets, each in ingest order, into one.
@@ -517,21 +584,33 @@ func mergeBySeq(a, b []queued) []queued {
 	return append(append(out, a...), b...)
 }
 
+// findActive returns the position of the active request with the given ID,
+// -1 if there is none. A request admit marked departed is not active.
 func (d *Daemon) findActive(id int) int {
 	for i := range d.active {
-		if d.active[i].ID == id {
+		if d.active[i].ID == id && !d.departed(i) {
 			return i
 		}
 	}
 	return -1
 }
 
-// instanceOn builds this epoch's instance on the given substrate view. The
-// cold-start model rides along (nil unless the lifecycle prices cold starts).
-func (d *Daemon) instanceOn(g *topology.Graph) *model.Instance {
+// departed reports whether admit marked active position i departed.
+func (d *Daemon) departed(i int) bool { return slices.Contains(d.departs, i) }
+
+// activeWorkload is the active list as a workload. It aliases active, which
+// the next epoch edits in place: it is for this epoch only.
+func (d *Daemon) activeWorkload() *msvc.Workload {
+	return &msvc.Workload{Catalog: d.cfg.Catalog, Requests: d.active}
+}
+
+// instanceOn builds this epoch's instance on the given substrate view and
+// workload. The cold-start model rides along (nil unless the lifecycle
+// prices cold starts).
+func (d *Daemon) instanceOn(g *topology.Graph, w *msvc.Workload) *model.Instance {
 	return &model.Instance{
 		Graph:     g,
-		Workload:  &msvc.Workload{Catalog: d.cfg.Catalog, Requests: d.active},
+		Workload:  w,
 		Lambda:    d.cfg.Lambda,
 		Budget:    d.cfg.Budget,
 		Cloud:     d.cfg.Cloud,
@@ -539,11 +618,20 @@ func (d *Daemon) instanceOn(g *topology.Graph) *model.Instance {
 	}
 }
 
-// epochInstance returns the epoch's instance on the unmasked substrate,
-// rebuilt only when the active set changed since it was built.
+// epochInstance returns the epoch's instance on the unmasked substrate. In
+// serve mode it carries the bound evaluator's own workload, which the
+// evaluator edits in step with active — so a repair's BoundTo check is a
+// pointer comparison — and is rebuilt only with the evaluator. In replay
+// mode it carries active and is rebuilt when the active set changed.
 func (d *Daemon) epochInstance() *model.Instance {
+	if d.de != nil {
+		if d.evalIn == nil || d.evalIn.Workload != d.de.Workload() {
+			d.evalIn = d.instanceOn(d.cfg.Graph, d.de.Workload())
+		}
+		return d.evalIn
+	}
 	if d.evalIn == nil || d.evalInGen != d.workGen {
-		d.evalIn, d.evalInGen = d.instanceOn(d.cfg.Graph), d.workGen
+		d.evalIn, d.evalInGen = d.instanceOn(d.cfg.Graph, d.activeWorkload()), d.workGen
 	}
 	return d.evalIn
 }
@@ -560,23 +648,22 @@ func (d *Daemon) coldEpoch() uint64 {
 // active requests. What a cached route cannot outlive forces a new evaluator:
 // another masked graph, another cold-set epoch, or — under random routing,
 // whose streams derive from it — another seed. A changed workload does not:
-// the evaluator is re-pointed at the edited list and keeps the route of every
-// request that is still the same one.
+// the evaluator is handed the epoch's recorded edits and keeps the route of
+// every request that stayed where it was.
 func (d *Daemon) ensureDelta(seed int64) {
 	g := d.mask.Graph()
 	coldEpoch := d.coldEpoch()
-	fresh := d.de == nil || d.deGraph != g || d.deColdEpoch != coldEpoch ||
-		(d.cfg.Mode == model.RouteModeRandom && d.deSeed != seed)
-	if fresh {
-		d.de = model.NewDeltaEvaluator(d.instanceOn(g), d.placement.Clone(), d.cfg.Mode, seed)
+	if d.de == nil || d.deGraph != g || d.deColdEpoch != coldEpoch ||
+		(d.cfg.Mode == model.RouteModeRandom && d.deSeed != seed) {
+		// A new evaluator binds over a private copy of active, which it
+		// then edits in place.
+		w := &msvc.Workload{Catalog: d.cfg.Catalog, Requests: slices.Clone(d.active)}
+		d.de = model.NewDeltaEvaluator(d.instanceOn(g, w), d.placement.Clone(), d.cfg.Mode, seed)
 		d.deGraph, d.deColdEpoch, d.deSeed = g, coldEpoch, seed
+	} else {
+		d.de.EditRequests(d.active, d.gone, d.moved)
 	}
-	if fresh || d.deWorkGen != d.workGen {
-		// A fresh evaluator is synced too: it takes its own copy of the
-		// list, which admit and re-homing edit in place.
-		d.de.SetRequests(d.active)
-		d.deWorkGen = d.workGen
-	}
+	d.gone, d.moved = d.gone[:0], d.moved[:0]
 }
 
 // fillEvalColumns derives the epoch's statistics from its evaluation. The
@@ -618,67 +705,53 @@ func (d *Daemon) fillEvalColumns(rec *EpochRecord, evalIn *model.Instance, reuse
 	rec.MaxDelay = maxd
 	rec.ServedObjective = evalIn.Objective(ev.Cost, sum)
 	if d.cold != nil {
-		for h, rt := range ev.Routes {
-			if rt.Nodes == nil {
-				continue
-			}
-			chain := d.active[h].Chain
-			for t, k := range rt.Nodes {
-				if d.cold.IsCold(chain[t], k) {
-					rec.ColdSteps++
-				}
-			}
-		}
+		rec.ColdSteps = d.use.coldSteps(d.cold)
 	}
 	d.derived = *rec
 }
 
-// lifecycleEnd folds the served epoch into the lifecycle state and scales
-// idle instances to zero. Reclaimed instances are removed from the live
-// placement now; they become cold at the next epoch boundary. With reuse
-// the scratch still holds what the last evaluated epoch tallied from the
-// same evaluation and workload, and is kept.
-func (d *Daemon) lifecycleEnd(rec *EpochRecord, ev *model.Evaluation, reuse bool) {
+// lifecycleEnd folds the served epoch — the use counts as the epoch's tally
+// left them — into the lifecycle state and scales idle instances to zero.
+// Reclaimed instances are removed from the live placement now; they become
+// cold at the next epoch boundary.
+func (d *Daemon) lifecycleEnd(rec *EpochRecord) {
 	if d.life == nil || !d.havePlacement {
 		return
 	}
-	if !reuse {
-		d.tallyUse(ev)
-	}
-	d.life.observe(d.life.used, d.life.epochDemand, d.placement)
+	d.life.observe(d.use.steps, d.use.demand, d.placement)
 	removed, spares := d.life.reap(d.placement)
 	rec.ScaledToZero = len(removed)
 	rec.WarmSpares = spares
 }
 
-// tallyUse fills the lifecycle's per-epoch scratch from ev and the active
-// set: the (svc, node) pairs that served a step, and each service's demand.
-// The scratch lives on the lifecycle and is cleared in place.
-func (d *Daemon) tallyUse(ev *model.Evaluation) {
-	used, demand, seen := d.life.used, d.life.epochDemand, d.life.seen
-	for i := range used {
-		clear(used[i])
+// tally brings the use counts to the epoch's evaluation ev (nil: nothing
+// served); every epoch that does not reuse what the last one derived runs
+// it. Only the requests whose route changed are recounted.
+func (d *Daemon) tally(ev *model.Evaluation) {
+	if d.use == nil {
+		return
 	}
-	clear(demand)
-	clear(seen)
-	if ev != nil {
-		for h, rt := range ev.Routes {
-			if rt.Nodes == nil {
-				continue
-			}
-			chain := d.active[h].Chain
-			for t, k := range rt.Nodes {
-				used[chain[t]][k] = true
-			}
-		}
+	d.use.tally(ev, d.active)
+	if invariant.Enabled {
+		d.checkUseCounts(ev)
 	}
-	for h := range d.active {
-		for _, s := range d.active[h].Chain {
-			if seen[s] != h+1 {
-				seen[s] = h + 1
-				demand[s]++
-			}
-		}
+}
+
+// checkUseCounts asserts (under the soclinvariants tag) that the use counts
+// — and with them the lifecycle's used instances and demand and the
+// record's cold steps — equal a recount from scratch.
+func (d *Daemon) checkUseCounts(ev *model.Evaluation) {
+	ref := newUseCounts(d.cfg.Catalog.Len(), d.cfg.Graph.N())
+	ref.recount(ev, d.active)
+	for s := range ref.steps {
+		invariant.Assertf(slices.Equal(ref.steps[s], d.use.steps[s]),
+			"serve: epoch %d step counts of service %d are %v, a recount gives %v", d.slot, s, d.use.steps[s], ref.steps[s])
+	}
+	invariant.Assertf(slices.Equal(ref.demand, d.use.demand),
+		"serve: epoch %d demand counts are %v, a recount gives %v", d.slot, d.use.demand, ref.demand)
+	if d.cold != nil {
+		got, want := d.use.coldSteps(d.cold), ref.coldSteps(d.cold)
+		invariant.Assertf(got == want, "serve: epoch %d counts %d cold steps, a recount %d", d.slot, got, want)
 	}
 }
 

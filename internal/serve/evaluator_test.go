@@ -53,10 +53,11 @@ type play struct {
 }
 
 // playEpochs feeds a fresh daemon one epoch at a time. With dropEvaluator the
-// daemon forgets its evaluator before every epoch, so each one is scored on a
-// binding built from scratch — the reference the long-lived binding must
-// match, kept in test code only. Before epoch trimAt (if any) the record and
-// delay streams are truncated, as trimHistory does.
+// daemon forgets its evaluator and its use counts before every epoch, so each
+// one is scored on a binding built from scratch and its lifecycle columns are
+// recounted — the reference the long-lived binding and the incremental counts
+// must match, kept in test code only. Before epoch trimAt (if any) the record
+// and delay streams are truncated, as trimHistory does.
 func playEpochs(t *testing.T, cfg Config, epochs [][]Event, dropEvaluator bool, trimAt int) (*Daemon, play) {
 	t.Helper()
 	d, err := NewDaemon(cfg)
@@ -67,6 +68,9 @@ func playEpochs(t *testing.T, cfg Config, epochs [][]Event, dropEvaluator bool, 
 	for e, evs := range epochs {
 		if dropEvaluator {
 			d.de = nil
+			if d.use != nil {
+				d.use.stale = true
+			}
 		}
 		if e == trimAt {
 			d.records, d.allDelays = d.records[:0], d.allDelays[:0]
@@ -250,6 +254,57 @@ func TestAdmissionOrder(t *testing.T) {
 	}
 }
 
+// TestDaemonEditsAcrossAnEmptyEpoch: an epoch every request left ends
+// before the evaluator is handed its edits, which reach it with the next
+// epoch's arrivals. The run matches the same daemon made to forget its
+// evaluator and use counts before every epoch.
+func TestDaemonEditsAcrossAnEmptyEpoch(t *testing.T) {
+	g, cat, reqs := testScenario(t, 10, 30, 82)
+	cfg := testConfig(g, cat)
+	cfg.Lifecycle = LifecycleConfig{IdleEpochs: 2, WarmPool: 1, ColdStartDelay: 0.25}
+	move := func(e, id int) Event {
+		return Event{Slot: e, Kind: EvMove, ID: id, Node: (reqs[id].Home + 1) % g.N()}
+	}
+	depart := func(e int, ids ...int) []Event {
+		var evs []Event
+		for _, id := range ids {
+			evs = append(evs, Event{Slot: e, Kind: EvDepart, ID: id})
+		}
+		return evs
+	}
+	epochs := [][]Event{
+		arrivals(0, 0, reqs[:12]),
+		append(append(depart(1, 3), move(1, 5)), arrivals(1, 12, reqs[12:13])...),
+		append(depart(2, 0, 7), move(2, 9), move(2, 12)),
+		depart(3, 1, 2, 4, 5, 6, 8, 9, 10, 11, 12),
+		arrivals(4, 13, reqs[13:20]),
+		append(depart(5, 14), move(5, 15)),
+		{move(6, 19)},
+	}
+	run := func(drop bool) *RunResult {
+		d, err := NewDaemon(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, evs := range epochs {
+			if drop {
+				d.de, d.use.stale = nil, true
+			}
+			d.Ingest(evs...)
+			if _, err := d.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := d.Result().Records[3].Requests; got != 0 {
+			t.Fatalf("epoch 3 served %d requests, want none", got)
+		}
+		return d.Result()
+	}
+	if err := run(false).Diff(run(true)); err != nil {
+		t.Fatalf("a long-lived evaluator diverges after an empty epoch: %v", err)
+	}
+}
+
 // TestDaemonStaleBindingStillPanics: the evaluator the daemon hands to repair
 // keeps its guard — a cold set changed mid-epoch, behind its back, fails
 // loudly instead of scoring the repair on stale routes.
@@ -344,23 +399,63 @@ func BenchmarkDaemonTickSteady(b *testing.B) {
 	}
 }
 
+// reactEpoch ingests serve_steady's small change for the daemon's next
+// epoch — one depart, one arrive drawn from spare, two moves — varied by i.
+func reactEpoch(d *Daemon, spare []msvc.Request, i int) {
+	e, nodes := d.Epoch(), d.cfg.Graph.N()
+	req := spare[i%len(spare)]
+	a, c := d.active[(7*i)%len(d.active)], d.active[(13*i+5)%len(d.active)]
+	d.Ingest(
+		Event{Slot: e, Kind: EvDepart, ID: d.active[(3*i)%len(d.active)].ID},
+		Event{Slot: e, Kind: EvArrive, ID: 1_000_000 + i, Node: req.Home, Req: req},
+		Event{Slot: e, Kind: EvMove, ID: a.ID, Node: (a.Home + 1) % nodes},
+		Event{Slot: e, Kind: EvMove, ID: c.ID, Node: (c.Home + 1) % nodes},
+	)
+}
+
+// TestDaemonReactTickAllocs gates what a reacting epoch allocates on
+// BenchmarkDaemonTickReact's shape, at 400 and at 1 600 requests: the edits
+// reach the evaluator as edits and the use counts follow the routes that
+// moved, so the count is the same at both sizes and must stay at most 42.
+// -race adds a few allocations and armed invariants recount from scratch,
+// so both builds skip the gate.
+func TestDaemonReactTickAllocs(t *testing.T) {
+	if invariant.Enabled || raceEnabled {
+		t.Skip("-race and -tags soclinvariants allocate on their own")
+	}
+	for _, n := range []int{400, 1600} {
+		d, spare := benchDaemon(t, n)
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			reactEpoch(d, spare, i)
+			i++
+			rec, err := d.Tick()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Incremental || rec.Departed != 1 || rec.Arrived != 1 {
+				t.Fatalf("epoch %d did not react to its edits: %+v", rec.Epoch, rec)
+			}
+			d.records, d.allDelays = d.records[:0], d.allDelays[:0]
+		})
+		if d.evalIn.Workload != d.de.Workload() {
+			t.Fatal("the epoch's instance does not carry the evaluator's own workload")
+		}
+		if allocs > 42 {
+			t.Fatalf("a reacting tick over %d requests allocates %v times, want at most 42", n, allocs)
+		}
+		t.Logf("%d requests: %v allocations a reacting tick", n, allocs)
+	}
+}
+
 // BenchmarkDaemonTickReact: an epoch with serve_steady's small change — one
 // depart, one arrive, two moves among 400 requests.
 func BenchmarkDaemonTickReact(b *testing.B) {
 	d, spare := benchDaemon(b, 400)
-	nodes := d.cfg.Graph.N()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := d.Epoch()
-		req := spare[i%len(spare)]
-		a, c := d.active[(7*i)%len(d.active)], d.active[(13*i+5)%len(d.active)]
-		d.Ingest(
-			Event{Slot: e, Kind: EvDepart, ID: d.active[(3*i)%len(d.active)].ID},
-			Event{Slot: e, Kind: EvArrive, ID: 1_000_000 + i, Node: req.Home, Req: req},
-			Event{Slot: e, Kind: EvMove, ID: a.ID, Node: (a.Home + 1) % nodes},
-			Event{Slot: e, Kind: EvMove, ID: c.ID, Node: (c.Home + 1) % nodes},
-		)
+		reactEpoch(d, spare, i)
 		if _, err := d.Tick(); err != nil {
 			b.Fatal(err)
 		}

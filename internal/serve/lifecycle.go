@@ -56,38 +56,30 @@ type lifecycle struct {
 	demand [][]int
 	pos    int
 	filled int
-
-	// Per-epoch scratch of Daemon.lifecycleEnd: the (svc, node) pairs that
-	// served a step, this epoch's per-service demand, and its dedup stamps.
-	used        [][]bool
-	epochDemand []int
-	seen        []int
 }
 
 func newLifecycle(cfg LifecycleConfig, m, v int) *lifecycle {
 	cfg = cfg.withDefaults()
-	l := &lifecycle{cfg: cfg, idle: make([][]int, m), demand: make([][]int, m),
-		used: make([][]bool, m), epochDemand: make([]int, m), seen: make([]int, m)}
+	l := &lifecycle{cfg: cfg, idle: make([][]int, m), demand: make([][]int, m)}
 	for i := 0; i < m; i++ {
 		l.idle[i] = make([]int, v)
 		l.demand[i] = make([]int, cfg.WarmWindow)
-		l.used[i] = make([]bool, v)
 	}
 	return l
 }
 
-// observe folds one epoch into the lifecycle state: used marks the (svc,
-// node) pairs that served at least one chain step (nil, like all-false,
-// means nothing served), demand is this epoch's per-service request demand,
-// and p is the placement that served. Deployed-but-unused instances age;
-// everything else resets.
-func (l *lifecycle) observe(used [][]bool, demand []int, p model.Placement) {
+// observe folds one epoch into the lifecycle state: steps counts the chain
+// steps each (svc, node) pair served (nil, like all-zero, means nothing
+// served), demand is this epoch's per-service request demand, and p is the
+// placement that served. Deployed-but-unused instances age; everything else
+// resets.
+func (l *lifecycle) observe(steps [][]int, demand []int, p model.Placement) {
 	for i := range l.idle {
 		for k := range l.idle[i] {
 			switch {
 			case !p.Has(i, k):
 				l.idle[i][k] = 0
-			case used != nil && used[i][k]:
+			case steps != nil && steps[i][k] > 0:
 				l.idle[i][k] = 0
 			default:
 				l.idle[i][k]++

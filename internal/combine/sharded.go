@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -17,20 +18,11 @@ import (
 )
 
 // This file is the sharded combine path: the full partition → pre-provision
-// → combine pipeline run independently per topology shard, merged by index
-// order, and stitched at the boundaries with a DeltaEvaluator fix-up pass.
-// It is what takes the solve from one global O(|V|²) table build plus
+// → combine pipeline run independently per topology shard, merged into one
+// placement, and stitched at the boundaries with a DeltaEvaluator fix-up
+// pass. It is what takes the solve from one global O(|V|²) table build plus
 // O(|U|·instances²) routing to S independent problems of 1/S the size — the
 // million-user scale path of ext_scale.
-//
-// Determinism follows the sweep-executor discipline (experiments.runSweep):
-// shard s's work is a pure function of the instance, the plan, and the
-// derived seed stats.SplitSeed(Seed, "shard/<s>"); results land in slot s of
-// a pre-sized slice regardless of which worker computes them; every
-// cross-shard phase (merge, reconciliation, accounting) walks shards in
-// ascending index order. Workers=1 and Workers=N therefore produce bitwise
-// identical placements and objectives, which TestRunShardedWorkerDeterminism
-// pins.
 //
 // Reconciliation: per-shard solves never see cross-boundary reliances — a
 // chain whose user sits one hop from a neighboring shard's gateway may be
@@ -44,6 +36,35 @@ import (
 // to the merged placement; everything else rolls back. Removal-only fix-ups
 // keep the merge trivially storage- and budget-monotone (Eq. 5/6 can only
 // improve), which the armed invariant layer rechecks per shard.
+//
+// Schedule: a run is 3·S tasks — solve, reconcile and account per shard —
+// run as one dependency-ordered graph (runTaskGraph), not as three phases
+// behind barriers. Call a shard's owned nodes plus its halo its view. What
+// each task touches lies inside its shard's view:
+//   - solve(s) writes the merged placement's columns of s's owned nodes;
+//   - reconcile(s) reads the merged columns and the pins of view(s), and
+//     writes the columns of s's own gateways and the pins of s's halo nodes;
+//   - account(s) reads the merged columns of view(s).
+//
+// Two tasks can conflict only when their views share a node. The graph
+// (shardTaskDeps) orders every such pair the way the serial order — every
+// solve, then the reconciles ascending, then the accounts ascending — does:
+// reconcile(s) waits for the solves of the shards owning a node of view(s)
+// and for every earlier reconcile whose view meets view(s); account(s)
+// waits for the reconciles of the shards owning a node of view(s). Two
+// reconciles whose views do not meet read and write disjoint columns and
+// pins, so they commute, and every schedule the graph allows yields the
+// serial order's placement bit for bit. Workers=1 runs the graph inline in
+// ascending task order, which is the serial order itself.
+//
+// Determinism follows the sweep-executor discipline (experiments.runSweep):
+// shard s's work is a pure function of the instance, the plan, the derived
+// seed stats.SplitSeed(Seed, "shard/<s>") and what the tasks it waits for
+// wrote; its results land in slot s of pre-sized slices regardless of which
+// worker ran it; the sums over shards are taken after the graph, in
+// ascending shard order. Workers=1 and Workers=N therefore produce bitwise
+// identical placements and objectives, which TestRunShardedWorkerDeterminism
+// and TestRunShardedScheduleMatchesNaive pin.
 
 // ShardedConfig configures RunSharded.
 type ShardedConfig struct {
@@ -51,8 +72,9 @@ type ShardedConfig struct {
 	Partition partition.Config
 	// Combine holds the per-shard combination hyper-parameters.
 	Combine Config
-	// Workers bounds the shard worker pool: 0 = GOMAXPROCS, 1 = serial (no
-	// goroutines). Placements and objectives are identical either way.
+	// Workers bounds the goroutines running the shard tasks: 0 = GOMAXPROCS,
+	// 1 = serial (no goroutines). Placements and objectives are identical
+	// either way.
 	Workers int
 	// Seed is the root seed; shard s derives stats.SplitSeed(Seed,
 	// "shard/<s>") for every seeded component it binds (the reconciliation
@@ -102,8 +124,11 @@ type ShardedResult struct {
 	// ReconcileProbes and ReconcileRemoved count boundary fix-up activity.
 	ReconcileProbes  int
 	ReconcileRemoved int
-	// SolveTime covers slicing + per-shard solves + merge; ReconcileTime and
-	// AccountTime the fix-up pass and the final per-shard evaluations.
+	// SolveTime, ReconcileTime and AccountTime are the summed task times of
+	// each stage: the solves (slicing, per-shard solve and merge), the
+	// boundary fix-ups and the final per-shard evaluations. The stages
+	// overlap in wall time, so the three can add up to more than the call
+	// took.
 	SolveTime     time.Duration
 	ReconcileTime time.Duration
 	AccountTime   time.Duration
@@ -122,37 +147,198 @@ const boundaryImproveTol = 1e-9
 // shard: the global-combine reference of the differential tests and the
 // ext_scale comparison. It finalizes a full copy of the graph, so it works —
 // at full O(|V|²) cost — even on unfinalized substrates.
+//
+// On failure it returns the error of the first failing task in stage-then-
+// shard order; tasks that wait on a failed one do not run.
 func RunSharded(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConfig) (*ShardedResult, error) {
-	r, err := solveAndMerge(in, plan, cfg)
+	r, err := newShardedRun(in, plan, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.reconcile(cfg.Seed); err != nil {
-		return nil, err
+	for _, err := range runTaskGraph(shardTaskDeps(r.plan), cfg.Workers, r.runTask) {
+		if err != nil {
+			return nil, err
+		}
 	}
-	return r.account(cfg.Workers)
+	// No task writes the merged placement any more.
+	invariant.CheckStorage(in, r.merged, "sharded: merge") // Eq. 6 needs no finalized parent
+	return r.result(), nil
 }
 
-// shardedRun carries one RunSharded call through its stages: the per-shard
-// solves and their merge, boundary reconciliation, and the final accounting.
+// The stages of a shard. Task st·S+s is stage st of shard s, so every edge
+// of shardTaskDeps runs from a lower task number to a higher one and
+// ascending numbers are the serial order.
+const (
+	stageSolve = iota
+	stageReconcile
+	stageAccount
+	numStages
+)
+
+// shardTaskDeps returns, for each task of a sharded run over plan, the
+// tasks it waits for, ascending (task numbering as above). With view(s) the
+// owned nodes plus the halo of shard s:
+//   - solve(s) waits for nothing;
+//   - reconcile(s) waits for solve(t) of every shard t owning a node of
+//     view(s), and for reconcile(t) of every t < s whose view shares a node
+//     with view(s);
+//   - account(s) waits for reconcile(t) of every shard t owning a node of
+//     view(s).
+func shardTaskDeps(plan *topology.ShardPlan) [][]int {
+	S := plan.NumShards
+	// viewers[v] lists the shards whose view holds node v, ascending.
+	viewers := make([][]int, len(plan.NodeShard))
+	for s := 0; s < S; s++ {
+		for _, v := range plan.Shards[s] {
+			viewers[v] = append(viewers[v], s)
+		}
+		for _, v := range plan.Halo(s) {
+			viewers[v] = append(viewers[v], s)
+		}
+	}
+	deps := make([][]int, numStages*S)
+	owner := make([]bool, S)
+	overlap := make([]bool, S)
+	for s := 0; s < S; s++ {
+		clear(owner)
+		clear(overlap)
+		for _, view := range [][]int{plan.Shards[s], plan.Halo(s)} {
+			for _, v := range view {
+				owner[plan.NodeShard[v]] = true
+				for _, t := range viewers[v] {
+					overlap[t] = overlap[t] || t < s
+				}
+			}
+		}
+		var rec, acct, earlier []int
+		for t := 0; t < S; t++ {
+			if owner[t] {
+				rec = append(rec, stageSolve*S+t)
+				acct = append(acct, stageReconcile*S+t)
+			}
+			if overlap[t] {
+				earlier = append(earlier, stageReconcile*S+t)
+			}
+		}
+		deps[stageReconcile*S+s] = append(rec, earlier...)
+		deps[stageAccount*S+s] = acct
+	}
+	return deps
+}
+
+// runTaskGraph runs every task t = 0 … len(deps)−1 once all of deps[t] —
+// lower-numbered tasks only — have finished, on up to workers goroutines
+// (0 = GOMAXPROCS). An idle worker takes the lowest-numbered ready task, so
+// one worker, which runs inline, goes in ascending order. A task that fails,
+// or waits on one that failed or was skipped, has its dependents skipped.
+// errs[t] is task t's error; skipped tasks leave it nil.
+func runTaskGraph(deps [][]int, workers int, run func(t int) error) (errs []error) {
+	n := len(deps)
+	errs = make([]error, n)
+	failed := make([]bool, n) // failed or skipped
+	waiting := make([]int, n) // unfinished dependencies
+	next := make([][]int, n)  // dependents
+	ready := make([]bool, n)
+	for t, ds := range deps {
+		waiting[t] = len(ds)
+		ready[t] = len(ds) == 0
+		for _, d := range ds {
+			next[d] = append(next[d], t)
+		}
+	}
+	left := n
+	var mu sync.Mutex
+	cond := sync.NewCond(&mu)
+	// finish retires t and readies the dependents it was the last wait of;
+	// a dependent of a failed task retires unrun. Called with mu held.
+	var finish func(t int)
+	finish = func(t int) {
+		left--
+		for _, u := range next[t] {
+			failed[u] = failed[u] || failed[t]
+			if waiting[u]--; waiting[u] == 0 {
+				if failed[u] {
+					finish(u)
+				} else {
+					ready[u] = true
+				}
+			}
+		}
+	}
+	work := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for left > 0 {
+			t := slices.Index(ready, true)
+			if t < 0 {
+				cond.Wait()
+				continue
+			}
+			ready[t] = false
+			mu.Unlock()
+			err := run(t)
+			mu.Lock()
+			errs[t], failed[t] = err, err != nil
+			finish(t)
+			cond.Broadcast()
+		}
+	}
+
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers <= 1 {
+		work()
+		return errs
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// shardedRun carries one RunSharded call: the inputs every task reads and
+// the per-shard slots the tasks fill.
 type shardedRun struct {
 	in          *model.Instance
 	plan        *topology.ShardPlan
+	cfg         ShardedConfig
 	reqsByShard [][]int // owned requests per shard, ascending
 	reqsByNode  [][]int // requests per home node, ascending
-	// res is the result under construction; res.Placement is the merged
-	// placement, which reconciliation edits in place.
-	res *ShardedResult
-	// halo holds the halo views reconciliation built, for accounting to
-	// reuse; nil entries are built on demand.
+	// merged is the merged placement: the solves scatter into it and
+	// reconciliation edits it in place.
+	merged model.Placement
+	// pinned[i·V+v] marks instance (service i, parent node v) as relied upon
+	// by a reconciled shard's own requests; see reconcile.
+	pinned []bool
+	// halo and eval hold each shard's halo view and reconciliation
+	// evaluator for its account task; nil when the shard has no halo.
 	halo []*model.ShardInstance
+	eval []*model.DeltaEvaluator
+
+	took     []time.Duration // per task
+	shards   []ShardRun
+	probes   []int // reconciliation probes per shard
+	removed  []int // reconciliation removals per shard
+	accounts []shardAccount
 }
 
-// solveAndMerge is phases 1 and 2: every shard's pipeline solved on its own,
-// then the index-ordered merge.
-func solveAndMerge(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConfig) (*shardedRun, error) {
-	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
-	t0 := time.Now()
+// shardAccount is one shard's own requests evaluated on its halo view.
+type shardAccount struct {
+	lat      float64
+	unserved int
+	late     int
+}
+
+// newShardedRun validates the plan and splits the requests by shard and by
+// home node.
+func newShardedRun(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConfig) (*shardedRun, error) {
 	if plan == nil {
 		all := make([]int, in.V())
 		for v := range all {
@@ -168,8 +354,6 @@ func solveAndMerge(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConf
 		return nil, fmt.Errorf("combine: plan covers %d nodes, instance has %d", len(plan.NodeShard), in.V())
 	}
 	S := plan.NumShards
-	M := in.M()
-
 	// Owned requests per shard and per node, ascending by parent index.
 	reqsByShard := make([][]int, S)
 	reqsByNode := make([][]int, in.V())
@@ -182,108 +366,126 @@ func solveAndMerge(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConf
 		reqsByShard[s] = append(reqsByShard[s], h)
 		reqsByNode[home] = append(reqsByNode[home], h)
 	}
+	return &shardedRun{
+		in: in, plan: plan, cfg: cfg, reqsByShard: reqsByShard, reqsByNode: reqsByNode,
+		merged:   model.NewPlacement(in.M(), in.V()),
+		pinned:   make([]bool, in.M()*in.V()),
+		halo:     make([]*model.ShardInstance, S),
+		eval:     make([]*model.DeltaEvaluator, S),
+		took:     make([]time.Duration, numStages*S),
+		shards:   make([]ShardRun, S),
+		probes:   make([]int, S),
+		removed:  make([]int, S),
+		accounts: make([]shardAccount, S),
+	}, nil
+}
 
-	// Budget split: each shard gets its demand share of the parent budget,
-	// floored at the service-continuity cost Σκ over the services its own
-	// requests use (preprov deploys each used service at least once; a budget
-	// below that floor is unmeetable by construction).
-	kappa := make([]float64, M)
-	for i := range kappa {
-		kappa[i] = in.Workload.Catalog.Service(i).DeployCost
+// runTask runs task t of the graph and records its time.
+func (r *shardedRun) runTask(t int) error {
+	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
+	t0 := time.Now()
+	var err error
+	switch s := t % r.plan.NumShards; t / r.plan.NumShards {
+	case stageSolve:
+		err = r.solve(s)
+	case stageReconcile:
+		err = r.reconcile(s)
+	default:
+		err = r.account(s)
 	}
-	budgets := make([]float64, S)
-	totalReqs := float64(len(in.Workload.Requests))
+	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
+	r.took[t] = time.Since(t0)
+	return err
+}
+
+// result sums the shards' slots, in ascending shard order, into the merged
+// outcome.
+func (r *shardedRun) result() *ShardedResult {
+	S := r.plan.NumShards
+	res := &ShardedResult{Placement: r.merged, Shards: r.shards}
 	for s := 0; s < S; s++ {
-		used := make([]bool, M)
-		floor := 0.0
-		for _, h := range reqsByShard[s] {
-			for _, svc := range in.Workload.Requests[h].Chain {
-				if !used[svc] {
-					used[svc] = true
-					floor += kappa[svc]
-				}
+		res.SolveTime += r.took[stageSolve*S+s]
+		res.ReconcileTime += r.took[stageReconcile*S+s]
+		res.AccountTime += r.took[stageAccount*S+s]
+		res.ReconcileProbes += r.probes[s]
+		res.ReconcileRemoved += r.removed[s]
+		res.LatencySum += r.accounts[s].lat
+		res.Unserved += r.accounts[s].unserved
+		res.DeadlineViolated += r.accounts[s].late
+	}
+	res.Cost = r.in.DeployCost(r.merged)
+	res.Objective = r.in.Objective(res.Cost, res.LatencySum)
+	res.BudgetMet = res.Cost <= r.in.Budget+model.FeasTol
+	return res
+}
+
+// budget is shard s's share of the parent budget: its demand share, floored
+// at the service-continuity cost Σκ over the services its own requests use
+// (preprov deploys each used service at least once; a budget below that
+// floor is unmeetable by construction).
+func (r *shardedRun) budget(s int) float64 {
+	in := r.in
+	used := make([]bool, in.M())
+	floor := 0.0
+	for _, h := range r.reqsByShard[s] {
+		for _, svc := range in.Workload.Requests[h].Chain {
+			if !used[svc] {
+				used[svc] = true
+				floor += in.Workload.Catalog.Service(svc).DeployCost
 			}
 		}
-		share := 0.0
-		if totalReqs > 0 {
-			share = in.Budget * float64(len(reqsByShard[s])) / totalReqs
-		}
-		budgets[s] = share
-		if budgets[s] < floor {
-			budgets[s] = floor
-		}
 	}
+	share := 0.0
+	if total := float64(len(in.Workload.Requests)); total > 0 {
+		share = in.Budget * float64(len(r.reqsByShard[s])) / total
+	}
+	return math.Max(share, floor)
+}
 
-	// Phase 1: independent per-shard solves through a slot-indexed worker
-	// pool (the runSweep pattern: out[s] is written only by the worker that
-	// drew index s, so parallel and serial runs are identical).
-	type shardOut struct {
-		si    *model.ShardInstance
-		local model.Placement
-		stat  ShardRun
-		err   error
-	}
-	outs := make([]shardOut, S)
-	solve := func(s int) shardOut {
-		//socllint:ignore detrand elapsed wall time is telemetry, never branched on
-		t := time.Now()
-		own := plan.Shards[s]
-		reqs := reqsByShard[s]
-		st := ShardRun{Shard: s, Nodes: len(own), Requests: len(reqs)}
-		si, err := model.NewShardInstance(in, own, len(own), reqs, len(reqs))
-		if err != nil {
-			return shardOut{err: fmt.Errorf("combine: shard %d: %w", s, err)}
-		}
-		if len(reqs) == 0 {
-			// No demand: nothing to place on this shard.
-			st.BudgetMet = true
-			//socllint:ignore detrand elapsed wall time is telemetry, never branched on
-			st.SolveTime = time.Since(t)
-			return shardOut{si: si, local: model.NewPlacement(M, len(own)), stat: st}
-		}
-		si.Sub.Budget = budgets[s]
-		part := partition.Build(si.Sub, cfg.Partition)
-		pre := preprov.Run(si.Sub, part)
-		res := Run(si.Sub, part, pre.Placement, cfg.Combine)
-		st.Instances = res.Placement.Instances()
-		st.BudgetMet = res.BudgetMet
-		//socllint:ignore detrand elapsed wall time is telemetry, never branched on
-		st.SolveTime = time.Since(t)
-		// Per-shard Eq. 5/6 recheck before the merge; Eq. 4 is rechecked by
-		// CheckShardMerge once the merged placement is evaluated.
-		invariant.CheckStorage(si.Sub, res.Placement, fmt.Sprintf("sharded: shard %d solve", s))
-		if res.BudgetMet {
-			invariant.CheckBudget(si.Sub, res.Placement, fmt.Sprintf("sharded: shard %d solve", s))
-		}
-		return shardOut{si: si, local: res.Placement, stat: st}
-	}
-	forEachShard(S, cfg.Workers, outs, solve)
-	for s := range outs {
-		if outs[s].err != nil {
-			return nil, outs[s].err
-		}
-	}
-
-	// Phase 2: index-ordered merge. Shards own disjoint node columns, so the
-	// merge is conflict-free by construction.
-	merged := model.NewPlacement(M, in.V())
-	res := &ShardedResult{Placement: merged, Shards: make([]ShardRun, S)}
-	for s := 0; s < S; s++ {
-		outs[s].si.ScatterOwn(outs[s].local, merged)
-		res.Shards[s] = outs[s].stat
-	}
-	invariant.CheckStorage(in, merged, "sharded: merge") // Eq. 6 needs no finalized parent
+// solve is task solve(s): shard s's pipeline solved on its own, its owned
+// columns scattered into the merged placement. Shards own disjoint node
+// columns, so the merge is conflict-free by construction.
+func (r *shardedRun) solve(s int) error {
 	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
-	res.SolveTime = time.Since(t0)
-	return &shardedRun{in: in, plan: plan, reqsByShard: reqsByShard, reqsByNode: reqsByNode,
-		res: res, halo: make([]*model.ShardInstance, S)}, nil
+	t := time.Now()
+	own := r.plan.Shards[s]
+	reqs := r.reqsByShard[s]
+	st := ShardRun{Shard: s, Nodes: len(own), Requests: len(reqs)}
+	si, err := model.NewShardInstance(r.in, own, len(own), reqs, len(reqs))
+	if err != nil {
+		return fmt.Errorf("combine: shard %d: %w", s, err)
+	}
+	local := model.NewPlacement(r.in.M(), len(own))
+	if len(reqs) == 0 {
+		// No demand: nothing to place on this shard.
+		st.BudgetMet = true
+	} else {
+		si.Sub.Budget = r.budget(s)
+		part := partition.Build(si.Sub, r.cfg.Partition)
+		pre := preprov.Run(si.Sub, part)
+		res := Run(si.Sub, part, pre.Placement, r.cfg.Combine)
+		local = res.Placement
+		st.Instances = local.Instances()
+		st.BudgetMet = res.BudgetMet
+	}
+	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
+	st.SolveTime = time.Since(t)
+	// Per-shard Eq. 5/6 recheck before the merge; Eq. 4 is rechecked by
+	// CheckShardMerge once the merged placement is evaluated.
+	invariant.CheckStorage(si.Sub, local, fmt.Sprintf("sharded: shard %d solve", s))
+	if st.BudgetMet {
+		invariant.CheckBudget(si.Sub, local, fmt.Sprintf("sharded: shard %d solve", s))
+	}
+	si.ScatterOwn(local, r.merged)
+	r.shards[s] = st
+	return nil
 }
 
 // buildHalo builds shard s's halo view of the merged placement: its owned
 // nodes plus the neighbors' facing gateways, its owned requests plus the
 // servable halo requests.
 func (r *shardedRun) buildHalo(s int) (*model.ShardInstance, error) {
-	in, merged, M := r.in, r.res.Placement, r.in.M()
+	in, merged, M := r.in, r.merged, r.in.M()
 	own := r.plan.Shards[s]
 	halo := r.plan.Halo(s)
 	nodes := make([]int, 0, len(own)+len(halo))
@@ -331,9 +533,9 @@ func (r *shardedRun) buildHalo(s int) (*model.ShardInstance, error) {
 	return si, nil
 }
 
-// reconcile is phase 3: boundary reconciliation, serial in ascending shard
-// order (each shard's view must include the removals neighbors already
-// committed).
+// reconcile is task reconcile(s): shard s's boundary fix-up on its halo
+// view. It sees every removal an earlier shard with an overlapping view
+// committed, as the serial ascending pass did.
 //
 // Cross-shard safety: when shard s sheds an instance, its requests may now
 // route through a neighbor's boundary instance — a reliance s's guard can
@@ -342,160 +544,99 @@ func (r *shardedRun) buildHalo(s int) (*model.ShardInstance, error) {
 // instances its own requests route through are pinned, and later shards
 // skip pinned candidates. Without the pin-set, shard s can shed an
 // instance relying on t's gateway and t (reconciling later, guarding only
-// its own halo view) can shed that gateway, stranding s's requests.
-func (r *shardedRun) reconcile(seed int64) error {
-	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
-	tr := time.Now()
-	res, merged, M := r.res, r.res.Placement, r.in.M()
-	pinned := make(map[[2]int]bool) // (service, parent node) → relied upon
-	for s := 0; s < r.plan.NumShards; s++ {
-		if len(r.plan.Halo(s)) == 0 {
-			continue
-		}
-		si, err := r.buildHalo(s)
-		if err != nil {
-			return err
-		}
-		r.halo[s] = si
-		de := model.NewDeltaEvaluator(si.Sub, si.Restrict(merged), model.RouteModeOptimal,
-			stats.SplitSeed(seed, fmt.Sprintf("shard/%d", s)))
-		base := de.Eval()
-		// Candidates: the shard's own gateway instances, ascending
-		// (service, node) — the only placements a cross-shard reliance
-		// can make redundant.
-		gwLocal := localIndex(r.plan.Gateways[s], si.Nodes[:si.OwnNodes])
-		for i := 0; i < M; i++ {
-			for _, k := range gwLocal {
-				if !de.Placement().Has(i, k) || pinned[[2]int{i, si.Nodes[k]}] {
-					continue
-				}
-				res.ReconcileProbes++
-				obj, _ := de.ProbeRemoval(i, k)
-				if !(obj < base.Objective-boundaryImproveTol) {
-					continue
-				}
-				dl := de.Apply(i, k, false)
-				ev := de.Eval()
-				if ev.Unserved() <= base.Unserved() && ev.DeadlineViolated <= base.DeadlineViolated {
-					merged.Set(i, si.Nodes[k], false)
-					base = ev
-					res.ReconcileRemoved++
-				} else {
-					// The objective improved by shedding cost while a
-					// request went unserved or late: roll back.
-					de.Revert(dl)
-				}
-			}
-		}
-		// Pin every boundary instance this shard's own requests route
-		// through under the committed placement. Over-pinning (a route
-		// that merely prefers a boundary instance it does not need) only
-		// forgoes a later removal; under-pinning strands requests.
-		for h := 0; h < si.OwnReqs; h++ {
-			rt := base.Routes[h]
-			if rt.Nodes == nil {
+// its own halo view) can shed that gateway, stranding s's requests. A pin
+// sits on a node of both views, so the two reconciles are ordered.
+func (r *shardedRun) reconcile(s int) error {
+	if len(r.plan.Halo(s)) == 0 {
+		return nil
+	}
+	merged, M, V := r.merged, r.in.M(), r.in.V()
+	si, err := r.buildHalo(s)
+	if err != nil {
+		return err
+	}
+	de := model.NewDeltaEvaluator(si.Sub, si.Restrict(merged), model.RouteModeOptimal,
+		stats.SplitSeed(r.cfg.Seed, fmt.Sprintf("shard/%d", s)))
+	r.halo[s], r.eval[s] = si, de
+	base := de.Eval()
+	// Candidates: the shard's own gateway instances, ascending
+	// (service, node) — the only placements a cross-shard reliance can make
+	// redundant.
+	gwLocal := localIndex(r.plan.Gateways[s], si.Nodes[:si.OwnNodes])
+	for i := 0; i < M; i++ {
+		for _, k := range gwLocal {
+			if !de.Placement().Has(i, k) || r.pinned[i*V+si.Nodes[k]] {
 				continue
 			}
-			chain := si.Sub.Workload.Requests[h].Chain
-			for j, kn := range rt.Nodes {
-				if kn >= si.OwnNodes {
-					pinned[[2]int{chain[j], si.Nodes[kn]}] = true
-				}
+			r.probes[s]++
+			obj, _ := de.ProbeRemoval(i, k)
+			if !(obj < base.Objective-boundaryImproveTol) {
+				continue
+			}
+			dl := de.Apply(i, k, false)
+			ev := de.Eval()
+			if ev.Unserved() <= base.Unserved() && ev.DeadlineViolated <= base.DeadlineViolated {
+				merged.Set(i, si.Nodes[k], false)
+				base = ev
+				r.removed[s]++
+			} else {
+				// The objective improved by shedding cost while a request
+				// went unserved or late: roll back.
+				de.Revert(dl)
 			}
 		}
 	}
-	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
-	res.ReconcileTime = time.Since(tr)
+	// Pin every boundary instance this shard's own requests route through
+	// under the committed placement. Over-pinning (a route that merely
+	// prefers a boundary instance it does not need) only forgoes a later
+	// removal; under-pinning strands requests.
+	for h := 0; h < si.OwnReqs; h++ {
+		rt := base.Routes[h]
+		if rt.Nodes == nil {
+			continue
+		}
+		chain := si.Sub.Workload.Requests[h].Chain
+		for j, kn := range rt.Nodes {
+			if kn >= si.OwnNodes {
+				r.pinned[chain[j]*V+si.Nodes[kn]] = true
+			}
+		}
+	}
 	return nil
 }
 
-// account is phase 4: each shard's own requests evaluated on its halo view
-// under the final merged placement (neighbors' reconciliation may have moved
-// boundary instances, so views rebuild or re-advance).
-func (r *shardedRun) account(workers int) (*ShardedResult, error) {
-	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
-	ta := time.Now()
-	in, res, merged, S := r.in, r.res, r.res.Placement, r.plan.NumShards
-	type acct struct {
-		lat      float64
-		unserved int
-		late     int
-		err      error
-	}
-	accts := make([]acct, S)
-	account := func(s int) acct {
-		si := r.halo[s]
-		if si == nil {
-			var err error
-			si, err = r.buildHalo(s)
-			if err != nil {
-				return acct{err: err}
-			}
+// account is task account(s): shard s's own requests evaluated on its halo
+// view under the final merged placement. Neighbors' reconciliation may have
+// moved boundary instances since s reconciled, so the shard's evaluator
+// advances to the view's current bits (re-routing only the requests whose
+// services moved; Eval equals a scratch evaluation bit for bit). A shard
+// without a halo never reconciled and evaluates its view from scratch.
+func (r *shardedRun) account(s int) error {
+	var ev *model.Evaluation
+	si, de := r.halo[s], r.eval[s]
+	if de != nil {
+		de.AdvanceTo(si.Restrict(r.merged))
+		ev = de.Eval()
+		r.halo[s], r.eval[s] = nil, nil
+	} else {
+		var err error
+		if si, err = r.buildHalo(s); err != nil {
+			return err
 		}
-		ev := si.Sub.Evaluate(si.Restrict(merged))
-		invariant.CheckShardMerge(si.Sub, ev, false, fmt.Sprintf("sharded: shard %d account", s))
-		a := acct{}
-		for h := 0; h < si.OwnReqs; h++ {
-			l := ev.Latencies[h]
-			a.lat += l
-			if math.IsInf(l, 1) {
-				a.unserved++
-			} else if l > si.Sub.Workload.Requests[h].Deadline+model.FeasTol {
-				a.late++
-			}
+		ev = si.Sub.Evaluate(si.Restrict(r.merged))
+	}
+	invariant.CheckShardMerge(si.Sub, ev, false, fmt.Sprintf("sharded: shard %d account", s))
+	a := &r.accounts[s]
+	for h := 0; h < si.OwnReqs; h++ {
+		l := ev.Latencies[h]
+		a.lat += l
+		if math.IsInf(l, 1) {
+			a.unserved++
+		} else if l > si.Sub.Workload.Requests[h].Deadline+model.FeasTol {
+			a.late++
 		}
-		return a
 	}
-	forEachShard(S, workers, accts, account)
-	for s := 0; s < S; s++ {
-		if accts[s].err != nil {
-			return nil, accts[s].err
-		}
-		res.LatencySum += accts[s].lat
-		res.Unserved += accts[s].unserved
-		res.DeadlineViolated += accts[s].late
-	}
-	//socllint:ignore detrand elapsed wall time is telemetry, never branched on
-	res.AccountTime = time.Since(ta)
-	res.Cost = in.DeployCost(merged)
-	res.Objective = in.Objective(res.Cost, res.LatencySum)
-	res.BudgetMet = res.Cost <= in.Budget+model.FeasTol
-	return res, nil
-}
-
-// forEachShard runs fn over shard indices through a slot-indexed worker pool
-// (out[s] is written only by the worker that drew s; workers ≤ 1 runs the
-// pure serial path). The runSweep pattern, minus the per-point seeds the
-// callers derive themselves.
-func forEachShard[R any](n, workers int, out []R, fn func(s int) R) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for s := 0; s < n; s++ {
-			out[s] = fn(s)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for s := range idx {
-				out[s] = fn(s)
-			}
-		}()
-	}
-	for s := 0; s < n; s++ {
-		idx <- s
-	}
-	close(idx)
-	wg.Wait()
+	return nil
 }
 
 // localIndex maps the sorted global node IDs in want to their local indices

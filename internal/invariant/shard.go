@@ -5,8 +5,8 @@ import "repro/internal/model"
 // CheckShardMerge revalidates one shard's slice of a merged sharded
 // placement against the paper's feasibility system (Eq. 4–6), given the
 // shard sub-instance's evaluation of its restricted placement. It is called
-// at the merge boundaries of combine.RunSharded: after the per-shard solves
-// land in the global placement and again after boundary reconciliation.
+// by combine.RunSharded's account task of each shard, on the shard's halo
+// view of the final merged placement.
 //
 // Eq. 6 (storage) is hard: the merge writes disjoint node columns, so any
 // per-node overflow is a sharding bug. Eq. 5 (budget) is checked only when

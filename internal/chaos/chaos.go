@@ -102,7 +102,7 @@ func (e Event) String() string {
 type Inst struct{ Svc, Node int }
 
 // minFactor floors degradation factors so masked link rates stay positive
-// (topology.AddLink rejects non-positive rates) and storage stays a number.
+// (topology.Build rejects non-positive rates) and storage stays a number.
 const minFactor = 1e-9
 
 func clampFactor(f float64) float64 {
@@ -116,7 +116,7 @@ func clampFactor(f float64) float64 {
 }
 
 // Mask is the accumulated fault state over one base substrate. It never
-// mutates the base graph: MaskedGraph derives (and caches, keyed by epoch) a
+// mutates the base graph: Graph derives (and caches, keyed by epoch) a
 // finalized masked topology, and Instance wraps a model.Instance with the
 // masked graph swapped in. The zero value is unusable; construct with
 // NewMask. Not safe for concurrent mutation; the derived graph may be read
@@ -135,6 +135,10 @@ type Mask struct {
 	epoch        uint64
 	derived      *topology.Graph
 	derivedEpoch uint64
+	// nodeBuf and linkBuf hold the node and link lists Graph hands to
+	// topology.Build; Build copies what it keeps, so they are reused.
+	nodeBuf []topology.Node
+	linkBuf []topology.Link
 }
 
 // NewMask returns a pristine mask over base.
@@ -306,21 +310,26 @@ func (m *Mask) Graph() *topology.Graph {
 	if m.derived != nil && m.derivedEpoch == m.epoch {
 		return m.derived
 	}
-	g := topology.New(m.base.N())
+	nodes := m.nodeBuf[:0]
 	for k := 0; k < m.base.N(); k++ {
 		n := m.base.Node(k)
-		g.AddNode(n.X, n.Y, n.Compute, n.Storage*m.storScale[k])
+		n.Storage *= m.storScale[k]
+		nodes = append(nodes, n)
 	}
+	links := m.linkBuf[:0]
 	for i, l := range m.links {
 		if m.down[l.A] || m.down[l.B] {
 			continue
 		}
 		// Rate·1.0 is exact, so un-degraded links keep their bitwise rate.
-		if err := g.AddLink(l.A, l.B, l.Rate*m.linkScale[i]); err != nil {
-			panic("chaos: rebuilding masked graph: " + err.Error()) // unreachable: endpoints and rates come from the base graph
-		}
+		l.Rate *= m.linkScale[i]
+		links = append(links, l)
 	}
-	g.Finalize()
+	m.nodeBuf, m.linkBuf = nodes, links
+	g, err := topology.Build(nodes, links)
+	if err != nil {
+		panic("chaos: rebuilding masked graph: " + err.Error()) // unreachable: endpoints and rates come from the base graph
+	}
 	m.derived = g
 	m.derivedEpoch = m.epoch
 	return g

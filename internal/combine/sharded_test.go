@@ -53,7 +53,6 @@ func globalEval(in *model.Instance, p model.Placement) (*model.Instance, *model.
 		all[v] = v
 	}
 	gc := topology.Subgraph(in.Graph, all)
-	gc.Finalize()
 	gin := &model.Instance{Graph: gc, Workload: in.Workload, Lambda: in.Lambda, Budget: in.Budget}
 	return gin, gin.Evaluate(p)
 }

@@ -228,16 +228,18 @@ func (sc *Scenario) buildTopology() (*topology.Graph, error) {
 	case "grid":
 		return topology.Grid(sc.Topology.Rows, sc.Topology.Cols, gcfg, sc.Seed), nil
 	case "explicit":
-		g := topology.New(len(sc.Topology.NodeList))
-		for _, n := range sc.Topology.NodeList {
-			g.AddNode(n.X, n.Y, n.Compute, n.Storage)
+		nodes := make([]topology.Node, len(sc.Topology.NodeList))
+		for i, n := range sc.Topology.NodeList {
+			nodes[i] = topology.Node{X: n.X, Y: n.Y, Compute: n.Compute, Storage: n.Storage}
 		}
-		for _, l := range sc.Topology.LinkList {
-			if err := g.AddLink(l.A, l.B, l.Rate); err != nil {
-				return nil, fmt.Errorf("config: %w", err)
-			}
+		links := make([]topology.Link, len(sc.Topology.LinkList))
+		for i, l := range sc.Topology.LinkList {
+			links[i] = topology.Link{A: l.A, B: l.B, Rate: l.Rate}
 		}
-		g.Finalize()
+		g, err := topology.Build(nodes, links)
+		if err != nil {
+			return nil, fmt.Errorf("config: %w", err)
+		}
 		return g, nil
 	}
 	return nil, fmt.Errorf("config: unknown topology kind %q", sc.Topology.Kind)

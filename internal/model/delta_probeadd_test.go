@@ -1,9 +1,11 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/msvc"
 	"repro/internal/stats"
 )
 
@@ -140,4 +142,133 @@ func BenchmarkProbeAdd(b *testing.B) {
 			de.Revert(dl)
 		}
 	})
+}
+
+// TestProbeAddMissingTwoServices: a request whose chain misses two services
+// stays where it was — unserved, or on the cloud — under a probe that adds
+// only one of them, and is routed by a bundle that adds both. Every probe
+// equals Apply → Eval → Revert, and the request's own counterfactual equals
+// its latency in that evaluation.
+func TestProbeAddMissingTwoServices(t *testing.T) {
+	for _, withCloud := range []bool{false, true} {
+		in := indexTestInstance(t, 10, 40, 6)
+		if withCloud {
+			cc := DefaultCloudConfig()
+			in.Cloud = &cc
+		}
+		h, s1, s2 := -1, -1, -1
+		for i, req := range in.Workload.Requests {
+			for _, a := range req.Chain {
+				for _, b := range req.Chain {
+					if a != b {
+						h, s1, s2 = i, a, b
+					}
+				}
+			}
+			if h >= 0 {
+				break
+			}
+		}
+		if h < 0 {
+			t.Fatal("no request chains two distinct services")
+		}
+		p := densePlacement(in, 3)
+		for k := 0; k < in.V(); k++ {
+			p.Set(s1, k, false)
+			p.Set(s2, k, false)
+		}
+		de := NewDeltaEvaluator(in, p, RouteModeOptimal, 0)
+		base := de.Eval()
+		wantClass := addMissing
+		if withCloud {
+			wantClass = addCloud
+		}
+		// reference applies svcs on node, evaluates and reverts.
+		reference := func(node int, svcs ...int) (AddProbe, float64) {
+			var dls []*Delta
+			for _, s := range svcs {
+				dls = append(dls, de.Apply(s, node, true))
+			}
+			ev := de.Eval()
+			pr, lat := summarizeAdd(ev), ev.Latencies[h]
+			for j := len(dls) - 1; j >= 0; j-- {
+				de.Revert(dls[j])
+			}
+			return pr, lat
+		}
+		for k := 0; k < in.V(); k++ {
+			for _, one := range []int{s1, s2} {
+				want, wantLat := reference(k, one)
+				got := de.ProbeAdd(k, one)
+				assertAddProbe(t, fmt.Sprintf("cloud=%v node %d adds %d", withCloud, k, one), got, want)
+				st := &de.addProbe
+				if st.class[h] != wantClass || !sameFloat(st.lat[h], base.Latencies[h]) || !sameFloat(wantLat, base.Latencies[h]) {
+					t.Fatalf("cloud=%v node %d adds %d: request moved to %v (class %d), evaluation %v, was %v",
+						withCloud, k, one, st.lat[h], st.class[h], wantLat, base.Latencies[h])
+				}
+			}
+			want, wantLat := reference(k, s1, s2)
+			got := de.ProbeAdd(k, s1, s2)
+			assertAddProbe(t, fmt.Sprintf("cloud=%v node %d adds both", withCloud, k), got, want)
+			if st := &de.addProbe; st.class[h] != addRouted || !sameFloat(st.lat[h], wantLat) {
+				t.Fatalf("cloud=%v node %d adds both: request at %v (class %d), evaluation %v",
+					withCloud, k, st.lat[h], st.class[h], wantLat)
+			}
+		}
+	}
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestDeployCostIncluding: counting instances reproduces DeployCost with the
+// bits set, bitwise, on a catalog whose deploy costs are not integers, so
+// that adding a gained κ out of service order would round differently.
+func TestDeployCostIncluding(t *testing.T) {
+	in := indexTestInstance(t, 9, 20, 2)
+	cat := msvc.NewCatalog()
+	for i := 0; i < in.M(); i++ {
+		s := in.Workload.Catalog.Service(i)
+		if _, err := cat.Add(s.Name, 0.1+float64(i)/3+1e-7*float64(i*i), s.Compute, s.Storage); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := *in.Workload
+	w.Catalog = cat
+	in.Workload = &w
+	r := stats.NewRand(7)
+	orderMatters := false
+	for trial := 0; trial < 200; trial++ {
+		p := NewPlacement(in.M(), in.V())
+		for i := 0; i < in.M(); i++ {
+			for k := 0; k < in.V(); k++ {
+				if r.Intn(3) == 0 {
+					p.Set(i, k, true)
+				}
+			}
+		}
+		de := NewDeltaEvaluator(in, p, RouteModeOptimal, 0)
+		node := r.Intn(in.V())
+		var gain []int
+		for i := 0; i < in.M(); i++ {
+			if !p.Has(i, node) && r.Intn(2) == 0 {
+				gain = append(gain, i)
+			}
+		}
+		q := p.Clone()
+		for _, i := range gain {
+			q.Set(i, node, true)
+		}
+		want := in.DeployCost(q)
+		if got := de.deployCostIncluding(gain); !sameFloat(got, want) {
+			t.Fatalf("trial %d: deployCostIncluding %v, DeployCost %v", trial, got, want)
+		}
+		appended := in.DeployCost(p)
+		for _, i := range gain {
+			appended += cat.Service(i).DeployCost
+		}
+		orderMatters = orderMatters || !sameFloat(appended, want)
+	}
+	if !orderMatters {
+		t.Fatal("the catalog never makes summation order matter; the test checks nothing")
+	}
 }

@@ -48,7 +48,6 @@ func NewShardInstance(in *Instance, nodes []int, ownNodes int, reqs []int, ownRe
 		return nil, fmt.Errorf("model: ownReqs %d outside [0,%d]", ownReqs, len(reqs))
 	}
 	sub := topology.Subgraph(in.Graph, nodes)
-	sub.Finalize()
 	localNode := make(map[int]int, len(nodes))
 	for i, v := range nodes {
 		localNode[v] = i

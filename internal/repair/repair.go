@@ -386,6 +386,11 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result) {
 	probes, commits := 0, 0
 	defer func() { res.RolledBack = probes - commits }()
 
+	// Phase 1's buffers: the storage each node uses, computed once a round
+	// (the placement moves only on a commit, which ends the round), the
+	// bundle being probed, and a copy of the best one so far.
+	var used []float64
+	var bundle, bestBundle []chaos.Inst
 	for {
 		ev := s.eval()
 		curScore := scoreEval(min, ev)
@@ -394,6 +399,14 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result) {
 		}
 		cur := s.placement()
 		curCost := min.DeployCost(cur)
+		if used == nil {
+			used = make([]float64, min.V())
+		}
+		for k := range used {
+			if m.NodeUp(k) {
+				used[k] = min.StorageUsed(cur, k)
+			}
+		}
 		committed := false
 		for h := range ev.Latencies {
 			if !math.IsInf(ev.Latencies[h], 1) {
@@ -401,13 +414,12 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result) {
 			}
 			best := curScore
 			bestNode := -1
-			var bestBundle []chaos.Inst
 			for k := 0; k < min.V(); k++ {
 				if !m.NodeUp(k) {
 					continue
 				}
-				bundle := restoreBundle(min, cur, h, k, curCost)
-				if bundle == nil {
+				bundle = restoreBundle(bundle[:0], min, cur, h, k, used[k], curCost)
+				if len(bundle) == 0 {
 					continue
 				}
 				sc, over := s.probeBundle(bundle)
@@ -417,7 +429,8 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result) {
 				}
 				sc.obj += coldPenaltyBundle(min.ColdStart, bundle)
 				if sc.betterThan(best) {
-					best, bestNode, bestBundle = sc, k, bundle
+					best, bestNode = sc, k
+					bestBundle = append(bestBundle[:0], bundle...)
 				}
 			}
 			if bestNode >= 0 {
@@ -491,14 +504,14 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result) {
 	}
 }
 
-// restoreBundle is the phase-1 restoration candidate for request h on node
-// k: every chain service not already placed on k, provisioned together.
-// Returns nil when the chain is already fully present on k, or when k lacks
-// the storage (masked capacity) or the deployment lacks the budget headroom
-// for the whole bundle.
-func restoreBundle(min *model.Instance, cur model.Placement, h, k int, curCost float64) []chaos.Inst {
-	var adds []chaos.Inst
-	need := min.StorageUsed(cur, k)
+// restoreBundle appends to adds (empty on entry) the phase-1 restoration
+// candidate for request h on node k: every chain service not already placed
+// on k, provisioned together. used is the storage k uses under cur. The
+// returned slice is empty when the chain is already fully present on k, or
+// when k lacks the storage (masked capacity) or the deployment lacks the
+// budget headroom for the whole bundle.
+func restoreBundle(adds []chaos.Inst, min *model.Instance, cur model.Placement, h, k int, used, curCost float64) []chaos.Inst {
+	need := used
 	cost := curCost
 chain:
 	for _, i := range min.Workload.Requests[h].Chain {
@@ -515,14 +528,8 @@ chain:
 		cost += svc.DeployCost
 		adds = append(adds, chaos.Inst{Svc: i, Node: k})
 	}
-	if len(adds) == 0 {
-		return nil
-	}
-	if need > min.Graph.Node(k).Storage+model.FeasTol {
-		return nil
-	}
-	if cost > min.Budget+model.FeasTol {
-		return nil
+	if need > min.Graph.Node(k).Storage+model.FeasTol || cost > min.Budget+model.FeasTol {
+		return adds[:0]
 	}
 	return adds
 }

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -110,6 +111,58 @@ func TestRepairMatchesNaive(t *testing.T) {
 				fast.After.CloudServed != ref.After.CloudServed {
 				t.Fatalf("seed %d %v: request classes diverge: %+v vs naive %+v", seed, kind, fast.After, ref.After)
 			}
+		}
+	}
+}
+
+// TestRepairMatchesNaiveGenerated walks generated fault schedules — node
+// crashes at 0.15 a slot plus link degradations, never fewer than half the
+// nodes up — over a 24-node substrate, with and without the cloud, carrying
+// each slot's repaired placement into the next. Every slot's repair must
+// match the reference's additions, evictions, roll-back count (which the
+// transport's breaker reads as the reaction's cost) and placement, bit for
+// bit.
+func TestRepairMatchesNaiveGenerated(t *testing.T) {
+	const nodes, slots = 24, 24
+	for _, seed := range []int64{4, 5} {
+		for _, withCloud := range []bool{false, true} {
+			in := testInstance(t, nodes, 60, seed)
+			if withCloud {
+				cc := model.DefaultCloudConfig()
+				in.Cloud = &cc
+			}
+			scfg := chaos.DefaultScheduleConfig()
+			scfg.NodeFailProb, scfg.MinNodesUp = 0.15, nodes/2
+			sched := chaos.Generate(in.Graph, slots, scfg, seed)
+			m := chaos.NewMask(in.Graph)
+			p := baselines.JDR(in)
+			adds, rolledBack := 0, 0
+			for slot := 0; slot < slots; slot++ {
+				for _, ev := range sched.At(slot) {
+					if err := m.Apply(ev); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fast := Run(in, m, p, Config{})
+				ref := runNaive(in, m, p, Config{})
+				where := fmt.Sprintf("seed %d cloud=%v slot %d", seed, withCloud, slot)
+				if !reflect.DeepEqual(fast.Added, ref.Added) || !reflect.DeepEqual(fast.Evicted, ref.Evicted) {
+					t.Fatalf("%s: added %v evicted %v, naive added %v evicted %v", where, fast.Added, fast.Evicted, ref.Added, ref.Evicted)
+				}
+				if fast.RolledBack != ref.RolledBack {
+					t.Fatalf("%s: roll-back counts diverge: %d vs naive %d", where, fast.RolledBack, ref.RolledBack)
+				}
+				if !reflect.DeepEqual(fast.Placement, ref.Placement) {
+					t.Fatalf("%s: repaired placements diverge", where)
+				}
+				p = fast.Placement
+				adds += len(fast.Added)
+				rolledBack += fast.RolledBack
+			}
+			if adds == 0 || rolledBack == 0 {
+				t.Fatalf("seed %d cloud=%v: the walk added %d and rolled back %d; it tests nothing", seed, withCloud, adds, rolledBack)
+			}
+			t.Logf("seed %d cloud=%v: %d adds, %d rolled back", seed, withCloud, adds, rolledBack)
 		}
 	}
 }

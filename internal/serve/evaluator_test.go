@@ -463,6 +463,37 @@ func BenchmarkDaemonTickReact(b *testing.B) {
 	}
 }
 
+// BenchmarkDaemonTickFault: serve_churn's reacting epoch — 24 nodes, 60
+// users, the default AutoPolicy — where every epoch crashes a node or
+// recovers the one crashed before it. Node 0 stays down throughout, so no
+// epoch's mask is pristine and each one rebuilds the masked substrate.
+func BenchmarkDaemonTickFault(b *testing.B) {
+	g, cat, reqs := testScenario(b, 24, 60, 82)
+	d, err := NewDaemon(testConfig(g, cat))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Ingest(arrivals(0, 0, reqs)...)
+	d.Ingest(Event{Slot: 0, Kind: EvFault, Fault: chaos.Event{Kind: chaos.NodeCrash, Node: 0}})
+	if _, err := d.Tick(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kind := chaos.NodeCrash
+		if i%2 == 1 {
+			kind = chaos.NodeRecover
+		}
+		node := 1 + (i/2)%(g.N()-1)
+		d.Ingest(Event{Slot: d.Epoch(), Kind: EvFault, Fault: chaos.Event{Kind: kind, Node: node}})
+		if _, err := d.Tick(); err != nil {
+			b.Fatal(err)
+		}
+		trimHistory(d, i)
+	}
+}
+
 // BenchmarkDaemonRunScript: a script ingested whole before the first Tick —
 // 40 requests, 3000 epochs, one depart and one arrive every tenth. Admission
 // must cost the events, not events × epochs.

@@ -182,9 +182,9 @@ func regionComponents(g *Graph, ids []NodeID, local map[NodeID]int) [][]NodeID {
 			stack = stack[:len(stack)-1]
 			comp = append(comp, u)
 			for _, e := range g.adj[u] {
-				if li, ok := local[e.to]; ok && !seen[li] {
+				if li, ok := local[int(e.to)]; ok && !seen[li] {
 					seen[li] = true
-					stack = append(stack, e.to)
+					stack = append(stack, int(e.to))
 				}
 			}
 		}
@@ -302,12 +302,12 @@ func (p *ShardPlan) Halo(s int) []NodeID { return p.halos[s] }
 // becomes local ID k), which lets callers put owned nodes first and halo
 // nodes after. Duplicate or out-of-range nodes panic.
 //
-// The parent may be unfinalized; the extract is returned unfinalized (it has
-// only build-API state) and callers finalize it themselves — that per-shard
-// Finalize over |V_s| nodes instead of |V| is the sharded path's core saving.
+// The parent may be unfinalized; the extract is returned finalized over its
+// own |V_s| nodes — paying the path tables for a shard's slice instead of
+// the whole network is the sharded path's core saving.
 func Subgraph(g *Graph, nodes []NodeID) *Graph {
 	local := make(map[NodeID]int, len(nodes))
-	sub := New(len(nodes))
+	sub := make([]Node, len(nodes))
 	for i, v := range nodes {
 		if v < 0 || v >= g.N() {
 			panic(fmt.Sprintf("topology: Subgraph node %d out of range [0,%d)", v, g.N()))
@@ -316,18 +316,22 @@ func Subgraph(g *Graph, nodes []NodeID) *Graph {
 			panic(fmt.Sprintf("topology: Subgraph node %d listed twice", v))
 		}
 		local[v] = i
-		n := g.nodes[v]
-		sub.AddNode(n.X, n.Y, n.Compute, n.Storage)
+		sub[i] = g.nodes[v]
 	}
 	// Deterministic link order: walk the included nodes in local order and
-	// their adjacency lists in insertion order; AddLink dedups the reverse
-	// direction.
+	// their adjacency lists in insertion order, keeping each link once, from
+	// its lower local endpoint.
+	var links []Link
 	for i, v := range nodes {
 		for _, e := range g.adj[v] {
-			if j, ok := local[e.to]; ok && i < j {
-				_ = sub.AddLink(i, j, e.rate)
+			if j, ok := local[int(e.to)]; ok && i < j {
+				links = append(links, Link{A: i, B: j, Rate: g.rates[linkKey(v, int(e.to))]})
 			}
 		}
 	}
-	return sub
+	out, err := Build(sub, links)
+	if err != nil {
+		panic("topology: Subgraph: " + err.Error()) // unreachable: endpoints and rates come from g
+	}
+	return out
 }

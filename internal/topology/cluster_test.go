@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -163,15 +164,15 @@ func TestPlanShardsSymmetryOnClustered(t *testing.T) {
 
 func TestSubgraphPreservesPathCosts(t *testing.T) {
 	g, regions := Clustered(DefaultClusterConfig(4, 6), 9)
-	// Full-set extraction in ID order is an exact copy: finalize both and
-	// compare every pairwise path cost and hop count.
+	// Full-set extraction in ID order is an exact copy: finalize the parent
+	// (the extract comes finalized) and compare every pairwise path cost and
+	// hop count.
 	all := make([]NodeID, g.N())
 	for i := range all {
 		all[i] = i
 	}
 	sub := Subgraph(g, all)
 	g.Finalize()
-	sub.Finalize()
 	for a := 0; a < g.N(); a++ {
 		for b := 0; b < g.N(); b++ {
 			if ca, cb := g.PathCost(a, b), sub.PathCost(a, b); ca != cb {
@@ -185,7 +186,6 @@ func TestSubgraphPreservesPathCosts(t *testing.T) {
 	// A single-region extract keeps intra-region costs no better than the
 	// parent's (the parent may shortcut through other regions).
 	reg := Subgraph(g, regions[0])
-	reg.Finalize()
 	for i := range regions[0] {
 		for j := range regions[0] {
 			pc, rc := g.PathCost(regions[0][i], regions[0][j]), reg.PathCost(i, j)
@@ -196,6 +196,41 @@ func TestSubgraphPreservesPathCosts(t *testing.T) {
 				t.Fatalf("extract cost %v beats parent %v at (%d,%d)", rc, pc, i, j)
 			}
 		}
+	}
+}
+
+// TestSubgraphMatchesIncremental: the extract is the graph New, AddNode and
+// AddLink build over the listed nodes, each kept link added once from its
+// lower local endpoint in local node order, then adjacency order.
+func TestSubgraphMatchesIncremental(t *testing.T) {
+	g, regions := Clustered(DefaultClusterConfig(4, 6), 5)
+	nodes := append(append([]NodeID(nil), regions[2]...), regions[0]...)
+	for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
+		nodes[i], nodes[j] = nodes[j], nodes[i]
+	}
+	local := make(map[NodeID]int, len(nodes))
+	want := New(len(nodes))
+	for i, v := range nodes {
+		local[v] = i
+		n := g.Node(v)
+		want.AddNode(n.X, n.Y, n.Compute, n.Storage)
+	}
+	for i, v := range nodes {
+		for _, u := range g.Neighbors(v) {
+			if j, ok := local[u]; ok && i < j {
+				r, _ := g.LinkRate(v, u)
+				mustLink(t, want, i, j, r)
+			}
+		}
+	}
+	want.Finalize()
+	got := Subgraph(g, nodes)
+	if !reflect.DeepEqual(got.adj, want.adj) {
+		t.Fatal("Subgraph's adjacency lists differ from the incremental build's")
+	}
+	if !reflect.DeepEqual(got.timeCost, want.timeCost) || !reflect.DeepEqual(got.timeNext, want.timeNext) ||
+		!reflect.DeepEqual(got.hops, want.hops) || !reflect.DeepEqual(got.hopCost, want.hopCost) {
+		t.Fatal("Subgraph's path tables differ from the incremental build's")
 	}
 }
 

@@ -44,9 +44,12 @@ func ShannonRate(bw, gamma, g, n float64) float64 {
 	return bw * math.Log2(1+gamma*g/n)
 }
 
+// edge is one direction of a link in an adjacency list. It keeps the
+// transfer time per GB, 1/rate, computed once in AddLink; the rate itself
+// lives in the graph's rate map.
 type edge struct {
-	to   NodeID
-	rate float64
+	to  int32
+	inv float64
 }
 
 // Graph is a weighted undirected edge network. The zero value is unusable;
@@ -57,18 +60,19 @@ type Graph struct {
 	adj   [][]edge
 	rates map[[2]NodeID]float64
 
-	// Precomputed by Finalize.
+	// Precomputed by Finalize: row-major n×n tables, the entry of the pair
+	// (a, b) at index a·n + b.
 	finalized bool
-	// timeCost[a][b] = Σ 1/b(l) over the minimum-transfer-time path from a
+	// timeCost[a·n+b] = Σ 1/b(l) over the minimum-transfer-time path from a
 	// to b: the seconds needed to move one GB. +Inf if disconnected.
-	timeCost [][]float64
-	// timeNext[a][b] = next hop from a on the minimum-time path to b, or -1.
-	timeNext [][]NodeID
-	// hops[a][b] = number of links on the minimum-hop path, or -1.
-	hops [][]int
-	// hopCost[a][b] = Σ 1/b(l) along the minimum-hop path (tie-broken by
+	timeCost []float64
+	// timeNext[a·n+b] = next hop from a on the minimum-time path to b, or -1.
+	timeNext []int32
+	// hops[a·n+b] = number of links on the minimum-hop path, or -1.
+	hops []int32
+	// hopCost[a·n+b] = Σ 1/b(l) along the minimum-hop path (tie-broken by
 	// transfer time); +Inf if disconnected. Used for d_out.
-	hopCost [][]float64
+	hopCost []float64
 }
 
 // New returns an empty graph with capacity hints for n nodes.
@@ -103,22 +107,63 @@ func (g *Graph) AddLink(a, b NodeID, rate float64) error {
 		return fmt.Errorf("topology: non-positive rate %v on link (%d,%d)", rate, a, b)
 	}
 	key := linkKey(a, b)
+	inv := 1 / rate
 	if _, exists := g.rates[key]; exists {
 		g.rates[key] = rate
 		for _, pair := range [2][2]NodeID{{a, b}, {b, a}} {
 			for i := range g.adj[pair[0]] {
-				if g.adj[pair[0]][i].to == pair[1] {
-					g.adj[pair[0]][i].rate = rate
+				if int(g.adj[pair[0]][i].to) == pair[1] {
+					g.adj[pair[0]][i].inv = inv
 				}
 			}
 		}
 	} else {
 		g.rates[key] = rate
-		g.adj[a] = append(g.adj[a], edge{to: b, rate: rate})
-		g.adj[b] = append(g.adj[b], edge{to: a, rate: rate})
+		g.adj[a] = append(g.adj[a], edge{to: int32(b), inv: inv})
+		g.adj[b] = append(g.adj[b], edge{to: int32(a), inv: inv})
 	}
 	g.finalized = false
 	return nil
+}
+
+// Build returns the finalized graph that New, AddNode for every node in
+// order (the ID fields are ignored: the k-th node gets ID k), AddLink for
+// every link in order and Finalize would build — the same adjacency order,
+// rates and tables — or AddLink's error for the first bad link. The rate map
+// and the adjacency lists are sized up front.
+func Build(nodes []Node, links []Link) (*Graph, error) {
+	n := len(nodes)
+	g := &Graph{
+		nodes: make([]Node, n),
+		adj:   make([][]edge, n),
+		rates: make(map[[2]NodeID]float64, len(links)),
+	}
+	for k, nd := range nodes {
+		nd.ID = k
+		g.nodes[k] = nd
+	}
+	deg := make([]int, n)
+	for _, l := range links {
+		if l.A >= 0 && l.A < n && l.B >= 0 && l.B < n {
+			deg[l.A]++
+			deg[l.B]++
+		}
+	}
+	// One backing array; each list is capped at its own span, so a later
+	// AddLink that outgrows it reallocates instead of running into the next.
+	all := make([]edge, 2*len(links))
+	off := 0
+	for k, d := range deg {
+		g.adj[k] = all[off : off : off+d]
+		off += d
+	}
+	for _, l := range links {
+		if err := g.AddLink(l.A, l.B, l.Rate); err != nil {
+			return nil, err
+		}
+	}
+	g.Finalize()
+	return g, nil
 }
 
 func linkKey(a, b NodeID) [2]NodeID {
@@ -165,7 +210,7 @@ func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
 func (g *Graph) Neighbors(v NodeID) []NodeID {
 	out := make([]NodeID, len(g.adj[v]))
 	for i, e := range g.adj[v] {
-		out[i] = e.to
+		out[i] = int(e.to)
 	}
 	return out
 }
@@ -174,15 +219,28 @@ func (g *Graph) Neighbors(v NodeID) []NodeID {
 // source over weight 1/rate) and minimum-hop paths (BFS with transfer-time
 // tie-breaking). It must be called after topology edits and before any query;
 // queries on a non-finalized graph panic. Generators return finalized graphs.
+//
+// Every source reuses one scratch and writes straight into its table rows.
 func (g *Graph) Finalize() {
 	n := len(g.nodes)
-	g.timeCost = make([][]float64, n)
-	g.timeNext = make([][]NodeID, n)
-	g.hops = make([][]int, n)
-	g.hopCost = make([][]float64, n)
+	g.timeCost = make([]float64, n*n)
+	g.timeNext = make([]int32, n*n)
+	g.hops = make([]int32, n*n)
+	g.hopCost = make([]float64, n*n)
+	pushes := 1 // a source pushes itself and then once per improving relaxation
+	for _, es := range g.adj {
+		pushes += len(es)
+	}
+	sc := pathScratch{
+		pq:    costHeap{a: make([]item, 0, pushes)},
+		prev:  make([]int32, n),
+		done:  make([]bool, n),
+		order: make([]int32, 0, n),
+	}
 	for s := 0; s < n; s++ {
-		g.timeCost[s], g.timeNext[s] = g.dijkstra(s)
-		g.hops[s], g.hopCost[s] = g.bfsHops(s)
+		row := s * n
+		g.dijkstra(s, g.timeCost[row:row+n], g.timeNext[row:row+n], &sc)
+		g.bfsHops(s, g.hops[row:row+n], g.hopCost[row:row+n], &sc)
 	}
 	g.finalized = true
 }
@@ -193,19 +251,41 @@ func (g *Graph) checkFinalized() {
 	}
 }
 
-// dijkstra computes, from source s, the minimal Σ 1/rate to every node and a
-// next-hop table for path reconstruction.
-func (g *Graph) dijkstra(s NodeID) ([]float64, []NodeID) {
+// pair is the table index of the pair (a, b) on a finalized graph. An
+// out-of-range b is rejected here; an out-of-range a lands outside the table.
+func (g *Graph) pair(a, b NodeID) int {
+	g.checkFinalized()
 	n := len(g.nodes)
-	dist := make([]float64, n)
-	prev := make([]NodeID, n)
-	done := make([]bool, n)
+	if uint(b) >= uint(n) {
+		panic("topology: node ID out of range")
+	}
+	return a*n + b
+}
+
+// pathScratch is what Finalize's per-source searches share: the Dijkstra
+// heap, predecessor and settled flags, and the order nodes settle in (which
+// doubles as BFS's FIFO queue).
+type pathScratch struct {
+	pq    costHeap
+	prev  []int32
+	done  []bool
+	order []int32
+}
+
+// dijkstra fills dist with the minimal Σ 1/rate from source s to every node
+// and next with the first hop from s on that path (-1 for s itself and for
+// unreachable nodes).
+func (g *Graph) dijkstra(s NodeID, dist []float64, next []int32, sc *pathScratch) {
+	prev, done := sc.prev, sc.done
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prev[i] = -1
+		done[i] = false
 	}
 	dist[s] = 0
-	pq := &costHeap{}
+	order := sc.order[:0]
+	pq := &sc.pq
+	pq.a = pq.a[:0]
 	pq.push(item{node: s, cost: 0})
 	for pq.len() > 0 {
 		it := pq.pop()
@@ -214,70 +294,68 @@ func (g *Graph) dijkstra(s NodeID) ([]float64, []NodeID) {
 			continue
 		}
 		done[u] = true
+		order = append(order, int32(u))
+		du := dist[u]
 		for _, e := range g.adj[u] {
-			c := dist[u] + 1/e.rate
-			if c < dist[e.to] {
+			if c := du + e.inv; c < dist[e.to] {
 				dist[e.to] = c
-				prev[e.to] = u
-				pq.push(item{node: e.to, cost: c})
+				prev[e.to] = int32(u)
+				pq.push(item{node: int(e.to), cost: c})
 			}
 		}
 	}
-	// Convert predecessor tree into next-hop-from-s table.
-	next := make([]NodeID, n)
-	for v := 0; v < n; v++ {
-		if v == s || prev[v] == -1 {
-			next[v] = -1
-			continue
-		}
-		cur := v
-		for prev[cur] != s {
-			cur = prev[cur]
-		}
-		next[v] = cur
+	sc.order = order
+	// Convert the predecessor tree into a next-hop-from-s table. A node's
+	// predecessor settles before it does, so walking the settle order finds
+	// every predecessor's first hop already written.
+	for i := range next {
+		next[i] = -1
 	}
-	return dist, next
+	for _, v := range order[1:] {
+		if p := prev[v]; int(p) == s {
+			next[v] = v
+		} else {
+			next[v] = next[p]
+		}
+	}
 }
 
-// bfsHops computes minimum hop counts from s, and the Σ 1/rate along a
-// minimum-hop path chosen to minimize transfer time among equal-hop paths.
-func (g *Graph) bfsHops(s NodeID) ([]int, []float64) {
-	n := len(g.nodes)
-	hops := make([]int, n)
-	cost := make([]float64, n)
+// bfsHops fills hops with the minimum hop counts from s (-1 when
+// unreachable), and cost with the Σ 1/rate along a minimum-hop path chosen to
+// minimize transfer time among equal-hop paths. It visits nodes in FIFO
+// order, which is level by level, each level in discovery order.
+func (g *Graph) bfsHops(s NodeID, hops []int32, cost []float64, sc *pathScratch) {
 	for i := range hops {
 		hops[i] = -1
 		cost[i] = math.Inf(1)
 	}
 	hops[s] = 0
 	cost[s] = 0
-	frontier := []NodeID{s}
-	for len(frontier) > 0 {
-		var next []NodeID
-		for _, u := range frontier {
-			for _, e := range g.adj[u] {
-				c := cost[u] + 1/e.rate
-				switch {
-				case hops[e.to] == -1:
-					hops[e.to] = hops[u] + 1
-					cost[e.to] = c
-					next = append(next, e.to)
-				case hops[e.to] == hops[u]+1 && c < cost[e.to]:
-					cost[e.to] = c
+	queue := append(sc.order[:0], int32(s))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		hu, cu := hops[u], cost[u]
+		for _, e := range g.adj[u] {
+			switch v := e.to; hops[v] {
+			case -1:
+				hops[v] = hu + 1
+				cost[v] = cu + e.inv
+				queue = append(queue, v)
+			case hu + 1:
+				if c := cu + e.inv; c < cost[v] {
+					cost[v] = c
 				}
 			}
 		}
-		frontier = next
 	}
-	return hops, cost
+	sc.order = queue
 }
 
 // PathCost returns the seconds-per-GB of the minimum-transfer-time path from
 // a to b: Σ_{l ∈ π(a,b)} 1/b(l). It is 0 when a == b and +Inf when a and b
 // are disconnected.
 func (g *Graph) PathCost(a, b NodeID) float64 {
-	g.checkFinalized()
-	return g.timeCost[a][b]
+	return g.timeCost[g.pair(a, b)]
 }
 
 // VirtualSpeed returns the harmonic-mean channel speed 𝔹(l'_{a,b}) of the
@@ -300,31 +378,30 @@ func (g *Graph) TransferTime(a, b NodeID, r float64) float64 {
 // Hops returns the number of links on the minimum-hop path from a to b, or
 // -1 when disconnected.
 func (g *Graph) Hops(a, b NodeID) int {
-	g.checkFinalized()
-	return g.hops[a][b]
+	return int(g.hops[g.pair(a, b)])
 }
 
 // HopPathCost returns Σ 1/b(l) along the minimum-hop path π*(a,b) (the
 // return-path metric for d_out). +Inf when disconnected, 0 when a == b.
 func (g *Graph) HopPathCost(a, b NodeID) float64 {
-	g.checkFinalized()
-	return g.hopCost[a][b]
+	return g.hopCost[g.pair(a, b)]
 }
 
 // Path reconstructs the minimum-transfer-time path from a to b, inclusive of
 // both endpoints. It returns nil when disconnected and [a] when a == b.
 func (g *Graph) Path(a, b NodeID) []NodeID {
-	g.checkFinalized()
+	ab := g.pair(a, b)
 	if a == b {
 		return []NodeID{a}
 	}
-	if math.IsInf(g.timeCost[a][b], 1) {
+	if math.IsInf(g.timeCost[ab], 1) {
 		return nil
 	}
+	n := len(g.nodes)
 	path := []NodeID{a}
 	cur := a
 	for cur != b {
-		cur = g.timeNext[cur][b]
+		cur = int(g.timeNext[cur*n+b])
 		if cur == -1 {
 			return nil
 		}
@@ -362,7 +439,7 @@ func (g *Graph) Components() [][]NodeID {
 			for _, e := range g.adj[u] {
 				if !seen[e.to] {
 					seen[e.to] = true
-					stack = append(stack, e.to)
+					stack = append(stack, int(e.to))
 				}
 			}
 		}
@@ -400,39 +477,53 @@ type costHeap struct{ a []item }
 
 func (h *costHeap) len() int { return len(h.a) }
 
+// push and pop move the sifted item through a hole instead of swapping it
+// along its path: the comparisons, and so the resulting array, are the
+// swapping heap's exactly.
 func (h *costHeap) push(it item) {
 	h.a = append(h.a, it)
-	i := len(h.a) - 1
+	a := h.a
+	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if h.a[p].cost <= h.a[i].cost {
+		if a[p].cost <= it.cost {
 			break
 		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
+		a[i] = a[p]
 		i = p
 	}
+	a[i] = it
 }
 
 func (h *costHeap) pop() item {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
+	a := h.a
+	top := a[0]
+	last := len(a) - 1
+	x := a[last]
+	a = a[:last]
+	h.a = a
+	if last == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.a) && h.a[l].cost < h.a[small].cost {
-			small = l
+		l := 2*i + 1
+		if l >= last {
+			break
 		}
-		if r < len(h.a) && h.a[r].cost < h.a[small].cost {
+		small, cost := i, x.cost
+		if a[l].cost < cost {
+			small, cost = l, a[l].cost
+		}
+		if r := l + 1; r < last && a[r].cost < cost {
 			small = r
 		}
 		if small == i {
 			break
 		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
+		a[i] = a[small]
 		i = small
 	}
+	a[i] = x
 	return top
 }

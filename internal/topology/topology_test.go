@@ -343,3 +343,26 @@ func TestHopAndSpeedBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestQueryOutOfRangePanics(t *testing.T) {
+	g := line(t)
+	for _, q := range []struct {
+		name string
+		fn   func()
+	}{
+		{"PathCost(0,4)", func() { g.PathCost(0, 4) }},
+		{"PathCost(4,0)", func() { g.PathCost(4, 0) }},
+		{"Hops(0,-1)", func() { g.Hops(0, -1) }},
+		{"HopPathCost(-1,0)", func() { g.HopPathCost(-1, 0) }},
+		{"Path(0,4)", func() { g.Path(0, 4) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", q.name)
+				}
+			}()
+			q.fn()
+		}()
+	}
+}

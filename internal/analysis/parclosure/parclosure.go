@@ -1,7 +1,7 @@
 // Package parclosure flags unsynchronized writes to captured state inside
 // closures that run on other goroutines — the bug class the parallel
-// branch-and-bound engine (internal/ilp), the parallel
-// fan-outs in model/combine, and the sweep executor
+// branch-and-bound engine (internal/ilp), the sharded combine's task graph
+// (internal/combine/sharded.go), and the sweep executor
 // (internal/experiments/sweep.go) are all one careless edit away from.
 //
 // A "spawned region" is the body of a `go func(){...}`, a function literal

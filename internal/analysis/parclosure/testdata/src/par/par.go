@@ -181,7 +181,7 @@ func goodLocked(n int) int {
 	return total
 }
 
-// goodChunked is the model/combine fan-out shape: chunk bounds passed as
+// goodChunked is the chunked fan-out shape: chunk bounds passed as
 // parameters, all mutation closure-local.
 func goodChunked(xs []int) []int {
 	out := make([]int, len(xs))

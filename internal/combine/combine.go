@@ -54,9 +54,7 @@ package combine
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/fuzzy"
 	"repro/internal/invariant"
@@ -460,20 +458,13 @@ type scoredInst struct {
 	zeta float64
 }
 
-// zetaParallelThreshold is the eligible-instance count above which ζ values
-// are computed concurrently. ζ computations are independent reads of the
-// combination state, so the parallel path is deterministic.
-const zetaParallelThreshold = 32
-
 // updateInstanceSet is Algorithm 4: the eligible instances with their ζ,
 // sorted ascending (highest combination priority first). Services reduced
 // to a single instance are excluded to preserve service continuity. With
 // the incremental engine, ζ values are served from the per-service memo —
 // a mutation of service i invalidates only i's row, because ζ(i,k) depends
 // solely on i's candidate set and relying steps — so a serial round rescores
-// one service instead of the whole deployment. Cache misses are scored in
-// parallel when numerous — the "parallel" in the paper's parallel local
-// search.
+// one service instead of the whole deployment.
 func (s *state) updateInstanceSet() []scoredInst {
 	var out []scoredInst
 	var miss []int // indices of out lacking a memoized ζ
@@ -498,34 +489,8 @@ func (s *state) updateInstanceSet() []scoredInst {
 			}
 		}
 	}
-	if len(miss) >= zetaParallelThreshold && runtime.GOMAXPROCS(0) > 1 {
-		if s.idx != nil {
-			s.idx.Prewarm() // ζ workers read candidate lists concurrently
-		}
-		var wg sync.WaitGroup
-		workers := runtime.GOMAXPROCS(0)
-		chunk := (len(miss) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(miss) {
-				hi = len(miss)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for _, i := range miss[lo:hi] {
-					out[i].zeta = s.zeta(out[i].key.svc, out[i].key.node)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		for _, i := range miss {
-			out[i].zeta = s.zeta(out[i].key.svc, out[i].key.node)
-		}
+	for _, i := range miss {
+		out[i].zeta = s.zeta(out[i].key.svc, out[i].key.node)
 	}
 	if s.zetaMemo != nil {
 		for _, i := range miss {
@@ -920,9 +885,6 @@ func (s *state) lowestPriorityService(k int) int {
 // the workload — never on the placement — so values are memoized for the
 // lifetime of the run.
 func (s *state) localDemandFactor(svc, k int) float64 {
-	if s.rhoCache == nil {
-		return s.computeDemandFactor(svc, k)
-	}
 	if rho := s.rhoCache[svc][k]; !math.IsNaN(rho) {
 		return rho
 	}

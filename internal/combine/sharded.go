@@ -3,12 +3,12 @@ package combine
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/bb"
 	"repro/internal/invariant"
 	"repro/internal/model"
 	"repro/internal/partition"
@@ -72,9 +72,10 @@ type ShardedConfig struct {
 	Partition partition.Config
 	// Combine holds the per-shard combination hyper-parameters.
 	Combine Config
-	// Workers bounds the goroutines running the shard tasks: 0 = GOMAXPROCS,
-	// 1 = serial (no goroutines). Placements and objectives are identical
-	// either way.
+	// Workers bounds the goroutines running the shard tasks, resolved by
+	// bb.ResolveWorkers (0 = GOMAXPROCS). 1 runs every task on the calling
+	// goroutine, and nothing beneath starts one. Placements and objectives
+	// are identical either way.
 	Workers int
 	// Seed is the root seed; shard s derives stats.SplitSeed(Seed,
 	// "shard/<s>") for every seeded component it binds (the reconciliation
@@ -284,10 +285,7 @@ func runTaskGraph(deps [][]int, workers int, run func(t int) error) (errs []erro
 		}
 	}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers = min(workers, n); workers <= 1 {
+	if workers = min(bb.ResolveWorkers(workers), n); workers <= 1 {
 		work()
 		return errs
 	}

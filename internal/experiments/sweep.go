@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
+	"repro/internal/bb"
 	"repro/internal/stats"
 )
 
@@ -18,23 +18,18 @@ import (
 //   - Results land in out[i], so the caller's row order is the sweep order
 //     regardless of which point finishes first.
 //
-// Workers comes from opts.Workers: 0 means GOMAXPROCS, 1 forces the serial
-// path (no goroutines at all, useful under -race and in differential
-// tests). fn must not share mutable state across points; drivers that reuse
-// one instance across points (ExtBudget's delta-scored budget sweep) stay
-// on plain serial loops instead.
+// Workers comes from opts.Workers, resolved by bb.ResolveWorkers (0 means
+// GOMAXPROCS): 1 forces the serial path (no goroutines at all, useful
+// under -race and in differential tests). fn must not share mutable state
+// across points; drivers that reuse one instance across points
+// (ExtBudget's delta-scored budget sweep) stay on plain serial loops
+// instead.
 func runSweep[R any](opts Options, label string, n int, fn func(i int, seed int64) R) []R {
 	out := make([]R, n)
 	seedOf := func(i int) int64 {
 		return stats.SplitSeed(opts.Seed, fmt.Sprintf("%s/%d", label, i))
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(bb.ResolveWorkers(opts.Workers), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			out[i] = fn(i, seedOf(i))

@@ -71,7 +71,8 @@ func TestArmedIndexWatch(t *testing.T) {
 	p := model.NewPlacement(2, 4)
 	p.Set(0, 1, true)
 	ix := model.NewPlacementIndex(p)
-	ix.Prewarm()
+	ix.NodesOf(0) // build both cached lists
+	ix.NodesOf(1)
 
 	var w IndexWatch
 	w.Check(ix) // verifies and memoizes epoch
@@ -86,7 +87,7 @@ func TestArmedIndexWatch(t *testing.T) {
 	fresh = IndexWatch{}
 	fresh.Check(ix)
 	ix.Set(1, 3, true) // epoch bump forces the next scan
-	ix.Prewarm()
+	ix.NodesOf(1)
 	fresh.Check(ix) // re-verifies at the new epoch
 }
 

@@ -50,7 +50,7 @@ func TestDisabledChecksAreInert(t *testing.T) {
 	p := model.NewPlacement(1, 2)
 	p.Set(0, 0, true)
 	ix := model.NewPlacementIndex(p)
-	ix.Prewarm()
+	ix.NodesOf(0)    // build the cached list
 	p.X[0][1] = true // stale cache — ignored when disabled
 	var w IndexWatch
 	w.Check(ix)

@@ -53,9 +53,11 @@ func TestCloudCompletionTime(t *testing.T) {
 	}
 }
 
-// Parallel-path parity: evaluation of ≥64 requests must agree exactly with
-// a request-by-request serial recomputation for every routing mode.
-func TestParallelEvaluationParity(t *testing.T) {
+// Evaluation parity: EvaluateRouted over 150 requests must agree exactly
+// with a request-by-request recomputation for every routing mode. In random
+// mode this is what catches a generator shared across requests: each
+// request's route must come from its own derived stream.
+func TestEvaluationMatchesPerRequestRouting(t *testing.T) {
 	g := topology.RandomGeometric(10, 0.35, topology.DefaultGenConfig(), 21)
 	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), 21)
 	w, err := msvc.GenerateWorkload(cat, g, msvc.DefaultWorkloadConfig(150), 21)
@@ -66,8 +68,7 @@ func TestParallelEvaluationParity(t *testing.T) {
 	p := randomPlacement(in, 5)
 
 	for _, mode := range []RoutingMode{RouteModeOptimal, RouteModeGreedy, RouteModeRandom} {
-		ev := in.EvaluateRouted(p, mode, 7) // parallel (150 ≥ threshold)
-		// Serial recomputation per request.
+		ev := in.EvaluateRouted(p, mode, 7)
 		for h := range in.Workload.Requests {
 			req := &in.Workload.Requests[h]
 			var want float64
@@ -88,7 +89,7 @@ func TestParallelEvaluationParity(t *testing.T) {
 				continue
 			}
 			if math.Abs(ev.Latencies[h]-want) > 1e-9 {
-				t.Fatalf("mode %v req %d: parallel %v != serial %v", mode, h, ev.Latencies[h], want)
+				t.Fatalf("mode %v req %d: evaluated %v != routed %v", mode, h, ev.Latencies[h], want)
 			}
 		}
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/msvc"
 )
@@ -123,8 +121,7 @@ type Delta struct {
 }
 
 // DeltaEvaluator scores a sequence of adjacent placements incrementally.
-// Not safe for concurrent use; Eval internally fans re-routing out over
-// goroutines when the dirty set is large, mirroring EvaluateRouted.
+// Not safe for concurrent use.
 type DeltaEvaluator struct {
 	in   *Instance
 	ix   *PlacementIndex
@@ -591,13 +588,8 @@ func (d *DeltaEvaluator) Rebind(p Placement) {
 	}
 }
 
-// DeltaParallelThreshold is the dirty-request count at which a refresh's
-// re-route fan-out goes parallel (same pattern and determinism argument as
-// EvaluateRouted: per-request routing is independent).
-const DeltaParallelThreshold = 64
-
 // rerouteOne refreshes request h's cache entry under the live placement.
-func (d *DeltaEvaluator) rerouteOne(h int, sc *RouteScratch) {
+func (d *DeltaEvaluator) rerouteOne(h int) {
 	req := &d.in.Workload.Requests[h]
 	var (
 		a   Assignment
@@ -612,7 +604,7 @@ func (d *DeltaEvaluator) rerouteOne(h int, sc *RouteScratch) {
 		rng := rand.New(rand.NewSource(d.seed + int64(h)*0x9e3779b9))
 		a, lat, err = d.in.routeRandom(req, d.ix, rng)
 	default:
-		a, lat, err = d.in.routeOptimal(req, d.ix, sc)
+		a, lat, err = d.in.routeOptimal(req, d.ix, d.scratch)
 	}
 	e := &d.routes[h]
 	*e = deltaRoute{valid: true, gen: d.evalGen}
@@ -644,33 +636,8 @@ func (d *DeltaEvaluator) refresh() {
 	d.Recomputed += len(dirty)
 	d.Hits += len(d.routes) - len(dirty)
 
-	if len(dirty) >= DeltaParallelThreshold && runtime.GOMAXPROCS(0) > 1 {
-		d.ix.Prewarm() // concurrent NodesOf reads must not rebuild
-		workers := runtime.GOMAXPROCS(0)
-		chunk := (len(dirty) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(dirty) {
-				hi = len(dirty)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				sc := &RouteScratch{}
-				for _, h := range dirty[lo:hi] {
-					d.rerouteOne(h, sc)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		for _, h := range dirty {
-			d.rerouteOne(h, d.scratch)
-		}
+	for _, h := range dirty {
+		d.rerouteOne(h)
 	}
 }
 

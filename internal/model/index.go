@@ -18,11 +18,9 @@ import "fmt"
 // (invariant.IndexWatch at every combine phase boundary), and the
 // incremental ≡ naive differential tests of combine and model.
 //
-// Concurrency: NodesOf lazily rebuilds dirty entries, so concurrent readers
-// must call Prewarm first (or otherwise guarantee no entry is dirty); after
-// that, reads are safe from any number of goroutines as long as no mutation
-// runs. Returned slices are owned by the index: they are valid until the
-// service's next invalidation and must not be modified.
+// An index is single-goroutine: NodesOf lazily rebuilds dirty entries, so
+// even a read may write. Returned slices are owned by the index: they are
+// valid until the service's next invalidation and must not be modified.
 type PlacementIndex struct {
 	p     Placement
 	nodes [][]int
@@ -103,14 +101,6 @@ func (ix *PlacementIndex) NodesOf(i int) []int {
 	return ix.nodes[i]
 }
 
-// Prewarm rebuilds every dirty list so subsequent NodesOf calls are
-// read-only — required before sharing the index across goroutines.
-func (ix *PlacementIndex) Prewarm() {
-	for i := range ix.dirty {
-		ix.NodesOf(i)
-	}
-}
-
 // CheckCoherent verifies every clean cached candidate list against a fresh
 // scan of its placement row, catching exactly the staleness class behind
 // PR 1: a raw write to Placement.X that bypassed Set/Rebind. Dirty entries
@@ -141,8 +131,7 @@ func (ix *PlacementIndex) CheckCoherent() error {
 
 // RouteScratch holds the dynamic-programming buffers of RouteOptimal so
 // repeated routing calls (one per request per combine round) reuse memory
-// instead of allocating O(L·|V|) per call. A scratch is single-goroutine:
-// parallel routing fan-outs allocate one per worker.
+// instead of allocating O(L·|V|) per call. A scratch is single-goroutine.
 type RouteScratch struct {
 	cost, next []float64
 	back       [][]int

@@ -130,8 +130,9 @@ func TestPlacementIndexEpochAndCoherence(t *testing.T) {
 	if ix.Epoch() != 0 {
 		t.Fatalf("fresh index epoch = %d, want 0", ix.Epoch())
 	}
-	ix.Prewarm()
-	_ = ix.NodesOf(0)
+	for i := range p.X {
+		ix.NodesOf(i) // build every cached list
+	}
 	if ix.Epoch() != 0 {
 		t.Fatal("reads must not advance the epoch")
 	}
@@ -145,13 +146,15 @@ func TestPlacementIndexEpochAndCoherence(t *testing.T) {
 		t.Fatalf("epoch after Set+Set+Rebind = %d, want 3", ix.Epoch())
 	}
 
-	ix.Prewarm()
+	for i := range p.X {
+		ix.NodesOf(i) // Rebind dirtied every list
+	}
 	if err := ix.CheckCoherent(); err != nil {
 		t.Fatalf("coherent index reported: %v", err)
 	}
 	// Mutations through the index stay coherent.
 	ix.Set(1, 4, true)
-	ix.Prewarm()
+	ix.NodesOf(1)
 	if err := ix.CheckCoherent(); err != nil {
 		t.Fatalf("after indexed Set: %v", err)
 	}

@@ -16,9 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/msvc"
 	"repro/internal/topology"
@@ -517,16 +514,8 @@ func (in *Instance) Evaluate(p Placement) *Evaluation {
 	return in.EvaluateRouted(p, RouteModeOptimal, 0)
 }
 
-// parallelThreshold is the request count above which EvaluateRouted fans
-// routing out over GOMAXPROCS workers. Routing per request is independent,
-// so the parallel and serial paths produce identical results (random-mode
-// streams derive per-request seeds rather than sharing one generator).
-const parallelThreshold = 64
-
 // EvaluateRouted scores placement p under an explicit routing policy. The
-// seed matters only for RouteModeRandom. Large workloads are evaluated in
-// parallel across GOMAXPROCS goroutines; results are deterministic either
-// way.
+// seed matters only for RouteModeRandom.
 func (in *Instance) EvaluateRouted(p Placement, mode RoutingMode, seed int64) *Evaluation {
 	reqs := in.Workload.Requests
 	ev := &Evaluation{
@@ -538,17 +527,13 @@ func (in *Instance) EvaluateRouted(p Placement, mode RoutingMode, seed int64) *E
 	}
 	ev.OverBudget = !in.CheckBudget(p)
 
-	// One prewarmed index serves every request: candidate lists are built
-	// once per service instead of once per (request, step), and the prewarm
-	// makes concurrent reads race-free.
+	// One index serves every request: candidate lists are built once per
+	// service instead of once per (request, step).
 	ix := NewPlacementIndex(p)
-	ix.Prewarm()
 	epoch0 := ix.Epoch() // routing must never mutate the index (self-check)
 
-	// routeOne returns flags: missing instance, unroutable (instances exist
-	// but disconnected), deadline violated, cloud fallback used. sc is the
-	// calling worker's DP scratch.
-	routeOne := func(h int, sc *RouteScratch) (missing, unroutable, late, cloud bool) {
+	sc := &RouteScratch{}
+	for h := range reqs {
 		req := &reqs[h]
 		var (
 			a   Assignment
@@ -559,93 +544,39 @@ func (in *Instance) EvaluateRouted(p Placement, mode RoutingMode, seed int64) *E
 		case RouteModeGreedy:
 			a, d, err = in.routeGreedy(req, ix)
 		case RouteModeRandom:
-			// Independent per-request stream keeps parallel == serial.
+			// An independent per-request stream: a request's route does not
+			// depend on which requests were routed before it.
 			rng := rand.New(rand.NewSource(seed + int64(h)*0x9e3779b9))
 			a, d, err = in.routeRandom(req, ix, rng)
 		default:
 			a, d, err = in.routeOptimal(req, ix, sc)
 		}
-		if err != nil {
+		switch {
+		case err == nil:
+			ev.Routes[h] = a
+			ev.Latencies[h] = d
+			// A +Inf latency without the sentinel means every candidate
+			// chain is disconnected from the user: unroutable, not missing.
+			if math.IsInf(d, 1) {
+				ev.Unroutable++
+			}
+			if d > req.Deadline+FeasTol {
+				ev.DeadlineViolated++
+			}
+		case IsNoInstance(err) && in.Cloud != nil:
 			// Routing fails only with the ErrNoInstance sentinel; the check
 			// is errors.As-based so a future wrapped sentinel keeps working.
 			// Any other error would be a routing bug and counts as missing.
-			if IsNoInstance(err) && in.Cloud != nil {
-				d = in.Cloud.CloudCompletionTime(in.Workload.Catalog, req)
-				ev.Latencies[h] = d
-				return false, false, d > req.Deadline+FeasTol, true
-			}
-			ev.Latencies[h] = math.Inf(1)
-			return true, false, false, false
-		}
-		ev.Routes[h] = a
-		ev.Latencies[h] = d
-		// A +Inf latency without the sentinel means every candidate chain is
-		// disconnected from the user: unroutable, not missing.
-		return false, math.IsInf(d, 1), d > req.Deadline+FeasTol, false
-	}
-
-	if len(reqs) < parallelThreshold || runtime.GOMAXPROCS(0) == 1 {
-		sc := &RouteScratch{}
-		for h := range reqs {
-			missing, unroutable, late, cloud := routeOne(h, sc)
-			if missing {
-				ev.MissingInstances++
-			}
-			if unroutable {
-				ev.Unroutable++
-			}
-			if late {
+			d = in.Cloud.CloudCompletionTime(in.Workload.Catalog, req)
+			ev.Latencies[h] = d
+			ev.CloudServed++
+			if d > req.Deadline+FeasTol {
 				ev.DeadlineViolated++
 			}
-			if cloud {
-				ev.CloudServed++
-			}
+		default:
+			ev.Latencies[h] = math.Inf(1)
+			ev.MissingInstances++
 		}
-	} else {
-		workers := runtime.GOMAXPROCS(0)
-		var wg sync.WaitGroup
-		var missingCnt, unroutableCnt, lateCnt, cloudCnt int64
-		chunk := (len(reqs) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(reqs) {
-				hi = len(reqs)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				sc := &RouteScratch{}
-				var localMissing, localUnroutable, localLate, localCloud int64
-				for h := lo; h < hi; h++ {
-					missing, unroutable, late, cloud := routeOne(h, sc)
-					if missing {
-						localMissing++
-					}
-					if unroutable {
-						localUnroutable++
-					}
-					if late {
-						localLate++
-					}
-					if cloud {
-						localCloud++
-					}
-				}
-				atomic.AddInt64(&missingCnt, localMissing)
-				atomic.AddInt64(&unroutableCnt, localUnroutable)
-				atomic.AddInt64(&lateCnt, localLate)
-				atomic.AddInt64(&cloudCnt, localCloud)
-			}(lo, hi)
-		}
-		wg.Wait()
-		ev.MissingInstances = int(missingCnt)
-		ev.Unroutable = int(unroutableCnt)
-		ev.DeadlineViolated = int(lateCnt)
-		ev.CloudServed = int(cloudCnt)
 	}
 
 	ev.LatencySum = 0

@@ -14,14 +14,13 @@ import (
 // classes are not recoverable afterwards: a disconnected-substrate request
 // and a missing-instance request both end with no assignment and +Inf
 // latency, yet only the latter counts in MissingInstances. The check also
-// proves the parallel fan-out aggregated its counters correctly (the serial
-// recount must match whatever path ran) and that per-request results are
-// deterministic. O(U·routing + M·N); armed only by the soclinvariants build
-// tag (invariantsEnabled), free otherwise.
+// proves the counters were aggregated correctly (the recount must match)
+// and that per-request results are deterministic. O(U·routing + M·N); armed
+// only by the soclinvariants build tag (invariantsEnabled), free otherwise.
 //
-// epoch0 is the routing index's epoch before the request fan-out: routing is
-// read-only, so any epoch movement (or cache incoherence) means a stray
-// mutation raced the evaluation.
+// epoch0 is the routing index's epoch before the requests were routed:
+// routing leaves the placement alone, so any epoch movement (or cache
+// incoherence) means a stray mutation ran during the evaluation.
 func (in *Instance) selfCheckEvaluation(ev *Evaluation, ix *PlacementIndex, epoch0 uint64, mode RoutingMode, seed int64) {
 	if !invariantsEnabled {
 		return
@@ -47,7 +46,7 @@ func (in *Instance) selfCheckEvaluation(ev *Evaluation, ix *PlacementIndex, epoc
 		case RouteModeGreedy:
 			a, d, err = in.routeGreedy(req, ix)
 		case RouteModeRandom:
-			// Same per-request stream derivation as routeOne.
+			// Same per-request stream derivation as EvaluateRouted.
 			rng := rand.New(rand.NewSource(seed + int64(h)*0x9e3779b9))
 			a, d, err = in.routeRandom(req, ix, rng)
 		default:

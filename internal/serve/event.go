@@ -120,19 +120,101 @@ type Script struct {
 // fmtF renders a float so it round-trips bitwise: hex significand form for
 // finite values, the textual specials otherwise.
 func fmtF(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+Inf"
-	}
-	if math.IsInf(v, -1) {
-		return "-Inf"
-	}
-	if math.IsNaN(v) {
-		return "NaN"
-	}
-	return strconv.FormatFloat(v, 'x', -1, 64)
+	var b [32]byte
+	return string(appendF(b[:0], v))
 }
 
-func parseF(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+// appendF appends fmtF(v) to dst.
+func appendF(dst []byte, v float64) []byte {
+	switch {
+	case math.IsInf(v, 1):
+		return append(dst, "+Inf"...)
+	case math.IsInf(v, -1):
+		return append(dst, "-Inf"...)
+	case math.IsNaN(v):
+		return append(dst, "NaN"...)
+	}
+	return strconv.AppendFloat(dst, v, 'x', -1, 64)
+}
+
+// text is what the parsers read: a script's string, or a wire frame's bytes
+// parsed in place.
+type text interface{ string | []byte }
+
+// parseF is strconv.ParseFloat(s, 64). fmtF's spelling of a normal float is
+// assembled into its bits directly; every other spelling, and every error, is
+// strconv's.
+func parseF[T text](s T) (float64, error) {
+	if v, ok := parseHexNormal(s); ok {
+		return v, nil
+	}
+	return strconv.ParseFloat(string(s), 64)
+}
+
+// parseHexNormal decodes [-]0x1[.h{1,13}]p±d{1,4} with lower-case hex digits
+// and an exponent in the normal range [-1022, 1023]: FormatFloat's 'x' form of
+// a normal float. The significand fits its 52 fraction bits and the exponent
+// its field, so the bits are exact, as strconv's are. ok is false for any
+// other spelling.
+func parseHexNormal[T text](s T) (v float64, ok bool) {
+	var sign uint64
+	i := 0
+	if len(s) > 0 && s[0] == '-' {
+		sign, i = 1<<63, 1
+	}
+	if len(s) < i+6 || s[i] != '0' || s[i+1] != 'x' || s[i+2] != '1' {
+		return 0, false
+	}
+	i += 3
+	var frac uint64
+	shift := 52
+	if s[i] == '.' {
+		for i++; i < len(s) && s[i] != 'p'; i++ {
+			d := hexDigit[s[i]]
+			if d > 15 || shift == 0 {
+				return 0, false
+			}
+			shift -= 4
+			frac |= uint64(d) << shift
+		}
+		if shift == 52 {
+			return 0, false
+		}
+	}
+	if len(s) < i+3 || len(s) > i+6 || s[i] != 'p' || (s[i+1] != '+' && s[i+1] != '-') {
+		return 0, false
+	}
+	exp := 0
+	for j := i + 2; j < len(s); j++ {
+		c := s[j] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		exp = exp*10 + int(c)
+	}
+	if s[i+1] == '-' {
+		exp = -exp
+	}
+	if exp < -1022 || exp > 1023 {
+		return 0, false
+	}
+	return math.Float64frombits(sign | uint64(exp+1023)<<52 | frac), true
+}
+
+// hexDigit maps a lower-case hex digit to its value and any other byte to 16.
+var hexDigit = func() (t [256]byte) {
+	for c := range t {
+		switch {
+		case '0' <= c && c <= '9':
+			t[c] = byte(c - '0')
+		case 'a' <= c && c <= 'f':
+			t[c] = byte(c - 'a' + 10)
+		default:
+			t[c] = 16
+		}
+	}
+	return t
+}()
 
 // faultKindNames maps the chaos.FaultKind String values back to kinds.
 var faultKindNames = map[string]chaos.FaultKind{
@@ -172,63 +254,88 @@ func ParseMetaLine(line string) (Meta, error) {
 // wire codec (internal/transport) carries, so a wire-delivered event
 // round-trips bit for bit exactly like a scripted one.
 func FormatEvent(e *Event) (string, error) {
+	var buf [128]byte
+	b, err := appendEvent(buf[:0], e)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// appendEvent appends FormatEvent(e) to b.
+func appendEvent(b []byte, e *Event) ([]byte, error) {
 	switch e.Kind {
 	case EvArrive:
-		chain := make([]string, len(e.Req.Chain))
+		b = appendInt(append(b, "arrive"...), e.Slot)
+		b = appendInt(appendInt(b, e.ID), e.Req.Home)
+		b = appendF(append(b, ' '), e.Req.DataIn)
+		b = appendF(append(b, ' '), e.Req.DataOut)
+		b = appendF(append(b, ' '), e.Req.Deadline)
+		b = append(b, ' ')
 		for t, svc := range e.Req.Chain {
-			chain[t] = strconv.Itoa(svc)
-		}
-		edge := "-"
-		if len(e.Req.EdgeData) > 0 {
-			parts := make([]string, len(e.Req.EdgeData))
-			for t, v := range e.Req.EdgeData {
-				parts[t] = fmtF(v)
+			if t > 0 {
+				b = append(b, ',')
 			}
-			edge = strings.Join(parts, ",")
+			b = strconv.AppendInt(b, int64(svc), 10)
 		}
-		return fmt.Sprintf("arrive %d %d %d %s %s %s %s %s",
-			e.Slot, e.ID, e.Req.Home, fmtF(e.Req.DataIn), fmtF(e.Req.DataOut),
-			fmtF(e.Req.Deadline), strings.Join(chain, ","), edge), nil
+		b = append(b, ' ')
+		if len(e.Req.EdgeData) == 0 {
+			return append(b, '-'), nil
+		}
+		for t, v := range e.Req.EdgeData {
+			if t > 0 {
+				b = append(b, ',')
+			}
+			b = appendF(b, v)
+		}
+		return b, nil
 	case EvDepart:
-		return fmt.Sprintf("depart %d %d", e.Slot, e.ID), nil
+		return appendInt(appendInt(append(b, "depart"...), e.Slot), e.ID), nil
 	case EvMove:
-		return fmt.Sprintf("move %d %d %d", e.Slot, e.ID, e.Node), nil
+		return appendInt(appendInt(appendInt(append(b, "move"...), e.Slot), e.ID), e.Node), nil
 	case EvFault:
 		f := e.Fault
+		b = append(appendInt(append(b, "fault"...), e.Slot), ' ')
+		b = append(b, f.Kind.String()...)
 		switch f.Kind {
 		case chaos.LinkDegrade, chaos.LinkRestore:
-			return fmt.Sprintf("fault %d %s %d %d %s", e.Slot, f.Kind, f.A, f.B, fmtF(f.Factor)), nil
+			return appendF(append(appendInt(appendInt(b, f.A), f.B), ' '), f.Factor), nil
 		case chaos.StorageShrink, chaos.StorageRestore:
-			return fmt.Sprintf("fault %d %s %d %s", e.Slot, f.Kind, f.Node, fmtF(f.Factor)), nil
+			return appendF(append(appendInt(b, f.Node), ' '), f.Factor), nil
 		case chaos.NodeCrash, chaos.NodeRecover:
-			return fmt.Sprintf("fault %d %s %d", e.Slot, f.Kind, f.Node), nil
+			return appendInt(b, f.Node), nil
 		default:
-			return "", fmt.Errorf("serve: cannot serialize fault kind %v", f.Kind)
+			return nil, fmt.Errorf("serve: cannot serialize fault kind %v", f.Kind)
 		}
 	default:
-		return "", fmt.Errorf("serve: cannot serialize event kind %v", e.Kind)
+		return nil, fmt.Errorf("serve: cannot serialize event kind %v", e.Kind)
 	}
+}
+
+// appendInt appends a space and v.
+func appendInt(b []byte, v int) []byte {
+	return strconv.AppendInt(append(b, ' '), int64(v), 10)
 }
 
 // fields walks a line's whitespace-separated fields, split exactly as
 // strings.Fields splits them (unicode.IsSpace separators), one field per
-// call and without building a slice.
-type fields string
+// call and without building a slice. The fields alias the line.
+type fields[T text] struct{ rest T }
 
-// next returns the next field, or "" once the line is exhausted.
-func (f *fields) next() string {
-	s := string(*f)
-	i := scanSpace(s, 0, true)
-	j := scanSpace(s, i, false)
-	*f = fields(s[j:])
-	return s[i:j]
+// next returns the next field, or an empty one once the line is exhausted.
+func (f *fields[T]) next() T {
+	i := scanSpace(f.rest, 0, true)
+	j := scanSpace(f.rest, i, false)
+	w := f.rest[i:j]
+	f.rest = f.rest[j:]
+	return w
 }
 
 // fill stores the remaining fields in dst and returns how many there were;
 // fields past len(dst) are counted, not stored.
-func (f *fields) fill(dst []string) int {
+func (f *fields[T]) fill(dst []T) int {
 	n := 0
-	for w := f.next(); w != ""; w = f.next() {
+	for w := f.next(); len(w) > 0; w = f.next() {
 		if n < len(dst) {
 			dst[n] = w
 		}
@@ -241,17 +348,19 @@ func (f *fields) fill(dst []string) int {
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // scanSpace returns the index of the first rune at or after s[i] for which
-// unicode.IsSpace is not space, or len(s). Only non-ASCII bytes are decoded.
-func scanSpace(s string, i int, space bool) int {
+// unicode.IsSpace is not space, or len(s). An ASCII byte is decided by
+// asciiSpace alone; only non-ASCII bytes are decoded.
+func scanSpace[T text](s T, i int, space bool) int {
 	for i < len(s) {
-		c, w := s[i], 1
-		isSpace := c < utf8.RuneSelf && asciiSpace[c]
-		if c >= utf8.RuneSelf {
-			var r rune
-			r, w = utf8.DecodeRuneInString(s[i:])
-			isSpace = unicode.IsSpace(r)
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != space {
+				return i
+			}
+			i++
+			continue
 		}
-		if isSpace != space {
+		r, w := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		if unicode.IsSpace(r) != space {
 			return i
 		}
 		i += w
@@ -260,31 +369,32 @@ func scanSpace(s string, i int, space bool) int {
 }
 
 // ParseEventLine parses one event line (arrive/depart/move/fault) produced by
-// FormatEvent. Malformed input returns an error, never panics.
-func ParseEventLine(line string) (Event, error) {
-	f := fields(line)
+// FormatEvent, from a string or in place from bytes: the event keeps nothing
+// of line. Malformed input returns an error, never panics.
+func ParseEventLine[T text](line T) (Event, error) {
+	f := fields[T]{line}
 	directive := f.next()
-	if directive == "" {
+	if len(directive) == 0 {
 		return Event{}, fmt.Errorf("serve: empty event line")
 	}
 	return parseEventFields(directive, &f)
 }
 
 // parseEventFields parses the fields after an event line's directive.
-func parseEventFields(directive string, f *fields) (Event, error) {
-	var a [8]string
-	switch directive {
+func parseEventFields[T text](directive T, f *fields[T]) (Event, error) {
+	var a [8]T
+	switch string(directive) {
 	case "arrive":
 		if n := f.fill(a[:]); n != 8 {
 			return Event{}, fmt.Errorf("arrive wants 8 fields, got %d", n)
 		}
 		ev := Event{Kind: EvArrive}
 		var err error
-		if ev.Slot, err = strconv.Atoi(a[0]); err == nil {
-			ev.ID, err = strconv.Atoi(a[1])
+		if ev.Slot, err = strconv.Atoi(string(a[0])); err == nil {
+			ev.ID, err = strconv.Atoi(string(a[1]))
 		}
 		if err == nil {
-			ev.Req.Home, err = strconv.Atoi(a[2])
+			ev.Req.Home, err = strconv.Atoi(string(a[2]))
 		}
 		if err == nil {
 			ev.Req.DataIn, err = parseF(a[3])
@@ -298,21 +408,21 @@ func parseEventFields(directive string, f *fields) (Event, error) {
 		if err != nil {
 			return Event{}, err
 		}
-		ev.Req.Chain = make([]int, 0, strings.Count(a[6], ",")+1)
+		ev.Req.Chain = make([]int, 0, countComma(a[6])+1)
 		for rest, more := a[6], true; more; {
-			var c string
-			c, rest, more = strings.Cut(rest, ",")
-			svc, err := strconv.Atoi(c)
+			var c T
+			c, rest, more = cutComma(rest)
+			svc, err := strconv.Atoi(string(c))
 			if err != nil {
 				return Event{}, err
 			}
 			ev.Req.Chain = append(ev.Req.Chain, svc)
 		}
-		if a[7] != "-" {
-			ev.Req.EdgeData = make([]float64, 0, strings.Count(a[7], ",")+1)
+		if string(a[7]) != "-" {
+			ev.Req.EdgeData = make([]float64, 0, countComma(a[7])+1)
 			for rest, more := a[7], true; more; {
-				var c string
-				c, rest, more = strings.Cut(rest, ",")
+				var c T
+				c, rest, more = cutComma(rest)
 				v, err := parseF(c)
 				if err != nil {
 					return Event{}, err
@@ -328,18 +438,18 @@ func parseEventFields(directive string, f *fields) (Event, error) {
 		return ev, nil
 	case "depart", "move":
 		ev, want := Event{Kind: EvDepart}, 2
-		if directive == "move" {
+		if string(directive) == "move" {
 			ev.Kind, want = EvMove, 3
 		}
 		if f.fill(a[:want]) != want {
-			return Event{}, fmt.Errorf("%s wants %d fields", directive, want)
+			return Event{}, fmt.Errorf("%s wants %d fields", string(directive), want)
 		}
 		var err error
-		if ev.Slot, err = strconv.Atoi(a[0]); err == nil {
-			ev.ID, err = strconv.Atoi(a[1])
+		if ev.Slot, err = strconv.Atoi(string(a[0])); err == nil {
+			ev.ID, err = strconv.Atoi(string(a[1]))
 		}
 		if err == nil && ev.Kind == EvMove {
-			ev.Node, err = strconv.Atoi(a[2])
+			ev.Node, err = strconv.Atoi(string(a[2]))
 		}
 		if err != nil {
 			return Event{}, err
@@ -350,8 +460,29 @@ func parseEventFields(directive string, f *fields) (Event, error) {
 		n := min(f.fill(a[:6]), 6)
 		return parseFault(a[:n])
 	default:
-		return Event{}, fmt.Errorf("unknown directive %q", directive)
+		return Event{}, fmt.Errorf("unknown directive %q", string(directive))
 	}
+}
+
+// countComma counts the commas in s.
+func countComma[T text](s T) int {
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] == ',' {
+			n++
+		}
+	}
+	return n
+}
+
+// cutComma is strings.Cut(s, ",").
+func cutComma[T text](s T) (before, after T, found bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] == ',' {
+			return s[:i], s[i+1:], true
+		}
+	}
+	return s, s[len(s):], false
 }
 
 // WriteScript serializes a script in the v1 text format. Every float is
@@ -361,12 +492,13 @@ func WriteScript(w io.Writer, s *Script) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# soclserved event script v1")
 	fmt.Fprintln(bw, FormatMeta(s.Meta))
+	var line []byte
 	for i := range s.Events {
-		line, err := FormatEvent(&s.Events[i])
-		if err != nil {
+		var err error
+		if line, err = appendEvent(line[:0], &s.Events[i]); err != nil {
 			return err
 		}
-		fmt.Fprintln(bw, line)
+		bw.Write(append(line, '\n')) // a bufio.Writer keeps its first error for Flush
 	}
 	return bw.Flush()
 }
@@ -385,13 +517,13 @@ func ParseScript(r io.Reader) (*Script, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		f := fields(line)
+		f := fields[string]{line}
 		directive := f.next()
 		fail := func(err error) (*Script, error) {
 			return nil, fmt.Errorf("serve: script line %d: %w", lineNo, err)
 		}
 		if directive == "meta" {
-			if err := parseMeta(strings.Fields(string(f)), &s.Meta); err != nil {
+			if err := parseMeta(strings.Fields(f.rest), &s.Meta); err != nil {
 				return fail(err)
 			}
 			sawMeta = true
@@ -453,17 +585,17 @@ func parseMeta(kvs []string, m *Meta) error {
 	return nil
 }
 
-func parseFault(f []string) (Event, error) {
+func parseFault[T text](f []T) (Event, error) {
 	if len(f) < 3 {
 		return Event{}, fmt.Errorf("fault wants at least slot, kind, target")
 	}
-	slot, err := strconv.Atoi(f[0])
+	slot, err := strconv.Atoi(string(f[0]))
 	if err != nil {
 		return Event{}, err
 	}
-	kind, ok := faultKindNames[f[1]]
+	kind, ok := faultKindNames[string(f[1])]
 	if !ok {
-		return Event{}, fmt.Errorf("unknown fault kind %q", f[1])
+		return Event{}, fmt.Errorf("unknown fault kind %q", string(f[1]))
 	}
 	ev := Event{Slot: slot, Kind: EvFault, Fault: chaos.Event{Slot: slot, Kind: kind}}
 	switch kind {
@@ -471,10 +603,10 @@ func parseFault(f []string) (Event, error) {
 		if len(f) != 5 {
 			return Event{}, fmt.Errorf("%s wants a b factor", kind)
 		}
-		if ev.Fault.A, err = strconv.Atoi(f[2]); err != nil {
+		if ev.Fault.A, err = strconv.Atoi(string(f[2])); err != nil {
 			return Event{}, err
 		}
-		if ev.Fault.B, err = strconv.Atoi(f[3]); err != nil {
+		if ev.Fault.B, err = strconv.Atoi(string(f[3])); err != nil {
 			return Event{}, err
 		}
 		if ev.Fault.Factor, err = parseF(f[4]); err != nil {
@@ -484,7 +616,7 @@ func parseFault(f []string) (Event, error) {
 		if len(f) != 4 {
 			return Event{}, fmt.Errorf("%s wants node factor", kind)
 		}
-		if ev.Fault.Node, err = strconv.Atoi(f[2]); err != nil {
+		if ev.Fault.Node, err = strconv.Atoi(string(f[2])); err != nil {
 			return Event{}, err
 		}
 		if ev.Fault.Factor, err = parseF(f[3]); err != nil {
@@ -494,7 +626,7 @@ func parseFault(f []string) (Event, error) {
 		if len(f) != 3 {
 			return Event{}, fmt.Errorf("%s wants node", kind)
 		}
-		if ev.Fault.Node, err = strconv.Atoi(f[2]); err != nil {
+		if ev.Fault.Node, err = strconv.Atoi(string(f[2])); err != nil {
 			return Event{}, err
 		}
 	}

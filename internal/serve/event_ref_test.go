@@ -35,13 +35,13 @@ func refParseEventLine(line string) (Event, error) {
 			ev.Req.Home, err = strconv.Atoi(f[3])
 		}
 		if err == nil {
-			ev.Req.DataIn, err = parseF(f[4])
+			ev.Req.DataIn, err = refParseF(f[4])
 		}
 		if err == nil {
-			ev.Req.DataOut, err = parseF(f[5])
+			ev.Req.DataOut, err = refParseF(f[5])
 		}
 		if err == nil {
-			ev.Req.Deadline, err = parseF(f[6])
+			ev.Req.Deadline, err = refParseF(f[6])
 		}
 		if err != nil {
 			return Event{}, err
@@ -55,7 +55,7 @@ func refParseEventLine(line string) (Event, error) {
 		}
 		if f[8] != "-" {
 			for _, c := range strings.Split(f[8], ",") {
-				v, err := parseF(c)
+				v, err := refParseF(c)
 				if err != nil {
 					return Event{}, err
 				}
@@ -94,6 +94,9 @@ func refParseEventLine(line string) (Event, error) {
 	}
 }
 
+// refParseF is the reference float parser: strconv's, with no fast path.
+func refParseF(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
 func refParseFault(f []string) (Event, error) {
 	if len(f) < 3 {
 		return Event{}, fmt.Errorf("fault wants at least slot, kind, target")
@@ -118,7 +121,7 @@ func refParseFault(f []string) (Event, error) {
 		if ev.Fault.B, err = strconv.Atoi(f[3]); err != nil {
 			return Event{}, err
 		}
-		if ev.Fault.Factor, err = parseF(f[4]); err != nil {
+		if ev.Fault.Factor, err = refParseF(f[4]); err != nil {
 			return Event{}, err
 		}
 	case chaos.StorageShrink, chaos.StorageRestore:
@@ -128,7 +131,7 @@ func refParseFault(f []string) (Event, error) {
 		if ev.Fault.Node, err = strconv.Atoi(f[2]); err != nil {
 			return Event{}, err
 		}
-		if ev.Fault.Factor, err = parseF(f[3]); err != nil {
+		if ev.Fault.Factor, err = refParseF(f[3]); err != nil {
 			return Event{}, err
 		}
 	default:
@@ -142,18 +145,23 @@ func refParseFault(f []string) (Event, error) {
 	return ev, nil
 }
 
-// sameAsReference fails t unless ParseEventLine and the reference return the
-// same event and agree on whether line is an error.
+// sameAsReference fails t unless ParseEventLine, on the string and on its
+// bytes, and the reference return the same event and agree on whether line is
+// an error.
 func sameAsReference(t testing.TB, line string) {
 	t.Helper()
-	got, gotErr := ParseEventLine(line)
 	want, wantErr := refParseEventLine(line)
-	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("line %q: error %v, reference error %v", line, gotErr, wantErr)
+	agree := func(got Event, gotErr error) {
+		t.Helper()
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("line %q: error %v, reference error %v", line, gotErr, wantErr)
+		}
+		if !sameEvent(got, want) {
+			t.Fatalf("line %q:\n  got       %#v\n  reference %#v", line, got, want)
+		}
 	}
-	if !sameEvent(got, want) {
-		t.Fatalf("line %q:\n  got       %#v\n  reference %#v", line, got, want)
-	}
+	agree(ParseEventLine(line))
+	agree(ParseEventLine([]byte(line)))
 }
 
 // sameEvent is reflect.DeepEqual (so nil vs empty EdgeData counts) with the
@@ -347,7 +355,149 @@ func TestParseEventLineMatchesReference(t *testing.T) {
 		"fault 0 node-crash", "fault 0 node-crash 1 2", "fault 0 link-degrade 1 2 0x1p0 9",
 		"fault 0 storage-shrink 1 0x1p0", "fault 0 gamma-ray 1", "fault x node-crash 1",
 		"depart 9223372036854775808 0", "move 0 0 -9223372036854775809",
+		"depart + -", "depart +5 -0", "move 123456789 1234567890 -12345678", "depart 1_0 0x1",
+		"move ٣ 0 0", "depart 99999999999999999999999999999999999 0",
 	} {
 		sameAsReference(t, line)
+	}
+}
+
+// refFormatEvent is the reference event formatter: per-field strings joined
+// by fmt.Sprintf and strings.Join, the spelling FormatEvent must reproduce
+// byte for byte.
+func refFormatEvent(e *Event) (string, error) {
+	switch e.Kind {
+	case EvArrive:
+		chain := make([]string, len(e.Req.Chain))
+		for t, svc := range e.Req.Chain {
+			chain[t] = strconv.Itoa(svc)
+		}
+		edge := "-"
+		if len(e.Req.EdgeData) > 0 {
+			parts := make([]string, len(e.Req.EdgeData))
+			for t, v := range e.Req.EdgeData {
+				parts[t] = refFmtF(v)
+			}
+			edge = strings.Join(parts, ",")
+		}
+		return fmt.Sprintf("arrive %d %d %d %s %s %s %s %s",
+			e.Slot, e.ID, e.Req.Home, refFmtF(e.Req.DataIn), refFmtF(e.Req.DataOut),
+			refFmtF(e.Req.Deadline), strings.Join(chain, ","), edge), nil
+	case EvDepart:
+		return fmt.Sprintf("depart %d %d", e.Slot, e.ID), nil
+	case EvMove:
+		return fmt.Sprintf("move %d %d %d", e.Slot, e.ID, e.Node), nil
+	case EvFault:
+		f := e.Fault
+		switch f.Kind {
+		case chaos.LinkDegrade, chaos.LinkRestore:
+			return fmt.Sprintf("fault %d %s %d %d %s", e.Slot, f.Kind, f.A, f.B, refFmtF(f.Factor)), nil
+		case chaos.StorageShrink, chaos.StorageRestore:
+			return fmt.Sprintf("fault %d %s %d %s", e.Slot, f.Kind, f.Node, refFmtF(f.Factor)), nil
+		case chaos.NodeCrash, chaos.NodeRecover:
+			return fmt.Sprintf("fault %d %s %d", e.Slot, f.Kind, f.Node), nil
+		default:
+			return "", fmt.Errorf("serve: cannot serialize fault kind %v", f.Kind)
+		}
+	default:
+		return "", fmt.Errorf("serve: cannot serialize event kind %v", e.Kind)
+	}
+}
+
+// refFmtF is the reference float spelling: the specials by name, every
+// finite value in FormatFloat's hex form.
+func refFmtF(v float64) string {
+	switch {
+	case math.IsInf(v, 1):
+		return "+Inf"
+	case math.IsInf(v, -1):
+		return "-Inf"
+	case math.IsNaN(v):
+		return "NaN"
+	}
+	return strconv.FormatFloat(v, 'x', -1, 64)
+}
+
+// TestFormatEventMatchesReference: FormatEvent spells every random event, an
+// empty chain and the unserializable kinds exactly as the reference does.
+func TestFormatEventMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	evs := []Event{
+		{Kind: EvArrive, Slot: -3, ID: 7, Req: msvc.Request{ID: 7, DataIn: -0.0, DataOut: math.MaxFloat64}},
+		{Kind: EvArrive, Req: msvc.Request{Chain: []int{4}, EdgeData: []float64{}}},
+		{Kind: EvFault, Fault: chaos.Event{Kind: chaos.FaultKind(99)}},
+		{Kind: EventKind(9)},
+	}
+	for i := 0; i < 5000; i++ {
+		evs = append(evs, randomEvent(rng))
+	}
+	for i := range evs {
+		got, gotErr := FormatEvent(&evs[i])
+		want, wantErr := refFormatEvent(&evs[i])
+		if got != want || (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("event %+v:\n  got       %q (%v)\n  reference %q (%v)", evs[i], got, gotErr, want, wantErr)
+		}
+	}
+}
+
+// floatSpellings are hand-written spellings around parseF's fast path: out of
+// the normal range, a fourteenth digit, upper case, an underscore, no leading
+// one, a plus sign, a long exponent, no exponent digits, no fraction digits.
+var floatSpellings = []string{
+	"0x1p+1024", "0x1p-1023", "0x1.fffffffffffff8p+00", "0X1P+00", "0x1_0p+00",
+	"0x.8p+01", "+0x1p+00", "0x1p+0003", "0x1p", "0x1.p+00", "",
+}
+
+// TestParseFloatMatchesStrconv: parseF, on a string and on bytes, returns
+// strconv.ParseFloat's bits and error verdict for fmtF of random bit
+// patterns, normals, subnormals, zeros, the extremes and the powers of two,
+// for every prefix of some of them, and for floatSpellings. fmtF of a normal
+// float must take the fast path.
+func TestParseFloatMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	vals := []float64{0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022, 1, -1}
+	for e := -1074; e <= 1023; e++ {
+		vals = append(vals, math.Ldexp(1, e), -math.Ldexp(1, e))
+	}
+	for i := 0; i < 20000; i++ {
+		vals = append(vals,
+			math.Float64frombits(rng.Uint64()),
+			math.Ldexp(rng.NormFloat64(), rng.Intn(200)-100),
+			math.Float64frombits(rng.Uint64()&(1<<52-1|1<<63)))
+	}
+	check := func(s string) {
+		t.Helper()
+		want, wantErr := strconv.ParseFloat(s, 64)
+		agree := func(v float64, err error) {
+			t.Helper()
+			if math.Float64bits(v) != math.Float64bits(want) || (err != nil) != (wantErr != nil) {
+				t.Fatalf("%q: parseF = %v (%x), %v; strconv = %v (%x), %v", s,
+					v, math.Float64bits(v), err, want, math.Float64bits(want), wantErr)
+			}
+		}
+		agree(parseF(s))
+		agree(parseF([]byte(s)))
+	}
+	fast := 0
+	for i, v := range vals {
+		s := fmtF(v)
+		check(s)
+		if _, ok := parseHexNormal(s); ok {
+			fast++
+		} else if abs := math.Abs(v); abs >= 0x1p-1022 && abs <= math.MaxFloat64 {
+			t.Fatalf("%q: a normal float missed the fast path", s)
+		}
+		if i%50 == 0 {
+			for k := range s {
+				check(s[:k])
+			}
+		}
+	}
+	if fast < len(vals)/2 {
+		t.Fatalf("only %d of %d spellings took the fast path", fast, len(vals))
+	}
+	for _, s := range floatSpellings {
+		check(s)
 	}
 }

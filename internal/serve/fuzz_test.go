@@ -60,6 +60,9 @@ func FuzzParseEventLine(f *testing.F) {
 	f.Add("fault 9 storage-restore 3 1")
 	f.Add("arrive\t0 0 2 NaN +Inf -Inf 0,,2 -")
 	f.Add("")
+	for _, s := range floatSpellings {
+		f.Add("arrive 0 0 2 " + s + " 0x1p-04 0x1.4p+03 0,1 " + s)
+	}
 	f.Fuzz(func(t *testing.T, line string) {
 		sameAsReference(t, line)
 		ev, err := ParseEventLine(line)

@@ -353,7 +353,7 @@ func (e *Engine) admit(seq uint64, ev serve.Event, epoch int) Frame {
 	e.daemon.Ingest(ev)
 	e.recorded.Events = append(e.recorded.Events, ev)
 	e.stats.Admitted++
-	return Frame{Type: MsgAck, Seq: seq, Body: AckBody(StatusAccepted, "")}
+	return Frame{Type: MsgAck, Seq: seq, Body: ackBody(StatusAccepted, "")}
 }
 
 func (e *Engine) handleTick(fr Frame) []Frame {
@@ -488,7 +488,7 @@ func (e *Engine) Summary() string {
 }
 
 func ack(fr Frame, status byte, reason string) Frame {
-	return Frame{Type: MsgAck, Seq: fr.Seq, Body: AckBody(status, reason)}
+	return Frame{Type: MsgAck, Seq: fr.Seq, Body: ackBody(status, reason)}
 }
 
 func errFrame(seq uint64, msg string) Frame {

@@ -77,9 +77,11 @@ func (s *Server) Serve() error {
 	}
 }
 
-// handleConn answers one connection. Responses collect in bw and go out in
-// one write per drained read: bw is flushed when the read buffer holds no
-// complete frame (the next read may block, so nothing may wait behind it),
+// handleConn answers one connection. A frame the read buffer holds whole is
+// decoded in place (peekFrame) and discarded once handled; HandleFrame keeps
+// no reference to a body. Responses collect in bw and go out in one write per
+// drained read: bw is flushed when the read buffer holds no complete frame
+// (the next read may block, so nothing may wait behind it),
 // before a frame that can tick the daemon (no ack waits behind a reaction),
 // and on every exit. The bytes the peer reads are the same as with a flush
 // per frame; only their grouping into writes differs.
@@ -93,12 +95,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer bw.Flush()
 	var out []byte
 	for {
-		if !frameBuffered(br) {
+		fr, size, err := peekFrame(br)
+		if size == 0 && err == nil {
 			if err := bw.Flush(); err != nil {
 				return
 			}
+			fr, err = ReadFrame(br)
 		}
-		fr, err := ReadFrame(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				// Best-effort decode diagnostic; the conn dies either way.
@@ -120,6 +123,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		resps := s.engine.HandleFrame(fr)
 		s.mu.Unlock()
+		// fr.Body is no longer read: let the next read reuse its bytes.
+		_, _ = br.Discard(size) // the size bytes are buffered: Discard cannot fail
 		out = out[:0]
 		for i := range resps {
 			out = AppendFrame(out, resps[i])
@@ -130,13 +135,22 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// frameBuffered reports whether br already holds a complete frame, so that
-// reading it cannot block. A partial frame does not count: its remainder may
-// be what the peer sends only after it has read our pending responses.
-func frameBuffered(br *bufio.Reader) bool {
+// peekFrame decodes the frame at the head of br's buffer where it lies, if
+// all of it is buffered and its length is in range, and returns its size,
+// length prefix included. The frame's Body aliases the buffer: it is valid
+// until br is next read, and the caller discards size bytes once done with
+// it. Anything else gives size 0 and no error, and is ReadFrame's to read or
+// reject. A partial frame does not count: reading its remainder may block,
+// and the peer may send it only after it has read our pending responses.
+func peekFrame(br *bufio.Reader) (fr Frame, size int, err error) {
 	b, _ := br.Peek(br.Buffered())
 	n, k := binary.Uvarint(b)
-	return k > 0 && uint64(len(b)-k) >= n
+	if k <= 0 || n == 0 || n > MaxFrame || uint64(len(b)-k) < n {
+		return Frame{}, 0, nil
+	}
+	size = k + int(n)
+	fr, err = ParsePayload(b[k:size])
+	return fr, size, err
 }
 
 // Close shuts the listener and waits for every connection goroutine to

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/invariant"
 	"repro/internal/msvc"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -229,15 +230,7 @@ func TestServerEpochBytesMatchInProcess(t *testing.T) {
 // 12-node scenario; a session that runs out of epochs is finished and a new
 // one opened off the clock.
 func BenchmarkServerEpoch(b *testing.B) {
-	const nodes, users, slots, seed = 12, 15, 200, 1
-	g := topology.RandomGeometric(nodes, 0.4, topology.DefaultGenConfig(), seed)
-	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
-	simCfg := sim.DefaultConfig(g, cat, users, seed)
-	simCfg.DurationMinutes = float64(slots) * simCfg.SlotMinutes
-	script, err := sim.EventStream(simCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	simCfg, script := epochScenario(b)
 	frames, err := transport.BuildSession(script, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -253,14 +246,7 @@ func BenchmarkServerEpoch(b *testing.B) {
 		}
 	}
 	hello, epochs, finish := writes[0], writes[1:len(writes)-1], writes[len(writes)-1]
-	srv := startServer(b, transport.Config{
-		Factory: func(serve.Meta) (serve.Config, error) {
-			sc := sim.ReplayConfig(simCfg, sim.NewSoCLOnline(core.DefaultConfig()))
-			sc.Replan, sc.Policy = false, nil
-			return sc, nil
-		},
-		Ordered: true,
-	})
+	srv := startServer(b, serveModeConfig(simCfg))
 	p := dialRaw(b, srv)
 	// roundTrip writes w and reads until the answer to its last frame (seq):
 	// the tick's or the hello's ack, or the finish's result.
@@ -290,4 +276,81 @@ func BenchmarkServerEpoch(b *testing.B) {
 		roundTrip(epochs[e], ackSeq[1+e])
 	}
 	b.ReportMetric(float64(len(frames)-len(writes))/float64(len(epochs)), "events/op")
+}
+
+// epochScenario is BenchmarkServerEpoch's scenario: a fault-free 12-node,
+// 15-user, 200-slot event stream.
+func epochScenario(tb testing.TB) (sim.Config, *serve.Script) {
+	tb.Helper()
+	const nodes, users, slots, seed = 12, 15, 200, 1
+	g := topology.RandomGeometric(nodes, 0.4, topology.DefaultGenConfig(), seed)
+	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), seed)
+	simCfg := sim.DefaultConfig(g, cat, users, seed)
+	simCfg.DurationMinutes = float64(slots) * simCfg.SlotMinutes
+	script, err := sim.EventStream(simCfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return simCfg, script
+}
+
+// serveModeConfig is an ordered engine config whose daemon runs simCfg in
+// serve mode.
+func serveModeConfig(simCfg sim.Config) transport.Config {
+	return transport.Config{
+		Factory: func(serve.Meta) (serve.Config, error) {
+			sc := sim.ReplayConfig(simCfg, sim.NewSoCLOnline(core.DefaultConfig()))
+			sc.Replan, sc.Policy = false, nil
+			return sc, nil
+		},
+		Ordered: true,
+	}
+}
+
+// TestServerEventFrameAllocs gates what the server spends on one ordered,
+// accepted arrive frame: HandleFrame, then AppendFrame of its ack into a
+// reused buffer. It allocates 3 times: the event's chain and edge data, and
+// the one-frame response slice. The line is parsed in place from the frame
+// body and the ack body is shared.
+func TestServerEventFrameAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("-tags soclinvariants records every admitted seq in a map")
+	}
+	simCfg, script := epochScenario(t)
+	var arrive serve.Event
+	for _, ev := range script.Events {
+		if ev.Kind == serve.EvArrive && len(ev.Req.EdgeData) > 0 {
+			arrive = ev
+			break
+		}
+	}
+	if arrive.Kind != serve.EvArrive {
+		t.Fatal("the scenario has no arrival with edge data")
+	}
+	const runs = 200
+	bodies := make([][]byte, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range bodies {
+		ev := arrive
+		ev.Slot, ev.ID, ev.Req.ID = 0, 1<<20+i, 1<<20+i
+		line, err := serve.FormatEvent(&ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = transport.EventBody(0, line)
+	}
+	eng := transport.NewEngine(serveModeConfig(simCfg))
+	eng.HandleFrame(transport.Frame{Type: transport.MsgHello, Body: []byte(serve.FormatMeta(script.Meta))})
+	var out []byte
+	seq := uint64(1)
+	allocs := testing.AllocsPerRun(runs, func() {
+		resps := eng.HandleFrame(transport.Frame{Type: transport.MsgEvent, Seq: seq, Body: bodies[seq-1]})
+		out = transport.AppendFrame(out[:0], resps[0])
+		seq++
+	})
+	if got := eng.Stats().Admitted; got != runs+1 {
+		t.Fatalf("%d of %d event frames admitted", got, runs+1)
+	}
+	if allocs > 3 {
+		t.Fatalf("an accepted event frame allocates %v times, want at most 3", allocs)
+	}
 }

@@ -145,11 +145,21 @@ func ParsePayload(p []byte) (Frame, error) {
 }
 
 // ReadFrame decodes the next length-prefixed frame from the stream. A length
-// prefix beyond MaxFrame is rejected before any allocation.
+// prefix beyond MaxFrame is rejected before any allocation. The frame's Body
+// is a fresh slice the caller owns.
 func ReadFrame(br *bufio.Reader) (Frame, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return Frame{}, err
+	// The length prefix is decoded from the buffered bytes when all of it is
+	// there; a prefix that straddles a refill, or is malformed, is read the
+	// long way, which reports what is wrong with it.
+	b, _ := br.Peek(br.Buffered())
+	n, k := binary.Uvarint(b)
+	if k > 0 {
+		_, _ = br.Discard(k) // the k bytes are buffered: Discard cannot fail
+	} else {
+		var err error
+		if n, err = binary.ReadUvarint(br); err != nil {
+			return Frame{}, err
+		}
 	}
 	if n == 0 || n > MaxFrame {
 		return Frame{}, fmt.Errorf("transport: frame length %d out of range (max %d)", n, MaxFrame)
@@ -168,16 +178,17 @@ func EventBody(budgetSlots int, line string) []byte {
 	return append(b, line...)
 }
 
-// ParseEventBody splits a MsgEvent body into its budget and line.
-func ParseEventBody(body []byte) (budgetSlots int, line string, err error) {
+// ParseEventBody splits a MsgEvent body into its budget and line. The line
+// aliases body: serve.ParseEventLine reads it in place.
+func ParseEventBody(body []byte) (budgetSlots int, line []byte, err error) {
 	v, n := binary.Uvarint(body)
 	if n <= 0 {
-		return 0, "", fmt.Errorf("transport: bad event budget varint")
+		return 0, nil, fmt.Errorf("transport: bad event budget varint")
 	}
 	if v > 1<<31 {
-		return 0, "", fmt.Errorf("transport: event budget %d out of range", v)
+		return 0, nil, fmt.Errorf("transport: event budget %d out of range", v)
 	}
-	return int(v), string(body[n:]), nil
+	return int(v), body[n:], nil
 }
 
 // TickBody renders a MsgTick body.
@@ -200,6 +211,19 @@ func ParseTickBody(body []byte) (int, error) {
 // AckBody renders a MsgAck body.
 func AckBody(status byte, reason string) []byte {
 	return append([]byte{status}, reason...)
+}
+
+// bareAcks holds the body of every ack without a reason: bareAcks[s:s+1] is
+// AckBody(s, ""). Those bodies are shared, so they are read-only; the
+// three-index slice keeps an append from writing into the table.
+var bareAcks = []byte{0, StatusAccepted, StatusShed, StatusDuplicate, StatusOK}
+
+// ackBody is AckBody, sharing the body of an ack without a reason.
+func ackBody(status byte, reason string) []byte {
+	if reason == "" && int(status) < len(bareAcks) {
+		return bareAcks[status : status+1 : status+1]
+	}
+	return AckBody(status, reason)
 }
 
 // ParseAckBody decodes a MsgAck body.

@@ -13,7 +13,6 @@
 //	soclserved -script events.txt                  # serve mode (incremental)
 //	soclserved -script events.txt -replay -policy repair   # bitwise sim replay
 //	soclserved -script events.txt -idle-epochs 2 -warm-pool 1 -cold-start 0.25
-//	soclserved -selftest                           # record→replay→compare, CI smoke
 //
 // In replay mode the daemon re-plans every epoch exactly like the batch
 // simulator's slot loop and its evaluation stream is bitwise identical to
@@ -63,11 +62,10 @@ import (
 
 func main() {
 	var (
-		record   = flag.String("record", "", "record the scenario's event stream to this file ('-' = stdout) and exit")
-		script   = flag.String("script", "", "event script to serve ('-' = stdin)")
-		selftest = flag.Bool("selftest", false, "record a scenario, replay it through the daemon, and verify bitwise against the batch simulator (non-zero exit on mismatch)")
+		record = flag.String("record", "", "record the scenario's event stream to this file ('-' = stdout) and exit")
+		script = flag.String("script", "", "event script to serve ('-' = stdin)")
 
-		nodes    = flag.Int("nodes", 12, "edge nodes (record/selftest scenario)")
+		nodes    = flag.Int("nodes", 12, "edge nodes (recorded scenario)")
 		radius   = flag.Float64("radius", 0.4, "geometric topology radius")
 		users    = flag.Int("users", 15, "users issuing requests")
 		seed     = flag.Int64("seed", 1, "root random seed")
@@ -109,7 +107,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(options{
-		record: *record, script: *script, selftest: *selftest,
+		record: *record, script: *script,
 		nodes: *nodes, radius: *radius, users: *users, seed: *seed,
 		slots: *slots, slotmin: *slotmin, failRate: *failRate,
 		policy: *policy, threshold: *threshold, replay: *replay, batch: *batch,
@@ -134,7 +132,6 @@ func main() {
 
 type options struct {
 	record, script string
-	selftest       bool
 
 	nodes, users, slots int
 	radius, slotmin     float64
@@ -165,8 +162,6 @@ type options struct {
 
 func run(o options) error {
 	switch {
-	case o.selftest:
-		return selfTest(o)
 	case o.selftestTransport:
 		return selfTestTransport(o)
 	case o.record != "":
@@ -178,12 +173,12 @@ func run(o options) error {
 	case o.script != "":
 		return serveScript(o)
 	default:
-		return fmt.Errorf("nothing to do: pass -record, -script, -listen, -send, or -selftest (see -h)")
+		return fmt.Errorf("nothing to do: pass -record, -script, -listen, or -send (see -h)")
 	}
 }
 
-// scenario builds the batch-simulator configuration the record/selftest
-// modes share; its event stream is what the daemon serves.
+// scenario builds the batch-simulator configuration the record and
+// transport-selftest modes share; its event stream is what the daemon serves.
 func scenario(o options) sim.Config {
 	g := topology.RandomGeometric(o.nodes, o.radius, topology.DefaultGenConfig(), o.seed)
 	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), o.seed)
@@ -398,93 +393,5 @@ func writeCSV(path string, rr *serve.RunResult) error {
 	for i := range rr.Records {
 		row(epochRow(&rr.Records[i]))
 	}
-	return nil
-}
-
-// selfTest is the CI smoke: record the scenario, push the script through a
-// real file and the text parser, replay it through the daemon, and require
-// the evaluation stream to match the batch simulator bit for bit; then run
-// the incremental serve mode (with the serverless lifecycle) twice and
-// require the two runs to be identical.
-func selfTest(o options) error {
-	cfg := scenario(o)
-	res, err := sim.Run(cfg, sim.NewSoCLOnline(core.DefaultConfig()))
-	if err != nil {
-		return fmt.Errorf("selftest: batch run: %w", err)
-	}
-	s, err := stream(o, cfg)
-	if err != nil {
-		return fmt.Errorf("selftest: record: %w", err)
-	}
-
-	// Text-format round trip through a real file.
-	f, err := os.CreateTemp("", "soclserved-selftest-*.events")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name())
-	if err := serve.WriteScript(f, s); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return err
-	}
-	parsed, err := serve.ParseScript(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("selftest: reparse: %w", err)
-	}
-	var a, b bytes.Buffer
-	if err := serve.WriteScript(&a, s); err != nil {
-		return err
-	}
-	if err := serve.WriteScript(&b, parsed); err != nil {
-		return err
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		return fmt.Errorf("selftest: script round trip is not byte-identical")
-	}
-
-	// Replay: the daemon must reproduce the batch run bitwise.
-	d, err := serve.NewDaemon(sim.ReplayConfig(cfg, sim.NewSoCLOnline(core.DefaultConfig())))
-	if err != nil {
-		return err
-	}
-	rr, err := d.RunScript(parsed)
-	if err != nil {
-		return fmt.Errorf("selftest: replay: %w", err)
-	}
-	if err := res.Diff(rr); err != nil {
-		return fmt.Errorf("selftest: file-replayed script diverged from sim.Run: %w", err)
-	}
-
-	// Serve mode with the serverless lifecycle: two identically-configured
-	// runs must be identical (the daemon draws no hidden randomness).
-	serveOnce := func() (*serve.RunResult, error) {
-		sc := sim.ReplayConfig(cfg, sim.NewSoCLOnline(core.DefaultConfig()))
-		sc.Replan = false
-		sc.Policy = nil // default AutoPolicy
-		sc.Lifecycle = serve.LifecycleConfig{IdleEpochs: 2, WarmPool: 1, ColdStartDelay: 0.25}
-		d, err := serve.NewDaemon(sc)
-		if err != nil {
-			return nil, err
-		}
-		return d.RunScript(parsed)
-	}
-	r1, err := serveOnce()
-	if err != nil {
-		return fmt.Errorf("selftest: serve run 1: %w", err)
-	}
-	r2, err := serveOnce()
-	if err != nil {
-		return fmt.Errorf("selftest: serve run 2: %w", err)
-	}
-	if err := r1.Diff(r2); err != nil {
-		return fmt.Errorf("selftest: serve runs diverge: %w", err)
-	}
-	fmt.Printf("selftest ok: %d slots, %d events, replay bitwise-identical to sim.Run, serve mode deterministic\n",
-		s.Meta.NumSlots, len(s.Events))
 	return nil
 }

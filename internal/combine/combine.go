@@ -34,7 +34,7 @@
 //     it changes with fresh ones (one merge per destination) and never edits
 //     a published list, so a snapshot keeps the list headers and a restore
 //     puts them back. The ascending order makes ζ's float summation
-//     bit-identical to the naive full scan.
+//     bit-identical to a full scan of rel.
 //  3. The deadline check reads the evaluator; a roll-back reverts the step's
 //     deltas. DeltaEvaluator.AnyLate is exact (a valid cached route is the
 //     request's true optimum), returns at the first valid entry that is
@@ -46,10 +46,9 @@
 //     leaves storage short is accepted unexamined), so what a roll-back
 //     brings back is valid.
 //
-// The original full rescans survive as the reference path behind an
-// unexported Config field that only this package's tests set; the two paths
-// are differentially tested to produce bit-identical placements and
-// statistics.
+// The engine is the only implementation. Its full-rescan reference, refRun in
+// reference_test.go, re-derives every cached structure from scratch and is
+// differentially tested to produce bit-identical placements and statistics.
 package combine
 
 import (
@@ -81,10 +80,6 @@ type Config struct {
 	// survive whenever the objective is indifferent — reducing placement
 	// churn in online operation.
 	Warm model.Placement
-	// naive disables the incremental routing engine and re-derives every ζ
-	// and deadline check from full scans. Results are bit-identical either
-	// way; only this package's differential tests and benchmarks set it.
-	naive bool
 }
 
 // DefaultConfig returns ω=0.25.
@@ -126,8 +121,8 @@ type state struct {
 	cost    float64
 	warm    map[instKey]bool // instances running in the previous slot
 
-	// Incremental engine (all nil/zero when running naive; see
-	// incremental.go and the package comment's invariants).
+	// Incremental engine (see incremental.go and the package comment's
+	// invariants).
 	ev          *model.DeltaEvaluator // the deadline check's route cache, over place
 	idx         *model.PlacementIndex // ev's index: cached candidate node lists
 	step        []*model.Delta        // Applies since the last snapshot, in order
@@ -138,8 +133,8 @@ type state struct {
 	latRow      []float64             // per-request ψ rows for starObjective
 	latRowDirty []bool                // rows needing re-derivation
 
-	// Static memoization, shared by both engine modes (pure functions of
-	// the instance and partition, never of the mutable placement).
+	// Static memoization (pure functions of the instance and partition,
+	// never of the mutable placement).
 	groupTab [][]int     // service → per-node partition group, -1 outside; nil row = no partition
 	rhoCache [][]float64 // localDemandFactor (svc, node), NaN = unset
 	snap     snapState   // reusable serial-step snapshot buffers
@@ -156,26 +151,16 @@ func (s *state) at(svc, node int) int { return svc*s.in.V() + node }
 // and route cache coherent (invariant 1), and records the delta so a
 // roll-back can revert it (invariant 3; saveSnapshot starts a new step).
 func (s *state) setPlace(i, k int, val bool) {
-	if s.ev == nil {
-		s.place.Set(i, k, val)
-		return
-	}
 	s.step = append(s.step, s.ev.Apply(i, k, val))
 }
 
-// nodesOf returns service i's hosting nodes, ascending — cached when the
-// incremental engine is on.
-func (s *state) nodesOf(i int) []int {
-	if s.idx != nil {
-		return s.idx.NodesOf(i)
-	}
-	return s.place.NodesOf(i)
-}
+// nodesOf returns service i's hosting nodes, ascending, off the index.
+func (s *state) nodesOf(i int) []int { return s.idx.NodesOf(i) }
 
 // newState assembles the combination state over a private copy of pre: the
-// static tables, then — unless cfg.naive — the incremental engine, whose
-// evaluator (bound to the whole instance: deadlines are read live) provides
-// the candidate index the initial reliance pass already reads.
+// static tables, then the incremental engine, whose evaluator (bound to the
+// whole instance: deadlines are read live) provides the candidate index the
+// initial reliance pass already reads.
 func newState(in *model.Instance, part *partition.Result, pre model.Placement, cfg Config) *state {
 	s := &state{
 		in:      in,
@@ -194,14 +179,10 @@ func newState(in *model.Instance, part *partition.Result, pre model.Placement, c
 	}
 	s.cost = in.DeployCost(s.place)
 	s.buildStaticTables()
-	if !cfg.naive {
-		s.ev = model.NewDeltaEvaluator(in, s.place, model.RouteModeOptimal, 0)
-		s.idx = s.ev.Index()
-	}
+	s.ev = model.NewDeltaEvaluator(in, s.place, model.RouteModeOptimal, 0)
+	s.idx = s.ev.Index()
 	s.initReliance()
-	if !cfg.naive {
-		s.initIncremental()
-	}
+	s.initIncremental()
 	return s
 }
 
@@ -229,10 +210,8 @@ func Run(in *model.Instance, part *partition.Result, pre model.Placement, cfg Co
 	}
 	s.checkPhaseInvariants("after final storage planning")
 	res.Placement = s.place
-	if s.ev != nil {
-		res.RouteCacheHits = s.ev.Hits
-		res.RouteRecomputed = s.ev.Recomputed
-	}
+	res.RouteCacheHits = s.ev.Hits
+	res.RouteRecomputed = s.ev.Recomputed
 	return res
 }
 
@@ -242,7 +221,7 @@ func Run(in *model.Instance, part *partition.Result, pre model.Placement, cfg Co
 // and the (immutable) partition: the per-service node→group table replacing
 // ServicePartition.GroupOf's linear scan on the pickReliance hot path, and
 // the lazy memo for the FuzzyAHP local demand factor ρ (a pure function of
-// the workload). Both modes share these — they change no observable value.
+// the workload). Neither changes an observable value.
 func (s *state) buildStaticTables() {
 	s.groupTab = make([][]int, s.in.M())
 	for svc, sp := range s.part.ByService {
@@ -362,9 +341,9 @@ func (s *state) stepLatency(h, t, k int) float64 {
 
 // starRow is request h's ψ row: its chain's step latencies summed in
 // t-order under the current reliances, +Inf when a step has no serving
-// instance. Rows are the unit of starObjective's incremental cache — both
-// engine modes sum the same rows in the same order, so cached and
-// from-scratch totals are bitwise identical.
+// instance. Rows are the unit of starObjective's incremental cache; a
+// from-scratch total sums the same rows in the same order, so the two are
+// bitwise identical.
 func (s *state) starRow(h int) float64 {
 	row := 0.0
 	for t, k := range s.rel[h] {
@@ -377,78 +356,42 @@ func (s *state) starRow(h int) float64 {
 }
 
 // starObjective is the internal Q of Algorithm 3: λ·cost + (1−λ)·Σψ over
-// current reliances. The incremental engine keeps one ψ row per request,
-// re-deriving only rows whose reliances changed since the last call
-// (latRowDirty, maintained by every rel mutation site); the naive path
-// recomputes every row. A +Inf row means a reliance-less step, which makes
-// the whole objective +Inf regardless of λ — matching the historical early
-// return.
+// current reliances. It keeps one ψ row per request, re-deriving only rows
+// whose reliances changed since the last call (latRowDirty, set wherever
+// rehome moves a step). A +Inf row means a reliance-less step, which
+// makes the whole objective +Inf regardless of λ — matching the historical
+// early return.
 func (s *state) starObjective() float64 {
 	lat := 0.0
-	if s.latRow != nil {
-		for h := range s.latRow {
-			if s.latRowDirty[h] {
-				s.latRow[h] = s.starRow(h)
-				s.latRowDirty[h] = false
-			}
-			if math.IsInf(s.latRow[h], 1) {
-				return math.Inf(1)
-			}
-			lat += s.latRow[h]
+	for h := range s.latRow {
+		if s.latRowDirty[h] {
+			s.latRow[h] = s.starRow(h)
+			s.latRowDirty[h] = false
 		}
-	} else {
-		for h := range s.rel {
-			row := s.starRow(h)
-			if math.IsInf(row, 1) {
-				return math.Inf(1)
-			}
-			lat += row
+		if math.IsInf(s.latRow[h], 1) {
+			return math.Inf(1)
 		}
+		lat += s.latRow[h]
 	}
 	return s.in.Objective(s.cost, lat)
-}
-
-// markRowDirty flags request h's ψ row for re-derivation at the next
-// starObjective; a no-op in naive mode, whose rows are never cached.
-func (s *state) markRowDirty(h int) {
-	if s.latRowDirty != nil {
-		s.latRowDirty[h] = true
-	}
 }
 
 // --- latency loss (Algorithm 4) ---
 
 // zeta computes ζ_{i,k} (Eq. 14) for the instance (svc, node): the latency
 // increase of moving every relying step to its best alternative. +Inf when
-// some step would have no alternative. With the reverse reliance index the
-// cost is O(relying steps); the naive fallback scans every (h,t) pair. Both
-// visit relying steps in ascending (h,t) order, so the sums are identical.
+// some step would have no alternative. The reverse reliance index makes the
+// cost O(relying steps), visited in ascending (h,t) order — the order a full
+// scan of rel would sum them in.
 func (s *state) zeta(svc, node int) float64 {
-	if s.relyIdx != nil {
-		loss := 0.0
-		for _, ht := range s.relyIdx[s.at(svc, node)] {
-			h, t := ht[0], ht[1]
-			alt := s.pickReliance(h, t, node)
-			if alt == -1 {
-				return math.Inf(1) // no alternative and no cloud
-			}
-			loss += s.stepLatency(h, t, alt) - s.stepLatency(h, t, node)
-		}
-		return loss
-	}
 	loss := 0.0
-	for h := range s.rel {
-		req := &s.in.Workload.Requests[h]
-		for t, k := range s.rel[h] {
-			if k != node || req.Chain[t] != svc {
-				continue
-			}
-			alt := s.pickReliance(h, t, node)
-			if alt == -1 {
-				return math.Inf(1) // no alternative and no cloud
-			}
-			loss += s.stepLatency(h, t, alt) - s.stepLatency(h, t, node)
+	for _, ht := range s.relyIdx[s.at(svc, node)] {
+		h, t := ht[0], ht[1]
+		alt := s.pickReliance(h, t, node)
+		if alt == -1 {
+			return math.Inf(1) // no alternative and no cloud
 		}
+		loss += s.stepLatency(h, t, alt) - s.stepLatency(h, t, node)
 	}
 	return loss
 }
@@ -460,11 +403,11 @@ type scoredInst struct {
 
 // updateInstanceSet is Algorithm 4: the eligible instances with their ζ,
 // sorted ascending (highest combination priority first). Services reduced
-// to a single instance are excluded to preserve service continuity. With
-// the incremental engine, ζ values are served from the per-service memo —
-// a mutation of service i invalidates only i's row, because ζ(i,k) depends
-// solely on i's candidate set and relying steps — so a serial round rescores
-// one service instead of the whole deployment.
+// to a single instance are excluded to preserve service continuity. ζ
+// values are served from the per-service memo — a mutation of service i
+// invalidates only i's row, because ζ(i,k) depends solely on i's candidate
+// set and relying steps — so a serial round rescores one service instead of
+// the whole deployment.
 func (s *state) updateInstanceSet() []scoredInst {
 	var out []scoredInst
 	var miss []int // indices of out lacking a memoized ζ
@@ -481,8 +424,8 @@ func (s *state) updateInstanceSet() []scoredInst {
 			if s.frozen[key] {
 				continue
 			}
-			if s.zetaMemo != nil && !math.IsNaN(s.zetaMemo[s.at(svc, k)]) {
-				out = append(out, scoredInst{key, s.zetaMemo[s.at(svc, k)]})
+			if z := s.zetaMemo[s.at(svc, k)]; !math.IsNaN(z) {
+				out = append(out, scoredInst{key, z})
 			} else {
 				miss = append(miss, len(out))
 				out = append(out, scoredInst{key, 0})
@@ -491,11 +434,7 @@ func (s *state) updateInstanceSet() []scoredInst {
 	}
 	for _, i := range miss {
 		out[i].zeta = s.zeta(out[i].key.svc, out[i].key.node)
-	}
-	if s.zetaMemo != nil {
-		for _, i := range miss {
-			s.zetaMemo[s.at(out[i].key.svc, out[i].key.node)] = out[i].zeta
-		}
+		s.zetaMemo[s.at(out[i].key.svc, out[i].key.node)] = out[i].zeta
 	}
 	// Removal priority: warm instances resist removal by warmBias latency
 	// units; exact ties still break cold-first (churn bias).
@@ -522,30 +461,12 @@ func (s *state) updateInstanceSet() []scoredInst {
 	return out
 }
 
-// removeInstance deletes (svc,node) and re-homes every relying step.
-// Incrementally the relying steps come straight off the reverse index
-// (invariant 2); the naive fallback scans all (h,t). Both orders ascend.
+// removeInstance deletes (svc,node) and re-homes every relying step, which
+// come straight off the reverse index (invariant 2).
 func (s *state) removeInstance(svc, node int) {
 	s.setPlace(svc, node, false)
 	s.cost -= s.in.Workload.Catalog.Service(svc).DeployCost
-	if s.relyIdx != nil {
-		s.rehome(svc, node)
-		return
-	}
-	s.rehomeNaive(svc, node)
-}
-
-// rehomeNaive re-picks the reliance of every step served by the (already
-// removed) instance (svc,node), found by scanning all of rel.
-func (s *state) rehomeNaive(svc, node int) {
-	for h := range s.rel {
-		req := &s.in.Workload.Requests[h]
-		for t, k := range s.rel[h] {
-			if k == node && req.Chain[t] == svc {
-				s.rel[h][t] = s.pickReliance(h, t, -1)
-			}
-		}
-	}
+	s.rehome(svc, node)
 }
 
 // --- large-scale parallel phase (Algorithm 3 lines 1–5) ---
@@ -654,7 +575,7 @@ func (s *state) serialPhase(maxRounds int, res *Result) {
 		// unrouted now, under the pre-step placement. Not when the removal
 		// leaves storage short, though: that step is accepted unexamined
 		// below and nothing ever rolls it back.
-		if s.ev != nil && s.deadlines && !s.storageShort(inst.key.svc) {
+		if s.deadlines && !s.storageShort(inst.key.svc) {
 			s.ev.EvalObjective()
 		}
 		s.saveSnapshot(res)
@@ -697,23 +618,21 @@ func (s *state) serialPhase(maxRounds int, res *Result) {
 
 // snapState captures reliances, cost, the frozen set and the migration
 // counter for a full step undo; the placement and its cached routes come
-// back by reverting the step's deltas (state.step), or — naive — from a
-// placement copy. The frozen set must round-trip because the step's storage
-// planning may migrate() a frozen instance away (un-freezing it); a
-// rolled-back step must neither leak that deletion nor keep counting its
-// undone migrations. Reverse-index lists are copied by header: what they
-// point at is immutable once published (re-homings install fresh slices),
-// so sharing it with the snapshot is safe. The ζ memo round-trips too — a
-// restored placement makes the pre-step values exact again, so a roll-back
-// rescoring costs nothing.
+// back by reverting the step's deltas (state.step). The frozen set must
+// round-trip because the step's storage planning may migrate() a frozen
+// instance away (un-freezing it); a rolled-back step must neither leak that
+// deletion nor keep counting its undone migrations. Reverse-index lists are
+// copied by header: what they point at is immutable once published
+// (re-homings install fresh slices), so sharing it with the snapshot is
+// safe. The ζ memo round-trips too — a restored placement makes the
+// pre-step values exact again, so a roll-back rescoring costs nothing.
 //
 // The buffers live on state.snap and are reused round over round — at most
 // one snapshot is live at a time, and a restore copies contents back into
 // the live structures rather than swapping slice headers, so the serial
 // loop's own bookkeeping allocates nothing after the first round.
 type snapState struct {
-	place       model.Placement // naive only
-	rel         []int           // state.relFlat
+	rel         []int // state.relFlat
 	cost        float64
 	frozen      map[instKey]bool
 	migrated    int
@@ -735,22 +654,13 @@ func (s *state) saveSnapshot(res *Result) {
 	} else {
 		clear(sn.frozen)
 	}
-	if s.ev != nil {
-		s.step = s.step[:0]
-	} else if sn.place.X == nil {
-		sn.place = s.place.Clone()
-	} else {
-		for i := range s.place.X {
-			copy(sn.place.X[i], s.place.X[i])
-		}
-	}
+	s.step = s.step[:0]
 	copy(sn.rel, s.relFlat)
 	for k, v := range s.frozen {
 		sn.frozen[k] = v
 	}
 	sn.cost = s.cost
 	sn.migrated = res.Migrated
-	// Incremental structures: zero-length copies when running naive.
 	copy(sn.relyIdx, s.relyIdx)
 	copy(sn.zetaMemo, s.zetaMemo)
 	copy(sn.latRow, s.latRow)
@@ -759,16 +669,10 @@ func (s *state) saveSnapshot(res *Result) {
 
 func (s *state) restoreSnapshot(res *Result) {
 	sn := &s.snap
-	if s.ev != nil {
-		for i := len(s.step) - 1; i >= 0; i-- {
-			s.ev.Revert(s.step[i])
-		}
-		s.step = s.step[:0]
-	} else {
-		for i := range s.place.X {
-			copy(s.place.X[i], sn.place.X[i])
-		}
+	for i := len(s.step) - 1; i >= 0; i-- {
+		s.ev.Revert(s.step[i])
 	}
+	s.step = s.step[:0]
 	copy(s.relFlat, sn.rel)
 	s.cost = sn.cost
 	clear(s.frozen)
@@ -782,41 +686,12 @@ func (s *state) restoreSnapshot(res *Result) {
 	copy(s.latRowDirty, sn.latRowDirty)
 }
 
-// deadlineViolated checks constraint (4) under exact optimal routing. A
-// request whose chain lost its last instance is served by the cloud
-// fallback when one exists — mirroring the evaluator — and violates only
-// if the cloud completion time misses the deadline.
+// deadlineViolated checks constraint (4) under exact optimal routing,
+// through the evaluator's route cache. A request whose chain lost its last
+// instance is served by the cloud fallback when one exists and violates
+// only if the cloud completion time misses the deadline.
 func (s *state) deadlineViolated() bool {
-	if s.ev == nil {
-		return s.deadlineViolatedNaive()
-	}
 	return s.deadlines && s.ev.AnyLate()
-}
-
-// deadlineViolatedNaive routes every finite-deadline request from scratch —
-// the ground-truth path of the reference mode and the invariant layer's
-// differential check.
-func (s *state) deadlineViolatedNaive() bool {
-	for h := range s.in.Workload.Requests {
-		req := &s.in.Workload.Requests[h]
-		if math.IsInf(req.Deadline, 1) {
-			continue
-		}
-		_, d, err := s.in.RouteOptimal(req, s.place)
-		if err != nil {
-			// Branch on the sentinel, not err != nil: only ErrNoInstance is
-			// eligible for cloud fallback. (PR 1's stale-verdict bug hid in
-			// exactly this kind of catch-all; any other error is a violation.)
-			if !model.IsNoInstance(err) || s.in.Cloud == nil {
-				return true
-			}
-			d = s.in.Cloud.CloudCompletionTime(s.in.Workload.Catalog, req)
-		}
-		if d > req.Deadline+model.FeasTol {
-			return true
-		}
-	}
-	return false
 }
 
 // --- storage planning (Algorithm 5) ---
@@ -980,11 +855,7 @@ func (s *state) migrate(svc, k int, res *Result) bool {
 		// removal finds nothing left to save.
 		s.setPlace(svc, c.q, true)
 		s.setPlace(svc, k, false)
-		if s.relyIdx != nil {
-			s.rehome(svc, k)
-		} else {
-			s.rehomeNaive(svc, k)
-		}
+		s.rehome(svc, k)
 		delete(s.frozen, instKey{svc, k})
 		res.Migrated++
 		return true

@@ -202,7 +202,7 @@ func TestZetaInfinityForLastReachableInstance(t *testing.T) {
 	// Directly exercise ζ = +Inf: a service with exactly one instance must
 	// be excluded from the instance set entirely.
 	in, part, pre := buildInstance(8, 20, 9, 1e6)
-	s := newState(in, part, pre, Config{naive: true})
+	s := newState(in, part, pre, Config{})
 	list := s.updateInstanceSet()
 	for _, it := range list {
 		if s.place.Count(it.key.svc) <= 1 {

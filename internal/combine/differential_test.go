@@ -11,36 +11,30 @@ import (
 	"repro/internal/topology"
 )
 
-// assertRunsIdentical runs the combination twice — incremental engine on and
-// off — and asserts bit-identical placements and statistics. It returns the
-// incremental run's result.
+// assertRunsIdentical runs the combination twice — Run on the first copy,
+// the full-rescan reference refRun on the second — and asserts bit-identical
+// placements and statistics. It returns Run's result.
 func assertRunsIdentical(t *testing.T, label string, in1, in2 *model.Instance,
 	part1, part2 *partition.Result, pre1, pre2 model.Placement, cfg Config) Result {
 	t.Helper()
-	cfgNaive := cfg
-	cfgNaive.naive = true
 	inc := Run(in1, part1, pre1, cfg)
-	naive := Run(in2, part2, pre2, cfgNaive)
+	ref := refRun(in2, part2, pre2, cfg)
 
 	for i := range inc.Placement.X {
 		for k := range inc.Placement.X[i] {
-			if inc.Placement.Has(i, k) != naive.Placement.Has(i, k) {
+			if inc.Placement.Has(i, k) != ref.Placement.Has(i, k) {
 				t.Fatalf("%s: placement diverges at service %d node %d (incremental=%v)",
 					label, i, k, inc.Placement.Has(i, k))
 			}
 		}
 	}
-	if inc.BudgetMet != naive.BudgetMet ||
-		inc.Combined != naive.Combined ||
-		inc.RolledBack != naive.RolledBack ||
-		inc.Migrated != naive.Migrated ||
-		inc.ParallelRounds != naive.ParallelRounds ||
-		inc.SerialRounds != naive.SerialRounds {
-		t.Fatalf("%s: stats diverge:\nincremental %+v\nnaive       %+v", label, inc, naive)
-	}
-	if naive.RouteCacheHits != 0 || naive.RouteRecomputed != 0 {
-		t.Fatalf("%s: naive run reported cache telemetry %d/%d",
-			label, naive.RouteCacheHits, naive.RouteRecomputed)
+	if inc.BudgetMet != ref.BudgetMet ||
+		inc.Combined != ref.Combined ||
+		inc.RolledBack != ref.RolledBack ||
+		inc.Migrated != ref.Migrated ||
+		inc.ParallelRounds != ref.ParallelRounds ||
+		inc.SerialRounds != ref.SerialRounds {
+		t.Fatalf("%s: stats diverge:\nincremental %+v\nreference   %+v", label, inc, ref)
 	}
 	return inc
 }
@@ -50,7 +44,7 @@ func assertRunsIdentical(t *testing.T, label string, in1, in2 *model.Instance,
 // budgets (serial phase dominant), tight deadlines (roll-backs + frozen
 // churn), cloud fallback on and off, 160 finite-deadline users whose first
 // refresh re-routes them all — deadlineViolated, ζ and the reliance
-// maintenance must reproduce the naive full-rescan results bit for bit.
+// maintenance must reproduce refRun's full-rescan results bit for bit.
 func TestIncrementalMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		in1, part1, pre1 := buildInstance(10, 40, seed, 6500)
@@ -177,14 +171,12 @@ func TestIncrementalCacheTelemetry(t *testing.T) {
 // the engine's hot path, runs until the objective gradient stops it.
 // "binding" is the batch_global shape at 400 users, where every serial step
 // is rolled back and the route cache decides the cost.
-func benchCombine(b *testing.B, naive bool) {
-	cfg := DefaultConfig()
-	cfg.naive = naive
+func benchCombine(b *testing.B, combine func(*model.Instance, *partition.Result, model.Placement, Config) Result) {
 	run := func(in *model.Instance, part *partition.Result, pre model.Placement) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchResult = Run(in, part, pre, cfg)
+				benchResult = combine(in, part, pre, DefaultConfig())
 			}
 		}
 	}
@@ -194,5 +186,8 @@ func benchCombine(b *testing.B, naive bool) {
 
 var benchResult Result
 
-func BenchmarkCombineIncremental(b *testing.B) { benchCombine(b, false) }
-func BenchmarkCombineNaive(b *testing.B)       { benchCombine(b, true) }
+func BenchmarkCombineIncremental(b *testing.B) { benchCombine(b, Run) }
+
+// BenchmarkCombineNaive times the full-rescan reference on the same
+// fixtures: the engine's speedup is the ratio of the two.
+func BenchmarkCombineNaive(b *testing.B) { benchCombine(b, refRun) }

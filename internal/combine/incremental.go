@@ -4,8 +4,8 @@ import "math"
 
 // This file holds combine's own incremental structures. Together with
 // state.ev, the run's model.DeltaEvaluator, they avoid the
-// O(rounds·|U|·L·|V|²) rescans of the naive implementation (kept,
-// bit-identical, as the in-package test reference):
+// O(rounds·|U|·L·|V|²) rescans of a from-scratch implementation (refRun in
+// reference_test.go, the bit-identical test reference):
 //
 //   - state.ev answers the deadline check (AnyLate), re-routing a request
 //     only when its cached optimal route used a removed instance or an
@@ -42,8 +42,8 @@ func (s *state) initIncremental() {
 
 // buildRelianceIndex derives relyIdx from rel: a counting pass sizes every
 // instance's list inside one backing array, a second pass in (h,t) order
-// fills them — ascending, the order the naive scan visits relying steps, so
-// ζ sums float terms identically. Lists are immutable once published:
+// fills them — ascending, the order a full scan of rel visits relying steps,
+// so ζ sums float terms identically. Lists are immutable once published:
 // rehome replaces a list, never edits one, which is what lets a snapshot
 // keep the headers alone.
 func (s *state) buildRelianceIndex() {
@@ -94,7 +94,7 @@ func (s *state) rehome(svc, node int) {
 		h, t := ht[0], ht[1]
 		nk := s.pickReliance(h, t, -1)
 		s.rel[h][t] = nk
-		s.markRowDirty(h)
+		s.latRowDirty[h] = true
 		if nk >= 0 { // cloud or unserved: no instance to index
 			s.rehomed[nk] = append(s.rehomed[nk], ht)
 		}

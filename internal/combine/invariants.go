@@ -1,13 +1,17 @@
 package combine
 
-import "repro/internal/invariant"
+import (
+	"math"
+
+	"repro/internal/invariant"
+)
 
 // This file wires internal/invariant into the combine phase boundaries. All
 // checks are armed by the `soclinvariants` build tag and compile to nothing
 // otherwise; with the tag on they recompute combine's own cached structures
-// (candidate index, reverse reliance index, ψ rows) from scratch and panic
-// on the first divergence. The route cache is the evaluator's, which holds
-// every verdict against a scratch evaluation under the same tag.
+// (candidate index, reverse reliance index, ψ rows, ζ memo) from scratch and
+// panic on the first divergence. The route cache is the evaluator's, which
+// holds every verdict against a scratch evaluation under the same tag.
 
 // checkPhaseInvariants validates the mutable state against ground truth:
 //
@@ -16,7 +20,10 @@ import "repro/internal/invariant"
 //  2. the cost accumulator against Eq. 1 recomputed;
 //  3. reliance validity: every served step relies on a live instance;
 //  4. the reverse reliance index against a full rescan of rel;
-//  5. the ψ-row cache against a re-derivation.
+//  5. the ψ-row cache against a re-derivation;
+//  6. the ζ memo against a fresh ζ.
+//
+// Check 6 runs last: a fresh ζ walks relyIdx, which check 4 has vouched for.
 func (s *state) checkPhaseInvariants(where string) {
 	if !invariant.Enabled {
 		return
@@ -35,6 +42,7 @@ func (s *state) checkPhaseInvariants(where string) {
 	}
 	s.checkRelianceIndex(where)
 	s.checkStarRows(where)
+	s.checkZetaMemo(where)
 }
 
 // checkStarRows verifies starObjective's ψ-row cache: every clean row must
@@ -42,9 +50,6 @@ func (s *state) checkPhaseInvariants(where string) {
 // rel mutation site would silently skew the serial phase's accept/revert
 // decisions otherwise.
 func (s *state) checkStarRows(where string) {
-	if !invariant.Enabled || s.latRow == nil {
-		return
-	}
 	for h := range s.latRow {
 		if s.latRowDirty[h] {
 			continue
@@ -60,9 +65,6 @@ func (s *state) checkStarRows(where string) {
 // (ζ sums float terms in list order — order is semantic, not cosmetic), and
 // every served step of rel must be indexed exactly once.
 func (s *state) checkRelianceIndex(where string) {
-	if !invariant.Enabled || s.relyIdx == nil {
-		return
-	}
 	indexed := 0
 	for i, list := range s.relyIdx {
 		key := instKey{i / s.in.V(), i % s.in.V()}
@@ -87,4 +89,22 @@ func (s *state) checkRelianceIndex(where string) {
 	}
 	invariant.Assertf(indexed == served,
 		"combine %s: relyIdx tracks %d steps, rel serves %d", where, indexed, served)
+}
+
+// checkZetaMemo verifies the ζ memo: every set entry of a live instance must
+// equal a fresh ζ bitwise. A mutation that changes a service's candidates or
+// relying steps without clearing its row would otherwise keep feeding
+// Algorithm 4 a stale removal order.
+func (s *state) checkZetaMemo(where string) {
+	for svc := 0; svc < s.in.M(); svc++ {
+		for _, k := range s.nodesOf(svc) {
+			memo := s.zetaMemo[s.at(svc, k)]
+			if math.IsNaN(memo) {
+				continue
+			}
+			fresh := s.zeta(svc, k)
+			invariant.Assertf(math.Float64bits(memo) == math.Float64bits(fresh),
+				"combine %s: memoized ζ(%d,%d) = %v != recomputed %v", where, svc, k, memo, fresh)
+		}
+	}
 }

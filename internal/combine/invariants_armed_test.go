@@ -12,10 +12,9 @@ import (
 // TestInvariantArmedDifferential is satellite coverage for the runtime
 // invariant layer: with soclinvariants on, every Run below executes the
 // phase-boundary checks (index coherence, cost recount, reliance index
-// rescan, ψ rows) and the evaluator's own (every EvalObjective and Eq. 4
-// verdict against a scratch evaluation) — any divergence panics the test — and the
-// incremental/naive outputs must still
-// be bit-identical. Under the plain build this file does not compile, and
+// rescan, ψ rows, ζ memo) and the evaluator's own (every EvalObjective and
+// Eq. 4 verdict against a scratch evaluation) — any divergence panics the
+// test — and Run must still match refRun bit for bit. Under the plain build this file does not compile, and
 // the same scenarios run (unchecked) via differential_test.go.
 func TestInvariantArmedDifferential(t *testing.T) {
 	if !invariant.Enabled {

@@ -37,24 +37,26 @@ func TestParallelBatchRemovesMultipleInstancesOfOneService(t *testing.T) {
 		pre.Set(svc, k, true)
 	}
 
-	for _, naive := range []bool{false, true} {
+	for _, run := range []struct {
+		name string
+		fn   func(*model.Instance, *partition.Result, model.Placement, Config) Result
+	}{{"Run", Run}, {"refRun", refRun}} {
 		cfg := DefaultConfig()
 		cfg.Omega = 1
-		cfg.naive = naive
-		res := Run(in, part, pre, cfg)
+		res := run.fn(in, part, pre, cfg)
 		if !res.BudgetMet {
-			t.Fatalf("naive=%v: budget not met", naive)
+			t.Fatalf("%s: budget not met", run.name)
 		}
 		if res.Placement.Count(svc) != 1 {
-			t.Fatalf("naive=%v: %d instances survive, want 1", naive, res.Placement.Count(svc))
+			t.Fatalf("%s: %d instances survive, want 1", run.name, res.Placement.Count(svc))
 		}
 		if res.Combined != 2 {
-			t.Fatalf("naive=%v: Combined = %d, want 2", naive, res.Combined)
+			t.Fatalf("%s: Combined = %d, want 2", run.name, res.Combined)
 		}
 		// The double-counting bug needed a second round for the second
 		// removal; the fixed guard completes the batch in one.
 		if res.ParallelRounds != 1 {
-			t.Fatalf("naive=%v: ParallelRounds = %d, want 1", naive, res.ParallelRounds)
+			t.Fatalf("%s: ParallelRounds = %d, want 1", run.name, res.ParallelRounds)
 		}
 	}
 }
@@ -65,55 +67,52 @@ func TestParallelBatchRemovesMultipleInstancesOfOneService(t *testing.T) {
 // deletion (the instance became combinable again) and kept counting the
 // undone migration.
 func TestRollbackRestoresFrozenAndMigrated(t *testing.T) {
-	for _, naive := range []bool{false, true} {
-		in, part, pre := buildInstance(8, 20, 10, 1e6)
-		s := newState(in, part, pre, Config{naive: naive})
-
-		res := &Result{Migrated: 3} // pre-existing migrations must survive
-		migrated := false
-		for _, svc := range in.Workload.ServicesUsed() {
-			for _, k := range append([]int(nil), s.nodesOf(svc)...) {
-				key := instKey{svc, k}
-				s.frozen[key] = true
-				s.saveSnapshot(res)
-				// migrate mutates nothing when it fails, so probing is safe.
-				if !s.migrate(svc, k, res) {
-					delete(s.frozen, key)
-					continue
-				}
-				migrated = true
-				if s.frozen[key] {
-					t.Fatalf("naive=%v: migrate left %v frozen", naive, key)
-				}
-				if res.Migrated != 4 {
-					t.Fatalf("naive=%v: Migrated = %d after migrate, want 4", naive, res.Migrated)
-				}
-				s.restoreSnapshot(res)
-				if !s.frozen[key] {
-					t.Fatalf("naive=%v: rollback leaked frozen entry %v", naive, key)
-				}
-				if res.Migrated != 3 {
-					t.Fatalf("naive=%v: Migrated = %d after rollback, want 3", naive, res.Migrated)
-				}
-				if !s.place.Has(svc, k) {
-					t.Fatalf("naive=%v: rollback did not restore instance (%d,%d)", naive, svc, k)
-				}
-				for i := range pre.X {
-					for n := range pre.X[i] {
-						if s.place.Has(i, n) != pre.Has(i, n) {
-							t.Fatalf("naive=%v: placement differs from snapshot at (%d,%d)", naive, i, n)
-						}
+	in, part, pre := buildInstance(8, 20, 10, 1e6)
+	s := newState(in, part, pre, Config{})
+	res := &Result{Migrated: 3} // pre-existing migrations must survive
+	migrated := false
+	for _, svc := range in.Workload.ServicesUsed() {
+		for _, k := range append([]int(nil), s.nodesOf(svc)...) {
+			key := instKey{svc, k}
+			s.frozen[key] = true
+			s.saveSnapshot(res)
+			// migrate mutates nothing when it fails, so probing is safe.
+			if !s.migrate(svc, k, res) {
+				delete(s.frozen, key)
+				continue
+			}
+			migrated = true
+			if s.frozen[key] {
+				t.Fatalf("migrate left %v frozen", key)
+			}
+			if res.Migrated != 4 {
+				t.Fatalf("Migrated = %d after migrate, want 4", res.Migrated)
+			}
+			s.restoreSnapshot(res)
+			if !s.frozen[key] {
+				t.Fatalf("rollback leaked frozen entry %v", key)
+			}
+			if res.Migrated != 3 {
+				t.Fatalf("Migrated = %d after rollback, want 3", res.Migrated)
+			}
+			if !s.place.Has(svc, k) {
+				t.Fatalf("rollback did not restore instance (%d,%d)", svc, k)
+			}
+			for i := range pre.X {
+				for n := range pre.X[i] {
+					if s.place.Has(i, n) != pre.Has(i, n) {
+						t.Fatalf("placement differs from snapshot at (%d,%d)", i, n)
 					}
 				}
-				break
 			}
-			if migrated {
-				break
-			}
+			break
 		}
-		if !migrated {
-			t.Fatalf("naive=%v: no migratable instance found", naive)
+		if migrated {
+			break
 		}
+	}
+	if !migrated {
+		t.Fatalf("no migratable instance found")
 	}
 }
 
@@ -123,7 +122,7 @@ func TestRollbackRestoresFrozenAndMigrated(t *testing.T) {
 // as an instant violation — otherwise the serial phase can never absorb a
 // last instance into the cloud and rolls back forever.
 func TestDeadlineCheckUsesCloudFallback(t *testing.T) {
-	for _, naive := range []bool{false, true} {
+	{
 		in, part, pre := buildInstance(8, 20, 12, 1e6)
 		cc := model.DefaultCloudConfig()
 		in.Cloud = &cc
@@ -132,24 +131,24 @@ func TestDeadlineCheckUsesCloudFallback(t *testing.T) {
 		for h := range in.Workload.Requests {
 			in.Workload.Requests[h].Deadline = 1e12
 		}
-		s := newState(in, part, pre, Config{naive: naive})
+		s := newState(in, part, pre, Config{})
 
 		svc := in.Workload.Requests[0].Chain[0]
 		for _, k := range append([]int(nil), s.nodesOf(svc)...) {
 			s.removeInstance(svc, k)
 		}
 		if s.place.Count(svc) != 0 {
-			t.Fatalf("naive=%v: service %d not fully removed", naive, svc)
+			t.Fatalf("service %d not fully removed", svc)
 		}
-		if s.deadlineViolated() {
-			t.Fatalf("naive=%v: cloud-served request flagged as violation", naive)
+		if got, want := s.deadlineViolated(), refDeadlineViolated(in, s.place); got || want {
+			t.Fatalf("cloud-served request flagged as violation: verdict %v (reference %v)", got, want)
 		}
 		// Shrink one affected deadline below its cloud completion time: now
 		// the same cloud path must report the violation.
 		req := &in.Workload.Requests[0]
 		req.Deadline = in.Cloud.CloudCompletionTime(in.Workload.Catalog, req) * 0.5
-		if !s.deadlineViolated() {
-			t.Fatalf("naive=%v: missed cloud deadline not flagged", naive)
+		if got, want := s.deadlineViolated(), refDeadlineViolated(in, s.place); !got || !want {
+			t.Fatalf("missed cloud deadline not flagged: verdict %v (reference %v)", got, want)
 		}
 	}
 
@@ -157,15 +156,15 @@ func TestDeadlineCheckUsesCloudFallback(t *testing.T) {
 	// so it is unreachable (+Inf, late). Removing that last instance hands
 	// the request to the cloud, which meets its deadline. A route cache that
 	// keeps an unreachable entry across the removal still says "late".
-	for _, naive := range []bool{false, true} {
+	{
 		in, part, pre, svc := islandsInstance(t)
-		s := newState(in, part, pre, Config{naive: naive})
+		s := newState(in, part, pre, Config{})
 		if !s.deadlineViolated() {
-			t.Fatalf("naive=%v: an unreachable request is not flagged", naive)
+			t.Fatalf("an unreachable request is not flagged")
 		}
 		s.removeInstance(svc, 2)
-		if got, want := s.deadlineViolated(), s.deadlineViolatedNaive(); got || want {
-			t.Fatalf("naive=%v: after the last instance went, verdict %v (naive %v); the cloud serves in time", naive, got, want)
+		if got, want := s.deadlineViolated(), refDeadlineViolated(in, s.place); got || want {
+			t.Fatalf("after the last instance went, verdict %v (reference %v); the cloud serves in time", got, want)
 		}
 	}
 }
@@ -205,7 +204,7 @@ func islandsInstance(t *testing.T) (*model.Instance, *partition.Result, model.Pl
 
 // TestRunAbsorbsUnreachableLastInstance is the same shape through Run: the
 // serial phase may remove the unreachable instance, since the cloud then
-// serves the request in time, and both modes must agree that it does.
+// serves the request in time, and Run and refRun must agree that it does.
 func TestRunAbsorbsUnreachableLastInstance(t *testing.T) {
 	in1, part1, pre1, svc := islandsInstance(t)
 	in2, part2, pre2, _ := islandsInstance(t)

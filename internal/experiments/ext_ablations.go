@@ -47,7 +47,7 @@ func ExtBudget(opts Options) *Table {
 	for _, b := range budgets {
 		in.Budget = b
 		for _, algo := range fig8Algorithms(opts) {
-			p, err := algo.place(in)
+			p, err := algo.Place(in)
 			if err != nil {
 				panic(err)
 			}
@@ -61,7 +61,7 @@ func ExtBudget(opts Options) *Table {
 			if ev.OverBudget {
 				met = "no"
 			}
-			t.AddRow(f1(b), algo.name, f1(ev.Objective), f1(ev.Cost), f1(ev.LatencySum), met)
+			t.AddRow(f1(b), algo.Name(), f1(ev.Objective), f1(ev.Cost), f1(ev.LatencySum), met)
 		}
 	}
 	return t

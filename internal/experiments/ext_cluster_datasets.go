@@ -78,12 +78,12 @@ func ExtDatasets(opts Options) *Table {
 		in := sc.MustBuild()
 		cat := in.Workload.Catalog
 		for _, algo := range fig8Algorithms(opts) {
-			p, err := algo.place(in)
+			p, err := algo.Place(in)
 			if err != nil {
 				panic(err)
 			}
 			ev := in.Evaluate(p)
-			t.AddRow(name, itoa(cat.Len()), algo.name, f1(ev.Objective),
+			t.AddRow(name, itoa(cat.Len()), algo.Name(), f1(ev.Objective),
 				f1(ev.Cost), f1(ev.LatencySum))
 		}
 	}

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/sim"
 )
 
 // ExtContention re-prices every algorithm's solution under the network-
@@ -25,7 +25,7 @@ func ExtContention(opts Options) *Table {
 	in := buildInstance(nodes, users, opts.Seed)
 	cc := model.DefaultContentionConfig()
 	for _, algo := range fig8Algorithms(opts) {
-		p, err := algo.place(in)
+		p, err := algo.Place(in)
 		if err != nil {
 			panic(err)
 		}
@@ -40,7 +40,7 @@ func ExtContention(opts Options) *Table {
 		if rep.LatencySum > 0 {
 			infl = (rep.LatencySumContended - rep.LatencySum) / rep.LatencySum * 100
 		}
-		t.AddRow(algo.name, f1(rep.LatencySum), f1(rep.LatencySumContended),
+		t.AddRow(algo.Name(), f1(rep.LatencySum), f1(rep.LatencySumContended),
 			f3(infl), itoa(rep.Congested), f3(maxU))
 	}
 	return t
@@ -65,25 +65,13 @@ func ExtCloud(opts Options) *Table {
 		in.Budget = budget
 		cloud := model.DefaultCloudConfig()
 		in.Cloud = &cloud
-		algos := []namedAlgo{
-			{"JDR", func(in *model.Instance) (model.Placement, error) {
-				return baselines.JDR(in), nil
-			}},
-			{"SoCL", func(in *model.Instance) (model.Placement, error) {
-				sol, err := core.Solve(in, core.DefaultConfig())
-				if err != nil {
-					return model.Placement{}, err
-				}
-				return sol.Placement, nil
-			}},
-		}
-		for _, algo := range algos {
-			p, err := algo.place(in)
+		for _, algo := range []sim.Algorithm{sim.JDR{}, sim.SoCL{Config: core.DefaultConfig()}} {
+			p, err := algo.Place(in)
 			if err != nil {
 				panic(err)
 			}
 			ev := in.Evaluate(p)
-			t.AddRow(f1(budget), algo.name, itoa(ev.CloudServed),
+			t.AddRow(f1(budget), algo.Name(), itoa(ev.CloudServed),
 				itoa(ev.MissingInstances), f1(ev.LatencySum), f1(ev.Objective))
 		}
 	}

@@ -3,9 +3,9 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/sim"
 )
 
 // Fig8 reproduces Figure 8 (a)–(d): the weighted objective (cost & latency)
@@ -38,7 +38,7 @@ func Fig8(opts Options) *Table {
 		var de *model.DeltaEvaluator
 		for _, algo := range fig8Algorithms(opts) {
 			t0 := time.Now()
-			p, err := algo.place(in)
+			p, err := algo.Place(in)
 			el := time.Since(t0)
 			if err != nil {
 				panic(err)
@@ -49,7 +49,7 @@ func Fig8(opts Options) *Table {
 				de.AdvanceTo(p)
 			}
 			ev := de.Eval()
-			out = append(out, []string{itoa(u), algo.name, f1(ev.Objective), f1(ev.Cost),
+			out = append(out, []string{itoa(u), algo.Name(), f1(ev.Objective), f1(ev.Cost),
 				f1(ev.LatencySum), sec(el), itoa(p.Instances())})
 		}
 		return out
@@ -60,28 +60,12 @@ func Fig8(opts Options) *Table {
 	return t
 }
 
-type namedAlgo struct {
-	name  string
-	place func(*model.Instance) (model.Placement, error)
-}
-
-func fig8Algorithms(opts Options) []namedAlgo {
-	return []namedAlgo{
-		{"RP", func(in *model.Instance) (model.Placement, error) {
-			return baselines.RP(in, opts.Seed), nil
-		}},
-		{"JDR", func(in *model.Instance) (model.Placement, error) {
-			return baselines.JDR(in), nil
-		}},
-		{"GC-OG", func(in *model.Instance) (model.Placement, error) {
-			return baselines.GCOG(in).Placement, nil
-		}},
-		{"SoCL", func(in *model.Instance) (model.Placement, error) {
-			sol, err := core.Solve(in, core.DefaultConfig())
-			if err != nil {
-				return model.Placement{}, err
-			}
-			return sol.Placement, nil
-		}},
+// fig8Algorithms is the figure's four contenders, in table order.
+func fig8Algorithms(opts Options) []sim.Algorithm {
+	return []sim.Algorithm{
+		sim.RP{Seed: opts.Seed},
+		sim.JDR{},
+		sim.GCOG{},
+		sim.SoCL{Config: core.DefaultConfig()},
 	}
 }

@@ -165,9 +165,9 @@ func (sc *RouteScratch) layerBuf(n int) [][]int {
 }
 
 // nodeLister abstracts the candidate-node source of the routing routines:
-// either a raw Placement (allocating scan, the naive path) or a
-// PlacementIndex (cached lists, the incremental path). Both return the
-// hosting nodes ascending, so the two paths are bit-identical.
+// either a raw Placement (an allocating scan: the exported one-shot
+// routers) or a PlacementIndex (cached lists: the evaluators). Both return
+// the hosting nodes ascending, so the two are bit-identical.
 type nodeLister interface {
 	NodesOf(i int) []int
 }

@@ -242,7 +242,7 @@ func (in *Instance) CompletionTime(req *msvc.Request, a Assignment) (float64, er
 //
 //socllint:sentinel ErrNoInstance
 func (in *Instance) RouteOptimal(req *msvc.Request, p Placement) (Assignment, float64, error) {
-	return in.routeOptimal(req, p, nil)
+	return in.routeOptimal(req, p, &RouteScratch{})
 }
 
 //socllint:sentinel ErrNoInstance
@@ -251,12 +251,7 @@ func (in *Instance) routeOptimal(req *msvc.Request, cand nodeLister, sc *RouteSc
 	L := len(req.Chain)
 
 	// Candidate layers.
-	var layers [][]int
-	if sc != nil {
-		layers = sc.layerBuf(L)
-	} else {
-		layers = make([][]int, L)
-	}
+	layers := sc.layerBuf(L)
 	for t, s := range req.Chain {
 		layers[t] = cand.NodesOf(s)
 		if len(layers[t]) == 0 {
@@ -265,29 +260,14 @@ func (in *Instance) routeOptimal(req *msvc.Request, cand nodeLister, sc *RouteSc
 	}
 
 	// DP forward pass.
-	var cost []float64
-	var back [][]int
-	if sc != nil {
-		cost = sc.floats(&sc.cost, len(layers[0]))
-	} else {
-		cost = make([]float64, len(layers[0]))
-		back = make([][]int, L)
-	}
+	cost := sc.floats(&sc.cost, len(layers[0]))
 	for j, k := range layers[0] {
 		cost[j] = g.TransferTime(req.Home, k, req.DataIn) +
 			in.stepTime(req.Chain[0], k)
 	}
 	for t := 1; t < L; t++ {
-		var next []float64
-		var backT []int
-		if sc != nil {
-			next = sc.floats(&sc.next, len(layers[t]))
-			backT = sc.backRow(t, len(layers[t]))
-		} else {
-			next = make([]float64, len(layers[t]))
-			back[t] = make([]int, len(layers[t]))
-			backT = back[t]
-		}
+		next := sc.floats(&sc.next, len(layers[t]))
+		backT := sc.backRow(t, len(layers[t]))
 		for j, k := range layers[t] {
 			best, bestArg := math.Inf(1), -1
 			for pj, pk := range layers[t-1] {
@@ -299,12 +279,8 @@ func (in *Instance) routeOptimal(req *msvc.Request, cand nodeLister, sc *RouteSc
 			next[j] = best + in.stepTime(req.Chain[t], k)
 			backT[j] = bestArg
 		}
-		if sc != nil {
-			sc.cost, sc.next = sc.next, sc.cost
-			cost = next
-		} else {
-			cost = next
-		}
+		sc.cost, sc.next = sc.next, sc.cost
+		cost = next
 	}
 
 	// Terminal: add d_out and pick the best final node.
@@ -320,18 +296,14 @@ func (in *Instance) routeOptimal(req *msvc.Request, cand nodeLister, sc *RouteSc
 		return Assignment{}, math.Inf(1), nil
 	}
 
-	// Backtrack. The Nodes slice is freshly allocated either way: callers
-	// cache returned assignments beyond the next routing call.
+	// Backtrack. The Nodes slice is freshly allocated: callers cache
+	// returned assignments beyond the next routing call.
 	nodes := make([]int, L)
 	j := bestArg
 	for t := L - 1; t >= 0; t-- {
 		nodes[t] = layers[t][j]
 		if t > 0 {
-			if sc != nil {
-				j = sc.back[t][j]
-			} else {
-				j = back[t][j]
-			}
+			j = sc.back[t][j]
 		}
 	}
 	return Assignment{Nodes: nodes}, best, nil

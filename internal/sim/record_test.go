@@ -127,8 +127,8 @@ func TestDaemonReplayOnlineRepair(t *testing.T) {
 }
 
 // TestEventStreamRoundTrip: the script text format must survive a
-// write/parse/write cycle byte for byte — the daemon smoke test feeds scripts
-// through files.
+// write/parse/write cycle byte for byte — soclserved's -record and -script
+// pass scripts through files.
 func TestEventStreamRoundTrip(t *testing.T) {
 	cfg := faultConfig(t, 54, PolicyRepair)
 	script, err := EventStream(cfg)

@@ -94,9 +94,11 @@ type Engine struct {
 	finished bool
 	runErr   error
 
-	// Ordered-mode sequencing.
-	nextSeq uint64
-	held    map[uint64]Frame
+	// Ordered-mode sequencing. heldBytes is what held is charged against
+	// maxHeldBytes.
+	nextSeq   uint64
+	held      map[uint64]Frame
+	heldBytes int
 
 	// Unordered-mode dedup and buffering.
 	seen     map[uint64]struct{}
@@ -108,6 +110,16 @@ type Engine struct {
 	recorded serve.Script
 	admitted map[uint64]struct{} // exactly-once audit, soclinvariants only
 }
+
+// maxHeldBytes caps what an ordered engine holds for sequence gaps, whatever
+// MaxQueue says: sixteen maximal frames. Each held frame is charged its body
+// plus heldFrameOverhead, about what its map entry costs, so a flood of
+// empty far-ahead frames is bounded too. Without the cap any peer could park
+// up to MaxFrame bytes per distinct future seq for the life of the session.
+const (
+	maxHeldBytes      = 16 * MaxFrame
+	heldFrameOverhead = 64
+)
 
 // NewEngine builds an idle engine; the session starts at the hello frame.
 func NewEngine(cfg Config) *Engine {
@@ -192,12 +204,14 @@ func (e *Engine) HandleFrame(fr Frame) []Frame {
 	if fr.Seq > e.nextSeq {
 		if _, held := e.held[fr.Seq]; held {
 			e.stats.Duplicates++
-		} else if e.cfg.MaxQueue > 0 && len(e.held) >= 4*e.cfg.MaxQueue {
-			// Hold-buffer bound: drop without acking; the client will
+		} else if e.heldBytes+len(fr.Body)+heldFrameOverhead > maxHeldBytes ||
+			(e.cfg.MaxQueue > 0 && len(e.held) >= 4*e.cfg.MaxQueue) {
+			// Hold-buffer bounds: drop without acking; the client will
 			// retransmit once the gap drains.
 			return nil
 		} else {
 			e.held[fr.Seq] = cloneFrame(fr)
+			e.heldBytes += len(fr.Body) + heldFrameOverhead
 		}
 		return []Frame{ack(fr, StatusDuplicate, "held")}
 	}
@@ -209,6 +223,7 @@ func (e *Engine) HandleFrame(fr Frame) []Frame {
 			break
 		}
 		delete(e.held, e.nextSeq)
+		e.heldBytes -= len(next.Body) + heldFrameOverhead
 		out = append(out, e.processFrame(next)...)
 		e.nextSeq++
 	}

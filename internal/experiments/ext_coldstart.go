@@ -5,7 +5,6 @@ import (
 	"repro/internal/msvc"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -116,13 +115,8 @@ func ExtColdstart(opts Options) *Table {
 			objSum += r.ServedObjective
 			reactS += (r.PlanTime + r.ReactTime).Seconds()
 		}
-		mean, p95 := 0.0, 0.0
-		if len(rr.AllDelays) > 0 {
-			mean = stats.Mean(rr.AllDelays)
-			p95 = stats.Percentile(rr.AllDelays, 95)
-		}
 		t.AddRow(idleCol, delayCol, itoa(len(rr.Records)), itoa(reqs), itoa(unserved),
-			itoa(cold), itoa(scale0), f3(mean), f3(p95), f1(objSum), f3(reactS), errCol)
+			itoa(cold), itoa(scale0), f3(rr.MeanDelay()), f3(rr.DelayPercentile(95)), f1(objSum), f3(reactS), errCol)
 	}
 	return t
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/msvc"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -111,11 +110,7 @@ func Fig10(opts Options) (*Table, *Table) {
 			pt.series = append(pt.series, []string{f1(float64(s.Epoch) * cfg.SlotMinutes), res.Algorithm,
 				f3(s.AvgDelay), f3(s.MaxDelay), itoa(s.Requests)})
 		}
-		p95 := 0.0
-		if len(res.AllDelays) > 0 {
-			p95 = stats.Percentile(res.AllDelays, 95)
-		}
-		pt.summary = []string{res.Algorithm, f3(res.MeanDelay()), f3(p95), f3(res.MaxDelay())}
+		pt.summary = []string{res.Algorithm, f3(res.MeanDelay()), f3(res.DelayPercentile(95)), f3(res.MaxDelay())}
 		return pt
 	})
 	for _, pt := range points {

@@ -111,8 +111,9 @@ type EpochRecord struct {
 type RunResult struct {
 	Records []EpochRecord
 	// AllDelays collects every finite per-request latency in epoch order,
-	// for distribution plots.
-	AllDelays []float64
+	// for distribution plots. A steady epoch shares the block of the epoch
+	// whose evaluation it republished.
+	AllDelays DelayStream
 	// Final is the last non-empty epoch's evaluation, nil if none.
 	Final *model.Evaluation
 	// Placement is the daemon's live placement after the run.
@@ -146,6 +147,10 @@ type Daemon struct {
 	// RouteModeRandom derives each request's stream from its index.
 	active  []msvc.Request
 	workGen int // bumped on any active-set change
+	// ids holds the IDs of active's undeparted requests, so an arrival's
+	// duplicate check costs O(1). Departures and moves still scan active:
+	// a position index would be re-indexed by every compaction.
+	ids map[int]struct{}
 	// departs are the positions of active that departed while admit runs,
 	// so that an epoch's departures compact in one pass at its end.
 	departs []int
@@ -177,10 +182,10 @@ type Daemon struct {
 	life *lifecycle
 	use  *useCounts
 
-	slot      int
-	records   []EpochRecord
-	allDelays []float64
-	lastEval  *model.Evaluation
+	slot     int
+	records  []EpochRecord
+	delays   DelayStream
+	lastEval *model.Evaluation
 
 	// evalIn is the epoch's instance on the unmasked substrate (see
 	// epochInstance).
@@ -188,13 +193,13 @@ type Daemon struct {
 	evalInGen int
 
 	// What the last evaluated epoch derived from its evaluation — the
-	// record's evaluation columns, the finite delays in request order and
-	// the use counts — and the key it derived them under. An epoch under the
-	// same key, one whose evaluator republished that evaluation
+	// record's evaluation columns, the block of finite delays in request
+	// order and the use counts — and the key it derived them under. An epoch
+	// under the same key, one whose evaluator republished that evaluation
 	// (model.DeltaEvaluator.Eval), reuses all three.
 	derivedKey derivedKey
 	derived    EpochRecord
-	delays     []float64
+	block      []float64
 }
 
 // derivedKey is everything an epoch's derived columns and use counts read:
@@ -227,6 +232,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		policy:    cfg.ReactionPolicy(),
 		mask:      chaos.NewMask(cfg.Graph),
 		queue:     make(map[int][]queued),
+		ids:       make(map[int]struct{}),
 		placement: model.NewPlacement(cfg.Catalog.Len(), cfg.Graph.N()),
 	}
 	if cfg.Lifecycle.Enabled() {
@@ -278,7 +284,7 @@ func (d *Daemon) ActiveRequests() int { return len(d.active) }
 func (d *Daemon) Result() *RunResult {
 	return &RunResult{
 		Records:   d.records,
-		AllDelays: d.allDelays,
+		AllDelays: d.delays,
 		Final:     d.lastEval,
 		Placement: d.placement,
 	}
@@ -490,7 +496,7 @@ func (d *Daemon) admit(rec *EpochRecord) bool {
 		case EvFault:
 			d.faults = append(d.faults, *ev)
 		case EvArrive:
-			if d.findActive(ev.ID) >= 0 {
+			if _, dup := d.ids[ev.ID]; dup {
 				continue
 			}
 			if d.cfg.MaxBatch > 0 && arrivals >= d.cfg.MaxBatch {
@@ -503,6 +509,7 @@ func (d *Daemon) admit(rec *EpochRecord) bool {
 			req.Chain = append([]int(nil), ev.Req.Chain...)
 			req.EdgeData = append([]float64(nil), ev.Req.EdgeData...)
 			d.active = append(d.active, req)
+			d.ids[req.ID] = struct{}{}
 			if d.use != nil {
 				d.use.arrive(req.Chain)
 			}
@@ -511,6 +518,9 @@ func (d *Daemon) admit(rec *EpochRecord) bool {
 			changed = true
 		case EvDepart:
 			if i := d.findActive(ev.ID); i >= 0 {
+				// Freed at once: a later arrival in this epoch may reuse
+				// the ID, as it could when the scan skipped departed ones.
+				delete(d.ids, ev.ID)
 				d.departs = append(d.departs, i)
 				rec.Departed++
 				changed = true
@@ -528,6 +538,9 @@ func (d *Daemon) admit(rec *EpochRecord) bool {
 	}
 	if len(d.departs) > 0 {
 		d.compactActive(held)
+	}
+	if invariant.Enabled {
+		d.checkActiveIDs()
 	}
 	if len(deferred) > 0 {
 		d.queue[d.slot+1] = mergeBySeq(deferred, d.queue[d.slot+1])
@@ -593,6 +606,17 @@ func (d *Daemon) findActive(id int) int {
 		}
 	}
 	return -1
+}
+
+// checkActiveIDs asserts (under the soclinvariants tag) that the ID set
+// holds exactly the active requests' IDs.
+func (d *Daemon) checkActiveIDs() {
+	invariant.Assertf(len(d.ids) == len(d.active),
+		"serve: epoch %d holds %d active IDs for %d active requests", d.slot, len(d.ids), len(d.active))
+	for i := range d.active {
+		_, ok := d.ids[d.active[i].ID]
+		invariant.Assertf(ok, "serve: epoch %d: active request %d is missing from the ID set", d.slot, d.active[i].ID)
+	}
 }
 
 // departed reports whether admit marked active position i departed.
@@ -668,15 +692,18 @@ func (d *Daemon) ensureDelta(seed int64) {
 
 // fillEvalColumns derives the epoch's statistics from its evaluation. The
 // index-order accumulation is part of the bitwise contract (golden digests).
-// With reuse it copies what the last evaluated epoch derived instead, its
-// delays from the daemon's own copy: a caller may truncate allDelays.
+// An evaluated epoch writes its finite delays once, into a block sized
+// exactly to them, and appends that block to the delay stream. With reuse
+// the epoch copies the columns the last evaluated epoch derived and appends
+// a reference to its block: blocks are never written again, so sharing one
+// costs a slice header, not a copy.
 func (d *Daemon) fillEvalColumns(rec *EpochRecord, evalIn *model.Instance, reuse bool) {
 	if reuse {
 		p := &d.derived
 		rec.Cost, rec.Objective, rec.ServedObjective = p.Cost, p.Objective, p.ServedObjective
 		rec.Missing, rec.Unroutable, rec.CloudServed = p.Missing, p.Unroutable, p.CloudServed
 		rec.AvgDelay, rec.MaxDelay, rec.ColdSteps = p.AvgDelay, p.MaxDelay, p.ColdSteps
-		d.allDelays = append(d.allDelays, d.delays...)
+		d.delays.add(d.block)
 		return
 	}
 	ev := d.lastEval
@@ -685,20 +712,26 @@ func (d *Daemon) fillEvalColumns(rec *EpochRecord, evalIn *model.Instance, reuse
 	rec.Missing = ev.MissingInstances
 	rec.Unroutable = ev.Unroutable
 	rec.CloudServed = ev.CloudServed
-	maxd := 0.0
-	sum, n := 0.0, 0
+	n := 0
+	for _, dl := range ev.Latencies {
+		if !math.IsInf(dl, 1) {
+			n++
+		}
+	}
+	block := make([]float64, 0, n)
+	maxd, sum := 0.0, 0.0
 	for _, dl := range ev.Latencies {
 		if math.IsInf(dl, 1) {
 			continue
 		}
 		sum += dl
-		n++
 		if dl > maxd {
 			maxd = dl
 		}
-		d.allDelays = append(d.allDelays, dl)
+		block = append(block, dl)
 	}
-	d.delays = append(d.delays[:0], d.allDelays[len(d.allDelays)-n:]...)
+	d.block = block
+	d.delays.add(block)
 	if n > 0 {
 		rec.AvgDelay = sum / float64(n)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -73,7 +74,7 @@ func playEpochs(t *testing.T, cfg Config, epochs [][]Event, dropEvaluator bool, 
 			}
 		}
 		if e == trimAt {
-			d.records, d.allDelays = d.records[:0], d.allDelays[:0]
+			d.records, d.delays = d.records[:0], DelayStream{}
 		}
 		before, last := d.de, d.lastEval
 		d.Ingest(evs...)
@@ -215,6 +216,15 @@ func TestDaemonDropsDuplicateArrival(t *testing.T) {
 	if rec, err = d.Tick(); err != nil || rec.Arrived != 1 {
 		t.Fatalf("a departed ID could not arrive again: %+v, %v", rec, err)
 	}
+	// A depart frees its ID for an arrival later in the same epoch.
+	d.Ingest(Event{Slot: 3, Kind: EvDepart, ID: 1},
+		Event{Slot: 3, Kind: EvArrive, ID: 1, Node: reqs[5].Home, Req: reqs[5]})
+	if rec, err = d.Tick(); err != nil || rec.Departed != 1 || rec.Arrived != 1 || d.ActiveRequests() != 3 {
+		t.Fatalf("a re-arrival after a depart in one epoch: %+v, active=%d, %v", rec, d.ActiveRequests(), err)
+	}
+	if i := d.findActive(1); i < 0 || d.active[i].Home != reqs[5].Home {
+		t.Fatal("the re-arrival did not replace the departed request")
+	}
 }
 
 // TestAdmissionOrder: one epoch admits its events in ingest order whatever
@@ -355,11 +365,13 @@ func benchDaemon(b testing.TB, n int) (*Daemon, []msvc.Request) {
 	return d, reqs[n:]
 }
 
-// trimHistory bounds what a long benchmark run retains: the record and delay
-// streams grow for ever by design (ROADMAP, "a daemon that can run forever").
+// trimHistory bounds what a long benchmark run retains: the record stream
+// grows for ever by design (ROADMAP, "a daemon that can run forever"). The
+// delay stream is left whole, so a benchmark counts what it really costs: a
+// reference per steady epoch, one exact block per evaluated one.
 func trimHistory(d *Daemon, i int) {
 	if i%1024 == 1023 {
-		d.records, d.allDelays = d.records[:0], d.allDelays[:0]
+		d.records = d.records[:0]
 	}
 }
 
@@ -367,8 +379,9 @@ func trimHistory(d *Daemon, i int) {
 // deterministic: on BenchmarkDaemonTickSteady's shape a steady epoch
 // allocates the record it returns and nothing else — the evaluation is
 // republished, the epoch's instance and the lifecycle scratch are kept, and
-// the record and delay streams are truncated each run, so their growth does
-// not count. The count is the same under -race; armed invariants
+// the delay stream gains a reference to the last evaluated epoch's block,
+// whose list regrows too rarely to count. The record stream is truncated each
+// run, so its growth does not count. The count is the same under -race; armed invariants
 // re-evaluate every epoch from scratch, so that build skips the gate.
 func TestDaemonSteadyTickAllocs(t *testing.T) {
 	if invariant.Enabled {
@@ -379,11 +392,46 @@ func TestDaemonSteadyTickAllocs(t *testing.T) {
 		if _, err := d.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		d.records, d.allDelays = d.records[:0], d.allDelays[:0]
+		d.records = d.records[:0]
 	})
 	if allocs > 1 {
 		t.Fatalf("a steady tick allocates %v times, want at most 1 (its record)", allocs)
 	}
+}
+
+// TestDaemonSteadyTickBytes gates the bytes a steady tick allocates when
+// nothing is truncated — its record, the record stream's growth and the
+// delay stream's: 200 steady ticks on BenchmarkDaemonTickSteady's shape
+// must average at most 1 KiB each. A steady epoch appends a reference to the
+// last evaluated epoch's delay block, not a copy of its 400 delays, which
+// alone would cost over 3 KiB a tick before any regrowth. -race and armed
+// invariants allocate on their own, so both builds skip the gate.
+func TestDaemonSteadyTickBytes(t *testing.T) {
+	if invariant.Enabled || raceEnabled {
+		t.Skip("-race and -tags soclinvariants allocate on their own")
+	}
+	const ticks = 200
+	d, _ := benchDaemon(t, 400)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ticks; i++ {
+		rec, err := d.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Incremental {
+			t.Fatalf("epoch %d was not steady: %+v", rec.Epoch, rec)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perTick := float64(after.TotalAlloc-before.TotalAlloc) / ticks
+	if perTick > 1024 {
+		t.Fatalf("a steady tick allocates %.0f bytes on average, want at most 1024", perTick)
+	}
+	if got, want := d.Result().AllDelays.Len(), 400*(ticks+4); got != want {
+		t.Fatalf("the delay stream holds %d delays, want %d", got, want)
+	}
+	t.Logf("%.0f bytes a steady tick", perTick)
 }
 
 // BenchmarkDaemonTickSteady: an epoch in which nothing changed.
@@ -436,7 +484,7 @@ func TestDaemonReactTickAllocs(t *testing.T) {
 			if rec.Incremental || rec.Departed != 1 || rec.Arrived != 1 {
 				t.Fatalf("epoch %d did not react to its edits: %+v", rec.Epoch, rec)
 			}
-			d.records, d.allDelays = d.records[:0], d.allDelays[:0]
+			d.records = d.records[:0]
 		})
 		if d.evalIn.Workload != d.de.Workload() {
 			t.Fatal("the epoch's instance does not carry the evaluator's own workload")

@@ -12,24 +12,84 @@ import (
 // unreachable over the masked substrate (Unroutable).
 func (r EpochRecord) Unserved() int { return r.Missing + r.Unroutable }
 
-// MeanDelay returns the average of all per-request delays.
-func (r *RunResult) MeanDelay() float64 { return stats.Mean(r.AllDelays) }
+// DelayStream is a run's finite per-request latencies in epoch order, held
+// as immutable blocks: an evaluated epoch writes its delays once, into a
+// block sized exactly to them, and an epoch that republished the last
+// evaluation appends a reference to that epoch's block instead of a copy.
+// The stream therefore costs what was evaluated, not what was served, and no
+// whole-run array is ever regrown. The zero value is an empty stream.
+type DelayStream struct {
+	blocks [][]float64
+	n      int
+}
 
-// MaxDelay returns the maximum recorded delay (the paper's stability
-// metric), or 0 for an empty run.
-func (r *RunResult) MaxDelay() float64 {
-	if len(r.AllDelays) == 0 {
+// Len returns the number of delays in the stream.
+func (s DelayStream) Len() int { return s.n }
+
+// Each calls f on every delay, in epoch order.
+func (s DelayStream) Each(f func(float64)) {
+	for _, b := range s.blocks {
+		for _, x := range b {
+			f(x)
+		}
+	}
+}
+
+// Flatten returns the stream as one fresh slice, for order statistics.
+func (s DelayStream) Flatten() []float64 {
+	out := make([]float64, 0, s.n)
+	for _, b := range s.blocks {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// add appends block b, which must never change afterwards. Empty blocks are
+// not kept.
+func (s *DelayStream) add(b []float64) {
+	if len(b) > 0 {
+		s.blocks = append(s.blocks, b)
+		s.n += len(b)
+	}
+}
+
+// MeanDelay returns the average of all per-request delays, or 0 for an empty
+// run. The sum runs in stream order, as stats.Mean's does.
+func (r *RunResult) MeanDelay() float64 {
+	if r.AllDelays.n == 0 {
 		return 0
 	}
-	return stats.Max(r.AllDelays)
+	sum := 0.0
+	r.AllDelays.Each(func(x float64) { sum += x })
+	return sum / float64(r.AllDelays.n)
+}
+
+// MaxDelay returns the maximum recorded delay (the paper's stability
+// metric), or 0 for an empty run. Like stats.Max it starts from the first
+// delay.
+func (r *RunResult) MaxDelay() float64 {
+	if r.AllDelays.n == 0 {
+		return 0
+	}
+	m := r.AllDelays.blocks[0][0]
+	r.AllDelays.Each(func(x float64) {
+		if x > m {
+			m = x
+		}
+	})
+	return m
 }
 
 // MedianDelay returns the median per-request delay, or 0 for an empty run.
-func (r *RunResult) MedianDelay() float64 {
-	if len(r.AllDelays) == 0 {
+func (r *RunResult) MedianDelay() float64 { return r.DelayPercentile(50) }
+
+// DelayPercentile returns the p-th percentile (0–100, stats.Percentile) of
+// the per-request delays, or 0 for an empty run.
+func (r *RunResult) DelayPercentile(p float64) float64 {
+	if r.AllDelays.n == 0 {
 		return 0
 	}
-	return stats.Median(r.AllDelays)
+	return stats.Percentile(r.AllDelays.Flatten(), p)
 }
 
 // TotalCost sums per-epoch deployment costs.
@@ -151,12 +211,13 @@ func (r *RunResult) Diff(o *RunResult) error {
 			return fmt.Errorf("epoch %d:\n  %s\n  %s", i, a, b)
 		}
 	}
-	if len(r.AllDelays) != len(o.AllDelays) {
-		return fmt.Errorf("delay stream length: %d vs %d", len(r.AllDelays), len(o.AllDelays))
+	if r.AllDelays.n != o.AllDelays.n {
+		return fmt.Errorf("delay stream length: %d vs %d", r.AllDelays.n, o.AllDelays.n)
 	}
-	for i := range r.AllDelays {
-		if math.Float64bits(r.AllDelays[i]) != math.Float64bits(o.AllDelays[i]) {
-			return fmt.Errorf("delay %d: %v vs %v", i, r.AllDelays[i], o.AllDelays[i])
+	a, b := r.AllDelays.Flatten(), o.AllDelays.Flatten()
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return fmt.Errorf("delay %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 	return nil

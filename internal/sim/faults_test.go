@@ -31,12 +31,13 @@ func TestFaultRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.AllDelays) != len(b.AllDelays) {
-		t.Fatalf("same seed, different delay counts: %d vs %d", len(a.AllDelays), len(b.AllDelays))
+	da, db := a.AllDelays.Flatten(), b.AllDelays.Flatten()
+	if len(da) != len(db) {
+		t.Fatalf("same seed, different delay counts: %d vs %d", len(da), len(db))
 	}
-	for i := range a.AllDelays {
-		if math.Float64bits(a.AllDelays[i]) != math.Float64bits(b.AllDelays[i]) {
-			t.Fatalf("delay %d differs: %v vs %v", i, a.AllDelays[i], b.AllDelays[i])
+	for i := range da {
+		if math.Float64bits(da[i]) != math.Float64bits(db[i]) {
+			t.Fatalf("delay %d differs: %v vs %v", i, da[i], db[i])
 		}
 	}
 	for i := range a.Records {
@@ -139,12 +140,13 @@ func TestEmptyScheduleMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(legacy.AllDelays) != len(masked.AllDelays) {
-		t.Fatalf("delay counts diverge: %d vs %d", len(legacy.AllDelays), len(masked.AllDelays))
+	dl, dm := legacy.AllDelays.Flatten(), masked.AllDelays.Flatten()
+	if len(dl) != len(dm) {
+		t.Fatalf("delay counts diverge: %d vs %d", len(dl), len(dm))
 	}
-	for i := range legacy.AllDelays {
-		if math.Float64bits(legacy.AllDelays[i]) != math.Float64bits(masked.AllDelays[i]) {
-			t.Fatalf("delay %d diverges: %v vs %v", i, legacy.AllDelays[i], masked.AllDelays[i])
+	for i := range dl {
+		if math.Float64bits(dl[i]) != math.Float64bits(dm[i]) {
+			t.Fatalf("delay %d diverges: %v vs %v", i, dl[i], dm[i])
 		}
 	}
 	for i := range legacy.Records {

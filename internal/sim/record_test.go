@@ -45,7 +45,7 @@ func runDigest(rr *serve.RunResult) uint64 {
 		flag(r.Resolved, r.Incremental)
 		i(r.ColdSteps, r.ScaledToZero, r.WarmSpares)
 	}
-	f(rr.AllDelays...)
+	f(rr.AllDelays.Flatten()...)
 	return h.Sum64()
 }
 

@@ -48,7 +48,7 @@ func TestRunSoCLBasics(t *testing.T) {
 	if totalReqs == 0 {
 		t.Fatal("no requests generated over the horizon")
 	}
-	if len(res.AllDelays) == 0 || res.MeanDelay() <= 0 {
+	if res.AllDelays.Len() == 0 || res.MeanDelay() <= 0 {
 		t.Fatal("no delays recorded")
 	}
 	if res.MaxDelay() < res.MeanDelay() {
@@ -86,11 +86,12 @@ func TestRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r1.AllDelays) != len(r2.AllDelays) {
+	d1, d2 := r1.AllDelays.Flatten(), r2.AllDelays.Flatten()
+	if len(d1) != len(d2) {
 		t.Fatal("same seed produced different runs")
 	}
-	for i := range r1.AllDelays {
-		if r1.AllDelays[i] != r2.AllDelays[i] {
+	for i := range d1 {
+		if d1[i] != d2[i] {
 			t.Fatal("delay streams differ")
 		}
 	}
@@ -121,7 +122,7 @@ func TestMobilityMovesUsers(t *testing.T) {
 	}
 	// Just confirm the run completed with requests from multiple homes:
 	// indirectly, delays should vary.
-	if len(res.AllDelays) > 4 && stats.Stddev(res.AllDelays) == 0 {
+	if res.AllDelays.Len() > 4 && stats.Stddev(res.AllDelays.Flatten()) == 0 {
 		t.Fatal("zero delay variance under full mobility")
 	}
 }

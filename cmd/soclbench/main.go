@@ -39,17 +39,8 @@ func main() {
 		optLimit   = flag.Duration("opt-limit", 0, "per-solve cap for the exact optimizer (default 30s, 3s with -short)")
 		workers    = flag.Int("workers", 0, "worker pool size for sweeps and the exact solver's branch-and-bound (0 = GOMAXPROCS, 1 = serial; tables are identical either way except the *_s columns and fig2's bb_nodes)")
 		shards     = flag.Int("shards", 0, "override the region count of the ext_scale clustered substrates (0 = per-point default)")
-		benchjson  = flag.String("benchjson", "", "run the smoke benchmark suite and write BENCH_<date>.json into this directory (skips experiments)")
 	)
 	flag.Parse()
-
-	if *benchjson != "" {
-		if err := runBenchJSON(*benchjson, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "soclbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *replot != "" {
 		dst := *svg

@@ -32,7 +32,6 @@
 //	soclserved -send unix:/tmp/socl.sock -script events.txt # load client
 //	soclserved -send tcp:127.0.0.1:7070 -script events.txt \
 //	    -unreliable -chaos-drop 0.3                         # open-loop + chaos
-//	soclserved -selftest-transport                          # wire CI smoke
 //
 // A reliable (default) session retransmits until acknowledged and the
 // ordered server admits in sequence order, so even a chaos-impaired wire
@@ -44,12 +43,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
+	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -99,8 +100,6 @@ func main() {
 		chaosDup   = flag.Float64("chaos-dup", 0, "with -send: per-frame duplication probability")
 		chaosDelay = flag.Float64("chaos-delay", 0, "with -send: per-frame reorder-delay probability")
 
-		selftestTransport = flag.Bool("selftest-transport", false, "run the wire-protocol smoke: chaos-impaired reliable session must replay bitwise; hardened open-loop session must survive")
-
 		csvPath = flag.String("csv", "", "write per-epoch records as CSV to this file")
 		quiet   = flag.Bool("quiet", false, "suppress the per-epoch table, print only the summary")
 	)
@@ -115,7 +114,6 @@ func main() {
 		unordered: *unordered, deadline: *deadline, queue: *queue,
 		capacity: *capacity, breakerOn: *breakerOn, costBudget: *costBudget,
 		budget: *budget, drop: *chaosDrop, dup: *chaosDup, delay: *chaosDelay,
-		selftestTransport: *selftestTransport,
 		lifecycle: serve.LifecycleConfig{
 			IdleEpochs:     *idleEpochs,
 			WarmPool:       *warmPool,
@@ -146,24 +144,21 @@ type options struct {
 	quiet               bool
 
 	// Transport modes (transport.go).
-	listen, send      string
-	once              bool
-	unreliable        bool
-	unordered         bool
-	deadline          int
-	queue             int
-	capacity          int
-	breakerOn         bool
-	costBudget        int
-	budget            int
-	drop, dup, delay  float64
-	selftestTransport bool
+	listen, send     string
+	once             bool
+	unreliable       bool
+	unordered        bool
+	deadline         int
+	queue            int
+	capacity         int
+	breakerOn        bool
+	costBudget       int
+	budget           int
+	drop, dup, delay float64
 }
 
 func run(o options) error {
 	switch {
-	case o.selftestTransport:
-		return selfTestTransport(o)
 	case o.record != "":
 		return recordScenario(o)
 	case o.listen != "":
@@ -177,8 +172,8 @@ func run(o options) error {
 	}
 }
 
-// scenario builds the batch-simulator configuration the record and
-// transport-selftest modes share; its event stream is what the daemon serves.
+// scenario builds the batch-simulator configuration -record writes out; its
+// event stream is what the daemon serves.
 func scenario(o options) sim.Config {
 	g := topology.RandomGeometric(o.nodes, o.radius, topology.DefaultGenConfig(), o.seed)
 	cat := msvc.EShopCatalog(msvc.DefaultDatasetConfig(), o.seed)
@@ -199,41 +194,33 @@ func scenario(o options) sim.Config {
 	return cfg
 }
 
-// stream records the scenario's event stream and stamps the topology
-// provenance (radius and seeds) the daemon needs to rebuild the substrate
-// from the script alone.
-func stream(o options, cfg sim.Config) (*serve.Script, error) {
-	s, err := sim.EventStream(cfg)
+// recordScenario writes the scenario's event stream, stamped with the
+// topology provenance (radius and seeds) the daemon needs to rebuild the
+// substrate from the script alone.
+func recordScenario(o options) error {
+	s, err := sim.EventStream(scenario(o))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.Meta.Radius = o.radius
 	s.Meta.TopoSeed = o.seed
 	s.Meta.CatSeed = o.seed
-	return s, nil
-}
-
-func recordScenario(o options) error {
-	s, err := stream(o, scenario(o))
+	if o.record == "-" {
+		return serve.WriteScript(os.Stdout, s)
+	}
+	f, err := os.Create(o.record)
 	if err != nil {
 		return err
 	}
-	w := io.Writer(os.Stdout)
-	if o.record != "-" {
-		f, err := os.Create(o.record)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	err = serve.WriteScript(f, s)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := serve.WriteScript(w, s); err != nil {
+	if err != nil {
 		return err
 	}
-	if o.record != "-" {
-		fmt.Fprintf(os.Stderr, "recorded %d events over %d slots to %s\n",
-			len(s.Events), s.Meta.NumSlots, o.record)
-	}
+	fmt.Fprintf(os.Stderr, "recorded %d events over %d slots to %s\n",
+		len(s.Events), s.Meta.NumSlots, o.record)
 	return nil
 }
 
@@ -374,24 +361,22 @@ func tabJoin(cells []string) string {
 	return b.String()
 }
 
+// writeCSV writes the per-epoch records to path and returns the first error
+// of a write, the flush or the close.
 func writeCSV(path string, rr *serve.RunResult) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	row := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				fmt.Fprint(f, ",")
-			}
-			fmt.Fprint(f, c)
-		}
-		fmt.Fprintln(f)
-	}
-	row(epochHeader)
+	w := bufio.NewWriter(f)
+	// A bufio.Writer keeps its first error for Flush.
+	w.WriteString(strings.Join(epochHeader, ",") + "\n")
 	for i := range rr.Records {
-		row(epochRow(&rr.Records[i]))
+		w.WriteString(strings.Join(epochRow(&rr.Records[i]), ",") + "\n")
 	}
-	return nil
+	err = w.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -1,9 +1,8 @@
 package main
 
 // The transport modes: -listen serves the daemon behind the framed socket
-// (or loopback-HTTP) frontend, -send plays a script at a listening daemon as
-// a load client, and -selftest-transport is the CI smoke that proves the
-// frontend preserves the bitwise replay contract under wire chaos.
+// (or loopback-HTTP) frontend, and -send plays a script at a listening
+// daemon as a load client.
 
 import (
 	"fmt"
@@ -14,10 +13,8 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
@@ -118,19 +115,24 @@ func runListen(o options) error {
 				continue
 			}
 			srv.Close()
-			eng := srv.Engine()
-			fmt.Println(eng.Summary())
-			if rr := eng.Result(); rr != nil {
-				report(os.Stdout, rr, o.quiet)
-				if o.csvPath != "" {
-					if werr := writeCSV(o.csvPath, rr); werr != nil {
-						return werr
-					}
-				}
-			}
-			return eng.RunErr()
+			return finishSession(srv.Engine(), o)
 		}
 	}
+}
+
+// finishSession prints a finished session's summary and per-epoch report,
+// writes -csv, and returns the session's error.
+func finishSession(eng *transport.Engine, o options) error {
+	fmt.Println(eng.Summary())
+	if rr := eng.Result(); rr != nil {
+		report(os.Stdout, rr, o.quiet)
+		if o.csvPath != "" {
+			if err := writeCSV(o.csvPath, rr); err != nil {
+				return err
+			}
+		}
+	}
+	return eng.RunErr()
 }
 
 func runListenHTTP(addr string, tc transport.Config, o options) error {
@@ -157,12 +159,7 @@ func runListenHTTP(addr string, tc transport.Config, o options) error {
 				continue
 			}
 			hs.Close()
-			eng := h.Engine()
-			fmt.Println(eng.Summary())
-			if rr := eng.Result(); rr != nil {
-				report(os.Stdout, rr, o.quiet)
-			}
-			return eng.RunErr()
+			return finishSession(h.Engine(), o)
 		}
 	}
 }
@@ -202,7 +199,7 @@ func runSendload(o options) error {
 	rep, err := cli.Run(s)
 	if rep != nil {
 		fmt.Printf("sent=%d accepted=%d shed=%d dup_acks=%d retransmits=%d\n",
-			countEvents(s), rep.Accepted, rep.Shed, rep.Dup, rep.Retransmits)
+			len(s.Events), rep.Accepted, rep.Shed, rep.Dup, rep.Retransmits)
 		if rep.Link.Sent > 0 {
 			fmt.Printf("chaos: dropped=%d duplicated=%d delayed=%d of %d sends\n",
 				rep.Link.Dropped, rep.Link.Duplicated, rep.Link.Delayed, rep.Link.Sent)
@@ -215,139 +212,4 @@ func runSendload(o options) error {
 		}
 	}
 	return err
-}
-
-func countEvents(s *serve.Script) int { return len(s.Events) }
-
-// selfTestTransport is the transport CI smoke. Leg 1: a reliable ordered
-// session over a real unix socket with aggressive wire chaos must deliver a
-// recorded stream byte-identical to the sent script, zero sheds, and a
-// replay result bitwise equal to the batch simulator — chaos fully masked.
-// Leg 2: an open-loop unordered session against the hardened frontend
-// (deadlines, bounded queue, capacity, breaker) must complete without a
-// daemon error and report its sheds.
-func selfTestTransport(o options) error {
-	cfg := scenario(o)
-	res, err := sim.Run(cfg, sim.NewSoCLOnline(core.DefaultConfig()))
-	if err != nil {
-		return fmt.Errorf("transport selftest: batch run: %w", err)
-	}
-	s, err := stream(o, cfg)
-	if err != nil {
-		return fmt.Errorf("transport selftest: record: %w", err)
-	}
-
-	// Leg 1: reliable + ordered + chaos == bitwise replay.
-	dir, err := os.MkdirTemp("", "soclserved-transport-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	sock := dir + "/daemon.sock"
-	srv, err := transport.Listen("unix", sock, transport.Config{
-		Factory: func(serve.Meta) (serve.Config, error) {
-			return sim.ReplayConfig(cfg, sim.NewSoCLOnline(core.DefaultConfig())), nil
-		},
-		Ordered: true,
-	})
-	if err != nil {
-		return err
-	}
-	go srv.Serve()
-	cli, err := transport.Dial("unix", sock, transport.ClientConfig{
-		Reliable: true,
-		Seed:     o.seed,
-		Chaos: &chaos.LinkConfig{
-			Seed:  stats.SplitSeed(o.seed, "transport/chaos"),
-			Drop:  0.15,
-			Dup:   0.10,
-			Delay: 0.10,
-		},
-	})
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	rep, err := cli.Run(s)
-	cli.Close()
-	srv.Close()
-	if err != nil {
-		return fmt.Errorf("transport selftest: reliable session: %w", err)
-	}
-	eng := srv.Engine()
-	if !eng.Finished() || eng.RunErr() != nil {
-		return fmt.Errorf("transport selftest: session did not finish cleanly: %v", eng.RunErr())
-	}
-	if st := eng.Stats(); st.Admitted != len(s.Events) || st.Shed() != 0 {
-		return fmt.Errorf("transport selftest: reliable session admitted %d/%d events, shed %d",
-			st.Admitted, len(s.Events), st.Shed())
-	}
-	if err := sameScript(s, eng.Recorded()); err != nil {
-		return fmt.Errorf("transport selftest: recorded stream diverged: %w", err)
-	}
-	if err := res.Diff(eng.Result()); err != nil {
-		return fmt.Errorf("transport selftest: wire replay diverged from sim.Run: %w", err)
-	}
-
-	// Leg 2: open-loop against the hardened frontend survives the chaos.
-	o2 := o
-	o2.unordered = true
-	o2.deadline = 1
-	o2.queue = 64
-	o2.capacity = 16
-	o2.breakerOn = true
-	srv2, err := transport.Listen("tcp", "127.0.0.1:0", transportConfig(o2))
-	if err != nil {
-		return err
-	}
-	go srv2.Serve()
-	cli2, err := transport.Dial("tcp", srv2.Addr().String(), transport.ClientConfig{
-		Reliable: false,
-		Seed:     o.seed + 1,
-		Chaos: &chaos.LinkConfig{
-			Seed:  stats.SplitSeed(o.seed+1, "transport/chaos"),
-			Drop:  0.30,
-			Dup:   0.10,
-			Delay: 0.15,
-		},
-	})
-	if err != nil {
-		srv2.Close()
-		return err
-	}
-	rep2, err := cli2.Run(s)
-	cli2.Close()
-	srv2.Close()
-	if err != nil {
-		return fmt.Errorf("transport selftest: open-loop session: %w", err)
-	}
-	eng2 := srv2.Engine()
-	if !eng2.Finished() || eng2.RunErr() != nil {
-		return fmt.Errorf("transport selftest: open-loop session did not finish cleanly: %v", eng2.RunErr())
-	}
-	fmt.Printf("transport selftest ok: reliable leg masked chaos (retransmits=%d, %d events bitwise), open-loop leg %s\n",
-		rep.Retransmits, len(s.Events), eng2.Summary())
-	_ = rep2
-	return nil
-}
-
-// sameScript compares two scripts by their canonical serialization.
-func sameScript(a, b *serve.Script) error {
-	fa, err := transport.BuildSession(a, 0)
-	if err != nil {
-		return err
-	}
-	fb, err := transport.BuildSession(b, 0)
-	if err != nil {
-		return err
-	}
-	if len(fa) != len(fb) {
-		return fmt.Errorf("frame counts differ: %d vs %d", len(fa), len(fb))
-	}
-	for i := range fa {
-		if fa[i].Type != fb[i].Type || string(fa[i].Body) != string(fb[i].Body) {
-			return fmt.Errorf("frame %d differs", i)
-		}
-	}
-	return nil
 }

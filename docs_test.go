@@ -16,31 +16,37 @@ import (
 
 // The documents whose code references must resolve. ROADMAP.md and
 // CHANGES.md name deleted code on purpose and are not checked.
-var checkedDocs = []string{"DESIGN.md", "README.md"}
+var checkedDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 
 var (
 	fencedBlock = regexp.MustCompile("(?ms)^\\s*```.*?^\\s*```")
 	codeSpan    = regexp.MustCompile("`([^`\n]+)`")
 	// goPath is a file reference: the base name starts with a letter or
 	// digit, so a suffix pattern such as `_test.go` is not one.
-	goPath  = regexp.MustCompile(`(?:^|[^\w./-])((?:[\w.-]+/)*[A-Za-z0-9][\w-]*\.go)(?::(\d+))?`)
-	pkgRef  = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
-	skipDir = map[string]bool{".git": true, ".bench_build": true}
+	goPath = regexp.MustCompile(`(?:^|[^\w./-])((?:[\w.-]+/)*[A-Za-z0-9][\w-]*\.go)(?::(\d+))?`)
+	pkgRef = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	// testRef is a test, benchmark or fuzz target; a trailing * makes it a
+	// prefix. testDecl finds the ones a _test.go file declares.
+	testRef  = regexp.MustCompile(`(?:^|\W)((?:Test|Benchmark|Fuzz)[A-Z_]\w*)(\*?)`)
+	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Z_]\w*)\(`)
+	skipDir  = map[string]bool{".git": true, ".bench_build": true}
 )
 
 // repoTree is what a doc reference resolves against: every .go file's
-// slash path with its line count, and the top-level identifiers of each
-// non-main package, keyed by package name, from its non-test files. Method
-// names count as declared, so the docs' shorthand `model.Evaluate` for
+// slash path with its line count, the top-level identifiers of each
+// non-main package, keyed by package name, from its non-test files, and the
+// test, benchmark and fuzz functions of every _test.go file. Method names
+// count as declared, so the docs' shorthand `model.Evaluate` for
 // (*Instance).Evaluate resolves.
 type repoTree struct {
 	lines    map[string]int
 	declared map[string]map[string]bool
+	tests    map[string]bool
 }
 
 func scanTree(t *testing.T) *repoTree {
 	t.Helper()
-	tree := &repoTree{lines: map[string]int{}, declared: map[string]map[string]bool{}}
+	tree := &repoTree{lines: map[string]int{}, declared: map[string]map[string]bool{}, tests: map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -61,7 +67,13 @@ func scanTree(t *testing.T) *repoTree {
 		}
 		slash := filepath.ToSlash(path)
 		tree.lines[slash] = bytes.Count(src, []byte("\n"))
-		if strings.HasSuffix(path, "_test.go") || strings.Contains(slash, "testdata/") {
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testDecl.FindAllSubmatch(src, -1) {
+				tree.tests[string(m[1])] = true
+			}
+			return nil
+		}
+		if strings.Contains(slash, "testdata/") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
@@ -113,9 +125,25 @@ func (tree *repoTree) maxLines(ref string) (int, bool) {
 	return n, found
 }
 
+// hasTest reports whether some _test.go file declares name, or with prefix
+// set, a function whose name starts with it.
+func (tree *repoTree) hasTest(name string, prefix bool) bool {
+	if !prefix {
+		return tree.tests[name]
+	}
+	for fn := range tree.tests {
+		if strings.HasPrefix(fn, name) {
+			return true
+		}
+	}
+	return false
+}
+
 // docProblems lists every unresolved reference in the inline code spans of
 // doc: a .go path naming no file, a path.go:N past the end of every file it
-// names, and a pkg.Ident whose package declares no Ident.
+// names, a pkg.Ident whose package declares no Ident, and a Test*,
+// Benchmark* or Fuzz* name no _test.go file declares. A test name qualified
+// by its package (`partition.BenchmarkBuild`) is checked as a test name.
 func (tree *repoTree) docProblems(doc string) []string {
 	var out []string
 	for _, span := range codeSpan.FindAllStringSubmatch(fencedBlock.ReplaceAllString(doc, ""), -1) {
@@ -132,16 +160,21 @@ func (tree *repoTree) docProblems(doc string) []string {
 			}
 		}
 		for _, m := range pkgRef.FindAllStringSubmatch(code, -1) {
-			if names, ok := tree.declared[m[1]]; ok && !names[m[2]] {
+			if names, ok := tree.declared[m[1]]; ok && !names[m[2]] && !testRef.MatchString(m[2]) {
 				out = append(out, m[1]+"."+m[2]+" is not declared")
+			}
+		}
+		for _, m := range testRef.FindAllStringSubmatch(code, -1) {
+			if !tree.hasTest(m[1], m[2] == "*") {
+				out = append(out, "no test function "+m[1]+m[2])
 			}
 		}
 	}
 	return out
 }
 
-// TestDocReferencesResolve keeps DESIGN.md and README.md from naming code
-// that is not in the tree.
+// TestDocReferencesResolve keeps DESIGN.md, README.md and EXPERIMENTS.md
+// from naming code that is not in the tree.
 func TestDocReferencesResolve(t *testing.T) {
 	tree := scanTree(t)
 	for _, name := range checkedDocs {
@@ -160,16 +193,20 @@ func TestDocReferenceRules(t *testing.T) {
 	tree := &repoTree{
 		lines:    map[string]int{"internal/model/model.go": 100},
 		declared: map[string]map[string]bool{"model": {"Instance": true}},
+		tests:    map[string]bool{"TestEvaluate": true, "BenchmarkEvaluateRouted": true},
 	}
 	doc := "`model.go` `internal/model/model.go:100` `model.Instance.Evaluate` " +
-		"`_test.go` `combine.run_ms` `fmt.Println` `s.model.Gone`\n" +
-		"```\n`gone.go`\n```\n" +
-		"`gone.go` `model/model.go:101` `model.Gone(x)`"
+		"`_test.go` `combine.run_ms` `fmt.Println` `s.model.Gone` `Testbed`\n" +
+		"`go test -run TestEvaluate` `BenchmarkEvaluate*` `model.BenchmarkEvaluateRouted/greedy`\n" +
+		"```\n`gone.go` `TestGone`\n```\n" +
+		"`gone.go` `model/model.go:101` `model.Gone(x)` `TestEvaluateGone` `FuzzEvaluate*`"
 	got := tree.docProblems(doc)
 	want := []string{
 		"no file gone.go",
 		"model/model.go:101 is past the end (100 lines)",
 		"model.Gone is not declared",
+		"no test function TestEvaluateGone",
+		"no test function FuzzEvaluate*",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/model"
 	"repro/internal/msvc"
 	"repro/internal/topology"
@@ -40,5 +42,21 @@ func BenchmarkSolveBatchGlobal(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSolution = sol
+	}
+}
+
+// BenchmarkSolve times the full partition → pre-provision → combine solve
+// on three paper-regime scales, the runtime side of Fig. 7 (EXPERIMENTS.md,
+// "SoCL runtime scaling").
+func BenchmarkSolve(b *testing.B) {
+	for _, s := range []struct{ nodes, users int }{{10, 40}, {20, 120}, {30, 200}} {
+		in := config.Paper(s.nodes, s.users, 1).MustBuild()
+		b.Run(fmt.Sprintf("%dx%d", s.nodes, s.users), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Solve(in, DefaultConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -108,18 +108,11 @@ func (t *Table) WriteCSV(dir string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	if err := w.Write(t.Header); err != nil {
-		return err
+	err = csv.NewWriter(f).WriteAll(append([][]string{t.Header}, t.Rows...))
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	for _, row := range t.Rows {
-		if err := w.Write(row); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return w.Error()
+	return err
 }
 
 // Emit prints the tables and, when OutDir is set, writes their CSVs.

@@ -59,7 +59,7 @@ func f(a, b float64) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := analysis.Run(pkg.Target(), analyzers, loader.Facts())
+	res, err := analysis.Run(pkg.Target(), analyzers, loader.FuncDirectives)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,5 +72,40 @@ func f(a, b float64) bool {
 	}
 	if res.Suppressed["floateq"] != 1 {
 		t.Errorf("suppressed = %v, want floateq=1", res.Suppressed)
+	}
+}
+
+// The ratchet is exact on a full ./... run: a suppression count below the
+// baseline is slack a later unreviewed ignore could use, so it fails like an
+// excess does. A subset run only sees a lower bound of the counts, so there
+// only an excess fails.
+func TestRatchetIsExactOnFullRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), baselineName)
+	if err := os.WriteFile(path, []byte(`{"suppressed": {"detrand": 3, "floateq": 2}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		suppressed map[string]int
+		fullRun    bool
+		want       []string
+	}{
+		{"equal", map[string]int{"detrand": 3, "floateq": 2}, true, nil},
+		{"below", map[string]int{"detrand": 2, "floateq": 2}, true, []string{"2 suppressed detrand diagnostics are below the baseline 3"}},
+		{"analyzer gone", map[string]int{"detrand": 3}, true, []string{"0 suppressed floateq diagnostics are below the baseline 2"}},
+		{"above", map[string]int{"detrand": 4, "floateq": 2}, true, []string{"4 suppressed detrand diagnostics exceed the baseline 3"}},
+		{"subset below", map[string]int{"detrand": 1}, false, nil},
+		{"subset above", map[string]int{"floateq": 3}, false, []string{"3 suppressed floateq diagnostics exceed the baseline 2"}},
+	} {
+		errs := checkBaseline(path, tc.suppressed, false, tc.fullRun)
+		if len(errs) != len(tc.want) {
+			t.Errorf("%s: ratchet errors = %q, want %d", tc.name, errs, len(tc.want))
+			continue
+		}
+		for i, w := range tc.want {
+			if !strings.Contains(errs[i], w) {
+				t.Errorf("%s: ratchet error %q does not contain %q", tc.name, errs[i], w)
+			}
+		}
 	}
 }

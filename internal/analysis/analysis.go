@@ -48,20 +48,8 @@ type Pass struct {
 	// annotation-driven contracts on callees declared in other packages.
 	FuncDirectives map[types.Object][]string
 
-	// Summaries maps function/method objects (program-wide) to their
-	// cross-function dataflow summaries; see FuncSummary. Nil entries mean
-	// "opaque" (stdlib, or never loaded).
-	Summaries map[types.Object]*FuncSummary
-
 	// Report delivers one diagnostic. The runner installs it.
 	Report func(Diagnostic)
-}
-
-// Facts bundles the program-wide side tables the loader accumulates across
-// packages; Run hands them to every pass.
-type Facts struct {
-	FuncDirectives map[types.Object][]string
-	Summaries      map[types.Object]*FuncSummary
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -193,11 +181,9 @@ type Result struct {
 
 // Run executes every analyzer over one package, applying suppression
 // directives, and returns the surviving diagnostics sorted by position along
-// with the suppressed-per-analyzer counts. facts may be nil.
-func Run(t *Target, analyzers []*Analyzer, facts *Facts) (*Result, error) {
-	if facts == nil {
-		facts = &Facts{}
-	}
+// with the suppressed-per-analyzer counts. funcDirectives is the loader's
+// program-wide directive table (Pass.FuncDirectives) and may be nil.
+func Run(t *Target, analyzers []*Analyzer, funcDirectives map[types.Object][]string) (*Result, error) {
 	res := &Result{Suppressed: map[string]int{}}
 	out := &res.Diagnostics
 	known := map[string]bool{}
@@ -213,8 +199,7 @@ func Run(t *Target, analyzers []*Analyzer, facts *Facts) (*Result, error) {
 			Files:          t.Files,
 			Pkg:            t.Pkg,
 			TypesInfo:      t.TypesInfo,
-			FuncDirectives: facts.FuncDirectives,
-			Summaries:      facts.Summaries,
+			FuncDirectives: funcDirectives,
 			Report:         func(d Diagnostic) { raw = append(raw, d) },
 		}
 		if _, err := a.Run(pass); err != nil {

@@ -48,7 +48,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", pkg, err)
 		}
-		res, err := analysis.Run(p.Target(), []*analysis.Analyzer{a}, loader.Facts())
+		res, err := analysis.Run(p.Target(), []*analysis.Analyzer{a}, loader.FuncDirectives)
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, pkg, err)
 		}

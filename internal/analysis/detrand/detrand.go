@@ -1,6 +1,8 @@
 // Package detrand enforces determinism in the reproducibility-critical
-// packages (model, combine, topology, stats, ilp, chaos, repair): every
-// result there must be a pure function of the instance and an explicit seed.
+// packages (the solver and fault stack, the serving daemon, and the
+// workload, topology and pipeline-stage generators every figure rests on):
+// every result there must be a pure function of the instance and an
+// explicit seed.
 //
 // Flagged inside those packages:
 //
@@ -36,15 +38,24 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // deterministicPkgs are the package names under the determinism contract.
+// core (phase timing) and transport (deadlines, retries) read the wall
+// clock by design and stay outside it.
 var deterministicPkgs = map[string]bool{
-	"model":    true,
-	"combine":  true,
-	"topology": true,
-	"stats":    true,
-	"ilp":      true,
-	"chaos":    true,
-	"repair":   true,
-	"serve":    true,
+	"model":     true,
+	"combine":   true,
+	"topology":  true,
+	"stats":     true,
+	"ilp":       true,
+	"chaos":     true,
+	"repair":    true,
+	"serve":     true,
+	"trace":     true,
+	"msvc":      true,
+	"partition": true,
+	"preprov":   true,
+	"baselines": true,
+	"fuzzy":     true,
+	"sim":       true,
 }
 
 // mapRangePkgs are the packages where ranging over a map is additionally

@@ -8,5 +8,5 @@ import (
 )
 
 func TestDetRand(t *testing.T) {
-	analysistest.Run(t, "testdata", detrand.Analyzer, "det", "free", "solver", "chaos", "serve")
+	analysistest.Run(t, "testdata", detrand.Analyzer, "det", "free", "solver", "chaos", "serve", "gen")
 }

@@ -73,7 +73,7 @@ func run(pass *analysis.Pass) (any, error) {
 				case *ast.CallExpr:
 					// Inspect reaches the call before its arguments, so the
 					// literals are marked by the time they are visited.
-					if fn, ok := analysis.CalleeFunc(pass.TypesInfo, n).(*types.Func); ok && fn.Pkg() != nil &&
+					if fn := calleeFunc(pass.TypesInfo, n); fn != nil && fn.Pkg() != nil &&
 						comparatorFuncs[fn.Pkg().Path()+"."+fn.Name()] {
 						for _, arg := range n.Args {
 							if lit, ok := arg.(*ast.FuncLit); ok {
@@ -96,6 +96,27 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 	return nil, nil
+}
+
+// calleeFunc resolves a call to its declared *types.Func (possibly from
+// another package), or nil for closures, function values, conversions and
+// built-ins.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.IndexExpr: // generic instantiation f[T](...)
+		if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
+			id = base
+		}
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
 }
 
 // isLessMethod reports whether fd is a sort.Interface / heap.Interface

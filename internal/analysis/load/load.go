@@ -5,6 +5,8 @@
 // root; test fixtures resolve GOPATH-style under extra root directories
 // (testdata/src). One Loader shares a FileSet and caches across packages, so
 // driving the whole repository is a single-process, single-pass affair.
+// Files are selected under the default build context: a file behind a build
+// tag (the soclinvariants-armed checks) is not loaded, so it is not linted.
 package load
 
 import (
@@ -26,17 +28,10 @@ import (
 // Package is one type-checked package with its syntax trees.
 type Package struct {
 	ImportPath string
-	Dir        string
-	Name       string
 	Fset       *token.FileSet
 	Syntax     []*ast.File
 	Types      *types.Package
 	TypesInfo  *types.Info
-
-	// FuncDirectives maps this package's function objects to the socllint
-	// directive payloads found in their doc comments (text after
-	// "//socllint:", e.g. "sentinel ErrNoInstance").
-	FuncDirectives map[types.Object][]string
 }
 
 // Target adapts the package to the analysis runner.
@@ -54,8 +49,6 @@ type Config struct {
 	// resolves to <root>/P when that directory holds Go files. Fixture roots
 	// shadow module and stdlib paths.
 	FixtureRoots []string
-	// BuildTags are extra build constraints satisfied during file selection.
-	BuildTags []string
 	// IncludeTests adds the package's own _test.go files (not external
 	// package_test files) to the load.
 	IncludeTests bool
@@ -68,44 +61,29 @@ type Loader struct {
 	std    types.ImporterFrom
 	pkgs   map[string]*Package       // loaded module/fixture packages
 	stdlib map[string]*types.Package // loaded stdlib packages
-	ctxt   build.Context
 
-	// FuncDirectives accumulates directives across every loaded package, for
-	// analysis passes that need cross-package callee annotations.
+	// FuncDirectives accumulates the //socllint:<payload> doc-comment
+	// directives (text after "//socllint:", e.g. "sentinel ErrNoInstance")
+	// of every loaded package's functions, for analysis passes that need
+	// cross-package callee annotations (analysis.Run's funcDirectives).
 	FuncDirectives map[types.Object][]string
-
-	// Summaries accumulates cross-function dataflow summaries
-	// (analysis.FuncSummary) across every loaded package. Imports type-check
-	// before their importers, so by the time a package is summarized every
-	// callee it can reach already has an entry — the bottom-up order the
-	// summary pass needs.
-	Summaries map[types.Object]*analysis.FuncSummary
 }
 
 // New returns a Loader over cfg.
 func New(cfg Config) *Loader {
 	fset := token.NewFileSet()
-	ctxt := build.Default
-	ctxt.BuildTags = append(append([]string{}, ctxt.BuildTags...), cfg.BuildTags...)
 	return &Loader{
 		cfg:            cfg,
 		fset:           fset,
 		std:            importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		pkgs:           map[string]*Package{},
 		stdlib:         map[string]*types.Package{},
-		ctxt:           ctxt,
 		FuncDirectives: map[types.Object][]string{},
-		Summaries:      map[types.Object]*analysis.FuncSummary{},
 	}
 }
 
 // Fset returns the shared FileSet.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// Facts bundles the program-wide side tables for analysis.Run.
-func (l *Loader) Facts() *analysis.Facts {
-	return &analysis.Facts{FuncDirectives: l.FuncDirectives, Summaries: l.Summaries}
-}
 
 // resolveDir maps an import path to a directory, or "" when the path is not a
 // fixture or module package (i.e. stdlib).
@@ -158,7 +136,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if p, ok := l.pkgs[importPath]; ok {
 		return p, nil
 	}
-	bp, err := l.ctxt.ImportDir(dir, 0)
+	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", importPath, err)
 	}
@@ -189,24 +167,19 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		return nil, fmt.Errorf("load %s: %w", importPath, err)
 	}
 	p := &Package{
-		ImportPath:     importPath,
-		Dir:            dir,
-		Name:           tpkg.Name(),
-		Fset:           l.fset,
-		Syntax:         files,
-		Types:          tpkg,
-		TypesInfo:      info,
-		FuncDirectives: map[types.Object][]string{},
+		ImportPath: importPath,
+		Fset:       l.fset,
+		Syntax:     files,
+		Types:      tpkg,
+		TypesInfo:  info,
 	}
 	l.collectDirectives(p)
-	analysis.Summarize(info, files, l.Summaries)
 	l.pkgs[importPath] = p
 	return p, nil
 }
 
 // collectDirectives extracts //socllint:<payload> doc-comment directives from
-// the package's function declarations into the package-local and loader-wide
-// maps.
+// the package's function declarations into l.FuncDirectives.
 func (l *Loader) collectDirectives(p *Package) {
 	for _, f := range p.Syntax {
 		for _, decl := range f.Decls {
@@ -221,7 +194,6 @@ func (l *Loader) collectDirectives(p *Package) {
 			for _, c := range fd.Doc.List {
 				if payload, ok := strings.CutPrefix(c.Text, "//socllint:"); ok &&
 					!strings.HasPrefix(c.Text, analysis.IgnoreDirectivePrefix) {
-					p.FuncDirectives[obj] = append(p.FuncDirectives[obj], strings.TrimSpace(payload))
 					l.FuncDirectives[obj] = append(l.FuncDirectives[obj], strings.TrimSpace(payload))
 				}
 			}

@@ -294,14 +294,16 @@ func runEditWalk(t testing.TB, data []byte) {
 			check(step, "probe")
 			de.Revert(dl)
 			assertEvalIdentical(t, sc.String()+"/revert", de.Eval(), before)
-		case 8: // counterfactual removal
+		case 8: // counterfactual removal, which leaves no trace
 			cf := de.Placement().Clone()
 			cf.Set(svc, node, false)
 			want := scratch(cf)
+			before := de.Eval()
 			obj, over := de.ProbeRemoval(svc, node)
 			if math.Float64bits(obj) != math.Float64bits(want.Objective) || over != want.OverBudget {
 				t.Fatalf("%s step %d: ProbeRemoval(%d,%d) = (%v, %v), scratch (%v, %v)", sc, step, svc, node, obj, over, want.Objective, want.OverBudget)
 			}
+			assertEvalIdentical(t, sc.String()+"/probe-removal", de.Eval(), before)
 		case 9: // jump to an unrelated placement, where service 3 is scarce
 			q := NewPlacement(editServices, editNodes)
 			for i := 0; i < editServices; i++ {

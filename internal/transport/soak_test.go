@@ -261,8 +261,10 @@ func TestPlaySessionDeterministic(t *testing.T) {
 	}
 }
 
-// TestHTTPFrontend pushes a full session through the loopback-HTTP surface.
-func TestHTTPFrontend(t *testing.T) {
+// httpFrontend builds a loopback-HTTP frontend over a small faulted
+// scenario, with the session's frames and the number of events it carries.
+func httpFrontend(t *testing.T) (*transport.HTTPFrontend, []transport.Frame, int) {
+	t.Helper()
 	cfg, s := soakStream(t, 8, 6, 6, 9)
 	frames, err := transport.BuildSession(s, 0)
 	if err != nil {
@@ -274,13 +276,18 @@ func TestHTTPFrontend(t *testing.T) {
 		},
 		Ordered: true,
 	})
-	hs := httptest.NewServer(fe)
-	defer hs.Close()
+	return fe, frames, len(s.Events)
+}
+
+// playHTTPSession posts a whole session in one request and checks that the
+// frontend served it: finished, every event admitted, a summary available.
+func playHTTPSession(t *testing.T, url string, fe *transport.HTTPFrontend, frames []transport.Frame, events int) {
+	t.Helper()
 	var body bytes.Buffer
 	for i := range frames {
 		body.Write(transport.Encode(frames[i]))
 	}
-	resp, err := http.Post(hs.URL+"/v1/frames", "application/octet-stream", &body)
+	resp, err := http.Post(url+"/v1/frames", "application/octet-stream", &body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +299,10 @@ func TestHTTPFrontend(t *testing.T) {
 	if !eng.Finished() || eng.RunErr() != nil {
 		t.Fatalf("HTTP session not finished: finished=%v err=%v", eng.Finished(), eng.RunErr())
 	}
-	if st := eng.Stats(); st.Admitted != len(s.Events) {
-		t.Fatalf("HTTP session admitted %d/%d", st.Admitted, len(s.Events))
+	if st := eng.Stats(); st.Admitted != events {
+		t.Fatalf("HTTP session admitted %d/%d", st.Admitted, events)
 	}
-	sum, err := http.Get(hs.URL + "/v1/summary")
+	sum, err := http.Get(url + "/v1/summary")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,4 +310,39 @@ func TestHTTPFrontend(t *testing.T) {
 	if sum.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/summary: %s", sum.Status)
 	}
+}
+
+// TestHTTPFrontend pushes a full session through the loopback-HTTP surface.
+func TestHTTPFrontend(t *testing.T) {
+	fe, frames, events := httpFrontend(t)
+	hs := httptest.NewServer(fe)
+	defer hs.Close()
+	playHTTPSession(t, hs.URL, fe, frames, events)
+}
+
+// TestHTTPFrontendMalformedFrame posts a zero-length frame: the request is a
+// 400, and the handler lets go of the engine's lock on that path, so a full
+// session on the same frontend is served afterwards.
+func TestHTTPFrontendMalformedFrame(t *testing.T) {
+	fe, frames, events := httpFrontend(t)
+	hs := httptest.NewServer(fe)
+	defer hs.Close()
+	resp, err := http.Post(hs.URL+"/v1/frames", "application/octet-stream", bytes.NewReader([]byte{0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /v1/frames with a zero-length frame: %s, want 400", resp.Status)
+	}
+	// Probe the lock outside a handler first: a lock left held would block
+	// the session's request, and hs.Close waits for every open request.
+	done := make(chan bool, 1)
+	go func() { done <- fe.SessionDone() }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the malformed-frame path left the frontend's lock held")
+	}
+	playHTTPSession(t, hs.URL, fe, frames, events)
 }

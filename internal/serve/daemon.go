@@ -116,7 +116,8 @@ type RunResult struct {
 	AllDelays DelayStream
 	// Final is the last non-empty epoch's evaluation, nil if none.
 	Final *model.Evaluation
-	// Placement is the daemon's live placement after the run.
+	// Placement is the daemon's live placement after the run, read-only like
+	// Daemon.Placement's.
 	Placement model.Placement
 }
 
@@ -167,6 +168,16 @@ type Daemon struct {
 	havePlacement bool
 	lastDegraded  int
 
+	// placeGen is the live placement's generation: every assignment and every
+	// reap that removed an instance bump it, and it starts at 1 so that the
+	// first tick syncs everything. coldGen and deGen are the generations the
+	// cold set and the bound evaluator's placement were last synced to (0:
+	// never, or the evaluator was handed to a policy, which may edit its
+	// placement); lifeKey is what the lifecycle's idle clocks were built from.
+	// A steady epoch, whose placement did not move, skips all three syncs.
+	placeGen, coldGen, deGen uint64
+	lifeKey                  lifeKey
+
 	// The bound evaluator and what it is bound to. Its placement is its own:
 	// d.placement is a copy, never an alias, so lifecycle reaps do not go
 	// behind its back. Its request list is its own too, edited in step with
@@ -202,6 +213,10 @@ type Daemon struct {
 	block      []float64
 }
 
+// lifeKey is what the idle clocks derive from: the placement generation and
+// the use counts' used-set generation.
+type lifeKey struct{ place, used uint64 }
+
 // derivedKey is everything an epoch's derived columns and use counts read:
 // the evaluation, the cold-set epoch and the workload generation.
 type derivedKey struct {
@@ -234,6 +249,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		queue:     make(map[int][]queued),
 		ids:       make(map[int]struct{}),
 		placement: model.NewPlacement(cfg.Catalog.Len(), cfg.Graph.N()),
+		placeGen:  1,
 	}
 	if cfg.Lifecycle.Enabled() {
 		d.life = newLifecycle(cfg.Lifecycle, cfg.Catalog.Len(), cfg.Graph.N())
@@ -274,7 +290,11 @@ func (d *Daemon) Ingest(evs ...Event) {
 // Epoch returns the next epoch Tick will serve.
 func (d *Daemon) Epoch() int { return d.slot }
 
-// Placement returns the daemon's live placement (not a copy).
+// Placement returns the daemon's live placement (not a copy). It is
+// read-only: the daemon syncs the cold set, its bound evaluator and the
+// lifecycle's idle clocks only when it moves the placement itself, so a
+// caller that writes it desynchronises all three (armed builds panic at the
+// next epoch).
 func (d *Daemon) Placement() model.Placement { return d.placement }
 
 // ActiveRequests returns the number of admitted, undeparted requests.
@@ -327,9 +347,14 @@ func (d *Daemon) RunScript(s *Script) (*RunResult, error) {
 func (d *Daemon) Tick() (*EpochRecord, error) {
 	// Epoch boundary: instances that survived to the boundary are warm;
 	// anything deployed mid-epoch (repair adds, re-solve placements) stays
-	// cold until the next boundary.
-	if d.cold != nil {
+	// cold until the next boundary. SyncWarm reads nothing but the
+	// placement, so it runs only when the placement moved since it last ran.
+	if d.cold != nil && d.coldGen != d.placeGen {
 		d.cold.SyncWarm(d.placement)
+		d.coldGen = d.placeGen
+	}
+	if invariant.Enabled {
+		d.checkColdSet()
 	}
 
 	rec := EpochRecord{Epoch: d.slot}
@@ -348,8 +373,7 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 			d.finish(&rec)
 			return &rec, fmt.Errorf("serve: %s failed at epoch %d: %w", d.cfg.PlannerName, d.slot, err)
 		}
-		d.placement = p
-		d.havePlacement = true
+		d.setPlacement(p)
 	}
 
 	// Fault strikes land after planning.
@@ -416,13 +440,13 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 			Resolve:     d.cfg.Planner,
 			PlannerName: d.cfg.PlannerName,
 		}
+		d.deGen = 0 // a repair edits the evaluator's placement
 		out, err := pol.Serve(ctx)
 		if err != nil {
 			d.finish(&rec)
 			return &rec, fmt.Errorf("serve: epoch %d: %w", d.slot, err)
 		}
-		d.placement = out.Placement
-		d.havePlacement = true
+		d.setPlacement(out.Placement)
 		d.lastEval = out.Eval
 		rec.ReactTime = out.ReactTime
 		rec.Adds = len(out.Added)
@@ -436,8 +460,15 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 	} else {
 		// Steady epoch: nothing changed, so the bound delta evaluator carries
 		// the previous epoch's routes forward (and absorbs lifecycle reclaims
-		// as pure cost deltas).
-		d.de.AdvanceTo(d.placement)
+		// as pure cost deltas). AdvanceTo diffs every (service, node) cell,
+		// so it runs only when the placement moved since it last did.
+		if d.deGen != d.placeGen {
+			d.de.AdvanceTo(d.placement)
+			d.deGen = d.placeGen
+		}
+		if invariant.Enabled {
+			d.checkEvaluatorPlacement()
+		}
 		d.lastEval = d.de.Eval()
 		rec.Incremental = true
 		rec.Degraded = d.lastDegraded
@@ -464,6 +495,13 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 	}
 	d.finish(&rec)
 	return &rec, nil
+}
+
+// setPlacement adopts p as the live placement and bumps its generation.
+func (d *Daemon) setPlacement(p model.Placement) {
+	d.placement = p
+	d.havePlacement = true
+	d.placeGen++
 }
 
 // finish stamps the epoch into the record stream and advances the clock.
@@ -684,6 +722,7 @@ func (d *Daemon) ensureDelta(seed int64) {
 		w := &msvc.Workload{Catalog: d.cfg.Catalog, Requests: slices.Clone(d.active)}
 		d.de = model.NewDeltaEvaluator(d.instanceOn(g, w), d.placement.Clone(), d.cfg.Mode, seed)
 		d.deGraph, d.deColdEpoch, d.deSeed = g, coldEpoch, seed
+		d.deGen = d.placeGen
 	} else {
 		d.de.EditRequests(d.active, d.gone, d.moved)
 	}
@@ -745,14 +784,23 @@ func (d *Daemon) fillEvalColumns(rec *EpochRecord, evalIn *model.Instance, reuse
 
 // lifecycleEnd folds the served epoch — the use counts as the epoch's tally
 // left them — into the lifecycle state and scales idle instances to zero.
-// Reclaimed instances are removed from the live placement now; they become
-// cold at the next epoch boundary.
+// The idle clocks are rebuilt only when the placement or the used set moved
+// since they were built. Reclaimed instances are removed from the live
+// placement now; they become cold at the next epoch boundary.
 func (d *Daemon) lifecycleEnd(rec *EpochRecord) {
 	if d.life == nil || !d.havePlacement {
 		return
 	}
-	d.life.observe(d.use.steps, d.use.demand, d.placement)
+	key := lifeKey{d.placeGen, d.use.usedGen}
+	d.life.observe(d.use.steps, d.use.demand, d.placement, key != d.lifeKey)
 	removed, spares := d.life.reap(d.placement)
+	if len(removed) > 0 {
+		// reap dropped its removals from the idle clocks, which so stay
+		// true of the placement it left.
+		d.placeGen++
+		key.place = d.placeGen
+	}
+	d.lifeKey = key
 	rec.ScaledToZero = len(removed)
 	rec.WarmSpares = spares
 }
@@ -789,16 +837,52 @@ func (d *Daemon) checkUseCounts(ev *model.Evaluation) {
 }
 
 // checkLifecycleCoherence asserts (under the soclinvariants tag) that the
-// serverless state stays aligned with the live placement: idle counters only
-// age deployed instances.
+// idle clocks are what the dense rules derive from the live placement after
+// an epoch's reap: exactly the deployed instances with no counted step,
+// ascending, each idle for at least one epoch, and each service's deployed
+// count. A missed placement-generation bump leaves them behind and fails it.
 func (d *Daemon) checkLifecycleCoherence() {
 	if d.life == nil {
 		return
 	}
-	for i := range d.life.idle {
-		for k := range d.life.idle[i] {
-			invariant.Assertf(d.life.idle[i][k] == 0 || d.placement.Has(i, k),
-				"serve: idle counter %d on undeployed instance (%d,%d)", d.life.idle[i][k], i, k)
+	l, j := d.life, 0
+	for i := range d.placement.X {
+		invariant.Assertf(l.count[i] == d.placement.Count(i),
+			"serve: epoch %d: the lifecycle counts %d instances of service %d, the placement %d", d.slot, l.count[i], i, d.placement.Count(i))
+		for k, on := range d.placement.X[i] {
+			if !on || d.use.steps[i][k] > 0 {
+				continue
+			}
+			invariant.Assertf(j < len(l.idle) && l.idle[j].svc == i && l.idle[j].node == k,
+				"serve: epoch %d: deployed, unused instance (%d,%d) has no idle clock in order", d.slot, i, k)
+			invariant.Assertf(l.now-l.idle[j].since >= 1,
+				"serve: epoch %d: idle clock of (%d,%d) reads %d epochs", d.slot, i, k, l.now-l.idle[j].since)
+			j++
 		}
+	}
+	invariant.Assertf(j == len(l.idle), "serve: epoch %d holds %d idle clocks for %d deployed, unused instances", d.slot, len(l.idle), j)
+}
+
+// checkColdSet asserts (under the soclinvariants tag) that the cold set is
+// what SyncWarm derives from the live placement at the epoch boundary.
+func (d *Daemon) checkColdSet() {
+	if d.cold == nil {
+		return
+	}
+	for i := range d.placement.X {
+		for k, on := range d.placement.X[i] {
+			invariant.Assertf(d.cold.IsCold(i, k) == !on,
+				"serve: epoch %d: instance (%d,%d) deployed=%v is cold=%v at the boundary", d.slot, i, k, on, d.cold.IsCold(i, k))
+		}
+	}
+}
+
+// checkEvaluatorPlacement asserts (under the soclinvariants tag) that the
+// bound evaluator serves a steady epoch on the live placement.
+func (d *Daemon) checkEvaluatorPlacement() {
+	p := d.de.Placement()
+	for i := range d.placement.X {
+		invariant.Assertf(slices.Equal(p.X[i], d.placement.X[i]),
+			"serve: epoch %d: the evaluator's placement of service %d is %v, the live one %v", d.slot, i, p.X[i], d.placement.X[i])
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -344,12 +345,12 @@ func TestDaemonStaleBindingStillPanics(t *testing.T) {
 	d.Tick()
 }
 
-// benchDaemon returns a daemon serving n long-lived requests with the
-// lifecycle on — the serve_steady shape at a size a smoke run affords — and
-// the spare requests later arrivals draw from.
-func benchDaemon(b testing.TB, n int) (*Daemon, []msvc.Request) {
+// benchDaemon returns a daemon on the given number of nodes serving n
+// long-lived requests with the lifecycle on — the serve_steady shape at a
+// size a smoke run affords — and the spare requests later arrivals draw from.
+func benchDaemon(b testing.TB, nodes, n int) (*Daemon, []msvc.Request) {
 	b.Helper()
-	g, cat, reqs := testScenario(b, 24, n+64, 80)
+	g, cat, reqs := testScenario(b, nodes, n+64, 80)
 	cfg := testConfig(g, cat)
 	cfg.Lifecycle = LifecycleConfig{IdleEpochs: 3, WarmPool: 1, ColdStartDelay: 0.25}
 	d, err := NewDaemon(cfg)
@@ -387,7 +388,7 @@ func TestDaemonSteadyTickAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("-tags soclinvariants re-evaluates every epoch from scratch")
 	}
-	d, _ := benchDaemon(t, 400)
+	d, _ := benchDaemon(t, 24, 400)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := d.Tick(); err != nil {
 			t.Fatal(err)
@@ -411,7 +412,7 @@ func TestDaemonSteadyTickBytes(t *testing.T) {
 		t.Skip("-race and -tags soclinvariants allocate on their own")
 	}
 	const ticks = 200
-	d, _ := benchDaemon(t, 400)
+	d, _ := benchDaemon(t, 24, 400)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < ticks; i++ {
@@ -434,16 +435,22 @@ func TestDaemonSteadyTickBytes(t *testing.T) {
 	t.Logf("%.0f bytes a steady tick", perTick)
 }
 
-// BenchmarkDaemonTickSteady: an epoch in which nothing changed.
+// BenchmarkDaemonTickSteady: an epoch in which nothing changed, at 24 and at
+// 96 nodes. A steady tick that scans every (service, node) cell grows with
+// the node count; one that costs what changed does not.
 func BenchmarkDaemonTickSteady(b *testing.B) {
-	d, _ := benchDaemon(b, 400)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Tick(); err != nil {
-			b.Fatal(err)
-		}
-		trimHistory(d, i)
+	for _, nodes := range []int{24, 96} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			d, _ := benchDaemon(b, nodes, 400)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Tick(); err != nil {
+					b.Fatal(err)
+				}
+				trimHistory(d, i)
+			}
+		})
 	}
 }
 
@@ -472,7 +479,7 @@ func TestDaemonReactTickAllocs(t *testing.T) {
 		t.Skip("-race and -tags soclinvariants allocate on their own")
 	}
 	for _, n := range []int{400, 1600} {
-		d, spare := benchDaemon(t, n)
+		d, spare := benchDaemon(t, 24, n)
 		i := 0
 		allocs := testing.AllocsPerRun(50, func() {
 			reactEpoch(d, spare, i)
@@ -499,7 +506,7 @@ func TestDaemonReactTickAllocs(t *testing.T) {
 // BenchmarkDaemonTickReact: an epoch with serve_steady's small change — one
 // depart, one arrive, two moves among 400 requests.
 func BenchmarkDaemonTickReact(b *testing.B) {
-	d, spare := benchDaemon(b, 400)
+	d, spare := benchDaemon(b, 24, 400)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -301,18 +301,18 @@ func TestParseScriptErrors(t *testing.T) {
 func TestWarmPoolSizer(t *testing.T) {
 	l := newLifecycle(LifecycleConfig{IdleEpochs: 1, WarmPool: 1, WarmWindow: 2, ReqsPerWarm: 4}, 2, 3)
 	p := model.NewPlacement(2, 3)
-	l.observe(nil, []int{9, 0}, p) // demand 9 → ceil(9/4) = 3 warm
+	l.observe(nil, []int{9, 0}, p, false) // demand 9 → ceil(9/4) = 3 warm
 	if got := l.target(0); got != 3 {
 		t.Fatalf("target(0) = %d, want 3", got)
 	}
 	if got := l.target(1); got != 1 { // floor
 		t.Fatalf("target(1) = %d, want the WarmPool floor 1", got)
 	}
-	l.observe(nil, []int{0, 0}, p)
+	l.observe(nil, []int{0, 0}, p, false)
 	if got := l.target(0); got != 3 { // peak still inside the window
 		t.Fatalf("target(0) after one idle epoch = %d, want 3", got)
 	}
-	l.observe(nil, []int{0, 0}, p)
+	l.observe(nil, []int{0, 0}, p, false)
 	if got := l.target(0); got != 1 { // window drained; floor remains
 		t.Fatalf("target(0) after the window drained = %d, want 1", got)
 	}
@@ -326,8 +326,8 @@ func TestReapRespectsWarmTarget(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		p.Set(0, k, true)
 	}
-	l.observe(nil, []int{0}, p)
-	l.observe(nil, []int{0}, p) // all three idle for 2 epochs
+	l.observe(nil, []int{0}, p, false)
+	l.observe(nil, []int{0}, p, false) // all three idle for 2 epochs
 	removed, spares := l.reap(p)
 	if len(removed) != 2 || spares != 1 {
 		t.Fatalf("removed %v, spares %d; want 2 removals and 1 spare", removed, spares)

@@ -19,6 +19,9 @@ type useCounts struct {
 	steps  [][]int
 	demand []int
 	routes [][]int
+	// usedGen is bumped whenever the set of instances with a counted step
+	// may have changed: a step count crossed zero, or a recount ran.
+	usedGen uint64
 	// stale: the counts were dropped, and the next tally recounts them from
 	// scratch — what a daemon that had just been built would derive.
 	stale bool
@@ -56,7 +59,11 @@ func (u *useCounts) addDemand(chain []int, delta int) {
 
 func (u *useCounts) addSteps(nodes, chain []int, delta int) {
 	for t, k := range nodes {
-		u.steps[chain[t]][k] += delta
+		c := &u.steps[chain[t]][k]
+		*c += delta
+		if *c == 0 || *c == delta { // the count reached or left zero
+			u.usedGen++
+		}
 	}
 }
 
@@ -92,6 +99,7 @@ func (u *useCounts) recount(ev *model.Evaluation, active []msvc.Request) {
 		clear(u.steps[i])
 	}
 	clear(u.demand)
+	u.usedGen++
 	u.routes = u.routes[:0]
 	for h := range active {
 		u.routes = append(u.routes, routeOf(ev, h))

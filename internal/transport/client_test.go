@@ -1,10 +1,17 @@
 package transport
 
 import (
+	"bufio"
+	"errors"
+	"io"
 	"math/rand"
+	"net"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/msvc"
+	"repro/internal/serve"
 	"repro/internal/stats"
 )
 
@@ -62,5 +69,69 @@ func TestBackoffCappedExponential(t *testing.T) {
 			break
 		}
 		prevMax = nominal
+	}
+}
+
+// TestClientConnectionLost: a server that stops talking mid-session — it
+// reads the client's frames, acknowledges none and closes its side of the
+// connection — makes Run return the read error within 10 s, and the
+// client's state stays readable afterwards: the read loop releases the lock
+// on its way out, so a later acked or sessionState does not block.
+func TestClientConnectionLost(t *testing.T) {
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "s.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		_, _ = ReadFrame(bufio.NewReader(conn)) // the hello: the session is under way
+		// Closing the write side alone: the client sees the connection end
+		// on its reads while its retransmissions still find a reader, so the
+		// error Run reports is the read loop's.
+		_ = conn.(*net.UnixConn).CloseWrite()
+		accepted <- conn
+	}()
+	c, err := Dial("unix", ln.Addr().String(), ClientConfig{Reliable: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := &serve.Script{Meta: serve.Meta{Nodes: 6, Radius: 0.4, NumSlots: 3}}
+	for i := 0; i < 4; i++ {
+		s.Events = append(s.Events, serve.Event{Slot: i % 3, Kind: serve.EvArrive, ID: i, Node: i,
+			Req: msvc.Request{ID: i, Home: i, Chain: []int{0, 1}, EdgeData: []float64{1}, Deadline: 2}})
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(s)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("Run returned %v, want the read loop's %v", err, io.EOF)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return within 10 s of the server closing the connection")
+	}
+	if conn, ok := <-accepted; ok {
+		conn.Close()
+	}
+	probed := make(chan struct{})
+	go func() {
+		c.acked(0)
+		c.sessionState()
+		close(probed)
+	}()
+	select {
+	case <-probed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("acked/sessionState blocked after the connection was lost: the read loop kept the lock")
 	}
 }

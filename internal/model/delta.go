@@ -163,20 +163,25 @@ type DeltaEvaluator struct {
 
 	addProbe addProbeState // ProbeAdd's memoized DP rows and scratch
 
-	// The last evaluation Eval published and what it was built under.
-	// Nothing else an Evaluation reads can move while the stamp holds
-	// (checkEpoch pins the cold set), so an Eval whose stamp still matches
-	// republishes it.
+	// The last evaluation Eval published and the last summary Summary or
+	// Eval computed, each with the stamp it was built under. Nothing else an
+	// Evaluation reads can move while the stamp holds (checkEpoch pins the
+	// cold set), so a call whose stamp still matches answers from the cache.
 	pub      *Evaluation
-	pubStamp evalStamp
+	pubStamp EvalStamp
+	sum      EvalSummary
+	sumStamp EvalStamp
+	sumOK    bool
 
 	// Telemetry: cache hits vs re-routes across Eval calls.
 	Hits, Recomputed int
 }
 
-// evalStamp is what a published Evaluation was built under: the index epoch,
-// the request generation and the bits of Lambda and Budget.
-type evalStamp struct{ epoch, reqGen, lambda, budget uint64 }
+// EvalStamp is what an evaluation of a DeltaEvaluator was built under: the
+// index epoch, the request generation and the bits of Lambda and Budget.
+// While an evaluator's Stamp holds, its Eval, Summary and reads stay what
+// they were.
+type EvalStamp struct{ epoch, reqGen, lambda, budget uint64 }
 
 // NewDeltaEvaluator binds an evaluator to in and p under the given routing
 // mode (seed matters only for RouteModeRandom, with the same per-request
@@ -834,6 +839,118 @@ func (d *DeltaEvaluator) deployCostExcluding(svc, node int) float64 {
 	return cost
 }
 
+// Stamp returns what the evaluator's next Eval or Summary would be built
+// under; a consumer that derived something from one keeps it while the stamp
+// holds.
+func (d *DeltaEvaluator) Stamp() EvalStamp {
+	d.checkEpoch("Stamp")
+	return d.stamp()
+}
+
+func (d *DeltaEvaluator) stamp() EvalStamp {
+	return EvalStamp{d.epoch, d.reqGen, math.Float64bits(d.in.Lambda), math.Float64bits(d.in.Budget)}
+}
+
+// Summary returns the scalars of Eval — bitwise the same — without
+// materializing the per-request vectors: it re-routes what is invalid and
+// makes one pass over the cache. Under an unchanged stamp it returns the
+// cached summary, counted as a refresh that found nothing dirty. Afterwards,
+// until the next mutation, Latency, RouteNodes and AppendFinite read the
+// bound placement's evaluation request by request.
+func (d *DeltaEvaluator) Summary() EvalSummary {
+	d.checkEpoch("Summary")
+	stamp := d.stamp()
+	if d.sumOK && d.sumStamp == stamp {
+		d.Hits += len(d.routes)
+		return d.sum
+	}
+	d.refresh()
+	d.sum, d.sumStamp, d.sumOK = d.summarize(nil), stamp, true
+	d.selfCheckSummary(d.sum)
+	return d.sum
+}
+
+// unreadEntry panics on a read of an entry no refresh has re-routed. The
+// reads check validity inline and call it apart, which keeps them cheap.
+func unreadEntry(h int) {
+	panic(fmt.Sprintf("model: DeltaEvaluator read of request %d before Summary or Eval re-routed it", h))
+}
+
+// Latency returns request h's completion time, as Eval().Latencies[h].
+func (d *DeltaEvaluator) Latency(h int) float64 {
+	e := &d.routes[h]
+	if !e.valid {
+		unreadEntry(h)
+	}
+	return e.lat
+}
+
+// RouteNodes returns request h's edge route — the very slice of
+// Eval().Routes[h].Nodes, nil when the cloud serves it or nothing does.
+func (d *DeltaEvaluator) RouteNodes(h int) []int {
+	e := &d.routes[h]
+	if !e.valid {
+		unreadEntry(h)
+	}
+	return e.nodes // nil unless routed (rerouteOne)
+}
+
+// AppendFinite appends the finite latencies to dst in request order.
+func (d *DeltaEvaluator) AppendFinite(dst []float64) []float64 {
+	for h := range d.routes {
+		e := &d.routes[h]
+		if !e.valid {
+			unreadEntry(h)
+		}
+		if !math.IsInf(e.lat, 1) {
+			dst = append(dst, e.lat)
+		}
+	}
+	return dst
+}
+
+// summarize is the one pass over the (refreshed) cache that both Summary and
+// Eval make: EvaluateRouted's class split, and the index-order sums of every
+// latency and of the finite ones. With ev non-nil it also fills ev's
+// Latencies and Routes.
+func (d *DeltaEvaluator) summarize(ev *Evaluation) EvalSummary {
+	reqs := d.in.Workload.Requests
+	s := EvalSummary{Cost: d.in.DeployCost(d.ix.Placement())}
+	for h := range d.routes {
+		e := &d.routes[h]
+		s.LatencySum += e.lat
+		if !math.IsInf(e.lat, 1) {
+			s.ServedLatencySum += e.lat
+			s.Finite++
+		}
+		if ev != nil {
+			ev.Latencies[h] = e.lat
+		}
+		switch {
+		case e.missing:
+			s.MissingInstances++
+			continue
+		case e.cloud:
+			s.CloudServed++
+		default:
+			if ev != nil {
+				ev.Routes[h] = Assignment{Nodes: e.nodes}
+			}
+			if math.IsInf(e.lat, 1) {
+				// Routed without the sentinel yet +Inf: instances exist but
+				// every candidate chain is disconnected (same class split as
+				// EvaluateRouted's routeOne).
+				s.Unroutable++
+			}
+		}
+		if e.lat > reqs[h].Deadline+FeasTol {
+			s.DeadlineViolated++
+		}
+	}
+	s.Objective = d.in.Objective(s.Cost, s.LatencySum)
+	return s
+}
+
 // Eval returns the exact evaluation of the bound placement — bit-identical
 // to in.EvaluateRouted(Placement(), mode, seed) — re-routing only requests
 // invalidated since the previous Eval. When nothing has moved since that
@@ -843,58 +960,33 @@ func (d *DeltaEvaluator) deployCostExcluding(svc, node int) float64 {
 // returned Evaluation is therefore read-only: the previous and the next
 // caller may hold the same one. Its Routes share node slices with the
 // cache; they stay correct until the next mutation through the evaluator
-// (re-routes install fresh slices, never mutate published ones).
+// (re-routes install fresh slices, never mutate published ones). A consumer
+// that reads only the scalars or a few requests calls Summary instead.
 func (d *DeltaEvaluator) Eval() *Evaluation {
 	d.checkEpoch("Eval")
-	stamp := evalStamp{d.epoch, d.reqGen, math.Float64bits(d.in.Lambda), math.Float64bits(d.in.Budget)}
+	stamp := d.stamp()
 	if ev := d.pub; ev != nil && d.pubStamp == stamp {
 		d.Hits += len(d.routes)
 		d.selfCheckDelta(ev)
 		return ev
 	}
-	reqs := d.in.Workload.Requests
 	d.refresh()
 
 	p := d.ix.Placement()
+	n := len(d.routes)
 	ev := &Evaluation{
 		Placement:         p,
-		Routes:            make([]Assignment, len(reqs)),
-		Latencies:         make([]float64, len(reqs)),
-		Cost:              d.in.DeployCost(p),
+		Routes:            make([]Assignment, n),
+		Latencies:         make([]float64, n),
 		StorageViolatedAt: d.in.CheckStorage(p),
 	}
-	ev.OverBudget = !d.in.CheckBudget(p)
-	for h := range reqs {
-		e := &d.routes[h]
-		ev.Latencies[h] = e.lat
-		switch {
-		case e.missing:
-			ev.MissingInstances++
-		case e.cloud:
-			ev.CloudServed++
-			if e.lat > reqs[h].Deadline+FeasTol {
-				ev.DeadlineViolated++
-			}
-		default:
-			ev.Routes[h] = Assignment{Nodes: e.nodes}
-			if math.IsInf(e.lat, 1) {
-				// Routed without the sentinel yet +Inf: instances exist but
-				// every candidate chain is disconnected (same class split as
-				// EvaluateRouted's routeOne).
-				ev.Unroutable++
-			}
-			if e.lat > reqs[h].Deadline+FeasTol {
-				ev.DeadlineViolated++
-			}
-		}
-	}
-	// Fresh index-order sum: bitwise equal to EvaluateRouted's.
-	ev.LatencySum = 0
-	for _, lat := range ev.Latencies {
-		ev.LatencySum += lat
-	}
-	ev.Objective = d.in.Objective(ev.Cost, ev.LatencySum)
+	s := d.summarize(ev)
+	ev.Cost, ev.LatencySum, ev.Objective = s.Cost, s.LatencySum, s.Objective
+	ev.MissingInstances, ev.Unroutable = s.MissingInstances, s.Unroutable
+	ev.CloudServed, ev.DeadlineViolated = s.CloudServed, s.DeadlineViolated
+	ev.OverBudget = !(s.Cost <= d.in.Budget+FeasTol) // CheckBudget on the same cost
 	d.selfCheckDelta(ev)
 	d.pub, d.pubStamp = ev, stamp
+	d.sum, d.sumStamp, d.sumOK = s, stamp, true
 	return ev
 }

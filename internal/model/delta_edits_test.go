@@ -158,9 +158,22 @@ func (b *editBatch) batch() (gone, moved []int) {
 	return gone, moved
 }
 
+// assertReads holds the evaluator's summary and per-request reads against
+// its own Eval: the summary bit for bit with Eval's scalars, every latency
+// bit for bit, every route by slice identity. The summary is taken first, so
+// that an Eval at a new stamp cannot have cached it.
+func assertReads(t testing.TB, label string, de *DeltaEvaluator) {
+	t.Helper()
+	de.Summary()
+	if err := DiffView(de, de.Eval()); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
 // runEditWalk plays data on one evaluator and checks every synced step
 // against a scratch evaluation of the edited workload and, after every batch
-// of edits, against a fresh evaluator bound to the edited list. Operations 0–5
+// of edits, against a fresh evaluator bound to the edited list; both times its
+// summary and per-request reads are held against its own Eval. Operations 0–5
 // edit the list the way an admission queue does and accumulate into one
 // batch; every other operation syncs the batch first.
 func runEditWalk(t testing.TB, data []byte) {
@@ -195,6 +208,7 @@ func runEditWalk(t testing.TB, data []byte) {
 	}
 	check := func(step int, label string) {
 		t.Helper()
+		assertReads(t, fmt.Sprintf("%s step %d %s", sc, step, label), de)
 		want := scratch(de.Placement())
 		assertEvalIdentical(t, sc.String()+"/"+label, de.Eval(), want)
 		obj, over := de.EvalObjective()
@@ -215,6 +229,7 @@ func runEditWalk(t testing.TB, data []byte) {
 		ref.Workload = &msvc.Workload{Catalog: in.Workload.Catalog, Requests: append([]msvc.Request(nil), active...)}
 		fresh := NewDeltaEvaluator(&ref, de.Placement().Clone(), sc.mode, seed)
 		label := fmt.Sprintf("%s step %d: after departures %v and moves %v", sc, step, gone, moved)
+		assertReads(t, label, de)
 		for h := range active {
 			if !sameRequest(&de.Workload().Requests[h], &fresh.Workload().Requests[h]) {
 				t.Fatalf("%s: request %d is %+v, want %+v", label, h, de.Workload().Requests[h], active[h])

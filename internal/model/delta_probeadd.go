@@ -40,16 +40,11 @@ type AddProbe struct {
 	OverBudget       bool
 }
 
-// summarizeAdd reads an AddProbe off a full evaluation.
-func summarizeAdd(ev *Evaluation) AddProbe {
-	pr := AddProbe{MissingInstances: ev.MissingInstances, Unroutable: ev.Unroutable,
-		Cost: ev.Cost, OverBudget: ev.OverBudget}
-	for _, lat := range ev.Latencies {
-		if !math.IsInf(lat, 1) {
-			pr.ServedLatencySum += lat
-		}
-	}
-	return pr
+// addProbeOf reads an AddProbe off an evaluation's summary; the budget flag
+// is Evaluation.OverBudget's, on the bound Budget.
+func (d *DeltaEvaluator) addProbeOf(s EvalSummary) AddProbe {
+	return AddProbe{MissingInstances: s.MissingInstances, Unroutable: s.Unroutable,
+		ServedLatencySum: s.ServedLatencySum, Cost: s.Cost, OverBudget: !(s.Cost <= d.in.Budget+FeasTol)}
 }
 
 // Classes of a counterfactual route, mirroring deltaRoute's flags.
@@ -161,7 +156,7 @@ func (d *DeltaEvaluator) ProbeAdd(node int, svcs ...int) AddProbe {
 		for _, s := range gain {
 			dls = append(dls, d.Apply(s, node, true))
 		}
-		pr := summarizeAdd(d.Eval())
+		pr := d.addProbeOf(d.Summary())
 		for j := len(dls) - 1; j >= 0; j-- { // LIFO revert discipline
 			d.Revert(dls[j])
 		}
@@ -194,7 +189,7 @@ func (d *DeltaEvaluator) ProbeAdd(node int, svcs ...int) AddProbe {
 		}
 	}
 
-	// The same class split and index-order sums as Eval and summarizeAdd.
+	// The same class split and index-order sums as Summary.
 	var pr AddProbe
 	for h := range d.routes {
 		e := &d.routes[h]

@@ -9,6 +9,19 @@ import (
 	"repro/internal/stats"
 )
 
+// summarizeAdd reads an AddProbe off a full evaluation: the reference the
+// probes are held to.
+func summarizeAdd(ev *Evaluation) AddProbe {
+	pr := AddProbe{MissingInstances: ev.MissingInstances, Unroutable: ev.Unroutable,
+		Cost: ev.Cost, OverBudget: ev.OverBudget}
+	for _, lat := range ev.Latencies {
+		if !math.IsInf(lat, 1) {
+			pr.ServedLatencySum += lat
+		}
+	}
+	return pr
+}
+
 func assertAddProbe(t *testing.T, label string, got, want AddProbe) {
 	t.Helper()
 	if got.MissingInstances != want.MissingInstances || got.Unroutable != want.Unroutable ||

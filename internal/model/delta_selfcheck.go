@@ -52,6 +52,17 @@ func (d *DeltaEvaluator) selfCheckDelta(ev *Evaluation) {
 	}
 }
 
+// selfCheckSummary holds a computed Summary against a scratch evaluation's,
+// bit for bit.
+func (d *DeltaEvaluator) selfCheckSummary(s EvalSummary) {
+	if !invariantsEnabled {
+		return
+	}
+	if fresh := d.in.EvaluateRouted(d.ix.Placement(), d.mode, d.seed).Summary(); !s.sameBits(fresh) {
+		panic(fmt.Sprintf("model: delta summary diverges from scratch evaluation: %+v vs %+v", s, fresh))
+	}
+}
+
 // selfCheckDeltaScalars is the EvalObjective counterpart: the fast path's
 // two outputs must match a scratch evaluation exactly.
 func (d *DeltaEvaluator) selfCheckDeltaScalars(objective float64, overBudget bool) {
@@ -120,7 +131,7 @@ func (d *DeltaEvaluator) selfCheckProbeAdd(node int, svcs []int, pr AddProbe) {
 	for _, s := range svcs {
 		probe.Set(s, node, true)
 	}
-	fresh := summarizeAdd(d.in.EvaluateRouted(probe, d.mode, d.seed))
+	fresh := d.addProbeOf(d.in.EvaluateRouted(probe, d.mode, d.seed).Summary())
 	if pr.MissingInstances != fresh.MissingInstances || pr.Unroutable != fresh.Unroutable ||
 		!almostEq(pr.ServedLatencySum, fresh.ServedLatencySum, 0) ||
 		!almostEq(pr.Cost, fresh.Cost, 0) || pr.OverBudget != fresh.OverBudget {

@@ -16,11 +16,10 @@ type naiveScorer struct {
 
 func (s *naiveScorer) scoreOf(p model.Placement) (score, bool) {
 	ev := s.in.EvaluateRouted(p, s.mode, s.seed)
-	return scoreEval(s.in, ev), ev.OverBudget
+	return scoreOf(s.in, ev.Summary()), ev.OverBudget
 }
-func (s *naiveScorer) current() score {
-	sc, _ := s.scoreOf(s.p)
-	return sc
+func (s *naiveScorer) view() model.EvalView {
+	return s.in.EvaluateRouted(s.p, s.mode, s.seed)
 }
 func (s *naiveScorer) probeRemoval(i, k int) score {
 	q := s.p.Clone()
@@ -43,9 +42,6 @@ func (s *naiveScorer) probeBundle(adds []chaos.Inst) (score, bool) {
 func (s *naiveScorer) set(i, k int, val bool) { s.p.Set(i, k, val) }
 func (s *naiveScorer) placement() model.Placement {
 	return s.p
-}
-func (s *naiveScorer) eval() *model.Evaluation {
-	return s.in.EvaluateRouted(s.p, s.mode, s.seed)
 }
 
 // runNaive is Run scored through naiveScorer.

@@ -120,10 +120,15 @@ type Result struct {
 	// by construction, only mutated away from the pre-fault placement on
 	// crashed/evicted/added coordinates).
 	Placement model.Placement
-	// Before evaluates the surviving (masked, unrepaired) placement; After
-	// evaluates the repaired one. Both are exact evaluations on the masked
-	// substrate.
-	Before, After *model.Evaluation
+	// Before summarizes the exact evaluation of the surviving (masked,
+	// unrepaired) placement on the masked substrate; After that of the
+	// repaired one.
+	Before, After model.EvalSummary
+	// Evaluator is the evaluator the repair scored on, left at the repaired
+	// placement: Config.Evaluator, or the one built for the call. A caller
+	// that reads the repaired evaluation request by request, or needs it
+	// whole, reads it here (its Eval), until it next mutates the evaluator.
+	Evaluator *model.DeltaEvaluator
 	// Evicted lists instances removed to restore Eq. 5/6; Added lists
 	// re-provisioned instances, in commit order.
 	Evicted, Added []chaos.Inst
@@ -138,7 +143,7 @@ type Result struct {
 // score is the lexicographic repair objective: first minimize the requests
 // the placement cannot serve at all (the +Inf latency classes — missing
 // without a cloud, and unroutable), then the exact Eq. 3/8 objective over
-// the served remainder. It is derived only from Evaluation fields the delta
+// the served remainder. It is derived only from summary fields the delta
 // engine documents bit-identical to scratch evaluation, so both scoring
 // paths compute bitwise-identical scores.
 type score struct {
@@ -146,21 +151,14 @@ type score struct {
 	obj      float64
 }
 
-// scoreEval derives the repair score from an exact evaluation. The served
-// latency sum runs in request-index order — the same deterministic order
-// both evaluators fill Latencies in.
-func scoreEval(in *model.Instance, ev *model.Evaluation) score {
-	lat := 0.0
-	for _, d := range ev.Latencies {
-		if !math.IsInf(d, 1) {
-			lat += d
-		}
-	}
-	return score{unserved: ev.MissingInstances + ev.Unroutable, obj: in.Objective(ev.Cost, lat)}
+// scoreOf derives the repair score from an exact evaluation's summary, whose
+// served latency sum runs in request-index order.
+func scoreOf(in *model.Instance, s model.EvalSummary) score {
+	return score{unserved: s.Unserved(), obj: in.Objective(s.Cost, s.ServedLatencySum)}
 }
 
-// scoreProbe is scoreEval over an addition probe, which carries the same
-// counts and the same index-order served sum without the evaluation.
+// scoreProbe is scoreOf over an addition probe, which carries the same
+// counts and the same index-order served sum.
 func scoreProbe(in *model.Instance, pr model.AddProbe) score {
 	return score{unserved: pr.MissingInstances + pr.Unroutable, obj: in.Objective(pr.Cost, pr.ServedLatencySum)}
 }
@@ -176,11 +174,12 @@ func (a score) betterThan(b score) bool {
 	return a.obj < b.obj-model.ObjTol
 }
 
-// Better reports whether evaluation a strictly beats b in the repair score's
-// order. It is the one order the engine optimizes, exported so a policy that
-// chooses between a repair and a re-solve ranks them as the engine would.
-func Better(in *model.Instance, a, b *model.Evaluation) bool {
-	return scoreEval(in, a).betterThan(scoreEval(in, b))
+// Better reports whether the evaluation summarized by a strictly beats b's
+// in the repair score's order. It is the one order the engine optimizes,
+// exported so a policy that chooses between a repair and a re-solve ranks
+// them as the engine would.
+func Better(in *model.Instance, a, b model.EvalSummary) bool {
+	return scoreOf(in, a).betterThan(scoreOf(in, b))
 }
 
 // scorer is the seam between the repair phases and how a candidate is
@@ -188,8 +187,9 @@ func Better(in *model.Instance, a, b *model.Evaluation) bool {
 // tests' scratch-evaluation reference — bitwise identical, which is what
 // makes the reference a true reference and not an approximation.
 type scorer interface {
-	// current scores the live placement.
-	current() score
+	// view reads the exact evaluation of the live placement, until the next
+	// probe or commit.
+	view() model.EvalView
 	// probeRemoval scores the placement with (svc, node) cleared, without
 	// mutating it.
 	probeRemoval(svc, node int) score
@@ -204,8 +204,6 @@ type scorer interface {
 	set(svc, node int, val bool)
 	// placement returns the live placement (aliased; read-only for callers).
 	placement() model.Placement
-	// eval returns the full exact evaluation of the current placement.
-	eval() *model.Evaluation
 }
 
 // deltaScorer is the incremental path: one DeltaEvaluator bound to the
@@ -219,10 +217,10 @@ type deltaScorer struct {
 	svcs []int // probeBundle's argument buffer
 }
 
-func (s *deltaScorer) current() score { return scoreEval(s.in, s.d.Eval()) }
+func (s *deltaScorer) view() model.EvalView { return s.d }
 func (s *deltaScorer) probeRemoval(i, k int) score {
 	dl := s.d.Apply(i, k, false)
-	sc := s.current()
+	sc := scoreOf(s.in, s.d.Summary())
 	s.d.Revert(dl)
 	return sc
 }
@@ -243,7 +241,6 @@ func (s *deltaScorer) probeBundle(adds []chaos.Inst) (score, bool) {
 }
 func (s *deltaScorer) set(i, k int, val bool)     { s.d.Apply(i, k, val) }
 func (s *deltaScorer) placement() model.Placement { return s.d.Placement() }
-func (s *deltaScorer) eval() *model.Evaluation    { return s.d.Eval() }
 
 // Classify reports the damage the mask's active faults inflict on p without
 // repairing anything; the masked placement (lost instances cleared) is
@@ -278,6 +275,7 @@ func Run(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Resu
 		de.AdvanceTo(masked)
 	}
 	res := repairWith(min, m, dmg, &deltaScorer{in: min, d: de})
+	res.Evaluator = de
 	if cfg.Evaluator != nil {
 		// The evaluator outlives the call and goes on mutating the placement
 		// it is bound to; the caller gets a copy.
@@ -290,15 +288,20 @@ func Run(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Resu
 // s (bound to the masked placement).
 func repairWith(min *model.Instance, m *chaos.Mask, dmg Damage, s scorer) *Result {
 	res := &Result{Damage: dmg, Epoch: m.Epoch()}
-	res.Before = s.eval()
+	v := s.view()
+	res.Before = v.Summary()
+	damaged := damagedServices(min, v, res.Before, dmg)
 
 	evictStorage(min, s, res)
 	evictBudget(min, s, res)
-	reprovision(min, m, s, res)
+	reprovision(min, m, s, res, damaged)
 
-	res.After = s.eval()
+	v = s.view()
+	res.After = v.Summary()
 	res.Placement = s.placement()
-	invariant.CheckPostRepair(min, res.After, "repair.Run")
+	if invariant.Enabled {
+		invariant.CheckPostRepair(min, v.Eval(), "repair.Run")
+	}
 	return res
 }
 
@@ -382,7 +385,10 @@ func evictBudget(min *model.Instance, s scorer, res *Result) {
 //
 // Both phases terminate: every commit strictly improves the lexicographic
 // repair score, which is bounded below.
-func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result) {
+//
+// damaged holds the services damagedServices derived before eviction; the
+// evicted ones join them here.
+func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result, damaged []bool) {
 	probes, commits := 0, 0
 	defer func() { res.RolledBack = probes - commits }()
 
@@ -391,11 +397,19 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result) {
 	// bundle being probed, and a copy of the best one so far.
 	var used []float64
 	var bundle, bestBundle []chaos.Inst
+	var unserved []int
 	for {
-		ev := s.eval()
-		curScore := scoreEval(min, ev)
+		v := s.view()
+		curScore := scoreOf(min, v.Summary())
 		if curScore.unserved == 0 {
 			break
+		}
+		// The unserved requests, read before the probes move the view.
+		unserved = unserved[:0]
+		for h := range min.Workload.Requests {
+			if math.IsInf(v.Latency(h), 1) {
+				unserved = append(unserved, h)
+			}
 		}
 		cur := s.placement()
 		curCost := min.DeployCost(cur)
@@ -408,10 +422,7 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result) {
 			}
 		}
 		committed := false
-		for h := range ev.Latencies {
-			if !math.IsInf(ev.Latencies[h], 1) {
-				continue // served (edge or cloud)
-			}
+		for _, h := range unserved {
 			best := curScore
 			bestNode := -1
 			for k := 0; k < min.V(); k++ {
@@ -448,23 +459,11 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result) {
 		}
 	}
 
-	damaged := make([]bool, min.M())
-	for _, li := range res.Damage.Lost {
-		damaged[li.Svc] = true
-	}
 	for _, e := range res.Evicted {
 		damaged[e.Svc] = true
 	}
-	for h := range res.Before.Latencies {
-		if res.Before.Routes[h].Nodes != nil && !math.IsInf(res.Before.Latencies[h], 1) {
-			continue // edge-served pre-repair: its services are intact
-		}
-		for _, svc := range min.Workload.Requests[h].Chain {
-			damaged[svc] = true
-		}
-	}
 	for {
-		curScore := s.current()
+		curScore := scoreOf(min, s.view().Summary())
 		cur := s.placement()
 		curCost := min.DeployCost(cur)
 		best := curScore
@@ -502,6 +501,29 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result) {
 		res.Added = append(res.Added, chaos.Inst{Svc: bestSvc, Node: bestNode})
 		commits++
 	}
+}
+
+// damagedServices marks the services phase 2 of reprovision refines: those
+// with an instance lost to a crash, and those in the chain of a request the
+// pre-repair evaluation v, summarized by s, could not edge-serve — none when
+// s counts no request missing, unroutable or in the cloud.
+func damagedServices(min *model.Instance, v model.EvalView, s model.EvalSummary, dmg Damage) []bool {
+	damaged := make([]bool, min.M())
+	for _, li := range dmg.Lost {
+		damaged[li.Svc] = true
+	}
+	if s.Unserved()+s.CloudServed == 0 {
+		return damaged
+	}
+	for h := range min.Workload.Requests {
+		if v.RouteNodes(h) != nil && !math.IsInf(v.Latency(h), 1) {
+			continue // edge-served pre-repair: its services are intact
+		}
+		for _, svc := range min.Workload.Requests[h].Chain {
+			damaged[svc] = true
+		}
+	}
+	return damaged
 }
 
 // restoreBundle appends to adds (empty on entry) the phase-1 restoration

@@ -66,6 +66,20 @@ func faultsOf(t *testing.T, kind chaos.FaultKind, in *model.Instance, p model.Pl
 	}
 }
 
+// assertSummary holds a repair's summary against the reference scorer's,
+// field by field and bit for bit.
+func assertSummary(t *testing.T, label string, got, want model.EvalSummary) {
+	t.Helper()
+	bits := math.Float64bits
+	if bits(got.Cost) != bits(want.Cost) || bits(got.Objective) != bits(want.Objective) ||
+		bits(got.LatencySum) != bits(want.LatencySum) || bits(got.ServedLatencySum) != bits(want.ServedLatencySum) ||
+		got.Finite != want.Finite || got.MissingInstances != want.MissingInstances ||
+		got.Unroutable != want.Unroutable || got.CloudServed != want.CloudServed ||
+		got.DeadlineViolated != want.DeadlineViolated {
+		t.Fatalf("%s: summary %+v, the reference's %+v", label, got, want)
+	}
+}
+
 // TestRepairMatchesNaive is the differential guarantee: the delta-scored
 // repair and the full-re-solve-routing reference make bitwise-identical
 // decisions on identical damage, across seeds and fault kinds.
@@ -96,21 +110,9 @@ func TestRepairMatchesNaive(t *testing.T) {
 			if !reflect.DeepEqual(fast.Placement, ref.Placement) {
 				t.Fatalf("seed %d %v: repaired placements diverge", seed, kind)
 			}
-			for _, pair := range [][2]float64{
-				{fast.After.Objective, ref.After.Objective},
-				{fast.After.LatencySum, ref.After.LatencySum},
-				{fast.After.Cost, ref.After.Cost},
-				{fast.Before.Objective, ref.Before.Objective},
-			} {
-				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-					t.Fatalf("seed %d %v: scalar diverges: %v vs naive %v", seed, kind, pair[0], pair[1])
-				}
-			}
-			if fast.After.MissingInstances != ref.After.MissingInstances ||
-				fast.After.Unroutable != ref.After.Unroutable ||
-				fast.After.CloudServed != ref.After.CloudServed {
-				t.Fatalf("seed %d %v: request classes diverge: %+v vs naive %+v", seed, kind, fast.After, ref.After)
-			}
+			label := fmt.Sprintf("seed %d %v", seed, kind)
+			assertSummary(t, label+" before", fast.Before, ref.Before)
+			assertSummary(t, label+" after", fast.After, ref.After)
 		}
 	}
 }
@@ -262,9 +264,10 @@ func TestRepairCrashRecoverRoundTrip(t *testing.T) {
 		math.Float64bits(post.After.Cost) != math.Float64bits(base.Cost) {
 		t.Fatalf("post-recovery evaluation diverges from the pre-fault baseline: %v vs %v", post.After.Objective, base.Objective)
 	}
+	after := post.Evaluator.Eval()
 	for h := range base.Latencies {
-		if math.Float64bits(post.After.Latencies[h]) != math.Float64bits(base.Latencies[h]) {
-			t.Fatalf("request %d latency %v != pre-fault %v", h, post.After.Latencies[h], base.Latencies[h])
+		if math.Float64bits(after.Latencies[h]) != math.Float64bits(base.Latencies[h]) {
+			t.Fatalf("request %d latency %v != pre-fault %v", h, after.Latencies[h], base.Latencies[h])
 		}
 	}
 }
@@ -308,6 +311,33 @@ func TestRepairCloudFallback(t *testing.T) {
 	if len(res.Added) != 0 {
 		t.Fatalf("zero budget still re-provisioned %v", res.Added)
 	}
+}
+
+// TestRepairRefinesCloudServedService: a service the placement never
+// deployed leaves its requests to the cloud, so nothing is unserved and
+// nothing was lost or evicted — yet their chains are damaged, and the
+// refinement phase must probe edge instances of that service, and commit one
+// that beats the cloud.
+func TestRepairRefinesCloudServedService(t *testing.T) {
+	in := testInstance(t, 8, 25, 1)
+	cc := model.DefaultCloudConfig()
+	cc.ColdStart = 1000 // a cloud far slower than any edge instance
+	in.Cloud = &cc
+	p := baselines.JDR(in)
+	const svc = 0
+	for k := range p.X[svc] {
+		p.Set(svc, k, false)
+	}
+	res := Run(in, chaos.NewMask(in.Graph), p, Config{})
+	if res.Before.Unserved() != 0 || res.Before.CloudServed == 0 {
+		t.Fatalf("the fixture is not all served with some in the cloud: %+v", res.Before)
+	}
+	for _, a := range res.Added {
+		if a.Svc == svc {
+			return
+		}
+	}
+	t.Fatalf("repair added %v, no instance of the cloud-served service %d", res.Added, svc)
 }
 
 // TestDeltaScorerProbesLeaveNoTrace: a probe is a tentative Apply → Eval →

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -111,10 +110,11 @@ type EpochRecord struct {
 type RunResult struct {
 	Records []EpochRecord
 	// AllDelays collects every finite per-request latency in epoch order,
-	// for distribution plots. A steady epoch shares the block of the epoch
-	// whose evaluation it republished.
+	// for distribution plots. An epoch that reused what the last evaluated
+	// epoch derived shares that epoch's block.
 	AllDelays DelayStream
-	// Final is the last non-empty epoch's evaluation, nil if none.
+	// Final is the last non-empty epoch's evaluation, nil if none or if the
+	// last epoch failed, materialized when the result is taken.
 	Final *model.Evaluation
 	// Placement is the daemon's live placement after the run, read-only like
 	// Daemon.Placement's.
@@ -193,10 +193,12 @@ type Daemon struct {
 	life *lifecycle
 	use  *useCounts
 
-	slot     int
-	records  []EpochRecord
-	delays   DelayStream
-	lastEval *model.Evaluation
+	slot    int
+	records []EpochRecord
+	delays  DelayStream
+	// view reads the last served epoch's evaluation: the bound evaluator, or
+	// what the policy scored on (nil when the epoch served nothing).
+	view model.EvalView
 
 	// evalIn is the epoch's instance on the unmasked substrate (see
 	// epochInstance).
@@ -206,8 +208,8 @@ type Daemon struct {
 	// What the last evaluated epoch derived from its evaluation — the
 	// record's evaluation columns, the block of finite delays in request
 	// order and the use counts — and the key it derived them under. An epoch
-	// under the same key, one whose evaluator republished that evaluation
-	// (model.DeltaEvaluator.Eval), reuses all three.
+	// under the same key, one whose evaluator has not moved since
+	// (model.DeltaEvaluator.Stamp), reuses all three.
 	derivedKey derivedKey
 	derived    EpochRecord
 	block      []float64
@@ -218,11 +220,13 @@ type Daemon struct {
 type lifeKey struct{ place, used uint64 }
 
 // derivedKey is everything an epoch's derived columns and use counts read:
-// the evaluation, the cold-set epoch and the workload generation.
+// the view of the evaluation and, for an evaluator, its stamp, the cold-set
+// epoch and the workload generation.
 type derivedKey struct {
-	eval *model.Evaluation
-	cold uint64
-	work int
+	view  model.EvalView
+	stamp model.EvalStamp
+	cold  uint64
+	work  int
 }
 
 // NewDaemon validates cfg and builds an idle daemon with a pristine mask.
@@ -302,12 +306,15 @@ func (d *Daemon) ActiveRequests() int { return len(d.active) }
 
 // Result snapshots the run so far.
 func (d *Daemon) Result() *RunResult {
-	return &RunResult{
+	r := &RunResult{
 		Records:   d.records,
 		AllDelays: d.delays,
-		Final:     d.lastEval,
 		Placement: d.placement,
 	}
+	if d.view != nil {
+		r.Final = d.view.Eval()
+	}
+	return r
 }
 
 // Run ticks the daemon through numEpochs epochs, returning the partial result
@@ -370,8 +377,7 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 		//socllint:ignore detrand wall-clock plan time is reported, never branched on
 		rec.PlanTime = time.Since(t0)
 		if err != nil {
-			d.finish(&rec)
-			return &rec, fmt.Errorf("serve: %s failed at epoch %d: %w", d.cfg.PlannerName, d.slot, err)
+			return d.fail(&rec, fmt.Errorf("serve: %s failed at epoch %d: %w", d.cfg.PlannerName, d.slot, err))
 		}
 		d.setPlacement(p)
 	}
@@ -381,8 +387,7 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 	for _, ev := range d.faults {
 		pre := d.mask.Epoch()
 		if err := d.mask.Apply(ev.Fault); err != nil {
-			d.finish(&rec)
-			return &rec, fmt.Errorf("serve: epoch %d: fault replay: %w", d.slot, err)
+			return d.fail(&rec, fmt.Errorf("serve: epoch %d: fault replay: %w", d.slot, err))
 		}
 		rec.FaultEvents++
 		if d.mask.Epoch() != pre {
@@ -395,7 +400,7 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 	// An empty epoch advances the fault timeline and the lifecycle only; no
 	// re-homing happens.
 	if len(d.active) == 0 {
-		d.lastEval, d.derivedKey = nil, derivedKey{}
+		d.view, d.derivedKey = nil, derivedKey{}
 		d.tally(nil)
 		d.lifecycleEnd(&rec)
 		d.finish(&rec)
@@ -443,18 +448,18 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 		d.deGen = 0 // a repair edits the evaluator's placement
 		out, err := pol.Serve(ctx)
 		if err != nil {
-			d.finish(&rec)
-			return &rec, fmt.Errorf("serve: epoch %d: %w", d.slot, err)
+			return d.fail(&rec, fmt.Errorf("serve: epoch %d: %w", d.slot, err))
 		}
 		d.setPlacement(out.Placement)
-		d.lastEval = out.Eval
+		d.view = out.View
 		rec.ReactTime = out.ReactTime
 		rec.Adds = len(out.Added)
 		rec.Evicts = len(out.Evicted)
 		rec.RolledBack = out.RolledBack
 		rec.Resolved = out.Resolved
 		if !d.mask.Pristine() {
-			rec.Degraded = countDegraded(evalIn, planned, out.Eval, d.cfg.Mode, seed)
+			d.view.Summary() // brings an evaluator's routes up for the reads
+			rec.Degraded = countDegraded(evalIn, planned, d.view, d.cfg.Mode, seed)
 		}
 		d.lastDegraded = rec.Degraded
 	} else {
@@ -469,23 +474,25 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 		if invariant.Enabled {
 			d.checkEvaluatorPlacement()
 		}
-		d.lastEval = d.de.Eval()
+		d.view = d.de
 		rec.Incremental = true
 		rec.Degraded = d.lastDegraded
 	}
 	if invariant.Enabled {
-		// Eq. 5/6 are a guarantee of repair only (checked inside repair.Run):
-		// NonePolicy serves a damaged plan as-is and a planner may ignore the
-		// budget. The Eq. 4 recount holds for whatever served.
-		invariant.CheckDeadlineRecount(d.mask.Instance(evalIn), d.lastEval, "serve.Tick")
+		d.checkView(evalIn)
 	}
 
-	key := derivedKey{d.lastEval, d.coldEpoch(), d.workGen}
-	reuse := key == d.derivedKey
-	if !reuse {
-		d.tally(d.lastEval)
+	key := derivedKey{view: d.view, cold: d.coldEpoch(), work: d.workGen}
+	if de, ok := d.view.(*model.DeltaEvaluator); ok {
+		key.stamp = de.Stamp()
 	}
-	d.fillEvalColumns(&rec, evalIn, reuse)
+	if key == d.derivedKey {
+		d.reuseEvalColumns(&rec)
+	} else {
+		s := d.view.Summary()
+		d.tally(d.view)
+		d.fillEvalColumns(&rec, evalIn, s)
+	}
 	d.lifecycleEnd(&rec)
 	d.derivedKey = key
 	if invariant.Enabled {
@@ -502,6 +509,15 @@ func (d *Daemon) setPlacement(p model.Placement) {
 	d.placement = p
 	d.havePlacement = true
 	d.placeGen++
+}
+
+// fail ends an epoch that could not be served with err. What it admitted or
+// handed the evaluator may already have moved what the last served epoch's
+// view reads, so the run keeps no final evaluation.
+func (d *Daemon) fail(rec *EpochRecord, err error) (*EpochRecord, error) {
+	d.view = nil
+	d.finish(rec)
+	return rec, err
 }
 
 // finish stamps the epoch into the record stream and advances the clock.
@@ -729,57 +745,46 @@ func (d *Daemon) ensureDelta(seed int64) {
 	d.gone, d.moved = d.gone[:0], d.moved[:0]
 }
 
-// fillEvalColumns derives the epoch's statistics from its evaluation. The
-// index-order accumulation is part of the bitwise contract (golden digests).
-// An evaluated epoch writes its finite delays once, into a block sized
-// exactly to them, and appends that block to the delay stream. With reuse
-// the epoch copies the columns the last evaluated epoch derived and appends
-// a reference to its block: blocks are never written again, so sharing one
-// costs a slice header, not a copy.
-func (d *Daemon) fillEvalColumns(rec *EpochRecord, evalIn *model.Instance, reuse bool) {
-	if reuse {
-		p := &d.derived
-		rec.Cost, rec.Objective, rec.ServedObjective = p.Cost, p.Objective, p.ServedObjective
-		rec.Missing, rec.Unroutable, rec.CloudServed = p.Missing, p.Unroutable, p.CloudServed
-		rec.AvgDelay, rec.MaxDelay, rec.ColdSteps = p.AvgDelay, p.MaxDelay, p.ColdSteps
-		d.delays.add(d.block)
-		return
-	}
-	ev := d.lastEval
-	rec.Cost = ev.Cost
-	rec.Objective = ev.Objective
-	rec.Missing = ev.MissingInstances
-	rec.Unroutable = ev.Unroutable
-	rec.CloudServed = ev.CloudServed
-	n := 0
-	for _, dl := range ev.Latencies {
-		if !math.IsInf(dl, 1) {
-			n++
-		}
-	}
-	block := make([]float64, 0, n)
-	maxd, sum := 0.0, 0.0
-	for _, dl := range ev.Latencies {
-		if math.IsInf(dl, 1) {
-			continue
-		}
-		sum += dl
+// fillEvalColumns derives the epoch's statistics from its evaluation's
+// summary s and view. The index-order accumulation is part of the bitwise
+// contract (golden digests): the served sum is the summary's. An evaluated
+// epoch writes its finite delays once, into a block sized exactly to them,
+// and appends that block to the delay stream.
+func (d *Daemon) fillEvalColumns(rec *EpochRecord, evalIn *model.Instance, s model.EvalSummary) {
+	rec.Cost = s.Cost
+	rec.Objective = s.Objective
+	rec.Missing = s.MissingInstances
+	rec.Unroutable = s.Unroutable
+	rec.CloudServed = s.CloudServed
+	block := d.view.AppendFinite(make([]float64, 0, s.Finite))
+	maxd := 0.0
+	for _, dl := range block {
 		if dl > maxd {
 			maxd = dl
 		}
-		block = append(block, dl)
 	}
 	d.block = block
 	d.delays.add(block)
-	if n > 0 {
-		rec.AvgDelay = sum / float64(n)
+	if s.Finite > 0 {
+		rec.AvgDelay = s.ServedLatencySum / float64(s.Finite)
 	}
 	rec.MaxDelay = maxd
-	rec.ServedObjective = evalIn.Objective(ev.Cost, sum)
+	rec.ServedObjective = evalIn.Objective(s.Cost, s.ServedLatencySum)
 	if d.cold != nil {
 		rec.ColdSteps = d.use.coldSteps(d.cold)
 	}
 	d.derived = *rec
+}
+
+// reuseEvalColumns copies the columns the last evaluated epoch derived and
+// appends a reference to its block: blocks are never written again, so
+// sharing one costs a slice header, not a copy.
+func (d *Daemon) reuseEvalColumns(rec *EpochRecord) {
+	p := &d.derived
+	rec.Cost, rec.Objective, rec.ServedObjective = p.Cost, p.Objective, p.ServedObjective
+	rec.Missing, rec.Unroutable, rec.CloudServed = p.Missing, p.Unroutable, p.CloudServed
+	rec.AvgDelay, rec.MaxDelay, rec.ColdSteps = p.AvgDelay, p.MaxDelay, p.ColdSteps
+	d.delays.add(d.block)
 }
 
 // lifecycleEnd folds the served epoch — the use counts as the epoch's tally
@@ -805,25 +810,25 @@ func (d *Daemon) lifecycleEnd(rec *EpochRecord) {
 	rec.WarmSpares = spares
 }
 
-// tally brings the use counts to the epoch's evaluation ev (nil: nothing
-// served); every epoch that does not reuse what the last one derived runs
-// it. Only the requests whose route changed are recounted.
-func (d *Daemon) tally(ev *model.Evaluation) {
+// tally brings the use counts to the epoch's evaluation, read through v (nil:
+// nothing served); every epoch that does not reuse what the last one derived
+// runs it. Only the requests whose route changed are recounted.
+func (d *Daemon) tally(v model.EvalView) {
 	if d.use == nil {
 		return
 	}
-	d.use.tally(ev, d.active)
+	d.use.tally(v, d.active)
 	if invariant.Enabled {
-		d.checkUseCounts(ev)
+		d.checkUseCounts(v)
 	}
 }
 
 // checkUseCounts asserts (under the soclinvariants tag) that the use counts
 // — and with them the lifecycle's used instances and demand and the
 // record's cold steps — equal a recount from scratch.
-func (d *Daemon) checkUseCounts(ev *model.Evaluation) {
+func (d *Daemon) checkUseCounts(v model.EvalView) {
 	ref := newUseCounts(d.cfg.Catalog.Len(), d.cfg.Graph.N())
-	ref.recount(ev, d.active)
+	ref.recount(v, d.active)
 	for s := range ref.steps {
 		invariant.Assertf(slices.Equal(ref.steps[s], d.use.steps[s]),
 			"serve: epoch %d step counts of service %d are %v, a recount gives %v", d.slot, s, d.use.steps[s], ref.steps[s])
@@ -834,6 +839,21 @@ func (d *Daemon) checkUseCounts(ev *model.Evaluation) {
 		got, want := d.use.coldSteps(d.cold), ref.coldSteps(d.cold)
 		invariant.Assertf(got == want, "serve: epoch %d counts %d cold steps, a recount %d", d.slot, got, want)
 	}
+}
+
+// checkView asserts (under the soclinvariants tag) that every read of the
+// epoch's view equals, bit for bit, the evaluation it materializes — for the
+// bound evaluator a stale summary or route reads differently — and recounts
+// Eq. 4 on that evaluation. Eq. 5/6 are a guarantee of repair only (checked
+// inside repair.Run): NonePolicy serves a damaged plan as-is and a planner
+// may ignore the budget. The Eq. 4 recount holds for whatever served.
+func (d *Daemon) checkView(evalIn *model.Instance) {
+	d.view.Summary() // before Eval, which would cache it
+	ev := d.view.Eval()
+	if err := model.DiffView(d.view, ev); err != nil {
+		panic(fmt.Sprintf("serve: epoch %d reads its evaluation wrong: %v", d.slot, err))
+	}
+	invariant.CheckDeadlineRecount(d.mask.Instance(evalIn), ev, "serve.Tick")
 }
 
 // checkLifecycleCoherence asserts (under the soclinvariants tag) that the

@@ -46,7 +46,7 @@ func TestDelayStreamMatchesFlatReference(t *testing.T) {
 				if rec.Requests == 0 {
 					continue
 				}
-				for _, x := range d.lastEval.Latencies {
+				for _, x := range epochLatencies(d, rec.Requests) {
 					if !math.IsInf(x, 1) {
 						ref = append(ref, x)
 					}
@@ -93,6 +93,16 @@ func TestDelayStreamMatchesFlatReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// epochLatencies reads the latencies of the last served epoch's n requests
+// one by one through the daemon's view of its evaluation.
+func epochLatencies(d *Daemon, n int) []float64 {
+	out := make([]float64, n)
+	for h := range out {
+		out[h] = d.view.Latency(h)
+	}
+	return out
 }
 
 // TestDelayStreamEmpty: a run that served nothing has an empty stream, and

@@ -48,10 +48,12 @@ func (c churn) stream(cfg Config, reqs []msvc.Request, crash int) [][]Event {
 }
 
 // play is what playEpochs observed: how many epochs built a new evaluator,
-// and which were served by the previous epoch's evaluation itself.
+// and which were quiet — served on the evaluator that served the previous
+// epoch, which re-routed nothing (its Recomputed did not move), and reusing
+// the columns the previous epoch derived.
 type play struct {
-	rebinds     int
-	republished []bool
+	rebinds int
+	quiet   []bool
 }
 
 // playEpochs feeds a fresh daemon one epoch at a time. With dropEvaluator the
@@ -77,7 +79,11 @@ func playEpochs(t *testing.T, cfg Config, epochs [][]Event, dropEvaluator bool, 
 		if e == trimAt {
 			d.records, d.delays = d.records[:0], DelayStream{}
 		}
-		before, last := d.de, d.lastEval
+		before, key := d.de, d.derivedKey
+		recomputed := 0
+		if before != nil {
+			recomputed = before.Recomputed
+		}
 		d.Ingest(evs...)
 		if _, err := d.Tick(); err != nil {
 			t.Fatal(err)
@@ -85,7 +91,8 @@ func playEpochs(t *testing.T, cfg Config, epochs [][]Event, dropEvaluator bool, 
 		if d.de != before {
 			pl.rebinds++
 		}
-		pl.republished = append(pl.republished, last != nil && d.lastEval == last)
+		pl.quiet = append(pl.quiet, key.view != nil && d.view == model.EvalView(before) &&
+			before.Recomputed == recomputed && d.derivedKey == key)
 	}
 	return d, pl
 }
@@ -95,8 +102,8 @@ func playEpochs(t *testing.T, cfg Config, epochs [][]Event, dropEvaluator bool, 
 // few epochs must produce, column for column and delay for delay, what the
 // same daemon produces when it is forced to drop its evaluator every epoch.
 // The steady leg is serve_steady's shape: most epochs change nothing, so the
-// evaluator republishes its evaluation and the daemon reuses what it derived
-// from it — also across a truncated delay stream.
+// evaluator re-routes nothing and the daemon reuses what it derived from it
+// — also across a truncated delay stream.
 func TestDaemonSharedEvaluatorMatchesFresh(t *testing.T) {
 	g, cat, reqs := testScenario(t, 10, 40, 76)
 	busy := churn{base: 28, epochs: 34, gap: 3, moves: 1, down: 7, up: 12}
@@ -106,12 +113,17 @@ func TestDaemonSharedEvaluatorMatchesFresh(t *testing.T) {
 		mode     model.RoutingMode
 		maxBatch int
 		shape    churn
+		cold     float64 // the lifecycle's cold-start delay
 	}{
-		{"optimal", model.RouteModeOptimal, 0, busy},
-		{"optimal-batched", model.RouteModeOptimal, 5, busy},
-		{"greedy", model.RouteModeGreedy, 0, busy},
-		{"random", model.RouteModeRandom, 0, busy},
-		{"steady", model.RouteModeOptimal, 0, steady},
+		{"optimal", model.RouteModeOptimal, 0, busy, 0.25},
+		{"optimal-batched", model.RouteModeOptimal, 5, busy, 0.25},
+		{"greedy", model.RouteModeGreedy, 0, busy, 0.25},
+		{"random", model.RouteModeRandom, 0, busy, 0.25},
+		{"steady", model.RouteModeOptimal, 0, steady, 0.25},
+		// Unpriced cold starts: a reap moves the bound evaluator's placement
+		// without a cold-set epoch to re-bind it, so only the evaluator's
+		// stamp tells the next steady epoch that its columns moved.
+		{"steady-unpriced", model.RouteModeOptimal, 0, steady, 0},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
@@ -119,7 +131,7 @@ func TestDaemonSharedEvaluatorMatchesFresh(t *testing.T) {
 			cfg.Mode = leg.mode
 			cfg.RouteSeed = 11
 			cfg.MaxBatch = leg.maxBatch
-			cfg.Lifecycle = LifecycleConfig{IdleEpochs: 2, WarmPool: 1, ColdStartDelay: 0.25}
+			cfg.Lifecycle = LifecycleConfig{IdleEpochs: 2, WarmPool: 1, ColdStartDelay: leg.cold}
 			stream := leg.shape.stream(cfg, reqs, reqs[0].Home)
 
 			shared, pl := playEpochs(t, cfg, stream, false, -1)
@@ -129,16 +141,16 @@ func TestDaemonSharedEvaluatorMatchesFresh(t *testing.T) {
 			}
 
 			recs := shared.Result().Records
-			reacted, faults, deferred, steadyEpochs, reused := 0, 0, 0, 0, 0
+			reacted, faults, deferred, steadyEpochs, quiet := 0, 0, 0, 0, 0
 			for e, r := range recs {
 				faults += r.FaultEvents
 				deferred += r.Deferred
 				switch {
 				case !r.Incremental:
 					reacted++
-				case pl.republished[e]:
+				case pl.quiet[e]:
 					steadyEpochs++
-					reused++
+					quiet++
 				default:
 					steadyEpochs++
 				}
@@ -157,26 +169,26 @@ func TestDaemonSharedEvaluatorMatchesFresh(t *testing.T) {
 			if leg.shape != steady {
 				return
 			}
-			if 2*reused <= steadyEpochs {
-				t.Fatalf("the evaluation was republished on %d of %d steady epochs, want most", reused, steadyEpochs)
+			if 2*quiet <= steadyEpochs {
+				t.Fatalf("%d of %d steady epochs re-routed nothing and reused the derived columns, want most", quiet, steadyEpochs)
 			}
-			// Truncate the streams before a republished epoch whose
-			// predecessor was republished too: the reused delays must come
-			// from the daemon's own copy, not from the truncated stream.
+			// Truncate the streams before a quiet epoch whose predecessor was
+			// quiet too: the reused delays must come from the daemon's own
+			// copy, not from the truncated stream.
 			trimAt := -1
 			for e := len(recs) - 1; e > 0; e-- {
-				if pl.republished[e] && pl.republished[e-1] {
+				if pl.quiet[e] && pl.quiet[e-1] {
 					trimAt = e
 					break
 				}
 			}
 			if trimAt < 0 {
-				t.Fatal("no two consecutive republished epochs to truncate between")
+				t.Fatal("no two consecutive quiet epochs to truncate between")
 			}
 			shared, pl = playEpochs(t, cfg, stream, false, trimAt)
 			fresh, _ = playEpochs(t, cfg, stream, true, trimAt)
-			if !pl.republished[trimAt] {
-				t.Fatalf("epoch %d was not republished after the truncation", trimAt)
+			if !pl.quiet[trimAt] {
+				t.Fatalf("epoch %d was not quiet after the truncation", trimAt)
 			}
 			if err := shared.Result().Diff(fresh.Result()); err != nil {
 				t.Fatalf("after truncating the delay stream at epoch %d: %v", trimAt, err)
@@ -503,18 +515,59 @@ func TestDaemonReactTickAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkDaemonTickReact: an epoch with serve_steady's small change — one
-// depart, one arrive, two moves among 400 requests.
-func BenchmarkDaemonTickReact(b *testing.B) {
-	d, spare := benchDaemon(b, 24, 400)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reactEpoch(d, spare, i)
-		if _, err := d.Tick(); err != nil {
-			b.Fatal(err)
+// TestDaemonReactTickBytes gates the bytes a reacting epoch allocates on
+// BenchmarkDaemonTickReact's shape — its record and the record stream's
+// growth included — at 400 and at 1 600 requests: at most 8·n + 4 KiB on
+// average over 50 epochs. Repair and the daemon read the bound evaluator and
+// materialize no evaluation of the active set, so the epoch's block of
+// delays, 8 bytes a served request, is the only allocation that grows with
+// the requests. -race and armed invariants allocate on their own, so both
+// builds skip the gate.
+func TestDaemonReactTickBytes(t *testing.T) {
+	if invariant.Enabled || raceEnabled {
+		t.Skip("-race and -tags soclinvariants allocate on their own")
+	}
+	const ticks = 50
+	for _, n := range []int{400, 1600} {
+		d, spare := benchDaemon(t, 24, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < ticks; i++ {
+			reactEpoch(d, spare, i)
+			rec, err := d.Tick()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Incremental || rec.Departed != 1 || rec.Arrived != 1 {
+				t.Fatalf("epoch %d did not react to its edits: %+v", rec.Epoch, rec)
+			}
 		}
-		trimHistory(d, i)
+		runtime.ReadMemStats(&after)
+		perTick := float64(after.TotalAlloc-before.TotalAlloc) / ticks
+		if limit := float64(8*n + 4096); perTick > limit {
+			t.Fatalf("a reacting tick over %d requests allocates %.0f bytes on average, want at most %.0f", n, perTick, limit)
+		}
+		t.Logf("%d requests: %.0f bytes a reacting tick", n, perTick)
+	}
+}
+
+// BenchmarkDaemonTickReact: an epoch with serve_steady's small change — one
+// depart, one arrive, two moves — at the default 24 nodes among 400 requests,
+// and at serve_steady's own 60 nodes among 1 000.
+func BenchmarkDaemonTickReact(b *testing.B) {
+	for _, sh := range []struct{ nodes, n int }{{24, 400}, {60, 1000}} {
+		b.Run(fmt.Sprintf("nodes=%d,n=%d", sh.nodes, sh.n), func(b *testing.B) {
+			d, spare := benchDaemon(b, sh.nodes, sh.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				reactEpoch(d, spare, i)
+				if _, err := d.Tick(); err != nil {
+					b.Fatal(err)
+				}
+				trimHistory(d, i)
+			}
+		})
 	}
 }
 

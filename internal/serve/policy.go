@@ -45,8 +45,12 @@ type EpochContext struct {
 type Outcome struct {
 	// Placement is the placement that served (on the masked substrate).
 	Placement model.Placement
-	// Eval is its exact evaluation on the masked substrate.
-	Eval *model.Evaluation
+	// View reads its exact evaluation on the masked substrate: a scratch
+	// *model.Evaluation, or the evaluator a repair scored on, left at
+	// Placement (repair.Result.Evaluator). Summary is that evaluation's
+	// summary, which a policy ranks and gates outcomes on.
+	View    model.EvalView
+	Summary model.EvalSummary
 	// ReactTime is the wall-clock cost of the reaction (repair or re-solve).
 	ReactTime time.Duration
 	// Added and Evicted list repair's placement changes in commit order.
@@ -76,7 +80,7 @@ func (NonePolicy) Name() string { return "none" }
 func (NonePolicy) Serve(ctx *EpochContext) (Outcome, error) {
 	masked, _ := ctx.Mask.MaskPlacement(ctx.Planned)
 	ev := ctx.Mask.Instance(ctx.In).EvaluateRouted(masked, ctx.Mode, ctx.Seed)
-	return Outcome{Placement: masked, Eval: ev}, nil
+	return Outcome{Placement: masked, View: ev, Summary: ev.Summary()}, nil
 }
 
 // RepairPolicy runs the incremental repair engine on the stale placement:
@@ -86,7 +90,9 @@ type RepairPolicy struct {
 	// Run, when non-nil, replaces the direct repair.Run call. This is the
 	// seam through which a warm-started online solver both performs the
 	// repair and adopts its result as the next slot's warm state
-	// (core.OnlineSolver.Repair); nil runs the engine standalone.
+	// (core.OnlineSolver.Repair); nil runs the engine standalone. The
+	// Result's Evaluator serves the outcome's reads, so it must be left at
+	// the repaired placement, as repair.Run leaves it.
 	Run func(in *model.Instance, m *chaos.Mask, p model.Placement, cfg repair.Config) (*repair.Result, error)
 }
 
@@ -110,9 +116,13 @@ func (p RepairPolicy) Serve(ctx *EpochContext) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, fmt.Errorf("repair failed: %w", err)
 	}
+	if res.Evaluator == nil {
+		return Outcome{}, fmt.Errorf("repair result carries no evaluator")
+	}
 	return Outcome{
 		Placement:  res.Placement,
-		Eval:       res.After,
+		View:       res.Evaluator,
+		Summary:    res.After,
 		ReactTime:  rt,
 		Added:      res.Added,
 		Evicted:    res.Evicted,
@@ -140,7 +150,7 @@ func (ResolvePolicy) Serve(ctx *EpochContext) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("%s re-solve failed: %w", ctx.PlannerName, err)
 	}
 	ev := mi.EvaluateRouted(p2, ctx.Mode, ctx.Seed)
-	return Outcome{Placement: p2, Eval: ev, ReactTime: rt, Resolved: true}, nil
+	return Outcome{Placement: p2, View: ev, Summary: ev.Summary(), ReactTime: rt, Resolved: true}, nil
 }
 
 // AutoPolicy is the daemon's default reaction: always repair incrementally,
@@ -148,7 +158,9 @@ func (ResolvePolicy) Serve(ctx *EpochContext) (Outcome, error) {
 // leaves more than Threshold of the epoch's requests unserved. The re-solve
 // outcome is adopted only if it beats the repair under the repair engine's
 // own ⟨unserved, served-part objective⟩ order (repair.Better), so the daemon
-// never serves worse for having escalated.
+// never serves worse for having escalated. The gate and the ranking read the
+// outcomes' summaries: only an escalation materializes an evaluation, the
+// re-solve's.
 type AutoPolicy struct {
 	// Threshold is the tolerated post-repair unserved fraction in (0,1];
 	// a negative value disables escalation entirely. Zero escalates on any
@@ -168,7 +180,7 @@ func (p AutoPolicy) Serve(ctx *EpochContext) (Outcome, error) {
 		return out, err
 	}
 	n := len(ctx.In.Workload.Requests)
-	if n == 0 || float64(out.Eval.Unserved()) <= p.Threshold*float64(n) {
+	if n == 0 || float64(out.Summary.Unserved()) <= p.Threshold*float64(n) {
 		return out, nil
 	}
 	rout, rerr := ResolvePolicy{}.Serve(ctx)
@@ -177,24 +189,25 @@ func (p AutoPolicy) Serve(ctx *EpochContext) (Outcome, error) {
 		return out, nil
 	}
 	rout.ReactTime += out.ReactTime
-	if repair.Better(ctx.In, rout.Eval, out.Eval) {
+	if repair.Better(ctx.In, rout.Summary, out.Summary) {
 		return rout, nil
 	}
 	out.ReactTime = rout.ReactTime
 	return out, nil
 }
 
-// countDegraded counts edge-served requests in ev that completed slower than
+// countDegraded counts edge-served requests in v that completed slower than
 // the no-fault reference — the planned placement evaluated on the pristine
 // base-graph instance with the same homes.
-func countDegraded(in *model.Instance, planned model.Placement, ev *model.Evaluation, mode model.RoutingMode, seed int64) int {
+func countDegraded(in *model.Instance, planned model.Placement, v model.EvalView, mode model.RoutingMode, seed int64) int {
 	ref := in.EvaluateRouted(planned, mode, seed)
 	degraded := 0
-	for h := range ev.Latencies {
-		if ev.Routes[h].Nodes == nil || math.IsInf(ev.Latencies[h], 1) {
+	for h := range ref.Latencies {
+		lat := v.Latency(h)
+		if v.RouteNodes(h) == nil || math.IsInf(lat, 1) {
 			continue
 		}
-		if ev.Latencies[h] > ref.Latencies[h]+model.FeasTol {
+		if lat > ref.Latencies[h]+model.FeasTol {
 			degraded++
 		}
 	}

@@ -223,11 +223,12 @@ func TestDaemonBatching(t *testing.T) {
 }
 
 // noopRepair is a repair that refuses to change anything: the stale placement
-// is returned with its own evaluation, leaving every unserved request
+// is returned with an evaluator bound to it, leaving every unserved request
 // unserved. It forces AutoPolicy's escalation branch through the Run seam.
 func noopRepair(in *model.Instance, m *chaos.Mask, p model.Placement, rc repair.Config) (*repair.Result, error) {
-	ev := m.Instance(in).EvaluateRouted(p, rc.Mode, rc.Seed)
-	return &repair.Result{Placement: p, Before: ev, After: ev}, nil
+	de := model.NewDeltaEvaluator(m.Instance(in), p, rc.Mode, rc.Seed)
+	s := de.Summary()
+	return &repair.Result{Placement: p, Before: s, After: s, Evaluator: de}, nil
 }
 
 // TestAutoPolicyEscalates: when repair leaves more than Threshold of the
@@ -258,15 +259,15 @@ func TestAutoPolicyEscalates(t *testing.T) {
 	if !out.Resolved {
 		t.Fatal("auto policy did not escalate past a useless repair")
 	}
-	if out.Eval.Unserved() != 0 {
-		t.Fatalf("escalated outcome still leaves %d unserved", out.Eval.Unserved())
+	if out.Summary.Unserved() != 0 {
+		t.Fatalf("escalated outcome still leaves %d unserved", out.Summary.Unserved())
 	}
 
 	out, err = AutoPolicy{Threshold: -1, Repair: RepairPolicy{Run: noopRepair}}.Serve(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Resolved || out.Eval.Unserved() == 0 {
+	if out.Resolved || out.Summary.Unserved() == 0 {
 		t.Fatal("negative threshold escalated anyway")
 	}
 }

@@ -12,9 +12,10 @@ import (
 // steps[s][k] is the number of chain steps the counted routes execute on
 // instance (s, k), demand[s] the number of active requests whose chain
 // contains s. routes[h] is the route counted for active request h — the
-// evaluation's own Nodes slice, whose identity tells a tally which routes
-// changed: an evaluation never rewrites a route it published, and holding
-// the slice keeps its address from being reused by another.
+// evaluation's own Nodes slice (model.EvalView.RouteNodes), whose identity
+// tells a tally which routes changed: an evaluator never rewrites a route it
+// published, and holding the slice keeps its address from being reused by
+// another.
 type useCounts struct {
 	steps  [][]int
 	demand []int
@@ -67,23 +68,23 @@ func (u *useCounts) addSteps(nodes, chain []int, delta int) {
 	}
 }
 
-// routeOf is request h's route in ev, nil when ev is.
-func routeOf(ev *model.Evaluation, h int) []int {
-	if ev == nil {
+// routeOf is request h's route in v, nil when v is.
+func routeOf(v model.EvalView, h int) []int {
+	if v == nil {
 		return nil
 	}
-	return ev.Routes[h].Nodes
+	return v.RouteNodes(h)
 }
 
-// tally brings the step counts to ev's routes over active (ev nil: nothing
+// tally brings the step counts to v's routes over active (v nil: nothing
 // served), recounting only the requests whose route changed identity.
-func (u *useCounts) tally(ev *model.Evaluation, active []msvc.Request) {
+func (u *useCounts) tally(v model.EvalView, active []msvc.Request) {
 	if u.stale {
-		u.recount(ev, active)
+		u.recount(v, active)
 		return
 	}
 	for h := range active {
-		nodes, old := routeOf(ev, h), u.routes[h]
+		nodes, old := routeOf(v, h), u.routes[h]
 		if len(nodes) == len(old) && (len(nodes) == 0 || &nodes[0] == &old[0]) {
 			continue
 		}
@@ -94,7 +95,7 @@ func (u *useCounts) tally(ev *model.Evaluation, active []msvc.Request) {
 }
 
 // recount derives the counts from scratch.
-func (u *useCounts) recount(ev *model.Evaluation, active []msvc.Request) {
+func (u *useCounts) recount(v model.EvalView, active []msvc.Request) {
 	for i := range u.steps {
 		clear(u.steps[i])
 	}
@@ -102,7 +103,7 @@ func (u *useCounts) recount(ev *model.Evaluation, active []msvc.Request) {
 	u.usedGen++
 	u.routes = u.routes[:0]
 	for h := range active {
-		u.routes = append(u.routes, routeOf(ev, h))
+		u.routes = append(u.routes, routeOf(v, h))
 		u.addSteps(u.routes[h], active[h].Chain, 1)
 		u.addDemand(active[h].Chain, 1)
 	}

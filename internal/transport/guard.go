@@ -73,7 +73,7 @@ func (g *GuardedPolicy) Serve(ctx *serve.EpochContext) (serve.Outcome, error) {
 func (g *GuardedPolicy) degrade(ctx *serve.EpochContext) serve.Outcome {
 	g.DegradedEpochs++
 	out, _ := serve.NonePolicy{}.Serve(ctx) // rung 1; NonePolicy cannot fail
-	if !g.Ladder.hasCloud() || out.Eval.Unserved() == 0 {
+	if !g.Ladder.hasCloud() || out.Summary.Unserved() == 0 {
 		return out
 	}
 	// Rung 2: re-evaluate the stale placement with the ladder's cloud
@@ -85,8 +85,8 @@ func (g *GuardedPolicy) degrade(ctx *serve.EpochContext) serve.Outcome {
 		ColdStart:    g.Ladder.CloudColdStart,
 	}
 	ev := ctx.Mask.Instance(&cp).EvaluateRouted(out.Placement, ctx.Mode, ctx.Seed)
-	if ev.Unserved() < out.Eval.Unserved() {
-		out.Eval = ev
+	if ev.Unserved() < out.Summary.Unserved() {
+		out.View, out.Summary = ev, ev.Summary()
 		g.OffloadEpochs++
 	}
 	return out

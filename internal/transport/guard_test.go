@@ -89,8 +89,8 @@ func TestGuardedLadderAbsorbsFailureAndOffloads(t *testing.T) {
 	if g.OffloadEpochs != 1 {
 		t.Fatalf("offload epochs = %d, want 1", g.OffloadEpochs)
 	}
-	if out.Eval.Unserved() != 0 || out.Eval.CloudServed != 1 {
-		t.Fatalf("unserved=%d cloudServed=%d, want 0/1", out.Eval.Unserved(), out.Eval.CloudServed)
+	if out.Summary.Unserved() != 0 || out.Summary.CloudServed != 1 {
+		t.Fatalf("unserved=%d cloudServed=%d, want 0/1", out.Summary.Unserved(), out.Summary.CloudServed)
 	}
 
 	// Without the cloud cold start the same offload is cheaper: the 0.5 s
@@ -107,7 +107,7 @@ func TestGuardedLadderAbsorbsFailureAndOffloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := out.Eval.Latencies[0] - out2.Eval.Latencies[0]; diff < 0.499 || diff > 0.501 {
+	if diff := out.View.Latency(0) - out2.View.Latency(0); diff < 0.499 || diff > 0.501 {
 		t.Fatalf("cloud cold start = %v, want 0.5", diff)
 	}
 
@@ -145,14 +145,14 @@ func TestLadderCloudColdStartCountsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Eval.CloudServed != 1 {
-		t.Fatalf("cloudServed=%d, want 1", out.Eval.CloudServed)
+	if out.Summary.CloudServed != 1 {
+		t.Fatalf("cloudServed=%d, want 1", out.Summary.CloudServed)
 	}
-	if out.Eval.DeadlineViolated != 1 {
+	if out.Summary.DeadlineViolated != 1 {
 		t.Fatalf("served at %v against deadline %v, DeadlineViolated=%d, want 1",
-			out.Eval.Latencies[0], req.Deadline, out.Eval.DeadlineViolated)
+			out.View.Latency(0), req.Deadline, out.Summary.DeadlineViolated)
 	}
-	invariant.CheckDeadlineRecount(ctx.Mask.Instance(ctx.In), out.Eval, "ladder cloud rung")
+	invariant.CheckDeadlineRecount(ctx.Mask.Instance(ctx.In), out.View.Eval(), "ladder cloud rung")
 }
 
 func TestGuardedTransparentWhenHealthy(t *testing.T) {
@@ -166,7 +166,7 @@ func TestGuardedTransparentWhenHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Eval.Unserved() != want.Eval.Unserved() || got.Eval.Cost != want.Eval.Cost {
+	if got.Summary.Unserved() != want.Summary.Unserved() || got.Summary.Cost != want.Summary.Cost {
 		t.Fatal("guarded policy altered a healthy inner outcome")
 	}
 	if g.DegradedEpochs != 0 || g.Breaker.State() != BreakerClosed {

@@ -29,9 +29,10 @@ import (
 //
 // The scalar fields of the returned Evaluation are *recomputed* per Eval —
 // LatencySum as a fresh index-order pass over the latency vector, Cost via
-// DeployCost, the constraint flags via CheckStorage/CheckBudget — so they are
-// bitwise equal to a from-scratch evaluation, not approximately equal. Only
-// routing, the dominant cost, is cached.
+// DeployCost (once an index epoch), the constraint flags via
+// CheckStorage/CheckBudget — so they are bitwise equal to a from-scratch
+// evaluation, not approximately equal. Only routing, the dominant cost, is
+// cached.
 //
 // Staleness is epoch-checked: the evaluator owns its PlacementIndex, stamps
 // every mutation it performs, and panics if the index's Epoch moved without
@@ -48,6 +49,12 @@ import (
 // cached route of every survivor that did not move (see there). That is what
 // lets a serving daemon keep one evaluator bound across admissions and pay
 // only for the requests that changed.
+//
+// Every path that invalidates an entry records its index on the pending
+// list, so a refresh re-routes what was recorded and scans nothing. The
+// deploy cost is cached under the index epoch, and the service → requests
+// index (chainReqs) is rebuilt after departures only when something next
+// reads it.
 
 // deltaRoute is one request's cached routing outcome under the bound
 // placement. The class flags mirror EvaluateRouted's routeOne: exactly one
@@ -60,6 +67,7 @@ type deltaRoute struct {
 	cloud   bool    // served by the cloud fallback (ErrNoInstance + Cloud)
 	missing bool    // ErrNoInstance with no cloud
 	valid   bool
+	queued  bool // on the pending list; kept by every rewrite until refresh takes it off
 }
 
 // routeSave is one saved cache entry inside a Delta undo record.
@@ -133,7 +141,22 @@ type DeltaEvaluator struct {
 	coldEpoch uint64       // expected cold-set epoch (cold != nil only)
 	evalGen   uint64       // bumped per refresh; stamps recomputed entries
 	routes    []deltaRoute // per-request cache
-	chainReqs [][]int      // service → requests whose chain contains it
+	// chainReqs maps a service to the requests whose chain contains it,
+	// ascending; after departures it is stale (chainStale) until chains
+	// next reads it.
+	chainReqs  [][]int
+	chainStale bool
+
+	// pend lists the entries invalidated since the last refresh, each once
+	// (deltaRoute.queued), and holds every invalid entry; an entry a Revert
+	// re-validated stays listed and refresh skips it.
+	pend []int
+
+	// The deploy cost of the bound placement, cached under the index epoch
+	// it was computed at: a workload edit cannot move it.
+	cost      float64
+	costEpoch uint64
+	costOK    bool
 
 	// Workload edits (EditRequests) counted, so that an undo record taken
 	// before one cannot be reverted after it.
@@ -172,6 +195,9 @@ type DeltaEvaluator struct {
 	sum      EvalSummary
 	sumStamp EvalStamp
 	sumOK    bool
+	// fin holds the finite latencies in request order, written by the same
+	// pass as sum and valid under sumStamp.
+	fin []float64
 
 	// Telemetry: cache hits vs re-routes across Eval calls.
 	Hits, Recomputed int
@@ -204,6 +230,7 @@ func NewDeltaEvaluator(in *Instance, p Placement, mode RoutingMode, seed int64) 
 		d.coldEpoch = d.cold.Epoch()
 	}
 	d.routes = make([]deltaRoute, len(in.Workload.Requests))
+	d.pend = make([]int, 0, len(in.Workload.Requests))
 	d.chainGen = make([]uint64, len(in.Workload.Requests))
 	d.chainReqs = make([][]int, in.M())
 	d.kappa = make([]float64, in.M())
@@ -212,6 +239,7 @@ func NewDeltaEvaluator(in *Instance, p Placement, mode RoutingMode, seed int64) 
 	}
 	for h := range in.Workload.Requests {
 		d.indexChain(h)
+		d.queue(h)
 	}
 	return d
 }
@@ -225,6 +253,37 @@ func (d *DeltaEvaluator) indexChain(h int) {
 			d.chainReqs[svc] = append(d.chainReqs[svc], h)
 		}
 	}
+}
+
+// chains returns chainReqs, rebuilt first when departures left it stale.
+func (d *DeltaEvaluator) chains() [][]int {
+	if d.chainStale {
+		for svc := range d.chainReqs {
+			d.chainReqs[svc] = d.chainReqs[svc][:0]
+		}
+		for h := range d.in.Workload.Requests {
+			d.indexChain(h)
+		}
+		d.chainStale = false
+	}
+	return d.chainReqs
+}
+
+// queue invalidates request h's entry and records it on the pending list.
+func (d *DeltaEvaluator) queue(h int) {
+	e := &d.routes[h]
+	e.valid = false
+	if !e.queued {
+		e.queued = true
+		d.pend = append(d.pend, h)
+	}
+}
+
+// reset drops request h's entry, whose request changed place or index.
+func (d *DeltaEvaluator) reset(h int) {
+	e := &d.routes[h]
+	*e = deltaRoute{queued: e.queued}
+	d.queue(h)
 }
 
 // sameStorage reports whether two slices are the same elements in memory.
@@ -263,8 +322,10 @@ func (d *DeltaEvaluator) Workload() *msvc.Workload { return d.in.Workload }
 //
 // Every departure compacts the cache in one pass and every survivor keeps its
 // route, except a moved one and — under RouteModeRandom, whose streams derive
-// from a request's index — every one from the first departure on. An edit the
-// batch does not describe is not seen: soclinvariants builds check the edited
+// from a request's index — every one from the first departure on. The pending
+// list is re-indexed with the cache; chainReqs is left stale after
+// departures, for the next read to rebuild. An edit the batch does not
+// describe is not seen: soclinvariants builds check the edited
 // list against reqs. Probe memos are dropped, and a Delta taken before the
 // call can no longer be reverted (its saved routes index the old list). An
 // empty batch changes nothing.
@@ -281,19 +342,30 @@ func (d *DeltaEvaluator) EditRequests(reqs []msvc.Request, gone, moved []int) {
 	for _, h := range moved {
 		if h < w {
 			own[h] = reqs[h]
-			d.routes[h] = deltaRoute{}
+			d.reset(h)
 		}
 	}
 	if d.mode == RouteModeRandom && len(gone) > 0 {
-		clear(d.routes[gone[0]:])
+		for h := gone[0]; h < w; h++ {
+			d.reset(h)
+		}
 	}
 	own = append(own, reqs[w:]...)
 	d.in.Workload.Requests = own
 	d.routes = append(d.routes, make([]deltaRoute, len(own)-w)...)
 	for h := w; h < len(own); h++ {
-		d.indexChain(h)
+		if !d.chainStale {
+			d.indexChain(h)
+		}
+		d.queue(h)
 	}
-	d.chainGen = append(d.chainGen[:0], make([]uint64, len(own))...)
+	// With the probe memos dropped, chainGen's values mean nothing until a
+	// memo is built against them: only its length must follow the list.
+	if n := len(own); n <= cap(d.chainGen) {
+		d.chainGen = d.chainGen[:n]
+	} else {
+		d.chainGen = append(d.chainGen, make([]uint64, n-len(d.chainGen))...)
+	}
 	d.altGen, d.altLat, d.altSet = nil, nil, nil
 	d.dropAddProbe()
 	d.reqGen++
@@ -301,8 +373,8 @@ func (d *DeltaEvaluator) EditRequests(reqs []msvc.Request, gone, moved []int) {
 }
 
 // compact removes the requests at the ascending indices gone from the bound
-// list, the route cache and chainReqs in one pass, and returns the number of
-// survivors.
+// list and the route cache, re-indexes the pending list, marks chainReqs
+// stale, and returns the number of survivors.
 func (d *DeltaEvaluator) compact(gone []int) int {
 	reqs := d.in.Workload.Requests
 	if len(gone) == 0 {
@@ -315,22 +387,22 @@ func (d *DeltaEvaluator) compact(gone []int) int {
 	}
 	d.in.Workload.Requests = RemoveSorted(reqs, gone)
 	d.routes = RemoveSorted(d.routes, gone)
-	for svc, list := range d.chainReqs {
-		i, _ := slices.BinarySearch(list, gone[0])
-		out, g := i, 0
-		for _, h := range list[i:] {
-			for g < len(gone) && gone[g] < h {
-				g++
-			}
-			if g < len(gone) && gone[g] == h {
-				continue
-			}
-			list[out] = h - g // g departures precede h
-			out++
-		}
-		d.chainReqs[svc] = list[:out]
-	}
+	d.pend = shiftIndices(d.pend, gone)
+	d.chainStale = true
 	return len(d.routes)
+}
+
+// shiftIndices drops the members of the ascending gone from hs, in any
+// order, and lowers each survivor by the departures before it.
+func shiftIndices(hs, gone []int) []int {
+	out := hs[:0]
+	for _, h := range hs {
+		g, dep := slices.BinarySearch(gone, h)
+		if !dep {
+			out = append(out, h-g)
+		}
+	}
+	return out
 }
 
 // RemoveSorted removes the elements at the ascending indices idx from s in
@@ -464,7 +536,7 @@ func (d *DeltaEvaluator) Revert(dl *Delta) {
 	d.epoch = d.ix.Epoch()
 	if d.evalGen != dl.gen {
 		memo := d.memoized()
-		for _, h := range d.chainReqs[dl.svc] {
+		for _, h := range d.chains()[dl.svc] {
 			if memo {
 				d.chainGen[h]++ // reverting is itself a mutation of svc's candidates
 			}
@@ -472,7 +544,7 @@ func (d *DeltaEvaluator) Revert(dl *Delta) {
 			e := &d.routes[h]
 			if e.valid && e.gen > dl.gen &&
 				(d.flags(!dl.val) || d.staleAfterRemoval(h, e, dl.svc, dl.node)) {
-				e.valid = false
+				d.queue(h)
 			}
 		}
 	}
@@ -482,7 +554,10 @@ func (d *DeltaEvaluator) Revert(dl *Delta) {
 		}
 	}
 	for _, sv := range dl.saved {
-		d.routes[sv.h] = sv.e
+		e := &d.routes[sv.h]
+		queued := e.queued
+		*e = sv.e
+		e.queued = queued
 	}
 	if cap(dl.flipped) > 0 {
 		d.spareFlipped = append(d.spareFlipped, dl.flipped[:0])
@@ -503,7 +578,8 @@ func (d *DeltaEvaluator) memoized() bool { return d.altLat != nil || d.addProbe.
 func (d *DeltaEvaluator) invalidate(svc, node int, added bool, dl *Delta) {
 	memo := d.memoized()
 	flags := d.flags(added)
-	for _, h := range d.chainReqs[svc] {
+	pend := d.pend // queue's bookkeeping, kept local across the walk
+	for _, h := range d.chains()[svc] {
 		if memo {
 			d.chainGen[h]++ // drop probe memos: their candidate view is stale
 		}
@@ -526,7 +602,12 @@ func (d *DeltaEvaluator) invalidate(svc, node int, added bool, dl *Delta) {
 			continue
 		}
 		e.valid = false
+		if !e.queued {
+			e.queued = true
+			pend = append(pend, h)
+		}
 	}
+	d.pend = pend
 }
 
 // staleAfterRemoval is the removal rule under optimal/greedy routing, for
@@ -563,6 +644,9 @@ func (d *DeltaEvaluator) AdvanceTo(p Placement) int {
 	}
 	changed := 0
 	for i := range p.X {
+		if slices.Equal(cur.X[i], p.X[i]) {
+			continue
+		}
 		for k := range p.X[i] {
 			if cur.X[i][k] == p.X[i][k] {
 				continue
@@ -587,8 +671,10 @@ func (d *DeltaEvaluator) Rebind(p Placement) {
 	if d.cold != nil {
 		d.coldEpoch = d.cold.Epoch()
 	}
+	d.pend = d.pend[:0]
 	for h := range d.routes {
 		d.routes[h] = deltaRoute{}
+		d.queue(h)
 		d.chainGen[h]++
 	}
 }
@@ -627,17 +713,22 @@ func (d *DeltaEvaluator) rerouteOne(h int) {
 	}
 }
 
-// refresh re-routes every invalidated cache entry under the live placement,
-// stamping the new entries with a fresh generation.
+// refresh re-routes the pending entries that are still invalid under the
+// live placement, stamping them with a fresh generation. The order is the
+// pending list's: optimal and greedy routes are per request, and random
+// routing seeds each request by its index.
 func (d *DeltaEvaluator) refresh() {
 	d.evalGen++
-	dirty := d.dirtyBuf[:0]
-	for h := range d.routes {
-		if !d.routes[h].valid {
+	dirty := d.pend[:0]
+	for _, h := range d.pend {
+		e := &d.routes[h]
+		e.queued = false
+		if !e.valid {
 			dirty = append(dirty, h)
 		}
 	}
-	d.dirtyBuf = dirty
+	d.pend, d.dirtyBuf = d.dirtyBuf[:0], dirty
+	d.selfCheckPending(dirty)
 	d.Recomputed += len(dirty)
 	d.Hits += len(d.routes) - len(dirty)
 
@@ -655,8 +746,7 @@ func (d *DeltaEvaluator) refresh() {
 func (d *DeltaEvaluator) EvalObjective() (objective float64, overBudget bool) {
 	d.checkEpoch("EvalObjective")
 	d.refresh()
-	p := d.ix.Placement()
-	cost := d.in.DeployCost(p)
+	cost := d.deployCost()
 	latSum := 0.0
 	for h := range d.routes {
 		latSum += d.routes[h].lat
@@ -747,7 +837,7 @@ func (d *DeltaEvaluator) ProbeRemoval(svc, node int) (objective float64, overBud
 	// buffer is sorted for the merge below) and their memoized-or-computed
 	// counterfactual latencies.
 	aff := d.affBuf[:0]
-	for _, h := range d.chainReqs[svc] {
+	for _, h := range d.chains()[svc] {
 		e := &d.routes[h]
 		if e.nodes == nil {
 			continue // cloud/missing/disconnected: removal cannot affect it
@@ -839,6 +929,15 @@ func (d *DeltaEvaluator) deployCostExcluding(svc, node int) float64 {
 	return cost
 }
 
+// deployCost is DeployCost of the bound placement, computed once an index
+// epoch.
+func (d *DeltaEvaluator) deployCost() float64 {
+	if !d.costOK || d.costEpoch != d.epoch {
+		d.cost, d.costEpoch, d.costOK = d.in.DeployCost(d.ix.Placement()), d.epoch, true
+	}
+	return d.cost
+}
+
 // Stamp returns what the evaluator's next Eval or Summary would be built
 // under; a consumer that derived something from one keeps it while the stamp
 // holds.
@@ -871,7 +970,10 @@ func (d *DeltaEvaluator) Summary() EvalSummary {
 }
 
 // unreadEntry panics on a read of an entry no refresh has re-routed. The
-// reads check validity inline and call it apart, which keeps them cheap.
+// reads check validity inline and call it apart: kept out of line, it leaves
+// Latency and RouteNodes small enough to inline into the tally's scan.
+//
+//go:noinline
 func unreadEntry(h int) {
 	panic(fmt.Sprintf("model: DeltaEvaluator read of request %d before Summary or Eval re-routed it", h))
 }
@@ -895,33 +997,32 @@ func (d *DeltaEvaluator) RouteNodes(h int) []int {
 	return e.nodes // nil unless routed (rerouteOne)
 }
 
-// AppendFinite appends the finite latencies to dst in request order.
+// AppendFinite appends the finite latencies to dst in request order: a copy
+// of the block the last Summary or Eval pass wrote. It panics when that pass
+// is stale — no Summary or Eval since the last mutation.
 func (d *DeltaEvaluator) AppendFinite(dst []float64) []float64 {
-	for h := range d.routes {
-		e := &d.routes[h]
-		if !e.valid {
-			unreadEntry(h)
-		}
-		if !math.IsInf(e.lat, 1) {
-			dst = append(dst, e.lat)
-		}
+	if !d.sumOK || d.sumStamp != d.stamp() {
+		panic("model: DeltaEvaluator.AppendFinite before Summary or Eval, or after a mutation")
 	}
-	return dst
+	return append(dst, d.fin...)
 }
 
 // summarize is the one pass over the (refreshed) cache that both Summary and
-// Eval make: EvaluateRouted's class split, and the index-order sums of every
-// latency and of the finite ones. With ev non-nil it also fills ev's
-// Latencies and Routes.
+// Eval make: EvaluateRouted's class split, the index-order sums of every
+// latency and of the finite ones, and the block of finite latencies
+// AppendFinite copies. With ev non-nil it also fills ev's Latencies and
+// Routes.
 func (d *DeltaEvaluator) summarize(ev *Evaluation) EvalSummary {
 	reqs := d.in.Workload.Requests
-	s := EvalSummary{Cost: d.in.DeployCost(d.ix.Placement())}
+	s := EvalSummary{Cost: d.deployCost()}
+	fin := d.fin[:0]
 	for h := range d.routes {
 		e := &d.routes[h]
 		s.LatencySum += e.lat
 		if !math.IsInf(e.lat, 1) {
 			s.ServedLatencySum += e.lat
 			s.Finite++
+			fin = append(fin, e.lat)
 		}
 		if ev != nil {
 			ev.Latencies[h] = e.lat
@@ -947,6 +1048,7 @@ func (d *DeltaEvaluator) summarize(ev *Evaluation) EvalSummary {
 			s.DeadlineViolated++
 		}
 	}
+	d.fin = fin
 	s.Objective = d.in.Objective(s.Cost, s.LatencySum)
 	return s
 }

@@ -170,12 +170,34 @@ func assertReads(t testing.TB, label string, de *DeltaEvaluator) {
 	}
 }
 
+// assertPending holds the evaluator's bookkeeping before a refresh: every
+// invalid entry is on the pending list, each listed entry once and marked
+// listed, and the cached deploy cost is a fresh DeployCost bit for bit.
+func assertPending(t testing.TB, label string, de *DeltaEvaluator) {
+	t.Helper()
+	listed := make(map[int]int, len(de.pend))
+	for _, h := range de.pend {
+		listed[h]++
+	}
+	for h := range de.routes {
+		e := &de.routes[h]
+		if (!e.valid && listed[h] == 0) || listed[h] > 1 || e.queued != (listed[h] == 1) {
+			t.Fatalf("%s: request %d (valid %v, marked %v) is on the pending list %v %d times", label, h, e.valid, e.queued, de.pend, listed[h])
+		}
+	}
+	if got, want := de.deployCost(), de.in.DeployCost(de.Placement()); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: cached deploy cost %v, DeployCost %v", label, got, want)
+	}
+}
+
 // runEditWalk plays data on one evaluator and checks every synced step
 // against a scratch evaluation of the edited workload and, after every batch
 // of edits, against a fresh evaluator bound to the edited list; both times its
 // summary and per-request reads are held against its own Eval. Operations 0–5
 // edit the list the way an admission queue does and accumulate into one
-// batch; every other operation syncs the batch first.
+// batch; every other operation syncs the batch first. Before each of these
+// checks refreshes, the pending list and the deploy cost are held to the
+// evaluator's state.
 func runEditWalk(t testing.TB, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -208,7 +230,9 @@ func runEditWalk(t testing.TB, data []byte) {
 	}
 	check := func(step int, label string) {
 		t.Helper()
-		assertReads(t, fmt.Sprintf("%s step %d %s", sc, step, label), de)
+		at := fmt.Sprintf("%s step %d %s", sc, step, label)
+		assertPending(t, at, de)
+		assertReads(t, at, de)
 		want := scratch(de.Placement())
 		assertEvalIdentical(t, sc.String()+"/"+label, de.Eval(), want)
 		obj, over := de.EvalObjective()
@@ -229,20 +253,22 @@ func runEditWalk(t testing.TB, data []byte) {
 		ref.Workload = &msvc.Workload{Catalog: in.Workload.Catalog, Requests: append([]msvc.Request(nil), active...)}
 		fresh := NewDeltaEvaluator(&ref, de.Placement().Clone(), sc.mode, seed)
 		label := fmt.Sprintf("%s step %d: after departures %v and moves %v", sc, step, gone, moved)
+		assertPending(t, label, de)
 		assertReads(t, label, de)
 		for h := range active {
 			if !sameRequest(&de.Workload().Requests[h], &fresh.Workload().Requests[h]) {
 				t.Fatalf("%s: request %d is %+v, want %+v", label, h, de.Workload().Requests[h], active[h])
 			}
 		}
-		if len(de.Workload().Requests) != len(active) || !slices.EqualFunc(de.chainReqs, fresh.chainReqs, slices.Equal[[]int]) {
-			t.Fatalf("%s: %d requests, chainReqs %v, a fresh evaluator has %d, %v", label, len(de.Workload().Requests), de.chainReqs, len(active), fresh.chainReqs)
+		if len(de.Workload().Requests) != len(active) || !slices.EqualFunc(de.chains(), fresh.chains(), slices.Equal[[]int]) {
+			t.Fatalf("%s: %d requests, chainReqs %v, a fresh evaluator has %d, %v", label, len(de.Workload().Requests), de.chains(), len(active), fresh.chains())
 		}
 		assertEvalIdentical(t, label, de.Eval(), fresh.Eval())
 	}
 
 	checkLate := func(step int, label string) {
 		t.Helper()
+		assertPending(t, fmt.Sprintf("%s step %d %s", sc, step, label), de)
 		want := lateCount(active, scratch(de.Placement())) > 0
 		if got := de.AnyLate(); got != want {
 			t.Fatalf("%s step %d %s: AnyLate = %v, scratch has late requests: %v", sc, step, label, got, want)

@@ -180,7 +180,7 @@ func (d *DeltaEvaluator) ProbeAdd(node int, svcs ...int) AddProbe {
 	}
 	st.stamp++
 	for _, s := range gain {
-		for _, h := range d.chainReqs[s] {
+		for _, h := range d.chains()[s] {
 			if st.mark[h] == st.stamp {
 				continue // already scored through another added service
 			}

@@ -148,9 +148,37 @@ func countersOf(ev *Evaluation) [6]int {
 	return [6]int{ev.MissingInstances, ev.Unroutable, ev.CloudServed, ev.DeadlineViolated, ev.StorageViolatedAt, over}
 }
 
+// selfCheckPending holds the entries a refresh is about to re-route — the
+// pending list's invalid ones — against the scan it replaced: every invalid
+// entry, each once, and no entry left marked as listed.
+func (d *DeltaEvaluator) selfCheckPending(dirty []int) {
+	if !invariantsEnabled {
+		return
+	}
+	invalid := 0
+	for h := range d.routes {
+		if e := &d.routes[h]; e.queued {
+			panic(fmt.Sprintf("model: refresh left request %d marked pending", h))
+		} else if !e.valid {
+			invalid++
+		}
+	}
+	seen := make(map[int]bool, len(dirty))
+	for _, h := range dirty {
+		if seen[h] || d.routes[h].valid {
+			panic(fmt.Sprintf("model: refresh's pending list %v names request %d twice or valid", dirty, h))
+		}
+		seen[h] = true
+	}
+	if invalid != len(dirty) {
+		panic(fmt.Sprintf("model: refresh found %d invalid entries on its pending list, a scan %d", len(dirty), invalid))
+	}
+}
+
 // selfCheckEdit holds the list an EditRequests batch left against the
 // caller's edited list — an edit the batch did not describe would otherwise
-// be scored on the old request — and chainReqs against a rebuild.
+// be scored on the old request — and chainReqs, unless departures left it
+// for the next read to rebuild, against a rebuild.
 func (d *DeltaEvaluator) selfCheckEdit(reqs []msvc.Request) {
 	if !invariantsEnabled {
 		return
@@ -163,6 +191,9 @@ func (d *DeltaEvaluator) selfCheckEdit(reqs []msvc.Request) {
 		if !sameRequest(&own[h], &reqs[h]) {
 			panic(fmt.Sprintf("model: EditRequests left request %d as %+v, the caller has %+v (an edit the batch did not describe)", h, own[h], reqs[h]))
 		}
+	}
+	if d.chainStale {
+		return
 	}
 	want := make([][]int, len(d.chainReqs))
 	for h := range own {

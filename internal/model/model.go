@@ -93,6 +93,10 @@ func (p Placement) Clone() Placement {
 	return q
 }
 
+// SamePlacement reports whether a and b are the same placement in memory —
+// one Placement value shared, not two with equal cells.
+func SamePlacement(a, b Placement) bool { return sameStorage(a.X, b.X) }
+
 func lenRow(x [][]bool) int {
 	if len(x) == 0 {
 		return 0

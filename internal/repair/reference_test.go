@@ -44,9 +44,10 @@ func (s *naiveScorer) placement() model.Placement {
 	return s.p
 }
 
-// runNaive is Run scored through naiveScorer.
+// runNaive is Run scored through naiveScorer, on a copy of the masked
+// placement (which is p itself when the mask removes none of its instances).
 func runNaive(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Result {
 	min := m.Instance(in)
 	dmg, masked := Classify(in, m, p)
-	return repairWith(min, m, dmg, &naiveScorer{in: min, p: masked, mode: cfg.Mode, seed: cfg.Seed})
+	return repairWith(min, m, dmg, &naiveScorer{in: min, p: masked.Clone(), mode: cfg.Mode, seed: cfg.Seed})
 }

@@ -52,6 +52,7 @@ package repair
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/invariant"
@@ -118,7 +119,10 @@ type Result struct {
 	Damage Damage
 	// Placement is the repaired placement (valid on the masked substrate and,
 	// by construction, only mutated away from the pre-fault placement on
-	// crashed/evicted/added coordinates).
+	// crashed/evicted/added coordinates). A repair that lost, evicted and
+	// added nothing returns the pre-fault placement itself, not a copy, so
+	// model.SamePlacement tells a caller that its placement did not move; a
+	// caller that goes on to mutate the result clones it first.
 	Placement model.Placement
 	// Before summarizes the exact evaluation of the surviving (masked,
 	// unrepaired) placement on the masked substrate; After that of the
@@ -244,11 +248,20 @@ func (s *deltaScorer) placement() model.Placement { return s.d.Placement() }
 
 // Classify reports the damage the mask's active faults inflict on p without
 // repairing anything; the masked placement (lost instances cleared) is
-// returned alongside. in must be built on the mask's base graph.
+// returned alongside — p itself when the mask removes none of its instances,
+// so a caller that goes on to mutate it clones it first. in must be built on
+// the mask's base graph.
 func Classify(in *model.Instance, m *chaos.Mask, p model.Placement) (Damage, model.Placement) {
-	min := m.Instance(in)
-	masked, lost := m.MaskPlacement(p)
-	dmg := Damage{Lost: lost}
+	return classify(m.Instance(in), m, p)
+}
+
+// classify is Classify on the masked instance.
+func classify(min *model.Instance, m *chaos.Mask, p model.Placement) (Damage, model.Placement) {
+	masked := p
+	var dmg Damage
+	if loses(min, m, p) {
+		masked, dmg.Lost = m.MaskPlacement(p)
+	}
 	for k := 0; k < min.V(); k++ {
 		if min.StorageUsed(masked, k) > min.Graph.Node(k).Storage+model.FeasTol {
 			dmg.StorageViolated = append(dmg.StorageViolated, k)
@@ -258,16 +271,35 @@ func Classify(in *model.Instance, m *chaos.Mask, p model.Placement) (Damage, mod
 	return dmg, masked
 }
 
+// loses reports whether p has an instance on a node the mask holds down.
+func loses(min *model.Instance, m *chaos.Mask, p model.Placement) bool {
+	for k := range min.V() {
+		if m.NodeUp(k) {
+			continue
+		}
+		for i := range p.X {
+			if p.X[i][k] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Run repairs p against the mask's current fault state and returns the
-// finished Result. p itself is never mutated; the repair works on the masked
-// copy. in must be built on the mask's base graph (Mask.Instance panics
-// otherwise).
+// finished Result. p itself is never mutated: the evaluator scores on a
+// placement of its own. in must be built on the mask's base graph
+// (Mask.Instance panics otherwise).
 func Run(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Result {
 	min := m.Instance(in)
-	dmg, masked := Classify(in, m, p)
+	dmg, masked := classify(min, m, p)
 	de := cfg.Evaluator
 	if de == nil {
-		de = model.NewDeltaEvaluator(min, masked, cfg.Mode, cfg.Seed)
+		own := masked
+		if len(dmg.Lost) == 0 {
+			own = p.Clone() // masked is p itself, which the evaluator would mutate
+		}
+		de = model.NewDeltaEvaluator(min, own, cfg.Mode, cfg.Seed)
 	} else {
 		if !de.BoundTo(min, cfg.Mode, cfg.Seed) {
 			panic("repair: Config.Evaluator is not bound to the masked instance, mode and seed of this Run")
@@ -276,7 +308,11 @@ func Run(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Resu
 	}
 	res := repairWith(min, m, dmg, &deltaScorer{in: min, d: de})
 	res.Evaluator = de
-	if cfg.Evaluator != nil {
+	if len(res.Added)+len(res.Evicted) == 0 {
+		// Nothing moved past the masked placement: p itself when nothing was
+		// lost, else the mask's copy.
+		res.Placement = masked
+	} else if cfg.Evaluator != nil {
 		// The evaluator outlives the call and goes on mutating the placement
 		// it is bound to; the caller gets a copy.
 		res.Placement = res.Placement.Clone()
@@ -285,15 +321,20 @@ func Run(in *model.Instance, m *chaos.Mask, p model.Placement, cfg Config) *Resu
 }
 
 // repairWith runs the repair phases on the masked instance, scoring through
-// s (bound to the masked placement).
+// s (bound to the masked placement). dmg's storage and budget verdicts,
+// taken on that placement, are the evictions' first checks.
 func repairWith(min *model.Instance, m *chaos.Mask, dmg Damage, s scorer) *Result {
 	res := &Result{Damage: dmg, Epoch: m.Epoch()}
 	v := s.view()
 	res.Before = v.Summary()
 	damaged := damagedServices(min, v, res.Before, dmg)
 
-	evictStorage(min, s, res)
-	evictBudget(min, s, res)
+	evictStorage(min, s, res, dmg.StorageViolated)
+	over := dmg.OverBudget
+	if len(res.Evicted) > 0 {
+		over = !min.CheckBudget(s.placement())
+	}
+	evictBudget(min, s, res, over)
 	reprovision(min, m, s, res, damaged)
 
 	v = s.view()
@@ -310,13 +351,13 @@ func repairWith(min *model.Instance, m *chaos.Mask, dmg Damage, s scorer) *Resul
 // whose removal leaves the best repair score. CheckStorage returns the
 // first violating node, services are probed ascending, and a candidate
 // replaces the incumbent only when strictly better — all first-wins
-// deterministic.
-func evictStorage(min *model.Instance, s scorer, res *Result) {
-	for {
-		k := min.CheckStorage(s.placement())
-		if k < 0 {
-			return
-		}
+// deterministic. violated, the ascending nodes the placement over-fills on
+// entry, stands in for the first check.
+func evictStorage(min *model.Instance, s scorer, res *Result, violated []int) {
+	if len(violated) == 0 {
+		return
+	}
+	for k := violated[0]; k >= 0; k = min.CheckStorage(s.placement()) {
 		cur := s.placement()
 		var best score
 		bestSvc := -1
@@ -339,9 +380,10 @@ func evictStorage(min *model.Instance, s scorer, res *Result) {
 
 // evictBudget clears Eq. 5 violations: while the deployment exceeds the
 // budget, remove the globally least-damaging instance (ascending svc, node;
-// strict score margin, first-wins).
-func evictBudget(min *model.Instance, s scorer, res *Result) {
-	for !min.CheckBudget(s.placement()) {
+// strict score margin, first-wins). over, the verdict on the placement on
+// entry, stands in for the first check.
+func evictBudget(min *model.Instance, s scorer, res *Result, over bool) {
+	for ; over; over = !min.CheckBudget(s.placement()) {
 		cur := s.placement()
 		var best score
 		bestSvc, bestNode := -1, -1
@@ -386,8 +428,8 @@ func evictBudget(min *model.Instance, s scorer, res *Result) {
 // Both phases terminate: every commit strictly improves the lexicographic
 // repair score, which is bounded below.
 //
-// damaged holds the services damagedServices derived before eviction; the
-// evicted ones join them here.
+// damaged holds the services damagedServices derived before eviction (nil:
+// none); the evicted ones join them here.
 func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result, damaged []bool) {
 	probes, commits := 0, 0
 	defer func() { res.RolledBack = probes - commits }()
@@ -460,7 +502,13 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result, dama
 	}
 
 	for _, e := range res.Evicted {
+		if damaged == nil {
+			damaged = make([]bool, min.M())
+		}
 		damaged[e.Svc] = true
+	}
+	if !slices.Contains(damaged, true) {
+		return // phase 2 has nothing to refine
 	}
 	for {
 		curScore := scoreOf(min, s.view().Summary())
@@ -506,8 +554,12 @@ func reprovision(min *model.Instance, m *chaos.Mask, s scorer, res *Result, dama
 // damagedServices marks the services phase 2 of reprovision refines: those
 // with an instance lost to a crash, and those in the chain of a request the
 // pre-repair evaluation v, summarized by s, could not edge-serve — none when
-// s counts no request missing, unroutable or in the cloud.
+// s counts no request missing, unroutable or in the cloud. With nothing
+// lost either, it returns nil.
 func damagedServices(min *model.Instance, v model.EvalView, s model.EvalSummary, dmg Damage) []bool {
+	if len(dmg.Lost) == 0 && s.Unserved()+s.CloudServed == 0 {
+		return nil
+	}
 	damaged := make([]bool, min.M())
 	for _, li := range dmg.Lost {
 		damaged[li.Svc] = true

@@ -168,13 +168,15 @@ type Daemon struct {
 	havePlacement bool
 	lastDegraded  int
 
-	// placeGen is the live placement's generation: every assignment and every
-	// reap that removed an instance bump it, and it starts at 1 so that the
-	// first tick syncs everything. coldGen and deGen are the generations the
-	// cold set and the bound evaluator's placement were last synced to (0:
-	// never, or the evaluator was handed to a policy, which may edit its
-	// placement); lifeKey is what the lifecycle's idle clocks were built from.
-	// A steady epoch, whose placement did not move, skips all three syncs.
+	// placeGen is the live placement's generation: every assignment of
+	// another placement and every reap that removed an instance bump it — an
+	// outcome that serves the planned placement itself does not — and it
+	// starts at 1 so that the first tick syncs everything. coldGen and deGen
+	// are the generations the cold set and the bound evaluator's placement
+	// were last synced to (0: never, or the evaluator was handed to a policy,
+	// which may edit its placement); lifeKey is what the lifecycle's idle
+	// clocks were built from. A steady epoch, whose placement did not move,
+	// skips all three syncs.
 	placeGen, coldGen, deGen uint64
 	lifeKey                  lifeKey
 
@@ -450,7 +452,16 @@ func (d *Daemon) Tick() (*EpochRecord, error) {
 		if err != nil {
 			return d.fail(&rec, fmt.Errorf("serve: epoch %d: %w", d.slot, err))
 		}
-		d.setPlacement(out.Placement)
+		if model.SamePlacement(out.Placement, planned) {
+			// The planned placement did not move (repair.Result.Placement):
+			// its generation stands, and the evaluator the repair left there
+			// is on it too.
+			if de, ok := out.View.(*model.DeltaEvaluator); ok && de == d.de {
+				d.deGen = d.placeGen
+			}
+		} else {
+			d.setPlacement(out.Placement)
+		}
 		d.view = out.View
 		rec.ReactTime = out.ReactTime
 		rec.Adds = len(out.Added)

@@ -482,10 +482,11 @@ func reactEpoch(d *Daemon, spare []msvc.Request, i int) {
 
 // TestDaemonReactTickAllocs gates what a reacting epoch allocates on
 // BenchmarkDaemonTickReact's shape, at 400 and at 1 600 requests: the edits
-// reach the evaluator as edits and the use counts follow the routes that
-// moved, so the count is the same at both sizes and must stay at most 42.
-// -race adds a few allocations and armed invariants recount from scratch,
-// so both builds skip the gate.
+// reach the evaluator as edits, the use counts follow the routes that moved,
+// and a repair that finds nothing damaged copies no placement, so the count
+// is the same at both sizes and must stay at most 12. -race adds a few
+// allocations and armed invariants recount from scratch, so both builds skip
+// the gate.
 func TestDaemonReactTickAllocs(t *testing.T) {
 	if invariant.Enabled || raceEnabled {
 		t.Skip("-race and -tags soclinvariants allocate on their own")
@@ -508,8 +509,8 @@ func TestDaemonReactTickAllocs(t *testing.T) {
 		if d.evalIn.Workload != d.de.Workload() {
 			t.Fatal("the epoch's instance does not carry the evaluator's own workload")
 		}
-		if allocs > 42 {
-			t.Fatalf("a reacting tick over %d requests allocates %v times, want at most 42", n, allocs)
+		if allocs > 12 {
+			t.Fatalf("a reacting tick over %d requests allocates %v times, want at most 12", n, allocs)
 		}
 		t.Logf("%d requests: %v allocations a reacting tick", n, allocs)
 	}

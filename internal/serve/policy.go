@@ -25,7 +25,8 @@ type EpochContext struct {
 	// Mask is the accumulated substrate fault state.
 	Mask *chaos.Mask
 	// Planned is the placement meeting this epoch — possibly stale relative
-	// to the damage.
+	// to the damage. A policy never writes it; an outcome that serves Planned
+	// itself keeps it unmoved (repair.Result.Placement states the contract).
 	Planned model.Placement
 	// Mode and Seed select request routing (Seed feeds RouteModeRandom).
 	Mode model.RoutingMode

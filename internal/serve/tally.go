@@ -77,14 +77,23 @@ func routeOf(v model.EvalView, h int) []int {
 }
 
 // tally brings the step counts to v's routes over active (v nil: nothing
-// served), recounting only the requests whose route changed identity.
+// served), recounting only the requests whose route changed identity. The
+// bound evaluator is read through its concrete type: one inlined call a
+// request, not an interface call.
 func (u *useCounts) tally(v model.EvalView, active []msvc.Request) {
 	if u.stale {
 		u.recount(v, active)
 		return
 	}
+	de, _ := v.(*model.DeltaEvaluator)
 	for h := range active {
-		nodes, old := routeOf(v, h), u.routes[h]
+		var nodes []int
+		if de != nil {
+			nodes = de.RouteNodes(h)
+		} else {
+			nodes = routeOf(v, h)
+		}
+		old := u.routes[h]
 		if len(nodes) == len(old) && (len(nodes) == 0 || &nodes[0] == &old[0]) {
 			continue
 		}

@@ -1,5 +1,5 @@
 // Package bb is the deterministic work-stealing pool behind the parallel
-// branch-and-bound engine of internal/ilp (DESIGN.md §14).
+// branch-and-bound engine of internal/ilp (DESIGN.md §6).
 //
 // Structure:
 //

@@ -37,7 +37,7 @@ type Options struct {
 	// internal branch-and-bound pool (ilp.Options.Workers for the Fig2/Fig7
 	// OPT columns): 0 means GOMAXPROCS, 1 forces serial execution. Parallel
 	// and serial runs produce identical tables apart from wall-clock columns
-	// and fig2's search-tree size (bb_nodes); see sweep.go and DESIGN.md §9
+	// and fig2's search-tree size (bb_nodes); see sweep.go and DESIGN.md §6
 	// for the two determinism contracts.
 	Workers int
 	// Shards, when positive, overrides the per-point region count of the

@@ -27,7 +27,7 @@ import (
 //	obj      — the path's objective. The sharded objective scores each
 //	           shard's own requests on its halo view, an upper bound on the
 //	           true global objective of the merged placement (DESIGN.md
-//	           §13); the global objective is exact.
+//	           §5); the global objective is exact.
 //	regret_x — sharded obj ÷ global obj on the sharded row (an upper bound
 //	           on the true regret, for the same reason); 1.000 on the
 //	           global row; empty when the global path did not run.

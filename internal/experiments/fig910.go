@@ -13,7 +13,7 @@ import (
 // nodes with 50 and 70 users — total objective, provisioning cost, and
 // completion time for RP, JDR and SoCL, plus the per-user median latency
 // the paper quotes (RP/JDR/SoCL medians 2.795/3.989/2.796 at 50 users).
-// The testbed is the time-slotted cluster simulator (DESIGN.md §2).
+// The testbed is the time-slotted cluster simulator (DESIGN.md §1).
 //
 // User scales are independent sweep points (parallel executor, derived
 // seed per point); within a point the three algorithms replay the same

@@ -1,5 +1,5 @@
 // Parallel branch-and-bound engine behind SolveBounded: warm-started node
-// LPs on a work-stealing scheduler. Architecture (DESIGN.md §9, §14):
+// LPs on a work-stealing scheduler. Architecture (DESIGN.md §6):
 //
 //   - the root's children seed a work-stealing pool (internal/bb): each
 //     worker dives depth-first on a private stack and shares the "up" sibling

@@ -13,7 +13,7 @@ import (
 // Gurobi, CPLEX, SCIP, HiGHS and GLPK all read. This is the repository's
 // bridge to external solvers: the SoCL ILP built by BuildSoCLBounded can be
 // exported and solved by a commercial optimizer to double-check the built-in
-// exact solvers (see DESIGN.md §2 — the paper used Gurobi).
+// exact solvers (see DESIGN.md §1 — the paper used Gurobi).
 //
 // Variable j is named x<j>; bounds go to the Bounds section and integer
 // markers to the General section (omitted when no variable is integer).

@@ -42,7 +42,7 @@ type Options struct {
 	// Workers sizes the parallel branch-and-bound worker pool: 0 means
 	// GOMAXPROCS, 1 runs the deterministic engine on one goroutine. Any
 	// worker count returns the same optimum and — via the lexicographic
-	// incumbent tie-break — the same solution vector (DESIGN.md §9).
+	// incumbent tie-break — the same solution vector (DESIGN.md §6).
 	// Node/time limits make which incumbent a *capped* run holds
 	// schedule-dependent.
 	Workers int

@@ -14,7 +14,7 @@ import (
 // Differential tests pinning the parallel engine against the serial
 // reference (solveBoundedNaive, reference_test.go): same status, same
 // objective, and — across worker counts — the identical solution vector
-// selected by the deterministic tie-break (DESIGN.md §9).
+// selected by the deterministic tie-break (DESIGN.md §6).
 
 func sameX(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -83,7 +83,7 @@ func TestEngineMatchesNaiveRowBased(t *testing.T) {
 	checkEngineMatchesReference(t, rowEncoded)
 }
 
-// Regression (DESIGN.md §14): on this EShop instance the warm solver's dual
+// Regression (DESIGN.md §6): on this EShop instance the warm solver's dual
 // repair used to ping-pong one column across its interval until maxSteps and
 // then cold-start anyway — 15 of 33 nodes, ~1500 wasted steps each, 76 ms
 // against the reference's 1.7 ms. Warm-started nodes must cost fewer pivots

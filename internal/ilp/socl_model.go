@@ -48,7 +48,7 @@ func (vm *VarMap) Placement(x []float64) model.Placement {
 //	     x, y ∈ {0,1}
 //
 // Latency coefficients d̃ use the star linearization (model.StarCoef); see
-// DESIGN.md §5. Binaries are [0,1] variable bounds, not rows, and a
+// DESIGN.md §6. Binaries are [0,1] variable bounds, not rows, and a
 // disconnected (request step, node) pair gets a zero upper bound instead of
 // an infinite coefficient, which keeps the LP finite.
 func BuildSoCLBounded(in *model.Instance) (*BoundedMIP, *VarMap) {

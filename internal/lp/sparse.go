@@ -1,6 +1,6 @@
 package lp
 
-// Sparse revised simplex (DESIGN.md §14), the engine behind WarmSolver. A
+// Sparse revised simplex (DESIGN.md §6), the engine behind WarmSolver. A
 // dense tableau maintains the full B⁻¹A matrix and pays O(m·n) per pivot;
 // SoCL's node relaxations are overwhelmingly sparse (each request row touches
 // only the services on its chain), so this engine keeps the constraint matrix
@@ -964,7 +964,7 @@ func (w *WarmSolver) warmApplySparse(lower, upper []float64) bool {
 // interval — a later pass then repairs it as a violated basic. (Flipping it
 // across its interval without a pivot instead leaves it dual infeasible at
 // the new bound and first in line to flip straight back; the 6×6 EShop
-// regression of DESIGN.md §14 cycled that way until maxSteps.)
+// regression of DESIGN.md §6 cycled that way until maxSteps.)
 //
 // Candidate pivots are priced from ρ = (B⁻¹)ᵀe_r (the revised analogue of
 // reading dense row r) and the reduced costs from one BTRAN of the basic

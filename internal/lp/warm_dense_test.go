@@ -6,7 +6,7 @@ import "math"
 // as the differential reference for the sparse revised simplex: it maintains
 // the full B⁻¹A matrix with the identical phase structure, pivot rules and
 // tolerances, so the two visit the same vertices and "sparse ≡ dense
-// bitwise" (DESIGN.md §14) is a checkable statement.
+// bitwise" (DESIGN.md §6) is a checkable statement.
 type denseWarmSolver struct {
 	base  *BoundedProblem
 	t     warmTableau

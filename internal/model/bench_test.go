@@ -12,7 +12,7 @@ var benchEval *model.Evaluation
 
 // BenchmarkEvaluateRouted scores one JDR placement with the exact DP routing
 // every algorithm is scored by (optimal) and with greedy nearest-instance
-// routing, the ablation of DESIGN.md §5 item 1 and of ext_routing.
+// routing, the ablation of DESIGN.md §4 and of ext_routing.
 func BenchmarkEvaluateRouted(b *testing.B) {
 	in := config.Paper(20, 120, 1).MustBuild()
 	p := baselines.JDR(in)

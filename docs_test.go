@@ -150,13 +150,32 @@ func (tree *repoTree) hasTest(name string, prefix bool) bool {
 	return false
 }
 
-// docProblems lists every unresolved reference in the inline code spans of
-// doc: a .go path naming no file, a path.go:N past the end of every file it
-// names, a pkg.Ident whose package declares no Ident, and a Test*,
-// Benchmark* or Fuzz* name no _test.go file declares. A test name qualified
-// by its package (`partition.BenchmarkBuild`) is checked as a test name.
-func (tree *repoTree) docProblems(doc string) []string {
+// unclosedSpans lists the lines of doc, outside fenced blocks, with an odd
+// number of backticks: a code span there is left open or wraps onto the
+// next line, where codeSpan, which stops at a line break, never checks it.
+func unclosedSpans(doc string) []string {
 	var out []string
+	fenced := false
+	for i, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced && strings.Count(line, "`")%2 == 1 {
+			out = append(out, fmt.Sprintf("line %d: a code span is not closed on its line", i+1))
+		}
+	}
+	return out
+}
+
+// docProblems lists every unclosed code span of doc (unclosedSpans) and
+// every unresolved reference in its inline code spans: a .go path naming no
+// file, a path.go:N past the end of every file it names, a pkg.Ident whose
+// package declares no Ident, and a Test*, Benchmark* or Fuzz* name no
+// _test.go file declares. A test name qualified by its package
+// (`partition.BenchmarkBuild`) is checked as a test name.
+func (tree *repoTree) docProblems(doc string) []string {
+	out := unclosedSpans(doc)
 	for _, span := range codeSpan.FindAllStringSubmatch(fencedBlock.ReplaceAllString(doc, ""), -1) {
 		code := span[1]
 		for _, m := range goPath.FindAllStringSubmatch(code, -1) {
@@ -465,6 +484,9 @@ func TestDesignDocRules(t *testing.T) {
 		{"cited elsewhere", sectionRefProblems("// DESIGN.md §2, §3 and §1\n// (DESIGN.md\n//\t§4). `DESIGN.md` §2; §5 and the paper's §IV-C.", false, sections),
 			[]string{"§3 names no heading", "§4 names no heading"}},
 		{"cited in DESIGN.md", sectionRefProblems("As §2 and §5 say; the paper's §IV-C.", true, sections), []string{"§5 names no heading"}},
+		{"unclosed span", unclosedSpans("One `span`, then one `wrapped\nacross` a line break.\n```\nfenced ` tick\n```\n`open"),
+			[]string{"line 1: a code span is not closed on its line", "line 2: a code span is not closed on its line",
+				"line 6: a code span is not closed on its line"}},
 	} {
 		if strings.Join(c.got, "\n") != strings.Join(c.want, "\n") {
 			t.Errorf("%s: problems:\n%s\nwant:\n%s", c.name, strings.Join(c.got, "\n"), strings.Join(c.want, "\n"))

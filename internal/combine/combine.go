@@ -110,6 +110,10 @@ type instKey struct{ svc, node int }
 // cloudNode is the reliance marker for steps served by the cloud fallback.
 const cloudNode = -2
 
+// notPicked marks a memoized reliance not yet decided: pickReliance returns
+// a node, -1 or cloudNode, never this.
+const notPicked = -3
+
 type state struct {
 	in      *model.Instance
 	part    *partition.Result
@@ -132,6 +136,7 @@ type state struct {
 	zetaMemo    []float64             // [svc·|V|+node] memoized ζ, NaN = unset
 	latRow      []float64             // per-request ψ rows for starObjective
 	latRowDirty []bool                // rows needing re-derivation
+	memo        homeMemo              // zeta's and rehome's per-home decisions
 
 	// Static memoization (pure functions of the instance and partition,
 	// never of the mutable placement).
@@ -219,7 +224,7 @@ func Run(in *model.Instance, part *partition.Result, pre model.Placement, cfg Co
 
 // buildStaticTables precomputes lookups that depend only on the instance
 // and the (immutable) partition: the per-service node→group table replacing
-// ServicePartition.GroupOf's linear scan on the pickReliance hot path, and
+// ServicePartition.GroupOf's linear scan in pickReliance, and
 // the lazy memo for the FuzzyAHP local demand factor ρ (a pure function of
 // the workload). Neither changes an observable value.
 func (s *state) buildStaticTables() {
@@ -258,11 +263,17 @@ func (s *state) buildStaticTables() {
 
 // initReliance applies the connection rule to every request step. The rows
 // of rel are windows of one backing array, so a snapshot is a single copy.
+// Nothing moves the placement meanwhile, so the rule is decided once per
+// (service, home node) and read from a table for every other step.
 func (s *state) initReliance() {
 	reqs := s.in.Workload.Requests
 	steps := 0
 	for h := range reqs {
 		steps += len(reqs[h].Chain)
+	}
+	picks := make([]int, s.in.M()*s.in.V()) // [svc·|V|+home], notPicked = unset
+	for i := range picks {
+		picks[i] = notPicked
 	}
 	s.relFlat = make([]int, steps)
 	s.rel = make([][]int, len(reqs))
@@ -271,24 +282,28 @@ func (s *state) initReliance() {
 		n := len(reqs[h].Chain)
 		s.rel[h] = s.relFlat[off : off+n : off+n]
 		off += n
-		for t := range s.rel[h] {
-			s.rel[h][t] = s.pickReliance(h, t, -1)
+		for t, svc := range reqs[h].Chain {
+			at := s.at(svc, reqs[h].Home)
+			if picks[at] == notPicked {
+				picks[at] = s.pickReliance(reqs[h].Home, svc, -1)
+			}
+			s.rel[h][t] = picks[at]
 		}
 	}
 }
 
-// pickReliance applies the connection-update rule for request h's step t,
-// excluding node `excl` (-1 for none): prefer instances in the same
-// partition group as the home server, then the highest virtual channel
-// speed (equivalently the lowest path cost) from home. Returns -1 when the
-// service has no instance other than excl.
-func (s *state) pickReliance(h, t, excl int) int {
-	req := &s.in.Workload.Requests[h]
-	svc := req.Chain[t]
+// pickReliance applies the connection-update rule for service svc's steps
+// homed on node home, excluding node `excl` (-1 for none): prefer instances
+// in the same partition group as the home server, then the highest virtual
+// channel speed (equivalently the lowest path cost) from home. Returns -1
+// when the service has no instance other than excl. A step's answer depends
+// on the step only through its home and service, which is what the
+// per-home memo (homeMemo) and initReliance's table rest on.
+func (s *state) pickReliance(home, svc, excl int) int {
 	groups := s.groupTab[svc] // nil when the service has no partition
 	homeGroup := -1
 	if groups != nil {
-		homeGroup = groups[req.Home]
+		homeGroup = groups[home]
 	}
 	best, bestCost, bestInGroup := -1, math.Inf(1), false
 	for _, k := range s.nodesOf(svc) {
@@ -296,7 +311,7 @@ func (s *state) pickReliance(h, t, excl int) int {
 			continue
 		}
 		inGroup := homeGroup != -1 && groups[k] == homeGroup
-		c := s.in.Graph.PathCost(req.Home, k)
+		c := s.in.Graph.PathCost(home, k)
 		// Group preference dominates; within a class, lowest cost wins.
 		if best == -1 || (inGroup && !bestInGroup) ||
 			(inGroup == bestInGroup && c < bestCost) {
@@ -324,19 +339,42 @@ func (s *state) stepData(h, t int) float64 {
 // table would hold.
 func (s *state) stepLatency(h, t, k int) float64 {
 	req := &s.in.Workload.Requests[h]
+	return s.term(req.Home, req.Chain[t], k).at(s.stepData(h, t))
+}
+
+// pathTerm is what a step's latency at a node depends on besides the data
+// entering the step: the transfer cost per unit of data from the step's
+// home, the service's compute time there, and whether the node is
+// unreachable from home. It depends on the step only through its home and
+// service, so ζ decides it once per home node (homeMemo).
+type pathTerm struct {
+	c, comp     float64
+	unreachable bool
+}
+
+// term returns the path term of serving service svc at node k (or the cloud)
+// for a step homed on node home.
+func (s *state) term(home, svc, k int) pathTerm {
+	compute := s.in.Workload.Catalog.Service(svc).Compute
 	if k == cloudNode {
 		// Cloud-served step: WAN transfer of the step's data plus cloud
 		// compute (the evaluator's whole-request fallback is the
 		// per-request analogue; see model.CloudConfig).
-		return s.stepData(h, t)*s.in.Cloud.TransferCost +
-			s.in.Workload.Catalog.Service(req.Chain[t]).Compute/s.in.Cloud.Compute
+		return pathTerm{c: s.in.Cloud.TransferCost, comp: compute / s.in.Cloud.Compute}
 	}
-	c := s.in.Graph.PathCost(req.Home, k)
+	c := s.in.Graph.PathCost(home, k)
 	if math.IsInf(c, 1) {
+		return pathTerm{unreachable: true}
+	}
+	return pathTerm{c: c, comp: compute / s.in.Graph.Node(k).Compute}
+}
+
+// at is the step latency for d units of data entering the step.
+func (p pathTerm) at(d float64) float64 {
+	if p.unreachable {
 		return 1e12
 	}
-	return s.stepData(h, t)*c +
-		s.in.Workload.Catalog.Service(req.Chain[t]).Compute/s.in.Graph.Node(k).Compute
+	return d*p.c + p.comp
 }
 
 // starRow is request h's ψ row: its chain's step latencies summed in
@@ -382,16 +420,21 @@ func (s *state) starObjective() float64 {
 // increase of moving every relying step to its best alternative. +Inf when
 // some step would have no alternative. The reverse reliance index makes the
 // cost O(relying steps), visited in ascending (h,t) order — the order a full
-// scan of rel would sum them in.
+// scan of rel would sum them in. The alternative and both path terms are
+// decided once per home node (homeMemo); each step adds
+// stepLatency(h,t,alt) − stepLatency(h,t,node) bit for bit.
 func (s *state) zeta(svc, node int) float64 {
+	s.memo.open(svc, node)
+	reqs := s.in.Workload.Requests
 	loss := 0.0
 	for _, ht := range s.relyIdx[s.at(svc, node)] {
 		h, t := ht[0], ht[1]
-		alt := s.pickReliance(h, t, node)
-		if alt == -1 {
+		e := s.decide(reqs[h].Home)
+		if e.pick == -1 {
 			return math.Inf(1) // no alternative and no cloud
 		}
-		loss += s.stepLatency(h, t, alt) - s.stepLatency(h, t, node)
+		d := s.stepData(h, t)
+		loss += e.alt.at(d) - e.own.at(d)
 	}
 	return loss
 }

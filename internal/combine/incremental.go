@@ -15,7 +15,10 @@ import "math"
 //     ascending list of (h,t) request steps relying on it, so ζ and
 //     removeInstance walk exactly the relying steps;
 //   - state.zetaMemo and state.latRow: ζ per instance and ψ per request,
-//     re-derived only where a mutation reached.
+//     re-derived only where a mutation reached;
+//   - state.memo, the per-home memo: within one zeta or rehome call, the
+//     connection-update rule and ζ's path terms are decided once per home
+//     node instead of once per relying step.
 
 // initIncremental builds the engine's structures over an initialized state
 // (place, ev, idx, rel and cost already set).
@@ -25,6 +28,8 @@ func (s *state) initIncremental() {
 		s.zetaMemo[i] = math.NaN()
 	}
 	s.buildRelianceIndex()
+	s.memo.stamp = make([]uint32, s.in.V())
+	s.memo.entry = make([]homeEntry, s.in.V())
 
 	reqs := s.in.Workload.Requests
 	// starObjective's ψ-row cache: everything dirty until the first call.
@@ -90,9 +95,11 @@ func (s *state) rehome(svc, node int) {
 	}
 	moved := s.relyIdx[s.at(svc, node)]
 	s.relyIdx[s.at(svc, node)] = nil
+	s.memo.open(svc, -1)
+	reqs := s.in.Workload.Requests
 	for _, ht := range moved {
 		h, t := ht[0], ht[1]
-		nk := s.pickReliance(h, t, -1)
+		nk := s.decide(reqs[h].Home).pick
 		s.rel[h][t] = nk
 		s.latRowDirty[h] = true
 		if nk >= 0 { // cloud or unserved: no instance to index
@@ -105,6 +112,59 @@ func (s *state) rehome(svc, node int) {
 			s.rehomed[nk] = add[:0]
 		}
 	}
+}
+
+// --- per-home memo ---
+
+// homeMemo is a window of connection-update decisions: for one service and
+// one excluded node, what pickReliance answers per home node — and, when a
+// node is excluded (the window ζ opens for the instance it scores), the
+// path terms of serving from that answer and from the excluded node. Both
+// read a step only through its home and service, and a window lives inside
+// one zeta or rehome call, during which nothing moves the placement, so
+// every step homed on a node reads its home's entry bit for bit. A memo
+// that outlived the call would gain nothing: every rehome of a service
+// follows a placement change of that service, and ζ is recomputed only
+// after one (zetaMemo).
+type homeMemo struct {
+	gen       uint32      // the open window; an entry is filled iff stamp == gen
+	svc, excl int         // the open window's service and excluded node
+	stamp     []uint32    // per home node
+	entry     []homeEntry // per home node
+}
+
+// homeEntry is one home node's decision within a window.
+type homeEntry struct {
+	pick     int      // pickReliance(home, svc, excl)
+	alt, own pathTerm // serving from pick and from excl (excl ≥ 0, pick ≠ -1)
+}
+
+// open starts a window for service svc excluding node excl (-1 for none).
+// Every entry filled before reads as unset. When the 32-bit stamp wraps,
+// the stamps are cleared, so no old entry can alias a new window.
+func (m *homeMemo) open(svc, excl int) {
+	m.gen++
+	if m.gen == 0 {
+		clear(m.stamp)
+		m.gen = 1
+	}
+	m.svc, m.excl = svc, excl
+}
+
+// decide returns home's entry in the open window, deciding it on the
+// home's first step.
+func (s *state) decide(home int) *homeEntry {
+	m := &s.memo
+	e := &m.entry[home]
+	if m.stamp[home] == m.gen {
+		return e
+	}
+	m.stamp[home] = m.gen
+	e.pick = s.pickReliance(home, m.svc, m.excl)
+	if m.excl >= 0 && e.pick != -1 {
+		e.alt, e.own = s.term(home, m.svc, e.pick), s.term(home, m.svc, m.excl)
+	}
+	return e
 }
 
 // mergeAscending returns a fresh list holding a and b, both ascending in

@@ -556,7 +556,9 @@ func (r *shardedRun) reconcile(s int) error {
 	de := model.NewDeltaEvaluator(si.Sub, si.Restrict(merged), model.RouteModeOptimal,
 		stats.SplitSeed(r.cfg.Seed, fmt.Sprintf("shard/%d", s)))
 	r.halo[s], r.eval[s] = si, de
-	base := de.Eval()
+	// Ranking and gating read the evaluator's summary; no Evaluation is
+	// materialized.
+	base := de.Summary()
 	// Candidates: the shard's own gateway instances, ascending
 	// (service, node) — the only placements a cross-shard reliance can make
 	// redundant.
@@ -572,10 +574,10 @@ func (r *shardedRun) reconcile(s int) error {
 				continue
 			}
 			dl := de.Apply(i, k, false)
-			ev := de.Eval()
-			if ev.Unserved() <= base.Unserved() && ev.DeadlineViolated <= base.DeadlineViolated {
+			sum := de.Summary()
+			if sum.Unserved() <= base.Unserved() && sum.DeadlineViolated <= base.DeadlineViolated {
 				merged.Set(i, si.Nodes[k], false)
-				base = ev
+				base = sum
 				r.removed[s]++
 			} else {
 				// The objective improved by shedding cost while a request
@@ -587,14 +589,17 @@ func (r *shardedRun) reconcile(s int) error {
 	// Pin every boundary instance this shard's own requests route through
 	// under the committed placement. Over-pinning (a route that merely
 	// prefers a boundary instance it does not need) only forgoes a later
-	// removal; under-pinning strands requests.
+	// removal; under-pinning strands requests. A rolled-back probe leaves
+	// the routes it re-routed stale, so the routes are brought up to date
+	// under the committed placement first.
+	de.Summary()
 	for h := 0; h < si.OwnReqs; h++ {
-		rt := base.Routes[h]
-		if rt.Nodes == nil {
+		nodes := de.RouteNodes(h)
+		if nodes == nil {
 			continue
 		}
 		chain := si.Sub.Workload.Requests[h].Chain
-		for j, kn := range rt.Nodes {
+		for j, kn := range nodes {
 			if kn >= si.OwnNodes {
 				r.pinned[chain[j]*V+si.Nodes[kn]] = true
 			}
@@ -607,26 +612,31 @@ func (r *shardedRun) reconcile(s int) error {
 // view under the final merged placement. Neighbors' reconciliation may have
 // moved boundary instances since s reconciled, so the shard's evaluator
 // advances to the view's current bits (re-routing only the requests whose
-// services moved; Eval equals a scratch evaluation bit for bit). A shard
-// without a halo never reconciled and evaluates its view from scratch.
+// services moved; its reads equal a scratch evaluation's bit for bit). A
+// shard without a halo never reconciled and evaluates its view from scratch.
+// Either is read through model.EvalView; an Evaluation is materialized only
+// for the armed merge check.
 func (r *shardedRun) account(s int) error {
-	var ev *model.Evaluation
+	var v model.EvalView
 	si, de := r.halo[s], r.eval[s]
 	if de != nil {
 		de.AdvanceTo(si.Restrict(r.merged))
-		ev = de.Eval()
+		de.Summary() // brings every request's latency up to date
+		v = de
 		r.halo[s], r.eval[s] = nil, nil
 	} else {
 		var err error
 		if si, err = r.buildHalo(s); err != nil {
 			return err
 		}
-		ev = si.Sub.Evaluate(si.Restrict(r.merged))
+		v = si.Sub.Evaluate(si.Restrict(r.merged))
 	}
-	invariant.CheckShardMerge(si.Sub, ev, false, fmt.Sprintf("sharded: shard %d account", s))
+	if invariant.Enabled {
+		invariant.CheckShardMerge(si.Sub, v.Eval(), false, fmt.Sprintf("sharded: shard %d account", s))
+	}
 	a := &r.accounts[s]
 	for h := 0; h < si.OwnReqs; h++ {
-		l := ev.Latencies[h]
+		l := v.Latency(h)
 		a.lat += l
 		if math.IsInf(l, 1) {
 			a.unserved++

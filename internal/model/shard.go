@@ -48,9 +48,14 @@ func NewShardInstance(in *Instance, nodes []int, ownNodes int, reqs []int, ownRe
 		return nil, fmt.Errorf("model: ownReqs %d outside [0,%d]", ownReqs, len(reqs))
 	}
 	sub := topology.Subgraph(in.Graph, nodes)
-	localNode := make(map[int]int, len(nodes))
+	// localNode[v] is parent node v's local ID, -1 outside the shard
+	// (Subgraph has rejected duplicate and out-of-range nodes).
+	localNode := make([]int32, in.V())
+	for v := range localNode {
+		localNode[v] = -1
+	}
 	for i, v := range nodes {
-		localNode[v] = i
+		localNode[v] = int32(i)
 	}
 	requests := make([]msvc.Request, len(reqs))
 	for i, h := range reqs {
@@ -58,12 +63,11 @@ func NewShardInstance(in *Instance, nodes []int, ownNodes int, reqs []int, ownRe
 			return nil, fmt.Errorf("model: request index %d out of range [0,%d)", h, len(in.Workload.Requests))
 		}
 		req := in.Workload.Requests[h] // shallow copy; Chain/EdgeData shared read-only
-		home, ok := localNode[req.Home]
-		if !ok {
+		if req.Home < 0 || req.Home >= len(localNode) || localNode[req.Home] == -1 {
 			return nil, fmt.Errorf("model: request %d homed on node %d outside the shard", h, req.Home)
 		}
 		req.ID = i
-		req.Home = home
+		req.Home = int(localNode[req.Home])
 		requests[i] = req
 	}
 	si := &ShardInstance{

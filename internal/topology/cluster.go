@@ -306,16 +306,20 @@ func (p *ShardPlan) Halo(s int) []NodeID { return p.halos[s] }
 // own |V_s| nodes — paying the path tables for a shard's slice instead of
 // the whole network is the sharded path's core saving.
 func Subgraph(g *Graph, nodes []NodeID) *Graph {
-	local := make(map[NodeID]int, len(nodes))
+	// local[v] is parent node v's local ID, -1 outside the set.
+	local := make([]int32, g.N())
+	for v := range local {
+		local[v] = -1
+	}
 	sub := make([]Node, len(nodes))
 	for i, v := range nodes {
 		if v < 0 || v >= g.N() {
 			panic(fmt.Sprintf("topology: Subgraph node %d out of range [0,%d)", v, g.N()))
 		}
-		if _, dup := local[v]; dup {
+		if local[v] != -1 {
 			panic(fmt.Sprintf("topology: Subgraph node %d listed twice", v))
 		}
-		local[v] = i
+		local[v] = int32(i)
 		sub[i] = g.nodes[v]
 	}
 	// Deterministic link order: walk the included nodes in local order and
@@ -324,7 +328,7 @@ func Subgraph(g *Graph, nodes []NodeID) *Graph {
 	var links []Link
 	for i, v := range nodes {
 		for _, e := range g.adj[v] {
-			if j, ok := local[int(e.to)]; ok && i < j {
+			if j := int(local[e.to]); j > i {
 				links = append(links, Link{A: i, B: j, Rate: g.rates[linkKey(v, int(e.to))]})
 			}
 		}

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // The documents whose code references must resolve. ROADMAP.md and
@@ -363,6 +365,56 @@ func sectionRefProblems(text string, self bool, sections map[int]bool) []string 
 		}
 	}
 	return out
+}
+
+// extID is an extension experiment's ID as EXPERIMENTS.md names it.
+var extID = regexp.MustCompile(`\bext_[a-z0-9_]+`)
+
+// experimentsDocProblems lists every registry ID that doc never names as a
+// word, and every ext_ ID it names that the registry lacks.
+func experimentsDocProblems(doc string, ids []string) []string {
+	var out []string
+	known := map[string]bool{}
+	for _, id := range ids {
+		known[id] = true
+		if !regexp.MustCompile(`(?:^|\W)` + regexp.QuoteMeta(id) + `(?:\W|$)`).MatchString(doc) {
+			out = append(out, "registry entry "+id+" is not described")
+		}
+	}
+	for _, id := range extID.FindAllString(doc, -1) {
+		if !known[id] {
+			out = append(out, id+" is not in the registry")
+			known[id] = true // report it once
+		}
+	}
+	return out
+}
+
+// TestExperimentsDocCoversRegistry keeps EXPERIMENTS.md and
+// experiments.Registry naming the same experiments.
+func TestExperimentsDocCoversRegistry(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, e := range experiments.Registry {
+		ids = append(ids, e.ID)
+	}
+	for _, p := range experimentsDocProblems(string(doc), ids) {
+		t.Errorf("EXPERIMENTS.md: %s", p)
+	}
+}
+
+// TestExperimentsDocRules pins what the registry check reports on a
+// synthetic document.
+func TestExperimentsDocRules(t *testing.T) {
+	doc := "fig2 and `ext_a.csv`; ext_gone twice: ext_gone. fig20 is not fig2's neighbour ext_ab"
+	got := experimentsDocProblems(doc, []string{"fig2", "fig1", "ext_a", "ext_ab"})
+	want := []string{"registry entry fig1 is not described", "ext_gone is not in the registry"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("got %q, want %q", got, want)
+	}
 }
 
 // TestDesignDocShape keeps DESIGN.md short, numbered without a gap, and

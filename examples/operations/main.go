@@ -1,7 +1,7 @@
 // Operations: an operator's-eye walkthrough of the library's production
 // features beyond the core solver — warm-started online re-planning with
-// churn accounting, the cloud fallback under budget pressure, and
-// contention re-pricing of the network. Each section prints a small report.
+// churn accounting and the cloud fallback under budget pressure. Each
+// section prints a small report.
 package main
 
 import (
@@ -26,7 +26,6 @@ func main() {
 
 	onlineSection(paper, seed)
 	cloudSection(paper, seed)
-	contentionSection(paper, seed)
 }
 
 // onlineSection: six 5-minute slots of drifting demand, warm vs cold.
@@ -80,26 +79,6 @@ func cloudSection(paper *model.Instance, seed int64) {
 			budget, sol.Placement.Instances(), ev.CloudServed, ev.LatencySum, sol.Stats.BudgetMet)
 	}
 	fmt.Println()
-}
-
-// contentionSection: re-price the chosen routes under slot-capacity sharing.
-func contentionSection(paper *model.Instance, seed int64) {
-	fmt.Println("── network contention re-pricing (5-minute slot) ──")
-	in := instance(paper, 120, seed)
-	sol, err := core.Solve(in, core.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep := in.EvaluateWithContention(sol.Placement, model.RouteModeOptimal, seed, model.DefaultContentionConfig())
-	maxU, hot := 0.0, [2]int{}
-	for key, u := range rep.Utilization {
-		if u > maxU {
-			maxU, hot = u, key
-		}
-	}
-	fmt.Printf("  idle latency      %8.1f s\n", rep.LatencySum)
-	fmt.Printf("  contended latency %8.1f s  (congested links: %d)\n", rep.LatencySumContended, rep.Congested)
-	fmt.Printf("  hottest link      %v at %.1f%% slot utilization\n", hot, maxU*100)
 }
 
 // instance is the paper instance with users requests drawn by the

@@ -1,11 +1,12 @@
 // Package experiments contains one driver per table/figure of the SoCL
-// paper's evaluation (Section V). Each driver builds the figure's workload,
-// runs every algorithm involved, and emits the same rows/series the paper
-// reports as a Table that can be printed as text or CSV.
+// paper's evaluation (Section V), and one per extension table. Each driver
+// builds its workload, runs every algorithm involved, and emits its rows as
+// a Table that can be printed as text or CSV.
 //
-// The per-experiment index lives in DESIGN.md; paper-vs-measured outcomes
-// are recorded in EXPERIMENTS.md. Experiment IDs: fig2, fig3, fig4, fig7,
-// fig8, fig9, fig10.
+// Registry lists the experiment IDs: the paper's figures (fig2 … fig10) and
+// the extensions (ext_budget … ext_overload). The per-experiment index lives
+// in DESIGN.md; EXPERIMENTS.md states each entry's claim, and
+// claims_test.go checks it against the entry's committed results/*.csv.
 package experiments
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/combine"
 	"repro/internal/core"
 	"repro/internal/model"
@@ -18,7 +17,9 @@ import (
 // ExtBudget sweeps the cost constraint over the paper's stated range
 // (5000–8000) at fixed scale, reporting every algorithm's objective, cost
 // and latency — the budget dimension Section V-A mentions but no figure
-// isolates.
+// isolates. SoCL wins by shedding services to the cloud, and no budget binds
+// it: at every budget it has the lowest objective and cost but the highest
+// latency, and its row is the same at all five budgets.
 func ExtBudget(opts Options) *Table {
 	budgets := []float64{5800, 6400, 7000, 7600, 8200}
 	users, nodes := 80, 10
@@ -98,8 +99,9 @@ func ExtLambda(opts Options) *Table {
 	return t
 }
 
-// ExtOmega is the ω ablation (DESIGN.md §5): how the parallel-combination
-// fraction trades solution quality against combination rounds.
+// ExtOmega is the ω ablation (DESIGN.md §5): the parallel-combination
+// fraction against combination rounds and solution quality. As ω grows
+// `parallel_rounds` does not rise, and the objective spans less than 1 %.
 func ExtOmega(opts Options) *Table {
 	omegas := []float64{0.05, 0.15, 0.25, 0.5, 0.9}
 	users, nodes := 80, 12
@@ -160,52 +162,6 @@ func ExtXi(opts Options) *Table {
 			avg = float64(groups) / float64(services)
 		}
 		t.AddRow(f3(q), f3(avg), f1(sol.Evaluation.Objective))
-	}
-	return t
-}
-
-// ExtRouting isolates the routing contribution: the same placements scored
-// under optimal DP routing vs greedy nearest-instance vs random routing.
-func ExtRouting(opts Options) *Table {
-	users, nodes := 80, 12
-	if opts.Short {
-		users, nodes = 20, 8
-	}
-	t := &Table{
-		ID:     "ext_routing",
-		Title:  "Ablation: routing policy on fixed placements",
-		Header: []string{"placement", "routing", "latency_sum", "objective"},
-	}
-	in := buildInstance(nodes, users, opts.Seed)
-	placements := map[string]model.Placement{
-		"JDR": baselines.JDR(in),
-	}
-	if sol, err := core.Solve(in, core.DefaultConfig()); err == nil {
-		placements["SoCL"] = sol.Placement
-	}
-	// One evaluator per routing mode, advanced across the placements: the
-	// routing caches survive the SoCL→JDR transition, so the second
-	// placement re-routes only the requests the two disagree on. Each
-	// evaluator aliases the placement it binds (NewDeltaEvaluator's
-	// contract), so every mode gets its own clone — otherwise the first
-	// AdvanceTo would mutate the bitset under the other two.
-	evals := map[model.RoutingMode]*model.DeltaEvaluator{}
-	for _, name := range []string{"SoCL", "JDR"} {
-		p, ok := placements[name]
-		if !ok {
-			continue
-		}
-		for _, mode := range []model.RoutingMode{model.RouteModeOptimal, model.RouteModeGreedy, model.RouteModeRandom} {
-			de := evals[mode]
-			if de == nil {
-				de = model.NewDeltaEvaluator(in, p.Clone(), mode, opts.Seed)
-				evals[mode] = de
-			} else {
-				de.AdvanceTo(p)
-			}
-			ev := de.Eval()
-			t.AddRow(name, mode.String(), f1(ev.LatencySum), f1(ev.Objective))
-		}
 	}
 	return t
 }

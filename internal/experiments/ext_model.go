@@ -6,49 +6,12 @@ import (
 	"repro/internal/sim"
 )
 
-// ExtContention re-prices every algorithm's solution under the network-
-// contention extension (link capacity shared within a decision slot): the
-// introduction's "path conflicts and network contention" argument,
-// quantified. Cost-blind redundant placements route more traffic over hot
-// links and suffer more under contention.
-func ExtContention(opts Options) *Table {
-	users, nodes := 120, 10
-	if opts.Short {
-		users, nodes = 30, 8
-	}
-	t := &Table{
-		ID:    "ext_contention",
-		Title: "Contention re-pricing of placements (5-minute slot capacity sharing)",
-		Header: []string{"algorithm", "latency_idle", "latency_contended",
-			"inflation_pct", "congested_links", "max_utilization"},
-	}
-	in := buildInstance(nodes, users, opts.Seed)
-	cc := model.DefaultContentionConfig()
-	for _, algo := range fig8Algorithms(opts) {
-		p, err := algo.Place(in)
-		if err != nil {
-			panic(err)
-		}
-		rep := in.EvaluateWithContention(p, model.RouteModeOptimal, opts.Seed, cc)
-		maxU := 0.0
-		for _, u := range rep.Utilization {
-			if u > maxU {
-				maxU = u
-			}
-		}
-		infl := 0.0
-		if rep.LatencySum > 0 {
-			infl = (rep.LatencySumContended - rep.LatencySum) / rep.LatencySum * 100
-		}
-		t.AddRow(algo.Name(), f1(rep.LatencySum), f1(rep.LatencySumContended),
-			f3(infl), itoa(rep.Congested), f3(maxU))
-	}
-	return t
-}
-
-// ExtCloud measures the cloud-fallback extension: with a deliberately
-// hopeless budget, how many requests each algorithm pushes to the cloud and
-// what that costs in latency versus an adequate budget.
+// ExtCloud measures the cloud-fallback extension at an adequate and at a
+// deliberately hopeless budget: how many requests each algorithm pushes to
+// the cloud and what that costs in latency. Below one instance per service
+// (budget 3 000) every algorithm leaves no instance missing by serving
+// requests from the cloud, and SoCL offloads as many requests at budget
+// 8 000.
 func ExtCloud(opts Options) *Table {
 	users, nodes := 60, 10
 	if opts.Short {

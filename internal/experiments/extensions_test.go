@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"strconv"
-	"testing"
-)
+import "testing"
 
 func TestExtBudgetShort(t *testing.T) {
 	tb := ExtBudget(shortOpts())
@@ -60,34 +57,6 @@ func TestExtXiShort(t *testing.T) {
 	}
 }
 
-func TestExtRoutingShort(t *testing.T) {
-	tb := ExtRouting(shortOpts())
-	if len(tb.Rows) != 6 { // 2 placements × 3 modes
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	// For every placement: optimal ≤ greedy ≤ random latency.
-	lat := map[string]map[string]float64{}
-	for i := range tb.Rows {
-		p, m := cell(tb, i, "placement"), cell(tb, i, "routing")
-		if lat[p] == nil {
-			lat[p] = map[string]float64{}
-		}
-		v, err := strconv.ParseFloat(cell(tb, i, "latency_sum"), 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lat[p][m] = v
-	}
-	for p, m := range lat {
-		if m["optimal"] > m["greedy"]+1e-6 {
-			t.Fatalf("%s: optimal %v worse than greedy %v", p, m["optimal"], m["greedy"])
-		}
-		if m["optimal"] > m["random"]+1e-6 {
-			t.Fatalf("%s: optimal %v worse than random %v", p, m["optimal"], m["random"])
-		}
-	}
-}
-
 func TestExtOnlineShort(t *testing.T) {
 	tb := ExtOnline(shortOpts())
 	if len(tb.Rows) != 2 {
@@ -97,20 +66,6 @@ func TestExtOnlineShort(t *testing.T) {
 	churnWarm := cellF(t, tb, 1, "churn")
 	if churnWarm > churnCold {
 		t.Fatalf("warm churn %v exceeds cold churn %v", churnWarm, churnCold)
-	}
-}
-
-func TestExtContentionShort(t *testing.T) {
-	tb := ExtContention(shortOpts())
-	if len(tb.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	for i := range tb.Rows {
-		idle := cellF(t, tb, i, "latency_idle")
-		cont := cellF(t, tb, i, "latency_contended")
-		if cont < idle-1e-6 {
-			t.Fatalf("row %d: contention reduced latency (%v → %v)", i, idle, cont)
-		}
 	}
 }
 

@@ -30,9 +30,7 @@ var Registry = []Experiment{
 	{"ext_lambda", "ext", one(ExtLambda)},
 	{"ext_omega", "ext", one(ExtOmega)},
 	{"ext_xi", "ext", one(ExtXi)},
-	{"ext_routing", "ext", one(ExtRouting)},
 	{"ext_online", "ext", one(ExtOnline)},
-	{"ext_contention", "ext", one(ExtContention)},
 	{"ext_cloud", "ext", one(ExtCloud)},
 	{"ext_cluster", "ext", one(ExtCluster)},
 	{"ext_datasets", "ext", one(ExtDatasets)},

@@ -12,7 +12,7 @@ var benchEval *model.Evaluation
 
 // BenchmarkEvaluateRouted scores one JDR placement with the exact DP routing
 // every algorithm is scored by (optimal) and with greedy nearest-instance
-// routing, the ablation of DESIGN.md §4 and of ext_routing.
+// routing, one of the routing modes of DESIGN.md §4.
 func BenchmarkEvaluateRouted(b *testing.B) {
 	in := config.Paper(20, 120, 1).MustBuild()
 	p := baselines.JDR(in)

@@ -1,4 +1,4 @@
-// Command socllint is the project's multichecker: it runs the five
+// Command socllint is the project's multichecker: it runs the three
 // repo-specific analyzers from internal/analysis over the requested packages
 // and, unless -vet=false, chains the standard `go vet` passes behind them.
 //
@@ -36,20 +36,16 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/applyrevert"
 	"repro/internal/analysis/detrand"
 	"repro/internal/analysis/floateq"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/lockbalance"
 	"repro/internal/analysis/sentinelerr"
 )
 
 var analyzers = []*analysis.Analyzer{
+	detrand.Analyzer,
 	floateq.Analyzer,
 	sentinelerr.Analyzer,
-	detrand.Analyzer,
-	applyrevert.Analyzer,
-	lockbalance.Analyzer,
 }
 
 const baselineName = "socllint.baseline.json"

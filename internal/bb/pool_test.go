@@ -6,7 +6,27 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// runBounded is Run under a watchdog. A deque lock left held on some path
+// parks every worker for good; the test then fails after 10 s with a
+// goroutine dump instead of at go test's timeout.
+func runBounded[T any](t *testing.T, workers int, seeds []T, stop func() bool, process func(*Ctx[T], T) error) (stats Stats, err error) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		stats, err = Run(workers, seeds, stop, process)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("Run did not return within 10 s; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	return stats, err
+}
 
 // Every seeded and pushed item must be processed exactly once.
 func TestRunProcessesEveryItemOnce(t *testing.T) {
@@ -18,7 +38,7 @@ func TestRunProcessesEveryItemOnce(t *testing.T) {
 		for i := range in {
 			in[i] = i
 		}
-		_, err := Run(workers, in, nil, func(c *Ctx[int], v int) error {
+		_, err := runBounded(t, workers, in, nil, func(c *Ctx[int], v int) error {
 			mu.Lock()
 			seen[v]++
 			mu.Unlock()
@@ -51,7 +71,7 @@ func TestRunProcessesEveryItemOnce(t *testing.T) {
 func TestRunStealsUnderImbalance(t *testing.T) {
 	const children = 16
 	var done atomic.Int64
-	stats, err := Run(4, []int{-1}, nil, func(c *Ctx[int], v int) error {
+	stats, err := runBounded(t, 4, []int{-1}, nil, func(c *Ctx[int], v int) error {
 		if v == -1 {
 			for i := 0; i < children; i++ {
 				c.Push(i)
@@ -85,7 +105,7 @@ func TestRunPropagatesError(t *testing.T) {
 		seeds[i] = i
 	}
 	var calls atomic.Int64
-	_, err := Run(4, seeds, nil, func(c *Ctx[int], v int) error {
+	_, err := runBounded(t, 4, seeds, nil, func(c *Ctx[int], v int) error {
 		calls.Add(1)
 		if v == 7 {
 			return boom
@@ -105,7 +125,7 @@ func TestRunHonorsStop(t *testing.T) {
 	var stopped atomic.Bool
 	var calls atomic.Int64
 	seeds := make([]int, 100)
-	_, err := Run(2, seeds, stopped.Load, func(c *Ctx[int], v int) error {
+	_, err := runBounded(t, 2, seeds, stopped.Load, func(c *Ctx[int], v int) error {
 		if calls.Add(1) >= 5 {
 			stopped.Store(true)
 		}
@@ -124,7 +144,7 @@ func TestRunHonorsStop(t *testing.T) {
 func TestShouldShareFalseWithOneWorker(t *testing.T) {
 	shared := false
 	seeds := []int{0}
-	_, err := Run(1, seeds, nil, func(c *Ctx[int], v int) error {
+	_, err := runBounded(t, 1, seeds, nil, func(c *Ctx[int], v int) error {
 		if c.ShouldShare() {
 			shared = true
 		}
@@ -148,7 +168,7 @@ func TestWorkerIndexInRange(t *testing.T) {
 	const workers = 3
 	seeds := make([]int, 60)
 	var bad atomic.Bool
-	_, err := Run(workers, seeds, nil, func(c *Ctx[int], v int) error {
+	_, err := runBounded(t, workers, seeds, nil, func(c *Ctx[int], v int) error {
 		if c.Worker() < 0 || c.Worker() >= workers {
 			bad.Store(true)
 		}

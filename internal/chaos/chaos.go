@@ -201,9 +201,6 @@ func (m *Mask) DownNodes() []int {
 	return out
 }
 
-// UpCount returns the number of currently-serving nodes.
-func (m *Mask) UpCount() int { return m.base.N() - m.downCount }
-
 // linkIndex locates the link (a,b) in the sorted slice, or -1.
 func (m *Mask) linkIndex(a, b int) int {
 	if a > b {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -45,6 +46,31 @@ func clusteredInstance(t testing.TB, users, regions, perRegion int, lambda float
 	return in, plan
 }
 
+// bounded runs f under a watchdog. A task-graph lock left held on some path
+// parks every worker for good; the test then fails after 10 s with a
+// goroutine dump instead of at go test's timeout.
+func bounded(tb testing.TB, what string, f func()) {
+	tb.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		tb.Fatalf("%s did not return within 10 s; goroutines:\n%s", what, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// runShardedBounded is RunSharded under bounded.
+func runShardedBounded(tb testing.TB, in *model.Instance, plan *topology.ShardPlan, cfg ShardedConfig) (res *ShardedResult, err error) {
+	tb.Helper()
+	bounded(tb, "RunSharded", func() { res, err = RunSharded(in, plan, cfg) })
+	return res, err
+}
+
 // globalEval finalizes a full copy of the instance's graph and evaluates the
 // placement globally — the ground truth the halo-scoped accounting bounds.
 func globalEval(in *model.Instance, p model.Placement) (*model.Instance, *model.Evaluation) {
@@ -67,11 +93,11 @@ func TestRunShardedBoundedRegret(t *testing.T) {
 		in, plan := clusteredInstance(t, users, 4, 8, 0.05, int64(100+users))
 		cfg := DefaultShardedConfig()
 		cfg.Seed = stats.SplitSeed(1, "regret")
-		sharded, err := RunSharded(in, plan, cfg)
+		sharded, err := runShardedBounded(t, in, plan, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		global, err := RunSharded(in, nil, cfg)
+		global, err := runShardedBounded(t, in, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +138,7 @@ func TestRunShardedWorkerDeterminism(t *testing.T) {
 		cfg := DefaultShardedConfig()
 		cfg.Seed = stats.SplitSeed(7, "determinism")
 		cfg.Workers = workers
-		res, err := RunSharded(in, plan, cfg)
+		res, err := runShardedBounded(t, in, plan, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +194,7 @@ func TestRunShardedReconcileNeverStrands(t *testing.T) {
 		in, plan := clusteredInstance(t, 240, 4, 8, 0.5, seed)
 		cfg := DefaultShardedConfig()
 		cfg.Seed = stats.SplitSeed(seed, "strand")
-		res, err := RunSharded(in, plan, cfg)
+		res, err := runShardedBounded(t, in, plan, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +216,7 @@ func TestRunShardedNaiveMatchesDirectPipeline(t *testing.T) {
 	in, _ := clusteredInstance(t, 120, 4, 6, 0.05, 13)
 	cfg := DefaultShardedConfig()
 	cfg.Seed = stats.SplitSeed(1, "naive")
-	res, err := RunSharded(in, nil, cfg)
+	res, err := runShardedBounded(t, in, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +264,7 @@ func TestRunShardedEmptyShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultShardedConfig()
-	res, err := RunSharded(in, plan, cfg)
+	res, err := runShardedBounded(t, in, plan, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +410,7 @@ func TestRunShardedReconcileRollbackMatchesNaive(t *testing.T) {
 		if rolledBack == 0 || !commitAfterRollback {
 			t.Fatalf("seed %d: fixture no longer commits a removal after a roll-back (rolled back %d)", seed, rolledBack)
 		}
-		got, err := RunSharded(in, plan, cfg)
+		got, err := runShardedBounded(t, in, plan, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,13 +526,16 @@ func TestRunTaskGraph(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 0} {
 			var clock atomic.Int64
 			start, end := make([]int64, len(deps)), make([]int64, len(deps))
-			errs := runTaskGraph(deps, workers, func(task int) error {
-				start[task] = clock.Add(1)
-				defer func() { end[task] = clock.Add(1) }()
-				if slices.Contains(c.fail, task) {
-					return fmt.Errorf("task %d", task)
-				}
-				return nil
+			var errs []error
+			bounded(t, "runTaskGraph", func() {
+				errs = runTaskGraph(deps, workers, func(task int) error {
+					start[task] = clock.Add(1)
+					defer func() { end[task] = clock.Add(1) }()
+					if slices.Contains(c.fail, task) {
+						return fmt.Errorf("task %d", task)
+					}
+					return nil
+				})
 			})
 			for task, ds := range deps {
 				ran := start[task] != 0
@@ -554,7 +583,7 @@ func TestRunShardedScheduleMatchesNaive(t *testing.T) {
 			rolledBack += rb
 			for _, workers := range []int{1, 2, 4, 0} {
 				cfg.Workers = workers
-				got, err := RunSharded(in, plan, cfg)
+				got, err := runShardedBounded(t, in, plan, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

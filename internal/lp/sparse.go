@@ -1155,8 +1155,3 @@ func (w *WarmSolver) FactorizationResidual() (float64, bool) {
 	}
 	return w.sp.residualNorm(), true
 }
-
-// Refactorizations reports how many mid-solve eta-file rebuilds the solver
-// has performed; regression tests use it to pin that the refactorization
-// path is actually exercised.
-func (w *WarmSolver) Refactorizations() int { return w.sp.refactors }

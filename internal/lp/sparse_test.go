@@ -354,7 +354,7 @@ func TestSparseForcedRefactorization(t *testing.T) {
 		}
 		checkAgainstReference(t, p, got, st[0], st[1])
 	}
-	if sp.Refactorizations() == 0 {
+	if sp.sp.refactors == 0 {
 		t.Fatal("updLimit=1 never triggered a refactorization")
 	}
 }

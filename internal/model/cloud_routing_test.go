@@ -78,7 +78,7 @@ func TestEvaluationMatchesPerRequestRouting(t *testing.T) {
 				_, want, err = in.RouteGreedy(req, p)
 			case RouteModeRandom:
 				rng := stats.NewRand(7 + int64(h)*0x9e3779b9)
-				_, want, err = in.RouteRandom(req, p, rng)
+				_, want, err = in.routeRandom(req, p, rng)
 			default:
 				_, want, err = in.RouteOptimal(req, p)
 			}

@@ -21,7 +21,6 @@ type ColdStartModel struct {
 	Delay float64
 
 	cold  [][]bool
-	count int
 	epoch uint64
 }
 
@@ -42,9 +41,6 @@ func (c *ColdStartModel) Epoch() uint64 { return c.epoch }
 // IsCold reports whether (svc, node) is currently cold.
 func (c *ColdStartModel) IsCold(svc, node int) bool { return c.cold[svc][node] }
 
-// ColdCount returns the number of cold coordinates.
-func (c *ColdStartModel) ColdCount() int { return c.count }
-
 // SetCold marks (svc, node) cold or warm. Setting the value already held is
 // a no-op that does not bump the epoch.
 func (c *ColdStartModel) SetCold(svc, node int, cold bool) {
@@ -52,11 +48,6 @@ func (c *ColdStartModel) SetCold(svc, node int, cold bool) {
 		return
 	}
 	c.cold[svc][node] = cold
-	if cold {
-		c.count++
-	} else {
-		c.count--
-	}
 	c.epoch++
 }
 
@@ -74,11 +65,6 @@ func (c *ColdStartModel) SyncWarm(p Placement) int {
 				continue
 			}
 			c.cold[i][k] = want
-			if want {
-				c.count++
-			} else {
-				c.count--
-			}
 			changed++
 		}
 	}

@@ -110,7 +110,8 @@ func (x *excludeLister) NodesOf(s int) []int {
 // placement bit and the cache entries the mutation invalidated, so an
 // Apply → Eval → Revert probe leaves the evaluator exactly as it was — the
 // pattern GC-OG's candidate search runs thousands of times per round.
-// Outstanding deltas must be reverted in LIFO order.
+// Outstanding deltas must be reverted in LIFO order, and before the next
+// EditRequests, AdvanceTo or Rebind.
 //
 // A removal under optimal/greedy routing saves the entries it invalidates:
 // few, and usually re-routed before the Revert. An addition (and any
@@ -122,7 +123,7 @@ type Delta struct {
 	val       bool
 	noop      bool   // Apply found the bit already at val; nothing to undo
 	gen       uint64 // evalGen at Apply; later-stamped entries were routed since
-	reqGen    uint64 // reqGen at Apply; saved entries index that request list
+	undoGen   uint64 // undoGen at Apply; Revert refuses a stale one
 	saved     []routeSave
 	flipped   []int // requests an addition (or random-mode) Apply invalidated, ascending
 	reverted  bool
@@ -158,9 +159,13 @@ type DeltaEvaluator struct {
 	costEpoch uint64
 	costOK    bool
 
-	// Workload edits (EditRequests) counted, so that an undo record taken
-	// before one cannot be reverted after it.
+	// Workload edits (EditRequests) counted, for EvalStamp.
 	reqGen uint64
+	// undoGen counts what stales an undo record: a workload edit (its saved
+	// routes index the old list), AdvanceTo and Rebind (its Revert would set
+	// a bit of a placement the caller replaced). Apply stamps it into the
+	// Delta and Revert panics when the stamp is stale.
+	undoGen uint64
 
 	scratch  *RouteScratch
 	dirtyBuf []int
@@ -369,6 +374,7 @@ func (d *DeltaEvaluator) EditRequests(reqs []msvc.Request, gone, moved []int) {
 	d.altGen, d.altLat, d.altSet = nil, nil, nil
 	d.dropAddProbe()
 	d.reqGen++
+	d.undoGen++
 	d.selfCheckEdit(reqs)
 }
 
@@ -479,7 +485,7 @@ func (d *DeltaEvaluator) checkEpoch(op string) {
 // exactly.
 func (d *DeltaEvaluator) Apply(svc, node int, val bool) *Delta {
 	d.checkEpoch("Apply")
-	dl := &Delta{svc: svc, node: node, val: val, gen: d.evalGen, reqGen: d.reqGen}
+	dl := &Delta{svc: svc, node: node, val: val, gen: d.evalGen, undoGen: d.undoGen}
 	if d.ix.Has(svc, node) == val {
 		dl.noop = true
 		return dl // nothing saved, nothing invalidated
@@ -518,16 +524,17 @@ func popSpare[T any](pool *[][]T) []T {
 // is invalidated, since the instance comes back; after an addition it goes
 // through the removal rule, last-instance case included. When nothing was
 // routed or probed since the Apply there is no such entry, and the walk over
-// the service's requests is skipped. Reverting twice panics; overlapping
-// deltas must revert in LIFO order.
+// the service's requests is skipped. Reverting twice panics, and so does
+// reverting a delta taken before an EditRequests, AdvanceTo or Rebind;
+// overlapping deltas must revert in LIFO order.
 func (d *DeltaEvaluator) Revert(dl *Delta) {
 	d.checkEpoch("Revert")
 	if dl.reverted {
 		panic("model: DeltaEvaluator.Revert called twice on the same delta")
 	}
 	dl.reverted = true
-	if dl.reqGen != d.reqGen {
-		panic("model: DeltaEvaluator.Revert of a delta taken before EditRequests")
+	if dl.undoGen != d.undoGen {
+		panic("model: DeltaEvaluator.Revert of a delta taken before EditRequests, AdvanceTo or Rebind")
 	}
 	if dl.noop {
 		return
@@ -632,11 +639,13 @@ func (d *DeltaEvaluator) staleAfterRemoval(h int, e *deltaRoute, svc, node int) 
 }
 
 // AdvanceTo mutates the bound placement into p (diff-and-apply, no undo) and
-// returns the number of instance bits changed. It is the sweep entry point:
+// returns the number of instance bits changed. A delta taken before it can no
+// longer be reverted. It is the sweep entry point:
 // successive placements of a figure sweep share most of their instances, so
 // the next Eval re-routes only requests whose services actually moved.
 func (d *DeltaEvaluator) AdvanceTo(p Placement) int {
 	d.checkEpoch("AdvanceTo")
+	d.undoGen++
 	d.dropAddProbe() // a sweep step ends a probe session: give the rows back
 	cur := d.ix.Placement()
 	if len(p.X) != len(cur.X) {
@@ -662,10 +671,11 @@ func (d *DeltaEvaluator) AdvanceTo(p Placement) int {
 }
 
 // Rebind points the evaluator at a (possibly different) placement and drops
-// every cached route.
+// every cached route and the revertibility of every outstanding delta.
 func (d *DeltaEvaluator) Rebind(p Placement) {
 	d.ix.Rebind(p)
 	d.epoch = d.ix.Epoch()
+	d.undoGen++
 	d.dropAddProbe()
 	d.cold = d.in.ColdStart
 	if d.cold != nil {

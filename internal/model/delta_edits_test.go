@@ -285,7 +285,7 @@ func runEditWalk(t testing.TB, data []byte) {
 
 	ops := data[1:]
 	for step := 0; step+2 < len(ops); step += 3 {
-		op, a, b := ops[step]%16, int(ops[step+1]), int(ops[step+2])
+		op, a, b := ops[step]%17, int(ops[step+1]), int(ops[step+2])
 		svc, node := a%editServices, b%editNodes
 		if op > 5 && rec.pending {
 			sync(step)
@@ -423,6 +423,23 @@ func runEditWalk(t testing.TB, data []byte) {
 				}
 				check(step, "weights")
 			}
+		case 16: // a probe left open across a jump: the flip stays, the Revert panics
+			dl := de.Apply(svc, node, !de.Placement().Has(svc, node))
+			jump := "AdvanceTo"
+			if a&1 == 0 {
+				de.AdvanceTo(de.Placement().Clone())
+			} else {
+				jump = "Rebind"
+				de.Rebind(de.Placement())
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s step %d: Revert of a delta taken before %s did not panic", sc, step, jump)
+					}
+				}()
+				de.Revert(dl)
+			}()
 		}
 		if !rec.pending {
 			check(step, "op")

@@ -248,6 +248,36 @@ func TestDeltaEvaluatorRevertTwicePanics(t *testing.T) {
 	de.Revert(dl)
 }
 
+// TestDeltaEvaluatorRevertAcrossAdvanceToPanics: an undo record belongs to
+// the placement it was taken on. Reverting a removal of (0,0) after a move to
+// a placement without that instance would put the instance back where the
+// caller's target has none, and the evaluator would go on scoring that wrong
+// placement self-consistently; so the Revert must panic, after AdvanceTo and
+// after Rebind alike.
+func TestDeltaEvaluatorRevertAcrossAdvanceToPanics(t *testing.T) {
+	for _, leg := range []string{"AdvanceTo", "Rebind"} {
+		t.Run(leg, func(t *testing.T) {
+			in := indexTestInstance(t, 6, 20, 1)
+			p := densePlacement(in, 1)
+			p.Set(0, 0, true)
+			de := NewDeltaEvaluator(in, p, RouteModeOptimal, 0)
+			dl := de.Apply(0, 0, false)
+			target := de.Placement().Clone()
+			if leg == "AdvanceTo" {
+				de.AdvanceTo(target)
+			} else {
+				de.Rebind(target)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Revert of a delta taken before %s did not panic: it put (0,0) back into a placement without it", leg)
+				}
+			}()
+			de.Revert(dl)
+		})
+	}
+}
+
 // TestDeltaEvaluatorLastInstanceOfUnroutable: a request whose only instance
 // sits on another island is unroutable (deployed, +Inf); removing that last
 // instance must reclassify it exactly as the scratch evaluator does — Missing

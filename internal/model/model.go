@@ -421,15 +421,10 @@ func (m RoutingMode) String() string {
 	}
 }
 
-// RouteRandom assigns each chain step to a uniformly random hosting node —
+// routeRandom assigns each chain step to a uniformly random hosting node —
 // the routing policy of the RP baseline. The rng must be supplied so runs
 // stay reproducible.
 //
-//socllint:sentinel ErrNoInstance
-func (in *Instance) RouteRandom(req *msvc.Request, p Placement, r *rand.Rand) (Assignment, float64, error) {
-	return in.routeRandom(req, p, r)
-}
-
 //socllint:sentinel ErrNoInstance
 func (in *Instance) routeRandom(req *msvc.Request, cand nodeLister, r *rand.Rand) (Assignment, float64, error) {
 	nodes := make([]int, len(req.Chain))

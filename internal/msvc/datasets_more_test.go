@@ -30,12 +30,12 @@ func TestAllEmbeddedDatasetsBuild(t *testing.T) {
 		for fi, flow := range cat.Flows() {
 			for i := 1; i < len(flow); i++ {
 				found := false
-				for _, d := range cat.Dependencies(flow[i-1]) {
+				for _, d := range cat.deps[flow[i-1]] {
 					if d == flow[i] {
 						found = true
 					}
 				}
-				for _, d := range cat.Dependencies(flow[i]) {
+				for _, d := range cat.deps[flow[i]] {
 					if d == flow[i-1] {
 						found = true
 					}

@@ -108,13 +108,6 @@ func (c *Catalog) Lookup(name string) (ServiceID, bool) {
 	return id, ok
 }
 
-// Dependencies returns the services that id calls.
-func (c *Catalog) Dependencies(id ServiceID) []ServiceID {
-	out := make([]ServiceID, len(c.deps[id]))
-	copy(out, c.deps[id])
-	return out
-}
-
 // Flows returns the canonical request chains.
 func (c *Catalog) Flows() [][]ServiceID {
 	out := make([][]ServiceID, len(c.flows))

@@ -41,9 +41,8 @@ func TestCatalogDependencies(t *testing.T) {
 	if err := c.AddDependency(a, 99); err == nil {
 		t.Fatal("out-of-range dependency accepted")
 	}
-	deps := c.Dependencies(a)
-	if len(deps) != 1 || deps[0] != b {
-		t.Fatalf("Dependencies = %v", deps)
+	if deps := c.deps[a]; len(deps) != 1 || deps[0] != b {
+		t.Fatalf("dependencies of a = %v", deps)
 	}
 }
 
@@ -136,7 +135,7 @@ func TestSyntheticCatalog(t *testing.T) {
 	}
 	// Dependencies must point to higher IDs (layered DAG → acyclic).
 	for i := 0; i < c.Len(); i++ {
-		for _, d := range c.Dependencies(i) {
+		for _, d := range c.deps[i] {
 			if d <= i {
 				t.Fatalf("dependency %d → %d is not forward", i, d)
 			}

@@ -1,5 +1,5 @@
 // Package stats provides small, dependency-free numeric helpers shared by the
-// SoCL library: summary statistics, histograms, and deterministic RNG
+// SoCL library: summary statistics, similarity measures, and deterministic RNG
 // derivation so that every experiment is reproducible bit-for-bit from a
 // single root seed.
 package stats
@@ -52,15 +52,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Min returns the minimum of xs. It panics on empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -89,23 +80,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Variance returns the population variance of xs (0 for fewer than 2 values).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mu := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - mu
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Median returns the median of xs (interpolated for even length).
 // It panics on empty input.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
@@ -133,28 +107,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// Histogram counts xs into nbins equal-width bins spanning [min, max].
-// Values exactly at max fall into the last bin. It returns the bin counts and
-// the bin width. Empty input or nbins < 1 yields a nil slice.
-func Histogram(xs []float64, nbins int, min, max float64) ([]int, float64) {
-	if len(xs) == 0 || nbins < 1 || max <= min {
-		return nil, 0
-	}
-	width := (max - min) / float64(nbins)
-	bins := make([]int, nbins)
-	for _, x := range xs {
-		if x < min || x > max {
-			continue
-		}
-		i := int((x - min) / width)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		bins[i]++
-	}
-	return bins, width
 }
 
 // CosineSimilarity returns the cosine similarity of two equal-length vectors,

@@ -8,12 +8,9 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestMeanSumEmpty(t *testing.T) {
+func TestMeanEmpty(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatalf("Mean(nil) = %v, want 0", Mean(nil))
-	}
-	if Sum(nil) != 0 {
-		t.Fatalf("Sum(nil) = %v, want 0", Sum(nil))
 	}
 }
 
@@ -42,19 +39,6 @@ func TestMinPanicsOnEmpty(t *testing.T) {
 	Min(nil)
 }
 
-func TestVarianceStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEq(got, 4) {
-		t.Fatalf("Variance = %v, want 4", got)
-	}
-	if got := Stddev(xs); !almostEq(got, 2) {
-		t.Fatalf("Stddev = %v, want 2", got)
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Fatal("Variance of singleton should be 0")
-	}
-}
-
 func TestMedianPercentile(t *testing.T) {
 	if got := Median([]float64{1, 3, 2}); !almostEq(got, 2) {
 		t.Fatalf("Median odd = %v", got)
@@ -79,29 +63,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	Percentile(xs, 50)
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
 		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	bins, width := Histogram([]float64{0, 0.5, 1, 1.5, 2}, 2, 0, 2)
-	if width != 1 {
-		t.Fatalf("width = %v", width)
-	}
-	if bins[0] != 2 || bins[1] != 3 {
-		t.Fatalf("bins = %v, want [2 3]", bins)
-	}
-	if b, _ := Histogram(nil, 3, 0, 1); b != nil {
-		t.Fatal("empty input should give nil bins")
-	}
-	if b, _ := Histogram([]float64{1}, 0, 0, 1); b != nil {
-		t.Fatal("nbins<1 should give nil bins")
-	}
-}
-
-func TestHistogramOutOfRangeIgnored(t *testing.T) {
-	bins, _ := Histogram([]float64{-1, 0.5, 9}, 1, 0, 1)
-	if bins[0] != 1 {
-		t.Fatalf("bins = %v, want [1]", bins)
 	}
 }
 
@@ -224,30 +185,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		}
 		v1, v2 := Percentile(xs, p1), Percentile(xs, p2)
 		return v1 <= v2+1e-9 && v1 >= Min(xs)-1e-9 && v2 <= Max(xs)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram bin counts sum to the number of in-range samples.
-func TestHistogramConservationProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, math.Mod(v, 10))
-			}
-		}
-		bins, _ := Histogram(xs, 5, -10, 10)
-		if len(xs) == 0 {
-			return bins == nil
-		}
-		total := 0
-		for _, b := range bins {
-			total += b
-		}
-		return total == len(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -29,12 +30,30 @@ func startServer(tb testing.TB, cfg transport.Config) *transport.Server {
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve() }()
 	tb.Cleanup(func() {
-		srv.Close()
+		bounded(tb, "closing the server", func() { srv.Close() })
 		if err := <-served; err != nil {
 			tb.Error(err)
 		}
 	})
 	return srv
+}
+
+// bounded runs f under a watchdog. A server lock left held on some path
+// stalls a session, and the close that waits for it, for good; the test then
+// fails after 10 s with a goroutine dump instead of at go test's timeout.
+func bounded(tb testing.TB, what string, f func()) {
+	tb.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		tb.Fatalf("%s did not return within 10 s; goroutines:\n%s", what, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 // rawPeer is a bare framed connection: it writes exactly the bytes a test

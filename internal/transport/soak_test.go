@@ -119,9 +119,12 @@ func TestSoakReliableChaos(t *testing.T) {
 		srv.Close()
 		t.Fatal(err)
 	}
-	rep, err := cli.Run(s)
-	cli.Close()
-	srv.Close()
+	var rep *transport.Report
+	bounded(t, "the session", func() {
+		rep, err = cli.Run(s)
+		cli.Close()
+		srv.Close()
+	})
 	if err != nil {
 		t.Fatalf("reliable session failed: %v (report %+v)", err, rep)
 	}
@@ -192,9 +195,12 @@ func TestSoakOpenLoopHardened(t *testing.T) {
 		srv.Close()
 		t.Fatal(err)
 	}
-	rep, err := cli.Run(s)
-	cli.Close()
-	srv.Close()
+	var rep *transport.Report
+	bounded(t, "the session", func() {
+		rep, err = cli.Run(s)
+		cli.Close()
+		srv.Close()
+	})
 	if err != nil {
 		t.Fatalf("open-loop session failed: %v (report %+v)", err, rep)
 	}

@@ -30,9 +30,10 @@
 //     at all times (a write around the evaluator panics as a stale binding).
 //  2. Reliance-index coherence: state.relyIdx holds, for each live instance,
 //     the ascending (h,t) list of steps relying on it — exactly the pairs
-//     with rel[h][t]==node and Chain[t]==svc. A re-homing replaces the lists
-//     it changes with fresh ones (one merge per destination) and never edits
-//     a published list, so a snapshot keeps the list headers and a restore
+//     with rel[h][t]==node and Chain[t]==svc. A re-homing merges the moved
+//     steps into each destination's list: in place while no snapshot has
+//     been taken, and once one has, into a fresh list, never editing a
+//     published one, so a snapshot keeps the list headers and a restore
 //     puts them back. The ascending order makes ζ's float summation
 //     bit-identical to a full scan of rel.
 //  3. The deadline check reads the evaluator; a roll-back reverts the step's
@@ -131,12 +132,16 @@ type state struct {
 	idx         *model.PlacementIndex // ev's index: cached candidate node lists
 	step        []*model.Delta        // Applies since the last snapshot, in order
 	deadlines   bool                  // some request has a finite deadline
-	relyIdx     [][][2]int            // [svc·|V|+node] → ascending relying (h,t)
-	rehomed     [][][2]int            // per-node scratch of rehome
+	relyIdx     [][]int               // [svc·|V|+node] → ascending packed relying steps (packStep)
+	rehomed     []int                 // rehome's scratch: moved steps grouped by destination
+	rehomeEnd   []int                 // rehome's per-node group bounds, zero between calls
+	snapped     bool                  // saveSnapshot has run: relyIdx lists are replaced, never edited
 	zetaMemo    []float64             // [svc·|V|+node] memoized ζ, NaN = unset
 	latRow      []float64             // per-request ψ rows for starObjective
 	latRowDirty []bool                // rows needing re-derivation
 	memo        homeMemo              // zeta's and rehome's per-home decisions
+	instSet     []scoredInst          // updateInstanceSet's list, reused call over call
+	instMiss    []int                 // updateInstanceSet's scratch
 
 	// Static memoization (pure functions of the instance and partition,
 	// never of the mutable placement).
@@ -428,7 +433,7 @@ func (s *state) zeta(svc, node int) float64 {
 	reqs := s.in.Workload.Requests
 	loss := 0.0
 	for _, ht := range s.relyIdx[s.at(svc, node)] {
-		h, t := ht[0], ht[1]
+		h, t := unpackStep(ht)
 		e := s.decide(reqs[h].Home)
 		if e.pick == -1 {
 			return math.Inf(1) // no alternative and no cloud
@@ -450,10 +455,11 @@ type scoredInst struct {
 // values are served from the per-service memo — a mutation of service i
 // invalidates only i's row, because ζ(i,k) depends solely on i's candidate
 // set and relying steps — so a serial round rescores one service instead of
-// the whole deployment.
+// the whole deployment. The list is valid until the next call, which reuses
+// its array.
 func (s *state) updateInstanceSet() []scoredInst {
-	var out []scoredInst
-	var miss []int // indices of out lacking a memoized ζ
+	out := s.instSet[:0]
+	miss := s.instMiss[:0] // indices of out lacking a memoized ζ
 	for _, svc := range s.part.Index.ServicesUsed() {
 		nodes := s.nodesOf(svc)
 		// Line 2-3: single-instance services are skipped for continuity —
@@ -479,6 +485,7 @@ func (s *state) updateInstanceSet() []scoredInst {
 		out[i].zeta = s.zeta(out[i].key.svc, out[i].key.node)
 		s.zetaMemo[s.at(out[i].key.svc, out[i].key.node)] = out[i].zeta
 	}
+	s.instSet, s.instMiss = out, miss
 	// Removal priority: warm instances resist removal by warmBias latency
 	// units; exact ties still break cold-first (churn bias).
 	rank := func(sc scoredInst) float64 {
@@ -572,7 +579,7 @@ func (s *state) parallelPhase(cfg Config, maxRounds int, res *Result) bool {
 
 // filterDependencyConflicts implements line 4 of Algorithm 3: when two
 // batch instances belong to services adjacent in some user's dependency
-// chain, the one with the larger ζ is discarded.
+// chain, the one with the larger ζ is discarded. It filters omega in place.
 func (s *state) filterDependencyConflicts(omega []scoredInst) []scoredInst {
 	drop := make([]bool, len(omega))
 	for i := 0; i < len(omega); i++ {
@@ -591,7 +598,7 @@ func (s *state) filterDependencyConflicts(omega []scoredInst) []scoredInst {
 			}
 		}
 	}
-	var out []scoredInst
+	out := omega[:0]
 	for i, inst := range omega {
 		if !drop[i] {
 			out = append(out, inst)
@@ -665,10 +672,11 @@ func (s *state) serialPhase(maxRounds int, res *Result) {
 // round-trip because the step's storage planning may migrate() a frozen
 // instance away (un-freezing it); a rolled-back step must neither leak that
 // deletion nor keep counting its undone migrations. Reverse-index lists are
-// copied by header: what they point at is immutable once published
-// (re-homings install fresh slices), so sharing it with the snapshot is
-// safe. The ζ memo round-trips too — a restored placement makes the
-// pre-step values exact again, so a roll-back rescoring costs nothing.
+// copied by header: once a snapshot has been taken (state.snapped), what
+// they point at is immutable (re-homings install fresh slices), so sharing
+// it with the snapshot is safe. The ζ memo round-trips too — a restored
+// placement makes the pre-step values exact again, so a roll-back rescoring
+// costs nothing.
 //
 // The buffers live on state.snap and are reused round over round — at most
 // one snapshot is live at a time, and a restore copies contents back into
@@ -679,7 +687,7 @@ type snapState struct {
 	cost        float64
 	frozen      map[instKey]bool
 	migrated    int
-	relyIdx     [][][2]int
+	relyIdx     [][]int
 	zetaMemo    []float64
 	latRow      []float64
 	latRowDirty []bool
@@ -690,7 +698,7 @@ func (s *state) saveSnapshot(res *Result) {
 	if sn.frozen == nil {
 		sn.rel = make([]int, len(s.relFlat))
 		sn.frozen = make(map[instKey]bool, len(s.frozen))
-		sn.relyIdx = make([][][2]int, len(s.relyIdx))
+		sn.relyIdx = make([][]int, len(s.relyIdx))
 		sn.zetaMemo = make([]float64, len(s.zetaMemo))
 		sn.latRow = make([]float64, len(s.latRow))
 		sn.latRowDirty = make([]bool, len(s.latRowDirty))
@@ -698,6 +706,7 @@ func (s *state) saveSnapshot(res *Result) {
 		clear(sn.frozen)
 	}
 	s.step = s.step[:0]
+	s.snapped = true
 	copy(sn.rel, s.relFlat)
 	for k, v := range s.frozen {
 		sn.frozen[k] = v

@@ -1,6 +1,10 @@
 package combine
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // This file holds combine's own incremental structures. Together with
 // state.ev, the run's model.DeltaEvaluator, they avoid the
@@ -45,49 +49,54 @@ func (s *state) initIncremental() {
 
 // --- reverse reliance index ---
 
+// stepBits is the width of a packed step's chain position: the relying step
+// (h, t) is h<<stepBits | t, so ascending integers are ascending (h, t).
+const stepBits = 16
+
+// packStep packs request h's chain step t into one relyIdx entry.
+func packStep(h, t int) int { return h<<stepBits | t }
+
+// unpackStep is packStep's inverse.
+func unpackStep(ht int) (h, t int) { return ht >> stepBits, ht & (1<<stepBits - 1) }
+
 // buildRelianceIndex derives relyIdx from rel: a counting pass sizes every
 // instance's list inside one backing array, a second pass in (h,t) order
 // fills them — ascending, the order a full scan of rel visits relying steps,
-// so ζ sums float terms identically. Lists are immutable once published:
-// rehome replaces a list, never edits one, which is what lets a snapshot
-// keep the headers alone.
+// so ζ sums float terms identically. Each list's capacity is its length, so
+// no list can grow into its neighbor's.
 func (s *state) buildRelianceIndex() {
 	count := make([]int, s.in.M()*s.in.V())
 	for h := range s.rel {
 		chain := s.in.Workload.Requests[h].Chain
+		if len(chain) > 1<<stepBits {
+			panic(fmt.Sprintf("combine: request %d has %d chain steps, more than a packed step holds", h, len(chain)))
+		}
 		for t, k := range s.rel[h] {
 			if k >= 0 {
 				count[s.at(chain[t], k)]++
 			}
 		}
 	}
-	s.relyIdx = make([][][2]int, len(count))
-	flat := make([][2]int, len(s.relFlat))
-	off := 0
-	for i, n := range count {
-		if n > 0 {
-			s.relyIdx[i] = flat[off : off : off+n]
-			off += n
-		}
-	}
+	s.relyIdx = carve(count, len(s.relFlat))
 	for h := range s.rel {
 		chain := s.in.Workload.Requests[h].Chain
 		for t, k := range s.rel[h] {
 			if k >= 0 {
 				i := s.at(chain[t], k)
-				s.relyIdx[i] = append(s.relyIdx[i], [2]int{h, t})
+				s.relyIdx[i] = append(s.relyIdx[i], packStep(h, t))
 			}
 		}
 	}
-	s.rehomed = make([][][2]int, s.in.V())
+	s.rehomeEnd = make([]int, s.in.V())
 }
 
 // rehome moves every step relying on the (already removed) instance
 // (svc,node) to its new best instance, keeping rel, the ψ-row dirty flags,
 // the reverse index and svc's ζ row (a function of svc's candidates and
-// reliances only) coherent. The relying list is walked in ascending (h,t)
-// order, so the steps bound for one destination are ascending too and join
-// its list in a single merge.
+// reliances only) coherent. The moved steps are grouped by destination in
+// one scratch list, each group ascending as the relying list was, and each
+// group joins its destination's list in a single merge: in place until a
+// snapshot may hold the list (snapped), into a fresh list after.
 func (s *state) rehome(svc, node int) {
 	row := s.zetaMemo[s.at(svc, 0):s.at(svc+1, 0)]
 	for k := range row {
@@ -97,19 +106,44 @@ func (s *state) rehome(svc, node int) {
 	s.relyIdx[s.at(svc, node)] = nil
 	s.memo.open(svc, -1)
 	reqs := s.in.Workload.Requests
+	end := s.rehomeEnd // steps bound per node, then each group's end
 	for _, ht := range moved {
-		h, t := ht[0], ht[1]
+		h, t := unpackStep(ht)
 		nk := s.decide(reqs[h].Home).pick
 		s.rel[h][t] = nk
 		s.latRowDirty[h] = true
 		if nk >= 0 { // cloud or unserved: no instance to index
-			s.rehomed[nk] = append(s.rehomed[nk], ht)
+			end[nk]++
 		}
 	}
-	for _, nk := range s.nodesOf(svc) {
-		if add := s.rehomed[nk]; len(add) > 0 {
-			s.relyIdx[s.at(svc, nk)] = mergeAscending(s.relyIdx[s.at(svc, nk)], add)
-			s.rehomed[nk] = add[:0]
+	nodes := s.nodesOf(svc)
+	n := 0
+	for _, nk := range nodes {
+		n += end[nk]
+		end[nk] = n
+	}
+	grouped := slices.Grow(s.rehomed[:0], n)[:n]
+	for j := len(moved) - 1; j >= 0; j-- {
+		h, t := unpackStep(moved[j])
+		if nk := s.rel[h][t]; nk >= 0 {
+			end[nk]--
+			grouped[end[nk]] = moved[j]
+		}
+	}
+	s.rehomed = grouped
+	for i, nk := range nodes {
+		lo, hi := end[nk], n // end[nk] is now the group's start
+		if i+1 < len(nodes) {
+			hi = end[nodes[i+1]]
+		}
+		end[nk] = 0
+		if add := grouped[lo:hi]; len(add) > 0 {
+			dst := &s.relyIdx[s.at(svc, nk)]
+			if s.snapped {
+				*dst = mergeAscending(nil, *dst, add)
+			} else {
+				*dst = mergeInto(*dst, add)
+			}
 		}
 	}
 }
@@ -167,16 +201,35 @@ func (s *state) decide(home int) *homeEntry {
 	return e
 }
 
-// mergeAscending returns a fresh list holding a and b, both ascending in
-// (h,t) and disjoint, in ascending order.
-func mergeAscending(a, b [][2]int) [][2]int {
-	out := make([][2]int, 0, len(a)+len(b))
+// mergeAscending appends to out the union of a and b, both ascending and
+// disjoint, in ascending order.
+func mergeAscending(out, a, b []int) []int {
 	for len(a) > 0 && len(b) > 0 {
-		if a[0][0] < b[0][0] || (a[0][0] == b[0][0] && a[0][1] < b[0][1]) {
+		if a[0] < b[0] {
 			out, a = append(out, a[0]), a[1:]
 		} else {
 			out, b = append(out, b[0]), b[1:]
 		}
 	}
 	return append(append(out, a...), b...)
+}
+
+// mergeInto merges b into a, both ascending and disjoint: from the back into
+// a's spare capacity when it has room, else into a fresh list of twice a's
+// capacity. a's elements may move, so no one else may hold a.
+func mergeInto(a, b []int) []int {
+	n := len(a) + len(b)
+	if n > cap(a) {
+		return mergeAscending(make([]int, 0, max(2*cap(a), n)), a, b)
+	}
+	i, j := len(a)-1, len(b)-1
+	a = a[:n]
+	for w := n - 1; j >= 0; w-- {
+		if i >= 0 && a[i] > b[j] {
+			a[w], i = a[i], i-1
+		} else {
+			a[w], j = b[j], j-1
+		}
+	}
+	return a
 }

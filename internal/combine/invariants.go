@@ -68,10 +68,10 @@ func (s *state) checkRelianceIndex(where string) {
 	indexed := 0
 	for i, list := range s.relyIdx {
 		key := instKey{i / s.in.V(), i % s.in.V()}
-		prev := [2]int{-1, -1}
+		prev := -1
 		for _, ht := range list {
-			h, t := ht[0], ht[1]
-			invariant.Assertf(prev[0] < h || (prev[0] == h && prev[1] < t),
+			h, t := unpackStep(ht)
+			invariant.Assertf(prev < ht,
 				"combine %s: relyIdx[%v] not ascending at (%d,%d)", where, key, h, t)
 			prev = ht
 			invariant.Assertf(s.in.Workload.Requests[h].Chain[t] == key.svc && s.rel[h][t] == key.node,

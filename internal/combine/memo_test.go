@@ -75,7 +75,7 @@ func randomPlacement(in *model.Instance, rng *rand.Rand) model.Placement {
 func directZeta(s *state, svc, node int) float64 {
 	loss := 0.0
 	for _, ht := range s.relyIdx[s.at(svc, node)] {
-		h, t := ht[0], ht[1]
+		h, t := unpackStep(ht)
 		alt := s.pickReliance(s.in.Workload.Requests[h].Home, svc, node)
 		if alt == -1 {
 			return math.Inf(1)
@@ -225,6 +225,33 @@ func TestHomeMemoStampWraps(t *testing.T) {
 		for home := 0; home < in.V(); home++ {
 			if got, want := s.decide(home).pick, s.pickReliance(home, b, -1); got != want {
 				t.Fatalf("stamp %d, home %d: memo picks %d, the rule %d", s.memo.gen, home, got, want)
+			}
+		}
+	}
+}
+
+// The reverse reliance index stays what a rebuild from rel gives through a
+// parallel phase, whose re-homings merge in place, and a serial phase whose
+// roll-backs restore a snapshot's list headers, which no merge after the
+// snapshot may have edited.
+func TestRelianceIndexSurvivesRollback(t *testing.T) {
+	for _, seed := range []int64{2, 4, 6} {
+		in, part, pre := bindingInstance(400, seed)
+		cfg := DefaultConfig()
+		s := newState(in, part, pre, cfg)
+		var res Result
+		maxRounds := in.M()*in.V() + 16
+		s.parallelPhase(cfg, maxRounds, &res)
+		parallel := res.Combined
+		s.serialPhase(maxRounds, &res)
+		if parallel == 0 || res.RolledBack == 0 {
+			t.Fatalf("seed %d: %d parallel combinations, %d roll-backs; the fixture needs both", seed, parallel, res.RolledBack)
+		}
+		got := s.relyIdx
+		s.buildRelianceIndex()
+		for i := range got {
+			if !slices.Equal(got[i], s.relyIdx[i]) {
+				t.Fatalf("seed %d: relyIdx[%d] (%d steps) differs from a rebuild from rel (%d steps)", seed, i, len(got[i]), len(s.relyIdx[i]))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package combine
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -150,7 +151,10 @@ const boundaryImproveTol = 1e-9
 // at full O(|V|²) cost — even on unfinalized substrates.
 //
 // On failure it returns the error of the first failing task in stage-then-
-// shard order; tasks that wait on a failed one do not run.
+// shard order; tasks that wait on a failed one do not run. A task that
+// panics makes RunSharded panic once the other tasks stop, with an error
+// carrying the task's number (st·S+s for stage st of shard s, as below), its
+// panic value and the stack it panicked on.
 func RunSharded(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConfig) (*ShardedResult, error) {
 	r, err := newShardedRun(in, plan, cfg)
 	if err != nil {
@@ -232,10 +236,13 @@ func shardTaskDeps(plan *topology.ShardPlan) [][]int {
 // (0 = GOMAXPROCS). An idle worker takes the lowest-numbered ready task, so
 // one worker, which runs inline, goes in ascending order. A task that fails,
 // or waits on one that failed or was skipped, has its dependents skipped.
-// errs[t] is task t's error; skipped tasks leave it nil.
+// errs[t] is task t's error; skipped tasks leave it nil. A task that panics
+// fails; once the workers stop, the lowest-numbered panic is raised again
+// on the calling goroutine as a *taskPanic.
 func runTaskGraph(deps [][]int, workers int, run func(t int) error) (errs []error) {
 	n := len(deps)
 	errs = make([]error, n)
+	panics := make([]*taskPanic, n)
 	failed := make([]bool, n) // failed or skipped
 	waiting := make([]int, n) // unfinished dependencies
 	next := make([][]int, n)  // dependents
@@ -276,10 +283,8 @@ func runTaskGraph(deps [][]int, workers int, run func(t int) error) (errs []erro
 				continue
 			}
 			ready[t] = false
-			mu.Unlock()
-			err := run(t)
-			mu.Lock()
-			errs[t], failed[t] = err, err != nil
+			p, err := runUnlocked(&mu, t, run)
+			errs[t], panics[t], failed[t] = err, p, err != nil || p != nil
 			finish(t)
 			cond.Broadcast()
 		}
@@ -287,18 +292,49 @@ func runTaskGraph(deps [][]int, workers int, run func(t int) error) (errs []erro
 
 	if workers = min(bb.ResolveWorkers(workers), n); workers <= 1 {
 		work()
-		return errs
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
 	}
-	wg.Wait()
 	return errs
+}
+
+// runUnlocked runs task t with mu, which the caller holds, released, and
+// takes mu again however run returns, so the caller's deferred unlock stays
+// balanced. A panic in run is recovered and returned.
+func runUnlocked(mu *sync.Mutex, t int, run func(t int) error) (p *taskPanic, err error) {
+	mu.Unlock()
+	defer mu.Lock()
+	defer func() {
+		if v := recover(); v != nil {
+			p = &taskPanic{task: t, value: v, stack: debug.Stack()}
+		}
+	}()
+	return nil, run(t)
+}
+
+// taskPanic is a task's panic, raised again on runTaskGraph's caller: the
+// task, its panic value and the stack it panicked on.
+type taskPanic struct {
+	task  int
+	value any
+	stack []byte
+}
+
+func (p *taskPanic) Error() string {
+	return fmt.Sprintf("combine: task %d panicked: %v\n\n%s", p.task, p.value, p.stack)
 }
 
 // shardedRun carries one RunSharded call: the inputs every task reads and
@@ -315,9 +351,11 @@ type shardedRun struct {
 	// pinned[i·V+v] marks instance (service i, parent node v) as relied upon
 	// by a reconciled shard's own requests; see reconcile.
 	pinned []bool
-	// halo and eval hold each shard's halo view and reconciliation
-	// evaluator for its account task; nil when the shard has no halo.
-	halo []*model.ShardInstance
+	// view holds each shard's view for the tasks after its solve: the
+	// solve's extract until reconcile replaces it with the halo view that
+	// extends it. eval holds the reconciliation evaluator over the halo view
+	// for the account task; nil when the shard has no halo.
+	view []*model.ShardInstance
 	eval []*model.DeltaEvaluator
 
 	took     []time.Duration // per task
@@ -352,14 +390,25 @@ func newShardedRun(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConf
 		return nil, fmt.Errorf("combine: plan covers %d nodes, instance has %d", len(plan.NodeShard), in.V())
 	}
 	S := plan.NumShards
-	// Owned requests per shard and per node, ascending by parent index.
-	reqsByShard := make([][]int, S)
-	reqsByNode := make([][]int, in.V())
-	for h := range in.Workload.Requests {
-		home := in.Workload.Requests[h].Home
+	// Owned requests per node and per shard, ascending by parent index: a
+	// counting pass sizes every list inside one backing array per index.
+	reqs := in.Workload.Requests
+	perNode := make([]int, in.V())
+	for h := range reqs {
+		home := reqs[h].Home
 		if home < 0 || home >= in.V() {
 			return nil, fmt.Errorf("combine: request %d homed on out-of-range node %d", h, home)
 		}
+		perNode[home]++
+	}
+	perShard := make([]int, S)
+	for v, n := range perNode {
+		perShard[plan.NodeShard[v]] += n
+	}
+	reqsByNode := carve(perNode, len(reqs))
+	reqsByShard := carve(perShard, len(reqs))
+	for h := range reqs {
+		home := reqs[h].Home
 		s := plan.NodeShard[home]
 		reqsByShard[s] = append(reqsByShard[s], h)
 		reqsByNode[home] = append(reqsByNode[home], h)
@@ -368,7 +417,7 @@ func newShardedRun(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConf
 		in: in, plan: plan, cfg: cfg, reqsByShard: reqsByShard, reqsByNode: reqsByNode,
 		merged:   model.NewPlacement(in.M(), in.V()),
 		pinned:   make([]bool, in.M()*in.V()),
-		halo:     make([]*model.ShardInstance, S),
+		view:     make([]*model.ShardInstance, S),
 		eval:     make([]*model.DeltaEvaluator, S),
 		took:     make([]time.Duration, numStages*S),
 		shards:   make([]ShardRun, S),
@@ -376,6 +425,19 @@ func newShardedRun(in *model.Instance, plan *topology.ShardPlan, cfg ShardedConf
 		removed:  make([]int, S),
 		accounts: make([]shardAccount, S),
 	}, nil
+}
+
+// carve returns empty lists of the given capacities, back to back in one
+// array of length total.
+func carve(caps []int, total int) [][]int {
+	all := make([]int, total)
+	lists := make([][]int, len(caps))
+	off := 0
+	for i, n := range caps {
+		lists[i] = all[off : off : off+n]
+		off += n
+	}
+	return lists
 }
 
 // runTask runs task t of the graph and records its time.
@@ -449,7 +511,8 @@ func (r *shardedRun) solve(s int) error {
 	own := r.plan.Shards[s]
 	reqs := r.reqsByShard[s]
 	st := ShardRun{Shard: s, Nodes: len(own), Requests: len(reqs)}
-	si, err := model.NewShardInstance(r.in, own, len(own), reqs, len(reqs))
+	// Room for the requests homed on the halo, which the halo view appends.
+	si, err := model.NewShardInstanceRoom(r.in, own, len(own), reqs, len(reqs), r.haloRoom(s))
 	if err != nil {
 		return fmt.Errorf("combine: shard %d: %w", s, err)
 	}
@@ -476,54 +539,55 @@ func (r *shardedRun) solve(s int) error {
 	}
 	si.ScatterOwn(local, r.merged)
 	r.shards[s] = st
+	r.view[s] = si
 	return nil
+}
+
+// haloRoom is the number of requests homed on shard s's halo nodes.
+func (r *shardedRun) haloRoom(s int) int {
+	n := 0
+	for _, v := range r.plan.Halo(s) {
+		n += len(r.reqsByNode[v])
+	}
+	return n
 }
 
 // buildHalo builds shard s's halo view of the merged placement: its owned
 // nodes plus the neighbors' facing gateways, its owned requests plus the
-// servable halo requests.
+// servable halo requests. It extends the solve's view, sharing its requests.
 func (r *shardedRun) buildHalo(s int) (*model.ShardInstance, error) {
 	in, merged, M := r.in, r.merged, r.in.M()
 	own := r.plan.Shards[s]
 	halo := r.plan.Halo(s)
-	nodes := make([]int, 0, len(own)+len(halo))
-	nodes = append(nodes, own...)
-	nodes = append(nodes, halo...)
-	reqs := append([]int(nil), r.reqsByShard[s]...)
-	ownReqs := len(reqs)
-	if len(halo) > 0 {
-		// Halo requests (homed on the neighbors' facing gateways) ride
-		// along only when the restricted view can serve their whole
-		// chain; an unservable halo request would pin the base objective
-		// at +Inf and mask every boundary improvement.
-		avail := make([]bool, M)
-		for i := 0; i < M; i++ {
-			for _, v := range nodes {
-				if merged.X[i][v] {
-					avail[i] = true
+	// Halo requests (homed on the neighbors' facing gateways) ride along
+	// only when the restricted view can serve their whole chain; an
+	// unservable halo request would pin the base objective at +Inf and mask
+	// every boundary improvement.
+	avail := make([]bool, M)
+	for i := 0; i < M; i++ {
+		for _, view := range [][]int{own, halo} {
+			for _, v := range view {
+				avail[i] = avail[i] || merged.X[i][v]
+			}
+		}
+	}
+	haloReqs := make([]int, 0, r.haloRoom(s))
+	for _, hn := range halo {
+		for _, h := range r.reqsByNode[hn] {
+			servable := true
+			for _, svc := range in.Workload.Requests[h].Chain {
+				if !avail[svc] {
+					servable = false
 					break
 				}
 			}
-		}
-		var haloReqs []int
-		for _, hn := range halo {
-			for _, h := range r.reqsByNode[hn] {
-				servable := true
-				for _, svc := range in.Workload.Requests[h].Chain {
-					if !avail[svc] {
-						servable = false
-						break
-					}
-				}
-				if servable {
-					haloReqs = append(haloReqs, h)
-				}
+			if servable {
+				haloReqs = append(haloReqs, h)
 			}
 		}
-		sort.Ints(haloReqs)
-		reqs = append(reqs, haloReqs...)
 	}
-	si, err := model.NewShardInstance(in, nodes, len(own), reqs, ownReqs)
+	sort.Ints(haloReqs)
+	si, err := r.view[s].WithHalo(in, halo, haloReqs)
 	if err != nil {
 		return nil, fmt.Errorf("combine: shard %d halo: %w", s, err)
 	}
@@ -555,7 +619,7 @@ func (r *shardedRun) reconcile(s int) error {
 	}
 	de := model.NewDeltaEvaluator(si.Sub, si.Restrict(merged), model.RouteModeOptimal,
 		stats.SplitSeed(r.cfg.Seed, fmt.Sprintf("shard/%d", s)))
-	r.halo[s], r.eval[s] = si, de
+	r.view[s], r.eval[s] = si, de
 	// Ranking and gating read the evaluator's summary; no Evaluation is
 	// materialized.
 	base := de.Summary()
@@ -618,17 +682,13 @@ func (r *shardedRun) reconcile(s int) error {
 // for the armed merge check.
 func (r *shardedRun) account(s int) error {
 	var v model.EvalView
-	si, de := r.halo[s], r.eval[s]
+	si, de := r.view[s], r.eval[s]
+	r.view[s], r.eval[s] = nil, nil
 	if de != nil {
 		de.AdvanceTo(si.Restrict(r.merged))
 		de.Summary() // brings every request's latency up to date
 		v = de
-		r.halo[s], r.eval[s] = nil, nil
 	} else {
-		var err error
-		if si, err = r.buildHalo(s); err != nil {
-			return err
-		}
 		v = si.Sub.Evaluate(si.Restrict(r.merged))
 	}
 	if invariant.Enabled {

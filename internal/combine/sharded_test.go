@@ -7,10 +7,12 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/invariant"
 	"repro/internal/model"
 	"repro/internal/msvc"
 	"repro/internal/partition"
@@ -558,6 +560,39 @@ func TestRunTaskGraph(t *testing.T) {
 	}
 }
 
+// A task that panics fails as itself: the caller gets a recoverable panic
+// naming the task and carrying its value, at one worker and at several,
+// after the tasks that do not wait on it have run.
+func TestRunTaskGraphPanic(t *testing.T) {
+	deps := [][]int{{}, {}, {0}, {1}, {2, 3}, {1}}
+	for _, workers := range []int{1, 2, 4, 0} {
+		var ran [6]atomic.Bool
+		var got any
+		bounded(t, "runTaskGraph", func() {
+			defer func() { got = recover() }()
+			runTaskGraph(deps, workers, func(task int) error {
+				ran[task].Store(true)
+				if task == 3 {
+					panic("shard task boom")
+				}
+				return nil
+			})
+		})
+		p, ok := got.(*taskPanic)
+		if !ok {
+			t.Fatalf("workers %d: recovered %v (%T), want a *taskPanic", workers, got, got)
+		}
+		if msg := p.Error(); p.task != 3 || !strings.Contains(msg, "task 3 panicked: shard task boom") {
+			t.Fatalf("workers %d: panic names task %d: %q", workers, p.task, msg)
+		}
+		for task, want := range []bool{true, true, true, true, false, true} {
+			if ran[task].Load() != want {
+				t.Fatalf("workers %d: task %d ran = %v, want %v", workers, task, !want, want)
+			}
+		}
+	}
+}
+
 // The generated schedule differential: on clustered instances of several
 // region counts, with deadlines 10 % above the unreconciled placement's global
 // latencies so that boundary removals roll back, every worker count must
@@ -597,6 +632,35 @@ func TestRunShardedScheduleMatchesNaive(t *testing.T) {
 	if rolledBack == 0 {
 		t.Fatal("fixture no longer rolls back a boundary removal")
 	}
+}
+
+// runShardedParentBytes is what one RunSharded call on BenchmarkRunSharded's
+// instance allocated before the per-shard request extracts were shared, the
+// reliance lists merged in place and the indexes counted: 42 076 648 B
+// (go1.24, linux/amd64).
+const runShardedParentBytes = 42_076_648
+
+// RunSharded on the batch_sharded shape allocates at most two thirds of
+// runShardedParentBytes.
+func TestRunShardedBytes(t *testing.T) {
+	if invariant.Enabled || raceEnabled {
+		t.Skip("-race and -tags soclinvariants allocate on their own")
+	}
+	in, plan := clusteredInstance(t, 30000, 25, 25, 0.05, 1)
+	cfg := DefaultShardedConfig()
+	cfg.Seed = stats.SplitSeed(1, "bench")
+	cfg.Workers = 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunSharded(in, plan, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(runShardedParentBytes * 2 / 3); got > limit {
+		t.Fatalf("RunSharded allocated %d bytes, want at most %d", got, limit)
+	}
+	t.Logf("RunSharded allocated %d bytes (%.1f %% of the parent's)", got, 100*float64(got)/runShardedParentBytes)
 }
 
 // BenchmarkRunSharded is the batch_sharded workload's kernel: RunSharded on

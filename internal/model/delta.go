@@ -173,18 +173,20 @@ type DeltaEvaluator struct {
 	spareSaved   [][]routeSave
 	spareFlipped [][]int
 
-	// Removal-probe memo (ProbeRemoval): altLat[h][t] is request h's exact
-	// completion time if the instance its route uses at chain step t were
-	// removed. A row is valid while chainGen[h] — bumped on every placement
-	// mutation of a service in h's chain while some probe memo exists (a memo
-	// is born stale, so none need be tracked before) — matches altGen[h];
-	// entries fill lazily. This is what lets GC-OG's candidate sweep skip
-	// re-routing for every request whose chain the previous round's accepted
-	// move did not touch.
+	// Removal-probe memo (ProbeRemoval): altLat[altOff[h]+t] is request h's
+	// exact completion time if the instance its route uses at chain step t
+	// were removed, altSet the same position's filled flag. A row is valid
+	// while chainGen[h] — bumped on every placement mutation of a service in
+	// h's chain while some probe memo exists (a memo is born stale, so none
+	// need be tracked before, and chainGen is allocated with the first) —
+	// matches altGen[h]; entries fill lazily. This is what lets GC-OG's
+	// candidate sweep skip re-routing for every request whose chain the
+	// previous round's accepted move did not touch.
 	chainGen []uint64
 	altGen   []uint64
-	altLat   [][]float64
-	altSet   [][]bool
+	altOff   []int // request h's row is [altOff[h], altOff[h+1])
+	altLat   []float64
+	altSet   []bool
 	affBuf   []affectedAlt
 	exclude  excludeLister
 	kappa    []float64 // per-service deploy cost, mirrors Catalog lookups
@@ -236,17 +238,50 @@ func NewDeltaEvaluator(in *Instance, p Placement, mode RoutingMode, seed int64) 
 	}
 	d.routes = make([]deltaRoute, len(in.Workload.Requests))
 	d.pend = make([]int, 0, len(in.Workload.Requests))
-	d.chainGen = make([]uint64, len(in.Workload.Requests))
 	d.chainReqs = make([][]int, in.M())
 	d.kappa = make([]float64, in.M())
 	for i := range d.kappa {
 		d.kappa[i] = in.Workload.Catalog.Service(i).DeployCost
 	}
+	d.indexChains()
 	for h := range in.Workload.Requests {
-		d.indexChain(h)
 		d.queue(h)
 	}
 	return d
+}
+
+// indexChains fills chainReqs from one counted backing array. Each service's
+// list is capped at its own span, so an admission that outgrows it
+// reallocates that list alone instead of running into the next. A list's
+// last entry, or in the counting pass last, says whether the request at hand
+// is filed under the service already.
+func (d *DeltaEvaluator) indexChains() {
+	reqs := d.in.Workload.Requests
+	count := make([]int, len(d.chainReqs))
+	last := make([]int, len(d.chainReqs)) // the last request counted, plus one
+	total := 0
+	for h := range reqs {
+		for _, svc := range reqs[h].Chain {
+			if last[svc] != h+1 {
+				last[svc] = h + 1
+				count[svc]++
+				total++
+			}
+		}
+	}
+	all := make([]int, total)
+	off := 0
+	for svc, n := range count {
+		d.chainReqs[svc] = all[off : off : off+n]
+		off += n
+	}
+	for h := range reqs {
+		for _, svc := range reqs[h].Chain {
+			if c := d.chainReqs[svc]; len(c) == 0 || c[len(c)-1] != h {
+				d.chainReqs[svc] = append(c, h)
+			}
+		}
+	}
 }
 
 // indexChain files request h, the last one indexed so far, under each
@@ -368,10 +403,10 @@ func (d *DeltaEvaluator) EditRequests(reqs []msvc.Request, gone, moved []int) {
 	// memo is built against them: only its length must follow the list.
 	if n := len(own); n <= cap(d.chainGen) {
 		d.chainGen = d.chainGen[:n]
-	} else {
+	} else if d.chainGen != nil {
 		d.chainGen = append(d.chainGen, make([]uint64, n-len(d.chainGen))...)
 	}
-	d.altGen, d.altLat, d.altSet = nil, nil, nil
+	d.altGen, d.altOff, d.altLat, d.altSet = nil, nil, nil, nil
 	d.dropAddProbe()
 	d.reqGen++
 	d.undoGen++
@@ -579,6 +614,13 @@ func (d *DeltaEvaluator) Revert(dl *Delta) {
 // must track mutations.
 func (d *DeltaEvaluator) memoized() bool { return d.altLat != nil || d.addProbe.tab != nil }
 
+// trackChains allocates chainGen for the first probe memo.
+func (d *DeltaEvaluator) trackChains() {
+	if d.chainGen == nil {
+		d.chainGen = make([]uint64, len(d.routes))
+	}
+}
+
 // invalidate applies the mode-specific invalidation rule for a single
 // mutation of (svc, node), recording each previously-valid entry it flips in
 // dl's undo record (dl == nil when the caller keeps none, e.g. AdvanceTo).
@@ -685,6 +727,8 @@ func (d *DeltaEvaluator) Rebind(p Placement) {
 	for h := range d.routes {
 		d.routes[h] = deltaRoute{}
 		d.queue(h)
+	}
+	for h := range d.chainGen {
 		d.chainGen[h]++
 	}
 }
@@ -832,15 +876,16 @@ func (d *DeltaEvaluator) ProbeRemoval(svc, node int) (objective float64, overBud
 	}
 	d.refresh()
 	if d.altLat == nil {
+		d.trackChains()
 		reqs := d.in.Workload.Requests
 		d.altGen = make([]uint64, len(reqs))
-		d.altLat = make([][]float64, len(reqs))
-		d.altSet = make([][]bool, len(reqs))
+		d.altOff = make([]int, len(reqs)+1)
 		for h := range reqs {
-			d.altLat[h] = make([]float64, len(reqs[h].Chain))
-			d.altSet[h] = make([]bool, len(reqs[h].Chain))
+			d.altOff[h+1] = d.altOff[h] + len(reqs[h].Chain)
 			d.altGen[h] = d.chainGen[h] - 1 // force a reset on first touch
 		}
+		d.altLat = make([]float64, d.altOff[len(reqs)])
+		d.altSet = make([]bool, len(d.altLat))
 	}
 
 	// Collect the affected requests (chainReqs is ascending in h, so the
@@ -864,16 +909,15 @@ func (d *DeltaEvaluator) ProbeRemoval(svc, node int) (objective float64, overBud
 			continue
 		}
 		if d.altGen[h] != d.chainGen[h] {
-			for t := range d.altSet[h] {
-				d.altSet[h][t] = false
-			}
+			clear(d.altSet[d.altOff[h]:d.altOff[h+1]])
 			d.altGen[h] = d.chainGen[h]
 		}
-		if !d.altSet[h][t0] {
-			d.altLat[h][t0] = d.probeLat(h, svc, node)
-			d.altSet[h][t0] = true
+		at := d.altOff[h] + t0
+		if !d.altSet[at] {
+			d.altLat[at] = d.probeLat(h, svc, node)
+			d.altSet[at] = true
 		}
-		aff = append(aff, affectedAlt{h, d.altLat[h][t0]})
+		aff = append(aff, affectedAlt{h, d.altLat[at]})
 	}
 	d.affBuf = aff
 
@@ -1025,6 +1069,9 @@ func (d *DeltaEvaluator) AppendFinite(dst []float64) []float64 {
 func (d *DeltaEvaluator) summarize(ev *Evaluation) EvalSummary {
 	reqs := d.in.Workload.Requests
 	s := EvalSummary{Cost: d.deployCost()}
+	if d.fin == nil {
+		d.fin = make([]float64, 0, len(d.routes))
+	}
 	fin := d.fin[:0]
 	for h := range d.routes {
 		e := &d.routes[h]

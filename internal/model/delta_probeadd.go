@@ -166,6 +166,7 @@ func (d *DeltaEvaluator) ProbeAdd(node int, svcs ...int) AddProbe {
 	d.refresh()
 	n := len(d.routes)
 	if st.tab == nil {
+		d.trackChains()
 		st.tab = make([][]float64, n)
 		st.gen = make([]uint64, n)
 		for h := range st.gen {

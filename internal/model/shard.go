@@ -41,49 +41,91 @@ type ShardInstance struct {
 // parent node IDs, which would silently mis-price steps under local IDs. The
 // cloud fallback, whose completion time is graph-free, carries over.
 func NewShardInstance(in *Instance, nodes []int, ownNodes int, reqs []int, ownReqs int) (*ShardInstance, error) {
+	return NewShardInstanceRoom(in, nodes, ownNodes, reqs, ownReqs, 0)
+}
+
+// NewShardInstanceRoom is NewShardInstance with room for room more requests
+// in the capacity of the request lists, where WithHalo appends a halo's.
+func NewShardInstanceRoom(in *Instance, nodes []int, ownNodes int, reqs []int, ownReqs, room int) (*ShardInstance, error) {
 	if ownNodes < 0 || ownNodes > len(nodes) {
 		return nil, fmt.Errorf("model: ownNodes %d outside [0,%d]", ownNodes, len(nodes))
 	}
 	if ownReqs < 0 || ownReqs > len(reqs) {
 		return nil, fmt.Errorf("model: ownReqs %d outside [0,%d]", ownReqs, len(reqs))
 	}
-	sub := topology.Subgraph(in.Graph, nodes)
+	si := &ShardInstance{
+		Nodes:    append([]int(nil), nodes...),
+		Reqs:     make([]int, 0, len(reqs)+room),
+		OwnNodes: ownNodes,
+		OwnReqs:  ownReqs,
+	}
+	if err := si.extract(in, make([]msvc.Request, 0, len(reqs)+room), reqs); err != nil {
+		return nil, err
+	}
+	return si, nil
+}
+
+// WithHalo returns the halo view of s, a view without a halo: s's owned
+// nodes followed by halo, and s's requests followed by haloReqs (parent
+// indices, homed on halo nodes). The two views share s's requests: the halo
+// requests are appended after them, in the room NewShardInstanceRoom left,
+// which the call uses up (a second halo view of s copies). The graph is
+// extracted anew, since the halo view's shortest paths may pass through halo
+// nodes.
+func (s *ShardInstance) WithHalo(in *Instance, halo, haloReqs []int) (*ShardInstance, error) {
+	if s.OwnNodes != len(s.Nodes) || s.OwnReqs != len(s.Reqs) {
+		return nil, fmt.Errorf("model: WithHalo of a view that has a halo")
+	}
+	own := s.Sub.Workload.Requests
+	hv := &ShardInstance{
+		Nodes:    append(s.Nodes[:s.OwnNodes:s.OwnNodes], halo...),
+		Reqs:     s.Reqs,
+		OwnNodes: s.OwnNodes,
+		OwnReqs:  s.OwnReqs,
+	}
+	s.Sub.Workload.Requests = own[:len(own):len(own)]
+	s.Reqs = s.Reqs[:len(s.Reqs):len(s.Reqs)]
+	if err := hv.extract(in, own, haloReqs); err != nil {
+		return nil, err
+	}
+	return hv, nil
+}
+
+// extract builds s.Sub over the induced subgraph on s.Nodes, with the parent
+// requests reqs re-homed to local IDs and appended to requests, and appends
+// reqs to s.Reqs.
+func (s *ShardInstance) extract(in *Instance, requests []msvc.Request, reqs []int) error {
+	sub := topology.Subgraph(in.Graph, s.Nodes)
 	// localNode[v] is parent node v's local ID, -1 outside the shard
 	// (Subgraph has rejected duplicate and out-of-range nodes).
 	localNode := make([]int32, in.V())
 	for v := range localNode {
 		localNode[v] = -1
 	}
-	for i, v := range nodes {
+	for i, v := range s.Nodes {
 		localNode[v] = int32(i)
 	}
-	requests := make([]msvc.Request, len(reqs))
-	for i, h := range reqs {
+	for _, h := range reqs {
 		if h < 0 || h >= len(in.Workload.Requests) {
-			return nil, fmt.Errorf("model: request index %d out of range [0,%d)", h, len(in.Workload.Requests))
+			return fmt.Errorf("model: request index %d out of range [0,%d)", h, len(in.Workload.Requests))
 		}
 		req := in.Workload.Requests[h] // shallow copy; Chain/EdgeData shared read-only
 		if req.Home < 0 || req.Home >= len(localNode) || localNode[req.Home] == -1 {
-			return nil, fmt.Errorf("model: request %d homed on node %d outside the shard", h, req.Home)
+			return fmt.Errorf("model: request %d homed on node %d outside the shard", h, req.Home)
 		}
-		req.ID = i
+		req.ID = len(requests)
 		req.Home = int(localNode[req.Home])
-		requests[i] = req
+		requests = append(requests, req)
 	}
-	si := &ShardInstance{
-		Sub: &Instance{
-			Graph:    sub,
-			Workload: &msvc.Workload{Catalog: in.Workload.Catalog, Requests: requests},
-			Lambda:   in.Lambda,
-			Budget:   in.Budget,
-			Cloud:    in.Cloud,
-		},
-		Nodes:    append([]int(nil), nodes...),
-		Reqs:     append([]int(nil), reqs...),
-		OwnNodes: ownNodes,
-		OwnReqs:  ownReqs,
+	s.Reqs = append(s.Reqs, reqs...)
+	s.Sub = &Instance{
+		Graph:    sub,
+		Workload: &msvc.Workload{Catalog: in.Workload.Catalog, Requests: requests},
+		Lambda:   in.Lambda,
+		Budget:   in.Budget,
+		Cloud:    in.Cloud,
 	}
-	return si, nil
+	return nil
 }
 
 // Restrict projects a parent placement onto the shard's nodes, producing a

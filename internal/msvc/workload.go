@@ -3,6 +3,7 @@ package msvc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -101,6 +102,15 @@ func GenerateWorkload(cat *Catalog, g *topology.Graph, cfg WorkloadConfig, seed 
 	}
 
 	w := &Workload{Catalog: cat, Requests: make([]Request, 0, cfg.NumUsers)}
+	// Chains and edge data are gathered in two buffers, sized for the mean
+	// flow, and copied at the end into one exact array each: two objects a
+	// workload for the collector to mark, not two a request.
+	steps := 0
+	for _, f := range flows {
+		steps += len(f)
+	}
+	chainBuf := make([]ServiceID, 0, cfg.NumUsers*steps/len(flows))
+	edgeBuf := make([]float64, 0, cap(chainBuf))
 	hot := cfg.HotspotNodes
 	if hot <= 0 || hot > g.N() {
 		hot = g.N()
@@ -116,11 +126,12 @@ func GenerateWorkload(cat *Catalog, g *topology.Graph, cfg WorkloadConfig, seed 
 
 		// Chain: sample a flow, maybe truncate.
 		base := flows[r.Intn(len(flows))]
-		chain := make([]ServiceID, len(base))
-		copy(chain, base)
-		for cut := 0; cut < 2 && len(chain) > 1 && r.Float64() < cfg.TruncateProb; cut++ {
-			chain = chain[:len(chain)-1]
+		n := len(base)
+		for cut := 0; cut < 2 && n > 1 && r.Float64() < cfg.TruncateProb; cut++ {
+			n--
 		}
+		chainBuf = append(chainBuf, base[:n]...)
+		chain := chainBuf[len(chainBuf)-n:]
 
 		req := Request{
 			ID:      h,
@@ -129,7 +140,8 @@ func GenerateWorkload(cat *Catalog, g *topology.Graph, cfg WorkloadConfig, seed 
 			DataIn:  stats.UniformIn(r, cfg.InDataMin, cfg.InDataMax),
 			DataOut: stats.UniformIn(r, cfg.OutDataMin, cfg.OutDataMax),
 		}
-		req.EdgeData = make([]float64, len(chain)-1)
+		edgeBuf = slices.Grow(edgeBuf, n-1)[:len(edgeBuf)+n-1]
+		req.EdgeData = edgeBuf[len(edgeBuf)-(n-1):]
 		for i := range req.EdgeData {
 			req.EdgeData[i] = stats.UniformIn(r, cfg.EdgeDataMin, cfg.EdgeDataMax)
 		}
@@ -151,6 +163,14 @@ func GenerateWorkload(cat *Catalog, g *topology.Graph, cfg WorkloadConfig, seed 
 			return nil, err
 		}
 		w.Requests = append(w.Requests, req)
+	}
+	chains := append(make([]ServiceID, 0, len(chainBuf)), chainBuf...)
+	edges := append(make([]float64, 0, len(edgeBuf)), edgeBuf...)
+	for h := range w.Requests {
+		req := &w.Requests[h]
+		n := len(req.Chain)
+		req.Chain, chains = chains[:n:n], chains[n:]
+		req.EdgeData, edges = edges[:n-1:n-1], edges[n-1:]
 	}
 	return w, nil
 }
